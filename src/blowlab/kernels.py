@@ -23,10 +23,11 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
+from scipy.special import gammaln, jv
 
 from .errors import DomainError, ResolutionError
 from .numutil import golden_max, loglog_slope
@@ -39,6 +40,7 @@ __all__ = [
     "SemigroupKernel",
     "StableProfile",
     "KernelBoundReport",
+    "ProfileValues",
     "fourier_symbol",
     "generator_symbol_grid",
     "semigroup_kernel",
@@ -485,9 +487,260 @@ def subordinator_density(alpha: float, lam) -> np.ndarray:
 # self-similar stable profiles
 # ---------------------------------------------------------------------------
 
+class ProfileValues(NamedTuple):
+    """Profile values with the error estimate and the route of each point.
+
+    Routes: ``closed`` (alpha in {1, 2}, and rho = 0 at any order),
+    ``series-near`` and ``series-far`` (the small- and large-rho series),
+    ``cosine`` (d = 1) and ``hankel`` (d >= 2) for the single-integral
+    transforms, and ``subordination`` for the explicit oracle.
+    """
+
+    value: np.ndarray
+    error: np.ndarray
+    route: np.ndarray
+
+
+_EPS = float(np.finfo(float).eps)
+_SERIES_TERMS = 400
+# the transforms stop where their damped amplitude falls to e^-69
+_CUT_LOG = 69.0
+# each route switch sits where its series' estimated error falls to this
+# share of quad_tol, on a grid of 20 radii per decade
+_SWITCH_MARGIN = 0.25
+_SWITCH_GRID = np.geomspace(1e-6, 1e4, 201)
+
+
+def _sum_series(log_mag, weight, scale, asymptotic):
+    """Sum series terms exp(log_mag) * weight along axis 1, one row per point
+    (rows are summed alike whatever their number, so an array call returns
+    the scalar calls' values bit for bit).
+
+    ``scale`` bounds the magnitudes of the log-gamma parts of each log_mag,
+    so each term carries a relative rounding error of about eps * scale.
+    A convergent series adds a geometric bound on its tail and reports an
+    infinite error while its terms still grow; an asymptotic one stops
+    before its smallest term, which is then its truncation error.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mag = np.exp(log_mag)
+        terms = mag * weight
+        if asymptotic:
+            stop = np.argmin(log_mag, axis=1)
+            keep = np.arange(log_mag.shape[1]) < stop[:, None]
+            tail = mag[np.arange(mag.shape[0]), stop]
+        else:
+            keep = np.ones(mag.shape, dtype=bool)
+            last, ratio = mag[:, -1], mag[:, -1] / mag[:, -2]
+            tail = np.where(last == 0.0, 0.0,
+                            np.where(ratio < 1.0, last * ratio / (1.0 - ratio), np.inf))
+        kept = np.where(keep, terms, 0.0)
+        value = kept.sum(axis=1)
+        rounding = 4.0 * _EPS * (np.abs(kept) * (scale + 1.0)).sum(axis=1)
+        error = rounding + tail
+    bad = ~(np.isfinite(value) & np.isfinite(error))
+    return np.where(bad, 0.0, value), np.where(bad, np.inf, error)
+
+
+def _near_series(alpha: float, d: int, rho: np.ndarray):
+    """2/(alpha (4 pi)^(d/2)) sum_k (-1)^k Gamma((2k+d)/alpha) / (k! Gamma(k+d/2)) (rho/2)^(2k),
+    convergent for alpha > 1 and rho > 0 (asymptotic for alpha < 1)."""
+    k = np.arange(_SERIES_TERMS, dtype=float)
+    parts = (gammaln((2.0 * k + d) / alpha), gammaln(k + 1.0), gammaln(k + d / 2.0),
+             2.0 * k * np.log(rho / 2.0)[:, None])
+    log_mag = parts[0] - parts[1] - parts[2] + parts[3]
+    scale = sum(np.abs(p) for p in parts)
+    weight = np.where(k % 2 == 0.0, 1.0, -1.0)
+    value, error = _sum_series(log_mag, weight, scale, asymptotic=alpha < 1.0)
+    front = 2.0 / (alpha * (4.0 * math.pi) ** (d / 2.0))
+    return front * value, front * error
+
+
+def _far_series(alpha: float, d: int, rho: np.ndarray):
+    """pi^(-d/2-1) rho^(-d) sum_n (-1)^(n+1)/n! Gamma((n alpha+d)/2) Gamma(1+n alpha/2)
+    sin(pi n alpha/2) (2/rho)^(n alpha), convergent for alpha < 1 and
+    asymptotic for alpha > 1; its first term is the far-field tail
+    c rho^(-d-alpha)."""
+    n = np.arange(1, _SERIES_TERMS + 1, dtype=float)
+    parts = (gammaln((n * alpha + d) / 2.0), gammaln(1.0 + n * alpha / 2.0),
+             gammaln(n + 1.0), n * alpha * np.log(2.0 / rho)[:, None])
+    log_mag = parts[0] + parts[1] - parts[2] + parts[3]
+    scale = sum(np.abs(p) for p in parts)
+    weight = np.where(n % 2 == 1.0, 1.0, -1.0) * np.sin(0.5 * math.pi * alpha * n)
+    value, error = _sum_series(log_mag, weight, scale, asymptotic=alpha > 1.0)
+    front = math.pi ** (-d / 2.0 - 1.0) * rho ** (-float(d))
+    return front * value, front * error
+
+
+def _chunked(series, alpha: float, d: int, rho: np.ndarray):
+    """A series over rho in chunks of 32 points, which bounds the term
+    tables at 32 x _SERIES_TERMS values."""
+    chunks = [series(alpha, d, c) for c in np.array_split(rho, -(-rho.size // 32))]
+    return np.concatenate([v for v, _ in chunks]), np.concatenate([e for _, e in chunks])
+
+
+@functools.lru_cache(maxsize=128)
+def _series_switches(alpha: float, d: int, tol: float):
+    """(rho_near, rho_far, R(rho_far)) for a generic order.
+
+    The near series serves 0 < rho <= rho_near (rho_near = 0 for alpha < 1),
+    the far series rho >= rho_far (inf if it never gets within tol), and the
+    single integrals the radii between. R(rho_far) bounds R from below on
+    the integral range, since R decreases in rho.
+    """
+    grid, target = _SWITCH_GRID, _SWITCH_MARGIN * tol
+    rho_near = 0.0
+    if alpha > 1.0:
+        value, error = _chunked(_near_series, alpha, d, grid)
+        fails = np.flatnonzero(~(error <= target * np.abs(value)))
+        if fails.size == 0:
+            rho_near = float(grid[-1])
+        elif fails[0] > 0:
+            rho_near = float(grid[fails[0] - 1])
+    value, error = _chunked(_far_series, alpha, d, grid)
+    fails = np.flatnonzero(~(error <= target * np.abs(value)))
+    if fails.size and fails[-1] == grid.size - 1:
+        return rho_near, math.inf, 0.0
+    i = fails[-1] + 1 if fails.size else 0
+    return rho_near, float(grid[i]), float(value[i])
+
+
+@functools.lru_cache(maxsize=64)
+def _hankel_coefficients(d: int) -> tuple:
+    """a_k(nu), nu = d/2 - 1, of Hankel's expansion
+    J_nu(x) = sqrt(2/(pi x)) (P(x) cos w - Q(x) sin w), w = x - (nu/2 + 1/4) pi,
+    P = sum (-1)^k a_2k x^-2k, Q = sum (-1)^k a_(2k+1) x^-(2k+1), kept
+    while a_k x0^-k stays above 1e-17 at the radius x0 = 8 pi + nu^2 where
+    the expansion takes over (a finite sum for odd d)."""
+    nu = d / 2.0 - 1.0
+    mu, x0 = 4.0 * nu * nu, 8.0 * math.pi + nu * nu
+    coeffs = [1.0]
+    while True:
+        k = len(coeffs)
+        nxt = coeffs[-1] * (mu - (2 * k - 1) ** 2) / (8.0 * k)
+        if nxt == 0.0 or abs(nxt) * x0 ** -k < 1e-17:
+            return tuple(coeffs), x0
+        coeffs.append(nxt)
+
+
+def _checked_quad(f, a, b, **kw):
+    """quad with its diagnostics kept: a QUADPACK failure raises
+    ResolutionError with QUADPACK's message instead of warning."""
+    out = quad(f, a, b, full_output=1, **kw)
+    if len(out) > 3:
+        raise ResolutionError(f"profile quadrature on [{a:.6g}, {b:.6g}] failed: "
+                              + " ".join(str(out[3]).split()))
+    return out[0], out[1]
+
+
+@functools.lru_cache(maxsize=256)
+def _parts_terms(alpha: float, m: int) -> tuple:
+    """(c_j, e_j) with h_m(k) = sum_j c_j k^(e_j) exp(-k^alpha), where
+    h_0 = exp(-k^alpha) and h_(i+1) = h_i'(k)/k."""
+    coef = {0: 1.0}
+    for i in range(m):
+        nxt = {}
+        for j, c in coef.items():
+            nxt[j] = nxt.get(j, 0.0) + (j * alpha - 2.0 * i) * c
+            nxt[j + 1] = nxt.get(j + 1, 0.0) - alpha * c
+        coef = {j: c for j, c in nxt.items() if c != 0.0}
+    return tuple((c, j * alpha - 2.0 * m) for j, c in sorted(coef.items()))
+
+
+def _damped_power(alpha: float, m: int, p: float, k: float) -> float:
+    """h_m(k) k^p, with the powers of k combined so that k = 0 is safe
+    wherever the product is finite."""
+    return math.exp(-k ** alpha) * sum(c * k ** (e + p) for c, e in _parts_terms(alpha, m))
+
+
+def _transform(alpha: float, d: int, rho: float, tol: float, floor: float, m: int):
+    """R(rho) = (2 pi)^(-d/2) rho^(1-d/2) int_0^inf e^(-k^alpha) k^(d/2) J_(d/2-1)(k rho) dk.
+
+    m integrations by parts (d/dx x^(nu+1) J_(nu+1) = x^(nu+1) J_nu) turn
+    the integral into (-1/rho)^m int h_m(k) k^(D/2) J_(D/2-1)(k rho) dk with
+    D = d + 2m, which shrinks the cancellation between the oscillations by
+    rho^m at large rho (they need alpha > 1). The range is cut at K where
+    e^(-K^alpha) K^((D+1)/2 + m alpha) = e^-69. Below k rho = x0 the Bessel
+    factor is integrated as it is; above, Hankel's expansion splits it into
+    cos(k rho) and sin(k rho) weights with smooth amplitudes, which QAWO
+    integrates on doubling intervals. For D = 1 and 3 the expansion is exact
+    and QAWO covers [0, K]; D = 1 is the cosine transform
+    (1/pi) int e^(-k^alpha) cos(k rho) dk. ``floor`` is a lower bound for R,
+    which sets each piece's absolute tolerance.
+    """
+    dim = d + 2 * m
+    nu = dim / 2.0 - 1.0
+    coeffs, x0 = _hankel_coefficients(dim)
+    s = _CUT_LOG
+    for _ in range(4):
+        s = _CUT_LOG + ((dim + 1.0) / 2.0 + m * alpha) / alpha * math.log(s)
+    k_max = s ** (1.0 / alpha)
+    k_split = 0.0 if len(coeffs) == 1 else min(k_max, x0 / rho)
+    edges = [k_split]
+    while edges[-1] < k_max:
+        edges.append(min(k_max, max(2.0 * edges[-1], x0 / rho)))
+    front = (2.0 * math.pi) ** (-d / 2.0) * rho ** (1.0 - d / 2.0) * (-1.0 / rho) ** m
+    opts = dict(epsabs=0.25 * tol * floor / abs(front) / len(edges),
+                epsrel=0.25 * tol, limit=200)
+
+    total = err = 0.0
+    if k_split > 0.0:
+        total, err = _checked_quad(
+            lambda k: _damped_power(alpha, m, dim / 2.0, k) * float(jv(nu, k * rho)),
+            0.0, k_split, **opts)
+    phase = (0.5 * nu + 0.25) * math.pi
+    c, sn = round(math.cos(phase), 15), round(math.sin(phase), 15)
+    amp_front = math.sqrt(2.0 / (math.pi * rho))
+
+    def amplitude(k, which):
+        a = amp_front * _damped_power(alpha, m, (dim - 1) / 2.0, k)
+        if len(coeffs) == 1:
+            return a * (c if which == "cos" else sn)
+        # P and Q of Hankel's expansion at x = k rho
+        x = k * rho
+        p = q = 0.0
+        for j, coef in enumerate(coeffs):
+            term = coef * x ** -j
+            if j % 2 == 0:
+                p += -term if j % 4 == 2 else term
+            else:
+                q += -term if j % 4 == 3 else term
+        return a * (p * c + q * sn if which == "cos" else p * sn - q * c)
+
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        for which, coef in (("cos", c), ("sin", sn)):
+            if coef == 0.0 and len(coeffs) == 1:
+                continue
+            v, e = _checked_quad(lambda k: amplitude(k, which), lo, hi,
+                                 weight=which, wvar=rho, **opts)
+            total += v
+            err += e
+    # what the cut leaves out, bounded without the help of the oscillation
+    err += 2.0 * amp_front * math.exp(-_CUT_LOG) * (2.0 + alpha) ** m / (alpha * s)
+    return front * total, abs(front) * err
+
+
+def _parts_steps(alpha: float, rho: float) -> int:
+    """Integrations by parts for the transform at rho: one per two units of
+    rho, up to six (none for alpha < 1, whose h_m blow up at k = 0)."""
+    if alpha < 1.0 or rho <= 1.0:
+        return 0
+    return min(6, math.ceil(rho / 2.0))
+
+
 @dataclass
 class StableProfile:
-    """Radial profile R with P_t(x) = t^(-d/alpha) R(|x| t^(-1/alpha))."""
+    """Radial profile R with P_t(x) = t^(-d/alpha) R(|x| t^(-1/alpha)).
+
+    ``auto`` evaluates alpha = 2 and alpha = 1 in closed form; other orders
+    take the route their (alpha, d, rho) selects: the closed form at
+    rho = 0, the near series for alpha > 1 at small rho, the far series at
+    large rho, and the cosine (d = 1) or Hankel (d >= 2) transform between.
+    Every value must carry an error estimate within ``quad_tol`` relative
+    to itself, or the call raises ResolutionError. ``subordination``
+    computes the Bochner integral over the one-sided stable density: the
+    slow, independent oracle the routes are checked against.
+    """
 
     alpha: float
     d: int
@@ -506,6 +759,9 @@ class StableProfile:
             raise DomainError("closed forms exist for alpha in {1, 2} only")
         if self.method == "subordination" and self.alpha == 2.0:
             raise DomainError("alpha = 2 is the Gaussian endpoint, not subordinated")
+        if not 1e-13 <= self.quad_tol < 1.0:
+            # QUADPACK takes no relative tolerance below 50 eps
+            raise DomainError("quad_tol must lie in [1e-13, 1)")
         dd = self.d
         self._poisson_norm = math.exp(log_gamma((dd + 1) / 2.0)
                                       - ((dd + 1) / 2.0) * math.log(math.pi))
@@ -513,19 +769,65 @@ class StableProfile:
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, rho) -> np.ndarray:
+        res = self.evaluate(rho)
+        if self.method != "subordination":
+            over = np.flatnonzero(~(res.error <= self.quad_tol * np.abs(res.value)))
+            if over.size:
+                i = over[0]
+                raise ResolutionError(
+                    f"profile route {res.route.flat[i]} at rho = {np.ravel(rho)[i]:.6g} "
+                    f"(alpha = {self.alpha:g}, d = {self.d}) estimates its error at "
+                    f"{res.error.flat[i]:.2e}, over quad_tol = {self.quad_tol:.1e} "
+                    f"relative to R = {res.value.flat[i]:.6e}")
+        return float(res.value[0]) if np.ndim(rho) == 0 else res.value
+
+    def evaluate(self, rho) -> ProfileValues:
+        """R at each rho with its error estimate and route, unchecked."""
         rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
         if np.any(rho_arr < 0):
             raise DomainError("profile argument rho must be nonnegative")
-        use_closed = self.method in ("auto", "closed")
-        if self.alpha == 2.0:
-            out = (4.0 * math.pi) ** (-self.d / 2.0) * np.exp(-rho_arr ** 2 / 4.0)
-        elif self.alpha == 1.0 and use_closed:
-            out = self._poisson_norm * (1.0 + rho_arr ** 2) ** (-(self.d + 1) / 2.0)
+        flat = rho_arr.ravel()
+        value = np.empty(flat.shape)
+        error = np.empty(flat.shape)
+        route = np.empty(flat.shape, dtype=object)
+        if self.method == "subordination":
+            for i, r in enumerate(flat):
+                value[i], error[i] = self._subordinated(r)
+            route[:] = "subordination"
+        elif self.alpha in (1.0, 2.0):
+            if self.alpha == 2.0:
+                value[:] = (4.0 * math.pi) ** (-self.d / 2.0) * np.exp(-flat ** 2 / 4.0)
+            else:
+                value[:] = self._poisson_norm * (1.0 + flat ** 2) ** (-(self.d + 1) / 2.0)
+            error[:] = 4.0 * _EPS * value
+            route[:] = "closed"
         else:
-            out = np.array([self._subordinated(r) for r in rho_arr])
-        return float(out[0]) if np.ndim(rho) == 0 else out
+            self._generic(flat, value, error, route)
+        shape = rho_arr.shape
+        return ProfileValues(value.reshape(shape), error.reshape(shape), route.reshape(shape))
 
-    def _subordinated(self, rho: float) -> float:
+    def _generic(self, rho, value, error, route):
+        alpha, d, tol = self.alpha, self.d, self.quad_tol
+        rho_near, rho_far, floor = _series_switches(alpha, d, tol)
+        center = rho == 0.0
+        near = ~center & (rho <= rho_near)
+        far = ~center & ~near & (rho >= rho_far)
+        if center.any():
+            value[center] = 2.0 * math.exp(math.lgamma(d / alpha) - math.lgamma(d / 2.0)) \
+                / (alpha * (4.0 * math.pi) ** (d / 2.0))
+            error[center] = 4.0 * _EPS * value[center]
+            route[center] = "closed"
+        for mask, series, name in ((near, _near_series, "series-near"),
+                                   (far, _far_series, "series-far")):
+            if mask.any():
+                value[mask], error[mask] = _chunked(series, alpha, d, rho[mask])
+                route[mask] = name
+        for i in np.flatnonzero(~(center | near | far)):
+            r = float(rho[i])
+            value[i], error[i] = _transform(alpha, d, r, tol, floor, _parts_steps(alpha, r))
+            route[i] = "cosine" if d == 1 else "hankel"
+
+    def _subordinated(self, rho: float):
         beta = 0.5 * self.alpha
         d = self.d
         if rho <= 1.0:
@@ -536,9 +838,8 @@ class StableProfile:
                     return 0.0
                 return g * (4.0 * math.pi * lam) ** (-d / 2.0) * math.exp(-rho ** 2 / (4.0 * lam))
 
-            val, _ = quad(integrand, 0.0, np.inf, epsabs=1e-14,
-                          epsrel=self.quad_tol, limit=300)
-            return val
+            return quad(integrand, 0.0, np.inf, epsabs=1e-14,
+                        epsrel=self.quad_tol, limit=300)
         # tau-form, lam = rho^2/(4 tau): stabilizes the small-lam boundary
         # layer that carries the tail mass
 
@@ -548,9 +849,10 @@ class StableProfile:
                 return 0.0
             return g * tau ** (d / 2.0 - 2.0) * math.exp(-tau)
 
-        val, _ = quad(integrand, 0.0, np.inf, epsabs=1e-14,
-                      epsrel=self.quad_tol, limit=300)
-        return math.pi ** (-d / 2.0) * rho ** (-d) * (rho ** 2 / 4.0) * val
+        val, err = quad(integrand, 0.0, np.inf, epsabs=1e-14,
+                        epsrel=self.quad_tol, limit=300)
+        front = math.pi ** (-d / 2.0) * rho ** (-d) * (rho ** 2 / 4.0)
+        return front * val, front * err
 
     def derivative(self, rho) -> np.ndarray:
         """dR/drho, closed forms for alpha in {1, 2} only."""
@@ -571,6 +873,12 @@ class StableProfile:
         r_arr = np.asarray(r, dtype=float)
         s = t ** (-1.0 / self.alpha)
         return t ** (-self.d / self.alpha) * self(r_arr * s)
+
+
+def stable_profile(alpha: float, d: int, method: str = "auto",
+                   quad_tol: float = 1e-11) -> StableProfile:
+    return StableProfile(alpha=float(alpha), d=int(d), method=method,
+                         quad_tol=quad_tol)
 
 
 def stable_profile(alpha: float, d: int, method: str = "auto",

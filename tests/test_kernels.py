@@ -1,16 +1,18 @@
 """Lattice semigroup kernels, stable profiles, and the subordination bridge."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from blowlab.errors import DomainError, ResolutionError
-from blowlab.kernels import (Grid, GridFunction, KernelSpec, semigroup_kernel,
-                             stable_profile, subordinator_density,
-                             verify_kernel_bounds)
+from blowlab.kernels import (Grid, GridFunction, KernelSpec, _far_series,
+                             _near_series, _parts_steps, _series_switches,
+                             _transform, semigroup_kernel, stable_profile,
+                             subordinator_density, verify_kernel_bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -184,3 +186,115 @@ def test_kernel_bound_report_without_closed_derivative():
 def test_kernel_bound_grid_validation():
     with pytest.raises(DomainError):
         verify_kernel_bounds(stable_profile(1.0, 3), [1.0, 2.0, 3.0])
+
+
+# ---------------------------------------------------------------------------
+# stable-profile routes
+# ---------------------------------------------------------------------------
+
+# (alpha, d, rho, route auto takes): every route, d in {1, 2, 3, 5}, alpha
+# on both sides of 1, at points where subordination costs under a second
+ROUTE_POINTS = [
+    (0.8, 1, 0.3, "cosine"),
+    (1.3, 1, 2.5, "cosine"),
+    (1.4, 2, 3.0, "hankel"),
+    (0.7, 3, 0.4, "hankel"),
+    (1.2, 5, 2.0, "hankel"),
+    (1.5, 5, 0.5, "series-near"),
+    (0.8, 5, 3.0, "series-far"),
+]
+
+
+@pytest.mark.parametrize("alpha,d,rho,route", ROUTE_POINTS)
+def test_profile_routes_match_subordination(alpha, d, rho, route):
+    fast = stable_profile(alpha, d).evaluate(rho)
+    oracle = stable_profile(alpha, d, method="subordination").evaluate(rho)
+    assert fast.route[0] == route
+    assert oracle.route[0] == "subordination"
+    assert fast.error[0] <= 1e-11 * fast.value[0]
+    # the oracle's estimate covers its outer quadrature only, not the inner
+    # Kanter densities; 1e-9 is what it holds at these points (it misses by
+    # 2e-11 at (1.6, 2, 0.5) while estimating 1.6e-12)
+    assert oracle.error[0] <= 1e-11 * oracle.value[0]
+    assert_allclose(fast.value[0], oracle.value[0], rtol=1e-9)
+
+
+@pytest.mark.parametrize("alpha,d", [(1.4, 2), (1.2, 1), (1.8, 5), (1.05, 3),
+                                     (0.7, 3), (0.9, 1), (0.6, 2)])
+def test_profile_routes_agree_at_their_switches(alpha, d):
+    tol = 1e-11
+    rho_near, rho_far, floor = _series_switches(alpha, d, tol)
+
+    def transform(r, m=None):
+        return _transform(alpha, d, r, tol, floor,
+                          _parts_steps(alpha, r) if m is None else m)[0]
+
+    def series(fn, r):
+        return float(fn(alpha, d, np.array([r]))[0][0])
+
+    # rho = 0: the closed form against the route serving the smallest radii
+    first = series(_near_series, 1e-9) if alpha > 1 else transform(1e-9)
+    assert_allclose(first, stable_profile(alpha, d)(0.0), rtol=1e-10)
+    if alpha > 1:
+        assert rho_near > 0
+        assert_allclose(series(_near_series, rho_near), transform(rho_near), rtol=1e-10)
+    assert math.isfinite(rho_far)
+    assert_allclose(transform(rho_far), series(_far_series, rho_far), rtol=1e-10)
+    # inside the transform: one more integration by parts where the count steps
+    for r in (1.0, 2.0, 4.0, 6.0):
+        if alpha > 1 and rho_near < r < rho_far:
+            m = _parts_steps(alpha, r)
+            assert_allclose(transform(r, m), transform(r, m + 1), rtol=1e-10)
+
+
+@pytest.mark.parametrize("alpha,d,rho", [(1.5, 1, 250.0), (1.7, 1, 200.0),
+                                         (1.2, 2, 400.0)])
+def test_profile_far_field_constant(alpha, d, rho):
+    """rho^(d+alpha) R(rho) -> c (Blumenthal-Getoor), on the transform route
+    at a radius where the next term of the tail is below 1e-3."""
+    c = alpha * 2.0 ** (alpha - 1.0) * math.pi ** (-d / 2.0 - 1.0) \
+        * math.gamma((d + alpha) / 2.0) * math.gamma(alpha / 2.0) \
+        * math.sin(math.pi * alpha / 2.0)
+    next_term = abs(math.gamma((d + 2 * alpha) / 2.0) * math.gamma(1.0 + alpha)
+                    * math.sin(math.pi * alpha)
+                    / (2.0 * math.gamma((d + alpha) / 2.0) * math.gamma(1.0 + alpha / 2.0)
+                       * math.sin(math.pi * alpha / 2.0))) * (2.0 / rho) ** alpha
+    assert next_term < 1e-3
+    value, error = _transform(alpha, d, rho, 1e-11, 0.0, _parts_steps(alpha, rho))
+    assert error < 1e-11 * value
+    assert abs(rho ** (d + alpha) * value / c - 1.0) < 1e-3
+    assert_allclose(stable_profile(alpha, d)(rho), value, rtol=1e-10)
+
+
+def test_profile_far_corner_matches_high_precision_hankel():
+    """At (1.4, 2, 10) subordination is off by 1.3e-8; the profile agrees
+    with the Hankel integral taken by mpmath at 20 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(20):
+        ref = mp.quadosc(lambda k: mp.exp(-k ** mp.mpf("1.4")) * k * mp.besselj(0, 10 * k),
+                         [0, mp.inf], omega=10) / (2 * mp.pi)
+    assert_allclose(stable_profile(1.4, 2)(10.0), float(ref), rtol=1e-12)
+
+
+def test_profile_array_call_equals_scalar_calls():
+    rho = np.concatenate([[0.0], np.geomspace(0.05, 30.0, 25)])
+    for alpha, d in ((1.4, 2), (0.7, 3)):
+        prof = stable_profile(alpha, d)
+        assert len(set(prof.evaluate(rho).route)) >= 3
+        assert np.array_equal(prof(rho), [prof(float(r)) for r in rho])
+
+
+def test_profile_leaks_no_integration_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        assert stable_profile(1.2, 1)(10.0) > 0
+
+
+def test_profile_error_over_tolerance_raises():
+    # a small order in high dimension: the Hankel amplitude e^(-k^0.3) k^(7/2)
+    # peaks at about 2e7 near k = 4e3, and the integral cancels below double
+    # precision
+    with pytest.raises(ResolutionError):
+        stable_profile(0.3, 8)(0.05)
+    with pytest.raises(DomainError):
+        stable_profile(1.4, 2, quad_tol=1e-16)
