@@ -71,41 +71,25 @@ def K_gaussian(d: float, p: float) -> float:
     return math.exp(log_K_gaussian(d, p))
 
 
-def K_fractional(alpha: float, d: float, p: float, quad_tol: float = 1e-10) -> float:
+def K_fractional(alpha: float, d: float, p: float) -> float:
     """s(alpha,d,p) * sigma_d * int R(x) x^(d-1-g) dx for alpha in (0, 2).
 
-    alpha = 1 evaluates the Poisson-profile integral in closed form (a Beta
-    integral, done in log space so any d is fine). Other orders integrate
-    the Gaussian reduction of each subordinated slice against the one-sided
-    stable density, which is the same integral with the radial part done
-    analytically.
+    Bochner subordination writes the order-alpha kernel as a Gaussian
+    mixture over the one-sided beta-stable subordinator S, beta = alpha/2,
+    with E exp(-lam S) = exp(-lam^beta). Each Gaussian slice integrates
+    against |x|^(-g) in closed form, 2^(-g) S^(-g/2) Gamma((d-g)/2)/Gamma(d/2),
+    and the subordinator moment is E S^(-g/2) = Gamma(1+g/alpha)/Gamma(1+g/2).
+    Everything is summed in log space, so any d is fine.
     """
     if not (0.0 < alpha < 2.0):
         raise DomainError("K_fractional covers alpha in (0, 2); use K_gaussian at alpha = 2")
     g = alpha / (p - 1.0)
-    log_s = log_singular_constant(alpha, d, p)
     if d <= g:
         raise DomainError("need d > alpha/(p-1)")
-    if alpha == 1.0:
-        # sigma_d * c_d * int x^(d-1-g)(1+x^2)^(-(d+1)/2) dx, Beta closed form
-        log_val = log_s + log_sphere_area(d) \
-            + log_gamma((d - g) / 2.0) + log_gamma((1.0 + g) / 2.0) \
-            - math.log(2.0) - ((d + 1.0) / 2.0) * math.log(math.pi)
-        return math.exp(log_val)
-    # per-slice Gaussian moment: 2^(-g) lam^(-g/2) Gamma((d-g)/2)/Gamma(d/2)
-    log_front = log_s - g * math.log(2.0) \
-        + log_gamma((d - g) / 2.0) - log_gamma(d / 2.0)
-
-    def integrand(lam: float) -> float:
-        dens = subordinator_density(alpha, lam)
-        return dens * lam ** (-g / 2.0) if dens > 0.0 else 0.0
-
-    val, err = quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=quad_tol,
-                    limit=300)
-    if val <= 0.0 or err > 1e-6 * val:
-        raise ResolutionError(
-            f"subordinator moment quadrature achieved relative error {err / max(val, 1e-300):.2e}")
-    return math.exp(log_front) * val
+    log_val = log_singular_constant(alpha, d, p) - g * math.log(2.0) \
+        + log_gamma((d - g) / 2.0) - log_gamma(d / 2.0) \
+        + log_gamma(1.0 + g / alpha) - log_gamma(1.0 + g / 2.0)
+    return math.exp(log_val)
 
 
 def K_fractional_at_time(alpha: float, d: float, p: float, t: float,

@@ -11,6 +11,11 @@ on the torus (with a boundary-leak audit per horizon, since large T on a
 fixed box wraps around); radial profiles pair directly against the
 whole-space stable kernel and have no box artifacts, which is what the
 long-horizon growth studies use.
+
+Grid data follows the layout contract of ``Grid``: u0 is transformed as it
+lies, with one real half spectrum per criterion call, and each horizon
+costs one inverse transform whose maximum is W_T and whose argmax is the
+center. Only the audited kernel is built origin-anchored.
 """
 
 from __future__ import annotations
@@ -97,6 +102,11 @@ class BlowupVerdict:
 # the moment functional
 # ---------------------------------------------------------------------------
 
+def _smoothed(u_hat: np.ndarray, sym: np.ndarray, T: float, grid) -> np.ndarray:
+    """e^{T A} u0 from the half spectrum of u0, clipped at zero."""
+    return np.maximum(grid.irfft(np.exp(T * sym) * u_hat), 0.0)
+
+
 def moment_field(u0: GridFunction, kernel: KernelSpec, T: float,
                  boundary_tol: Optional[float] = 1e-8) -> GridFunction:
     """e^{T A} u0 on the torus as a full field; pass boundary_tol=None to
@@ -105,10 +115,9 @@ def moment_field(u0: GridFunction, kernel: KernelSpec, T: float,
         raise DomainError("horizon T must be positive")
     if boundary_tol is not None:
         semigroup_kernel(kernel, T, u0.grid, boundary_tol=boundary_tol)
-    sym = generator_symbol_grid(kernel, u0.grid)
-    spec_u = np.fft.fftn(np.fft.ifftshift(u0.values))
-    conv = np.fft.fftshift(np.real(np.fft.ifftn(np.exp(T * sym) * spec_u)))
-    return GridFunction(u0.grid, np.maximum(conv, 0.0))
+    grid = u0.grid
+    sym = generator_symbol_grid(kernel, grid)
+    return GridFunction(grid, _smoothed(grid.rfft(u0.values), sym, T, grid))
 
 
 def _radial_moment(u0: RadialProfile, kernel: KernelSpec, T: float) -> float:
@@ -137,20 +146,40 @@ def moment_at_zero(u0: InitialData, kernel: KernelSpec, T: float) -> float:
 # criterion evaluation
 # ---------------------------------------------------------------------------
 
-def _moment_rows(u0: InitialData, kernel: KernelSpec, horizons: Sequence[float],
-                 transform: OsgoodTransform, p_power: Optional[float],
-                 threshold: float) -> List[CurvePoint]:
+def _peak_index(values: np.ndarray) -> Tuple[int, ...]:
+    """Lattice index of the largest entry of a field."""
+    return tuple(int(i) for i in
+                 np.unravel_index(int(np.argmax(values)), values.shape))
+
+
+def _grid_moments(u0: GridFunction, kernel: KernelSpec):
+    """T -> (W_T, reliable) for grid data, and the dict of centers it fills.
+    One half spectrum of u0 serves every horizon; each horizon runs the
+    kernel audit and one inverse transform, whose maximum is W_T and whose
+    argmax the center."""
+    grid = u0.grid
+    sym = generator_symbol_grid(kernel, grid)
+    u_hat = grid.rfft(u0.values)
+    centers: dict = {}
+
+    def moment(T: float):
+        try:
+            semigroup_kernel(kernel, T, grid)
+            reliable = True
+        except ResolutionError:
+            reliable = False
+        fld = _smoothed(u_hat, sym, T, grid)
+        centers[float(T)] = _peak_index(fld)
+        return float(fld[centers[float(T)]]), reliable
+
+    return moment, centers
+
+
+def _moment_rows(moment, horizons: Sequence[float], transform: OsgoodTransform,
+                 p_power: Optional[float]) -> List[CurvePoint]:
     rows = []
     for T in horizons:
-        reliable = True
-        if isinstance(u0, GridFunction):
-            try:
-                W = float(moment_field(u0, kernel, T).values.max())
-            except ResolutionError:
-                W = float(moment_field(u0, kernel, T, boundary_tol=None).values.max())
-                reliable = False
-        else:
-            W = _radial_moment(u0, kernel, T)
+        W, reliable = moment(T)
         level = transform.h_inverse(T)
         ratio = W / level if level > 0 else math.inf
         pf = T ** (1.0 / (p_power - 1.0)) * W if p_power is not None else math.nan
@@ -181,16 +210,20 @@ def evaluate_criterion(inp: CriterionInput) -> BlowupVerdict:
 
     horizons = (np.asarray(inp.T_grid, dtype=float) if inp.T_grid is not None
                 else default_horizon_grid())
-    rows = _moment_rows(inp.u0, inp.kernel, horizons, transform, p_power,
-                        inp.threshold)
+    if isinstance(inp.u0, GridFunction):
+        moment, centers = _grid_moments(inp.u0, inp.kernel)
+    else:
+        def moment(T: float):
+            return _radial_moment(inp.u0, inp.kernel, T), True
+        centers = {}
+    rows = _moment_rows(moment, horizons, transform, p_power)
 
     extra_decades = 0
     while (extra_decades < 3 and _is_rising(rows) and rows[-1].reliable
            and not any(r.reliable and r.ratio > inp.threshold for r in rows)):
         lo = rows[-1].T
         ext = np.geomspace(lo, lo * 10.0, 8)[1:]
-        rows.extend(_moment_rows(inp.u0, inp.kernel, ext, transform, p_power,
-                                 inp.threshold))
+        rows.extend(_moment_rows(moment, ext, transform, p_power))
         extra_decades += 1
 
     met = [r for r in rows if r.reliable and r.ratio > inp.threshold]
@@ -206,12 +239,8 @@ def evaluate_criterion(inp: CriterionInput) -> BlowupVerdict:
         except DomainError:
             morrey_value = None
 
-    center: Optional[Tuple[int, ...]] = None
-    if isinstance(inp.u0, GridFunction) and rows:
-        probe = next((r for r in rows if r.reliable), rows[0])
-        fld = moment_field(inp.u0, inp.kernel, probe.T, boundary_tol=None)
-        center = tuple(int(i) for i in
-                       np.unravel_index(int(np.argmax(fld.values)), fld.values.shape))
+    probe = next((r for r in rows if r.reliable), rows[0] if rows else None)
+    center = centers.get(probe.T) if probe else None
 
     if isinstance(inp.u0, GridFunction):
         note = "bounded integrable data (torus truncation)"

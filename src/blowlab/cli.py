@@ -169,12 +169,26 @@ def _load_config(path: Optional[str]) -> dict:
     return cfg
 
 
+def _config_keys() -> set:
+    """Dest names of every subcommand's flags: the keys a config may hold."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for sp in sub.choices.values() for a in sp._actions} \
+        - {"help", "config"}
+
+
 class _Options:
-    """Flag > config > default, keyed by the argparse dest name."""
+    """Flag > config > default, keyed by the argparse dest name. A config
+    may be shared between subcommands, so each key must name a flag of
+    some subcommand; keys of other subcommands are ignored."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.cfg = _load_config(getattr(args, "config", None))
+        unknown = sorted(set(self.cfg) - _config_keys()) if self.cfg else []
+        if unknown:
+            raise DomainError("config keys that no subcommand reads: "
+                              + ", ".join(unknown))
 
     def get(self, key: str, default=None, cast=None):
         v = getattr(self.args, key, None)
@@ -182,29 +196,39 @@ class _Options:
             v = self.cfg.get(key, default)
         if v is None or cast is None:
             return v
-        return cast(v)
+        try:
+            return cast(v)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"option {key} = {v!r} is not a valid "
+                              f"{cast.__name__}") from exc
 
 
 def _parse_d_values(text) -> List[float]:
     """Dimension lists: '3:50' (inclusive integers), '100:1000:7'
     (log-spaced, rounded), or '400,800'."""
     text = str(text)
-    if ":" in text:
-        parts = text.split(":")
-        lo, hi = float(parts[0]), float(parts[1])
-        if len(parts) == 2:
-            return [float(d) for d in range(int(round(lo)), int(round(hi)) + 1)]
-        vals = sorted({float(round(v)) for v in log_grid(lo, hi, int(parts[2]))})
-        return vals
-    return [float(v) for v in text.split(",") if v.strip()]
+    try:
+        if ":" in text:
+            parts = text.split(":")
+            if len(parts) not in (2, 3):
+                raise ValueError("expected lo:hi or lo:hi:count")
+            lo, hi = float(parts[0]), float(parts[1])
+            if len(parts) == 2:
+                return [float(d) for d in range(int(round(lo)), int(round(hi)) + 1)]
+            return sorted({float(round(v)) for v in log_grid(lo, hi, int(parts[2]))})
+        return [float(v) for v in text.split(",") if v.strip()]
+    except (OverflowError, ValueError) as exc:
+        raise DomainError(f"bad dimension list {text!r}: {exc}") from exc
 
 
 def _parse_floats(text) -> List[float]:
     if text is None:
         return []
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
-    return [float(v) for v in str(text).split(",") if v.strip()]
+    items = text if isinstance(text, (list, tuple)) else str(text).split(",")
+    try:
+        return [float(v) for v in items if str(v).strip()]
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"bad number list {text!r}: {exc}") from exc
 
 
 def _build_kernel(opt: _Options) -> KernelSpec:
@@ -538,8 +562,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     cr = sub.add_parser("criterion", help="moment-threshold blowup criterion")
     cr.add_argument("--profile", help="'gauss' or a (r, value) CSV path")
-    _float(cr, "--mass", "--sigma", "--p", "--c", "--alpha", "--tail-order",
-           "--strength", "--L", "--threshold", "--t-min", "--t-max")
+    _float(cr, "--mass", "--sigma", "--p", "--c", "--c2", "--p2", "--alpha",
+           "--tail-order", "--strength", "--L", "--threshold", "--t-min",
+           "--t-max")
     cr.add_argument("--kernel",
                     choices=["gaussian", "bump", "heavy", "fractional"])
     cr.add_argument("--family", choices=sorted(NONLINEARITY_FAMILIES))

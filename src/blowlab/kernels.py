@@ -62,8 +62,16 @@ class Grid:
     """Uniform periodic grid on [-L, L)^d with n points per axis.
 
     n must be a power of two; d is 1 or 2. Point i on an axis sits at
-    x_i = -L + i*h with h = 2L/n, so the origin is the index n//2 in the
-    natural (shifted) layout used for stored kernel arrays.
+    x_i = -L + i*h with h = 2L/n, so the origin is the index n//2: the
+    natural layout, in which every field is stored.
+
+    Layout contract of the spectral paths: a field is transformed as it
+    lies (``rfft``/``irfft``). A Fourier multiplier is a circulant operator
+    and commutes with the half-box roll, so applying one to a natural-layout
+    field needs no shift. Only arrays whose origin must sit at index 0 are
+    rolled there (``np.fft.ifftshift``) before a transform and back after:
+    the sampled dispersal density behind the symbol, the ball indicators of
+    the grid Morrey functional and the stored ``SemigroupKernel.values``.
     """
 
     d: int
@@ -102,12 +110,26 @@ class Grid:
         return np.hypot(xx, yy)
 
     def freq_radius(self) -> np.ndarray:
-        """|xi| mesh on the FFT frequency lattice."""
-        xi = 2.0 * math.pi * np.fft.fftfreq(self.n, d=self.spacing)
+        """|xi| mesh on the real-FFT half lattice: every frequency on the
+        leading axis, the n//2 + 1 nonnegative ones on the last."""
+        half = 2.0 * math.pi * np.fft.rfftfreq(self.n, d=self.spacing)
         if self.d == 1:
-            return np.abs(xi)
-        kx, ky = np.meshgrid(xi, xi, indexing="ij")
+            return half
+        xi = 2.0 * math.pi * np.fft.fftfreq(self.n, d=self.spacing)
+        kx, ky = np.meshgrid(xi, half, indexing="ij")
         return np.hypot(kx, ky)
+
+    def rfft(self, values: np.ndarray) -> np.ndarray:
+        """Half spectrum of a real field on this grid."""
+        if self.d == 1:
+            return np.fft.rfft(values)
+        return np.fft.rfftn(values)
+
+    def irfft(self, spectrum: np.ndarray) -> np.ndarray:
+        """Real field with the given half spectrum (inverse of ``rfft``)."""
+        if self.d == 1:
+            return np.fft.irfft(spectrum, n=self.n)
+        return np.fft.irfftn(spectrum, s=self.shape, axes=(0, 1))
 
 
 @dataclass
@@ -344,20 +366,23 @@ def _generator_symbol_cached(spec: KernelSpec, grid: Grid) -> np.ndarray:
     elif spec.kind == "gaussian_like":
         out = np.exp(-grid.freq_radius() ** 2) - 1.0
     else:
-        # sample J, renormalize on the grid (periodization), discrete transform
+        # sample J, renormalize on the grid (periodization), discrete
+        # transform with the origin rolled to index 0
         J = spec.profile_J(grid.radius(), grid.d)
         J = J / (J.sum() * grid.cell_volume)
-        Jhat = np.fft.fftn(np.fft.ifftshift(J)).real * grid.cell_volume
+        Jhat = grid.rfft(np.fft.ifftshift(J)).real * grid.cell_volume
         out = Jhat - 1.0
     out.setflags(write=False)
     return out
 
 
 def generator_symbol_grid(spec: KernelSpec, grid: Grid) -> np.ndarray:
-    """Generator multiplier Lhat on the grid's frequency lattice.
+    """Generator multiplier Lhat on the grid's real-FFT half lattice.
 
     Lhat = Jhat - 1 for dispersal kinds and -A|xi|^alpha for
     pure_fractional; the semigroup multiplier at time t is exp(t*Lhat).
+    Lhat is real and even, so its half lattice (``Grid.freq_radius``)
+    determines it and multiplies ``Grid.rfft`` spectra exactly.
     """
     return _generator_symbol_cached(spec, grid)
 
@@ -406,7 +431,7 @@ def semigroup_kernel(spec: KernelSpec, t: float, grid: Grid,
     if t <= 0:
         raise DomainError("semigroup time t must be positive")
     mult = np.exp(t * generator_symbol_grid(spec, grid))
-    vals = np.fft.fftshift(np.fft.ifftn(mult).real) / grid.cell_volume
+    vals = np.fft.fftshift(grid.irfft(mult)) / grid.cell_volume
     kern = SemigroupKernel(spec, float(t), grid, vals)
     if spec.kind == "pure_fractional":
         kern.profile = stable_profile(spec.alpha, grid.d)

@@ -4,21 +4,22 @@ A source term F is convex, nondecreasing on [0, inf) with F(0) = 0 and must
 satisfy the finite tail-integral condition int^inf du/F(u) < inf; the
 transform h(w) = int_w^inf du/F(u) and its inverse convert moment lower
 bounds into blowup-time bounds. Power laws get closed forms; everything
-else goes through compactified adaptive quadrature plus bracketed root
-finding.
+else goes through adaptive quadrature in log u plus Newton's method in
+log w.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
 
-from .errors import DomainError, OsgoodViolationError
+from .errors import DomainError, OsgoodViolationError, ResolutionError
 
 __all__ = [
     "Nonlinearity",
@@ -29,6 +30,12 @@ __all__ = [
 ]
 
 _CONVEXITY_FLOOR = -1e-10
+# log w range of h_inverse: the normal doubles
+_TINY = sys.float_info.min
+_LOG_TINY = math.log(_TINY)
+_LOG_HUGE = math.log(sys.float_info.max)
+_EPS = sys.float_info.epsilon
+_NEWTON_ITERATIONS = 100
 # probe scales for the large-u tail exponent audit
 _TAIL_PROBES = (1e4, 1e6, 1e8)
 
@@ -164,9 +171,9 @@ class OsgoodTransform:
     """h(w) = int_w^inf du / F(u) and its inverse.
 
     Power laws use the closed forms h(w) = w^(1-p)/(c(p-1)) and
-    h^{-1}(T) = (c(p-1)T)^(-1/(p-1)). Other kinds compactify the improper
-    integral with u = w/s, s in (0, 1], and invert by bracketed root
-    finding seeded from the local power-law behaviour of F at large u.
+    h^{-1}(T) = (c(p-1)T)^(-1/(p-1)). Other kinds integrate in v = log u,
+    where int_w^inf du/F(u) = int_(log w)^inf u/F(u) dv, split at u = 1 (the
+    piece above is computed once), and invert by Newton's method in log w.
     """
 
     def __init__(self, source: Nonlinearity, quad_tol: float = 1e-12):
@@ -179,6 +186,40 @@ class OsgoodTransform:
     def _is_power(self) -> bool:
         return self.source.kind == "power"
 
+    def _F(self, u: float) -> float:
+        with np.errstate(over="ignore"):
+            return float(self.source.fn(np.asarray(u)))
+
+    def _log_integral(self, a: float, b: float) -> float:
+        """int_a^b u/F(u) dv with u = e^v; QUADPACK's diagnostics and its
+        error estimate are checked against quad_tol."""
+        label = self.source.label
+
+        def integrand(v: float) -> float:
+            if v > _LOG_HUGE:
+                return 0.0
+            u = math.exp(v)
+            fu = self._F(u)
+            if math.isinf(fu):
+                return 0.0
+            if not fu > 0.0:
+                raise DomainError(f"{label}: F({u:.3g}) underflows; h is out "
+                                  "of double range there")
+            return u / fu
+
+        out = quad(integrand, a, b, epsabs=0.0, epsrel=self.quad_tol,
+                   limit=200, full_output=1)
+        val, err = out[0], out[1]
+        if len(out) > 3 or err > self.quad_tol * abs(val):
+            raise ResolutionError(
+                f"{label}: h quadrature on [{a:.6g}, {b:.6g}] reached "
+                f"error {err:.2e} on {val:.6g}")
+        return val
+
+    @functools.cached_property
+    def _h_above_one(self) -> float:
+        return self._log_integral(0.0, math.inf)
+
     def h(self, w: float) -> float:
         w = float(w)
         if not w > 0:
@@ -186,19 +227,11 @@ class OsgoodTransform:
         if self._is_power:
             c, p = self.source.coeff, self.source.power
             return w ** (1.0 - p) / (c * (p - 1.0))
-        f = self.source.fn
-
-        def integrand(s: float) -> float:
-            u = w / s
-            with np.errstate(over="ignore"):
-                fu = float(f(np.asarray(u)))
-            if math.isinf(fu):
-                return 0.0
-            return (w / (s * s)) / fu
-
-        val, _ = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=self.quad_tol,
-                      limit=200)
-        return val
+        v = math.log(w)
+        if v > 0.0:
+            return self._log_integral(v, math.inf)
+        below = self._log_integral(v, 0.0) if v < 0.0 else 0.0
+        return below + self._h_above_one
 
     def h_inverse(self, T: float) -> float:
         T = float(T)
@@ -207,29 +240,42 @@ class OsgoodTransform:
         if self._is_power:
             c, p = self.source.coeff, self.source.power
             return (c * (p - 1.0) * T) ** (-1.0 / (p - 1.0))
-        # seed from the local exponent of F at large u
-        u0, u1 = 1e2, 1e4
-        f = self.source.fn
-        p_hat = (math.log(float(f(np.asarray(u1)))) - math.log(float(f(np.asarray(u0))))) \
-            / (math.log(u1) - math.log(u0))
-        p_hat = max(p_hat, 1.01)
-        c_hat = float(f(np.asarray(u1))) / u1 ** p_hat
-        w = (c_hat * (p_hat - 1.0) * T) ** (-1.0 / (p_hat - 1.0))
-        # h is decreasing; expand a bracket around the seed
-        lo, hi = w, w
-        for _ in range(200):
-            if self.h(lo) > T:
-                break
-            lo /= 4.0
-        else:
-            raise DomainError("failed to bracket h_inverse from below")
-        for _ in range(200):
-            if self.h(hi) < T:
-                break
-            hi *= 4.0
-        else:
-            raise DomainError("failed to bracket h_inverse from above")
-        return brentq(lambda x: self.h(x) - T, lo, hi, rtol=1e-13, maxiter=200)
+        # Newton's method on G(x) = log h(e^x) - log T, which decreases in
+        # x = log w with G'(x) = -w / (F(w) h(w)). Iterates that leave the
+        # bracket [lo, hi] the evaluations have established are replaced by
+        # its midpoint; x stays within the normal doubles.
+        log_T = math.log(T)
+        lo, hi = -math.inf, math.inf
+        x = 0.0
+        for _ in range(_NEWTON_ITERATIONS):
+            w = math.exp(x)
+            hw = self.h(w)
+            if hw == 0.0:              # h underflowed: w is far too large
+                hi = x
+                x_new = 0.5 * (lo + hi)
+            else:
+                g = math.log(hw) - log_T
+                if abs(g) <= 4.0 * _EPS:
+                    return w
+                if g > 0.0:
+                    lo = x
+                    if x >= _LOG_HUGE:
+                        raise DomainError(f"h_inverse({T:g}) exceeds the "
+                                          "largest double")
+                else:
+                    hi = x
+                    if x <= _LOG_TINY:
+                        raise DomainError(
+                            f"h_inverse({T:g}) lies below the smallest normal "
+                            f"double {_TINY:g}: h({_TINY:g}) = {hw:.6g}")
+                x_new = x + g * self._F(w) * hw / w
+                x_new = min(max(x_new, _LOG_TINY), _LOG_HUGE)
+                if not lo < x_new < hi:
+                    x_new = 0.5 * (lo + hi)
+            if abs(x_new - x) <= 4.0 * _EPS * max(1.0, abs(x)):
+                return math.exp(x_new)
+            x = x_new
+        raise ResolutionError(f"h_inverse({T:g}) did not converge")
 
 
 def fujita_exponent(alpha: float, d: int) -> float:

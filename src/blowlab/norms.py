@@ -285,12 +285,13 @@ def morrey_norm_grid(u: GridFunction, s_order: float, q: float,
         radii = np.geomspace(2.0 * g.spacing, g.L / 3.0, 25)
     d = g.d
     e = d / s_order - d / q
-    wq_hat = np.fft.fftn(u.values ** q)
+    wq_hat = g.rfft(u.values ** q)
     dist = g.radius()
     best_v, best_r = 0.0, float(radii[0])
     for R in radii:
+        # the ball is origin-anchored: roll its center to index 0
         ball = np.fft.ifftshift((dist <= R).astype(float))
-        sums = np.fft.ifftn(wq_hat * np.fft.fftn(ball)).real * g.cell_volume
+        sums = g.irfft(wq_hat * g.rfft(ball)) * g.cell_volume
         v = float(R) ** e * float(np.max(sums)) ** (1.0 / q)
         if v > best_v:
             best_v, best_r = v, float(R)
@@ -326,11 +327,11 @@ def heat_characterization(u: Union[RadialProfile, GridFunction], alpha: float,
     if isinstance(u, GridFunction):
         g = u.grid
         mult_base = g.freq_radius() ** alpha
-        u_hat = np.fft.fftn(np.fft.ifftshift(u.values))
+        u_hat = g.rfft(u.values)
         origin = (g.n // 2,) * g.d
 
         def value(t: float) -> float:
-            field = np.fft.fftshift(np.fft.ifftn(np.exp(-t * mult_base) * u_hat).real)
+            field = g.irfft(np.exp(-t * mult_base) * u_hat)
             return t ** gamma * float(field[origin])
     else:
         profile = stable_profile(alpha, u.d)

@@ -16,20 +16,25 @@ Blow-up is detected by threshold crossing, never by waiting for overflow;
 the moment W_T(t) = (k_{T-t} * u)(x*) is tracked at a fixed center per
 horizon so the recorded series can be compared directly against the
 comparison ODE it is supposed to dominate.
+
+Fields follow the layout contract of ``Grid``: they are transformed as they
+lie, with real FFTs, and nothing in a step is shifted. Each accepted state
+carries its half spectrum and its source values F(u); the next step, the
+moment probes and the recorded source integral share them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DomainError, ResolutionError
 from .kernels import Grid, GridFunction, KernelSpec, generator_symbol_grid
 from .nonlinearity import Nonlinearity, OsgoodTransform, fujita_exponent
-from .blowup import CriterionInput, evaluate_criterion, moment_field
+from .blowup import CriterionInput, _peak_index, evaluate_criterion, moment_field
 
 __all__ = [
     "SimConfig",
@@ -119,39 +124,60 @@ class Trajectory:
 # single step
 # ---------------------------------------------------------------------------
 
-def _advance(values: np.ndarray, sym: np.ndarray, F: Nonlinearity,
-             dt: float) -> Tuple[np.ndarray, float]:
-    """One integrating-factor midpoint step on raw (natural-layout) values.
+class _State(NamedTuple):
+    """An accepted state with what the next step and the records share:
+    its half spectrum and its source values F(values)."""
 
-    Returns the new values and int F(mid) per unit volume factor (the exact
+    values: np.ndarray
+    spectrum: np.ndarray
+    source: np.ndarray
+
+
+def _state(values: np.ndarray, grid: Grid, F: Nonlinearity) -> _State:
+    """Transform and evaluate F on (clipped) values; an overflow or a
+    non-finite F(values) is a BlowupSignal."""
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            source = F(values)
+        except FloatingPointError as exc:
+            raise BlowupSignal(str(exc)) from exc
+    if not np.all(np.isfinite(source)):
+        raise BlowupSignal("source left the finite range")
+    return _State(values, grid.rfft(values), source)
+
+
+def _advance(state: _State, sym: np.ndarray, grid: Grid, F: Nonlinearity,
+             dt: float) -> Tuple[_State, float]:
+    """One integrating-factor midpoint step on natural-layout values.
+
+    Returns the new state and int F(mid) per unit volume factor (the exact
     discrete mass production of this step is dt * that integral).
     """
     e_half = np.exp((0.5 * dt) * sym)
-    u_hat = np.fft.fftn(np.fft.ifftshift(values))
     with np.errstate(over="raise", invalid="raise"):
         try:
-            f_hat = np.fft.fftn(np.fft.ifftshift(F(values)))
-            mid = np.fft.fftshift(
-                np.real(np.fft.ifftn(e_half * (u_hat + (0.5 * dt) * f_hat))))
+            f_hat = grid.rfft(state.source)
+            mid = grid.irfft(e_half * (state.spectrum + (0.5 * dt) * f_hat))
             mid = np.maximum(mid, 0.0)
             f_mid = F(mid)
-            out = np.fft.fftshift(np.real(np.fft.ifftn(
-                e_half * e_half * u_hat
-                + dt * e_half * np.fft.fftn(np.fft.ifftshift(f_mid)))))
+            out = grid.irfft(e_half * (e_half * state.spectrum
+                                       + dt * grid.rfft(f_mid)))
         except FloatingPointError as exc:
             raise BlowupSignal(str(exc)) from exc
     if not np.all(np.isfinite(out)):
         raise BlowupSignal("update left the finite range")
-    return np.maximum(out, 0.0), float(np.sum(f_mid))
+    return _state(np.maximum(out, 0.0), grid, F), float(np.sum(f_mid))
 
 
 def step(u: GridFunction, cfg: SimConfig, dt: float) -> GridFunction:
     """Advance one step of size dt in [dt_min, dt_init]."""
     if not (cfg.dt_min <= dt <= cfg.dt_init):
         raise DomainError("dt must lie in [dt_min, dt_init]")
-    sym = generator_symbol_grid(cfg.kernel, u.grid)
-    new_values, _ = _advance(u.values, sym, cfg.nonlinearity, dt)
-    return GridFunction(u.grid, new_values)
+    grid = u.grid
+    sym = generator_symbol_grid(cfg.kernel, grid)
+    new, _ = _advance(_state(u.values, grid, cfg.nonlinearity), sym, grid,
+                      cfg.nonlinearity, dt)
+    return GridFunction(grid, new.values)
 
 
 # ---------------------------------------------------------------------------
@@ -159,17 +185,23 @@ def step(u: GridFunction, cfg: SimConfig, dt: float) -> GridFunction:
 # ---------------------------------------------------------------------------
 
 class _MomentProbe:
-    """Evaluates (k_{T-t} * u)(x*) without forming the full field: one
-    forward transform of u is shared across horizons, each probe is a
-    multiplier-weighted sum at one lattice phase."""
+    """Evaluates (k_{T-t} * u)(x*) without forming the full field: the half
+    spectrum of each state is shared across horizons, and each probe is a
+    multiplier-weighted sum at one lattice phase.
+
+    The field is real, so the full-lattice sum pairs each mode with its
+    conjugate: the half lattice carries weight 2 on the interior modes of
+    the last axis and weight 1 on its modes 0 and n/2.
+    """
 
     def __init__(self, grid: Grid, sym: np.ndarray, center: Tuple[int, ...]):
         self.sym = sym
-        self.n_total = int(np.prod(grid.shape))
-        phases = []
-        for ax, n in enumerate(grid.shape):
-            m = (center[ax] + n // 2) % n   # natural index -> raw index
-            phases.append(np.exp(2j * np.pi * np.arange(n) * m / n))
+        n = grid.n
+        phases = [np.exp(2j * np.pi * np.arange(n) * c / n) for c in center]
+        phases[-1] = phases[-1][: n // 2 + 1]
+        weight = np.full(n // 2 + 1, 2.0)
+        weight[0] = weight[-1] = 1.0
+        phases[-1] = phases[-1] * weight / float(n) ** grid.d
         phase = phases[0]
         for pv in phases[1:]:
             phase = np.multiply.outer(phase, pv)
@@ -177,13 +209,11 @@ class _MomentProbe:
 
     def __call__(self, u_hat: np.ndarray, remaining: float) -> float:
         mult = np.exp(remaining * self.sym)
-        return float(np.real(np.sum(mult * u_hat * self.phase)) / self.n_total)
+        return float(np.real(np.sum(mult * u_hat * self.phase)))
 
 
 def _choose_center(u0: GridFunction, kernel: KernelSpec, T: float) -> Tuple[int, ...]:
-    fld = moment_field(u0, kernel, T, boundary_tol=None)
-    return tuple(int(i) for i in
-                 np.unravel_index(int(np.argmax(fld.values)), fld.values.shape))
+    return _peak_index(moment_field(u0, kernel, T, boundary_tol=None).values)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +264,10 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
         raise DomainError("u_max must exceed the initial sup")
 
     grid = u0.grid
-    values = u0.values.copy()
+    try:
+        state = _state(u0.values.copy(), grid, F)
+    except BlowupSignal as exc:
+        raise DomainError(f"F(u0) is not finite: {exc}") from exc
     sym = generator_symbol_grid(cfg.kernel, grid)
     cell = grid.cell_volume
 
@@ -244,22 +277,20 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
                for T in cfg.moment_targets}
 
     def record(t: float, dt_used: float):
-        sup = float(values.max())
+        values = state.values
         traj_t.append(t)
-        traj_sup.append(sup)
+        traj_sup.append(float(values.max()))
         traj_mass.append(float(values.sum()) * cell)
         traj_dt.append(dt_used)
-        traj_src.append(float(np.sum(F(values))) * cell)
-        if cfg.moment_targets:
-            u_hat = np.fft.fftn(np.fft.ifftshift(values))
-            for T in cfg.moment_targets:
-                remaining = T - t
-                if remaining > 0:
-                    W = max(probes[T](u_hat, remaining), 0.0)
-                    ms = moments[T]
-                    ms.t.append(t)
-                    ms.W.append(W)
-                    ms.F_of_W.append(float(F(np.asarray(W))))
+        traj_src.append(float(np.sum(state.source)) * cell)
+        for T in cfg.moment_targets:
+            remaining = T - t
+            if remaining > 0:
+                W = max(probes[T](state.spectrum, remaining), 0.0)
+                ms = moments[T]
+                ms.t.append(t)
+                ms.W.append(W)
+                ms.F_of_W.append(float(F(np.asarray(W))))
 
     traj_t: List[float] = []
     traj_sup: List[float] = []
@@ -283,7 +314,7 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
     detection_mode = False
 
     while t < cfg.t_end - 1e-15 * cfg.t_end:
-        sup = float(values.max())
+        sup = traj_sup[-1]
         if sup >= cfg.u_max:
             outcome, t_obs = "blew_up", t
             break
@@ -296,7 +327,7 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
         trial = min(dt, next_event - t)
 
         try:
-            new_values, f_mid_sum = _advance(values, sym, F, trial)
+            new_state, f_mid_sum = _advance(state, sym, grid, F, trial)
         except BlowupSignal:
             outcome, t_obs = "blew_up", t
             break
@@ -307,8 +338,8 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
         # defect is a genuine failure; once the reaction has ramped the sup
         # well past it, the terminal peak is narrower than any fixed lattice
         # and the audit can only annotate.
-        mass_new = float(new_values.sum()) * cell
-        mass_old = float(values.sum()) * cell
+        mass_new = float(new_state.values.sum()) * cell
+        mass_old = traj_mass[-1]
         produced = trial * f_mid_sum * cell
         defect = abs(mass_new - (mass_old + produced))
         tol = _MASS_DEFECT_TOL * trial * max(mass_new, 1.0) \
@@ -330,19 +361,20 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
         elif not detection_mode:
             defect_streak = 0
 
-        values = new_values
+        state = new_state
         t += trial
         record(t, trial)
         if any(abs(t - s) <= 1e-12 * max(1.0, s) for s in cfg.snapshot_times):
-            snapshots[t] = GridFunction(grid, values.copy())
+            snapshots[t] = GridFunction(grid, state.values.copy())
 
         steps_since_audit += 1
         if (not detection_mode
                 and (steps_since_audit >= _AUDIT_STRIDE or t >= cfg.t_end - 1e-15)):
             steps_since_audit = 0
-            if not _support_ok(values, grid):
+            if not _support_ok(state.values, grid):
                 if enlargements < 2:
-                    values, grid = _embed_double(values, grid)
+                    values, grid = _embed_double(state.values, grid)
+                    state = _state(values, grid, F)
                     enlargements += 1
                     sym = generator_symbol_grid(cfg.kernel, grid)
                     cell = grid.cell_volume
@@ -356,14 +388,14 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
                     reliable = False
                     notes.append(f"support reached the boundary margin at t={t:g}")
 
-        if float(values.max()) >= cfg.u_max:
+        if traj_sup[-1] >= cfg.u_max:
             outcome, t_obs = "blew_up", t
             break
 
     return Trajectory(t=traj_t, sup=traj_sup, mass=traj_mass, dt=traj_dt,
                       source_integral=traj_src, moments=moments,
                       outcome=outcome, t_obs=t_obs,
-                      final_state=GridFunction(grid, values),
+                      final_state=GridFunction(grid, state.values),
                       reliable=reliable, notes=notes, snapshots=snapshots)
 
 

@@ -39,6 +39,15 @@ def test_fractional_discrepancy_dual_routes():
                         rtol=1e-10)
 
 
+@pytest.mark.parametrize("alpha, d, p", [(0.8, 3, 3.0), (1.3, 2, 3.0),
+                                         (1.5, 5, 3.0)])
+def test_fractional_discrepancy_generic_order(alpha, d, p):
+    # closed-form subordinator moment against radial quadrature of the
+    # stable profile
+    assert_allclose(K_fractional(alpha, d, p),
+                    K_fractional_at_time(alpha, d, p, 1.0), rtol=1e-12)
+
+
 def test_fractional_discrepancy_domain():
     with pytest.raises(DomainError):
         K_fractional(2.0, 5.0, 3.0)     # the alpha = 2 case has its own form

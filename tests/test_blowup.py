@@ -29,6 +29,23 @@ def test_moment_field_matches_closed_gaussian():
     assert float(np.max(np.abs(field.values - closed))) < 1e-12
 
 
+def test_criterion_2d_gaussian_closed_form():
+    """In d = 2 the order-two semigroup keeps a Gaussian Gaussian: W_T is
+    m / (2 pi (sigma^2 + 2T)) at the data's own lattice center."""
+    g = Grid(2, 24.0, 128)
+    mass, sigma, c = 3.0, 1.1, 3 * g.spacing
+    u0 = GridFunction.gaussian(g, mass=mass, sigma=sigma, center=c)
+    verdict = evaluate_criterion(CriterionInput(
+        u0=u0, kernel=KernelSpec.fractional(2.0),
+        nonlinearity=Nonlinearity.power_law(1.0, 3.0),
+        T_grid=tuple(np.geomspace(0.3, 4.0, 9))))
+    assert verdict.center == (g.n // 2 + 3,) * 2
+    for pt in verdict.curve:
+        assert pt.reliable
+        exact = mass / (2.0 * math.pi * (sigma ** 2 + 2.0 * pt.T))
+        assert abs(pt.moment / exact - 1.0) < 1e-12
+
+
 def test_moment_at_zero_radial_route():
     A, T, sigma, mass = 1.0, 0.5, 1.0, 2.0
     u = RadialProfile.from_function(

@@ -112,6 +112,43 @@ def test_parse_d_values_forms():
     assert len(logspaced) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--targets", "abc"],
+    ["dichotomy", "--scales", "0.3,x"],
+    ["sweep-K", "--d", "3:x"],
+    ["sweep-L", "--d", "3:5:7:9"],
+])
+def test_malformed_lists_exit_with_domain_error(outdir, capsys, argv):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad ")
+    assert "Traceback" not in err
+
+
+def test_config_key_no_subcommand_reads(outdir, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p = 4\npp = 4\n")
+    assert cli.main(["constants", "--config", str(cfg)]) == 2
+    assert "pp" in capsys.readouterr().err
+    assert not (outdir / "constants.csv").exists()
+
+
+def test_shared_config_with_keys_of_other_subcommands(outdir, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p = 4\ndt-init = 0.05\n")
+    assert cli.main(["constants", "--config", str(cfg),
+                     "--alpha", "2", "--d", "5"]) == 0
+    _, rows, _ = read_rows(outdir / "constants.csv")
+    assert rows[0][2] == "4.0"
+
+
+def test_config_value_of_the_wrong_type(outdir, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p = three\n")
+    assert cli.main(["constants", "--config", str(cfg)]) == 2
+    assert "error: option p = 'three'" in capsys.readouterr().err
+
+
 def test_criterion_json_summary(outdir, capsys):
     assert cli.main(["criterion", "--profile", "gauss", "--mass", "4",
                      "--p", "2", "--t-count", "12"]) == 0

@@ -1,6 +1,7 @@
 """Source terms, their blowup-time transform, and critical exponents."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +56,39 @@ def test_exponential_transform_closed_form():
     h = OsgoodTransform(Nonlinearity.exponential(c))
     for w in (0.2, 1.0, 4.0):
         assert_allclose(h.h(w), -math.log(1.0 - math.exp(-w)) / c, rtol=1e-10)
+
+
+# closed forms of h(w) = int_w^inf du/F(u)
+def h_exponential(w):
+    return -math.log(-math.expm1(-w))
+
+
+def h_power_sum_2_3(w):
+    # 1/(u^2 (1 + u)) = 1/u^2 - 1/u + 1/(1 + u)
+    return 1.0 / w - math.log1p(1.0 / w)
+
+
+@pytest.mark.parametrize("make, h_closed", [
+    (lambda: Nonlinearity.exponential(1.0), h_exponential),
+    (lambda: Nonlinearity.power_sum(1.0, 2.0, 1.0, 3.0), h_power_sum_2_3),
+])
+def test_transform_round_trip_against_closed_form(make, h_closed):
+    """h_inverse solves for log w, so levels far below one keep their
+    relative accuracy: at T = 100 the exponential level is 3.7e-44."""
+    tr = OsgoodTransform(make())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for T in (1e-3, 0.1, 1.0, 10.0, 14.0, 20.0, 100.0, 150.0, 300.0, 500.0):
+            w = tr.h_inverse(T)
+            tol = 2e-15 if T >= 10.0 else 1e-12
+            assert abs(h_closed(w) / T - 1.0) < tol, (T, w)
+            assert abs(tr.h(w) / h_closed(w) - 1.0) < 1e-12
+
+
+def test_exponential_level_below_the_doubles_is_a_domain_error():
+    # h(w) = -log(1 - e^-w) ~ -log w, so h_inverse(1000) = e^-1000
+    with pytest.raises(DomainError, match="smallest normal double"):
+        OsgoodTransform(Nonlinearity.exponential(1.0)).h_inverse(1000.0)
 
 
 def test_transform_domain():

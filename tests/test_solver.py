@@ -7,10 +7,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from blowlab.errors import DomainError
-from blowlab.kernels import Grid, GridFunction, KernelSpec
+from blowlab.kernels import (Grid, GridFunction, KernelSpec,
+                             generator_symbol_grid, semigroup_kernel)
 from blowlab.nonlinearity import Nonlinearity
-from blowlab.solver import (BlowupSignal, SimConfig, dichotomy_experiment,
-                            jensen_report, run, step)
+from blowlab.solver import (BlowupSignal, SimConfig, _MomentProbe,
+                            dichotomy_experiment, jensen_report, run, step)
 
 
 def make_cfg(**kw):
@@ -74,6 +75,51 @@ def test_source_free_run_matches_kernel_convolution():
     assert abs(traj.mass[-1] - traj.mass[0]) < 1e-9    # no source, no mass
 
 
+def full_convolution(kernel_values, values, grid):
+    """Periodic convolution of an origin-anchored kernel with a field by
+    full complex transforms, both rolled to index 0 and the result back."""
+    return np.fft.fftshift(np.fft.ifftn(
+        np.fft.fftn(np.fft.ifftshift(kernel_values))
+        * np.fft.fftn(np.fft.ifftshift(values))).real) * grid.cell_volume
+
+
+@pytest.mark.parametrize("kernel", [KernelSpec.gaussian(), KernelSpec.bump()])
+def test_source_free_run_2d_matches_kernel_convolution(kernel):
+    g = Grid(2, 32.0, 128)
+    u0 = GridFunction.from_function(
+        g, lambda x, y: 1.5 * np.exp(-((x - 1.0) ** 2 + 0.5 * y * y) / 2.0))
+    cfg = SimConfig(kernel=kernel, nonlinearity=Nonlinearity.zero(),
+                    dt_init=0.05, dt_min=1e-12, t_end=1.0)
+    traj = run(u0, cfg)
+    # the periodic identity holds whatever the tails: no box audit
+    k = semigroup_kernel(kernel, 1.0, g, boundary_tol=1.0)
+    exact = full_convolution(k.values, u0.values, g)
+    assert traj.grid == g
+    assert float(np.max(np.abs(traj.final_state.values - exact))) < 1e-12
+
+
+def full_field_at(grid, kernel, values, t, center):
+    """(k_t * values)(center) from the full-lattice multiplier."""
+    xi = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.spacing)
+    mesh = np.meshgrid(*([xi] * grid.d), indexing="ij")
+    radius = np.sqrt(sum(m * m for m in mesh))
+    mult = np.exp(-t * kernel.strength * radius ** kernel.alpha)
+    return float(np.fft.ifftn(mult * np.fft.fftn(values)).real[center])
+
+
+@pytest.mark.parametrize("d, center", [(1, (37,)), (2, (37, 9))])
+def test_moment_probe_matches_full_field(d, center):
+    """The half-spectrum probe weights interior last-axis modes by 2 and the
+    modes 0 and n/2 by 1; rough data keeps every mode, Nyquist included."""
+    g = Grid(d, 4.0, 64)
+    kernel = KernelSpec.fractional(1.5)
+    values = np.random.default_rng(3).uniform(0.0, 1.0, g.shape)
+    probe = _MomentProbe(g, generator_symbol_grid(kernel, g), center)
+    for t in (0.01, 0.3):
+        assert abs(probe(g.rfft(values), t)
+                   - full_field_at(g, kernel, values, t, center)) < 1e-12
+
+
 def test_mass_production_law():
     # the recorded source integrals account for the entire mass gain
     g = Grid(1, 32.0, 512)
@@ -102,6 +148,17 @@ def test_translation_equivariance():
     stepped_then_rolled = np.roll(step(u, cfg, 1e-3).values, 37)
     assert float(np.max(np.abs(rolled_then_stepped.values
                                - stepped_then_rolled))) < 1e-14
+
+
+def test_translation_equivariance_2d():
+    g = Grid(2, 16.0, 64)
+    u = GridFunction.gaussian(g, mass=1.0, sigma=1.0)
+    cfg = make_cfg(kernel=KernelSpec.fractional(1.5))
+    shift = (11, -5)
+    rolled = GridFunction(g, np.roll(u.values, shift, axis=(0, 1)))
+    rolled_then_stepped = step(rolled, cfg, 1e-3).values
+    stepped_then_rolled = np.roll(step(u, cfg, 1e-3).values, shift, axis=(0, 1))
+    assert float(np.max(np.abs(rolled_then_stepped - stepped_then_rolled))) < 1e-14
 
 
 def test_constant_data_blowup_time():
@@ -148,6 +205,41 @@ def test_step_signals_blowup_on_overflow():
     u = GridFunction(g, np.full(g.shape, 1e160))
     with pytest.raises(BlowupSignal):
         step(u, make_cfg(), 1e-3)
+
+
+def test_non_finite_source_of_new_state_signals_blowup():
+    """F is finite up to 1.008 and infinite beyond, without a floating-point
+    exception. From constant data 1 the first step's midpoint (1.005) stays
+    below the cap and its result (1.0101) passes it, so only the source
+    values carried with the new state are not finite."""
+    g = Grid(1, 8.0, 64)
+    capped = Nonlinearity(fn=lambda u: np.where(u > 1.008, np.inf, u * u),
+                          dfn=lambda u: 2.0 * u, label="capped u^2")
+    cfg = SimConfig(kernel=KernelSpec.gaussian(), nonlinearity=capped,
+                    dt_init=1e-2, dt_min=1e-12, t_end=1.0)
+    traj = run(GridFunction(g, np.ones(g.shape)), cfg)
+    assert traj.outcome == "blew_up"
+    assert traj.t_obs == 0.0
+    assert traj.t == [0.0]
+
+
+def test_exponential_source_ends_at_overflow():
+    """With dt_min in the subnormal range the run climbs until e^u
+    overflows. The state whose F(u) is not finite is rejected, so the run
+    ends as blew_up with a finite carried source. Steps near the end are
+    about 1/F(sup) ~ 1e-308, far below the spacing of doubles at t, so
+    dropping the last step leaves t_obs where the earlier full-spectrum
+    solver put it: 0.26465794527684283, ending there as dt_underflow after
+    F'(sup) overflowed to inf on the accepted state."""
+    g = Grid(1, 16.0, 64)
+    cfg = make_cfg(nonlinearity=Nonlinearity.exponential(1.0), dt_init=0.05,
+                   dt_min=1e-320, t_end=10.0, u_max=1e300)
+    with np.errstate(over="raise"):
+        traj = run(GridFunction.gaussian(g, mass=4.0, sigma=1.0), cfg)
+    assert traj.outcome == "blew_up"
+    assert traj.t_obs == pytest.approx(0.26465794527684283, rel=1e-14)
+    assert 709.0 < traj.sup[-1] < math.log(np.finfo(float).max)
+    assert all(math.isfinite(s) for s in traj.source_integral)
 
 
 def test_dichotomy_brackets_the_threshold():
