@@ -15,7 +15,9 @@ long-horizon growth studies use.
 Grid data follows the layout contract of ``Grid``: u0 is transformed as it
 lies, with one real half spectrum per criterion call, and each horizon
 costs one inverse transform whose maximum is W_T and whose argmax is the
-center. Only the audited kernel is built origin-anchored.
+center. A horizon's kernel audit is a memoized verdict of
+``semigroup_kernel`` (``kernels._audit_failure``), so repeated sweeps over
+one (kernel, grid, T) build that kernel once per process.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import DomainError, ResolutionError
-from .kernels import (GridFunction, KernelSpec, generator_symbol_grid,
-                      semigroup_kernel, stable_profile)
+from .kernels import (GridFunction, KernelSpec, _audit_failure,
+                      generator_symbol_grid, stable_profile)
 from .nonlinearity import Nonlinearity, OsgoodTransform, fujita_exponent
 from .norms import RadialProfile, _radial_pairing, morrey_norm_grid, radial_concentration
 from .specfun import sphere_area
@@ -46,6 +48,7 @@ __all__ = [
 ]
 
 InitialData = Union[GridFunction, RadialProfile]
+_BOUNDARY_TOL = 1e-8   # kernel boundary-mass audit of every grid horizon
 
 
 def default_horizon_grid(t_min: float = 1e-3, t_max: float = 1e3,
@@ -108,13 +111,15 @@ def _smoothed(u_hat: np.ndarray, sym: np.ndarray, T: float, grid) -> np.ndarray:
 
 
 def moment_field(u0: GridFunction, kernel: KernelSpec, T: float,
-                 boundary_tol: Optional[float] = 1e-8) -> GridFunction:
+                 boundary_tol: Optional[float] = _BOUNDARY_TOL) -> GridFunction:
     """e^{T A} u0 on the torus as a full field; pass boundary_tol=None to
     skip the kernel-leak audit (the caller then owns reliability)."""
     if T <= 0:
         raise DomainError("horizon T must be positive")
     if boundary_tol is not None:
-        semigroup_kernel(kernel, T, u0.grid, boundary_tol=boundary_tol)
+        failure = _audit_failure(kernel, float(T), u0.grid, float(boundary_tol))
+        if failure is not None:
+            raise ResolutionError(failure)
     grid = u0.grid
     sym = generator_symbol_grid(kernel, grid)
     return GridFunction(grid, _smoothed(grid.rfft(u0.values), sym, T, grid))
@@ -154,20 +159,16 @@ def _peak_index(values: np.ndarray) -> Tuple[int, ...]:
 
 def _grid_moments(u0: GridFunction, kernel: KernelSpec):
     """T -> (W_T, reliable) for grid data, and the dict of centers it fills.
-    One half spectrum of u0 serves every horizon; each horizon runs the
-    kernel audit and one inverse transform, whose maximum is W_T and whose
-    argmax the center."""
+    One half spectrum of u0 serves every horizon; each horizon reads the
+    memoized kernel audit and runs one inverse transform, whose maximum is
+    W_T and whose argmax the center."""
     grid = u0.grid
     sym = generator_symbol_grid(kernel, grid)
     u_hat = grid.rfft(u0.values)
     centers: dict = {}
 
     def moment(T: float):
-        try:
-            semigroup_kernel(kernel, T, grid)
-            reliable = True
-        except ResolutionError:
-            reliable = False
+        reliable = _audit_failure(kernel, float(T), grid, _BOUNDARY_TOL) is None
         fld = _smoothed(u_hat, sym, T, grid)
         centers[float(T)] = _peak_index(fld)
         return float(fld[centers[float(T)]]), reliable
@@ -175,18 +176,26 @@ def _grid_moments(u0: GridFunction, kernel: KernelSpec):
     return moment, centers
 
 
-def _moment_rows(moment, horizons: Sequence[float], transform: OsgoodTransform,
-                 p_power: Optional[float]) -> List[CurvePoint]:
-    rows = []
+def _extend_rows(rows: List[CurvePoint], moment, horizons: Sequence[float],
+                 transform: OsgoodTransform, p_power: Optional[float]) -> Optional[str]:
+    """Append one curve point per horizon. A horizon whose level h_inv(T)
+    leaves the double range ends the sweep at the previous horizon, and the
+    returned note says where; with no previous horizon the DomainError
+    propagates."""
     for T in horizons:
+        try:
+            level = transform.h_inverse(T)
+        except DomainError as exc:
+            if not rows:
+                raise
+            return f"sweep cut at T={float(T):g}: {exc}"
         W, reliable = moment(T)
-        level = transform.h_inverse(T)
         ratio = W / level if level > 0 else math.inf
         pf = T ** (1.0 / (p_power - 1.0)) * W if p_power is not None else math.nan
         rows.append(CurvePoint(T=float(T), moment=W, horizon_level=float(level),
                                ratio=float(ratio), power_form=float(pf),
                                reliable=reliable))
-    return rows
+    return None
 
 
 def _is_rising(rows: List[CurvePoint]) -> bool:
@@ -201,7 +210,9 @@ def evaluate_criterion(inp: CriterionInput) -> BlowupVerdict:
     The grid extends itself by up to three extra decades while the ratio is
     still climbing at the right edge and the kernel audit still passes
     there; a climb cut off by box wrap-around stops the extension instead
-    of fabricating ever larger (and wrapped) moments.
+    of fabricating ever larger (and wrapped) moments. A horizon whose
+    detonation level leaves the double range ends the sweep, and the
+    verdict's note records the cut.
     """
     F = inp.nonlinearity
     F.check_osgood()   # raises when the comparison ODE never detonates
@@ -216,14 +227,16 @@ def evaluate_criterion(inp: CriterionInput) -> BlowupVerdict:
         def moment(T: float):
             return _radial_moment(inp.u0, inp.kernel, T), True
         centers = {}
-    rows = _moment_rows(moment, horizons, transform, p_power)
+    rows: List[CurvePoint] = []
+    cut = _extend_rows(rows, moment, horizons, transform, p_power)
 
     extra_decades = 0
-    while (extra_decades < 3 and _is_rising(rows) and rows[-1].reliable
+    while (cut is None and extra_decades < 3 and _is_rising(rows)
+           and rows[-1].reliable
            and not any(r.reliable and r.ratio > inp.threshold for r in rows)):
         lo = rows[-1].T
         ext = np.geomspace(lo, lo * 10.0, 8)[1:]
-        rows.extend(_moment_rows(moment, ext, transform, p_power))
+        cut = _extend_rows(rows, moment, ext, transform, p_power)
         extra_decades += 1
 
     met = [r for r in rows if r.reliable and r.ratio > inp.threshold]
@@ -248,6 +261,8 @@ def evaluate_criterion(inp: CriterionInput) -> BlowupVerdict:
         note = "scale-singular radial data; Fourier integrability not checked"
     else:
         note = "bounded radial data; Fourier integrability not checked"
+    if cut is not None:
+        note = f"{note}; {cut}"
 
     if met:
         T_star = min(r.T for r in met)

@@ -51,6 +51,9 @@ __all__ = [
 
 _NEGATIVITY_FLOOR = -1e-9
 _CLIP_FLOOR = -1e-12
+_BUMP_QUAD_TOL = 1e-13
+# audit verdicts kept by _audit_failure, one short string (or None) each
+_AUDIT_MEMO_SIZE = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -198,19 +201,26 @@ def _bump_profile(r: np.ndarray) -> np.ndarray:
     return out
 
 
+def _bump_moment(k: int) -> float:
+    """int_0^1 bump(r) r^k dr; an error estimate above _BUMP_QUAD_TOL
+    relative to the value raises ResolutionError."""
+    val, err = _checked_quad(lambda r: float(_bump_profile(np.asarray(r))) * r ** k,
+                             0.0, 1.0, epsabs=0.0, epsrel=_BUMP_QUAD_TOL, limit=200)
+    if err > _BUMP_QUAD_TOL * abs(val):
+        raise ResolutionError(f"bump moment r^{k}: quadrature error {err:.2e} "
+                              f"on {val:.6g}")
+    return val
+
+
 @functools.lru_cache(maxsize=32)
 def _bump_norm(d: int) -> float:
-    val, _ = quad(lambda r: float(_bump_profile(np.asarray(r))) * r ** (d - 1), 0.0, 1.0,
-                  epsabs=0.0, epsrel=1e-13, limit=200)
-    return sphere_area(d) * val
+    return sphere_area(d) * _bump_moment(d - 1)
 
 
 @functools.lru_cache(maxsize=32)
 def _bump_coefficient(d: int) -> float:
     # A = int |x|^2 J dx / (2d) for a unit-mass radial J
-    val, _ = quad(lambda r: float(_bump_profile(np.asarray(r))) * r ** (d + 1), 0.0, 1.0,
-                  epsabs=0.0, epsrel=1e-13, limit=200)
-    return sphere_area(d) * val / _bump_norm(d) / (2.0 * d)
+    return sphere_area(d) * _bump_moment(d + 1) / _bump_norm(d) / (2.0 * d)
 
 
 @dataclass(frozen=True)
@@ -447,6 +457,20 @@ def semigroup_kernel(spec: KernelSpec, t: float, grid: Grid,
             f"boundary mass {bmass:.3e} exceeds {boundary_tol:.1e}; "
             f"enlarge the box (L = {2 * grid.L:g}, n = {2 * grid.n})")
     return kern
+
+
+@functools.lru_cache(maxsize=_AUDIT_MEMO_SIZE)
+def _audit_failure(spec: KernelSpec, t: float, grid: Grid,
+                   boundary_tol: float) -> Optional[str]:
+    """The verdict of ``semigroup_kernel``'s audits at (spec, t, grid,
+    boundary_tol): its ResolutionError message, or None when the kernel
+    passes. Only the verdict is kept, never the kernel; pass every argument
+    positionally so that equal calls share one entry."""
+    try:
+        semigroup_kernel(spec, t, grid, boundary_tol=boundary_tol)
+    except ResolutionError as exc:
+        return str(exc)
+    return None
 
 
 # ---------------------------------------------------------------------------

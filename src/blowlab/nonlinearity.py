@@ -194,12 +194,13 @@ class OsgoodTransform:
         """int_a^b u/F(u) dv with u = e^v; QUADPACK's diagnostics and its
         error estimate are checked against quad_tol."""
         label = self.source.label
+        fn = self.source.fn
 
         def integrand(v: float) -> float:
             if v > _LOG_HUGE:
                 return 0.0
             u = math.exp(v)
-            fu = self._F(u)
+            fu = float(fn(np.asarray(u)))
             if math.isinf(fu):
                 return 0.0
             if not fu > 0.0:
@@ -207,8 +208,10 @@ class OsgoodTransform:
                                   "of double range there")
             return u / fu
 
-        out = quad(integrand, a, b, epsabs=0.0, epsrel=self.quad_tol,
-                   limit=200, full_output=1)
+        # F may overflow to inf at large u, where the integrand is 0
+        with np.errstate(over="ignore"):
+            out = quad(integrand, a, b, epsabs=0.0, epsrel=self.quad_tol,
+                       limit=200, full_output=1)
         val, err = out[0], out[1]
         if len(out) > 3 or err > self.quad_tol * abs(val):
             raise ResolutionError(

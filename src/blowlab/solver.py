@@ -146,27 +146,38 @@ def _state(values: np.ndarray, grid: Grid, F: Nonlinearity) -> _State:
     return _State(values, grid.rfft(values), source)
 
 
-def _advance(state: _State, sym: np.ndarray, grid: Grid, F: Nonlinearity,
+def _half_propagator(sym: np.ndarray, dt: float) -> np.ndarray:
+    """exp((dt/2) sym), the linear flow over half a step."""
+    return np.exp((0.5 * dt) * sym)
+
+
+def _advance(state: _State, e_half: np.ndarray, grid: Grid, F: Nonlinearity,
              dt: float) -> Tuple[_State, float]:
-    """One integrating-factor midpoint step on natural-layout values.
+    """One integrating-factor midpoint step on natural-layout values, with
+    e_half = _half_propagator(sym, dt).
 
     Returns the new state and int F(mid) per unit volume factor (the exact
     discrete mass production of this step is dt * that integral).
     """
-    e_half = np.exp((0.5 * dt) * sym)
     with np.errstate(over="raise", invalid="raise"):
         try:
-            f_hat = grid.rfft(state.source)
-            mid = grid.irfft(e_half * (state.spectrum + (0.5 * dt) * f_hat))
-            mid = np.maximum(mid, 0.0)
-            f_mid = F(mid)
-            out = grid.irfft(e_half * (e_half * state.spectrum
-                                       + dt * grid.rfft(f_mid)))
+            # the transforms return fresh arrays, updated in place below;
+            # one spectrum name keeps one temporary alive at a time
+            spec = grid.rfft(state.source)
+            spec *= 0.5 * dt
+            spec += state.spectrum
+            spec *= e_half
+            f_mid = F(np.maximum(grid.irfft(spec), 0.0))
+            spec = grid.rfft(f_mid)
+            spec *= dt
+            spec += e_half * state.spectrum
+            spec *= e_half
+            out = grid.irfft(spec)
         except FloatingPointError as exc:
             raise BlowupSignal(str(exc)) from exc
     if not np.all(np.isfinite(out)):
         raise BlowupSignal("update left the finite range")
-    return _state(np.maximum(out, 0.0), grid, F), float(np.sum(f_mid))
+    return _state(np.maximum(out, 0.0, out=out), grid, F), float(np.sum(f_mid))
 
 
 def step(u: GridFunction, cfg: SimConfig, dt: float) -> GridFunction:
@@ -174,8 +185,8 @@ def step(u: GridFunction, cfg: SimConfig, dt: float) -> GridFunction:
     if not (cfg.dt_min <= dt <= cfg.dt_init):
         raise DomainError("dt must lie in [dt_min, dt_init]")
     grid = u.grid
-    sym = generator_symbol_grid(cfg.kernel, grid)
-    new, _ = _advance(_state(u.values, grid, cfg.nonlinearity), sym, grid,
+    e_half = _half_propagator(generator_symbol_grid(cfg.kernel, grid), dt)
+    new, _ = _advance(_state(u.values, grid, cfg.nonlinearity), e_half, grid,
                       cfg.nonlinearity, dt)
     return GridFunction(grid, new.values)
 
@@ -276,11 +287,10 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
     moments = {T: MomentSeries(target=T, center=centers[T])
                for T in cfg.moment_targets}
 
-    def record(t: float, dt_used: float):
-        values = state.values
+    def record(t: float, dt_used: float, mass: float):
         traj_t.append(t)
-        traj_sup.append(float(values.max()))
-        traj_mass.append(float(values.sum()) * cell)
+        traj_sup.append(float(state.values.max()))
+        traj_mass.append(mass)
         traj_dt.append(dt_used)
         traj_src.append(float(np.sum(state.source)) * cell)
         for T in cfg.moment_targets:
@@ -303,7 +313,7 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
     events = sorted(set(s for s in cfg.snapshot_times if 0 < s <= cfg.t_end)
                     | {cfg.t_end})
     t = 0.0
-    record(t, 0.0)
+    record(t, 0.0, float(state.values.sum()) * cell)
     outcome = "reached_horizon"
     t_obs: Optional[float] = None
     reliable = True
@@ -312,6 +322,10 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
     steps_since_audit = 0
     sup_init = max(float(u0.values.max()), _SUPPORT_FLOOR)
     detection_mode = False
+    # the half-step propagator of the last trial dt; dt stays put for long
+    # stretches, so it is rebuilt only when dt or the box changes
+    e_dt: Optional[float] = None
+    e_half: Optional[np.ndarray] = None
 
     while t < cfg.t_end - 1e-15 * cfg.t_end:
         sup = traj_sup[-1]
@@ -326,8 +340,10 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
         next_event = next(e for e in events if e > t + 1e-15)
         trial = min(dt, next_event - t)
 
+        if trial != e_dt:
+            e_dt, e_half = trial, _half_propagator(sym, trial)
         try:
-            new_state, f_mid_sum = _advance(state, sym, grid, F, trial)
+            new_state, f_mid_sum = _advance(state, e_half, grid, F, trial)
         except BlowupSignal:
             outcome, t_obs = "blew_up", t
             break
@@ -363,7 +379,7 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
 
         state = new_state
         t += trial
-        record(t, trial)
+        record(t, trial, mass_new)
         if any(abs(t - s) <= 1e-12 * max(1.0, s) for s in cfg.snapshot_times):
             snapshots[t] = GridFunction(grid, state.values.copy())
 
@@ -377,6 +393,7 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
                     state = _state(values, grid, F)
                     enlargements += 1
                     sym = generator_symbol_grid(cfg.kernel, grid)
+                    e_dt = None
                     cell = grid.cell_volume
                     shift = grid.n // 4
                     centers = {T: tuple(i + shift for i in c)

@@ -9,8 +9,9 @@ from numpy.testing import assert_allclose
 from blowlab.blowup import (CriterionInput, default_horizon_grid,
                             evaluate_criterion, moment_at_zero, moment_field,
                             morrey_sufficient_condition)
-from blowlab.errors import DomainError
-from blowlab.kernels import Grid, GridFunction, KernelSpec
+from blowlab.errors import DomainError, ResolutionError
+from blowlab.kernels import (Grid, GridFunction, KernelSpec, _audit_failure,
+                             semigroup_kernel)
 from blowlab.nonlinearity import Nonlinearity
 from blowlab.norms import RadialProfile
 from blowlab.numutil import log_grid, loglog_slope
@@ -156,3 +157,67 @@ def test_morrey_condition_needs_supercritical_power():
     u = GridFunction.gaussian(g, mass=1.0, sigma=1.0)
     with pytest.raises(DomainError):
         morrey_sufficient_condition(u, 2.0, 1, 2.5, C_threshold=1.0)
+
+
+# ---------------------------------------------------------------------------
+# memoized kernel audits
+# ---------------------------------------------------------------------------
+
+AUDIT_GRID = Grid(2, 24.0, 64)
+AUDIT_HORIZONS = np.geomspace(0.01, 100.0, 9)
+
+
+def kernel_verdict(spec, T, grid, boundary_tol=1e-8):
+    """The ResolutionError message of a freshly built kernel, or None."""
+    try:
+        semigroup_kernel(spec, T, grid, boundary_tol=boundary_tol)
+    except ResolutionError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("spec, kinds", [
+    # passing, then boundary-failing horizons
+    (KernelSpec.gaussian(), ["ok"] * 5 + ["boundary"] * 4),
+    # negativity-failing, then boundary-failing horizons
+    (KernelSpec.fractional(1.5), ["negativity"] * 4 + ["boundary"] * 5),
+], ids=["gaussian", "fractional-1.5"])
+def test_memoized_audit_matches_semigroup_kernel(spec, kinds):
+    verdicts = [kernel_verdict(spec, T, AUDIT_GRID) for T in AUDIT_HORIZONS]
+    assert [next((k for k in ("negativity", "boundary") if k in (v or "")), "ok")
+            for v in verdicts] == kinds
+    inp = CriterionInput(u0=GridFunction.gaussian(AUDIT_GRID, mass=1.0, sigma=1.0),
+                         kernel=spec, nonlinearity=Nonlinearity.power_law(1.0, 3.0),
+                         T_grid=AUDIT_HORIZONS)
+    _audit_failure.cache_clear()
+    first = evaluate_criterion(inp)
+    misses = _audit_failure.cache_info().misses
+    assert misses == len(AUDIT_HORIZONS)
+    again = evaluate_criterion(inp)
+    info = _audit_failure.cache_info()
+    assert info.misses == misses and info.hits == len(AUDIT_HORIZONS)
+    for verdict in (first, again):
+        assert [pt.T for pt in verdict.curve] == list(AUDIT_HORIZONS)
+        assert [pt.reliable for pt in verdict.curve] == [v is None for v in verdicts]
+    assert first == again
+
+
+def test_moment_field_audit_is_the_kernel_verdict_on_miss_and_hit():
+    u0 = GridFunction.gaussian(AUDIT_GRID, mass=1.0, sigma=1.0)
+    spec, T = KernelSpec.gaussian(), float(AUDIT_HORIZONS[5])
+    expected = kernel_verdict(spec, T, AUDIT_GRID)
+    assert expected.startswith("boundary mass")
+    _audit_failure.cache_clear()
+    for _ in range(2):            # computed, then read from the memo
+        with pytest.raises(ResolutionError) as exc:
+            moment_field(u0, spec, T, boundary_tol=1e-8)
+        assert str(exc.value) == expected
+    assert _audit_failure.cache_info().hits == 1
+    # a looser tolerance is a verdict of its own, and its kernel passes
+    assert kernel_verdict(spec, T, AUDIT_GRID, boundary_tol=1e-6) is None
+    loose = moment_field(u0, spec, T, boundary_tol=1e-6)
+    unaudited = moment_field(u0, spec, T, boundary_tol=None)
+    assert np.array_equal(loose.values, unaudited.values)
+    with pytest.raises(ResolutionError):
+        moment_field(u0, spec, T, boundary_tol=1e-8)
+    assert _audit_failure.cache_info().misses == 2

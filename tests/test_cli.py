@@ -160,6 +160,20 @@ def test_criterion_json_summary(outdir, capsys):
     assert header == ["T", "W", "hinv", "ratio"]
 
 
+def test_criterion_exponential_default_grid_cuts_out_of_range_horizon(outdir,
+                                                                      capsys):
+    """h_inv(1000) of e^u - 1 is below the smallest normal double: the sweep
+    ends at the previous horizon and the note says so."""
+    assert cli.main(["criterion", "--family", "exponential", "--mass", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    summary = json.loads(next(l for l in lines if l.startswith("{")))
+    assert summary["classification"] == "criterion_met"
+    assert summary["T_star"] == 1.7012542798525891
+    assert "sweep cut at T=1000" in summary["note"]
+    _, rows, _ = read_rows(outdir / "criterion_curve.csv")
+    assert len(rows) == 39
+
+
 def test_criterion_rejects_radial_profile_with_lattice_kernel(outdir, tmp_path,
                                                               capsys):
     prof = tmp_path / "profile.csv"

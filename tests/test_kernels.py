@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import IntegrationWarning, quad
 
 from blowlab.errors import DomainError, ResolutionError
+from blowlab import kernels
 from blowlab.kernels import (Grid, GridFunction, KernelSpec, _far_series,
                              _near_series, _parts_steps, _series_switches,
                              _transform, semigroup_kernel, stable_profile,
@@ -103,6 +104,36 @@ def test_kernel_composition_law():
         np.fft.fftn(np.fft.ifftshift(k1.values))
         * np.fft.fftn(np.fft.ifftshift(k2.values))).real) * g.cell_volume
     assert float(np.max(np.abs(conv - k3.values))) < 1e-10
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_bump_quadratures_against_gauss_legendre(d):
+    x, w = np.polynomial.legendre.leggauss(200)
+    r = 0.5 * (x + 1.0)
+
+    def moment(k):
+        return 0.5 * float(np.sum(w * kernels._bump_profile(r) * r ** k))
+
+    norm = kernels.sphere_area(d) * moment(d - 1)
+    assert_allclose(kernels._bump_norm(d), norm, rtol=1e-13)
+    assert_allclose(kernels._bump_coefficient(d),
+                    kernels.sphere_area(d) * moment(d + 1) / norm / (2.0 * d),
+                    rtol=1e-13)
+
+
+def test_bump_quadrature_error_over_tolerance_raises(monkeypatch):
+    monkeypatch.setattr(kernels, "_checked_quad", lambda f, a, b, **kw: (1.0, 1e-12))
+    kernels._bump_norm.cache_clear()
+    kernels._bump_coefficient.cache_clear()
+    try:
+        with pytest.raises(ResolutionError, match="quadrature error"):
+            kernels._bump_norm(2)
+        with pytest.raises(ResolutionError, match="quadrature error"):
+            kernels._bump_coefficient(2)
+    finally:
+        monkeypatch.undo()
+        kernels._bump_norm.cache_clear()
+        kernels._bump_coefficient.cache_clear()
 
 
 def test_boundary_audit_rejects_small_boxes():

@@ -31,6 +31,21 @@ def test_config_validation():
         make_cfg(moment_targets=(0.5, -1.0))
 
 
+def test_run_equals_a_loop_of_steps_bit_for_bit():
+    """run keeps one half-step propagator per trial dt; a snapshot time
+    shortens one step, so dt changes value and the propagator is rebuilt."""
+    g = Grid(1, 32.0, 256)
+    u0 = GridFunction.gaussian(g, mass=1.0, sigma=1.0)
+    cfg = make_cfg(dt_init=0.01, t_end=0.2, snapshot_times=(0.123,))
+    traj = run(u0, cfg)
+    assert traj.outcome == "reached_horizon" and not traj.notes
+    assert len(set(traj.dt[1:])) == 3
+    u = u0
+    for dt in traj.dt[1:]:
+        u = step(u, cfg, dt)
+    assert np.array_equal(u.values, traj.final_state.values)
+
+
 def test_step_rejects_out_of_range_dt():
     g = Grid(1, 8.0, 64)
     u = GridFunction.gaussian(g, mass=1.0, sigma=1.0)
