@@ -52,6 +52,11 @@ __all__ = [
 _NEGATIVITY_FLOOR = -1e-9
 _CLIP_FLOOR = -1e-12
 _BUMP_QUAD_TOL = 1e-13
+# absolute error bounds of the symbol quadratures (symbols lie in [-1, 1]):
+# the bump's relative target 1e-12 of a value at most 1, and the heavy
+# tail's QAWF target, scipy's default epsabs
+_BUMP_SYMBOL_TOL = 1e-12
+_HEAVY_SYMBOL_TOL = 1.49e-8
 # audit verdicts kept by _audit_failure, one short string (or None) each
 _AUDIT_MEMO_SIZE = 4096
 
@@ -335,18 +340,30 @@ def fourier_symbol(spec: KernelSpec, xi, d: int = 1) -> np.ndarray:
     return float(out[0]) if scalar else out
 
 
+def _symbol_quad(f, a, b, tol: float, **kw) -> float:
+    """One symbol quadrature through _checked_quad. The symbol is bounded by
+    1, so its error estimate is held to the absolute tolerance tol."""
+    val, err = _checked_quad(f, a, b, **kw)
+    if err > tol:
+        raise ResolutionError(f"symbol quadrature on [{a:.6g}, {b:.6g}]: "
+                              f"error estimate {err:.2e} exceeds {tol:.1e}")
+    return val
+
+
 def _bump_symbol(xi: np.ndarray, d: int) -> np.ndarray:
     norm = _bump_norm(d)
     out = np.empty_like(xi)
     for i, k in enumerate(xi):
         if d == 1:
-            val, _ = quad(lambda r: float(_bump_profile(np.asarray(r))) * math.cos(k * r),
-                          0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=200)
+            val = _symbol_quad(
+                lambda r: float(_bump_profile(np.asarray(r))) * math.cos(k * r),
+                0.0, 1.0, _BUMP_SYMBOL_TOL, epsabs=0.0, epsrel=1e-12, limit=200)
             out[i] = 2.0 * val / norm
         else:
             from scipy.special import j0
-            val, _ = quad(lambda r: float(_bump_profile(np.asarray(r))) * j0(k * r) * r,
-                          0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=200)
+            val = _symbol_quad(
+                lambda r: float(_bump_profile(np.asarray(r))) * j0(k * r) * r,
+                0.0, 1.0, _BUMP_SYMBOL_TOL, epsabs=0.0, epsrel=1e-12, limit=200)
             out[i] = 2.0 * math.pi * val / norm
     return out
 
@@ -358,9 +375,11 @@ def _heavy_symbol(xi: np.ndarray, n: float) -> np.ndarray:
         if k == 0.0:
             out[i] = 1.0
             continue
-        # oscillatory tail handled by the QAWF transform in quad
-        val, _ = quad(lambda x: (1.0 + x) ** (-n), 0.0, np.inf,
-                      weight="cos", wvar=k, limit=400)
+        # oscillatory tail handled by the QAWF transform in quad, which
+        # takes an absolute target only
+        val = _symbol_quad(lambda x: (1.0 + x) ** (-n), 0.0, np.inf,
+                           _HEAVY_SYMBOL_TOL, epsabs=_HEAVY_SYMBOL_TOL,
+                           weight="cos", wvar=k, limit=400)
         out[i] = 2.0 * c * val
     return out
 
@@ -440,6 +459,8 @@ def semigroup_kernel(spec: KernelSpec, t: float, grid: Grid,
     """
     if t <= 0:
         raise DomainError("semigroup time t must be positive")
+    if not 0.0 <= boundary_tol < math.inf:
+        raise DomainError(f"boundary_tol must be finite and >= 0, got {boundary_tol!r}")
     mult = np.exp(t * generator_symbol_grid(spec, grid))
     vals = np.fft.fftshift(grid.irfft(mult)) / grid.cell_volume
     kern = SemigroupKernel(spec, float(t), grid, vals)
@@ -677,7 +698,7 @@ def _checked_quad(f, a, b, **kw):
     ResolutionError with QUADPACK's message instead of warning."""
     out = quad(f, a, b, full_output=1, **kw)
     if len(out) > 3:
-        raise ResolutionError(f"profile quadrature on [{a:.6g}, {b:.6g}] failed: "
+        raise ResolutionError(f"quadrature on [{a:.6g}, {b:.6g}] failed: "
                               + " ".join(str(out[3]).split()))
     return out[0], out[1]
 

@@ -38,6 +38,43 @@ _EPS = sys.float_info.epsilon
 _NEWTON_ITERATIONS = 100
 # probe scales for the large-u tail exponent audit
 _TAIL_PROBES = (1e4, 1e6, 1e8)
+# integer exponents that power sources evaluate by repeated products
+_PRODUCT_POWERS = range(2, 9)
+
+
+def _power_term(c: float, p: float) -> Callable:
+    """u -> c u^p for arrays and Python floats, with the route fixed here.
+
+    Integer p in 2..8 takes left-to-right binary powering: square, then
+    times u where p's next bit is set, updating its own result in place.
+    p = 2 is bit for bit np.power; p = 3..8 is within a few ulps of it,
+    since each product rounds once. Other p take np.power. c = 1 skips the
+    multiply.
+    """
+    if p in _PRODUCT_POWERS:
+        bits = tuple(b == "1" for b in bin(int(p))[3:])
+
+        def power(u):
+            out = u * u
+            if bits[0]:
+                out *= u
+            for times_u in bits[1:]:
+                out *= out
+                if times_u:
+                    out *= u
+            return out
+    else:
+        def power(u):
+            return np.power(u, p)
+    if c == 1.0:
+        return power
+
+    def term(u):
+        out = power(u)
+        out *= c
+        return out
+
+    return term
 
 
 @dataclass(frozen=True)
@@ -64,14 +101,11 @@ class Nonlinearity:
         if not (c > 0 and p > 1):
             raise DomainError("power law needs c > 0 and p > 1")
 
-        def f(u):
-            return c * np.power(u, p)
-
         def df(u):
             return c * p * np.power(u, p - 1.0)
 
-        return cls(f, df, f"{c:g}*u^{p:g}", kind="power", coeff=c, power=p,
-                   params={"c": c, "p": p})
+        return cls(_power_term(c, p), df, f"{c:g}*u^{p:g}", kind="power",
+                   coeff=c, power=p, params={"c": c, "p": p})
 
     @classmethod
     def power_sum(cls, c1: float = 1.0, p1: float = 2.0,
@@ -79,8 +113,12 @@ class Nonlinearity:
         if not (c1 > 0 and c2 > 0 and p1 > 1 and p2 > 1):
             raise DomainError("power sum needs positive weights and exponents > 1")
 
+        f1, f2 = _power_term(c1, p1), _power_term(c2, p2)
+
         def f(u):
-            return c1 * np.power(u, p1) + c2 * np.power(u, p2)
+            out = f1(u)
+            out += f2(u)
+            return out
 
         def df(u):
             return c1 * p1 * np.power(u, p1 - 1.0) + c2 * p2 * np.power(u, p2 - 1.0)
@@ -134,6 +172,14 @@ class Nonlinearity:
         out = self.dfn(u)
         return float(out) if np.ndim(out) == 0 else out
 
+    def _for_floats(self, f: Callable) -> Callable:
+        """f (``fn`` or ``dfn``) as a function of one Python float, without
+        the negativity scan. The named families take floats as they are;
+        custom callables are written for arrays and get a 0-d one."""
+        if self.kind != "custom":
+            return f
+        return lambda u: f(np.asarray(u))
+
     # -- audits (constructor-time for custom callables) ---------------------
 
     def _audit(self) -> None:
@@ -180,6 +226,7 @@ class OsgoodTransform:
         source.check_osgood()
         self.source = source
         self.quad_tol = float(quad_tol)
+        self._fn = source._for_floats(source.fn)
 
     # closed-form fast path predicate
     @property
@@ -188,19 +235,19 @@ class OsgoodTransform:
 
     def _F(self, u: float) -> float:
         with np.errstate(over="ignore"):
-            return float(self.source.fn(np.asarray(u)))
+            return float(self._fn(u))
 
     def _log_integral(self, a: float, b: float) -> float:
         """int_a^b u/F(u) dv with u = e^v; QUADPACK's diagnostics and its
         error estimate are checked against quad_tol."""
         label = self.source.label
-        fn = self.source.fn
+        fn = self._fn
 
         def integrand(v: float) -> float:
             if v > _LOG_HUGE:
                 return 0.0
             u = math.exp(v)
-            fu = float(fn(np.asarray(u)))
+            fu = float(fn(u))
             if math.isinf(fu):
                 return 0.0
             if not fu > 0.0:

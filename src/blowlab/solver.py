@@ -20,7 +20,9 @@ comparison ODE it is supposed to dominate.
 Fields follow the layout contract of ``Grid``: they are transformed as they
 lie, with real FFTs, and nothing in a step is shifted. Each accepted state
 carries its half spectrum and its source values F(u); the next step, the
-moment probes and the recorded source integral share them.
+moment probes and the recorded source integral share them. The sums of u
+and F(u), which the mass audit and the records need anyway, double as the
+finiteness checks of the state.
 """
 
 from __future__ import annotations
@@ -126,24 +128,53 @@ class Trajectory:
 
 class _State(NamedTuple):
     """An accepted state with what the next step and the records share:
-    its half spectrum and its source values F(values)."""
+    its half spectrum, its source values F(values), and the sums of values
+    and of F(values)."""
 
     values: np.ndarray
     spectrum: np.ndarray
     source: np.ndarray
+    total: float
+    source_total: float
 
 
-def _state(values: np.ndarray, grid: Grid, F: Nonlinearity) -> _State:
-    """Transform and evaluate F on (clipped) values; an overflow or a
-    non-finite F(values) is a BlowupSignal."""
+def _check_finite(a: np.ndarray, total: float, what: str) -> None:
+    """Raise BlowupSignal when an entry of a is not finite, given its sum.
+
+    A float sum is finite only if every entry is, so a finite total settles
+    the check; only a total that is not finite is followed by the
+    elementwise scan, which tells an overflowing sum of finite entries from
+    a bad entry.
+    """
+    if not math.isfinite(total) and not np.all(np.isfinite(a)):
+        raise BlowupSignal(f"{what} left the finite range")
+
+
+def _state(values: np.ndarray, grid: Grid, source_fn) -> _State:
+    """Evaluate the source on clipped values and transform them. An
+    overflow, a value or a source value that is not finite is a
+    BlowupSignal. source_fn is the checked ``Nonlinearity.__call__`` where
+    values enter from outside and ``Nonlinearity.fn`` on the step's own
+    clipped update."""
     with np.errstate(over="raise", invalid="raise"):
         try:
-            source = F(values)
+            source = source_fn(values)
+            spectrum = grid.rfft(values)
         except FloatingPointError as exc:
             raise BlowupSignal(str(exc)) from exc
-    if not np.all(np.isfinite(source)):
-        raise BlowupSignal("source left the finite range")
-    return _State(values, grid.rfft(values), source)
+    # the mass audit and the records need both sums; they double as the
+    # finiteness checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.add.reduce(values, axis=None))
+        source_total = float(np.add.reduce(source, axis=None))
+    _check_finite(values, total, "values")
+    _check_finite(source, source_total, "source values")
+    return _State(values, spectrum, source, total, source_total)
+
+
+def _clipped(values: np.ndarray) -> np.ndarray:
+    """values with negative ringing clipped to 0, in place."""
+    return np.maximum(values, 0.0, out=values)
 
 
 def _half_propagator(sym: np.ndarray, dt: float) -> np.ndarray:
@@ -151,10 +182,10 @@ def _half_propagator(sym: np.ndarray, dt: float) -> np.ndarray:
     return np.exp((0.5 * dt) * sym)
 
 
-def _advance(state: _State, e_half: np.ndarray, grid: Grid, F: Nonlinearity,
+def _advance(state: _State, e_half: np.ndarray, grid: Grid, fn,
              dt: float) -> Tuple[_State, float]:
     """One integrating-factor midpoint step on natural-layout values, with
-    e_half = _half_propagator(sym, dt).
+    e_half = _half_propagator(sym, dt) and fn = Nonlinearity.fn.
 
     Returns the new state and int F(mid) per unit volume factor (the exact
     discrete mass production of this step is dt * that integral).
@@ -162,22 +193,27 @@ def _advance(state: _State, e_half: np.ndarray, grid: Grid, F: Nonlinearity,
     with np.errstate(over="raise", invalid="raise"):
         try:
             # the transforms return fresh arrays, updated in place below;
-            # one spectrum name keeps one temporary alive at a time
+            # one spectrum name keeps one temporary alive at a time, and
+            # F(mid) goes once transformed. An overflow in a transform, a
+            # product or the sum of F(mid) raises; a NaN or inf in F(mid)
+            # is caught here because the clip would turn a -inf update to 0
             spec = grid.rfft(state.source)
             spec *= 0.5 * dt
             spec += state.spectrum
             spec *= e_half
-            f_mid = F(np.maximum(grid.irfft(spec), 0.0))
+            f_mid = fn(_clipped(grid.irfft(spec)))
+            f_mid_sum = float(np.add.reduce(f_mid, axis=None))
+            if not math.isfinite(f_mid_sum):
+                raise BlowupSignal("midpoint source left the finite range")
             spec = grid.rfft(f_mid)
+            del f_mid
             spec *= dt
             spec += e_half * state.spectrum
             spec *= e_half
             out = grid.irfft(spec)
         except FloatingPointError as exc:
             raise BlowupSignal(str(exc)) from exc
-    if not np.all(np.isfinite(out)):
-        raise BlowupSignal("update left the finite range")
-    return _state(np.maximum(out, 0.0, out=out), grid, F), float(np.sum(f_mid))
+    return _state(_clipped(out), grid, fn), f_mid_sum
 
 
 def step(u: GridFunction, cfg: SimConfig, dt: float) -> GridFunction:
@@ -186,8 +222,8 @@ def step(u: GridFunction, cfg: SimConfig, dt: float) -> GridFunction:
         raise DomainError("dt must lie in [dt_min, dt_init]")
     grid = u.grid
     e_half = _half_propagator(generator_symbol_grid(cfg.kernel, grid), dt)
-    new, _ = _advance(_state(u.values, grid, cfg.nonlinearity), e_half, grid,
-                      cfg.nonlinearity, dt)
+    F = cfg.nonlinearity
+    new, _ = _advance(_state(u.values, grid, F), e_half, grid, F.fn, dt)
     return GridFunction(grid, new.values)
 
 
@@ -275,10 +311,16 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
         raise DomainError("u_max must exceed the initial sup")
 
     grid = u0.grid
+    # u0 enters through F's negativity scan; the step's own clipped values
+    # go to F.fn directly, and dt control and the moment series evaluate F
+    # and F' on Python floats
+    fn = F.fn
+    dfn_scalar = F._for_floats(F.dfn)
+    fn_scalar = F._for_floats(fn)
     try:
         state = _state(u0.values.copy(), grid, F)
     except BlowupSignal as exc:
-        raise DomainError(f"F(u0) is not finite: {exc}") from exc
+        raise DomainError(f"u0 or F(u0) is not finite: {exc}") from exc
     sym = generator_symbol_grid(cfg.kernel, grid)
     cell = grid.cell_volume
 
@@ -292,7 +334,7 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
         traj_sup.append(float(state.values.max()))
         traj_mass.append(mass)
         traj_dt.append(dt_used)
-        traj_src.append(float(np.sum(state.source)) * cell)
+        traj_src.append(state.source_total * cell)
         for T in cfg.moment_targets:
             remaining = T - t
             if remaining > 0:
@@ -300,7 +342,7 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
                 ms = moments[T]
                 ms.t.append(t)
                 ms.W.append(W)
-                ms.F_of_W.append(float(F(np.asarray(W))))
+                ms.F_of_W.append(float(fn_scalar(W)))
 
     traj_t: List[float] = []
     traj_sup: List[float] = []
@@ -313,7 +355,7 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
     events = sorted(set(s for s in cfg.snapshot_times if 0 < s <= cfg.t_end)
                     | {cfg.t_end})
     t = 0.0
-    record(t, 0.0, float(state.values.sum()) * cell)
+    record(t, 0.0, state.total * cell)
     outcome = "reached_horizon"
     t_obs: Optional[float] = None
     reliable = True
@@ -332,7 +374,7 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
         if sup >= cfg.u_max:
             outcome, t_obs = "blew_up", t
             break
-        dprime = float(F.derivative(np.asarray(max(sup, 0.0))))
+        dprime = float(dfn_scalar(max(sup, 0.0)))
         dt = cfg.dt_init if dprime <= 0 else min(cfg.dt_init, 0.5 / dprime)
         if dt < cfg.dt_min:
             outcome, t_obs = "dt_underflow", t
@@ -343,7 +385,7 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
         if trial != e_dt:
             e_dt, e_half = trial, _half_propagator(sym, trial)
         try:
-            new_state, f_mid_sum = _advance(state, e_half, grid, F, trial)
+            new_state, f_mid_sum = _advance(state, e_half, grid, fn, trial)
         except BlowupSignal:
             outcome, t_obs = "blew_up", t
             break
@@ -354,7 +396,7 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
         # defect is a genuine failure; once the reaction has ramped the sup
         # well past it, the terminal peak is narrower than any fixed lattice
         # and the audit can only annotate.
-        mass_new = float(new_state.values.sum()) * cell
+        mass_new = new_state.total * cell
         mass_old = traj_mass[-1]
         produced = trial * f_mid_sum * cell
         defect = abs(mass_new - (mass_old + produced))
@@ -390,7 +432,7 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
             if not _support_ok(state.values, grid):
                 if enlargements < 2:
                     values, grid = _embed_double(state.values, grid)
-                    state = _state(values, grid, F)
+                    state = _state(values, grid, fn)
                     enlargements += 1
                     sym = generator_symbol_grid(cfg.kernel, grid)
                     e_dt = None

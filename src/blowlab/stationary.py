@@ -27,7 +27,6 @@ __all__ = [
     "SingularSolution",
     "singular_constant",
     "log_singular_constant",
-    "power_multiplier",
     "singular_morrey_norm",
     "singular_profile",
     "singular_asymptotics_check",
@@ -72,19 +71,6 @@ def log_singular_constant(alpha: float, d: float, p: float) -> float:
 
 def singular_constant(alpha: float, d: float, p: float) -> float:
     return math.exp(log_singular_constant(alpha, d, p))
-
-
-def power_multiplier(alpha: float, d: float, gamma: float) -> float:
-    """Factor l with (-Delta)^(alpha/2) |x|^(-gamma) = l |x|^(-gamma-alpha).
-
-    Valid for 0 < gamma < d - alpha. At gamma = alpha/(p-1) this equals
-    s(alpha, d, p)^(p-1).
-    """
-    if not (0.0 < gamma < d - alpha):
-        raise DomainError("need 0 < gamma < d - alpha")
-    return math.exp(alpha * math.log(2.0)
-                    + log_gamma((gamma + alpha) / 2.0) + log_gamma((d - gamma) / 2.0)
-                    - log_gamma(gamma / 2.0) - log_gamma((d - gamma - alpha) / 2.0))
 
 
 @dataclass(frozen=True)

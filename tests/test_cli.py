@@ -82,6 +82,14 @@ def test_kernel_radial_needs_fractional(outdir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-8"])
+def test_kernel_rejects_bad_boundary_tol(outdir, capsys, tol):
+    assert cli.main(["kernel", "--kind", "gaussian", "--t", "25",
+                     "--L", "8", "--n", "256", f"--boundary-tol={tol}"]) == 2
+    assert "boundary_tol" in capsys.readouterr().err
+    assert not (outdir / "kernel.csv").exists()
+
+
 def test_sweep_is_byte_deterministic(tmp_path, monkeypatch):
     blobs = []
     for sub in ("one", "two"):

@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import IntegrationWarning, quad
 
+from blowlab.blowup import moment_field
 from blowlab.errors import DomainError, ResolutionError
 from blowlab import kernels
 from blowlab.kernels import (Grid, GridFunction, KernelSpec, _far_series,
@@ -134,6 +135,74 @@ def test_bump_quadrature_error_over_tolerance_raises(monkeypatch):
         monkeypatch.undo()
         kernels._bump_norm.cache_clear()
         kernels._bump_coefficient.cache_clear()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_bump_symbol_values_unchanged_by_the_error_check(d):
+    """The checked route passes quad the arguments it always had, so each
+    value equals a bare quad call bit for bit."""
+    from scipy.special import j0
+    xi = np.array([0.0, 0.3, 1.0, 2.5, 4.0])
+    norm = kernels._bump_norm(d)
+    for k, got in zip(xi, kernels.fourier_symbol(KernelSpec.bump(), xi, d)):
+        if d == 1:
+            val, _ = quad(lambda r: float(kernels._bump_profile(np.asarray(r)))
+                          * math.cos(k * r), 0.0, 1.0, epsabs=0.0,
+                          epsrel=1e-12, limit=200)
+            assert got == 2.0 * val / norm
+        else:
+            val, _ = quad(lambda r: float(kernels._bump_profile(np.asarray(r)))
+                          * j0(k * r) * r, 0.0, 1.0, epsabs=0.0,
+                          epsrel=1e-12, limit=200)
+            assert got == 2.0 * math.pi * val / norm
+
+
+def test_bump_symbol_reports_quadpack_roundoff_as_resolution_error():
+    """At xi = 5 in d = 1 the integral (-1.06e-4, estimate 1.6e-15) is too
+    small for the relative target 1e-12 and QUADPACK reports roundoff; that
+    is a ResolutionError, not a leaked IntegrationWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ResolutionError, match="roundoff"):
+            kernels.fourier_symbol(KernelSpec.bump(), 5.0, 1)
+
+
+def test_heavy_symbol_values_unchanged_by_the_error_check():
+    spec = KernelSpec.heavy_tail(2.5)
+    xi = np.array([0.0, 2e-4, 0.1, 1.0, 7.0])
+    c = (2.5 - 1.0) / 2.0
+    for k, got in zip(xi, kernels.fourier_symbol(spec, xi)):
+        if k == 0.0:
+            assert got == 1.0
+            continue
+        val, _ = quad(lambda x: (1.0 + x) ** -2.5, 0.0, np.inf, weight="cos",
+                      wvar=k, limit=400)
+        assert got == 2.0 * c * val
+
+
+@pytest.mark.parametrize("spec, err", [
+    (KernelSpec.bump(), 2e-12),
+    (KernelSpec.heavy_tail(2.5), 2e-8),
+])
+def test_symbol_quadrature_error_over_tolerance_raises(monkeypatch, spec, err):
+    kernels.fourier_symbol(spec, 1.0)   # caches the bump norm's own quad
+    monkeypatch.setattr(kernels, "_checked_quad", lambda f, a, b, **kw: (0.5, err))
+    with pytest.raises(ResolutionError, match="symbol quadrature"):
+        kernels.fourier_symbol(spec, 1.0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-8])
+def test_boundary_tol_must_be_finite_and_nonnegative(tol):
+    with pytest.raises(DomainError, match="boundary_tol"):
+        semigroup_kernel(KernelSpec.gaussian(), 1.0, Grid(1, 8.0, 256),
+                         boundary_tol=tol)
+    # a nan tolerance used to pass every boundary audit: this kernel's
+    # boundary mass is 0.23
+    u0 = GridFunction.gaussian(Grid(1, 8.0, 256), mass=1.0, sigma=1.0)
+    with pytest.raises(DomainError, match="boundary_tol"):
+        moment_field(u0, KernelSpec.gaussian(), 25.0, boundary_tol=tol)
+    with pytest.raises(DomainError, match="boundary_tol"):
+        kernels._audit_failure(KernelSpec.gaussian(), 25.0, Grid(1, 8.0, 256), tol)
 
 
 def test_boundary_audit_rejects_small_boxes():

@@ -1,6 +1,7 @@
 """Source terms, their blowup-time transform, and critical exponents."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -152,3 +153,73 @@ def test_threshold_constant_values_and_source():
         threshold_constant_c(2.0, 1.0)
     with pytest.raises(DomainError):
         threshold_constant_c(1.0, 2.0, override=-1.0)
+
+
+# -- evaluation routes of the power families ---------------------------------
+
+def power_test_points(c, p):
+    """Points whose c u^p spans the subnormals up to 1e300, plus [0, 10]."""
+    lo, hi = 10.0 ** (-330.0 / p), (1e300 / c) ** (1.0 / p)
+    rng = np.random.default_rng(11)
+    return np.concatenate([np.geomspace(lo, hi, 2001),
+                           rng.uniform(0.0, 10.0, 2001), [0.0]])
+
+
+@pytest.mark.parametrize("c", [1.0, 0.7, 3.3])
+def test_square_by_products_is_np_power_bit_for_bit(c):
+    u = power_test_points(c, 2.0)
+    with np.errstate(under="ignore"):
+        want = c * np.power(u, 2.0)
+        assert np.array_equal(Nonlinearity.power_law(c, 2.0).fn(u), want)
+        # the power sum's p1 = 2 term takes the same route
+        v = u[u < 1e100]
+        assert np.array_equal(Nonlinearity.power_sum(c, 2.0, 0.5, 2.5).fn(v),
+                              c * np.power(v, 2.0) + 0.5 * np.power(v, 2.5))
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("c", [1.0, 0.7, 3.3])
+def test_integer_powers_by_products_match_np_power(p, c):
+    """Each product rounds once, so products sit within a few ulps of
+    np.power where the result is a normal double. Below that the spacing
+    is absolute (4.9e-324), so subnormal results are compared absolutely."""
+    u = power_test_points(c, p)
+    with np.errstate(under="ignore"):
+        got = Nonlinearity.power_law(c, float(p)).fn(u)
+        want = c * np.power(u, float(p))
+    normal = want >= sys.float_info.min
+    assert_allclose(got[normal], want[normal], rtol=1e-15, atol=0.0)
+    assert_allclose(got[~normal], want[~normal], rtol=0.0,
+                    atol=16 * np.nextafter(0.0, 1.0))
+    # one evaluation of a Python float, as the h integrand makes it
+    assert isinstance(Nonlinearity.power_law(c, float(p)).fn(1.5), float)
+
+
+@pytest.mark.parametrize("p", [2.6, 1.5, 9.0, 12.0])
+def test_other_powers_are_np_power_unchanged(p):
+    u = power_test_points(0.7, p)
+    with np.errstate(under="ignore"):
+        assert np.array_equal(Nonlinearity.power_law(0.7, p).fn(u),
+                              0.7 * np.power(u, p))
+        assert np.array_equal(Nonlinearity.power_law(1.0, p).fn(u),
+                              np.power(u, p))
+
+
+def test_h_float_route_matches_custom_wrapping():
+    """The named power sum hands Python floats to its product route; the
+    same family written as a custom source gets 0-d arrays and np.power."""
+    seen = []
+
+    def fn(u):
+        seen.append(type(u))
+        return 0.5 * np.power(u, 2.0) + 0.25 * np.power(u, 3.0)
+
+    named = OsgoodTransform(Nonlinearity.power_sum(0.5, 2.0, 0.25, 3.0))
+    custom = OsgoodTransform(Nonlinearity.custom(
+        fn, lambda u: 1.0 * u + 0.75 * np.power(u, 2.0)))
+    seen.clear()
+    for w in (1e-3, 0.3, 1.0, 4.0, 1e3):
+        assert_allclose(named.h(w), custom.h(w), rtol=1e-14)
+    for T in (1e-3, 0.5, 20.0, 300.0):
+        assert_allclose(named.h_inverse(T), custom.h_inverse(T), rtol=1e-14)
+    assert seen and set(seen) == {np.ndarray}

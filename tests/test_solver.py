@@ -1,6 +1,7 @@
 """Integrating-factor stepper: ODE fidelity, structure laws, audits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from blowlab.errors import DomainError
 from blowlab.kernels import (Grid, GridFunction, KernelSpec,
                              generator_symbol_grid, semigroup_kernel)
 from blowlab.nonlinearity import Nonlinearity
-from blowlab.solver import (BlowupSignal, SimConfig, _MomentProbe,
+from blowlab.solver import (BlowupSignal, SimConfig, _MomentProbe, _state,
                             dichotomy_experiment, jensen_report, run, step)
 
 
@@ -143,6 +144,24 @@ def test_mass_production_law():
     produced = float(np.trapezoid(traj.source_integral, traj.t))
     gained = traj.mass[-1] - traj.mass[0]
     assert abs(gained - produced) / traj.mass[-1] < 1e-6
+
+
+def test_mass_production_law_2d_through_box_doublings():
+    """p = 3 in d = 2 with heavy tails: the support audit doubles the box
+    twice, and the mass gained still matches the trapezoid of the recorded
+    source integral int F(u) dx, which is second order in dt."""
+    g = Grid(2, 4.0, 32)
+    u0 = GridFunction.gaussian(g, mass=6.0, sigma=1.0)
+    traj = run(u0, make_cfg(kernel=KernelSpec.fractional(1.5),
+                            nonlinearity=Nonlinearity.power_law(1.0, 3.0),
+                            dt_init=0.01, t_end=0.3))
+    assert traj.outcome == "reached_horizon"
+    assert sum("doubled" in n for n in traj.notes) == 2
+    assert traj.grid == Grid(2, 16.0, 128)
+    produced = float(np.trapezoid(traj.source_integral, traj.t))
+    gained = traj.mass[-1] - traj.mass[0]
+    assert gained > 0.05 * traj.mass[0]
+    assert abs(gained - produced) < 1e-4 * gained
 
 
 def test_comparison_principle():
@@ -287,3 +306,58 @@ def test_dichotomy_validation():
             kernel=KernelSpec.gaussian(),
             nonlinearity=Nonlinearity.power_law(1.0, 2.0),
             dt_init=0.05, dt_min=1e-14, t_end=30.0))
+
+
+@pytest.mark.parametrize("entry", ["run", "step"])
+def test_data_mutated_negative_after_construction_is_rejected(entry):
+    """GridFunction checks its values once, at construction; run and step
+    scan the data they are handed again."""
+    g = Grid(1, 8.0, 64)
+    u = GridFunction.gaussian(g, mass=1.0, sigma=1.0)
+    u.values[5] = -0.1
+    with pytest.raises(DomainError, match="u >= 0"):
+        if entry == "run":
+            run(u, make_cfg())
+        else:
+            step(u, make_cfg(), 1e-3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_midpoint_source_ends_run_as_blowup(bad):
+    """F turns non-finite above 1.003 without a floating-point exception.
+    From constant data 1 the first midpoint (1.005) passes that level, so
+    the step's update is not finite and the run ends at t = 0."""
+    g = Grid(1, 8.0, 64)
+    poisoned = Nonlinearity(fn=lambda u: np.where(u > 1.003, bad, u * u),
+                            dfn=lambda u: 2.0 * u, label="poisoned u^2")
+    cfg = make_cfg(nonlinearity=poisoned, dt_init=1e-2, t_end=1.0)
+    traj = run(GridFunction(g, np.ones(g.shape)), cfg)
+    assert traj.outcome == "blew_up"
+    assert traj.t_obs == 0.0
+    assert traj.t == [0.0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_update_values_signal_blowup(bad):
+    """The zero source stays finite on any input, so only the check on the
+    values themselves can see the bad entry."""
+    g = Grid(1, 8.0, 64)
+    values = np.ones(g.shape)
+    values[7] = bad
+    with pytest.raises(BlowupSignal):
+        _state(values, g, Nonlinearity.zero().fn)
+
+
+def test_finite_source_values_whose_sum_overflows_do_not_signal_blowup():
+    """Every F(u0) = 1e308 is a finite double, but their sum is not. The run
+    starts and records an infinite source integral without a warning; dt
+    control (dt = 0.5/F'(1e154)) then ends it at t = 0."""
+    g = Grid(1, 8.0, 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = run(GridFunction(g, np.full(g.shape, 1e154)),
+                   make_cfg(u_max=1e300))
+    assert traj.outcome == "dt_underflow"
+    assert traj.t_obs == 0.0
+    assert traj.source_integral == [math.inf]
+    assert math.isfinite(traj.mass[0])
