@@ -9,7 +9,7 @@ is the twelve-check release gate.
 """
 
 from .errors import DomainError, OsgoodViolationError, ResolutionError
-from .specfun import gamma, log_gamma, log_sphere_area, sphere_area
+from .specfun import log_gamma, log_sphere_area, sphere_area
 from .nonlinearity import (
     NONLINEARITY_FAMILIES,
     Nonlinearity,
@@ -27,7 +27,6 @@ from .kernels import (
     semigroup_kernel,
     stable_profile,
     subordinator_density,
-    verify_kernel_bounds,
 )
 from .norms import (
     MorreyResult,
@@ -38,11 +37,9 @@ from .norms import (
     morrey_norm_grid,
     radial_concentration,
     read_profile_csv,
-    write_profile_csv,
 )
 from .stationary import (
     SingularSolution,
-    singular_asymptotics_check,
     singular_constant,
     singular_morrey_norm,
     singular_profile,

@@ -2,16 +2,17 @@
 
 Each check pins a closed form, an identity between two independent
 computation routes, or a fitted scaling law, with an explicit tolerance.
-``run_check`` executes one by preset name; the CLI ``selftest`` subcommand
-and the test suite both consume the same registry, so a green selftest and
-a green test run certify the same facts.
+``PRESETS`` names each check with its criterion and the parameters its
+manifest records; ``run_check`` executes one by name. The CLI ``selftest``
+subcommand and the test suite both read this one table, so a green
+selftest and a green test run certify the same facts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .specfun import sphere_area
 from .stationary import SingularSolution, singular_constant, singular_profile, \
     stationary_residual
 
-__all__ = ["CheckResult", "REGISTRY", "TOLERANCE_VERSION", "run_check", "run_all"]
+__all__ = ["CheckResult", "PRESETS", "Preset", "TOLERANCE_VERSION", "run_check"]
 
 # bumped whenever any tolerance or frozen parameter below changes, so a
 # manifest pins the exact gate it was produced under
@@ -62,8 +63,7 @@ def _fit_slope(x, y) -> float:
 
 # -- C1 ----------------------------------------------------------------------
 
-def constants_closed_forms() -> CheckResult:
-    res = CheckResult("C1", "constants-closed-forms")
+def constants_closed_forms(res: CheckResult) -> None:
     sigma3 = sphere_area(3)
     res.add_rel("sphere_area(3) = 4*pi", sigma3, 4.0 * math.pi, 1e-12)
     s = singular_constant(2.0, 5, 3.0)
@@ -75,13 +75,11 @@ def constants_closed_forms() -> CheckResult:
               [("sigma_3", sigma3, 4.0 * math.pi),
                ("s_2_5_3", s, math.sqrt(2.0)),
                ("c_2_2", c22, 1.0)])
-    return res
 
 
 # -- C2 ----------------------------------------------------------------------
 
-def osgood_round_trip() -> CheckResult:
-    res = CheckResult("C2", "osgood-round-trip")
+def osgood_round_trip(res: CheckResult) -> None:
     sources = [
         ("power", Nonlinearity.power_law(0.7, 2.6)),
         ("custom", Nonlinearity.custom(lambda u: u * u * (1.0 + u),
@@ -101,13 +99,11 @@ def osgood_round_trip() -> CheckResult:
         res.add(f"h(h_inverse(T)) = T, {kind} kind",
                 worst <= 1e-9, f"max_rel_err={worst:.3e} tol=1e-09")
     res.table("round_trip", ("kind", "T", "round_trip", "rel_err"), rows)
-    return res
 
 
 # -- C3 ----------------------------------------------------------------------
 
-def kernel_laws() -> CheckResult:
-    res = CheckResult("C3", "kernel-laws")
+def kernel_laws(res: CheckResult) -> None:
     grid = Grid(1, 48.0, 1024)
     specs = [("gaussian_like", KernelSpec.gaussian()),
              ("compact_bump", KernelSpec.bump()),
@@ -149,13 +145,11 @@ def kernel_laws() -> CheckResult:
               ("rho", "closed", "subordinated", "diff"),
               [(float(r), float(c), float(s), float(abs(c - s)))
                for r, c, s in zip(rho, closed, sub)])
-    return res
 
 
 # -- C4 ----------------------------------------------------------------------
 
-def gaussian_approximation() -> CheckResult:
-    res = CheckResult("C4", "gaussian-approximation")
+def gaussian_approximation(res: CheckResult) -> None:
     spec = KernelSpec.gaussian()
     grid = Grid(1, 48.0, 2048)
     A = spec.coefficient(1)
@@ -177,13 +171,11 @@ def gaussian_approximation() -> CheckResult:
             drops, "sequence=" + ", ".join(f"{v:.3e}" for v in scaled))
     res.table("approximation", ("t", "sup_diff", "scaled_diff"), rows,
               {"diffusivity": A})
-    return res
 
 
 # -- C5 ----------------------------------------------------------------------
 
-def jensen_chain() -> CheckResult:
-    res = CheckResult("C5", "jensen-chain")
+def jensen_chain(res: CheckResult) -> None:
     grid = Grid(1, 32.0, 1024)
     F = Nonlinearity.power_law(1.0, 2.0)
     u0 = GridFunction.gaussian(grid, mass=2.0, sigma=1.0)
@@ -205,13 +197,11 @@ def jensen_chain() -> CheckResult:
     res.table("jensen",
               ("T", "steps", "fraction_ok", "min_margin",
                "integrated_lhs", "elapsed"), rows)
-    return res
 
 
 # -- C6 ----------------------------------------------------------------------
 
-def criterion_soundness() -> CheckResult:
-    res = CheckResult("C6", "criterion-soundness")
+def criterion_soundness(res: CheckResult) -> None:
     grid = Grid(1, 48.0, 1024)
     F = Nonlinearity.power_law(1.0, 2.0)
     kernel = KernelSpec.gaussian()
@@ -241,13 +231,11 @@ def criterion_soundness() -> CheckResult:
                for pt in verdict.curve],
               {"T_star": verdict.T_star, "t_obs": traj.t_obs,
                "outcome": traj.outcome})
-    return res
 
 
 # -- C7 ----------------------------------------------------------------------
 
-def fujita_growth() -> CheckResult:
-    res = CheckResult("C7", "fujita-growth")
+def fujita_growth(res: CheckResult) -> None:
     from .norms import RadialProfile
     u0 = RadialProfile.from_function(1, lambda r: 2.0 * np.exp(-r * r),
                                      r_min=1e-3, r_max=50.0)
@@ -268,13 +256,11 @@ def fujita_growth() -> CheckResult:
             f"slope={slope:.6f} target={target:.6f} rel_err={abs(slope/target-1):.3e}")
     res.table("growth", ("T", "W", "scaled_moment"), rows,
               {"slope": slope, "target": target})
-    return res
 
 
 # -- C8 ----------------------------------------------------------------------
 
-def dichotomy_decay() -> CheckResult:
-    res = CheckResult("C8", "dichotomy-decay")
+def dichotomy_decay(res: CheckResult) -> None:
     grid = Grid(1, 512.0, 4096)
     F = Nonlinearity.power_law(1.0, 4.0)
     u0 = GridFunction.gaussian(grid, mass=0.3, sigma=1.0)
@@ -296,13 +282,11 @@ def dichotomy_decay() -> CheckResult:
               [(float(t[i]), float(sup[i]), float(t[i] ** (1.0 / 3.0) * sup[i]))
                for i in keep if t[i] > 0],
               {"slope": slope})
-    return res
 
 
 # -- C9 ----------------------------------------------------------------------
 
-def morrey_closed_form() -> CheckResult:
-    res = CheckResult("C9", "morrey-closed-form")
+def morrey_closed_form(res: CheckResult) -> None:
     sol = SingularSolution(2.0, 5, 3.0)
     prof = singular_profile(sol)
     target = sphere_area(5) * math.sqrt(2.0) / 4.0
@@ -317,13 +301,11 @@ def morrey_closed_form() -> CheckResult:
             f"relative_spread={spread:.3e} tol=1e-06")
     res.table("concentration", ("r", "value"), rows,
               {"closed_form": target, "sup_value": value})
-    return res
 
 
 # -- C10 ---------------------------------------------------------------------
 
-def stationary_residual_check() -> CheckResult:
-    res = CheckResult("C10", "stationary-residual")
+def stationary_residual_check(res: CheckResult) -> None:
     r1 = stationary_residual(SingularSolution(1.0, 3, 3.0), probe_radius=1.0)
     res.add("alpha=1, d=3, p=3 hypersingular residual <= 1e-3",
             abs(r1) <= 1e-3, f"residual={r1:.3e} tol=1e-03")
@@ -332,13 +314,11 @@ def stationary_residual_check() -> CheckResult:
             abs(r2) <= 1e-10, f"residual={r2:.3e} tol=1e-10")
     res.table("residuals", ("alpha", "d", "p", "residual"),
               [(1.0, 3, 3.0, r1), (2.0, 5, 3.0, r2)])
-    return res
 
 
 # -- C11 ---------------------------------------------------------------------
 
-def asymptotic_orders() -> CheckResult:
-    res = CheckResult("C11", "asymptotic-orders")
+def asymptotic_orders(res: CheckResult) -> None:
 
     rep_K = sweep_K(2.0, 3.0, [400.0, 800.0])
     ratio = abs(rep_K.verdict["last_pair_ratio"])
@@ -377,13 +357,11 @@ def asymptotic_orders() -> CheckResult:
               list(zip(rep_Lf.d_values, rep_Lf.values, rep_Lf.normalized,
                        rep_Lf.aux)),
               {"band_ratio": band, "slope_10_50": fslope})
-    return res
 
 
 # -- C12 ---------------------------------------------------------------------
 
-def window_bound() -> CheckResult:
-    res = CheckResult("C12", "window-bound")
+def window_bound(res: CheckResult) -> None:
     d_values = [10, 20, 50, 100, 200, 500, 1000]
     rows = []
     worst = math.inf
@@ -394,31 +372,64 @@ def window_bound() -> CheckResult:
     res.add("window efficiency eta(d) >= 0.05 for sampled d up to 1000",
             worst >= 0.05, f"min_eta={worst:.6f} bound=0.05")
     res.table("window", ("d", "eta"), rows, {"limit": math.exp(-1.0)})
-    return res
 
 
-REGISTRY: Dict[str, Tuple[str, Callable[[], CheckResult]]] = {
-    "constants-closed-forms": ("C1", constants_closed_forms),
-    "osgood-round-trip": ("C2", osgood_round_trip),
-    "kernel-laws": ("C3", kernel_laws),
-    "gaussian-approximation": ("C4", gaussian_approximation),
-    "jensen-chain": ("C5", jensen_chain),
-    "criterion-soundness": ("C6", criterion_soundness),
-    "fujita-growth": ("C7", fujita_growth),
-    "dichotomy-decay": ("C8", dichotomy_decay),
-    "morrey-closed-form": ("C9", morrey_closed_form),
-    "stationary-residual": ("C10", stationary_residual_check),
-    "asymptotic-orders": ("C11", asymptotic_orders),
-    "window-bound": ("C12", window_bound),
+class Preset(NamedTuple):
+    """One release-gate experiment: the criterion it certifies, its check,
+    the modules it drives and the frozen parameters its manifest records."""
+
+    criterion: str
+    check: Callable[[CheckResult], None]
+    targets: Tuple[str, ...]
+    bindings: Dict[str, object]
+
+
+PRESETS: Dict[str, Preset] = {
+    "constants-closed-forms": Preset(
+        "C1", constants_closed_forms, ("specfun", "stationary", "nonlinearity"),
+        {"alpha": 2.0, "d": 5, "p": 3.0}),
+    "osgood-round-trip": Preset(
+        "C2", osgood_round_trip, ("nonlinearity",),
+        {"T_range": "1e-3..1e3", "kinds": "power,custom"}),
+    "kernel-laws": Preset(
+        "C3", kernel_laws, ("kernels",),
+        {"grid": "L=48 n=1024", "kinds": 4}),
+    "gaussian-approximation": Preset(
+        "C4", gaussian_approximation, ("kernels",),
+        {"d": 1, "t": "1,2,4,8,16", "L": 48.0, "n": 2048}),
+    "jensen-chain": Preset(
+        "C5", jensen_chain, ("solver", "nonlinearity"),
+        {"d": 1, "p": 2.0, "mass": 2.0, "targets": "0.5,1,2", "t_end": 0.45}),
+    "criterion-soundness": Preset(
+        "C6", criterion_soundness, ("blowup", "solver"),
+        {"d": 1, "p": 2.0, "mass": 4.0, "L": 48.0, "n": 1024}),
+    "fujita-growth": Preset(
+        "C7", fujita_growth, ("blowup", "norms"),
+        {"d": 1, "p": 2.5, "alpha": 2.0, "T_range": "10..1e4"}),
+    "dichotomy-decay": Preset(
+        "C8", dichotomy_decay, ("solver",),
+        {"d": 1, "p": 4.0, "mass": 0.3, "L": 512.0, "n": 4096, "t_end": 1e3}),
+    "morrey-closed-form": Preset(
+        "C9", morrey_closed_form, ("norms", "stationary"),
+        {"alpha": 2.0, "d": 5, "p": 3.0}),
+    "stationary-residual": Preset(
+        "C10", stationary_residual_check, ("stationary",),
+        {"cases": "(1,3,3),(2,5,3)"}),
+    "asymptotic-orders": Preset(
+        "C11", asymptotic_orders, ("asymptotics",),
+        {"K": "alpha=2 p=3 d=400,800", "L_gauss": "p=2 d=100..1000",
+         "L_frac": "alpha=1 p=3 d=3..50"}),
+    "window-bound": Preset(
+        "C12", window_bound, ("asymptotics",),
+        {"alpha": 1.0, "p": 3.0, "d": "10..1000"}),
 }
 
 
 def run_check(name: str) -> CheckResult:
-    if name not in REGISTRY:
+    """Run one preset's check; KeyError for a name not in PRESETS."""
+    if name not in PRESETS:
         raise KeyError(f"unknown preset {name!r}; choose from "
-                       + ", ".join(REGISTRY))
-    return REGISTRY[name][1]()
-
-
-def run_all() -> List[CheckResult]:
-    return [fn() for _, fn in REGISTRY.values()]
+                       + ", ".join(PRESETS))
+    res = CheckResult(PRESETS[name].criterion, name)
+    PRESETS[name].check(res)
+    return res

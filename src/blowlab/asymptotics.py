@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad
 
 from .errors import DomainError, ResolutionError
 from .kernels import stable_profile, subordinator_density
-from .numutil import golden_max, loglog_slope, refine_max_on_grid
+from .numutil import loglog_slope, refine_max_on_grid
 from .specfun import log_gamma, log_sphere_area, sphere_area
 from .stationary import log_singular_constant
 
@@ -43,7 +43,6 @@ __all__ = [
     "LFractionalResult",
     "window_lower_bound",
     "window_eta_from_beta",
-    "sphere_semigroup_gaussian",
     "sweep_K",
     "sweep_L",
     "AsymptoticReport",
@@ -122,14 +121,6 @@ def K_fractional_at_time(alpha: float, d: float, p: float, t: float,
 # ---------------------------------------------------------------------------
 # L: the sphere-measure discrepancy constant
 # ---------------------------------------------------------------------------
-
-def sphere_semigroup_gaussian(t: float, d: int) -> float:
-    """Heat evolution of the normalized unit-sphere measure at the origin,
-    (4 pi t)^(-d/2) e^(-1/(4t)): the Gaussian kernel at radius one."""
-    if t <= 0:
-        raise DomainError("t must be positive")
-    return math.exp(-(d / 2.0) * math.log(4.0 * math.pi * t) - 0.25 / t)
-
 
 @dataclass(frozen=True)
 class LGaussianResult:

@@ -16,15 +16,14 @@ from __future__ import annotations
 import argparse
 import ast
 import json
-import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from . import acceptance
+from .acceptance import PRESETS
 from .asymptotics import K_fractional, K_gaussian, sweep_K, sweep_L
 from .blowup import CriterionInput, evaluate_criterion
 from .errors import DomainError, OsgoodViolationError, ResolutionError
@@ -38,99 +37,27 @@ from .solver import SimConfig, dichotomy_experiment, run
 from .specfun import sphere_area
 from .stationary import SingularSolution, singular_constant, singular_morrey_norm
 
-__all__ = ["ExperimentPreset", "PRESETS", "main", "run_preset"]
+__all__ = ["PRESETS", "main", "run_preset"]
 
 
 # ---------------------------------------------------------------------------
-# preset registry
+# release-gate presets (the table lives in acceptance)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExperimentPreset:
-    """One registered experiment: which modules it drives, with which frozen
-    parameters, and what it asserts. The callable lives in acceptance."""
-
-    name: str
-    criterion: str
-    targets: tuple
-    bindings: dict = field(default_factory=dict)
-    checks: str = ""
-
-
-PRESETS: Dict[str, ExperimentPreset] = {p.name: p for p in [
-    ExperimentPreset(
-        "constants-closed-forms", "C1", ("specfun", "stationary", "nonlinearity"),
-        {"alpha": 2.0, "d": 5, "p": 3.0},
-        "sphere area pole, steady-state constant, sharp sup constant"),
-    ExperimentPreset(
-        "osgood-round-trip", "C2", ("nonlinearity",),
-        {"T_range": "1e-3..1e3", "kinds": "power,custom"},
-        "h then h_inverse returns T to 1e-9"),
-    ExperimentPreset(
-        "kernel-laws", "C3", ("kernels",),
-        {"grid": "L=48 n=1024", "kinds": 4},
-        "unit mass, semigroup composition, profile dual route"),
-    ExperimentPreset(
-        "gaussian-approximation", "C4", ("kernels",),
-        {"d": 1, "t": "1,2,4,8,16", "L": 48.0, "n": 2048},
-        "sqrt(t) sup gap to the heat kernel strictly decreasing"),
-    ExperimentPreset(
-        "jensen-chain", "C5", ("solver", "nonlinearity"),
-        {"d": 1, "p": 2.0, "mass": 2.0, "targets": "0.5,1,2", "t_end": 0.45},
-        "recorded moments dominate the comparison ODE"),
-    ExperimentPreset(
-        "criterion-soundness", "C6", ("blowup", "solver"),
-        {"d": 1, "p": 2.0, "mass": 4.0, "L": 48.0, "n": 1024},
-        "detected blowup lands at t_obs <= 1.1 T_star"),
-    ExperimentPreset(
-        "fujita-growth", "C7", ("blowup", "norms"),
-        {"d": 1, "p": 2.5, "alpha": 2.0, "T_range": "10..1e4"},
-        "scaled moment grows at the predicted exponent 1/6"),
-    ExperimentPreset(
-        "dichotomy-decay", "C8", ("solver",),
-        {"d": 1, "p": 4.0, "mass": 0.3, "L": 512.0, "n": 4096, "t_end": 1e3},
-        "small-data run shows no growth trend in t^(1/3) sup u"),
-    ExperimentPreset(
-        "morrey-closed-form", "C9", ("norms", "stationary"),
-        {"alpha": 2.0, "d": 5, "p": 3.0},
-        "sampled steady state reproduces sigma_5 sqrt(2)/4"),
-    ExperimentPreset(
-        "stationary-residual", "C10", ("stationary",),
-        {"cases": "(1,3,3),(2,5,3)"},
-        "principal-value and symbolic residuals under tolerance"),
-    ExperimentPreset(
-        "asymptotic-orders", "C11", ("asymptotics",),
-        {"K": "alpha=2 p=3 d=400,800", "L_gauss": "p=2 d=100..1000",
-         "L_frac": "alpha=1 p=3 d=3..50"},
-        "pair ratios, normalized bands, fitted slopes"),
-    ExperimentPreset(
-        "window-bound", "C12", ("asymptotics",),
-        {"alpha": 1.0, "p": 3.0, "d": "10..1000"},
-        "window efficiency stays above 0.05"),
-]}
-
-
-def run_preset(name: str, overrides: Optional[dict] = None,
-               outdir: Optional[Path] = None, echo=print) -> int:
+def run_preset(name: str, outdir: Optional[Path] = None, echo=print) -> int:
     """Execute one preset: run its check, write its tables and manifest
     under <outdir>/<name>/, print one PASS/FAIL line per expected check.
-    Returns a process exit status (0 pass, 1 fail)."""
-    if name not in PRESETS:
-        raise KeyError(f"unknown preset {name!r}; choose from "
-                       + ", ".join(sorted(PRESETS)))
-    overrides = dict(overrides or {})
-    seed = overrides.pop("seed", 0)
-    if overrides:
-        raise DomainError(f"unsupported preset overrides: {sorted(overrides)}")
-    preset = PRESETS[name]
+    Returns a process exit status (0 pass, 1 fail); KeyError for an
+    unknown name."""
     result = acceptance.run_check(name)
+    preset = PRESETS[name]
 
     base = Path(outdir) if outdir is not None else output_dir() / "selftest"
     pdir = base / name
     for table, (header, rows, meta) in result.tables.items():
         write_csv(pdir / f"{table}.csv", header, rows, meta)
     config = {"preset": name, "criterion": preset.criterion,
-              "targets": ",".join(preset.targets), "seed": seed,
+              "targets": ",".join(preset.targets),
               "tolerance_version": acceptance.TOLERANCE_VERSION}
     config.update({f"binding.{k}": v for k, v in preset.bindings.items()})
     write_manifest(pdir / "manifest.csv", config,
@@ -516,7 +443,7 @@ def _cmd_selftest(args) -> int:
     names = [only] if only else list(PRESETS)
     status = 0
     for name in names:
-        status = max(status, run_preset(name, {"seed": opt.get("seed", 0)}))
+        status = max(status, run_preset(name))
     print("selftest: " + ("PASS" if status == 0 else "FAIL"))
     return status
 
@@ -527,8 +454,6 @@ def _cmd_selftest(args) -> int:
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="key = value file of option defaults")
-    sp.add_argument("--seed", type=int, help="recorded in manifests; runs "
-                    "are deterministic regardless")
 
 
 def _float(sp, *names):

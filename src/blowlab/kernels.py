@@ -30,7 +30,6 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.special import gammaln, jv
 
 from .errors import DomainError, ResolutionError
-from .numutil import golden_max, loglog_slope
 from .specfun import log_gamma, sphere_area
 
 __all__ = [
@@ -39,23 +38,18 @@ __all__ = [
     "KernelSpec",
     "SemigroupKernel",
     "StableProfile",
-    "KernelBoundReport",
     "ProfileValues",
-    "fourier_symbol",
     "generator_symbol_grid",
     "semigroup_kernel",
     "stable_profile",
     "subordinator_density",
-    "verify_kernel_bounds",
 ]
 
 _NEGATIVITY_FLOOR = -1e-9
 _CLIP_FLOOR = -1e-12
 _BUMP_QUAD_TOL = 1e-13
-# absolute error bounds of the symbol quadratures (symbols lie in [-1, 1]):
-# the bump's relative target 1e-12 of a value at most 1, and the heavy
-# tail's QAWF target, scipy's default epsabs
-_BUMP_SYMBOL_TOL = 1e-12
+# absolute error bound of the heavy-tail symbol quadrature (the symbol lies
+# in [-1, 1]): QAWF's target, scipy's default epsabs
 _HEAVY_SYMBOL_TOL = 1.49e-8
 # audit verdicts kept by _audit_failure, one short string (or None) each
 _AUDIT_MEMO_SIZE = 4096
@@ -290,7 +284,7 @@ class KernelSpec:
             raise DomainError("heavy-tail kernels are realized in d = 1 only")
         a = self.alpha_effective(d)
         xis = np.geomspace(2e-4, 8e-3, 7)
-        ratios = (1.0 - fourier_symbol(self, xis, d)) / xis ** a
+        ratios = (1.0 - _heavy_symbol(xis, self.tail_order)) / xis ** a
         cols = [np.ones_like(xis)]
         if abs((2.0 - a) - 1.0) < 0.05:
             cols += [xis, xis * np.log(1.0 / xis)]
@@ -315,60 +309,9 @@ class KernelSpec:
         raise DomainError("pure_fractional has no dispersal density")
 
 
-def fourier_symbol(spec: KernelSpec, xi, d: int = 1) -> np.ndarray:
-    """Radial Fourier symbol Jhat(|xi|) = int J(x) e^{-i xi.x} dx.
-
-    For pure_fractional the formal expansion 1 - A|xi|^alpha is returned;
-    it is exactly what the propagator exponentiates but it is not the
-    transform of a density (it can drop below -1).
-    """
-    xi = np.abs(np.asarray(xi, dtype=float))
-    scalar = xi.ndim == 0
-    xi = np.atleast_1d(xi)
-    if spec.kind == "gaussian_like":
-        out = np.exp(-xi ** 2)
-    elif spec.kind == "pure_fractional":
-        out = 1.0 - spec.strength * xi ** spec.alpha
-    elif spec.kind == "compact_bump":
-        out = _bump_symbol(xi, d)
-    elif spec.kind == "heavy_tail":
-        if d != 1:
-            raise DomainError("heavy-tail kernels are realized in d = 1 only")
-        out = _heavy_symbol(xi, spec.tail_order)
-    else:
-        raise DomainError(f"unknown kernel kind {spec.kind!r}")
-    return float(out[0]) if scalar else out
-
-
-def _symbol_quad(f, a, b, tol: float, **kw) -> float:
-    """One symbol quadrature through _checked_quad. The symbol is bounded by
-    1, so its error estimate is held to the absolute tolerance tol."""
-    val, err = _checked_quad(f, a, b, **kw)
-    if err > tol:
-        raise ResolutionError(f"symbol quadrature on [{a:.6g}, {b:.6g}]: "
-                              f"error estimate {err:.2e} exceeds {tol:.1e}")
-    return val
-
-
-def _bump_symbol(xi: np.ndarray, d: int) -> np.ndarray:
-    norm = _bump_norm(d)
-    out = np.empty_like(xi)
-    for i, k in enumerate(xi):
-        if d == 1:
-            val = _symbol_quad(
-                lambda r: float(_bump_profile(np.asarray(r))) * math.cos(k * r),
-                0.0, 1.0, _BUMP_SYMBOL_TOL, epsabs=0.0, epsrel=1e-12, limit=200)
-            out[i] = 2.0 * val / norm
-        else:
-            from scipy.special import j0
-            val = _symbol_quad(
-                lambda r: float(_bump_profile(np.asarray(r))) * j0(k * r) * r,
-                0.0, 1.0, _BUMP_SYMBOL_TOL, epsabs=0.0, epsrel=1e-12, limit=200)
-            out[i] = 2.0 * math.pi * val / norm
-    return out
-
-
 def _heavy_symbol(xi: np.ndarray, n: float) -> np.ndarray:
+    """Jhat(xi) of the d = 1 heavy tail. The symbol is bounded by 1, so the
+    quadrature's error estimate is held to the absolute _HEAVY_SYMBOL_TOL."""
     c = (n - 1.0) / 2.0
     out = np.empty_like(xi)
     for i, k in enumerate(xi):
@@ -377,9 +320,13 @@ def _heavy_symbol(xi: np.ndarray, n: float) -> np.ndarray:
             continue
         # oscillatory tail handled by the QAWF transform in quad, which
         # takes an absolute target only
-        val = _symbol_quad(lambda x: (1.0 + x) ** (-n), 0.0, np.inf,
-                           _HEAVY_SYMBOL_TOL, epsabs=_HEAVY_SYMBOL_TOL,
-                           weight="cos", wvar=k, limit=400)
+        val, err = _checked_quad(lambda x: (1.0 + x) ** (-n), 0.0, np.inf,
+                                 epsabs=_HEAVY_SYMBOL_TOL, weight="cos",
+                                 wvar=k, limit=400)
+        if err > _HEAVY_SYMBOL_TOL:
+            raise ResolutionError(
+                f"symbol quadrature at xi = {k:.6g}: error estimate "
+                f"{err:.2e} exceeds {_HEAVY_SYMBOL_TOL:.1e}")
         out[i] = 2.0 * c * val
     return out
 
@@ -924,18 +871,6 @@ class StableProfile:
         front = math.pi ** (-d / 2.0) * rho ** (-d) * (rho ** 2 / 4.0)
         return front * val, front * err
 
-    def derivative(self, rho) -> np.ndarray:
-        """dR/drho, closed forms for alpha in {1, 2} only."""
-        rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
-        if self.alpha == 2.0:
-            out = -(rho_arr / 2.0) * self(rho_arr)
-        elif self.alpha == 1.0:
-            out = -(self.d + 1) * rho_arr / (1.0 + rho_arr ** 2) * self(rho_arr)
-        else:
-            raise DomainError("analytic derivative available for alpha in {1, 2} only")
-        out = np.atleast_1d(out)
-        return float(out[0]) if np.ndim(rho) == 0 else out
-
     def kernel_radial(self, t: float, r) -> np.ndarray:
         """P_t at radius r: t^(-d/alpha) R(r t^(-1/alpha))."""
         if t <= 0:
@@ -949,55 +884,3 @@ def stable_profile(alpha: float, d: int, method: str = "auto",
                    quad_tol: float = 1e-11) -> StableProfile:
     return StableProfile(alpha=float(alpha), d=int(d), method=method,
                          quad_tol=quad_tol)
-
-
-def stable_profile(alpha: float, d: int, method: str = "auto",
-                   quad_tol: float = 1e-11) -> StableProfile:
-    return StableProfile(alpha=float(alpha), d=int(d), method=method,
-                         quad_tol=quad_tol)
-
-
-# ---------------------------------------------------------------------------
-# profile bound verification
-# ---------------------------------------------------------------------------
-
-@dataclass
-class KernelBoundReport:
-    decay_constant: float           # sup (1+rho)^d R(rho) on the grid
-    gradient_constant: Optional[float]  # sup (1+rho)^(d+1) |R'(rho)|, alpha in {1,2}
-    min_value: float
-    empirical_tail_exponent: float  # fitted decay order of R over the last decade
-
-
-def verify_kernel_bounds(profile: StableProfile, rho_grid) -> KernelBoundReport:
-    """Audit positivity and the (1+rho)^(-d) decay bound on a grid.
-
-    The decay bound is checked with exponent d exactly; the empirically
-    fitted tail order (close to d + alpha for alpha < 2) is reported but
-    never asserted.
-    """
-    rho = np.asarray(rho_grid, dtype=float)
-    if rho.ndim != 1 or rho.size < 8 or np.any(np.diff(rho) <= 0):
-        raise DomainError("rho_grid must be an increasing 1-d grid with >= 8 points")
-    R = profile(rho)
-    bound_vals = (1.0 + rho) ** profile.d * R
-    i = int(np.argmax(bound_vals))
-    lo, hi = rho[max(i - 1, 0)], rho[min(i + 1, rho.size - 1)]
-    C = float(np.max(bound_vals))
-    if hi > lo:
-        _, refined = golden_max(lambda x: (1.0 + x) ** profile.d * float(profile(x)), lo, hi)
-        C = max(C, refined)
-    grad_C = None
-    if profile.alpha in (1.0, 2.0):
-        grad_vals = (1.0 + rho) ** (profile.d + 1) * np.abs(profile.derivative(rho))
-        grad_C = float(np.max(grad_vals))
-    # tail order from the last decade of the grid
-    r_hi = rho[-1]
-    mask = rho >= r_hi / 10.0
-    tail = -loglog_slope(rho[mask], np.maximum(R[mask], 1e-300))
-    return KernelBoundReport(
-        decay_constant=C,
-        gradient_constant=grad_C,
-        min_value=float(R.min()),
-        empirical_tail_exponent=float(tail),
-    )

@@ -165,13 +165,6 @@ class Nonlinearity:
         out = self.fn(u)
         return float(out) if np.ndim(out) == 0 else out
 
-    def derivative(self, u):
-        u = np.asarray(u, dtype=float)
-        if np.any(u < 0):
-            raise DomainError("source terms are defined on u >= 0")
-        out = self.dfn(u)
-        return float(out) if np.ndim(out) == 0 else out
-
     def _for_floats(self, f: Callable) -> Callable:
         """f (``fn`` or ``dfn``) as a function of one Python float, without
         the negativity scan. The named families take floats as they are;

@@ -12,7 +12,8 @@ Three functionals of the same family:
 * ``heat_characterization`` -- sup over t of t^gamma times the evolved field
   at the origin under the order-alpha stable semigroup.
 
-Radial integrals use trapezoidal quadrature on the sample grid plus a fitted
+The two radial members and ``concentration_values`` evaluate one centered
+objective. Radial integrals use trapezoidal quadrature on the sample grid plus a fitted
 power-law head below the first sample; sups over the continuous parameter are
 refined by golden section around the discrete argmax. Divergence (sup growing
 without bound at either end of the grid) is flagged on the result rather than
@@ -24,7 +25,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -32,7 +32,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from .errors import DomainError
 from .kernels import GridFunction, StableProfile, stable_profile
-from .numutil import golden_max
+from .numutil import refine_max_on_grid
 from .specfun import sphere_area
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "heat_characterization",
     "concentration_values",
     "read_profile_csv",
-    "write_profile_csv",
 ]
 
 _DIVERGENCE_RATIO = 1.05  # growth per decade that flags an unbounded sup
@@ -166,17 +165,6 @@ class _BallIntegralCurve:
         return float(self.cum[i] + seg)
 
 
-def _sup_with_refinement(f, r_grid: np.ndarray) -> tuple:
-    vals = np.array([f(r) for r in r_grid])
-    i = int(np.argmax(vals))
-    best_r, best_v = float(r_grid[i]), float(vals[i])
-    if 0 < i < r_grid.size - 1:
-        x, fx = golden_max(f, float(r_grid[i - 1]), float(r_grid[i + 1]))
-        if fx > best_v:
-            best_r, best_v = x, fx
-    return best_r, best_v, vals
-
-
 def _detect_divergence(r_grid: np.ndarray, vals: np.ndarray) -> bool:
     """Growth of the functional through the last two decades of r."""
     r_hi = r_grid[-1]
@@ -194,42 +182,61 @@ def _detect_divergence(r_grid: np.ndarray, vals: np.ndarray) -> bool:
 # the three functionals
 # ---------------------------------------------------------------------------
 
+def _centered_objective(u: RadialProfile, q: float, e: float):
+    """r -> (r^(e q) * sigma_d * int_{B_r} u^q)^(1/q), the centered Morrey
+    functional at radius r, with its ball-integral curve and the head
+    exponent of u^q it assumes below the first sample."""
+    head_a = u.fitted_head_exponent()
+    head_aq = None if head_a is None else q * head_a
+    curve = _BallIntegralCurve(u.r, u.u ** q, u.d, head_aq)
+    sigma = sphere_area(u.d)
+
+    def f(rr: float) -> float:
+        return (rr ** (e * q) * sigma * curve(rr)) ** (1.0 / q)
+
+    return f, curve, head_aq
+
+
+def _centered_morrey(u: RadialProfile, s_order: float, q: float,
+                     e: float) -> MorreyResult:
+    """sup_r of the centered objective over the sample grid, refined by
+    golden section. A sup that keeps growing through the outer decades of
+    the grid, or a non-integrable or too steep head, marks the result
+    divergent instead of raising."""
+    if u.point_mass is not None:
+        if q != 1.0:
+            raise DomainError("point-mass proxy supports q = 1 only")
+        # ball mass is constant in r, so the functional is mass * r^e:
+        # finite only in the scale-critical case e = 0
+        divergent = u.point_mass > 0 and e != 0.0
+        return MorreyResult(s_order, q, math.inf if divergent else u.point_mass,
+                            argmax_radius=1.0, divergent=divergent,
+                            profile_kind="point_mass")
+    f, curve, head_aq = _centered_objective(u, q, e)
+    if not math.isfinite(curve.head):
+        return MorreyResult(s_order, q, math.inf, float(u.r[0]), divergent=True)
+    vals = np.array([f(rr) for rr in u.r])
+    best_r, best_v = refine_max_on_grid(f, u.r, vals)
+    # a head steeper than the functional exponent means the true sup blows
+    # up as r -> 0 even though every grid value is finite
+    divergent = _detect_divergence(u.r, vals) or (
+        head_aq is not None and head_aq > q * e + u.d + 1e-9)
+    return MorreyResult(s_order, q, best_v, best_r, divergent=divergent)
+
+
+def _concentration_exponent(d: int, p: float, alpha: float) -> float:
+    if p <= 1 or alpha <= 0:
+        raise DomainError("need p > 1 and alpha > 0")
+    return alpha / (p - 1) - d
+
+
 def radial_concentration(u: RadialProfile, p: float, alpha: float) -> MorreyResult:
     """sup_r r^(alpha/(p-1) - d) * (mass of u in the centered ball B_r).
 
-    The scale-invariant q = 1 concentration functional. A sup that keeps
-    growing through the outer decades of the grid (or a non-integrable
-    fitted head) marks the result divergent instead of raising.
+    The scale-invariant q = 1 member, at the order s = d(p-1)/alpha.
     """
-    if p <= 1 or alpha <= 0:
-        raise DomainError("need p > 1 and alpha > 0")
-    d = u.d
-    e = alpha / (p - 1) - d
-    s_order = d * (p - 1) / alpha
-    if u.point_mass is not None:
-        # ball mass is constant in r, so the functional is mass * r^e:
-        # finite only in the scale-critical case e = 0
-        mass = u.point_mass
-        divergent = mass > 0 and e != 0.0
-        return MorreyResult(s_order, 1.0, math.inf if divergent else mass,
-                            argmax_radius=1.0, divergent=divergent,
-                            profile_kind="point_mass")
-    head_a = u.fitted_head_exponent()
-    curve = _BallIntegralCurve(u.r, u.u, d, head_a)
-    sigma = sphere_area(d)
-    if not math.isfinite(curve.head):
-        return MorreyResult(s_order, 1.0, math.inf, float(u.r[0]), divergent=True)
-
-    def f(rr: float) -> float:
-        return rr ** e * sigma * curve(rr)
-
-    best_r, best_v, vals = _sup_with_refinement(f, u.r)
-    divergent = _detect_divergence(u.r, vals)
-    # a head steeper than the functional exponent means the true sup blows
-    # up as r -> 0 even though every grid value is finite
-    if head_a is not None and head_a > e + d + 1e-9:
-        divergent = True
-    return MorreyResult(s_order, 1.0, best_v, best_r, divergent=divergent)
+    e = _concentration_exponent(u.d, p, alpha)
+    return _centered_morrey(u, u.d * (p - 1) / alpha, 1.0, e)
 
 
 def morrey_norm(u: RadialProfile, s_order: float, q: float) -> MorreyResult:
@@ -242,30 +249,7 @@ def morrey_norm(u: RadialProfile, s_order: float, q: float) -> MorreyResult:
         raise DomainError("q must be at least 1")
     if q > s_order:
         raise DomainError(f"q = {q} exceeds the Morrey order s = {s_order}")
-    if u.point_mass is not None:
-        if q != 1.0:
-            raise DomainError("point-mass proxy supports q = 1 only")
-        e_pm = u.d / s_order - u.d
-        divergent = (u.point_mass or 0.0) > 0 and e_pm != 0.0
-        return MorreyResult(s_order, q, math.inf if divergent else u.point_mass,
-                            1.0, divergent=divergent, profile_kind="point_mass")
-    d = u.d
-    e = d / s_order - d / q
-    head_a = u.fitted_head_exponent()
-    head_aq = None if head_a is None else q * head_a
-    curve = _BallIntegralCurve(u.r, u.u ** q, d, head_aq)
-    sigma = sphere_area(d)
-    if not math.isfinite(curve.head):
-        return MorreyResult(s_order, q, math.inf, float(u.r[0]), divergent=True)
-
-    def f(rr: float) -> float:
-        return rr ** e * (sigma * curve(rr)) ** (1.0 / q)
-
-    best_r, best_v, vals = _sup_with_refinement(f, u.r)
-    divergent = _detect_divergence(u.r, vals)
-    if head_aq is not None and head_aq > q * e + d + 1e-9:
-        divergent = True
-    return MorreyResult(s_order, q, best_v, best_r, divergent=divergent)
+    return _centered_morrey(u, s_order, q, u.d / s_order - u.d / q)
 
 
 def morrey_norm_grid(u: GridFunction, s_order: float, q: float,
@@ -317,7 +301,7 @@ def heat_characterization(u: Union[RadialProfile, GridFunction], alpha: float,
                           gamma: float, T_grid: Sequence[float]) -> float:
     """sup over the time grid of t^gamma * (order-alpha semigroup of u)(0).
 
-    Refined by golden section in log t when the discrete argmax is interior.
+    Refined by golden section in log t around the discrete argmax.
     """
     if gamma <= 0:
         raise DomainError("gamma must be positive")
@@ -340,27 +324,19 @@ def heat_characterization(u: Union[RadialProfile, GridFunction], alpha: float,
             return t ** gamma * _radial_pairing(profile, t, u)
 
     vals = np.array([value(t) for t in T])
-    i = int(np.argmax(vals))
-    best = float(vals[i])
-    if 0 < i < T.size - 1:
-        _, refined = golden_max(lambda lt: value(math.exp(lt)),
-                                math.log(T[i - 1]), math.log(T[i + 1]), tol=1e-10)
-        best = max(best, refined)
+    _, best = refine_max_on_grid(lambda lt: value(math.exp(lt)), np.log(T), vals)
     return best
 
 
 def concentration_values(u: RadialProfile, p: float, alpha: float,
                          r_values: Sequence[float]) -> list:
     """Rows (r, functional value) of the concentration at chosen radii."""
-    d = u.d
-    e = alpha / (p - 1) - d
-    curve = _BallIntegralCurve(u.r, u.u, d, u.fitted_head_exponent())
-    sigma = sphere_area(d)
-    return [(float(rr), float(rr ** e * sigma * curve(rr))) for rr in r_values]
+    f, _, _ = _centered_objective(u, 1.0, _concentration_exponent(u.d, p, alpha))
+    return [(float(rr), float(f(rr))) for rr in r_values]
 
 
 # ---------------------------------------------------------------------------
-# CSV ingestion/emission of profiles
+# CSV ingestion of profiles
 # ---------------------------------------------------------------------------
 
 def read_profile_csv(path, d: int, **hints) -> RadialProfile:
@@ -379,13 +355,3 @@ def read_profile_csv(path, d: int, **hints) -> RadialProfile:
         raise DomainError(f"{path}: no data rows")
     arr = np.asarray(rows, dtype=float)
     return RadialProfile(d, arr[:, 0], arr[:, 1], **hints)
-
-
-def write_profile_csv(path, u: RadialProfile) -> None:
-    if u.point_mass is not None:
-        raise DomainError("point-mass proxy has no samples to write")
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write("r,value\n")
-        for rr, vv in zip(u.r, u.u):
-            fh.write(f"{float(rr)!r},{float(vv)!r}\n")

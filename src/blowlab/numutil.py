@@ -7,7 +7,7 @@ log-spaced grids, and log-log slope fits.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -42,17 +42,17 @@ def golden_max(f: Callable[[float], float], a: float, b: float,
     return max(candidates, key=lambda t: t[1])
 
 
-def golden_min(f: Callable[[float], float], a: float, b: float,
-               tol: float = 1e-10, maxiter: int = 200) -> tuple[float, float]:
-    x, neg = golden_max(lambda t: -f(t), a, b, tol=tol, maxiter=maxiter)
-    return x, -neg
-
-
 def refine_max_on_grid(f: Callable[[float], float], xs: Sequence[float],
+                       vals: Optional[Sequence[float]] = None,
                        tol: float = 1e-10) -> tuple[float, float]:
-    """Evaluate f on a grid, then golden-refine around the discrete argmax."""
+    """(argmax, max) of f: the grid argmax, golden-refined between its two
+    neighbours (clipped at the grid ends, so an edge argmax is refined too).
+
+    ``vals`` are f on ``xs`` when the caller already has them; f is then
+    called only by the golden-section search.
+    """
     xs = np.asarray(xs, dtype=float)
-    vals = np.array([f(x) for x in xs])
+    vals = np.array([f(x) for x in xs]) if vals is None else np.asarray(vals)
     i = int(np.argmax(vals))
     lo = xs[max(i - 1, 0)]
     hi = xs[min(i + 1, len(xs) - 1)]

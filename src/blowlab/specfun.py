@@ -5,7 +5,7 @@ coefficient table computed by Godfrey (the table Boost and the GSL-era
 implementations standardized on). With reflection for z < 1/2 this holds
 roughly 1e-14 relative accuracy of ln Gamma across [1e-3, 1e6], which is
 what the large-d asymptotics downstream need. Everything large-dimensional
-is done on the log scale; exp wrappers are provided for the O(1) regime.
+is done on the log scale.
 """
 
 from __future__ import annotations
@@ -45,11 +45,6 @@ def log_gamma(z: float) -> float:
     return _HALF_LOG_TWO_PI + (zm1 + 0.5) * math.log(t) - t + math.log(series)
 
 
-def gamma(z: float) -> float:
-    """Gamma(z) for real z > 0 (overflow beyond z ~ 171.6)."""
-    return math.exp(log_gamma(z))
-
-
 def log_sphere_area(d: int) -> float:
     """ln of the surface area of the unit sphere in R^d."""
     if int(d) != d or d < 1:
@@ -61,21 +56,3 @@ def log_sphere_area(d: int) -> float:
 def sphere_area(d: int) -> float:
     """Surface area sigma_d of the unit sphere in R^d (2, 2*pi, 4*pi, ...)."""
     return math.exp(log_sphere_area(d))
-
-
-def gamma_ratio(z: float, a: float, b: float) -> float:
-    """Gamma(z + a) / Gamma(z + b), computed on the log scale.
-
-    Stable for large z where the numerator and denominator overflow
-    separately; grows like z**(a - b).
-    """
-    if not (z + a > 0.0 and z + b > 0.0):
-        raise DomainError("gamma_ratio requires z + a > 0 and z + b > 0")
-    return math.exp(log_gamma(z + a) - log_gamma(z + b))
-
-
-def stirling_log_gamma(z: float) -> float:
-    """Leading Stirling approximation of ln Gamma(z + 1) = ln(z!)."""
-    if not z > 0.0:
-        raise DomainError("stirling_log_gamma requires z > 0")
-    return 0.5 * math.log(2.0 * math.pi * z) + z * (math.log(z) - 1.0)

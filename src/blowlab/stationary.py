@@ -4,7 +4,7 @@ For exponents p above the existence threshold 1 + alpha/(d - alpha), the
 profile u(x) = s |x|^(-alpha/(p-1)) solves the stationary equation
 (-Delta)^(alpha/2) u = u^p with a coefficient s = s(alpha, d, p) given in
 closed form by a ratio of gamma functions. This module evaluates s in log
-space, its Morrey norm, its large-d growth, and a quadrature residual check
+space, its Morrey norm, and a quadrature residual check
 that the profile really annihilates the stationary equation: the fractional
 Laplacian of |x|^(-g) is evaluated as a principal-value hypersingular
 integral in radial coordinates and compared against s^(p-1).
@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
 
 import numpy as np
 from scipy.integrate import quad
 
 from .errors import DomainError, ResolutionError
 from .norms import RadialProfile
-from .specfun import log_gamma, log_sphere_area, sphere_area
+from .specfun import log_gamma, sphere_area
 
 __all__ = [
     "SingularSolution",
@@ -29,10 +28,7 @@ __all__ = [
     "log_singular_constant",
     "singular_morrey_norm",
     "singular_profile",
-    "singular_asymptotics_check",
     "stationary_residual",
-    "singular_table",
-    "AsymptoticsCheck",
 ]
 
 
@@ -121,28 +117,6 @@ def singular_morrey_norm(sol: SingularSolution, q: float = 1.0) -> float:
     return (sphere_area(sol.d) / (sol.d - q * g)) ** (1.0 / q) * sol.s_value
 
 
-@dataclass
-class AsymptoticsCheck:
-    alpha: float
-    p: float
-    d_values: list
-    ratios: list           # s(alpha, d, p) / d^(alpha/(2(p-1)))
-    last_relative_change: float
-
-
-def singular_asymptotics_check(alpha: float, p: float,
-                               d_list: Sequence[float]) -> AsymptoticsCheck:
-    """Growth check s ~ const * d^(alpha/(2(p-1))) along increasing d."""
-    ds = list(d_list)
-    if any(b <= a for a, b in zip(ds, ds[1:])):
-        raise DomainError("d_list must be increasing")
-    e = alpha / (2.0 * (p - 1.0))
-    ratios = [math.exp(log_singular_constant(alpha, d, p) - e * math.log(d))
-              for d in ds]
-    change = abs(ratios[-1] / ratios[-2] - 1.0) if len(ratios) >= 2 else math.nan
-    return AsymptoticsCheck(alpha, p, ds, ratios, change)
-
-
 # ---------------------------------------------------------------------------
 # stationary residual via principal-value quadrature
 # ---------------------------------------------------------------------------
@@ -229,13 +203,3 @@ def stationary_residual(sol: SingularSolution, probe_radius: float,
     c = math.exp(_log_pv_normalization(alpha, d))
     ell_num = c * (sum(pieces) + inner) / scale
     return abs(ell_num - target) / target
-
-
-def singular_table(alpha: float, p: float, d_list: Sequence[float],
-                   q: float = 1.0) -> list:
-    """Rows (alpha, d, p, s, morrey_norm) over a dimension sweep."""
-    rows = []
-    for d in d_list:
-        sol = SingularSolution(alpha, int(d), p)
-        rows.append((alpha, int(d), p, sol.s_value, singular_morrey_norm(sol, q)))
-    return rows

@@ -6,17 +6,17 @@ import pytest
 
 from blowlab import acceptance
 
-CASES = sorted(acceptance.REGISTRY.items(),
-               key=lambda kv: int(kv[1][0][1:]))
+CASES = sorted(acceptance.PRESETS.items(),
+               key=lambda kv: int(kv[1].criterion[1:]))
 
 
 def test_registry_covers_all_twelve_criteria():
-    assert [crit for _, (crit, _) in CASES] == [f"C{i}" for i in range(1, 13)]
+    assert [p.criterion for _, p in CASES] == [f"C{i}" for i in range(1, 13)]
 
 
 @pytest.mark.parametrize(
     "name", [name for name, _ in CASES],
-    ids=[f"{crit}-{name}" for name, (crit, _) in CASES])
+    ids=[f"{p.criterion}-{name}" for name, p in CASES])
 def test_criterion(name):
     result = acceptance.run_check(name)
     print(f"{result.criterion} {name}: {'PASS' if result.passed else 'FAIL'}")

@@ -8,8 +8,8 @@ from numpy.testing import assert_allclose
 
 from blowlab.asymptotics import (K_fractional, K_fractional_at_time,
                                  K_gaussian, L_fractional, L_gaussian,
-                                 sphere_semigroup_gaussian, sweep_K, sweep_L,
-                                 window_eta_from_beta, window_lower_bound)
+                                 sweep_K, sweep_L, window_eta_from_beta,
+                                 window_lower_bound)
 from blowlab.errors import DomainError
 from blowlab.kernels import stable_profile
 from blowlab.numutil import golden_max
@@ -109,15 +109,6 @@ def test_fractional_envelope_generic_order():
     assert res.lower >= grid_sup * (1.0 - 1e-12)   # refinement only raises it
     assert abs(res.lower / grid_sup - 1.0) < 1e-3
     assert res.upper > res.lower
-
-
-def test_sphere_semigroup_closed_form():
-    t, d = 0.37, 3
-    assert_allclose(sphere_semigroup_gaussian(t, d),
-                    (4.0 * math.pi * t) ** (-d / 2.0) * math.exp(-0.25 / t),
-                    rtol=1e-13)
-    with pytest.raises(DomainError):
-        sphere_semigroup_gaussian(0.0, 3)
 
 
 def test_window_factor_values():

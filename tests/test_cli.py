@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from blowlab import acceptance, cli
-from blowlab.errors import DomainError
-from blowlab.norms import RadialProfile, write_profile_csv
+from blowlab import cli
+from blowlab.norms import RadialProfile
+from blowlab.reporting import write_csv
 
 
 @pytest.fixture()
@@ -21,16 +21,6 @@ def read_rows(path):
     body = [l for l in lines if not l.startswith("#")]
     meta = dict(l[2:].split(" = ", 1) for l in lines if l.startswith("#"))
     return body[0].split(","), [l.split(",") for l in body[1:]], meta
-
-
-def test_presets_mirror_the_acceptance_registry():
-    assert set(cli.PRESETS) == set(acceptance.REGISTRY)
-    criteria = sorted((p.criterion for p in cli.PRESETS.values()),
-                      key=lambda c: int(c[1:]))
-    assert criteria == [f"C{i}" for i in range(1, 13)]
-    for name, preset in cli.PRESETS.items():
-        assert preset.name == name
-        assert acceptance.REGISTRY[name][0] == preset.criterion
 
 
 def test_constants_output(outdir, capsys):
@@ -186,8 +176,9 @@ def test_criterion_rejects_radial_profile_with_lattice_kernel(outdir, tmp_path,
                                                               capsys):
     prof = tmp_path / "profile.csv"
     import numpy as np
-    write_profile_csv(prof, RadialProfile.from_function(
-        1, lambda r: np.exp(-r * r), r_min=1e-3, r_max=20.0))
+    u = RadialProfile.from_function(1, lambda r: np.exp(-r * r),
+                                    r_min=1e-3, r_max=20.0)
+    write_csv(prof, ("r", "value"), zip(u.r, u.u))
     assert cli.main(["criterion", "--profile", str(prof),
                      "--kernel", "gaussian"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -216,18 +207,28 @@ def test_selftest_single_preset(outdir, capsys):
 def test_run_preset_validation(tmp_path):
     with pytest.raises(KeyError):
         cli.run_preset("no-such-preset", outdir=tmp_path)
-    with pytest.raises(DomainError):
-        cli.run_preset("constants-closed-forms", {"workers": 4},
-                       outdir=tmp_path)
 
 
 def test_manifest_records_configuration(tmp_path):
-    cli.run_preset("constants-closed-forms", {"seed": 7}, outdir=tmp_path,
+    cli.run_preset("constants-closed-forms", outdir=tmp_path,
                    echo=lambda *_: None)
     lines = (tmp_path / "constants-closed-forms" / "manifest.csv").read_text()
-    assert "# seed = 7" in lines
     assert "# tolerance_version = 1" in lines
     assert "# criterion = C1" in lines
+    assert "# binding.d = 5" in lines
+    assert "seed" not in lines
+
+
+def test_seed_is_not_an_option(outdir, tmp_path, capsys):
+    """No code draws a random number, so no subcommand takes a seed."""
+    with pytest.raises(SystemExit) as err:
+        cli.main(["constants", "--seed", "3"])
+    assert err.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 0\n")
+    assert cli.main(["selftest", "--only", "constants-closed-forms",
+                     "--config", str(cfg)]) == 2
+    assert "seed" in capsys.readouterr().err
 
 
 def test_unknown_choice_exits_via_argparse():

@@ -19,7 +19,7 @@ def test_power_law_values_and_derivative():
     F = Nonlinearity.power_law(0.7, 2.6)
     u = np.array([0.0, 1.0, 3.0])
     assert_allclose(F(u), 0.7 * u ** 2.6, rtol=1e-14)
-    assert_allclose(F.derivative(u), 0.7 * 2.6 * u ** 1.6, rtol=1e-14)
+    assert_allclose(F.dfn(u), 0.7 * 2.6 * u ** 1.6, rtol=1e-14)
 
 
 def test_sources_reject_negative_states():

@@ -11,10 +11,12 @@ from blowlab.kernels import Grid, GridFunction
 from blowlab.norms import (RadialProfile, concentration_values,
                            heat_characterization, morrey_norm,
                            morrey_norm_grid, radial_concentration,
-                           read_profile_csv, write_profile_csv)
+                           read_profile_csv)
+from blowlab.reporting import write_csv
 from blowlab.numutil import log_grid
 from blowlab.specfun import sphere_area
-from blowlab.stationary import SingularSolution, singular_profile
+from blowlab.stationary import (SingularSolution, singular_morrey_norm,
+                                singular_profile)
 from blowlab.asymptotics import K_gaussian
 
 
@@ -29,18 +31,6 @@ def test_head_exponent_fit():
     assert_allclose(pr.fitted_head_exponent(), 0.6, atol=1e-6)
 
 
-def test_concentration_agrees_with_general_morrey_norm():
-    # q = 1 at the critical order d(p-1)/alpha is the same functional
-    d, p, alpha = 1, 3.0, 1.3
-    u = gaussian_profile(d)
-    rc = radial_concentration(u, p, alpha)
-    mn = morrey_norm(u, s_order=d * (p - 1.0) / alpha, q=1.0)
-    assert_allclose(rc.value, mn.value, rtol=1e-12)
-    assert rc.q == 1.0
-    assert rc.argmax_radius > 0
-    assert not rc.divergent
-
-
 def test_concentration_is_dilation_invariant():
     """The functional is built to be constant along the scaling family
     u_mu(r) = mu^(-alpha/(p-1)) u(r/mu)."""
@@ -52,6 +42,9 @@ def test_concentration_is_dilation_invariant():
         r_min=1e-4, r_max=30.0 * mu)
     moved = radial_concentration(dilated, p, alpha)
     assert abs(moved.value / base.value - 1.0) < 1e-6
+    assert base.q == 1.0
+    assert base.argmax_radius > 0
+    assert not base.divergent
 
 
 def test_point_mass_cases():
@@ -72,6 +65,10 @@ def test_singular_profile_concentration_closed_form():
     rows = concentration_values(u, 3.0, 2.0, log_grid(0.1, 10.0, 9))
     vals = [v for _, v in rows]
     assert (max(vals) - min(vals)) / max(vals) < 1e-6   # scale invariance
+    # the L^q members at the critical order s = d(p-1)/alpha = 5
+    for q in (1.5, 2.0):
+        assert_allclose(morrey_norm(u, 5.0, q).value,
+                        singular_morrey_norm(sol, q), rtol=1e-5)
 
 
 def test_morrey_norm_validation():
@@ -128,7 +125,7 @@ def test_heat_characterization_validation():
 def test_profile_csv_round_trip(tmp_path):
     u = gaussian_profile()
     path = tmp_path / "profile.csv"
-    write_profile_csv(path, u)
+    write_csv(path, ("r", "value"), zip(u.r, u.u))
     back = read_profile_csv(path, d=1)
     assert_allclose(back.r, u.r, rtol=1e-12)
     assert_allclose(back.u, u.u, rtol=1e-12)

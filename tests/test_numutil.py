@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from blowlab.numutil import (golden_max, golden_min, log_grid, loglog_slope,
-                             refine_max_on_grid)
+from blowlab.numutil import golden_max, log_grid, loglog_slope, refine_max_on_grid
 
 
 def test_golden_max_interior_parabola():
@@ -25,18 +24,35 @@ def test_golden_max_rejects_empty_bracket():
         golden_max(lambda t: t, 1.0, 1.0)
 
 
-def test_golden_min_parabola():
-    x, v = golden_min(lambda t: (t - 0.3) ** 2 + 4.0, -1.0, 1.0)
-    assert abs(x - 0.3) < 1e-6
-    assert_allclose(v, 4.0, rtol=1e-13)
-
-
 def test_refine_max_on_grid_beats_grid_argmax():
     f = lambda t: math.sin(t)
     xs = np.linspace(0.0, math.pi, 7)   # pi/2 is not a grid point
     x, v = refine_max_on_grid(f, xs)
     assert abs(x - math.pi / 2.0) < 1e-6
     assert v >= max(f(t) for t in xs)
+
+    # an argmax on the last grid point is refined inside the end bracket
+    xs = np.linspace(0.0, 1.9, 6)       # grid argmax at 1.9, true max at 1.85
+    g = lambda t: -(t - 1.85) ** 2
+    x, v = refine_max_on_grid(g, xs)
+    assert xs[-2] < x < xs[-1] and abs(x - 1.85) < 1e-6
+    assert v >= g(xs[-1])
+
+    # grid values passed in are used as given: f is not called again for
+    # the grid
+    xs = np.linspace(0.0, math.pi, 7)
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return f(t)
+
+    assert refine_max_on_grid(counted, xs, [f(t) for t in xs]) \
+        == refine_max_on_grid(f, xs)
+    n_given = len(calls)
+    calls.clear()
+    refine_max_on_grid(counted, xs)
+    assert len(calls) == n_given + len(xs)
 
 
 def test_log_grid_endpoints_and_validation():

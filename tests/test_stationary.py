@@ -8,9 +8,8 @@ from numpy.testing import assert_allclose
 from blowlab.errors import DomainError
 from blowlab.specfun import sphere_area
 from blowlab.stationary import (SingularSolution, log_singular_constant,
-                                singular_asymptotics_check, singular_constant,
-                                singular_morrey_norm, singular_profile,
-                                singular_table, stationary_residual)
+                                singular_constant, singular_morrey_norm,
+                                singular_profile, stationary_residual)
 
 
 def test_laplacian_case_closed_amplitude():
@@ -73,17 +72,8 @@ def test_profile_sampling_matches_solution():
 
 
 def test_dimension_growth_check():
-    chk = singular_asymptotics_check(2.0, 3.0, [50.0, 100.0, 200.0, 400.0])
-    assert len(chk.ratios) == 4
-    assert chk.last_relative_change < 0.02
-    with pytest.raises(DomainError):
-        singular_asymptotics_check(2.0, 3.0, [100.0, 50.0])
-
-
-def test_table_rows():
-    rows = singular_table(2.0, 3.0, [5, 7])
-    assert [(r[0], r[1], r[2]) for r in rows] == [(2.0, 5, 3.0), (2.0, 7, 3.0)]
-    assert_allclose(rows[0][3], math.sqrt(2.0), rtol=1e-12)
-    assert_allclose(rows[0][4],
-                    singular_morrey_norm(SingularSolution(2.0, 5, 3.0)),
-                    rtol=1e-14)
+    # s(alpha, d, p) grows like d^(alpha/(2(p-1))): the ratio settles
+    e = 0.5   # alpha/(2(p-1)) at alpha = 2, p = 3
+    ratios = [math.exp(log_singular_constant(2.0, d, 3.0) - e * math.log(d))
+              for d in (50.0, 100.0, 200.0, 400.0)]
+    assert abs(ratios[-1] / ratios[-2] - 1.0) < 0.02

@@ -1,0 +1,66 @@
+"""Package surface: each top-level name is defined once, and every exported
+name resolves. Standard library only (ast, importlib), since no linter is a
+dependency."""
+
+import ast
+import importlib
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "blowlab"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+def parse(stem):
+    path = PACKAGE / f"{stem}.py"
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def top_level_bindings(tree):
+    """Names a module binds at top level: defs, classes, assignments and
+    imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, DEFS):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).partition(".")[0]
+                         for a in node.names)
+    return names
+
+
+def test_no_top_level_def_or_class_is_bound_twice():
+    twice = {}
+    for stem in MODULES + ["__init__"]:
+        defs = [node.name for node in parse(stem).body
+                if isinstance(node, DEFS)]
+        twice.update({f"{stem}.{n}": defs.count(n) for n in defs
+                      if defs.count(n) > 1})
+    assert twice == {}
+
+
+def test_every_all_entry_resolves():
+    unresolved = []
+    for stem in MODULES:
+        mod = importlib.import_module(f"blowlab.{stem}")
+        unresolved += [f"{stem}.{n}" for n in getattr(mod, "__all__", [])
+                       if not hasattr(mod, n)]
+    assert unresolved == []
+
+
+def test_init_reexports_only_names_that_exist():
+    # read from the sources, so a stale re-export is named even though it
+    # would make `import blowlab` itself fail
+    gone = [f"{node.module}.{alias.name}"
+            for node in parse("__init__").body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            and node.module
+            for alias in node.names
+            if alias.name not in top_level_bindings(parse(node.module))]
+    assert gone == []
