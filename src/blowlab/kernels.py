@@ -10,15 +10,18 @@ FFT of exp(t*(Jhat - 1)), which is exactly the periodized continuum kernel
 for resolved grids; a boundary-mass audit reports when the box is too small.
 
 Self-similar profiles R with P_t(x) = t^(-d/alpha) R(|x| t^(-1/alpha)) use
-the Gaussian closed form at alpha = 2, the Poisson closed form at alpha = 1,
-and Bochner subordination over the one-sided stable density of index
-beta = alpha/2 otherwise. The subordinator density itself is evaluated with
-the Zolotarev/Kanter integral representation; the alpha = 1 Levy closed form
-is kept as the golden cross-check in the tests.
+the Gaussian closed form at alpha = 2 and the Poisson closed form at
+alpha = 1. Other orders take a convergent or asymptotic series at small and
+large rho and, between them, one contour integral of the Hankel transform,
+turned off the real axis so that it does not oscillate (the standard device
+for stable densities: Nolan 1997; Zolotarev 1986). Bochner subordination
+over the one-sided stable density of index beta = alpha/2 (Zolotarev/Kanter
+representation) is kept as their slow, independent oracle.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import warnings
@@ -27,7 +30,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
-from scipy.special import gammaln, jv
+from scipy.special import gammaln, hankel1e, jv
 
 from .errors import DomainError, ResolutionError
 from .specfun import log_gamma, sphere_area
@@ -509,8 +512,8 @@ class ProfileValues(NamedTuple):
 
     Routes: ``closed`` (alpha in {1, 2}, and rho = 0 at any order),
     ``series-near`` and ``series-far`` (the small- and large-rho series),
-    ``cosine`` (d = 1) and ``hankel`` (d >= 2) for the single-integral
-    transforms, and ``subordination`` for the explicit oracle.
+    ``contour`` (the Hankel transform on a turned path, between the two
+    series) and ``subordination`` for the explicit oracle.
     """
 
     value: np.ndarray
@@ -520,7 +523,7 @@ class ProfileValues(NamedTuple):
 
 _EPS = float(np.finfo(float).eps)
 _SERIES_TERMS = 400
-# the transforms stop where their damped amplitude falls to e^-69
+# the contour's real leg stops where its damped amplitude falls to e^-69
 _CUT_LOG = 69.0
 # each route switch sits where its series' estimated error falls to this
 # share of quad_tol, on a grid of 20 radii per decade
@@ -602,7 +605,7 @@ def _series_switches(alpha: float, d: int, tol: float):
 
     The near series serves 0 < rho <= rho_near (rho_near = 0 for alpha < 1),
     the far series rho >= rho_far (inf if it never gets within tol), and the
-    single integrals the radii between. R(rho_far) bounds R from below on
+    contour the radii between. R(rho_far) bounds R from below on
     the integral range, since R decreases in rho.
     """
     grid, target = _SWITCH_GRID, _SWITCH_MARGIN * tol
@@ -622,24 +625,6 @@ def _series_switches(alpha: float, d: int, tol: float):
     return rho_near, float(grid[i]), float(value[i])
 
 
-@functools.lru_cache(maxsize=64)
-def _hankel_coefficients(d: int) -> tuple:
-    """a_k(nu), nu = d/2 - 1, of Hankel's expansion
-    J_nu(x) = sqrt(2/(pi x)) (P(x) cos w - Q(x) sin w), w = x - (nu/2 + 1/4) pi,
-    P = sum (-1)^k a_2k x^-2k, Q = sum (-1)^k a_(2k+1) x^-(2k+1), kept
-    while a_k x0^-k stays above 1e-17 at the radius x0 = 8 pi + nu^2 where
-    the expansion takes over (a finite sum for odd d)."""
-    nu = d / 2.0 - 1.0
-    mu, x0 = 4.0 * nu * nu, 8.0 * math.pi + nu * nu
-    coeffs = [1.0]
-    while True:
-        k = len(coeffs)
-        nxt = coeffs[-1] * (mu - (2 * k - 1) ** 2) / (8.0 * k)
-        if nxt == 0.0 or abs(nxt) * x0 ** -k < 1e-17:
-            return tuple(coeffs), x0
-        coeffs.append(nxt)
-
-
 def _checked_quad(f, a, b, **kw):
     """quad with its diagnostics kept: a QUADPACK failure raises
     ResolutionError with QUADPACK's message instead of warning."""
@@ -650,99 +635,64 @@ def _checked_quad(f, a, b, **kw):
     return out[0], out[1]
 
 
-@functools.lru_cache(maxsize=256)
-def _parts_terms(alpha: float, m: int) -> tuple:
-    """(c_j, e_j) with h_m(k) = sum_j c_j k^(e_j) exp(-k^alpha), where
-    h_0 = exp(-k^alpha) and h_(i+1) = h_i'(k)/k."""
-    coef = {0: 1.0}
-    for i in range(m):
-        nxt = {}
-        for j, c in coef.items():
-            nxt[j] = nxt.get(j, 0.0) + (j * alpha - 2.0 * i) * c
-            nxt[j + 1] = nxt.get(j + 1, 0.0) - alpha * c
-        coef = {j: c for j, c in nxt.items() if c != 0.0}
-    return tuple((c, j * alpha - 2.0 * m) for j, c in sorted(coef.items()))
+def _contour(alpha: float, d: int, rho: float, tol: float, floor: float):
+    """R(rho) = (2 pi)^(-d/2) rho^(1-d/2) Re int e^(-k^alpha) k^(d/2) H1_nu(k rho) dk,
+    nu = d/2 - 1, on a path from 0 that turns off the real axis (where the
+    real part is the Hankel transform with J_nu) into the quadrant where H1
+    decays, so that no leg oscillates. Each leg runs its parameter from 0:
 
+    - alpha < 1: the real axis with J_nu up to r0 = min(k_cut, 6/rho)
+      (k_cut: the damped amplitude is e^-69), then the ray r0 + i s/rho;
+    - alpha > 1: the imaginary axis up to iT, then the ray
+      iT + s e^(0.4 i pi/alpha), on which e^(-k^alpha) decays. T is the
+      minimum of |e^(-k^alpha + i k rho)| on the axis, or where the phase
+      t^alpha sin(pi alpha/2) of e^(-k^alpha) reaches pi/2, if that comes
+      first: a single ray from k = 0 cancels in the far tail at alpha near
+      2, and the axis beyond that phase oscillates.
 
-def _damped_power(alpha: float, m: int, p: float, k: float) -> float:
-    """h_m(k) k^p, with the powers of k combined so that k = 0 is safe
-    wherever the product is finite."""
-    return math.exp(-k ** alpha) * sum(c * k ** (e + p) for c, e in _parts_terms(alpha, m))
-
-
-def _transform(alpha: float, d: int, rho: float, tol: float, floor: float, m: int):
-    """R(rho) = (2 pi)^(-d/2) rho^(1-d/2) int_0^inf e^(-k^alpha) k^(d/2) J_(d/2-1)(k rho) dk.
-
-    m integrations by parts (d/dx x^(nu+1) J_(nu+1) = x^(nu+1) J_nu) turn
-    the integral into (-1/rho)^m int h_m(k) k^(D/2) J_(D/2-1)(k rho) dk with
-    D = d + 2m, which shrinks the cancellation between the oscillations by
-    rho^m at large rho (they need alpha > 1). The range is cut at K where
-    e^(-K^alpha) K^((D+1)/2 + m alpha) = e^-69. Below k rho = x0 the Bessel
-    factor is integrated as it is; above, Hankel's expansion splits it into
-    cos(k rho) and sin(k rho) weights with smooth amplitudes, which QAWO
-    integrates on doubling intervals. For D = 1 and 3 the expansion is exact
-    and QAWO covers [0, K]; D = 1 is the cosine transform
-    (1/pi) int e^(-k^alpha) cos(k rho) dk. ``floor`` is a lower bound for R,
-    which sets each piece's absolute tolerance.
+    The legs may cancel: a coarse pass sizes their sum, and each leg is then
+    held to an absolute share of that size (or of ``floor``, a lower bound
+    for R, if larger). Finite legs break at end/64 and end/8, where
+    QUADPACK's first bisections could otherwise settle on an underestimate.
     """
-    dim = d + 2 * m
-    nu = dim / 2.0 - 1.0
-    coeffs, x0 = _hankel_coefficients(dim)
-    s = _CUT_LOG
-    for _ in range(4):
-        s = _CUT_LOG + ((dim + 1.0) / 2.0 + m * alpha) / alpha * math.log(s)
-    k_max = s ** (1.0 / alpha)
-    k_split = 0.0 if len(coeffs) == 1 else min(k_max, x0 / rho)
-    edges = [k_split]
-    while edges[-1] < k_max:
-        edges.append(min(k_max, max(2.0 * edges[-1], x0 / rho)))
-    front = (2.0 * math.pi) ** (-d / 2.0) * rho ** (1.0 - d / 2.0) * (-1.0 / rho) ** m
-    opts = dict(epsabs=0.25 * tol * floor / abs(front) / len(edges),
-                epsrel=0.25 * tol, limit=200)
+    nu, half = d / 2.0 - 1.0, d / 2.0
 
+    def complex_leg(k0: complex, u: complex):
+        def f(s: float) -> float:
+            k = k0 + s * u
+            return (u * cmath.exp(half * cmath.log(k) - k ** alpha + 1j * k * rho)
+                    * hankel1e(nu, k * rho)).real
+        return f
+
+    if alpha < 1.0:
+        s = _CUT_LOG
+        for _ in range(4):
+            s = _CUT_LOG + (d + 1.0) / (2.0 * alpha) * math.log(s)
+        k_cut = s ** (1.0 / alpha)
+        r0 = min(k_cut, 6.0 / rho)
+        legs = [(lambda k: math.exp(-k ** alpha) * k ** half * float(jv(nu, k * rho)), r0)]
+        if r0 < k_cut:
+            legs.append((complex_leg(complex(r0), 1j / rho), math.inf))
+    else:
+        c, sn = math.cos(0.5 * math.pi * alpha), math.sin(0.5 * math.pi * alpha)
+        T = min((rho / (alpha * -c)) ** (1.0 / (alpha - 1.0)),
+                (0.5 * math.pi / sn) ** (1.0 / alpha))
+        legs = [(complex_leg(0j, 1j), T),
+                (complex_leg(1j * T, cmath.exp(0.4j * math.pi / alpha)), math.inf)]
+
+    def integrate(f, end, **kw):
+        points = (end / 64.0, end / 8.0) if end < math.inf else None
+        return _checked_quad(f, 0.0, end, points=points, limit=200, **kw)
+
+    front = (2.0 * math.pi) ** (-d / 2.0) * rho ** (1.0 - d / 2.0)
+    size = abs(sum(integrate(f, end, epsrel=1e-6)[0] for f, end in legs))
+    epsabs = 0.25 * tol * max(size, floor / abs(front)) / len(legs)
     total = err = 0.0
-    if k_split > 0.0:
-        total, err = _checked_quad(
-            lambda k: _damped_power(alpha, m, dim / 2.0, k) * float(jv(nu, k * rho)),
-            0.0, k_split, **opts)
-    phase = (0.5 * nu + 0.25) * math.pi
-    c, sn = round(math.cos(phase), 15), round(math.sin(phase), 15)
-    amp_front = math.sqrt(2.0 / (math.pi * rho))
-
-    def amplitude(k, which):
-        a = amp_front * _damped_power(alpha, m, (dim - 1) / 2.0, k)
-        if len(coeffs) == 1:
-            return a * (c if which == "cos" else sn)
-        # P and Q of Hankel's expansion at x = k rho
-        x = k * rho
-        p = q = 0.0
-        for j, coef in enumerate(coeffs):
-            term = coef * x ** -j
-            if j % 2 == 0:
-                p += -term if j % 4 == 2 else term
-            else:
-                q += -term if j % 4 == 3 else term
-        return a * (p * c + q * sn if which == "cos" else p * sn - q * c)
-
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        for which, coef in (("cos", c), ("sin", sn)):
-            if coef == 0.0 and len(coeffs) == 1:
-                continue
-            v, e = _checked_quad(lambda k: amplitude(k, which), lo, hi,
-                                 weight=which, wvar=rho, **opts)
-            total += v
-            err += e
-    # what the cut leaves out, bounded without the help of the oscillation
-    err += 2.0 * amp_front * math.exp(-_CUT_LOG) * (2.0 + alpha) ** m / (alpha * s)
+    for f, end in legs:
+        v, e = integrate(f, end, epsabs=epsabs, epsrel=0.0)
+        total += v
+        err += e
     return front * total, abs(front) * err
-
-
-def _parts_steps(alpha: float, rho: float) -> int:
-    """Integrations by parts for the transform at rho: one per two units of
-    rho, up to six (none for alpha < 1, whose h_m blow up at k = 0)."""
-    if alpha < 1.0 or rho <= 1.0:
-        return 0
-    return min(6, math.ceil(rho / 2.0))
 
 
 @dataclass
@@ -752,7 +702,7 @@ class StableProfile:
     ``auto`` evaluates alpha = 2 and alpha = 1 in closed form; other orders
     take the route their (alpha, d, rho) selects: the closed form at
     rho = 0, the near series for alpha > 1 at small rho, the far series at
-    large rho, and the cosine (d = 1) or Hankel (d >= 2) transform between.
+    large rho, and the contour integral between, in every dimension.
     Every value must carry an error estimate within ``quad_tol`` relative
     to itself, or the call raises ResolutionError. ``subordination``
     computes the Bochner integral over the one-sided stable density: the
@@ -840,9 +790,8 @@ class StableProfile:
                 value[mask], error[mask] = _chunked(series, alpha, d, rho[mask])
                 route[mask] = name
         for i in np.flatnonzero(~(center | near | far)):
-            r = float(rho[i])
-            value[i], error[i] = _transform(alpha, d, r, tol, floor, _parts_steps(alpha, r))
-            route[i] = "cosine" if d == 1 else "hankel"
+            value[i], error[i] = _contour(alpha, d, float(rho[i]), tol, floor)
+            route[i] = "contour"
 
     def _subordinated(self, rho: float):
         beta = 0.5 * self.alpha

@@ -330,8 +330,11 @@ def heat_characterization(u: Union[RadialProfile, GridFunction], alpha: float,
 
 def concentration_values(u: RadialProfile, p: float, alpha: float,
                          r_values: Sequence[float]) -> list:
-    """Rows (r, functional value) of the concentration at chosen radii."""
-    f, _, _ = _centered_objective(u, 1.0, _concentration_exponent(u.d, p, alpha))
+    """Rows (r, functional value) of the concentration at chosen radii; a
+    point-mass proxy gives mass * r^e, as in ``_centered_morrey``."""
+    e = _concentration_exponent(u.d, p, alpha)
+    f = (lambda rr: u.point_mass * rr ** e) if u.point_mass is not None \
+        else _centered_objective(u, 1.0, e)[0]
     return [(float(rr), float(f(rr))) for rr in r_values]
 
 

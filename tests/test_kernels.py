@@ -12,9 +12,9 @@ from scipy.integrate import IntegrationWarning, quad
 from blowlab.blowup import moment_field
 from blowlab.errors import DomainError, ResolutionError
 from blowlab import kernels
-from blowlab.kernels import (Grid, GridFunction, KernelSpec, _far_series,
-                             _near_series, _parts_steps, _series_switches,
-                             _transform, semigroup_kernel, stable_profile,
+from blowlab.kernels import (Grid, GridFunction, KernelSpec, _contour,
+                             _far_series, _near_series, _series_switches,
+                             semigroup_kernel, stable_profile,
                              subordinator_density)
 from blowlab.numutil import loglog_slope, refine_max_on_grid
 
@@ -296,11 +296,11 @@ def test_kernel_bound_grid_validation():
 # (alpha, d, rho, route auto takes): every route, d in {1, 2, 3, 5}, alpha
 # on both sides of 1, at points where subordination costs under a second
 ROUTE_POINTS = [
-    (0.8, 1, 0.3, "cosine"),
-    (1.3, 1, 2.5, "cosine"),
-    (1.4, 2, 3.0, "hankel"),
-    (0.7, 3, 0.4, "hankel"),
-    (1.2, 5, 2.0, "hankel"),
+    (0.8, 1, 0.3, "contour"),
+    (1.3, 1, 2.5, "contour"),
+    (1.4, 2, 3.0, "contour"),
+    (0.7, 3, 0.4, "contour"),
+    (1.2, 5, 2.0, "contour"),
     (1.5, 5, 0.5, "series-near"),
     (0.8, 5, 3.0, "series-far"),
 ]
@@ -326,33 +326,27 @@ def test_profile_routes_agree_at_their_switches(alpha, d):
     tol = 1e-11
     rho_near, rho_far, floor = _series_switches(alpha, d, tol)
 
-    def transform(r, m=None):
-        return _transform(alpha, d, r, tol, floor,
-                          _parts_steps(alpha, r) if m is None else m)[0]
+    def contour(r):
+        return _contour(alpha, d, r, tol, floor)[0]
 
     def series(fn, r):
         return float(fn(alpha, d, np.array([r]))[0][0])
 
     # rho = 0: the closed form against the route serving the smallest radii
-    first = series(_near_series, 1e-9) if alpha > 1 else transform(1e-9)
+    first = series(_near_series, 1e-9) if alpha > 1 else contour(1e-9)
     assert_allclose(first, stable_profile(alpha, d)(0.0), rtol=1e-10)
     if alpha > 1:
         assert rho_near > 0
-        assert_allclose(series(_near_series, rho_near), transform(rho_near), rtol=1e-10)
+        assert_allclose(series(_near_series, rho_near), contour(rho_near), rtol=1e-10)
     assert math.isfinite(rho_far)
-    assert_allclose(transform(rho_far), series(_far_series, rho_far), rtol=1e-10)
-    # inside the transform: one more integration by parts where the count steps
-    for r in (1.0, 2.0, 4.0, 6.0):
-        if alpha > 1 and rho_near < r < rho_far:
-            m = _parts_steps(alpha, r)
-            assert_allclose(transform(r, m), transform(r, m + 1), rtol=1e-10)
+    assert_allclose(contour(rho_far), series(_far_series, rho_far), rtol=1e-10)
 
 
 @pytest.mark.parametrize("alpha,d,rho", [(1.5, 1, 250.0), (1.7, 1, 200.0),
                                          (1.2, 2, 400.0)])
 def test_profile_far_field_constant(alpha, d, rho):
-    """rho^(d+alpha) R(rho) -> c (Blumenthal-Getoor), on the transform route
-    at a radius where the next term of the tail is below 1e-3."""
+    """rho^(d+alpha) R(rho) -> c (Blumenthal-Getoor), on the far series at a
+    radius where the next term of the tail is below 1e-3."""
     c = alpha * 2.0 ** (alpha - 1.0) * math.pi ** (-d / 2.0 - 1.0) \
         * math.gamma((d + alpha) / 2.0) * math.gamma(alpha / 2.0) \
         * math.sin(math.pi * alpha / 2.0)
@@ -361,10 +355,43 @@ def test_profile_far_field_constant(alpha, d, rho):
                     / (2.0 * math.gamma((d + alpha) / 2.0) * math.gamma(1.0 + alpha / 2.0)
                        * math.sin(math.pi * alpha / 2.0))) * (2.0 / rho) ** alpha
     assert next_term < 1e-3
-    value, error = _transform(alpha, d, rho, 1e-11, 0.0, _parts_steps(alpha, rho))
-    assert error < 1e-11 * value
-    assert abs(rho ** (d + alpha) * value / c - 1.0) < 1e-3
-    assert_allclose(stable_profile(alpha, d)(rho), value, rtol=1e-10)
+    res = stable_profile(alpha, d).evaluate(rho)
+    assert res.route[0] == "series-far"
+    assert res.error[0] < 1e-11 * res.value[0]
+    assert abs(rho ** (d + alpha) * res.value[0] / c - 1.0) < 1e-3
+
+
+def near_series_derivative(alpha, d, rho):
+    """dR_d/drho from the termwise derivative of the near series
+    R_d = 2/(alpha (4 pi)^(d/2)) sum_k (-1)^k Gamma((2k+d)/alpha) / (k! Gamma(k+d/2)) (rho/2)^(2k)
+    (alpha > 1, where it converges for every rho), with a bound on its
+    rounding error: 16 eps times the sum of the terms' magnitudes."""
+    terms = []
+    for k in range(1, 400):
+        log_mag = (math.lgamma((2 * k + d) / alpha) - math.lgamma(k + 1.0)
+                   - math.lgamma(k + d / 2.0) + (2 * k - 1) * math.log(rho / 2.0))
+        terms.append((-1) ** k * k * math.exp(log_mag))
+        if k > 10 and abs(terms[-1]) < 1e-17 * abs(math.fsum(terms)):
+            break
+    front = 2.0 / (alpha * (4.0 * math.pi) ** (d / 2.0))
+    return front * math.fsum(terms), front * 16.0 * np.finfo(float).eps * sum(map(abs, terms))
+
+
+@pytest.mark.parametrize("alpha", [1.3, 1.7])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_contour_obeys_the_dimension_recurrence(alpha, d):
+    """R_(d+2)(rho) = -R_d'(rho)/(2 pi rho) (DLMF 10.6.6), with R_(d+2) on
+    the contour and R_d' from the near series of the lower dimension, just
+    past the switch where the derivative series still cancels mildly."""
+    prof = stable_profile(alpha, d + 2)
+    rho_near, _, _ = _series_switches(alpha, d + 2, prof.quad_tol)
+    rho = rho_near * np.array([1.02, 1.1, 1.25])
+    res = prof.evaluate(rho)
+    assert list(res.route) == ["contour"] * rho.size
+    for r, value in zip(rho, res.value):
+        slope, rounding = near_series_derivative(alpha, d, r)
+        assert abs(value + slope / (2.0 * math.pi * r)) \
+            <= prof.quad_tol * value + rounding / (2.0 * math.pi * r)
 
 
 def test_profile_far_corner_matches_high_precision_hankel():
@@ -392,10 +419,69 @@ def test_profile_leaks_no_integration_warning():
 
 
 def test_profile_error_over_tolerance_raises():
-    # a small order in high dimension: the Hankel amplitude e^(-k^0.3) k^(7/2)
-    # peaks at about 2e7 near k = 4e3, and the integral cancels below double
-    # precision
+    # a small order in high dimension, where the integral along the real
+    # axis cancels below double precision: the contour serves it (its value
+    # is pinned against mpmath below)
+    assert stable_profile(0.3, 8)(0.05) > 0
+    # a tolerance the contour cannot reach there
     with pytest.raises(ResolutionError):
-        stable_profile(0.3, 8)(0.05)
+        stable_profile(0.3, 8, quad_tol=1e-13)(0.05)
     with pytest.raises(DomainError):
         stable_profile(1.4, 2, quad_tol=1e-16)
+
+
+def _mp_series(terms, dps=30):
+    """Partial sums of a series at dps digits until its terms fall below
+    10^-dps of the sum."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        total = mp.mpf(0)
+        for n, term in enumerate(terms(mp)):
+            total += term
+            if n > 20 and abs(term) < mp.mpf(10) ** -dps * abs(total):
+                return total
+
+
+@pytest.mark.parametrize("alpha,d,rho,series,dps", [
+    (0.3, 8, 0.05, "far", 30),
+    (1.95, 3, 7.0, "near", 30),
+    # without the breakpoints QUADPACK settles on 3 intervals of the real
+    # leg here and misses by 2e-11; the far series cancels by 3e19
+    (0.32, 7, 2.1544346900318845e-4, "far", 50),
+])
+def test_contour_matches_high_precision_series(alpha, d, rho, series, dps):
+    """The contour against the series at high precision, where double
+    precision serves neither: the far series converges for alpha < 1 and the
+    near one for alpha > 1. At (0.3, 8, 0.05) the Hankel integral by
+    mpmath's quadosc gives 26625649.937826782."""
+    def far(mp):
+        a, r = mp.mpf(alpha), mp.mpf(rho)
+        for n in range(1, 2000):
+            yield (mp.pi ** (-mp.mpf(d) / 2 - 1) * r ** -d * (-1) ** (n + 1) / mp.factorial(n)
+                   * mp.gamma((n * a + d) / 2) * mp.gamma(1 + n * a / 2)
+                   * mp.sinpi(n * a / 2) * (2 / r) ** (n * a))
+
+    def near(mp):
+        a, r = mp.mpf(alpha), mp.mpf(rho)
+        for k in range(2000):
+            yield (2 / (a * (4 * mp.pi) ** (mp.mpf(d) / 2)) * (-1) ** k
+                   * mp.gamma((2 * k + d) / a) / (mp.factorial(k) * mp.gamma(k + mp.mpf(d) / 2))
+                   * (r / 2) ** (2 * k))
+
+    ref = float(_mp_series(far if series == "far" else near, dps))
+    res = stable_profile(alpha, d).evaluate(rho)
+    assert res.route[0] == "contour"
+    assert_allclose(res.value[0], ref, rtol=2e-12)
+
+
+def test_contour_serves_every_radius_between_the_series():
+    """384 points: twelve orders from 0.3 to 1.99 (not 1), d = 1-8 and four radii
+    strictly between the switches, each served within the default quad_tol."""
+    for alpha in np.linspace(0.3, 1.99, 12):
+        for d in range(1, 9):
+            prof = stable_profile(alpha, d)
+            rho_near, rho_far, _ = _series_switches(prof.alpha, d, prof.quad_tol)
+            rho = np.linspace(rho_near, rho_far, 6)[1:-1]
+            res = prof.evaluate(rho)
+            assert list(res.route) == ["contour"] * rho.size
+            assert np.all(res.error <= prof.quad_tol * res.value), (alpha, d)

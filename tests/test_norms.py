@@ -56,6 +56,17 @@ def test_point_mass_cases():
     assert off.divergent and math.isinf(off.value)
 
 
+def test_point_mass_concentration_rows():
+    # ball mass 2 at every radius, times r^e with e = alpha/(p-1) - d = -1/2
+    proxy = RadialProfile.point_mass_proxy(1, 2.0)
+    assert concentration_values(proxy, 3.0, 1.0, [1.0]) == [(1.0, 2.0)]
+    assert concentration_values(proxy, 3.0, 1.0, [0.25, 4.0]) == [(0.25, 4.0), (4.0, 1.0)]
+    with pytest.raises(DomainError):
+        concentration_values(proxy, 1.0, 1.0, [1.0])
+    with pytest.raises(DomainError):
+        concentration_values(proxy, 3.0, 0.0, [1.0])
+
+
 def test_singular_profile_concentration_closed_form():
     sol = SingularSolution(2.0, 5, 3.0)
     u = singular_profile(sol)

@@ -5,7 +5,8 @@ import math
 import pytest
 from numpy.testing import assert_allclose
 
-from blowlab.errors import DomainError
+from blowlab import stationary
+from blowlab.errors import DomainError, ResolutionError
 from blowlab.specfun import sphere_area
 from blowlab.stationary import (SingularSolution, log_singular_constant,
                                 singular_constant, singular_morrey_norm,
@@ -77,3 +78,11 @@ def test_dimension_growth_check():
     ratios = [math.exp(log_singular_constant(2.0, d, 3.0) - e * math.log(d))
               for d in (50.0, 100.0, 200.0, 400.0)]
     assert abs(ratios[-1] / ratios[-2] - 1.0) < 0.02
+
+
+def test_angular_kernel_error_over_tolerance_raises(monkeypatch):
+    monkeypatch.setattr(stationary, "quad", lambda f, a, b, **kw: (1.0, 1e-10))
+    with pytest.raises(ResolutionError, match="angular kernel"):
+        stationary._angular_kernel(1.0, 2.0, 0.05, 4, 1.0)
+    # d = 3 takes the closed form and no quadrature
+    assert stationary._angular_kernel(1.0, 2.0, 0.05, 3, 1.0) > 0
