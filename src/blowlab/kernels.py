@@ -675,8 +675,9 @@ def _contour(alpha: float, d: int, rho: float, tol: float, floor: float):
             legs.append((complex_leg(complex(r0), 1j / rho), math.inf))
     else:
         c, sn = math.cos(0.5 * math.pi * alpha), math.sin(0.5 * math.pi * alpha)
-        T = min((rho / (alpha * -c)) ** (1.0 / (alpha - 1.0)),
-                (0.5 * math.pi / sn) ** (1.0 / alpha))
+        # in logs: the first power overflows for alpha just above 1
+        T = math.exp(min(math.log(rho / (alpha * -c)) / (alpha - 1.0),
+                         math.log(0.5 * math.pi / sn) / alpha))
         legs = [(complex_leg(0j, 1j), T),
                 (complex_leg(1j * T, cmath.exp(0.4j * math.pi / alpha)), math.inf)]
 

@@ -474,6 +474,33 @@ def test_contour_matches_high_precision_series(alpha, d, rho, series, dps):
     assert_allclose(res.value[0], ref, rtol=2e-12)
 
 
+@pytest.mark.parametrize("d", [1, 3])
+def test_contour_serves_orders_just_above_one(d):
+    """At alpha = 1.002 the axis minimum of |e^(-k^alpha + i k rho)| lies far
+    beyond the phase cap (its power overflows a float at these radii); the
+    contour takes the cap. Against the cosine (d = 1) and sine (d = 3)
+    transforms by mpmath at 20 digits."""
+    mp = pytest.importorskip("mpmath")
+    alpha = 1.002
+    prof = stable_profile(alpha, d)
+    rho_near, rho_far, _ = _series_switches(alpha, d, prof.quad_tol)
+    rho = np.linspace(rho_near, rho_far, 4)[1:-1]
+    res = prof.evaluate(rho)
+    assert list(res.route) == ["contour"] * rho.size
+    assert np.all(res.error <= prof.quad_tol * res.value)
+    a = mp.mpf(alpha)
+    with mp.workdps(20):
+        for r, value in zip(rho, res.value):
+            r = mp.mpf(r)
+            if d == 1:
+                ref = mp.quadosc(lambda k: mp.exp(-k ** a) * mp.cos(k * r),
+                                 [0, mp.inf], omega=r) / mp.pi
+            else:
+                ref = mp.quadosc(lambda k: mp.exp(-k ** a) * k * mp.sin(k * r),
+                                 [0, mp.inf], omega=r) / (2 * mp.pi ** 2 * r)
+            assert_allclose(value, float(ref), rtol=prof.quad_tol)
+
+
 def test_contour_serves_every_radius_between_the_series():
     """384 points: twelve orders from 0.3 to 1.99 (not 1), d = 1-8 and four radii
     strictly between the switches, each served within the default quad_tol."""
