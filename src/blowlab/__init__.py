@@ -16,7 +16,6 @@ from .nonlinearity import (
     OsgoodTransform,
     fujita_exponent,
     threshold_constant_c,
-    threshold_constant_source,
 )
 from .kernels import (
     Grid,
@@ -48,7 +47,6 @@ from .stationary import (
 from .asymptotics import (
     AsymptoticReport,
     K_fractional,
-    K_gaussian,
     L_fractional,
     L_gaussian,
     sweep_K,

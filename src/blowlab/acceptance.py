@@ -136,7 +136,7 @@ def kernel_laws(res: CheckResult) -> None:
             worst_semi <= 1e-7, f"max_diff={worst_semi:.3e} tol=1e-07")
 
     rho = np.linspace(0.0, 10.0, 201)
-    closed = stable_profile(1.0, 3, method="closed")(rho)
+    closed = stable_profile(1.0, 3)(rho)
     sub = stable_profile(1.0, 3, method="subordination")(rho)
     gap = float(np.max(np.abs(closed - sub)))
     res.add("alpha=1 profile, closed form vs subordination",

@@ -32,12 +32,9 @@ from .specfun import log_gamma, log_sphere_area, sphere_area
 from .stationary import log_singular_constant
 
 __all__ = [
-    "K_gaussian",
-    "log_K_gaussian",
     "K_fractional",
     "K_fractional_at_time",
     "L_gaussian",
-    "log_L_gaussian",
     "L_fractional",
     "LGaussianResult",
     "LFractionalResult",
@@ -53,49 +50,38 @@ __all__ = [
 # K: the steady-state discrepancy constant
 # ---------------------------------------------------------------------------
 
-def log_K_gaussian(d: float, p: float) -> float:
-    """log of s(2,d,p) * sup_t t^(1/(p-1)) (G_t * |x|^(-2/(p-1)))(0).
-
-    The sup is t-free by scale invariance; the Gaussian radial integral
-    reduces to s * 2^(-g) * Gamma((d-g)/2) / Gamma(d/2) with g = 2/(p-1).
-    """
-    g = 2.0 / (p - 1.0)
+def _log_K(alpha: float, d: float, p: float) -> float:
+    """log K(alpha, d, p), the one form behind K_fractional and sweep_K."""
+    if not (0.0 < alpha <= 2.0):
+        raise DomainError("K covers alpha in (0, 2]")
+    g = alpha / (p - 1.0)
     if d <= g:
-        raise DomainError("need d/2 > 1/(p-1) for the radial integral to converge")
-    return log_singular_constant(2.0, d, p) - g * math.log(2.0) \
-        + log_gamma((d - g) / 2.0) - log_gamma(d / 2.0)
-
-
-def K_gaussian(d: float, p: float) -> float:
-    return math.exp(log_K_gaussian(d, p))
+        raise DomainError("need d > alpha/(p-1)")
+    return log_singular_constant(alpha, d, p) - g * math.log(2.0) \
+        + log_gamma((d - g) / 2.0) - log_gamma(d / 2.0) \
+        + (log_gamma(1.0 + g / alpha) - log_gamma(1.0 + g / 2.0))
 
 
 def K_fractional(alpha: float, d: float, p: float) -> float:
-    """s(alpha,d,p) * sigma_d * int R(x) x^(d-1-g) dx for alpha in (0, 2).
+    """s(alpha,d,p) * sigma_d * int R(x) x^(d-1-g) dx for alpha in (0, 2],
+    g = alpha/(p-1).
 
     Bochner subordination writes the order-alpha kernel as a Gaussian
     mixture over the one-sided beta-stable subordinator S, beta = alpha/2,
     with E exp(-lam S) = exp(-lam^beta). Each Gaussian slice integrates
     against |x|^(-g) in closed form, 2^(-g) S^(-g/2) Gamma((d-g)/2)/Gamma(d/2),
     and the subordinator moment is E S^(-g/2) = Gamma(1+g/alpha)/Gamma(1+g/2).
-    Everything is summed in log space, so any d is fine.
+    At alpha = 2 the moment term is exactly 0, which leaves the Gaussian
+    form. Everything is summed in log space, so any d is fine.
     """
-    if not (0.0 < alpha < 2.0):
-        raise DomainError("K_fractional covers alpha in (0, 2); use K_gaussian at alpha = 2")
-    g = alpha / (p - 1.0)
-    if d <= g:
-        raise DomainError("need d > alpha/(p-1)")
-    log_val = log_singular_constant(alpha, d, p) - g * math.log(2.0) \
-        + log_gamma((d - g) / 2.0) - log_gamma(d / 2.0) \
-        + log_gamma(1.0 + g / alpha) - log_gamma(1.0 + g / 2.0)
-    return math.exp(log_val)
+    return math.exp(_log_K(alpha, d, p))
 
 
-def K_fractional_at_time(alpha: float, d: float, p: float, t: float,
-                         quad_tol: float = 1e-10) -> float:
+def K_fractional_at_time(alpha: float, d: float, p: float, t: float) -> float:
     """The pre-sup quantity t^(1/(p-1)) * s * (P_t * |x|^(-g))(0) by direct
-    radial quadrature of the kernel profile; t-independent up to quadrature
-    noise, which is exactly what the scale-invariance test checks."""
+    radial quadrature of the kernel profile (relative target 1e-10);
+    t-independent up to quadrature noise, which is exactly what the
+    scale-invariance test checks."""
     if t <= 0:
         raise DomainError("t must be positive")
     g = alpha / (p - 1.0)
@@ -107,9 +93,9 @@ def K_fractional_at_time(alpha: float, d: float, p: float, t: float,
 
     scale = t ** (1.0 / (p - 1.0))
     cut = 20.0 * max(t ** (1.0 / alpha), 1.0)
-    v1, e1 = quad(integrand, 0.0, cut, epsabs=0.0, epsrel=quad_tol,
+    v1, e1 = quad(integrand, 0.0, cut, epsabs=0.0, epsrel=1e-10,
                   limit=400, points=[t ** (1.0 / alpha)])
-    v2, e2 = quad(integrand, cut, np.inf, epsabs=1e-14 * abs(v1), epsrel=quad_tol,
+    v2, e2 = quad(integrand, cut, np.inf, epsabs=1e-14 * abs(v1), epsrel=1e-10,
                   limit=200)
     val, err = v1 + v2, e1 + e2
     if err > 1e-7 * val:
@@ -129,7 +115,7 @@ class LGaussianResult:
     t0: float
 
 
-def log_L_gaussian(d: float, p: float) -> LGaussianResult:
+def L_gaussian(d: float, p: float) -> LGaussianResult:
     """sup_t t^(1/(p-1)) (4 pi t)^(-d/2) e^(-1/(4t)) in log space.
 
     The maximizer is t0 = 1/(4b) with b = d/2 - 1/(p-1) > 0 (boundary
@@ -142,10 +128,6 @@ def log_L_gaussian(d: float, p: float) -> LGaussianResult:
         + b * (math.log(b) - 1.0)
     value = math.exp(log_val) if log_val < 709.0 else math.inf
     return LGaussianResult(value=value, log_value=log_val, t0=1.0 / (4.0 * b))
-
-
-def L_gaussian(d: float, p: float) -> LGaussianResult:
-    return log_L_gaussian(d, p)
 
 
 @dataclass(frozen=True)
@@ -173,7 +155,7 @@ def _log_subordinator_envelope(alpha: float, g: float) -> float:
         return math.log(dens) + (1.0 - g / 2.0) * lw
 
     grid = np.log(np.geomspace(1e-3, 1e2, 60))
-    lw_star, best = refine_max_on_grid(log_f, grid, tol=1e-10)
+    lw_star, best = refine_max_on_grid(log_f, grid)
     return best
 
 
@@ -207,7 +189,7 @@ def L_fractional(alpha: float, d: float, p: float) -> LFractionalResult:
             return -math.inf if val <= 0.0 else (d - g) * lr + math.log(val)
 
         grid = np.log(np.geomspace(0.05, 50.0, 50))
-        lr0, log_lower = refine_max_on_grid(log_f, grid, tol=1e-10)
+        lr0, log_lower = refine_max_on_grid(log_f, grid)
         rho0 = math.exp(lr0)
     log_S = _log_subordinator_envelope(alpha, g)
     log_upper = -(g / 2.0) * math.log(4.0) + math.log(2.0) \
@@ -262,12 +244,7 @@ def sweep_K(alpha: float, p: float, d_values: Sequence[float]) -> AsymptoticRepo
     """K over a dimension sweep; the prediction is plain boundedness, so the
     normalized column repeats the values."""
     ds = [float(d) for d in d_values]
-    logs = []
-    for d in ds:
-        if alpha == 2.0:
-            logs.append(log_K_gaussian(d, p))
-        else:
-            logs.append(math.log(K_fractional(alpha, d, p)))
+    logs = [_log_K(alpha, d, p) for d in ds]
     values = [math.exp(lv) for lv in logs]
     verdict = {"last_pair_ratio": values[-1] / values[-2] - 1.0 if len(values) > 1 else math.nan}
     return AsymptoticReport("K", alpha, p, ds, values, logs, list(values), verdict)
@@ -281,7 +258,7 @@ def sweep_L(alpha: float, p: float, d_values: Sequence[float]) -> AsymptoticRepo
     if alpha == 2.0:
         power = 1.0 / (p - 1.0) - 0.5
         for d in ds:
-            res = log_L_gaussian(d, p)
+            res = L_gaussian(d, p)
             logs.append(res.log_value)
             aux.append(res.t0)
         aux_name = "t0"

@@ -51,9 +51,9 @@ InitialData = Union[GridFunction, RadialProfile]
 _BOUNDARY_TOL = 1e-8   # kernel boundary-mass audit of every grid horizon
 
 
-def default_horizon_grid(t_min: float = 1e-3, t_max: float = 1e3,
-                         num: int = 40) -> np.ndarray:
-    return np.geomspace(t_min, t_max, num)
+def default_horizon_grid() -> np.ndarray:
+    """40 horizons log-spaced over [1e-3, 1e3]."""
+    return np.geomspace(1e-3, 1e3, 40)
 
 
 @dataclass(frozen=True)

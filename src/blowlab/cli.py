@@ -24,7 +24,7 @@ import numpy as np
 
 from . import acceptance
 from .acceptance import PRESETS
-from .asymptotics import K_fractional, K_gaussian, sweep_K, sweep_L
+from .asymptotics import K_fractional, sweep_K, sweep_L
 from .blowup import CriterionInput, evaluate_criterion
 from .errors import DomainError, OsgoodViolationError, ResolutionError
 from .kernels import Grid, GridFunction, KernelSpec, semigroup_kernel, stable_profile
@@ -245,7 +245,7 @@ def _cmd_constants(args) -> int:
     p = opt.get("p", 3.0, float)
     q = opt.get("q", 1.0, float)
     s = singular_constant(alpha, d, p)
-    K = K_gaussian(d, p) if alpha == 2.0 else K_fractional(alpha, d, p)
+    K = K_fractional(alpha, d, p)
     sigma = sphere_area(d)
     morrey = singular_morrey_norm(SingularSolution(alpha, d, p), q)
     print(f"s = {s:.8g}")

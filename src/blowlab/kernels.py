@@ -56,6 +56,8 @@ _BUMP_QUAD_TOL = 1e-13
 _HEAVY_SYMBOL_TOL = 1.49e-8
 # audit verdicts kept by _audit_failure, one short string (or None) each
 _AUDIT_MEMO_SIZE = 4096
+# the boundary-mass audit counts |k| beyond this share of the half-width L
+_BOUNDARY_FRACTION = 0.75
 
 
 # ---------------------------------------------------------------------------
@@ -371,27 +373,25 @@ class SemigroupKernel:
     """Kernel k_t of exp(t*(J*. - .)) realized on a periodic grid.
 
     ``values`` uses the natural layout (origin at index n//2 per axis).
-    For pure_fractional specs ``profile`` carries the exact self-similar
-    radial closure alongside the (periodized) grid samples.
     """
 
     spec: KernelSpec
     t: float
     grid: Grid
     values: np.ndarray
-    profile: Optional["StableProfile"] = None
 
     def mass(self) -> float:
         return float(self.values.sum()) * self.grid.cell_volume
 
-    def boundary_mass(self, fraction: float = 0.75) -> float:
-        """|k| mass in the region max_i |x_i| > fraction * L."""
+    def boundary_mass(self) -> float:
+        """|k| mass in the region max_i |x_i| > 0.75 L."""
         x = np.abs(self.grid.axis())
+        edge = _BOUNDARY_FRACTION * self.grid.L
         if self.grid.d == 1:
-            outer = x > fraction * self.grid.L
+            outer = x > edge
         else:
             xx, yy = np.meshgrid(x, x, indexing="ij")
-            outer = np.maximum(xx, yy) > fraction * self.grid.L
+            outer = np.maximum(xx, yy) > edge
         return float(np.abs(self.values[outer]).sum()) * self.grid.cell_volume
 
     def min_value(self) -> float:
@@ -414,8 +414,6 @@ def semigroup_kernel(spec: KernelSpec, t: float, grid: Grid,
     mult = np.exp(t * generator_symbol_grid(spec, grid))
     vals = np.fft.fftshift(grid.irfft(mult)) / grid.cell_volume
     kern = SemigroupKernel(spec, float(t), grid, vals)
-    if spec.kind == "pure_fractional":
-        kern.profile = stable_profile(spec.alpha, grid.d)
     worst = kern.min_value()
     scale = float(np.abs(vals).max())
     if worst < _NEGATIVITY_FLOOR * max(1.0, scale):
@@ -522,11 +520,13 @@ class ProfileValues(NamedTuple):
 
 
 _EPS = float(np.finfo(float).eps)
+# every profile value carries an error estimate within this share of itself
+_QUAD_TOL = 1e-11
 _SERIES_TERMS = 400
 # the contour's real leg stops where its damped amplitude falls to e^-69
 _CUT_LOG = 69.0
 # each route switch sits where its series' estimated error falls to this
-# share of quad_tol, on a grid of 20 radii per decade
+# share of _QUAD_TOL, on a grid of 20 radii per decade
 _SWITCH_MARGIN = 0.25
 _SWITCH_GRID = np.geomspace(1e-6, 1e4, 201)
 
@@ -600,15 +600,15 @@ def _chunked(series, alpha: float, d: int, rho: np.ndarray):
 
 
 @functools.lru_cache(maxsize=128)
-def _series_switches(alpha: float, d: int, tol: float):
+def _series_switches(alpha: float, d: int):
     """(rho_near, rho_far, R(rho_far)) for a generic order.
 
     The near series serves 0 < rho <= rho_near (rho_near = 0 for alpha < 1),
-    the far series rho >= rho_far (inf if it never gets within tol), and the
-    contour the radii between. R(rho_far) bounds R from below on
+    the far series rho >= rho_far (inf if it never gets within _QUAD_TOL),
+    and the contour the radii between. R(rho_far) bounds R from below on
     the integral range, since R decreases in rho.
     """
-    grid, target = _SWITCH_GRID, _SWITCH_MARGIN * tol
+    grid, target = _SWITCH_GRID, _SWITCH_MARGIN * _QUAD_TOL
     rho_near = 0.0
     if alpha > 1.0:
         value, error = _chunked(_near_series, alpha, d, grid)
@@ -635,7 +635,7 @@ def _checked_quad(f, a, b, **kw):
     return out[0], out[1]
 
 
-def _contour(alpha: float, d: int, rho: float, tol: float, floor: float):
+def _contour(alpha: float, d: int, rho: float, floor: float):
     """R(rho) = (2 pi)^(-d/2) rho^(1-d/2) Re int e^(-k^alpha) k^(d/2) H1_nu(k rho) dk,
     nu = d/2 - 1, on a path from 0 that turns off the real axis (where the
     real part is the Hankel transform with J_nu) into the quadrant where H1
@@ -687,7 +687,7 @@ def _contour(alpha: float, d: int, rho: float, tol: float, floor: float):
 
     front = (2.0 * math.pi) ** (-d / 2.0) * rho ** (1.0 - d / 2.0)
     size = abs(sum(integrate(f, end, epsrel=1e-6)[0] for f, end in legs))
-    epsabs = 0.25 * tol * max(size, floor / abs(front)) / len(legs)
+    epsabs = 0.25 * _QUAD_TOL * max(size, floor / abs(front)) / len(legs)
     total = err = 0.0
     for f, end in legs:
         v, e = integrate(f, end, epsabs=epsabs, epsrel=0.0)
@@ -704,16 +704,16 @@ class StableProfile:
     take the route their (alpha, d, rho) selects: the closed form at
     rho = 0, the near series for alpha > 1 at small rho, the far series at
     large rho, and the contour integral between, in every dimension.
-    Every value must carry an error estimate within ``quad_tol`` relative
-    to itself, or the call raises ResolutionError. ``subordination``
-    computes the Bochner integral over the one-sided stable density: the
-    slow, independent oracle the routes are checked against.
+    Every value must carry an error estimate within 1e-11 (``_QUAD_TOL``)
+    relative to itself, or the call raises ResolutionError.
+    ``subordination`` computes the Bochner integral over the one-sided
+    stable density: the slow, independent oracle the routes are checked
+    against.
     """
 
     alpha: float
     d: int
     method: str = "auto"
-    quad_tol: float = 1e-11
     _poisson_norm: float = field(init=False, default=0.0)
 
     def __post_init__(self):
@@ -721,15 +721,10 @@ class StableProfile:
             raise DomainError("profile order alpha must lie in (0, 2]")
         if int(self.d) < 1:
             raise DomainError("dimension must be a positive integer")
-        if self.method not in ("auto", "closed", "subordination"):
-            raise DomainError("method must be auto, closed or subordination")
-        if self.method == "closed" and self.alpha not in (1.0, 2.0):
-            raise DomainError("closed forms exist for alpha in {1, 2} only")
+        if self.method not in ("auto", "subordination"):
+            raise DomainError("method must be auto or subordination")
         if self.method == "subordination" and self.alpha == 2.0:
             raise DomainError("alpha = 2 is the Gaussian endpoint, not subordinated")
-        if not 1e-13 <= self.quad_tol < 1.0:
-            # QUADPACK takes no relative tolerance below 50 eps
-            raise DomainError("quad_tol must lie in [1e-13, 1)")
         dd = self.d
         self._poisson_norm = math.exp(log_gamma((dd + 1) / 2.0)
                                       - ((dd + 1) / 2.0) * math.log(math.pi))
@@ -739,13 +734,13 @@ class StableProfile:
     def __call__(self, rho) -> np.ndarray:
         res = self.evaluate(rho)
         if self.method != "subordination":
-            over = np.flatnonzero(~(res.error <= self.quad_tol * np.abs(res.value)))
+            over = np.flatnonzero(~(res.error <= _QUAD_TOL * np.abs(res.value)))
             if over.size:
                 i = over[0]
                 raise ResolutionError(
                     f"profile route {res.route.flat[i]} at rho = {np.ravel(rho)[i]:.6g} "
                     f"(alpha = {self.alpha:g}, d = {self.d}) estimates its error at "
-                    f"{res.error.flat[i]:.2e}, over quad_tol = {self.quad_tol:.1e} "
+                    f"{res.error.flat[i]:.2e}, over {_QUAD_TOL:.1e} "
                     f"relative to R = {res.value.flat[i]:.6e}")
         return float(res.value[0]) if np.ndim(rho) == 0 else res.value
 
@@ -775,8 +770,8 @@ class StableProfile:
         return ProfileValues(value.reshape(shape), error.reshape(shape), route.reshape(shape))
 
     def _generic(self, rho, value, error, route):
-        alpha, d, tol = self.alpha, self.d, self.quad_tol
-        rho_near, rho_far, floor = _series_switches(alpha, d, tol)
+        alpha, d = self.alpha, self.d
+        rho_near, rho_far, floor = _series_switches(alpha, d)
         center = rho == 0.0
         near = ~center & (rho <= rho_near)
         far = ~center & ~near & (rho >= rho_far)
@@ -791,7 +786,7 @@ class StableProfile:
                 value[mask], error[mask] = _chunked(series, alpha, d, rho[mask])
                 route[mask] = name
         for i in np.flatnonzero(~(center | near | far)):
-            value[i], error[i] = _contour(alpha, d, float(rho[i]), tol, floor)
+            value[i], error[i] = _contour(alpha, d, float(rho[i]), floor)
             route[i] = "contour"
 
     def _subordinated(self, rho: float):
@@ -806,7 +801,7 @@ class StableProfile:
                 return g * (4.0 * math.pi * lam) ** (-d / 2.0) * math.exp(-rho ** 2 / (4.0 * lam))
 
             return quad(integrand, 0.0, np.inf, epsabs=1e-14,
-                        epsrel=self.quad_tol, limit=300)
+                        epsrel=_QUAD_TOL, limit=300)
         # tau-form, lam = rho^2/(4 tau): stabilizes the small-lam boundary
         # layer that carries the tail mass
 
@@ -817,7 +812,7 @@ class StableProfile:
             return g * tau ** (d / 2.0 - 2.0) * math.exp(-tau)
 
         val, err = quad(integrand, 0.0, np.inf, epsabs=1e-14,
-                        epsrel=self.quad_tol, limit=300)
+                        epsrel=_QUAD_TOL, limit=300)
         front = math.pi ** (-d / 2.0) * rho ** (-d) * (rho ** 2 / 4.0)
         return front * val, front * err
 
@@ -830,7 +825,5 @@ class StableProfile:
         return t ** (-self.d / self.alpha) * self(r_arr * s)
 
 
-def stable_profile(alpha: float, d: int, method: str = "auto",
-                   quad_tol: float = 1e-11) -> StableProfile:
-    return StableProfile(alpha=float(alpha), d=int(d), method=method,
-                         quad_tol=quad_tol)
+def stable_profile(alpha: float, d: int, method: str = "auto") -> StableProfile:
+    return StableProfile(alpha=float(alpha), d=int(d), method=method)

@@ -13,8 +13,8 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
@@ -36,6 +36,8 @@ _LOG_TINY = math.log(_TINY)
 _LOG_HUGE = math.log(sys.float_info.max)
 _EPS = sys.float_info.epsilon
 _NEWTON_ITERATIONS = 100
+# relative error target, and bound on QUADPACK's estimate, of the h quadrature
+_H_QUAD_TOL = 1e-12
 # probe scales for the large-u tail exponent audit
 _TAIL_PROBES = (1e4, 1e6, 1e8)
 # integer exponents that power sources evaluate by repeated products
@@ -92,7 +94,6 @@ class Nonlinearity:
     kind: str = "custom"
     coeff: float = math.nan   # power kind only
     power: float = math.nan   # power kind only
-    params: dict = field(default_factory=dict)
 
     # -- factories ---------------------------------------------------------
 
@@ -105,7 +106,7 @@ class Nonlinearity:
             return c * p * np.power(u, p - 1.0)
 
         return cls(_power_term(c, p), df, f"{c:g}*u^{p:g}", kind="power",
-                   coeff=c, power=p, params={"c": c, "p": p})
+                   coeff=c, power=p)
 
     @classmethod
     def power_sum(cls, c1: float = 1.0, p1: float = 2.0,
@@ -123,8 +124,7 @@ class Nonlinearity:
         def df(u):
             return c1 * p1 * np.power(u, p1 - 1.0) + c2 * p2 * np.power(u, p2 - 1.0)
 
-        return cls(f, df, f"{c1:g}*u^{p1:g}+{c2:g}*u^{p2:g}", kind="power-sum",
-                   params={"c1": c1, "p1": p1, "c2": c2, "p2": p2})
+        return cls(f, df, f"{c1:g}*u^{p1:g}+{c2:g}*u^{p2:g}", kind="power-sum")
 
     @classmethod
     def exponential(cls, c: float = 1.0) -> "Nonlinearity":
@@ -137,7 +137,7 @@ class Nonlinearity:
         def df(u):
             return c * np.exp(u)
 
-        return cls(f, df, f"{c:g}*(e^u-1)", kind="exponential", params={"c": c})
+        return cls(f, df, f"{c:g}*(e^u-1)", kind="exponential")
 
     @classmethod
     def zero(cls) -> "Nonlinearity":
@@ -215,10 +215,9 @@ class OsgoodTransform:
     piece above is computed once), and invert by Newton's method in log w.
     """
 
-    def __init__(self, source: Nonlinearity, quad_tol: float = 1e-12):
+    def __init__(self, source: Nonlinearity):
         source.check_osgood()
         self.source = source
-        self.quad_tol = float(quad_tol)
         self._fn = source._for_floats(source.fn)
 
     # closed-form fast path predicate
@@ -232,7 +231,7 @@ class OsgoodTransform:
 
     def _log_integral(self, a: float, b: float) -> float:
         """int_a^b u/F(u) dv with u = e^v; QUADPACK's diagnostics and its
-        error estimate are checked against quad_tol."""
+        error estimate are checked against _H_QUAD_TOL."""
         label = self.source.label
         fn = self._fn
 
@@ -250,10 +249,10 @@ class OsgoodTransform:
 
         # F may overflow to inf at large u, where the integrand is 0
         with np.errstate(over="ignore"):
-            out = quad(integrand, a, b, epsabs=0.0, epsrel=self.quad_tol,
+            out = quad(integrand, a, b, epsabs=0.0, epsrel=_H_QUAD_TOL,
                        limit=200, full_output=1)
         val, err = out[0], out[1]
-        if len(out) > 3 or err > self.quad_tol * abs(val):
+        if len(out) > 3 or err > _H_QUAD_TOL * abs(val):
             raise ResolutionError(
                 f"{label}: h quadrature on [{a:.6g}, {b:.6g}] reached "
                 f"error {err:.2e} on {val:.6g}")
@@ -330,30 +329,17 @@ def fujita_exponent(alpha: float, d: int) -> float:
     return 1.0 + alpha / float(d)
 
 
-def threshold_constant_c(alpha: float, p: float,
-                         override: Optional[float] = None) -> float:
+def threshold_constant_c(alpha: float, p: float) -> float:
     """Sharp sup-criterion constant (1/(p-1))^(1/(p-1)) for alpha = 2.
 
     No closed form is established for alpha < 2; the alpha = 2 value is
-    returned as a configurable default there (pass ``override`` to supply
-    your own). Callers that report verdicts should flag the default via
-    :func:`threshold_constant_source`.
+    returned there too.
     """
     if not p > 1:
         raise DomainError("threshold constant needs p > 1")
     if not (0 < alpha <= 2):
         raise DomainError("order alpha must lie in (0, 2]")
-    if override is not None:
-        if not override > 0:
-            raise DomainError("threshold override must be positive")
-        return float(override)
     return (1.0 / (p - 1.0)) ** (1.0 / (p - 1.0))
-
-
-def threshold_constant_source(alpha: float, override: Optional[float] = None) -> str:
-    if override is not None:
-        return "user"
-    return "exact" if alpha == 2 else "alpha2-default"
 
 
 NONLINEARITY_FAMILIES = {

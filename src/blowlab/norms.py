@@ -31,7 +31,8 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .errors import DomainError
-from .kernels import GridFunction, StableProfile, stable_profile
+from .kernels import GridFunction, KernelSpec, StableProfile, generator_symbol_grid, \
+    stable_profile
 from .numutil import refine_max_on_grid
 from .specfun import sphere_area
 
@@ -53,17 +54,16 @@ _DIVERGENCE_RATIO = 1.05  # growth per decade that flags an unbounded sup
 class RadialProfile:
     """Nonnegative radial function sampled on an increasing grid r > 0.
 
-    ``head_exponent``/``tail_exponent`` are optional local power-law hints
-    (u ~ c r^-a); when absent the head exponent is fitted from the first
-    samples. A point mass at the origin is modeled by ``point_mass_proxy``,
-    which carries no samples at all.
+    ``head_exponent`` is an optional power-law hint for the head
+    (u ~ c r^-a near 0); when absent it is fitted from the first samples.
+    A point mass at the origin is modeled by ``point_mass_proxy``, which
+    carries no samples at all.
     """
 
     d: int
     r: np.ndarray
     u: np.ndarray
     head_exponent: Optional[float] = None
-    tail_exponent: Optional[float] = None
     point_mass: Optional[float] = None
 
     def __post_init__(self):
@@ -112,8 +112,7 @@ class RadialProfile:
         if self.point_mass is not None:
             return RadialProfile.point_mass_proxy(self.d, factor * self.point_mass)
         return RadialProfile(self.d, self.r, factor * self.u,
-                             head_exponent=self.head_exponent,
-                             tail_exponent=self.tail_exponent)
+                             head_exponent=self.head_exponent)
 
 
 @dataclass
@@ -252,12 +251,11 @@ def morrey_norm(u: RadialProfile, s_order: float, q: float) -> MorreyResult:
     return _centered_morrey(u, s_order, q, u.d / s_order - u.d / q)
 
 
-def morrey_norm_grid(u: GridFunction, s_order: float, q: float,
-                     radii: Optional[Sequence[float]] = None) -> MorreyResult:
+def morrey_norm_grid(u: GridFunction, s_order: float, q: float) -> MorreyResult:
     """Morrey functional of a sampled field with the sup taken over all grid
     centers (d <= 2), balls realized as lattice indicator convolutions.
 
-    Radii default to a log grid between one cell and a third of the box
+    The radii are 25 log-spaced from two cells to a third of the box
     half-width; circular wrap-around makes larger radii unreliable.
     """
     if q < 1:
@@ -265,8 +263,7 @@ def morrey_norm_grid(u: GridFunction, s_order: float, q: float,
     if q > s_order:
         raise DomainError(f"q = {q} exceeds the Morrey order s = {s_order}")
     g = u.grid
-    if radii is None:
-        radii = np.geomspace(2.0 * g.spacing, g.L / 3.0, 25)
+    radii = np.geomspace(2.0 * g.spacing, g.L / 3.0, 25)
     d = g.d
     e = d / s_order - d / q
     wq_hat = g.rfft(u.values ** q)
@@ -310,12 +307,12 @@ def heat_characterization(u: Union[RadialProfile, GridFunction], alpha: float,
         raise DomainError("T_grid must be increasing and positive")
     if isinstance(u, GridFunction):
         g = u.grid
-        mult_base = g.freq_radius() ** alpha
+        symbol = generator_symbol_grid(KernelSpec.fractional(alpha), g)
         u_hat = g.rfft(u.values)
         origin = (g.n // 2,) * g.d
 
         def value(t: float) -> float:
-            field = g.irfft(np.exp(-t * mult_base) * u_hat)
+            field = g.irfft(np.exp(t * symbol) * u_hat)
             return t ** gamma * float(field[origin])
     else:
         profile = stable_profile(alpha, u.d)

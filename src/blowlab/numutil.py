@@ -12,14 +12,16 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_TOL = 1e-10      # bracket width, absolute in the argument
+_GOLDEN_MAXITER = 200
 
 
-def golden_max(f: Callable[[float], float], a: float, b: float,
-               tol: float = 1e-10, maxiter: int = 200) -> tuple[float, float]:
+def golden_max(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
     """Golden-section maximization of a unimodal callable on [a, b].
 
-    Returns (argmax, max). ``tol`` is absolute in the argument; endpoints
-    are included so monotone functions resolve to the correct boundary.
+    Returns (argmax, max) once the bracket is 1e-10 wide (absolute in the
+    argument); endpoints are included so monotone functions resolve to the
+    correct boundary.
     """
     if not b > a:
         raise ValueError("golden_max needs a < b")
@@ -27,8 +29,8 @@ def golden_max(f: Callable[[float], float], a: float, b: float,
     x2 = a + _INVPHI * (b - a)
     f1, f2 = f(x1), f(x2)
     lo, hi = a, b
-    for _ in range(maxiter):
-        if hi - lo <= tol:
+    for _ in range(_GOLDEN_MAXITER):
+        if hi - lo <= _GOLDEN_TOL:
             break
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
@@ -43,8 +45,7 @@ def golden_max(f: Callable[[float], float], a: float, b: float,
 
 
 def refine_max_on_grid(f: Callable[[float], float], xs: Sequence[float],
-                       vals: Optional[Sequence[float]] = None,
-                       tol: float = 1e-10) -> tuple[float, float]:
+                       vals: Optional[Sequence[float]] = None) -> tuple[float, float]:
     """(argmax, max) of f: the grid argmax, golden-refined between its two
     neighbours (clipped at the grid ends, so an edge argmax is refined too).
 
@@ -58,7 +59,7 @@ def refine_max_on_grid(f: Callable[[float], float], xs: Sequence[float],
     hi = xs[min(i + 1, len(xs) - 1)]
     if hi <= lo:
         return float(xs[i]), float(vals[i])
-    x, v = golden_max(f, float(lo), float(hi), tol=tol)
+    x, v = golden_max(f, float(lo), float(hi))
     if v < vals[i]:
         return float(xs[i]), float(vals[i])
     return x, v

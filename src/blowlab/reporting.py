@@ -36,11 +36,11 @@ def format_value(v) -> str:
     return str(v)
 
 
-def output_dir(create: bool = True) -> Path:
-    """Artifact directory: $BLOWLAB_OUTDIR, else ./blowlab-out."""
+def output_dir() -> Path:
+    """Artifact directory, created if missing: $BLOWLAB_OUTDIR, else
+    ./blowlab-out."""
     root = Path(os.environ.get(_ENV_OUTDIR) or "blowlab-out")
-    if create:
-        root.mkdir(parents=True, exist_ok=True)
+    root.mkdir(parents=True, exist_ok=True)
     return root
 
 

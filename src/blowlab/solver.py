@@ -34,7 +34,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, ResolutionError
-from .kernels import Grid, GridFunction, KernelSpec, generator_symbol_grid
+from .kernels import _BOUNDARY_FRACTION, Grid, GridFunction, KernelSpec, \
+    generator_symbol_grid
 from .nonlinearity import Nonlinearity, OsgoodTransform, fujita_exponent
 from .blowup import CriterionInput, _peak_index, evaluate_criterion, moment_field
 
@@ -55,6 +56,7 @@ _SUPPORT_FLOOR = 1e-12       # values above this count as support
 _MASS_DEFECT_TOL = 1e-4      # relative mass defect per unit time
 _AUDIT_STRIDE = 16           # steps between support audits
 _SPIKE_GROWTH = 4.0          # sup ramp factor that ends the mass audit
+_JENSEN_SLACK = 1e-4         # relative slack of the integrated Jensen check
 
 
 class BlowupSignal(RuntimeError):
@@ -279,7 +281,7 @@ def _support_ok(values: np.ndarray, grid: Grid) -> bool:
         line = mask.any(axis=other) if other else mask
         idx = np.nonzero(line)[0]
         x = (idx - grid.n // 2) * grid.spacing
-        if np.max(np.abs(x)) > 0.75 * grid.L:
+        if np.max(np.abs(x)) > _BOUNDARY_FRACTION * grid.L:
             return False
     return True
 
@@ -474,10 +476,11 @@ class JensenReport:
 
 
 def jensen_report(traj: Trajectory, nonlinearity: Nonlinearity,
-                  target: float, integrated_slack: float = 1e-4) -> JensenReport:
+                  target: float) -> JensenReport:
     """Check the recorded moment series against its differential inequality:
     the smoothed moment must grow at least as fast as the comparison ODE,
-    stepwise (up to 1e-6 relative tolerance) and in integrated form."""
+    stepwise (up to 1e-6 relative tolerance) and in integrated form (up to
+    1e-4 relative slack)."""
     if target not in traj.moments:
         raise DomainError(f"no recorded moment series for horizon {target!r}")
     ms = traj.moments[target]
@@ -496,7 +499,7 @@ def jensen_report(traj: Trajectory, nonlinearity: Nonlinearity,
         fraction_ok=float(np.mean(ok)) if ok.size else math.nan,
         min_margin=float(np.min(margins)) if margins.size else math.nan,
         integrated_lhs=float(lhs), elapsed=float(elapsed),
-        integrated_ok=bool(lhs >= elapsed * (1.0 - integrated_slack)))
+        integrated_ok=bool(lhs >= elapsed * (1.0 - _JENSEN_SLACK)))
 
 
 # ---------------------------------------------------------------------------

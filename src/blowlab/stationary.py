@@ -31,6 +31,11 @@ __all__ = [
     "stationary_residual",
 ]
 
+# excised ball radius of the principal-value scheme, relative to the probe
+_DELTA_RATIO = 0.05
+# relative (and, times the residual's scale, absolute) target of its quad
+_RESIDUAL_QUAD_TOL = 1e-10
+
 
 def _gamma_arguments(alpha: float, d: float, p: float) -> dict:
     g = alpha / (2.0 * (p - 1.0))
@@ -93,13 +98,11 @@ class SingularSolution:
         return self.s_value * r ** (-self.decay_exponent)
 
 
-def singular_profile(sol: SingularSolution, r_min: float = 1e-3,
-                     r_max: float = 1e3, per_decade: int = 800) -> RadialProfile:
-    """Sampled copy of the steady state, decay hints attached."""
-    g = sol.decay_exponent
-    return RadialProfile.from_function(
-        sol.d, sol, r_min, r_max, per_decade,
-        head_exponent=g, tail_exponent=g)
+def singular_profile(sol: SingularSolution) -> RadialProfile:
+    """Sampled copy of the steady state on [1e-3, 1e3], 800 radii per
+    decade, with its head exponent attached."""
+    return RadialProfile.from_function(sol.d, sol, 1e-3, 1e3, 800,
+                                       head_exponent=sol.decay_exponent)
 
 
 def singular_morrey_norm(sol: SingularSolution, q: float = 1.0) -> float:
@@ -156,15 +159,14 @@ def _angular_kernel(r: float, rho: float, delta: float, d: int, alpha: float) ->
     return sphere_area(d - 1) * val
 
 
-def stationary_residual(sol: SingularSolution, probe_radius: float,
-                        delta_ratio: float = 0.05, quad_tol: float = 1e-10) -> float:
+def stationary_residual(sol: SingularSolution, probe_radius: float) -> float:
     """Relative defect of the steady state in the stationary equation.
 
     For alpha = 2 the Laplacian of r^(-g) is symbolic and the residual is
     pure arithmetic. For alpha in (0, 2) the hypersingular integral is
     evaluated with the ball |y - x| < delta excised and replaced by its
-    second-order Taylor correction; delta = delta_ratio * probe_radius keeps
-    the whole scheme scale covariant.
+    second-order Taylor correction; delta = 0.05 * probe_radius keeps the
+    whole scheme scale covariant.
     """
     r = float(probe_radius)
     if r <= 0:
@@ -178,14 +180,15 @@ def stationary_residual(sol: SingularSolution, probe_radius: float,
     if sol.d < 2:
         raise DomainError("the radial principal-value scheme needs d >= 2")
     d, alpha = sol.d, sol.alpha
-    delta = delta_ratio * r
+    delta = _DELTA_RATIO * r
 
     def outer(rho: float) -> float:
         return rho ** (d - 1) * (r ** -g - rho ** -g) \
             * _angular_kernel(r, rho, delta, d, alpha)
 
     scale = r ** (-g - alpha)
-    pieces = [quad(outer, a, b, epsabs=quad_tol * scale, epsrel=quad_tol, limit=400)
+    pieces = [quad(outer, a, b, epsabs=_RESIDUAL_QUAD_TOL * scale,
+                   epsrel=_RESIDUAL_QUAD_TOL, limit=400)
               for a, b in ((0.0, r - delta), (r - delta, r + delta), (r + delta, np.inf))]
     # excised ball: pv of the gradient term vanishes by symmetry, the Hessian
     # term integrates to -(Lap u / 2d) * sigma_d * delta^(2-alpha)/(2-alpha)

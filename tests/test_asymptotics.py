@@ -7,23 +7,32 @@ import pytest
 from numpy.testing import assert_allclose
 
 from blowlab.asymptotics import (K_fractional, K_fractional_at_time,
-                                 K_gaussian, L_fractional, L_gaussian,
-                                 sweep_K, sweep_L, window_eta_from_beta,
-                                 window_lower_bound)
+                                 L_fractional, L_gaussian, sweep_K, sweep_L,
+                                 window_eta_from_beta, window_lower_bound)
 from blowlab.errors import DomainError
 from blowlab.kernels import stable_profile
 from blowlab.numutil import golden_max
+from blowlab.specfun import log_gamma
+from blowlab.stationary import log_singular_constant
+
+
+def log_K_gaussian(d, p):
+    """The Gaussian form of log K: s * 2^(-g) * Gamma((d-g)/2) / Gamma(d/2),
+    g = 2/(p-1), summed in the order K_fractional sums its first terms."""
+    g = 2.0 / (p - 1.0)
+    return log_singular_constant(2.0, d, p) - g * math.log(2.0) \
+        + log_gamma((d - g) / 2.0) - log_gamma(d / 2.0)
 
 
 def test_gaussian_discrepancy_constant_closed_form():
     # gamma = 1 at (d, p) = (5, 3): s * 2^(-1) * Gamma(2) / Gamma(5/2)
     expected = math.sqrt(2.0) * 0.5 * math.gamma(2.0) / math.gamma(2.5)
-    assert_allclose(K_gaussian(5.0, 3.0), expected, rtol=1e-12)
+    assert_allclose(K_fractional(2.0, 5.0, 3.0), expected, rtol=1e-12)
 
 
 def test_gaussian_discrepancy_domain():
     with pytest.raises(DomainError):
-        K_gaussian(1.5, 2.0)    # d <= 2/(p-1)
+        K_fractional(2.0, 1.5, 2.0)    # d <= 2/(p-1)
 
 
 def test_fractional_discrepancy_exact_point():
@@ -49,10 +58,15 @@ def test_fractional_discrepancy_generic_order(alpha, d, p):
 
 
 def test_fractional_discrepancy_domain():
-    with pytest.raises(DomainError):
-        K_fractional(2.0, 5.0, 3.0)     # the alpha = 2 case has its own form
+    # alpha = 2: the subordinator-moment term is exactly 0, so K is the
+    # Gaussian form bit for bit, also in the dimension sweep
+    for d, p in ((5.0, 3.0), (3.0, 7.0), (59.0, 1.5), (400.0, 3.0), (5000.0, 2.0)):
+        assert K_fractional(2.0, d, p) == math.exp(log_K_gaussian(d, p))
+        assert sweep_K(2.0, p, [d, 2 * d]).log_values[0] == log_K_gaussian(d, p)
     with pytest.raises(DomainError):
         K_fractional(2.5, 5.0, 3.0)
+    with pytest.raises(DomainError):
+        K_fractional(0.0, 5.0, 3.0)
 
 
 def sup_objective_gaussian(d, p, t_center):
@@ -61,7 +75,7 @@ def sup_objective_gaussian(d, p, t_center):
         return (lt / (p - 1.0) - (d / 2.0) * math.log(4.0 * math.pi * t)
                 - 0.25 / t)
     lt, best = golden_max(log_obj, math.log(t_center) - 2.0,
-                          math.log(t_center) + 2.0, tol=1e-12)
+                          math.log(t_center) + 2.0)
     return math.exp(lt), math.exp(best)
 
 
@@ -96,7 +110,7 @@ def test_fractional_envelope_closed_case_matches_brute():
     vals = rhos ** e * prof(rhos)
     i = int(np.argmax(vals))
     _, best = golden_max(lambda lr: e * lr + math.log(float(prof(math.exp(lr)))),
-                         math.log(rhos[i - 1]), math.log(rhos[i + 1]), tol=1e-10)
+                         math.log(rhos[i - 1]), math.log(rhos[i + 1]))
     assert_allclose(res.lower, math.exp(best), rtol=1e-8)
     assert res.upper > res.lower
 

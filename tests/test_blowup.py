@@ -11,9 +11,9 @@ from blowlab.blowup import (CriterionInput, default_horizon_grid,
                             morrey_sufficient_condition)
 from blowlab.errors import DomainError, ResolutionError
 from blowlab.kernels import (Grid, GridFunction, KernelSpec, _audit_failure,
-                             semigroup_kernel)
+                             semigroup_kernel, stable_profile)
 from blowlab.nonlinearity import Nonlinearity
-from blowlab.norms import RadialProfile
+from blowlab.norms import RadialProfile, _radial_pairing
 from blowlab.numutil import log_grid, loglog_slope
 
 
@@ -56,6 +56,23 @@ def test_moment_at_zero_radial_route():
     W = moment_at_zero(u, KernelSpec.fractional(2.0, strength=A), T)
     closed = mass / math.sqrt(2.0 * math.pi * (sigma ** 2 + 2.0 * A * T))
     assert abs(W / closed - 1.0) < 1e-4
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0])
+def test_moment_field_2d_matches_radial_pairing(alpha):
+    """2-D Gaussian data: the lattice semigroup at the center against the
+    radial pairing of the stable profile with the same data sampled on
+    r in [1e-4, 30]; the gap is the radial trapezoid rule's (about 5e-6)."""
+    mass, sigma, T = 2.0, 1.0, 0.5
+    g = Grid(2, 48.0, 256)
+    u0 = GridFunction.gaussian(g, mass=mass, sigma=sigma)
+    field = moment_field(u0, KernelSpec.fractional(alpha), T, boundary_tol=None)
+    grid_value = float(field.values[g.n // 2, g.n // 2])
+    u = RadialProfile.from_function(
+        2, lambda r: mass * np.exp(-r * r / (2.0 * sigma ** 2)) / (2.0 * math.pi * sigma ** 2),
+        r_min=1e-4, r_max=30.0)
+    radial_value = _radial_pairing(stable_profile(alpha, 2), T, u)
+    assert abs(radial_value / grid_value - 1.0) < 1e-5
 
 
 def test_radial_moments_need_fractional_kernels():

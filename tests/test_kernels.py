@@ -109,6 +109,22 @@ def test_kernel_composition_law():
     assert float(np.max(np.abs(conv - k3.values))) < 1e-10
 
 
+@pytest.mark.parametrize("spec", [KernelSpec.gaussian(), KernelSpec.bump(),
+                                  KernelSpec.fractional(1.2)],
+                         ids=["gaussian_like", "compact_bump", "fractional"])
+def test_kernel_composition_law_2d(spec):
+    """k_0.7 * k_1.3 = k_2 in d = 2: the physical-space convolution, by full
+    complex transforms of the origin-anchored kernels, against the kernel
+    built from the multiplier at t = 2."""
+    g = Grid(2, 24.0, 256)
+    k1, k2, k3 = (semigroup_kernel(spec, t, g, boundary_tol=1.0).values
+                  for t in (0.7, 1.3, 2.0))
+    conv = np.fft.fftshift(np.fft.ifftn(
+        np.fft.fftn(np.fft.ifftshift(k1))
+        * np.fft.fftn(np.fft.ifftshift(k2))).real) * g.cell_volume
+    assert float(np.max(np.abs(conv - k3))) < 1e-12
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_bump_quadratures_against_gauss_legendre(d):
     x, w = np.polynomial.legendre.leggauss(200)
@@ -220,9 +236,10 @@ def test_profile_center_value_identity():
 
 
 def test_profile_closed_and_subordination_routes_agree():
-    closed = stable_profile(1.0, 3, method="closed")
-    sub = stable_profile(1.0, 3, method="subordination")
     rho = np.linspace(0.0, 8.0, 33)
+    closed = stable_profile(1.0, 3)
+    assert set(closed.evaluate(rho).route) == {"closed"}
+    sub = stable_profile(1.0, 3, method="subordination")
     assert float(np.max(np.abs(closed(rho) - sub(rho)))) < 1e-7
 
 
@@ -323,11 +340,10 @@ def test_profile_routes_match_subordination(alpha, d, rho, route):
 @pytest.mark.parametrize("alpha,d", [(1.4, 2), (1.2, 1), (1.8, 5), (1.05, 3),
                                      (0.7, 3), (0.9, 1), (0.6, 2)])
 def test_profile_routes_agree_at_their_switches(alpha, d):
-    tol = 1e-11
-    rho_near, rho_far, floor = _series_switches(alpha, d, tol)
+    rho_near, rho_far, floor = _series_switches(alpha, d)
 
     def contour(r):
-        return _contour(alpha, d, r, tol, floor)[0]
+        return _contour(alpha, d, r, floor)[0]
 
     def series(fn, r):
         return float(fn(alpha, d, np.array([r]))[0][0])
@@ -384,14 +400,14 @@ def test_contour_obeys_the_dimension_recurrence(alpha, d):
     the contour and R_d' from the near series of the lower dimension, just
     past the switch where the derivative series still cancels mildly."""
     prof = stable_profile(alpha, d + 2)
-    rho_near, _, _ = _series_switches(alpha, d + 2, prof.quad_tol)
+    rho_near, _, _ = _series_switches(alpha, d + 2)
     rho = rho_near * np.array([1.02, 1.1, 1.25])
     res = prof.evaluate(rho)
     assert list(res.route) == ["contour"] * rho.size
     for r, value in zip(rho, res.value):
         slope, rounding = near_series_derivative(alpha, d, r)
         assert abs(value + slope / (2.0 * math.pi * r)) \
-            <= prof.quad_tol * value + rounding / (2.0 * math.pi * r)
+            <= kernels._QUAD_TOL * value + rounding / (2.0 * math.pi * r)
 
 
 def test_profile_far_corner_matches_high_precision_hankel():
@@ -418,16 +434,21 @@ def test_profile_leaks_no_integration_warning():
         assert stable_profile(1.2, 1)(10.0) > 0
 
 
-def test_profile_error_over_tolerance_raises():
+def test_profile_error_over_tolerance_raises(monkeypatch):
     # a small order in high dimension, where the integral along the real
     # axis cancels below double precision: the contour serves it (its value
     # is pinned against mpmath below)
     assert stable_profile(0.3, 8)(0.05) > 0
-    # a tolerance the contour cannot reach there
-    with pytest.raises(ResolutionError):
-        stable_profile(0.3, 8, quad_tol=1e-13)(0.05)
-    with pytest.raises(DomainError):
-        stable_profile(1.4, 2, quad_tol=1e-16)
+    # a tolerance the contour cannot reach there (QUADPACK reports roundoff);
+    # the switch radii are cached per (alpha, d) at the tolerance in force,
+    # so the cache is cleared on both sides of the patch
+    monkeypatch.setattr(kernels, "_QUAD_TOL", 1e-13)
+    _series_switches.cache_clear()
+    try:
+        with pytest.raises(ResolutionError):
+            stable_profile(0.3, 8)(0.05)
+    finally:
+        _series_switches.cache_clear()
 
 
 def _mp_series(terms, dps=30):
@@ -483,11 +504,11 @@ def test_contour_serves_orders_just_above_one(d):
     mp = pytest.importorskip("mpmath")
     alpha = 1.002
     prof = stable_profile(alpha, d)
-    rho_near, rho_far, _ = _series_switches(alpha, d, prof.quad_tol)
+    rho_near, rho_far, _ = _series_switches(alpha, d)
     rho = np.linspace(rho_near, rho_far, 4)[1:-1]
     res = prof.evaluate(rho)
     assert list(res.route) == ["contour"] * rho.size
-    assert np.all(res.error <= prof.quad_tol * res.value)
+    assert np.all(res.error <= kernels._QUAD_TOL * res.value)
     a = mp.mpf(alpha)
     with mp.workdps(20):
         for r, value in zip(rho, res.value):
@@ -498,17 +519,17 @@ def test_contour_serves_orders_just_above_one(d):
             else:
                 ref = mp.quadosc(lambda k: mp.exp(-k ** a) * k * mp.sin(k * r),
                                  [0, mp.inf], omega=r) / (2 * mp.pi ** 2 * r)
-            assert_allclose(value, float(ref), rtol=prof.quad_tol)
+            assert_allclose(value, float(ref), rtol=kernels._QUAD_TOL)
 
 
 def test_contour_serves_every_radius_between_the_series():
     """384 points: twelve orders from 0.3 to 1.99 (not 1), d = 1-8 and four radii
-    strictly between the switches, each served within the default quad_tol."""
+    strictly between the switches, each served within the profile tolerance."""
     for alpha in np.linspace(0.3, 1.99, 12):
         for d in range(1, 9):
             prof = stable_profile(alpha, d)
-            rho_near, rho_far, _ = _series_switches(prof.alpha, d, prof.quad_tol)
+            rho_near, rho_far, _ = _series_switches(prof.alpha, d)
             rho = np.linspace(rho_near, rho_far, 6)[1:-1]
             res = prof.evaluate(rho)
             assert list(res.route) == ["contour"] * rho.size
-            assert np.all(res.error <= prof.quad_tol * res.value), (alpha, d)
+            assert np.all(res.error <= kernels._QUAD_TOL * res.value), (alpha, d)

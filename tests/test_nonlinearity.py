@@ -11,8 +11,7 @@ from numpy.testing import assert_allclose
 from blowlab.errors import DomainError, OsgoodViolationError
 from blowlab.nonlinearity import (NONLINEARITY_FAMILIES, Nonlinearity,
                                   OsgoodTransform, fujita_exponent,
-                                  threshold_constant_c,
-                                  threshold_constant_source)
+                                  threshold_constant_c)
 
 
 def test_power_law_values_and_derivative():
@@ -145,14 +144,8 @@ def test_fujita_exponent_values():
 def test_threshold_constant_values_and_source():
     assert threshold_constant_c(2.0, 2.0) == 1.0
     assert_allclose(threshold_constant_c(2.0, 3.0), math.sqrt(0.5), rtol=1e-14)
-    assert threshold_constant_c(1.5, 2.0, override=0.8) == 0.8
-    assert threshold_constant_source(2.0) == "exact"
-    assert threshold_constant_source(1.5) == "alpha2-default"
-    assert threshold_constant_source(1.5, override=0.8) == "user"
     with pytest.raises(DomainError):
         threshold_constant_c(2.0, 1.0)
-    with pytest.raises(DomainError):
-        threshold_constant_c(1.0, 2.0, override=-1.0)
 
 
 # -- evaluation routes of the power families ---------------------------------

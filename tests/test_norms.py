@@ -17,7 +17,7 @@ from blowlab.numutil import log_grid
 from blowlab.specfun import sphere_area
 from blowlab.stationary import (SingularSolution, singular_morrey_norm,
                                 singular_profile)
-from blowlab.asymptotics import K_gaussian
+from blowlab.asymptotics import K_fractional
 
 
 def gaussian_profile(d=1, amp=1.0, r_max=30.0):
@@ -122,7 +122,7 @@ def test_heat_characterization_of_steady_state():
     constant of the matching power law, a closed gamma-function value."""
     u = singular_profile(SingularSolution(2.0, 5, 3.0))
     value = heat_characterization(u, 2.0, 0.5, log_grid(0.01, 100.0, 15))
-    assert abs(value / K_gaussian(5.0, 3.0) - 1.0) < 1e-5
+    assert abs(value / K_fractional(2.0, 5.0, 3.0) - 1.0) < 1e-5
 
 
 def test_heat_characterization_validation():

@@ -1,5 +1,7 @@
 """Byte-level contracts of the artifact writer."""
 
+from pathlib import Path
+
 import numpy as np
 
 from blowlab.reporting import format_value, output_dir, write_csv, write_manifest
@@ -52,4 +54,6 @@ def test_output_dir_honors_environment(tmp_path, monkeypatch):
     assert output_dir() == target
     assert target.is_dir()
     monkeypatch.delenv("BLOWLAB_OUTDIR")
-    assert output_dir(create=False).name == "blowlab-out"
+    monkeypatch.chdir(tmp_path)
+    assert output_dir() == Path("blowlab-out")
+    assert (tmp_path / "blowlab-out").is_dir()

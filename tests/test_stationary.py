@@ -67,7 +67,7 @@ def test_morrey_norm_integrability_window():
 
 def test_profile_sampling_matches_solution():
     sol = SingularSolution(2.0, 5, 3.0)
-    prof = singular_profile(sol, r_min=1e-2, r_max=1e2)
+    prof = singular_profile(sol)
     assert prof.d == 5
     assert_allclose(prof.u[0], sol(prof.r[0]), rtol=1e-12)
 
