@@ -31,8 +31,6 @@ from .norms import (
     MorreyResult,
     RadialProfile,
     concentration_values,
-    heat_characterization,
-    morrey_norm,
     morrey_norm_grid,
     radial_concentration,
     read_profile_csv,
@@ -59,7 +57,6 @@ from .blowup import (
     evaluate_criterion,
     moment_at_zero,
     moment_field,
-    morrey_sufficient_condition,
 )
 from .solver import (
     DichotomySummary,

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import DomainError, ResolutionError
-from .kernels import stable_profile, subordinator_density
+from .kernels import stable_profile
 from .numutil import loglog_slope, refine_max_on_grid
 from .specfun import log_gamma, log_sphere_area, sphere_area
 from .stationary import log_singular_constant
@@ -132,41 +132,17 @@ def L_gaussian(d: float, p: float) -> LGaussianResult:
 
 @dataclass(frozen=True)
 class LFractionalResult:
-    upper: float
     lower: float
     rho0: float
     log_lower: float
-    log_upper: float
-
-
-def _log_subordinator_envelope(alpha: float, g: float) -> float:
-    """log sup_w f(w) w^(1-g/2) over the unit-time stable density f."""
-    beta = 0.5 * alpha
-    if beta == 0.5:
-        w_star = 1.0 / (2.0 * (1.0 + g))
-        dens = float(subordinator_density(1.0, w_star))
-        return math.log(dens) + (1.0 - g / 2.0) * math.log(w_star)
-
-    def log_f(lw: float) -> float:
-        w = math.exp(lw)
-        dens = float(subordinator_density(alpha, w))
-        if dens <= 0.0:
-            return -math.inf
-        return math.log(dens) + (1.0 - g / 2.0) * lw
-
-    grid = np.log(np.geomspace(1e-3, 1e2, 60))
-    lw_star, best = refine_max_on_grid(log_f, grid)
-    return best
 
 
 def L_fractional(alpha: float, d: float, p: float) -> LFractionalResult:
-    """Two-sided evaluation of sup_x x^(d-g) R(x) for alpha in (0, 2).
+    """sup_x x^(d-g) R(x) for alpha in (0, 2), attained at x = rho0.
 
     ``lower`` is the realized sup of the profile expression (a certified
-    point value, closed form at alpha = 1, golden-section maximization of
-    the subordinated profile otherwise). ``upper`` bounds the subordinated
-    representation by the envelope of the stable density, giving
-    4^(-g/2) * (2/(sigma_d Gamma(d/2))) * S * Gamma((d-g)/2).
+    point value): closed form at alpha = 1, golden-section maximization of
+    the stable profile otherwise.
     """
     if not (0.0 < alpha < 2.0):
         raise DomainError("L_fractional covers alpha in (0, 2); use L_gaussian at alpha = 2")
@@ -191,14 +167,9 @@ def L_fractional(alpha: float, d: float, p: float) -> LFractionalResult:
         grid = np.log(np.geomspace(0.05, 50.0, 50))
         lr0, log_lower = refine_max_on_grid(log_f, grid)
         rho0 = math.exp(lr0)
-    log_S = _log_subordinator_envelope(alpha, g)
-    log_upper = -(g / 2.0) * math.log(4.0) + math.log(2.0) \
-        - log_sphere_area(d) - log_gamma(d / 2.0) + log_S \
-        + log_gamma((d - g) / 2.0)
     return LFractionalResult(
-        upper=math.exp(log_upper) if log_upper < 709.0 else math.inf,
         lower=math.exp(log_lower) if log_lower < 709.0 else math.inf,
-        rho0=rho0, log_lower=log_lower, log_upper=log_upper)
+        rho0=rho0, log_lower=log_lower)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +208,6 @@ class AsymptoticReport:
     normalized: list          # values scaled by the predicted d-power and sigma_d
     verdict: dict
     aux: list = field(default_factory=list)   # t0 (alpha = 2) or rho0
-    aux_name: str = ""
 
 
 def sweep_K(alpha: float, p: float, d_values: Sequence[float]) -> AsymptoticReport:
@@ -261,14 +231,12 @@ def sweep_L(alpha: float, p: float, d_values: Sequence[float]) -> AsymptoticRepo
             res = L_gaussian(d, p)
             logs.append(res.log_value)
             aux.append(res.t0)
-        aux_name = "t0"
     else:
         power = alpha / (2.0 * (p - 1.0))
         for d in ds:
             res = L_fractional(alpha, d, p)
             logs.append(res.log_lower)
             aux.append(res.rho0)
-        aux_name = "rho0"
     values = [math.exp(lv) if lv < 709.0 else math.inf for lv in logs]
     log_norm = [lv + log_sphere_area(d) + power * math.log(d)
                 for lv, d in zip(logs, ds)]
@@ -284,4 +252,4 @@ def sweep_L(alpha: float, p: float, d_values: Sequence[float]) -> AsymptoticRepo
         "normalized_band": (min(normalized), max(normalized)),
     }
     return AsymptoticReport("L", alpha, p, ds, values, logs, normalized,
-                            verdict, aux, aux_name)
+                            verdict, aux)

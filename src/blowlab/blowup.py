@@ -29,22 +29,20 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import DomainError, ResolutionError
-from .kernels import (GridFunction, KernelSpec, _audit_failure,
+from .kernels import (GridFunction, KernelSpec, StableProfile, _audit_failure,
                       generator_symbol_grid, stable_profile)
 from .nonlinearity import Nonlinearity, OsgoodTransform, fujita_exponent
-from .norms import RadialProfile, _radial_pairing, morrey_norm_grid, radial_concentration
+from .norms import MorreyResult, RadialProfile, morrey_norm_grid, radial_concentration
 from .specfun import sphere_area
 
 __all__ = [
     "CriterionInput",
     "CurvePoint",
     "BlowupVerdict",
-    "MorreyCondition",
     "default_horizon_grid",
     "moment_field",
     "moment_at_zero",
     "evaluate_criterion",
-    "morrey_sufficient_condition",
 ]
 
 InitialData = Union[GridFunction, RadialProfile]
@@ -86,7 +84,6 @@ class CurvePoint:
     moment: float          # W_T at the best center
     horizon_level: float   # h_inv(T), the ODE level that detonates at T
     ratio: float
-    power_form: float      # T^(1/(p-1)) * W_T for power nonlinearities, else nan
     reliable: bool = True  # False when the torus boundary audit failed at this T
 
 
@@ -94,7 +91,7 @@ class CurvePoint:
 class BlowupVerdict:
     curve: List[CurvePoint]
     T_star: Optional[float]
-    morrey_value: Optional[float]
+    morrey: Optional[MorreyResult]  # concentration; None unless p > 1 + alpha/d
     classification: str    # criterion_met | not_met_on_grid | fujita_supercritical_small_data
     threshold: float
     center: Optional[Tuple[int, ...]] = None
@@ -123,6 +120,21 @@ def moment_field(u0: GridFunction, kernel: KernelSpec, T: float,
     grid = u0.grid
     sym = generator_symbol_grid(kernel, grid)
     return GridFunction(grid, _smoothed(grid.rfft(u0.values), sym, T, grid))
+
+
+def _radial_pairing(profile: StableProfile, t: float, u: RadialProfile) -> float:
+    """(P_t * u)(0) for radial u: sigma_d * int P_t(rho) u(rho) rho^(d-1) drho."""
+    d = u.d
+    kern = profile.kernel_radial(t, u.r)
+    vals = kern * u.u * u.r ** (d - 1)
+    tail = float(np.trapezoid(vals, u.r))
+    head_a = u.fitted_head_exponent()
+    if u.u[0] == 0.0:
+        head = 0.0
+    else:
+        a = head_a if head_a is not None and head_a < d else 0.0
+        head = float(profile.kernel_radial(t, 0.0)) * u.u[0] * u.r[0] ** d / (d - a)
+    return sphere_area(d) * (head + tail)
 
 
 def _radial_moment(u0: RadialProfile, kernel: KernelSpec, T: float) -> float:
@@ -177,7 +189,7 @@ def _grid_moments(u0: GridFunction, kernel: KernelSpec):
 
 
 def _extend_rows(rows: List[CurvePoint], moment, horizons: Sequence[float],
-                 transform: OsgoodTransform, p_power: Optional[float]) -> Optional[str]:
+                 transform: OsgoodTransform) -> Optional[str]:
     """Append one curve point per horizon. A horizon whose level h_inv(T)
     leaves the double range ends the sweep at the previous horizon, and the
     returned note says where; with no previous horizon the DomainError
@@ -191,10 +203,8 @@ def _extend_rows(rows: List[CurvePoint], moment, horizons: Sequence[float],
             return f"sweep cut at T={float(T):g}: {exc}"
         W, reliable = moment(T)
         ratio = W / level if level > 0 else math.inf
-        pf = T ** (1.0 / (p_power - 1.0)) * W if p_power is not None else math.nan
         rows.append(CurvePoint(T=float(T), moment=W, horizon_level=float(level),
-                               ratio=float(ratio), power_form=float(pf),
-                               reliable=reliable))
+                               ratio=float(ratio), reliable=reliable))
     return None
 
 
@@ -228,7 +238,7 @@ def evaluate_criterion(inp: CriterionInput) -> BlowupVerdict:
             return _radial_moment(inp.u0, inp.kernel, T), True
         centers = {}
     rows: List[CurvePoint] = []
-    cut = _extend_rows(rows, moment, horizons, transform, p_power)
+    cut = _extend_rows(rows, moment, horizons, transform)
 
     extra_decades = 0
     while (cut is None and extra_decades < 3 and _is_rising(rows)
@@ -236,21 +246,23 @@ def evaluate_criterion(inp: CriterionInput) -> BlowupVerdict:
            and not any(r.reliable and r.ratio > inp.threshold for r in rows)):
         lo = rows[-1].T
         ext = np.geomspace(lo, lo * 10.0, 8)[1:]
-        cut = _extend_rows(rows, moment, ext, transform, p_power)
+        cut = _extend_rows(rows, moment, ext, transform)
         extra_decades += 1
 
     met = [r for r in rows if r.reliable and r.ratio > inp.threshold]
     d = inp.dimension
     alpha_eff = inp.kernel.alpha_effective(d)
+    supercritical = (p_power is not None
+                     and p_power > fujita_exponent(alpha_eff, d))
 
-    morrey_value: Optional[float] = None
-    if p_power is not None and p_power > fujita_exponent(alpha_eff, d):
-        try:
-            cond = morrey_sufficient_condition(inp.u0, alpha_eff, d, p_power,
-                                               C_threshold=math.inf)
-            morrey_value = cond.value
-        except DomainError:
-            morrey_value = None
+    # the concentration at the scale-critical order; p > 1 + alpha/d keeps
+    # both routes inside their domains
+    morrey: Optional[MorreyResult] = None
+    if supercritical:
+        if isinstance(inp.u0, RadialProfile):
+            morrey = radial_concentration(inp.u0, p_power, alpha_eff)
+        else:
+            morrey = morrey_norm_grid(inp.u0, d * (p_power - 1.0) / alpha_eff)
 
     probe = next((r for r in rows if r.reliable), rows[0] if rows else None)
     center = centers.get(probe.T) if probe else None
@@ -269,43 +281,12 @@ def evaluate_criterion(inp: CriterionInput) -> BlowupVerdict:
         classification = "criterion_met"
     else:
         T_star = None
-        supercritical = (p_power is not None
-                         and p_power > fujita_exponent(alpha_eff, d))
         if supercritical and not _is_rising(rows):
             classification = "fujita_supercritical_small_data"
         else:
             classification = "not_met_on_grid"
 
-    return BlowupVerdict(curve=rows, T_star=T_star, morrey_value=morrey_value,
+    return BlowupVerdict(curve=rows, T_star=T_star, morrey=morrey,
                          classification=classification, threshold=inp.threshold,
                          center=center, hypothesis_note=note)
 
-
-# ---------------------------------------------------------------------------
-# Morrey-threshold form
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MorreyCondition:
-    value: float
-    met: bool
-    order: float
-    threshold: float
-    kappa: float   # value / (sigma_d d^(1/(2(p-1)))), the concentration scale
-
-
-def morrey_sufficient_condition(u0: InitialData, alpha: float, d: int, p: float,
-                                C_threshold: float) -> MorreyCondition:
-    """Morrey norm of the data at the scale-critical order d(p-1)/alpha,
-    compared against a caller-supplied constant."""
-    if p <= 1.0 + alpha / d:
-        raise DomainError("the Morrey form needs p > 1 + alpha/d")
-    order = d * (p - 1.0) / alpha
-    if isinstance(u0, RadialProfile):
-        res = radial_concentration(u0, p, alpha)
-        value = res.value
-    else:
-        value = morrey_norm_grid(u0, s_order=order, q=1.0).value
-    kappa = value / (sphere_area(d) * d ** (1.0 / (2.0 * (p - 1.0))))
-    return MorreyCondition(value=float(value), met=bool(value > C_threshold),
-                           order=order, threshold=C_threshold, kappa=float(kappa))

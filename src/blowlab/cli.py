@@ -28,9 +28,8 @@ from .asymptotics import K_fractional, sweep_K, sweep_L
 from .blowup import CriterionInput, evaluate_criterion
 from .errors import DomainError, OsgoodViolationError, ResolutionError
 from .kernels import Grid, GridFunction, KernelSpec, semigroup_kernel, stable_profile
-from .nonlinearity import NONLINEARITY_FAMILIES, Nonlinearity, fujita_exponent
-from .norms import RadialProfile, morrey_norm_grid, radial_concentration, \
-    read_profile_csv
+from .nonlinearity import NONLINEARITY_FAMILIES, Nonlinearity
+from .norms import read_profile_csv
 from .numutil import log_grid
 from .reporting import output_dir, write_csv, write_manifest
 from .solver import SimConfig, dichotomy_experiment, run
@@ -291,25 +290,19 @@ def _cmd_criterion(args) -> int:
                       "threshold": verdict.threshold,
                       "unreliable_T": ";".join(repr(T) for T in unreliable)})
 
-    d = inp.dimension
-    alpha = kernel.alpha_effective(d)
-    rows = []
-    if F.kind == "power" and F.power > fujita_exponent(alpha, d):
-        order = d * (F.power - 1.0) / alpha
-        if isinstance(u0, RadialProfile):
-            res = radial_concentration(u0, F.power, alpha)
-            fname = "radial_concentration"
-        else:
-            res = morrey_norm_grid(u0, s_order=order, q=1.0)
-            fname = "morrey_norm_grid"
-        rows.append((fname, res.s_order, res.value, res.argmax_radius))
+    res = verdict.morrey
+    if res is not None:
+        fname = ("morrey_norm_grid" if res.profile_kind == "grid"
+                 else "radial_concentration")
         write_csv(out / "criterion_norms.csv",
-                  ("functional", "order", "value", "argmax"), rows)
+                  ("functional", "order", "value", "argmax"),
+                  [(fname, res.s_order, res.value, res.argmax_radius)],
+                  {"divergent": res.divergent})
     summary = {
         "classification": verdict.classification,
         "T_star": verdict.T_star,
         "threshold": verdict.threshold,
-        "morrey_value": verdict.morrey_value,
+        "morrey_value": res.value if res is not None else None,
         "center": list(verdict.center) if verdict.center is not None else None,
         "note": verdict.hypothesis_note,
     }
@@ -329,8 +322,7 @@ def _cmd_simulate(args) -> int:
         dt_min=opt.get("dt_min", 1e-12, float),
         t_end=opt.get("t_end", 1.0, float),
         u_max=opt.get("u_max", 1e8, float),
-        moment_targets=tuple(_parse_floats(opt.get("targets"))),
-        snapshot_times=tuple(_parse_floats(opt.get("snapshots"))))
+        moment_targets=tuple(_parse_floats(opt.get("targets"))))
     traj = run(u0, cfg)
     out = output_dir()
     meta = {"outcome": traj.outcome, "t_obs": traj.t_obs,
@@ -510,7 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--d", type=int)
     sim.add_argument("--n", type=int)
     sim.add_argument("--targets", help="comma list of moment horizons T")
-    sim.add_argument("--snapshots", help="comma list of snapshot times")
     _add_common(sim)
     sim.set_defaults(fn=_cmd_simulate)
 

@@ -1,22 +1,19 @@
-"""Concentration functionals on radial profiles and grid fields.
+"""The concentration functional on radial profiles and grid fields.
 
-Three functionals of the same family:
+One functional: the q = 1 Morrey functional at the scale-critical order
+s = d(p-1)/alpha, sup over R of R^(alpha/(p-1) - d) times the mass of the
+data in a ball of radius R. Two routes evaluate it:
 
-* ``radial_concentration`` -- sup over r of r^(a/(p-1) - d) times the mass in
-  the centered ball of radius r (the q = 1 member, written with the exponent
-  that makes it scale-invariant for the blowup problem).
-* ``morrey_norm`` -- the L^q member, sup over R of
-  R^(d/s - d/q) ||u||_{L^q(B_R)}; centered for radial nonincreasing profiles
-  (exact by rearrangement), sup over grid centers for sampled fields in
-  d <= 2.
-* ``heat_characterization`` -- sup over t of t^gamma times the evolved field
-  at the origin under the order-alpha stable semigroup.
+* ``radial_concentration`` -- radial profiles, with the ball centered at the
+  origin (exact for radial nonincreasing data, by rearrangement);
+* ``morrey_norm_grid`` -- sampled fields in d <= 2, with the sup also taken
+  over every grid center.
 
-The two radial members and ``concentration_values`` evaluate one centered
-objective. Radial integrals use trapezoidal quadrature on the sample grid plus a fitted
-power-law head below the first sample; sups over the continuous parameter are
-refined by golden section around the discrete argmax. Divergence (sup growing
-without bound at either end of the grid) is flagged on the result rather than
+``concentration_values`` tabulates the radial route's objective at chosen
+radii. Radial integrals use trapezoidal quadrature on the sample grid plus a
+fitted power-law head below the first sample; the sup over r is refined by
+golden section around the discrete argmax. Divergence (sup growing without
+bound at either end of the grid) is flagged on the result rather than
 raised.
 """
 
@@ -25,14 +22,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .errors import DomainError
-from .kernels import GridFunction, KernelSpec, StableProfile, generator_symbol_grid, \
-    stable_profile
+from .kernels import GridFunction
 from .numutil import refine_max_on_grid
 from .specfun import sphere_area
 
@@ -40,9 +36,7 @@ __all__ = [
     "RadialProfile",
     "MorreyResult",
     "radial_concentration",
-    "morrey_norm",
     "morrey_norm_grid",
-    "heat_characterization",
     "concentration_values",
     "read_profile_csv",
 ]
@@ -118,7 +112,6 @@ class RadialProfile:
 @dataclass
 class MorreyResult:
     s_order: float
-    q: float
     value: float
     argmax_radius: float
     divergent: bool = False
@@ -178,49 +171,45 @@ def _detect_divergence(r_grid: np.ndarray, vals: np.ndarray) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the three functionals
+# the functional
 # ---------------------------------------------------------------------------
 
-def _centered_objective(u: RadialProfile, q: float, e: float):
-    """r -> (r^(e q) * sigma_d * int_{B_r} u^q)^(1/q), the centered Morrey
-    functional at radius r, with its ball-integral curve and the head
-    exponent of u^q it assumes below the first sample."""
+def _centered_objective(u: RadialProfile, e: float):
+    """r -> r^e * sigma_d * int_{B_r} u, the centered functional at radius
+    r, with its ball-integral curve and the head exponent of u it assumes
+    below the first sample."""
     head_a = u.fitted_head_exponent()
-    head_aq = None if head_a is None else q * head_a
-    curve = _BallIntegralCurve(u.r, u.u ** q, u.d, head_aq)
+    curve = _BallIntegralCurve(u.r, u.u, u.d, head_a)
     sigma = sphere_area(u.d)
 
     def f(rr: float) -> float:
-        return (rr ** (e * q) * sigma * curve(rr)) ** (1.0 / q)
+        return rr ** e * sigma * curve(rr)
 
-    return f, curve, head_aq
+    return f, curve, head_a
 
 
-def _centered_morrey(u: RadialProfile, s_order: float, q: float,
-                     e: float) -> MorreyResult:
+def _centered_morrey(u: RadialProfile, s_order: float, e: float) -> MorreyResult:
     """sup_r of the centered objective over the sample grid, refined by
     golden section. A sup that keeps growing through the outer decades of
     the grid, or a non-integrable or too steep head, marks the result
     divergent instead of raising."""
     if u.point_mass is not None:
-        if q != 1.0:
-            raise DomainError("point-mass proxy supports q = 1 only")
         # ball mass is constant in r, so the functional is mass * r^e:
         # finite only in the scale-critical case e = 0
         divergent = u.point_mass > 0 and e != 0.0
-        return MorreyResult(s_order, q, math.inf if divergent else u.point_mass,
+        return MorreyResult(s_order, math.inf if divergent else u.point_mass,
                             argmax_radius=1.0, divergent=divergent,
                             profile_kind="point_mass")
-    f, curve, head_aq = _centered_objective(u, q, e)
+    f, curve, head_a = _centered_objective(u, e)
     if not math.isfinite(curve.head):
-        return MorreyResult(s_order, q, math.inf, float(u.r[0]), divergent=True)
+        return MorreyResult(s_order, math.inf, float(u.r[0]), divergent=True)
     vals = np.array([f(rr) for rr in u.r])
     best_r, best_v = refine_max_on_grid(f, u.r, vals)
     # a head steeper than the functional exponent means the true sup blows
     # up as r -> 0 even though every grid value is finite
     divergent = _detect_divergence(u.r, vals) or (
-        head_aq is not None and head_aq > q * e + u.d + 1e-9)
-    return MorreyResult(s_order, q, best_v, best_r, divergent=divergent)
+        head_a is not None and head_a > e + u.d + 1e-9)
+    return MorreyResult(s_order, best_v, best_r, divergent=divergent)
 
 
 def _concentration_exponent(d: int, p: float, alpha: float) -> float:
@@ -230,99 +219,35 @@ def _concentration_exponent(d: int, p: float, alpha: float) -> float:
 
 
 def radial_concentration(u: RadialProfile, p: float, alpha: float) -> MorreyResult:
-    """sup_r r^(alpha/(p-1) - d) * (mass of u in the centered ball B_r).
-
-    The scale-invariant q = 1 member, at the order s = d(p-1)/alpha.
-    """
+    """sup_r r^(alpha/(p-1) - d) * (mass of u in the centered ball B_r),
+    at the order s = d(p-1)/alpha."""
     e = _concentration_exponent(u.d, p, alpha)
-    return _centered_morrey(u, u.d * (p - 1) / alpha, 1.0, e)
+    return _centered_morrey(u, u.d * (p - 1) / alpha, e)
 
 
-def morrey_norm(u: RadialProfile, s_order: float, q: float) -> MorreyResult:
-    """Centered Morrey functional sup_R R^(d/s - d/q) ||u||_{L^q(B_R)}.
-
-    Exact for radial nonincreasing profiles, where the sup over ball centers
-    is attained at the origin.
-    """
-    if q < 1:
-        raise DomainError("q must be at least 1")
-    if q > s_order:
-        raise DomainError(f"q = {q} exceeds the Morrey order s = {s_order}")
-    return _centered_morrey(u, s_order, q, u.d / s_order - u.d / q)
-
-
-def morrey_norm_grid(u: GridFunction, s_order: float, q: float) -> MorreyResult:
-    """Morrey functional of a sampled field with the sup taken over all grid
-    centers (d <= 2), balls realized as lattice indicator convolutions.
+def morrey_norm_grid(u: GridFunction, s_order: float) -> MorreyResult:
+    """sup over R and over all grid centers (d <= 2) of R^(d/s - d) times
+    the mass of a sampled field in the ball of radius R, balls realized as
+    lattice indicator convolutions.
 
     The radii are 25 log-spaced from two cells to a third of the box
     half-width; circular wrap-around makes larger radii unreliable.
     """
-    if q < 1:
-        raise DomainError("q must be at least 1")
-    if q > s_order:
-        raise DomainError(f"q = {q} exceeds the Morrey order s = {s_order}")
     g = u.grid
     radii = np.geomspace(2.0 * g.spacing, g.L / 3.0, 25)
     d = g.d
-    e = d / s_order - d / q
-    wq_hat = g.rfft(u.values ** q)
+    e = d / s_order - d
+    w_hat = g.rfft(u.values)
     dist = g.radius()
     best_v, best_r = 0.0, float(radii[0])
     for R in radii:
         # the ball is origin-anchored: roll its center to index 0
         ball = np.fft.ifftshift((dist <= R).astype(float))
-        sums = g.irfft(wq_hat * g.rfft(ball)) * g.cell_volume
-        v = float(R) ** e * float(np.max(sums)) ** (1.0 / q)
+        sums = g.irfft(w_hat * g.rfft(ball)) * g.cell_volume
+        v = float(R) ** e * float(np.max(sums))
         if v > best_v:
             best_v, best_r = v, float(R)
-    return MorreyResult(s_order, q, best_v, best_r, profile_kind="grid")
-
-
-def _radial_pairing(profile: StableProfile, t: float, u: RadialProfile) -> float:
-    """(P_t * u)(0) for radial u: sigma_d * int P_t(rho) u(rho) rho^(d-1) drho."""
-    d = u.d
-    kern = profile.kernel_radial(t, u.r)
-    vals = kern * u.u * u.r ** (d - 1)
-    tail = float(np.trapezoid(vals, u.r))
-    head_a = u.fitted_head_exponent()
-    if u.u[0] == 0.0:
-        head = 0.0
-    else:
-        a = head_a if head_a is not None and head_a < d else 0.0
-        head = float(profile.kernel_radial(t, 0.0)) * u.u[0] * u.r[0] ** d / (d - a)
-    return sphere_area(d) * (head + tail)
-
-
-def heat_characterization(u: Union[RadialProfile, GridFunction], alpha: float,
-                          gamma: float, T_grid: Sequence[float]) -> float:
-    """sup over the time grid of t^gamma * (order-alpha semigroup of u)(0).
-
-    Refined by golden section in log t around the discrete argmax.
-    """
-    if gamma <= 0:
-        raise DomainError("gamma must be positive")
-    T = np.asarray(list(T_grid), dtype=float)
-    if T.size == 0 or np.any(T <= 0) or np.any(np.diff(T) <= 0):
-        raise DomainError("T_grid must be increasing and positive")
-    if isinstance(u, GridFunction):
-        g = u.grid
-        symbol = generator_symbol_grid(KernelSpec.fractional(alpha), g)
-        u_hat = g.rfft(u.values)
-        origin = (g.n // 2,) * g.d
-
-        def value(t: float) -> float:
-            field = g.irfft(np.exp(t * symbol) * u_hat)
-            return t ** gamma * float(field[origin])
-    else:
-        profile = stable_profile(alpha, u.d)
-
-        def value(t: float) -> float:
-            return t ** gamma * _radial_pairing(profile, t, u)
-
-    vals = np.array([value(t) for t in T])
-    _, best = refine_max_on_grid(lambda lt: value(math.exp(lt)), np.log(T), vals)
-    return best
+    return MorreyResult(s_order, best_v, best_r, profile_kind="grid")
 
 
 def concentration_values(u: RadialProfile, p: float, alpha: float,
@@ -331,7 +256,7 @@ def concentration_values(u: RadialProfile, p: float, alpha: float,
     point-mass proxy gives mass * r^e, as in ``_centered_morrey``."""
     e = _concentration_exponent(u.d, p, alpha)
     f = (lambda rr: u.point_mass * rr ** e) if u.point_mass is not None \
-        else _centered_objective(u, 1.0, e)[0]
+        else _centered_objective(u, e)[0]
     return [(float(rr), float(f(rr))) for rr in r_values]
 
 
@@ -341,16 +266,25 @@ def concentration_values(u: RadialProfile, p: float, alpha: float,
 
 def read_profile_csv(path, d: int, **hints) -> RadialProfile:
     """Profile from a two-column (r, value) CSV with one header line;
-    `#`-prefixed lines are skipped."""
-    rows = []
+    `#`-prefixed lines are skipped. A malformed file is a DomainError that
+    names the file and line."""
     with open(path, newline="") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(reader)
-        if len(header) < 2:
-            raise DomainError(f"{path}: expected two columns (r, value)")
-        for rec in reader:
-            if rec:
-                rows.append((float(rec[0]), float(rec[1])))
+        numbered = [(n, line) for n, line in enumerate(fh, 1)
+                    if not line.startswith("#")]
+    records = zip((n for n, _ in numbered),
+                  csv.reader(line for _, line in numbered))
+    _, header = next(records, (0, []))
+    if len(header) < 2:
+        raise DomainError(f"{path}: expected two columns (r, value)")
+    rows = []
+    for n, rec in records:
+        if not rec:
+            continue
+        try:
+            rows.append((float(rec[0]), float(rec[1])))
+        except (ValueError, IndexError):
+            raise DomainError(f"{path}, line {n}: expected two numbers "
+                              f"(r, value), got {','.join(rec)!r}") from None
     if not rows:
         raise DomainError(f"{path}: no data rows")
     arr = np.asarray(rows, dtype=float)

@@ -72,7 +72,6 @@ class SimConfig:
     t_end: float
     u_max: float = 1e8
     moment_targets: Tuple[float, ...] = ()
-    snapshot_times: Tuple[float, ...] = ()
 
     def __post_init__(self):
         if not (0 < self.dt_min < self.dt_init):
@@ -83,8 +82,6 @@ class SimConfig:
             raise DomainError("moment targets must be positive horizons")
         object.__setattr__(self, "moment_targets",
                            tuple(float(T) for T in self.moment_targets))
-        object.__setattr__(self, "snapshot_times",
-                           tuple(sorted(float(s) for s in self.snapshot_times)))
 
 
 @dataclass
@@ -117,7 +114,6 @@ class Trajectory:
     final_state: GridFunction
     reliable: bool = True
     notes: List[str] = field(default_factory=list)
-    snapshots: Dict[float, GridFunction] = field(default_factory=dict)
 
     @property
     def grid(self) -> Grid:
@@ -352,10 +348,7 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
     traj_dt: List[float] = []
     traj_src: List[float] = []
     notes: List[str] = []
-    snapshots: Dict[float, GridFunction] = {}
 
-    events = sorted(set(s for s in cfg.snapshot_times if 0 < s <= cfg.t_end)
-                    | {cfg.t_end})
     t = 0.0
     record(t, 0.0, state.total * cell)
     outcome = "reached_horizon"
@@ -381,8 +374,7 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
         if dt < cfg.dt_min:
             outcome, t_obs = "dt_underflow", t
             break
-        next_event = next(e for e in events if e > t + 1e-15)
-        trial = min(dt, next_event - t)
+        trial = min(dt, cfg.t_end - t)
 
         if trial != e_dt:
             e_dt, e_half = trial, _half_propagator(sym, trial)
@@ -424,8 +416,6 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
         state = new_state
         t += trial
         record(t, trial, mass_new)
-        if any(abs(t - s) <= 1e-12 * max(1.0, s) for s in cfg.snapshot_times):
-            snapshots[t] = GridFunction(grid, state.values.copy())
 
         steps_since_audit += 1
         if (not detection_mode
@@ -457,7 +447,7 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
                       source_integral=traj_src, moments=moments,
                       outcome=outcome, t_obs=t_obs,
                       final_state=GridFunction(grid, state.values),
-                      reliable=reliable, notes=notes, snapshots=snapshots)
+                      reliable=reliable, notes=notes)
 
 
 # ---------------------------------------------------------------------------

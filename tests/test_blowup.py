@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from blowlab.blowup import (CriterionInput, default_horizon_grid,
-                            evaluate_criterion, moment_at_zero, moment_field,
-                            morrey_sufficient_condition)
+from blowlab.blowup import (CriterionInput, _radial_pairing,
+                            default_horizon_grid, evaluate_criterion,
+                            moment_at_zero, moment_field)
 from blowlab.errors import DomainError, ResolutionError
 from blowlab.kernels import (Grid, GridFunction, KernelSpec, _audit_failure,
                              semigroup_kernel, stable_profile)
 from blowlab.nonlinearity import Nonlinearity
-from blowlab.norms import RadialProfile, _radial_pairing
+from blowlab.norms import RadialProfile
 from blowlab.numutil import log_grid, loglog_slope
 
 
@@ -142,7 +142,7 @@ def test_supercritical_small_data_classification():
         nonlinearity=Nonlinearity.power_law(1.0, 4.0)))
     assert verdict.classification == "fujita_supercritical_small_data"
     assert verdict.T_star is None
-    assert verdict.morrey_value is not None and verdict.morrey_value > 0
+    assert verdict.morrey is not None and verdict.morrey.value > 0
     assert verdict.hypothesis_note == "bounded integrable data (torus truncation)"
 
 
@@ -157,23 +157,33 @@ def test_subcritical_moment_growth_exponent():
     assert abs(loglog_slope(T, scaled) - 1.0 / 6.0) < 0.01
 
 
+def criterion_on(u0, p):
+    return evaluate_criterion(CriterionInput(
+        u0=u0, kernel=KernelSpec.gaussian(),
+        nonlinearity=Nonlinearity.power_law(1.0, p),
+        T_grid=tuple(np.geomspace(0.1, 10.0, 5))))
+
+
 def test_morrey_condition_scaling_and_flags():
+    """The verdict carries the grid concentration at the scale-critical
+    order: 1-homogeneous in the data, not flagged divergent."""
     g = Grid(1, 32.0, 512)
     u = GridFunction.gaussian(g, mass=1.0, sigma=1.0)
-    c1 = morrey_sufficient_condition(u, 2.0, 1, 4.0, C_threshold=1.0)
-    c2 = morrey_sufficient_condition(u.scaled(2.0), 2.0, 1, 4.0,
-                                     C_threshold=1.0)
+    c1 = criterion_on(u, 4.0).morrey
+    c2 = criterion_on(u.scaled(2.0), 4.0).morrey
     assert_allclose(c2.value, 2.0 * c1.value, rtol=1e-12)   # 1-homogeneous
-    assert c1.order == 1.5                                  # d(p-1)/alpha
-    assert not c1.met
-    assert morrey_sufficient_condition(u, 2.0, 1, 4.0, C_threshold=0.5).met
+    assert c1.s_order == 1.5                                # d(p-1)/alpha
+    assert c1.profile_kind == "grid"
+    assert not c1.divergent and not c2.divergent
 
 
 def test_morrey_condition_needs_supercritical_power():
+    """At or below the Fujita exponent 1 + alpha/d = 3 the verdict carries
+    no concentration."""
     g = Grid(1, 32.0, 512)
     u = GridFunction.gaussian(g, mass=1.0, sigma=1.0)
-    with pytest.raises(DomainError):
-        morrey_sufficient_condition(u, 2.0, 1, 2.5, C_threshold=1.0)
+    assert criterion_on(u, 2.5).morrey is None
+    assert criterion_on(u, 3.0).morrey is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Command-line surface: artifacts, determinism, option precedence."""
 
 import json
+import sys
 
+import numpy as np
 import pytest
 
-from blowlab import cli
+from blowlab import cli, norms
 from blowlab.norms import RadialProfile
 from blowlab.reporting import write_csv
 
@@ -182,6 +184,86 @@ def test_criterion_rejects_radial_profile_with_lattice_kernel(outdir, tmp_path,
     assert cli.main(["criterion", "--profile", str(prof),
                      "--kernel", "gaussian"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def write_profile(path, f):
+    u = RadialProfile.from_function(1, f)
+    write_csv(path, ("r", "value"), zip(u.r, u.u))
+    return path
+
+
+def test_criterion_norms_grid_bytes(outdir):
+    assert cli.main(["criterion", "--profile", "gauss", "--mass", "4",
+                     "--p", "4"]) == 0
+    assert (outdir / "criterion_norms.csv").read_text() == (
+        "# divergent = false\n"
+        "functional,order,value,argmax\n"
+        "morrey_norm_grid,1.5,3.055151396116229,1.7320508075688772\n")
+
+
+def test_criterion_norms_radial_bytes(outdir, tmp_path):
+    prof = write_profile(tmp_path / "profile.csv", lambda r: 3.0 * np.exp(-r * r))
+    assert cli.main(["criterion", "--profile", str(prof), "--d", "1",
+                     "--p", "4", "--kernel", "fractional", "--alpha", "2"]) == 0
+    assert (outdir / "criterion_norms.csv").read_text() == (
+        "# divergent = false\n"
+        "functional,order,value,argmax\n"
+        "radial_concentration,1.5,4.556114470484535,1.2294893743309783\n")
+
+
+def test_criterion_norms_flag_divergent_concentration(outdir, tmp_path):
+    """u = (1+r)^(-1/2) has mass ~ r^(1/2) in B_r, which outgrows
+    r^(alpha/(p-1) - d) = r^(-1/3): the sup runs to the last sample."""
+    prof = write_profile(tmp_path / "profile.csv", lambda r: (1.0 + r) ** -0.5)
+    assert cli.main(["criterion", "--profile", str(prof), "--d", "1",
+                     "--p", "4", "--kernel", "fractional", "--alpha", "2"]) == 0
+    _, rows, meta = read_rows(outdir / "criterion_norms.csv")
+    assert meta == {"divergent": "true"}
+    assert rows == [["radial_concentration", "1.5", "12.255457720380532",
+                     "1000.0"]]
+
+
+@pytest.mark.parametrize("profile", ["gauss", "radial"])
+def test_criterion_evaluates_the_concentration_once(outdir, tmp_path,
+                                                    monkeypatch, profile):
+    """Both routes are counted under every name bound to them in any
+    blowlab module, so a second evaluation anywhere would show."""
+    calls = []
+    modules = [m for n, m in sys.modules.items() if n.startswith("blowlab")]
+    for name in ("morrey_norm_grid", "radial_concentration"):
+        original = getattr(norms, name)
+
+        def counted(*args, _f=original, _name=name, **kw):
+            calls.append(_name)
+            return _f(*args, **kw)
+
+        for mod in modules:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    argv = ["criterion", "--p", "4"]
+    if profile == "radial":
+        prof = write_profile(tmp_path / "profile.csv",
+                             lambda r: 3.0 * np.exp(-r * r))
+        argv += ["--profile", str(prof), "--kernel", "fractional"]
+    assert cli.main(argv) == 0
+    expected = "morrey_norm_grid" if profile == "gauss" else "radial_concentration"
+    assert calls == [expected]
+
+
+@pytest.mark.parametrize("body, where", [
+    ("r,value\n# a comment\n0.1,1.0\nabc,2.0\n", ", line 4"),  # a cell that is no number
+    ("r,value\n0.1,1.0\n0.2\n", ", line 3"),                    # a row with one column
+    ("", ""),                                                     # an empty file
+])
+def test_malformed_profile_csv_exits_with_domain_error(outdir, tmp_path, capsys,
+                                                       body, where):
+    prof = tmp_path / "bad.csv"
+    prof.write_text(body)
+    assert cli.main(["criterion", "--profile", str(prof),
+                     "--kernel", "fractional"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {prof}{where}: ")
+    assert "Traceback" not in err
 
 
 def test_simulate_artifacts(outdir, capsys):

@@ -1,4 +1,4 @@
-"""Concentration functionals, Morrey norms, and the heat characterization."""
+"""The concentration functional: radial and grid routes, profile CSVs."""
 
 import math
 
@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from blowlab.blowup import moment_at_zero
 from blowlab.errors import DomainError
-from blowlab.kernels import Grid, GridFunction
+from blowlab.kernels import Grid, GridFunction, KernelSpec
 from blowlab.norms import (RadialProfile, concentration_values,
-                           heat_characterization, morrey_norm,
                            morrey_norm_grid, radial_concentration,
                            read_profile_csv)
 from blowlab.reporting import write_csv
@@ -42,7 +42,6 @@ def test_concentration_is_dilation_invariant():
         r_min=1e-4, r_max=30.0 * mu)
     moved = radial_concentration(dilated, p, alpha)
     assert abs(moved.value / base.value - 1.0) < 1e-6
-    assert base.q == 1.0
     assert base.argmax_radius > 0
     assert not base.divergent
 
@@ -76,18 +75,16 @@ def test_singular_profile_concentration_closed_form():
     rows = concentration_values(u, 3.0, 2.0, log_grid(0.1, 10.0, 9))
     vals = [v for _, v in rows]
     assert (max(vals) - min(vals)) / max(vals) < 1e-6   # scale invariance
-    # the L^q members at the critical order s = d(p-1)/alpha = 5
+    # the L^q members at the critical order s = d(p-1)/alpha = 5: the q = 1
+    # functional of u^q at exponent q (d/s - d/q) = q - 5, to the power 1/q
     for q in (1.5, 2.0):
-        assert_allclose(morrey_norm(u, 5.0, q).value,
-                        singular_morrey_norm(sol, q), rtol=1e-5)
+        uq = RadialProfile(5, u.r, u.u ** q, head_exponent=q * sol.decay_exponent)
+        value = radial_concentration(uq, 2.0, q).value ** (1.0 / q)
+        assert_allclose(value, singular_morrey_norm(sol, q), rtol=1e-5)
 
 
 def test_morrey_norm_validation():
     u = gaussian_profile()
-    with pytest.raises(DomainError):
-        morrey_norm(u, s_order=1.5, q=0.5)
-    with pytest.raises(DomainError):
-        morrey_norm(u, s_order=1.5, q=2.0)
     with pytest.raises(DomainError):
         radial_concentration(u, 0.9, 1.0)
 
@@ -95,42 +92,25 @@ def test_morrey_norm_validation():
 def test_grid_morrey_matches_radial_route():
     g = Grid(1, 32.0, 1024)
     u = GridFunction.gaussian(g, mass=1.0, sigma=1.0)
-    grid_res = morrey_norm_grid(u, s_order=1.5, q=1.0)
+    grid_res = morrey_norm_grid(u, s_order=1.5)
     radial = RadialProfile.from_function(
         1, lambda r: np.exp(-r * r / 2.0) / math.sqrt(2.0 * math.pi),
         r_min=1e-4, r_max=20.0)
-    rad_res = morrey_norm(radial, s_order=1.5, q=1.0)
+    rad_res = radial_concentration(radial, 4.0, 2.0)   # s = d(p-1)/alpha = 1.5
+    assert rad_res.s_order == grid_res.s_order
     assert abs(grid_res.value / rad_res.value - 1.0) < 1e-2
     assert grid_res.profile_kind == "grid"
 
 
-def test_heat_characterization_dual_routes():
-    # sampled-field Fourier route against the radial profile pairing
-    T = log_grid(0.05, 20.0, 12)
-    g = Grid(1, 32.0, 2048)
-    from_grid = heat_characterization(
-        GridFunction.gaussian(g, mass=1.5, sigma=1.0), 2.0, 0.3, T)
-    radial = RadialProfile.from_function(
-        1, lambda r: 1.5 * np.exp(-r * r / 2.0) / math.sqrt(2.0 * math.pi),
-        r_min=1e-4, r_max=30.0)
-    from_profile = heat_characterization(radial, 2.0, 0.3, T)
-    assert abs(from_grid / from_profile - 1.0) < 1e-4
-
-
 def test_heat_characterization_of_steady_state():
-    """On the exact steady profile the time-sup reproduces the stationary
+    """On the exact steady profile the scaled semigroup moment
+    t^(1/(p-1)) (P_t * u)(0) is constant in t and equals the stationary
     constant of the matching power law, a closed gamma-function value."""
     u = singular_profile(SingularSolution(2.0, 5, 3.0))
-    value = heat_characterization(u, 2.0, 0.5, log_grid(0.01, 100.0, 15))
-    assert abs(value / K_fractional(2.0, 5.0, 3.0) - 1.0) < 1e-5
-
-
-def test_heat_characterization_validation():
-    u = gaussian_profile()
-    with pytest.raises(DomainError):
-        heat_characterization(u, 2.0, -0.5, [1.0, 2.0])
-    with pytest.raises(DomainError):
-        heat_characterization(u, 2.0, 0.5, [2.0, 1.0])
+    K = K_fractional(2.0, 5.0, 3.0)
+    for t in (0.01, 0.3, 1.0, 10.0, 100.0):
+        value = math.sqrt(t) * moment_at_zero(u, KernelSpec.fractional(2.0), t)
+        assert abs(value / K - 1.0) < 1e-5
 
 
 def test_profile_csv_round_trip(tmp_path):

@@ -33,14 +33,15 @@ def test_config_validation():
 
 
 def test_run_equals_a_loop_of_steps_bit_for_bit():
-    """run keeps one half-step propagator per trial dt; a snapshot time
-    shortens one step, so dt changes value and the propagator is rebuilt."""
+    """run keeps one half-step propagator per trial dt; landing on t_end
+    shortens the last step, so dt changes value and the propagator is
+    rebuilt."""
     g = Grid(1, 32.0, 256)
     u0 = GridFunction.gaussian(g, mass=1.0, sigma=1.0)
-    cfg = make_cfg(dt_init=0.01, t_end=0.2, snapshot_times=(0.123,))
+    cfg = make_cfg(dt_init=0.01, t_end=0.205)
     traj = run(u0, cfg)
     assert traj.outcome == "reached_horizon" and not traj.notes
-    assert len(set(traj.dt[1:])) == 3
+    assert len(set(traj.dt[1:])) >= 2
     u = u0
     for dt in traj.dt[1:]:
         u = step(u, cfg, dt)
@@ -168,9 +169,9 @@ def test_comparison_principle():
     g = Grid(1, 32.0, 512)
     small = GridFunction.gaussian(g, mass=1.0, sigma=1.0)
     large = GridFunction.gaussian(g, mass=1.2, sigma=1.0)
-    cfg = make_cfg(t_end=0.35, snapshot_times=(0.3,))
-    lo = run(small, cfg).snapshots[0.3]
-    hi = run(large, cfg).snapshots[0.3]
+    cfg = make_cfg(t_end=0.3)
+    lo = run(small, cfg).final_state
+    hi = run(large, cfg).final_state
     assert float(np.min(hi.values - lo.values)) > -1e-12
 
 
