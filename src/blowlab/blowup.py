@@ -63,12 +63,14 @@ class CriterionInput:
     threshold: float = 1.0
 
     def __post_init__(self):
-        if self.threshold <= 0:
-            raise DomainError("threshold must be positive")
+        if not 0 < self.threshold < math.inf:
+            raise DomainError("threshold must be positive and finite")
         if self.T_grid is not None:
             grid = np.asarray(self.T_grid, dtype=float)
-            if grid.size == 0 or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-                raise DomainError("horizon grid must be increasing and positive")
+            if (grid.size == 0 or not np.all(np.isfinite(grid))
+                    or np.any(grid <= 0) or np.any(np.diff(grid) <= 0)):
+                raise DomainError("horizon grid must be increasing, positive "
+                                  "and finite")
             object.__setattr__(self, "T_grid", grid)
 
     @property
@@ -111,8 +113,8 @@ def moment_field(u0: GridFunction, kernel: KernelSpec, T: float,
                  boundary_tol: Optional[float] = _BOUNDARY_TOL) -> GridFunction:
     """e^{T A} u0 on the torus as a full field; pass boundary_tol=None to
     skip the kernel-leak audit (the caller then owns reliability)."""
-    if T <= 0:
-        raise DomainError("horizon T must be positive")
+    if not 0 < T < math.inf:
+        raise DomainError("horizon T must be positive and finite")
     if boundary_tol is not None:
         failure = _audit_failure(kernel, float(T), u0.grid, float(boundary_tol))
         if failure is not None:
@@ -269,7 +271,7 @@ def evaluate_criterion(inp: CriterionInput) -> BlowupVerdict:
 
     if isinstance(inp.u0, GridFunction):
         note = "bounded integrable data (torus truncation)"
-    elif inp.u0.head_exponent or inp.u0.point_mass:
+    elif inp.u0.head_exponent:
         note = "scale-singular radial data; Fourier integrability not checked"
     else:
         note = "bounded radial data; Fourier integrability not checked"

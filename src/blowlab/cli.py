@@ -5,17 +5,19 @@ Eight subcommands expose the library: `kernel`, `constants`, `criterion`,
 artifact is a deterministic CSV (see reporting); `selftest` replays the
 twelve-check release gate and writes a manifest per preset.
 
-Flag values can come from three places, in increasing precedence: built-in
-defaults, a `--config <path>` file of `key = value` lines, and explicit
-flags. The output directory is taken from $BLOWLAB_OUTDIR (default
-./blowlab-out); nothing else reads the environment.
+Every option is a flag with its default in the parser. Flags can also come
+from an argument file: `blowlab constants @run.args --p 3` reads one
+argument per line of run.args (such as `--p=4`) in place of `@run.args`,
+and a flag given later on the command line wins. The output directory is
+taken from $BLOWLAB_OUTDIR (default ./blowlab-out); nothing else reads the
+environment.
 """
 
 from __future__ import annotations
 
 import argparse
-import ast
 import json
+import math
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -70,69 +72,12 @@ def run_preset(name: str, outdir: Optional[Path] = None, echo=print) -> int:
 
 
 # ---------------------------------------------------------------------------
-# option plumbing
+# option values
 # ---------------------------------------------------------------------------
 
-def _load_config(path: Optional[str]) -> dict:
-    """`key = value` lines; '#' starts a comment; values parsed as Python
-    literals when possible, else kept as strings."""
-    if not path:
-        return {}
-    cfg = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DomainError(f"config line without '=': {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip().replace("-", "_")
-        val = val.strip()
-        try:
-            cfg[key] = ast.literal_eval(val)
-        except (ValueError, SyntaxError):
-            cfg[key] = val
-    return cfg
-
-
-def _config_keys() -> set:
-    """Dest names of every subcommand's flags: the keys a config may hold."""
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    return {a.dest for sp in sub.choices.values() for a in sp._actions} \
-        - {"help", "config"}
-
-
-class _Options:
-    """Flag > config > default, keyed by the argparse dest name. A config
-    may be shared between subcommands, so each key must name a flag of
-    some subcommand; keys of other subcommands are ignored."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.cfg = _load_config(getattr(args, "config", None))
-        unknown = sorted(set(self.cfg) - _config_keys()) if self.cfg else []
-        if unknown:
-            raise DomainError("config keys that no subcommand reads: "
-                              + ", ".join(unknown))
-
-    def get(self, key: str, default=None, cast=None):
-        v = getattr(self.args, key, None)
-        if v is None:
-            v = self.cfg.get(key, default)
-        if v is None or cast is None:
-            return v
-        try:
-            return cast(v)
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"option {key} = {v!r} is not a valid "
-                              f"{cast.__name__}") from exc
-
-
-def _parse_d_values(text) -> List[float]:
+def _parse_d_values(text: str) -> List[float]:
     """Dimension lists: '3:50' (inclusive integers), '100:1000:7'
     (log-spaced, rounded), or '400,800'."""
-    text = str(text)
     try:
         if ":" in text:
             parts = text.split(":")
@@ -147,52 +92,55 @@ def _parse_d_values(text) -> List[float]:
         raise DomainError(f"bad dimension list {text!r}: {exc}") from exc
 
 
-def _parse_floats(text) -> List[float]:
-    if text is None:
-        return []
-    items = text if isinstance(text, (list, tuple)) else str(text).split(",")
+def _parse_floats(text: str) -> List[float]:
     try:
-        return [float(v) for v in items if str(v).strip()]
-    except (TypeError, ValueError) as exc:
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError as exc:
         raise DomainError(f"bad number list {text!r}: {exc}") from exc
 
 
-def _build_kernel(opt: _Options) -> KernelSpec:
-    kind = opt.get("kernel", "gaussian")
-    if kind in ("gaussian", "gaussian_like"):
+def _build_kernel(args) -> KernelSpec:
+    if args.kernel == "gaussian":
         return KernelSpec.gaussian()
-    if kind in ("bump", "compact_bump"):
+    if args.kernel == "bump":
         return KernelSpec.bump()
-    if kind in ("heavy", "heavy_tail"):
-        return KernelSpec.heavy_tail(opt.get("tail_order", 2.5, float))
-    if kind in ("fractional", "pure_fractional"):
-        return KernelSpec.fractional(opt.get("alpha", 1.0, float),
-                                     opt.get("strength", 1.0, float))
-    raise DomainError(f"unknown kernel kind {kind!r}; use gaussian, bump, "
-                      "heavy or fractional")
+    if args.kernel == "heavy":
+        return KernelSpec.heavy_tail(args.tail_order)
+    return KernelSpec.fractional(args.alpha, args.strength)
 
 
-def _build_nonlinearity(opt: _Options) -> Nonlinearity:
-    family = opt.get("family", "power")
-    if family not in NONLINEARITY_FAMILIES:
-        raise DomainError(f"unknown nonlinearity family {family!r}; use "
-                          + ", ".join(sorted(NONLINEARITY_FAMILIES)))
-    if family == "power":
-        return Nonlinearity.power_law(opt.get("c", 1.0, float),
-                                      opt.get("p", 2.0, float))
-    if family == "power-sum":
-        return Nonlinearity.power_sum(opt.get("c", 1.0, float),
-                                      opt.get("p", 2.0, float),
-                                      opt.get("c2", 1.0, float),
-                                      opt.get("p2", 3.0, float))
-    if family == "exponential":
-        return Nonlinearity.exponential(opt.get("c", 1.0, float))
+def _build_nonlinearity(args) -> Nonlinearity:
+    if args.family == "power":
+        return Nonlinearity.power_law(args.c, args.p)
+    if args.family == "power-sum":
+        return Nonlinearity.power_sum(args.c, args.p, args.c2, args.p2)
+    if args.family == "exponential":
+        return Nonlinearity.exponential(args.c)
     return Nonlinearity.zero()
 
 
-def _grid(opt: _Options) -> Grid:
-    return Grid(opt.get("d", 1, int), opt.get("L", 48.0, float),
-                opt.get("n", 1024, int))
+def _grid(args) -> Grid:
+    return Grid(args.d, args.L, args.n)
+
+
+def _initial_data(args):
+    if args.profile in ("gauss", "gaussian"):
+        return GridFunction.gaussian(_grid(args), args.mass, args.sigma)
+    return read_profile_csv(args.profile, args.d)
+
+
+def _write_field(path: Path, grid: Grid, values: np.ndarray, name: str,
+                 meta: dict) -> Path:
+    """A 1-D field, or the y = 0 cross-section of a 2-D one."""
+    x = grid.axis()
+    if grid.d == 1:
+        header = ("x", name)
+        rows = [(float(xx), float(vv)) for xx, vv in zip(x, values)]
+    else:
+        header = ("x", "y", name)
+        rows = [(float(xx), 0.0, float(vv))
+                for xx, vv in zip(x, values[:, grid.n // 2])]
+    return write_csv(path, header, rows, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -200,36 +148,24 @@ def _grid(opt: _Options) -> Grid:
 # ---------------------------------------------------------------------------
 
 def _cmd_kernel(args) -> int:
-    opt = _Options(args)
-    spec = _build_kernel(opt)
+    spec = _build_kernel(args)
     out = output_dir()
-    t = opt.get("t", 1.0, float)
-    if opt.get("radial", False):
+    if args.radial:
         if spec.kind != "pure_fractional":
             raise DomainError("the radial profile dump needs a fractional kernel")
-        d = opt.get("d", 1, int)
-        prof = stable_profile(spec.alpha, d)
-        rho = np.linspace(0.0, opt.get("rho_max", 10.0, float), 501)
+        prof = stable_profile(spec.alpha, args.d)
+        rho = np.linspace(0.0, args.rho_max, 501)
         path = write_csv(out / "kernel_profile.csv", ("rho", "R"),
                          [(float(r), float(v)) for r, v in zip(rho, prof(rho))],
-                         {"alpha": spec.alpha, "d": d})
+                         {"alpha": spec.alpha, "d": args.d})
         print(f"wrote {path}")
         return 0
-    grid = _grid(opt)
-    kern = semigroup_kernel(spec, t, grid,
-                            boundary_tol=opt.get("boundary_tol", 1e-8, float))
-    x = grid.axis()
-    if grid.d == 1:
-        rows = [(float(xx), float(vv)) for xx, vv in zip(x, kern.values)]
-        header = ("x", "value")
-    else:
-        j = grid.n // 2  # cross-section along y = 0
-        rows = [(float(xx), 0.0, float(vv))
-                for xx, vv in zip(x, kern.values[:, j])]
-        header = ("x", "y", "value")
-    path = write_csv(out / "kernel.csv", header, rows,
-                     {"kind": spec.kind, "t": t, "L": grid.L, "n": grid.n,
-                      "mass": kern.mass(), "min_value": kern.min_value()})
+    grid = _grid(args)
+    kern = semigroup_kernel(spec, args.t, grid, boundary_tol=args.boundary_tol)
+    path = _write_field(out / "kernel.csv", grid, kern.values, "value",
+                        {"kind": spec.kind, "t": args.t, "L": grid.L,
+                         "n": grid.n, "mass": kern.mass(),
+                         "min_value": kern.min_value()})
     print(f"mass = {kern.mass()!r}")
     print(f"min_value = {kern.min_value()!r}")
     print(f"boundary_mass = {kern.boundary_mass()!r}")
@@ -238,11 +174,7 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    opt = _Options(args)
-    alpha = opt.get("alpha", 2.0, float)
-    d = opt.get("d", 5, int)
-    p = opt.get("p", 3.0, float)
-    q = opt.get("q", 1.0, float)
+    alpha, d, p, q = args.alpha, args.d, args.p, args.q
     s = singular_constant(alpha, d, p)
     K = K_fractional(alpha, d, p)
     sigma = sphere_area(d)
@@ -259,25 +191,13 @@ def _cmd_constants(args) -> int:
     return 0
 
 
-def _initial_data(opt: _Options):
-    profile = opt.get("profile", "gauss")
-    if profile in ("gauss", "gaussian"):
-        return GridFunction.gaussian(_grid(opt), opt.get("mass", 1.0, float),
-                                     opt.get("sigma", 1.0, float))
-    return read_profile_csv(profile, opt.get("d", 1, int))
-
-
 def _cmd_criterion(args) -> int:
-    opt = _Options(args)
-    u0 = _initial_data(opt)
-    kernel = _build_kernel(opt)
-    F = _build_nonlinearity(opt)
-    T_grid = log_grid(opt.get("t_min", 1e-3, float),
-                      opt.get("t_max", 1e3, float),
-                      opt.get("t_count", 40, int))
-    inp = CriterionInput(u0=u0, kernel=kernel, nonlinearity=F,
-                         T_grid=tuple(T_grid),
-                         threshold=opt.get("threshold", 1.0, float))
+    u0 = _initial_data(args)
+    inp = CriterionInput(u0=u0, kernel=_build_kernel(args),
+                         nonlinearity=_build_nonlinearity(args),
+                         T_grid=tuple(log_grid(args.t_min, args.t_max,
+                                               args.t_count)),
+                         threshold=args.threshold)
     verdict = evaluate_criterion(inp)
     out = output_dir()
     unreliable = [pt.T for pt in verdict.curve if not pt.reliable]
@@ -302,27 +222,26 @@ def _cmd_criterion(args) -> int:
         "classification": verdict.classification,
         "T_star": verdict.T_star,
         "threshold": verdict.threshold,
-        "morrey_value": res.value if res is not None else None,
+        # a divergent concentration may be infinite, which JSON cannot hold
+        "morrey_value": (res.value if res is not None
+                         and math.isfinite(res.value) else None),
+        "morrey_divergent": res.divergent if res is not None else None,
         "center": list(verdict.center) if verdict.center is not None else None,
         "note": verdict.hypothesis_note,
     }
-    print(json.dumps(summary, sort_keys=True))
+    print(json.dumps(summary, sort_keys=True, allow_nan=False))
     print(f"wrote {path}")
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    opt = _Options(args)
-    u0 = _initial_data(opt)
+    u0 = _initial_data(args)
     if not isinstance(u0, GridFunction):
         raise DomainError("simulate needs lattice data; use --profile gauss")
     cfg = SimConfig(
-        kernel=_build_kernel(opt), nonlinearity=_build_nonlinearity(opt),
-        dt_init=opt.get("dt_init", 1e-3, float),
-        dt_min=opt.get("dt_min", 1e-12, float),
-        t_end=opt.get("t_end", 1.0, float),
-        u_max=opt.get("u_max", 1e8, float),
-        moment_targets=tuple(_parse_floats(opt.get("targets"))))
+        kernel=_build_kernel(args), nonlinearity=_build_nonlinearity(args),
+        dt_init=args.dt_init, dt_min=args.dt_min, t_end=args.t_end,
+        u_max=args.u_max, moment_targets=tuple(_parse_floats(args.targets)))
     traj = run(u0, cfg)
     out = output_dir()
     meta = {"outcome": traj.outcome, "t_obs": traj.t_obs,
@@ -336,17 +255,8 @@ def _cmd_simulate(args) -> int:
         paths.append(write_csv(out / f"moment_T{T:g}.csv",
                                ("t", "W", "F_of_W", "dW_dt_fd"), rows,
                                {"T": T, "center": ";".join(map(str, ms.center))}))
-    g = traj.grid
-    x = g.axis()
-    vals = traj.final_state.values
-    if g.d == 1:
-        rows = [(float(xx), float(vv)) for xx, vv in zip(x, vals)]
-        header = ("x", "u")
-    else:
-        j = g.n // 2
-        rows = [(float(xx), 0.0, float(vv)) for xx, vv in zip(x, vals[:, j])]
-        header = ("x", "y", "u")
-    paths.append(write_csv(out / "final_state.csv", header, rows, meta))
+    paths.append(_write_field(out / "final_state.csv", traj.grid,
+                              traj.final_state.values, "u", meta))
     print(f"outcome = {traj.outcome}")
     print(f"t_obs = {traj.t_obs!r}")
     print(f"reliable = {traj.reliable}")
@@ -368,9 +278,7 @@ def _sweep_table(report) -> tuple:
 
 
 def _cmd_sweep_K(args) -> int:
-    opt = _Options(args)
-    rep = sweep_K(opt.get("alpha", 2.0, float), opt.get("p", 3.0, float),
-                  _parse_d_values(opt.get("d", "400,800")))
+    rep = sweep_K(args.alpha, args.p, _parse_d_values(args.d))
     header, rows = _sweep_table(rep)
     path = write_csv(output_dir() / "sweep_K.csv", header, rows,
                      {k: v for k, v in sorted(rep.verdict.items())})
@@ -380,9 +288,7 @@ def _cmd_sweep_K(args) -> int:
 
 
 def _cmd_sweep_L(args) -> int:
-    opt = _Options(args)
-    rep = sweep_L(opt.get("alpha", 2.0, float), opt.get("p", 3.0, float),
-                  _parse_d_values(opt.get("d", "3:50")))
+    rep = sweep_L(args.alpha, args.p, _parse_d_values(args.d))
     header, rows = _sweep_table(rep)
     meta = {k: v for k, v in sorted(rep.verdict.items())}
     band = meta.pop("normalized_band")
@@ -395,22 +301,14 @@ def _cmd_sweep_L(args) -> int:
 
 
 def _cmd_dichotomy(args) -> int:
-    opt = _Options(args)
-    grid = Grid(opt.get("d", 1, int), opt.get("L", 128.0, float),
-                opt.get("n", 1024, int))
-    base = GridFunction.gaussian(grid, opt.get("mass", 1.0, float),
-                                 opt.get("sigma", 1.0, float))
+    base = GridFunction.gaussian(_grid(args), args.mass, args.sigma)
     cfg = SimConfig(
-        kernel=_build_kernel(opt),
-        nonlinearity=Nonlinearity.power_law(opt.get("c", 1.0, float),
-                                            opt.get("p", 4.0, float)),
-        dt_init=opt.get("dt_init", 0.05, float),
-        dt_min=opt.get("dt_min", 1e-14, float),
-        t_end=opt.get("t_end", 60.0, float),
-        u_max=opt.get("u_max", 1e4, float))
-    scales = _parse_floats(opt.get("scales", "0.3,1,3,10"))
-    summary = dichotomy_experiment(scales, base, cfg,
-                                   opt.get("bisection_steps", 6, int))
+        kernel=_build_kernel(args),
+        nonlinearity=Nonlinearity.power_law(args.c, args.p),
+        dt_init=args.dt_init, dt_min=args.dt_min, t_end=args.t_end,
+        u_max=args.u_max)
+    summary = dichotomy_experiment(_parse_floats(args.scales), base, cfg,
+                                   args.bisection_steps)
     rows = [(r.scale, r.outcome, r.raw_outcome, r.t_obs, r.decay_sup,
              r.predicted_T_star) for r in summary.rows]
     path = write_csv(output_dir() / "dichotomy.csv",
@@ -430,9 +328,7 @@ def _cmd_dichotomy(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    opt = _Options(args)
-    only = opt.get("only")
-    names = [only] if only else list(PRESETS)
+    names = [args.only] if args.only else list(PRESETS)
     status = 0
     for name in names:
         status = max(status, run_preset(name))
@@ -444,106 +340,111 @@ def _cmd_selftest(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", help="key = value file of option defaults")
+def _floats(sp: argparse.ArgumentParser, **defaults) -> None:
+    """One float flag per keyword: dt_init=0.05 adds --dt-init, default 0.05."""
+    for dest, default in defaults.items():
+        sp.add_argument("--" + dest.replace("_", "-"), type=float,
+                        default=default)
 
 
-def _float(sp, *names):
-    for n in names:
-        sp.add_argument(n, type=float)
+def _add_kernel(sp: argparse.ArgumentParser, flag: str = "--kernel") -> None:
+    sp.add_argument(flag, dest="kernel", default="gaussian",
+                    choices=["gaussian", "bump", "heavy", "fractional"])
+    _floats(sp, alpha=1.0, tail_order=2.5, strength=1.0)
+
+
+def _add_source(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--family", default="power",
+                    choices=sorted(NONLINEARITY_FAMILIES))
+    _floats(sp, p=2.0, c=1.0, c2=1.0, p2=3.0)
+
+
+def _add_lattice(sp: argparse.ArgumentParser, L: float = 48.0,
+                 data: bool = True) -> None:
+    """The grid (--d, --L, --n) and, with data, the Gaussian on it."""
+    sp.add_argument("--d", type=int, default=1)
+    _floats(sp, L=L)
+    sp.add_argument("--n", type=int, default=1024)
+    if data:
+        _floats(sp, mass=1.0, sigma=1.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
-        prog="blowlab",
-        description="Nonlocal-diffusion blowup experiments and release gate.")
+        prog="blowlab", fromfile_prefix_chars="@",
+        description="Nonlocal-diffusion blowup experiments and release gate. "
+                    "'@file' reads arguments from file, one per line.")
     sub = ap.add_subparsers(dest="command", required=True)
 
     k = sub.add_parser("kernel", help="dump a semigroup kernel cross-section")
-    k.add_argument("--kind", dest="kernel",
-                   choices=["gaussian", "bump", "heavy", "fractional"])
-    _float(k, "--alpha", "--tail-order", "--strength", "--t", "--L",
-           "--boundary-tol", "--rho-max")
-    k.add_argument("--d", type=int)
-    k.add_argument("--n", type=int)
-    k.add_argument("--radial", action="store_true", default=None,
+    _add_kernel(k, "--kind")
+    _add_lattice(k, data=False)
+    _floats(k, t=1.0, boundary_tol=1e-8, rho_max=10.0)
+    k.add_argument("--radial", action="store_true",
                    help="emit the self-similar radial profile instead")
-    _add_common(k)
     k.set_defaults(fn=_cmd_kernel)
 
     c = sub.add_parser("constants", help="closed-form constants at (alpha, d, p)")
-    _float(c, "--alpha", "--p", "--q")
-    c.add_argument("--d", type=int)
-    _add_common(c)
+    _floats(c, alpha=2.0, p=3.0, q=1.0)
+    c.add_argument("--d", type=int, default=5)
     c.set_defaults(fn=_cmd_constants)
 
     cr = sub.add_parser("criterion", help="moment-threshold blowup criterion")
-    cr.add_argument("--profile", help="'gauss' or a (r, value) CSV path")
-    _float(cr, "--mass", "--sigma", "--p", "--c", "--c2", "--p2", "--alpha",
-           "--tail-order", "--strength", "--L", "--threshold", "--t-min",
-           "--t-max")
-    cr.add_argument("--kernel",
-                    choices=["gaussian", "bump", "heavy", "fractional"])
-    cr.add_argument("--family", choices=sorted(NONLINEARITY_FAMILIES))
-    cr.add_argument("--d", type=int)
-    cr.add_argument("--n", type=int)
-    cr.add_argument("--t-count", type=int)
-    _add_common(cr)
+    cr.add_argument("--profile", default="gauss",
+                    help="'gauss' or a (r, value) CSV path")
+    _add_lattice(cr)
+    _add_kernel(cr)
+    _add_source(cr)
+    _floats(cr, threshold=1.0, t_min=1e-3, t_max=1e3)
+    cr.add_argument("--t-count", type=int, default=40)
     cr.set_defaults(fn=_cmd_criterion)
 
     sim = sub.add_parser("simulate", help="integrate one Cauchy problem")
-    sim.add_argument("--profile")
-    _float(sim, "--mass", "--sigma", "--p", "--c", "--c2", "--p2", "--alpha",
-           "--tail-order", "--strength", "--L", "--dt-init", "--dt-min",
-           "--t-end", "--u-max")
-    sim.add_argument("--kernel",
-                     choices=["gaussian", "bump", "heavy", "fractional"])
-    sim.add_argument("--family", choices=sorted(NONLINEARITY_FAMILIES))
-    sim.add_argument("--d", type=int)
-    sim.add_argument("--n", type=int)
-    sim.add_argument("--targets", help="comma list of moment horizons T")
-    _add_common(sim)
+    sim.add_argument("--profile", default="gauss")
+    _add_lattice(sim)
+    _add_kernel(sim)
+    _add_source(sim)
+    _floats(sim, dt_init=1e-3, dt_min=1e-12, t_end=1.0, u_max=1e8)
+    sim.add_argument("--targets", default="",
+                     help="comma list of moment horizons T")
     sim.set_defaults(fn=_cmd_simulate)
 
-    sk = sub.add_parser("sweep-K", help="discrepancy constant over dimension")
-    _float(sk, "--alpha", "--p")
-    sk.add_argument("--d", help="'400,800' or '3:50' or '100:1000:7'")
-    _add_common(sk)
-    sk.set_defaults(fn=_cmd_sweep_K)
-
-    sl = sub.add_parser("sweep-L", help="sphere-pairing envelope over dimension")
-    _float(sl, "--alpha", "--p")
-    sl.add_argument("--d", help="'400,800' or '3:50' or '100:1000:7'")
-    _add_common(sl)
-    sl.set_defaults(fn=_cmd_sweep_L)
+    for name, fn, d, text in (
+            ("sweep-K", _cmd_sweep_K, "400,800",
+             "discrepancy constant over dimension"),
+            ("sweep-L", _cmd_sweep_L, "3:50",
+             "sphere-pairing envelope over dimension")):
+        sw = sub.add_parser(name, help=text)
+        _floats(sw, alpha=2.0, p=3.0)
+        sw.add_argument("--d", default=d,
+                        help="'400,800' or '3:50' or '100:1000:7'")
+        sw.set_defaults(fn=fn)
 
     di = sub.add_parser("dichotomy", help="scaling family blowup/decay split")
-    _float(di, "--mass", "--sigma", "--p", "--c", "--L", "--dt-init",
-           "--dt-min", "--t-end", "--u-max", "--alpha", "--tail-order",
-           "--strength")
-    di.add_argument("--kernel",
-                    choices=["gaussian", "bump", "heavy", "fractional"])
-    di.add_argument("--d", type=int)
-    di.add_argument("--n", type=int)
-    di.add_argument("--scales", help="comma list of data amplitudes")
-    di.add_argument("--bisection-steps", type=int)
-    _add_common(di)
+    _add_lattice(di, L=128.0)
+    _add_kernel(di)
+    _floats(di, p=4.0, c=1.0, dt_init=0.05, dt_min=1e-14, t_end=60.0,
+            u_max=1e4)
+    di.add_argument("--scales", default="0.3,1,3,10",
+                    help="comma list of data amplitudes")
+    di.add_argument("--bisection-steps", type=int, default=6)
     di.set_defaults(fn=_cmd_dichotomy)
 
     st = sub.add_parser("selftest", help="run the full acceptance gate")
     st.add_argument("--only", choices=sorted(PRESETS))
-    _add_common(st)
     st.set_defaults(fn=_cmd_selftest)
     return ap
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except UnicodeDecodeError as exc:   # argparse reports only OSError
+        ap.error(f"cannot decode an argument file: {exc}")
     try:
         return args.fn(args)
-    except (DomainError, OsgoodViolationError, ResolutionError,
-            FileNotFoundError, KeyError) as exc:
+    except (DomainError, OsgoodViolationError, ResolutionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -88,8 +88,8 @@ class Grid:
     def __post_init__(self):
         if self.d not in (1, 2):
             raise DomainError("grids support d in {1, 2}")
-        if self.L <= 0:
-            raise DomainError("half-width L must be positive")
+        if not 0 < self.L < math.inf:
+            raise DomainError("half-width L must be positive and finite")
         if self.n < 4 or (self.n & (self.n - 1)) != 0:
             raise DomainError("n must be a power of two >= 4")
 
@@ -144,7 +144,8 @@ class GridFunction:
     """Nonnegative sampled field on a periodic grid.
 
     Values in [-1e-12, 0) are clipped to 0 at construction; anything more
-    negative is rejected, a sign the producer under-resolved something.
+    negative is rejected, a sign the producer under-resolved something, and
+    so is a value that is not finite.
     """
 
     grid: Grid
@@ -154,6 +155,8 @@ class GridFunction:
         v = np.asarray(self.values, dtype=float)
         if v.shape != self.grid.shape:
             raise DomainError(f"values shape {v.shape} does not match grid {self.grid.shape}")
+        if not np.all(np.isfinite(v)):
+            raise DomainError("values must be finite")
         worst = float(v.min()) if v.size else 0.0
         if worst < _CLIP_FLOOR:
             raise DomainError(f"values have negative entries below the clip floor ({worst:.3e})")
@@ -173,8 +176,10 @@ class GridFunction:
     def gaussian(cls, grid: Grid, mass: float = 1.0, sigma: float = 1.0,
                  center: float = 0.0) -> "GridFunction":
         """mass * (unit-mass isotropic Gaussian of width sigma)."""
-        if sigma <= 0:
-            raise DomainError("sigma must be positive")
+        if not 0 < sigma < math.inf:
+            raise DomainError("sigma must be positive and finite")
+        if not 0 <= mass < math.inf:
+            raise DomainError("mass must be nonnegative and finite")
         norm = mass / (sigma * math.sqrt(2.0 * math.pi)) ** grid.d
         if grid.d == 1:
             return cls.from_function(grid, lambda x: norm * np.exp(-(x - center) ** 2 / (2 * sigma ** 2)))
@@ -261,8 +266,8 @@ class KernelSpec:
     def fractional(cls, alpha: float, strength: float = 1.0) -> "KernelSpec":
         if not (0.0 < alpha <= 2.0):
             raise DomainError("fractional order alpha must lie in (0, 2]")
-        if strength <= 0:
-            raise DomainError("symbol coefficient must be positive")
+        if not 0 < strength < math.inf:
+            raise DomainError("symbol coefficient must be positive and finite")
         return cls(kind="pure_fractional", alpha=float(alpha), strength=float(strength))
 
     def alpha_effective(self, d: int) -> float:
@@ -407,8 +412,8 @@ def semigroup_kernel(spec: KernelSpec, t: float, grid: Grid,
     small; the message suggests doubling L) or when negative excursions
     exceed the -1e-9 floor (the grid is too coarse).
     """
-    if t <= 0:
-        raise DomainError("semigroup time t must be positive")
+    if not 0 < t < math.inf:
+        raise DomainError("semigroup time t must be positive and finite")
     if not 0.0 <= boundary_tol < math.inf:
         raise DomainError(f"boundary_tol must be finite and >= 0, got {boundary_tol!r}")
     mult = np.exp(t * generator_symbol_grid(spec, grid))
@@ -818,7 +823,7 @@ class StableProfile:
 
     def kernel_radial(self, t: float, r) -> np.ndarray:
         """P_t at radius r: t^(-d/alpha) R(r t^(-1/alpha))."""
-        if t <= 0:
+        if not t > 0:
             raise DomainError("time t must be positive")
         r_arr = np.asarray(r, dtype=float)
         s = t ** (-1.0 / self.alpha)

@@ -99,8 +99,8 @@ class Nonlinearity:
 
     @classmethod
     def power_law(cls, c: float = 1.0, p: float = 2.0) -> "Nonlinearity":
-        if not (c > 0 and p > 1):
-            raise DomainError("power law needs c > 0 and p > 1")
+        if not (0 < c < math.inf and 1 < p < math.inf):
+            raise DomainError("power law needs finite c > 0 and p > 1")
 
         def df(u):
             return c * p * np.power(u, p - 1.0)
@@ -111,8 +111,10 @@ class Nonlinearity:
     @classmethod
     def power_sum(cls, c1: float = 1.0, p1: float = 2.0,
                   c2: float = 1.0, p2: float = 3.0) -> "Nonlinearity":
-        if not (c1 > 0 and c2 > 0 and p1 > 1 and p2 > 1):
-            raise DomainError("power sum needs positive weights and exponents > 1")
+        if not (0 < c1 < math.inf and 0 < c2 < math.inf
+                and 1 < p1 < math.inf and 1 < p2 < math.inf):
+            raise DomainError("power sum needs finite positive weights and "
+                              "finite exponents > 1")
 
         f1, f2 = _power_term(c1, p1), _power_term(c2, p2)
 
@@ -128,8 +130,8 @@ class Nonlinearity:
 
     @classmethod
     def exponential(cls, c: float = 1.0) -> "Nonlinearity":
-        if not c > 0:
-            raise DomainError("exponential family needs c > 0")
+        if not 0 < c < math.inf:
+            raise DomainError("exponential family needs finite c > 0")
 
         def f(u):
             return c * np.expm1(u)

@@ -50,33 +50,26 @@ class RadialProfile:
 
     ``head_exponent`` is an optional power-law hint for the head
     (u ~ c r^-a near 0); when absent it is fitted from the first samples.
-    A point mass at the origin is modeled by ``point_mass_proxy``, which
-    carries no samples at all.
     """
 
     d: int
     r: np.ndarray
     u: np.ndarray
     head_exponent: Optional[float] = None
-    point_mass: Optional[float] = None
 
     def __post_init__(self):
         if int(self.d) < 1:
             raise DomainError("dimension must be a positive integer")
-        if self.point_mass is not None:
-            if self.point_mass < 0:
-                raise DomainError("point mass must be nonnegative")
-            self.r = np.asarray([], dtype=float)
-            self.u = np.asarray([], dtype=float)
-            return
         self.r = np.asarray(self.r, dtype=float)
         self.u = np.asarray(self.u, dtype=float)
         if self.r.ndim != 1 or self.r.size < 4:
             raise DomainError("need at least 4 radial samples")
-        if self.r[0] <= 0 or np.any(np.diff(self.r) <= 0):
-            raise DomainError("radial grid must be strictly increasing and positive")
         if self.u.shape != self.r.shape:
             raise DomainError("value array must match the radial grid")
+        if not (np.all(np.isfinite(self.r)) and np.all(np.isfinite(self.u))):
+            raise DomainError("radial samples must be finite")
+        if self.r[0] <= 0 or np.any(np.diff(self.r) <= 0):
+            raise DomainError("radial grid must be strictly increasing and positive")
         if float(self.u.min()) < 0:
             raise DomainError("profile values must be nonnegative")
 
@@ -86,10 +79,6 @@ class RadialProfile:
         n = max(8, int(round(per_decade * math.log10(r_max / r_min))) + 1)
         r = np.geomspace(r_min, r_max, n)
         return cls(d, r, np.asarray(f(r), dtype=float), **hints)
-
-    @classmethod
-    def point_mass_proxy(cls, d: int, mass: float = 1.0) -> "RadialProfile":
-        return cls(d, np.asarray([]), np.asarray([]), point_mass=mass)
 
     def fitted_head_exponent(self) -> Optional[float]:
         """-d(log u)/d(log r) near the first sample; hint takes precedence."""
@@ -103,8 +92,6 @@ class RadialProfile:
         return float(-np.polyfit(np.log(rr[pos]), np.log(uu[pos]), 1)[0])
 
     def scaled(self, factor: float) -> "RadialProfile":
-        if self.point_mass is not None:
-            return RadialProfile.point_mass_proxy(self.d, factor * self.point_mass)
         return RadialProfile(self.d, self.r, factor * self.u,
                              head_exponent=self.head_exponent)
 
@@ -193,13 +180,6 @@ def _centered_morrey(u: RadialProfile, s_order: float, e: float) -> MorreyResult
     golden section. A sup that keeps growing through the outer decades of
     the grid, or a non-integrable or too steep head, marks the result
     divergent instead of raising."""
-    if u.point_mass is not None:
-        # ball mass is constant in r, so the functional is mass * r^e:
-        # finite only in the scale-critical case e = 0
-        divergent = u.point_mass > 0 and e != 0.0
-        return MorreyResult(s_order, math.inf if divergent else u.point_mass,
-                            argmax_radius=1.0, divergent=divergent,
-                            profile_kind="point_mass")
     f, curve, head_a = _centered_objective(u, e)
     if not math.isfinite(curve.head):
         return MorreyResult(s_order, math.inf, float(u.r[0]), divergent=True)
@@ -252,11 +232,8 @@ def morrey_norm_grid(u: GridFunction, s_order: float) -> MorreyResult:
 
 def concentration_values(u: RadialProfile, p: float, alpha: float,
                          r_values: Sequence[float]) -> list:
-    """Rows (r, functional value) of the concentration at chosen radii; a
-    point-mass proxy gives mass * r^e, as in ``_centered_morrey``."""
-    e = _concentration_exponent(u.d, p, alpha)
-    f = (lambda rr: u.point_mass * rr ** e) if u.point_mass is not None \
-        else _centered_objective(u, e)[0]
+    """Rows (r, functional value) of the concentration at chosen radii."""
+    f = _centered_objective(u, _concentration_exponent(u.d, p, alpha))[0]
     return [(float(rr), float(f(rr))) for rr in r_values]
 
 
@@ -266,11 +243,14 @@ def concentration_values(u: RadialProfile, p: float, alpha: float,
 
 def read_profile_csv(path, d: int, **hints) -> RadialProfile:
     """Profile from a two-column (r, value) CSV with one header line;
-    `#`-prefixed lines are skipped. A malformed file is a DomainError that
-    names the file and line."""
-    with open(path, newline="") as fh:
-        numbered = [(n, line) for n, line in enumerate(fh, 1)
-                    if not line.startswith("#")]
+    `#`-prefixed lines are skipped. A file that cannot be read or decoded,
+    or is malformed, is a DomainError that names the file (and the line)."""
+    try:
+        with open(path, newline="") as fh:
+            numbered = [(n, line) for n, line in enumerate(fh, 1)
+                        if not line.startswith("#")]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"{path}: cannot read the profile: {exc}") from exc
     records = zip((n for n, _ in numbered),
                   csv.reader(line for _, line in numbered))
     _, header = next(records, (0, []))

@@ -11,6 +11,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .errors import DomainError
+
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_TOL = 1e-10      # bracket width, absolute in the argument
 _GOLDEN_MAXITER = 200
@@ -66,8 +68,9 @@ def refine_max_on_grid(f: Callable[[float], float], xs: Sequence[float],
 
 
 def log_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    if not (lo > 0 and hi > lo and n >= 2):
-        raise ValueError("log_grid needs 0 < lo < hi and n >= 2")
+    if not (0 < lo < hi < math.inf and n >= 2):
+        raise DomainError(f"log_grid needs 0 < lo < hi < inf and n >= 2, "
+                          f"got lo = {lo!r}, hi = {hi!r}, n = {n!r}")
     return np.geomspace(lo, hi, n)
 
 

@@ -74,12 +74,12 @@ class SimConfig:
     moment_targets: Tuple[float, ...] = ()
 
     def __post_init__(self):
-        if not (0 < self.dt_min < self.dt_init):
-            raise DomainError("need 0 < dt_min < dt_init")
-        if self.t_end <= 0 or self.u_max <= 0:
-            raise DomainError("t_end and u_max must be positive")
-        if any(T <= 0 for T in self.moment_targets):
-            raise DomainError("moment targets must be positive horizons")
+        if not (0 < self.dt_min < self.dt_init < math.inf):
+            raise DomainError("need 0 < dt_min < dt_init < inf")
+        if not (0 < self.t_end < math.inf and self.u_max > 0):
+            raise DomainError("t_end must be positive and finite, u_max positive")
+        if not all(0 < T < math.inf for T in self.moment_targets):
+            raise DomainError("moment targets must be positive finite horizons")
         object.__setattr__(self, "moment_targets",
                            tuple(float(T) for T in self.moment_targets))
 

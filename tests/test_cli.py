@@ -1,6 +1,7 @@
-"""Command-line surface: artifacts, determinism, option precedence."""
+"""Command-line surface: artifacts, determinism, options and argument files."""
 
 import json
+import re
 import sys
 
 import numpy as np
@@ -36,17 +37,61 @@ def test_constants_output(outdir, capsys):
     assert {"K", "q", "sigma_d"} <= set(meta)
 
 
+# every flag of each subcommand with the value it takes when not given
+PARSED_DEFAULTS = {
+    "kernel": {"--kind": "gaussian", "--alpha": 1.0, "--tail-order": 2.5,
+               "--strength": 1.0, "--t": 1.0, "--L": 48.0,
+               "--boundary-tol": 1e-8, "--rho-max": 10.0, "--d": 1,
+               "--n": 1024, "--radial": False},
+    "constants": {"--alpha": 2.0, "--p": 3.0, "--q": 1.0, "--d": 5},
+    "criterion": {"--profile": "gauss", "--mass": 1.0, "--sigma": 1.0,
+                  "--p": 2.0, "--c": 1.0, "--c2": 1.0, "--p2": 3.0,
+                  "--alpha": 1.0, "--tail-order": 2.5, "--strength": 1.0,
+                  "--L": 48.0, "--threshold": 1.0, "--t-min": 1e-3,
+                  "--t-max": 1e3, "--kernel": "gaussian", "--family": "power",
+                  "--d": 1, "--n": 1024, "--t-count": 40},
+    "simulate": {"--profile": "gauss", "--mass": 1.0, "--sigma": 1.0,
+                 "--p": 2.0, "--c": 1.0, "--c2": 1.0, "--p2": 3.0,
+                 "--alpha": 1.0, "--tail-order": 2.5, "--strength": 1.0,
+                 "--L": 48.0, "--dt-init": 1e-3, "--dt-min": 1e-12,
+                 "--t-end": 1.0, "--u-max": 1e8, "--kernel": "gaussian",
+                 "--family": "power", "--d": 1, "--n": 1024, "--targets": ""},
+    "sweep-K": {"--alpha": 2.0, "--p": 3.0, "--d": "400,800"},
+    "sweep-L": {"--alpha": 2.0, "--p": 3.0, "--d": "3:50"},
+    "dichotomy": {"--mass": 1.0, "--sigma": 1.0, "--p": 4.0, "--c": 1.0,
+                  "--L": 128.0, "--dt-init": 0.05, "--dt-min": 1e-14,
+                  "--t-end": 60.0, "--u-max": 1e4, "--alpha": 1.0,
+                  "--tail-order": 2.5, "--strength": 1.0,
+                  "--kernel": "gaussian", "--d": 1, "--n": 1024,
+                  "--scales": "0.3,1,3,10", "--bisection-steps": 6},
+    "selftest": {"--only": None},
+}
+
+
+@pytest.mark.parametrize("command", sorted(PARSED_DEFAULTS))
+def test_parsed_defaults_and_flags(capsys, command):
+    expected = PARSED_DEFAULTS[command]
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args([command, "--help"])
+    shown = set(re.findall(r"(?<![\w-])--[\w-]+", capsys.readouterr().out))
+    assert shown - {"--help"} == set(expected)
+    parsed = vars(cli.build_parser().parse_args([command]))
+    del parsed["fn"], parsed["command"]
+    dest = {"--kind": "kernel"}
+    assert parsed == {dest.get(f, f[2:].replace("-", "_")): v
+                      for f, v in expected.items()}
+
+
 def test_config_file_precedence(outdir, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("# defaults for a constants run\np = 4\n")
-    assert cli.main(["constants", "--config", str(cfg),
-                     "--alpha", "2", "--d", "5"]) == 0
+    args = tmp_path / "run.args"
+    args.write_text("--p=4\n")
+    assert cli.main(["constants", f"@{args}", "--alpha", "2", "--d", "5"]) == 0
     _, rows, _ = read_rows(outdir / "constants.csv")
-    assert rows[0][2] == "4.0"                  # config fills the gap
-    assert cli.main(["constants", "--config", str(cfg),
+    assert rows[0][2] == "4.0"                  # the file fills the gap
+    assert cli.main(["constants", f"@{args}",
                      "--alpha", "2", "--d", "5", "--p", "3"]) == 0
     _, rows, _ = read_rows(outdir / "constants.csv")
-    assert rows[0][2] == "3.0"                  # explicit flag wins
+    assert rows[0][2] == "3.0"                  # a later flag wins
 
 
 def test_kernel_dump(outdir, capsys):
@@ -125,28 +170,34 @@ def test_malformed_lists_exit_with_domain_error(outdir, capsys, argv):
     assert "Traceback" not in err
 
 
+def run_with_args_file(tmp_path, lines, command="constants"):
+    args = tmp_path / "run.args"
+    args.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(SystemExit) as err:
+        cli.main([command, f"@{args}"])
+    return err.value.code
+
+
 def test_config_key_no_subcommand_reads(outdir, tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("p = 4\npp = 4\n")
-    assert cli.main(["constants", "--config", str(cfg)]) == 2
-    assert "pp" in capsys.readouterr().err
+    assert run_with_args_file(tmp_path, ["--p=4", "--pp=4"]) == 2
+    assert "--pp=4" in capsys.readouterr().err
     assert not (outdir / "constants.csv").exists()
 
 
-def test_shared_config_with_keys_of_other_subcommands(outdir, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("p = 4\ndt-init = 0.05\n")
-    assert cli.main(["constants", "--config", str(cfg),
-                     "--alpha", "2", "--d", "5"]) == 0
-    _, rows, _ = read_rows(outdir / "constants.csv")
-    assert rows[0][2] == "4.0"
+def test_undecodable_args_file_exits_via_argparse(outdir, tmp_path, capsys):
+    args = tmp_path / "run.args"
+    args.write_bytes(b"\xff\xfe--p=4\n")
+    with pytest.raises(SystemExit) as err:
+        cli.main(["constants", f"@{args}"])
+    assert err.value.code == 2
+    assert "cannot decode an argument file" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_config_value_of_the_wrong_type(outdir, tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("p = three\n")
-    assert cli.main(["constants", "--config", str(cfg)]) == 2
-    assert "error: option p = 'three'" in capsys.readouterr().err
+    assert run_with_args_file(tmp_path, ["--p=three"]) == 2
+    assert "argument --p: invalid float value: 'three'" in capsys.readouterr().err
+    assert not (outdir / "constants.csv").exists()
 
 
 def test_criterion_json_summary(outdir, capsys):
@@ -156,6 +207,8 @@ def test_criterion_json_summary(outdir, capsys):
     summary = json.loads(next(l for l in lines if l.startswith("{")))
     assert summary["classification"] == "criterion_met"
     assert summary["T_star"] > 0
+    assert summary["morrey_value"] is None      # p = 2 is not supercritical
+    assert summary["morrey_divergent"] is None
     header, _, _ = read_rows(outdir / "criterion_curve.csv")
     assert header == ["T", "W", "hinv", "ratio"]
 
@@ -254,16 +307,87 @@ def test_criterion_evaluates_the_concentration_once(outdir, tmp_path,
     ("r,value\n# a comment\n0.1,1.0\nabc,2.0\n", ", line 4"),  # a cell that is no number
     ("r,value\n0.1,1.0\n0.2\n", ", line 3"),                    # a row with one column
     ("", ""),                                                     # an empty file
+    (b"r,value\n0.1,\xff\xfe\n", ""),                            # bytes that are no UTF-8
+    ("directory", ""),                                            # a directory
+    ("missing", ""),                                              # no such file
 ])
 def test_malformed_profile_csv_exits_with_domain_error(outdir, tmp_path, capsys,
                                                        body, where):
     prof = tmp_path / "bad.csv"
-    prof.write_text(body)
+    if body == "directory":
+        prof.mkdir()
+    elif isinstance(body, bytes):
+        prof.write_bytes(body)
+    elif body != "missing":
+        prof.write_text(body)
     assert cli.main(["criterion", "--profile", str(prof),
                      "--kernel", "fractional"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {prof}{where}: ")
     assert "Traceback" not in err
+
+
+FOUR_ROWS = "r,value\n0.1,1.0\n0.2,{}\n0.3,0.5\n0.4,0.2\n"
+
+
+@pytest.mark.parametrize("argv, profile", [
+    (["kernel", "--t", "nan"], None),
+    (["kernel", "--t", "inf"], None),
+    (["simulate", "--t-end", "nan"], None),
+    (["simulate", "--targets", "nan"], None),
+    (["simulate", "--dt-init", "inf"], None),
+    (["criterion", "--mass", "nan"], None),
+    (["criterion", "--mass", "inf"], None),
+    (["criterion", "--sigma", "nan"], None),
+    (["criterion", "--threshold", "nan"], None),
+    (["criterion", "--threshold", "inf"], None),
+    (["criterion", "--L", "nan"], None),
+    (["criterion", "--c", "inf"], None),
+    (["criterion", "--kernel", "fractional", "--strength", "nan"], None),
+    (["criterion", "--kernel", "fractional"], FOUR_ROWS.format("nan")),
+    (["criterion", "--kernel", "fractional"], FOUR_ROWS.format("inf")),
+])
+def test_non_finite_inputs_exit_with_domain_error(outdir, tmp_path, capsys,
+                                                  argv, profile):
+    if profile is not None:
+        path = tmp_path / "profile.csv"
+        path.write_text(profile)
+        argv = argv + ["--profile", str(path)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(outdir.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("horizons", [
+    ["--t-min", "0"],
+    ["--t-min", "10", "--t-max", "1"],
+    ["--t-max", "inf"],
+    ["--t-count", "1"],
+])
+def test_bad_horizon_grid_exits_with_domain_error(outdir, capsys, horizons):
+    assert cli.main(["criterion"] + horizons) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: log_grid needs 0 < lo < hi < inf and n >= 2")
+    assert not list(outdir.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("profile, divergent", [
+    (lambda r: 3.0 * np.exp(-r * r), False),
+    (lambda r: np.exp(-r) / (r * r), True),    # a head that is not integrable
+])
+def test_criterion_json_summary_flags_divergent_concentration(
+        outdir, tmp_path, capsys, profile, divergent):
+    prof = write_profile(tmp_path / "profile.csv", profile)
+    assert cli.main(["criterion", "--profile", str(prof), "--d", "1",
+                     "--p", "4", "--kernel", "fractional", "--alpha", "2"]) == 0
+    line = next(l for l in capsys.readouterr().out.splitlines()
+                if l.startswith("{"))
+    summary = json.loads(line, parse_constant=pytest.fail)
+    assert summary["morrey_divergent"] is divergent
+    if divergent:
+        assert summary["morrey_value"] is None
+    else:
+        assert summary["morrey_value"] == 4.556114470484535
 
 
 def test_simulate_artifacts(outdir, capsys):
@@ -306,11 +430,10 @@ def test_seed_is_not_an_option(outdir, tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["constants", "--seed", "3"])
     assert err.value.code == 2
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed = 0\n")
-    assert cli.main(["selftest", "--only", "constants-closed-forms",
-                     "--config", str(cfg)]) == 2
-    assert "seed" in capsys.readouterr().err
+    assert run_with_args_file(tmp_path, ["--only=constants-closed-forms",
+                                         "--seed=0"], "selftest") == 2
+    assert "--seed=0" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_unknown_choice_exits_via_argparse():
