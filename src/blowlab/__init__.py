@@ -25,7 +25,6 @@ from .kernels import (
     StableProfile,
     semigroup_kernel,
     stable_profile,
-    subordinator_density,
 )
 from .norms import (
     MorreyResult,

@@ -1,11 +1,11 @@
 """Dispersal kernels, their Fourier symbols, semigroup kernels on periodic
-grids, self-similar stable heat-kernel profiles, and the one-sided stable
-subordinator density.
+grids, and self-similar stable heat-kernel profiles.
 
 The generator throughout is A u = J * u - u for a symmetric probability
 density J (kinds: gaussian_like, compact_bump, heavy_tail), or the pure
 fractional generator -(-Delta)^(alpha/2) handled directly through its
-frequency multiplier. On a periodic grid the semigroup kernel is the inverse
+frequency multiplier. The heavy tail's small-frequency coefficient is a
+closed form. On a periodic grid the semigroup kernel is the inverse
 FFT of exp(t*(Jhat - 1)), which is exactly the periodized continuum kernel
 for resolved grids; a boundary-mass audit reports when the box is too small.
 
@@ -45,15 +45,11 @@ __all__ = [
     "generator_symbol_grid",
     "semigroup_kernel",
     "stable_profile",
-    "subordinator_density",
 ]
 
 _NEGATIVITY_FLOOR = -1e-9
 _CLIP_FLOOR = -1e-12
 _BUMP_QUAD_TOL = 1e-13
-# absolute error bound of the heavy-tail symbol quadrature (the symbol lies
-# in [-1, 1]): QAWF's target, scipy's default epsabs
-_HEAVY_SYMBOL_TOL = 1.49e-8
 # audit verdicts kept by _audit_failure, one short string (or None) each
 _AUDIT_MEMO_SIZE = 4096
 # the boundary-mass audit counts |k| beyond this share of the half-width L
@@ -281,27 +277,26 @@ class KernelSpec:
         return self.alpha
 
     def coefficient(self, d: int) -> float:
-        """Symbol coefficient A in 1 - A|xi|^alpha + o(|xi|^alpha)."""
+        """Symbol coefficient A in 1 - A|xi|^alpha + o(|xi|^alpha).
+
+        For the heavy tail J = c (1+|x|)^(-n), c = (n-1)/2, alpha = n - 1,
+        A = c*pi / (Gamma(n) sin(pi*alpha/2)) in closed form: as xi -> 0,
+        1 - Jhat(xi) = 2c int_0^inf (1 - cos(xi x)) (1+x)^(-n) dx is
+        2c |xi|^alpha int_0^inf (1 - cos y) y^(-1-alpha) dy to leading
+        order, and that standard integral is
+        pi / (2 Gamma(1+alpha) sin(pi*alpha/2)).
+        """
         if self.kind == "gaussian_like":
             return 1.0
         if self.kind == "pure_fractional":
             return self.strength
         if self.kind == "compact_bump":
             return _bump_coefficient(d)
-        # heavy tail: small-frequency fit of (1 - Jhat)/xi^a against its
-        # correction terms xi^(2-a) and xi (merging into xi*log(1/xi) at n = 2)
         if d != 1:
             raise DomainError("heavy-tail kernels are realized in d = 1 only")
-        a = self.alpha_effective(d)
-        xis = np.geomspace(2e-4, 8e-3, 7)
-        ratios = (1.0 - _heavy_symbol(xis, self.tail_order)) / xis ** a
-        cols = [np.ones_like(xis)]
-        if abs((2.0 - a) - 1.0) < 0.05:
-            cols += [xis, xis * np.log(1.0 / xis)]
-        else:
-            cols += [xis ** (2.0 - a), xis]
-        coef, *_ = np.linalg.lstsq(np.column_stack(cols), ratios, rcond=None)
-        return float(coef[0])
+        n = self.tail_order
+        c = (n - 1.0) / 2.0
+        return c * math.pi / (math.gamma(n) * math.sin(math.pi * (n - 1.0) / 2.0))
 
     def profile_J(self, r: np.ndarray, d: int) -> np.ndarray:
         """Radial values of the dispersal density J."""
@@ -317,28 +312,6 @@ class KernelSpec:
             c = (n - 1.0) / 2.0  # unit mass on the line
             return c * (1.0 + r) ** (-n)
         raise DomainError("pure_fractional has no dispersal density")
-
-
-def _heavy_symbol(xi: np.ndarray, n: float) -> np.ndarray:
-    """Jhat(xi) of the d = 1 heavy tail. The symbol is bounded by 1, so the
-    quadrature's error estimate is held to the absolute _HEAVY_SYMBOL_TOL."""
-    c = (n - 1.0) / 2.0
-    out = np.empty_like(xi)
-    for i, k in enumerate(xi):
-        if k == 0.0:
-            out[i] = 1.0
-            continue
-        # oscillatory tail handled by the QAWF transform in quad, which
-        # takes an absolute target only
-        val, err = _checked_quad(lambda x: (1.0 + x) ** (-n), 0.0, np.inf,
-                                 epsabs=_HEAVY_SYMBOL_TOL, weight="cos",
-                                 wvar=k, limit=400)
-        if err > _HEAVY_SYMBOL_TOL:
-            raise ResolutionError(
-                f"symbol quadrature at xi = {k:.6g}: error estimate "
-                f"{err:.2e} exceeds {_HEAVY_SYMBOL_TOL:.1e}")
-        out[i] = 2.0 * c * val
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -490,20 +463,6 @@ def _stable_density(beta: float, x: float) -> float:
         warnings.simplefilter("ignore", IntegrationWarning)
         val, _ = quad(integrand, 0.0, math.pi, epsabs=1e-14, epsrel=1e-11, limit=300)
     return (beta / b1) * x ** (-1.0 / b1) * val / math.pi
-
-
-def subordinator_density(alpha: float, lam) -> np.ndarray:
-    """Unit-time density f(lam) with int f(lam) e^{-a lam} dlam = e^{-a^(alpha/2)}.
-
-    This is the index beta = alpha/2 one-sided stable law; subordinating the
-    Gaussian semigroup against it produces the order-alpha stable profile.
-    """
-    if not (0.0 < alpha < 2.0):
-        raise DomainError("subordination requires alpha in (0, 2)")
-    beta = 0.5 * alpha
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    out = np.array([_stable_density(beta, x) for x in lam_arr])
-    return float(out[0]) if np.ndim(lam) == 0 else out
 
 
 # ---------------------------------------------------------------------------

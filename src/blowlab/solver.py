@@ -366,9 +366,6 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
 
     while t < cfg.t_end - 1e-15 * cfg.t_end:
         sup = traj_sup[-1]
-        if sup >= cfg.u_max:
-            outcome, t_obs = "blew_up", t
-            break
         dprime = float(dfn_scalar(max(sup, 0.0)))
         dt = cfg.dt_init if dprime <= 0 else min(cfg.dt_init, 0.5 / dprime)
         if dt < cfg.dt_min:

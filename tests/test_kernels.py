@@ -14,8 +14,7 @@ from blowlab.errors import DomainError, ResolutionError
 from blowlab import kernels
 from blowlab.kernels import (Grid, GridFunction, KernelSpec, _contour,
                              _far_series, _near_series, _series_switches,
-                             semigroup_kernel, stable_profile,
-                             subordinator_density)
+                             semigroup_kernel, stable_profile)
 from blowlab.numutil import loglog_slope, refine_max_on_grid
 
 
@@ -155,24 +154,17 @@ def test_bump_quadrature_error_over_tolerance_raises(monkeypatch):
         kernels._bump_coefficient.cache_clear()
 
 
-def test_heavy_symbol_values_unchanged_by_the_error_check():
-    xi = np.array([0.0, 2e-4, 0.1, 1.0, 7.0])
-    c = (2.5 - 1.0) / 2.0
-    for k, got in zip(xi, kernels._heavy_symbol(xi, 2.5)):
-        if k == 0.0:
-            assert got == 1.0
-            continue
-        val, _ = quad(lambda x: (1.0 + x) ** -2.5, 0.0, np.inf, weight="cos",
-                      wvar=k, limit=400)
-        assert got == 2.0 * c * val
-    # the small-frequency fit behind the symbol coefficient
-    assert KernelSpec.heavy_tail(2.5).coefficient(1) == 2.506617560691046
-
-
-def test_heavy_symbol_error_over_tolerance_raises(monkeypatch):
-    monkeypatch.setattr(kernels, "_checked_quad", lambda f, a, b, **kw: (0.5, 2e-8))
-    with pytest.raises(ResolutionError, match="symbol quadrature"):
-        kernels._heavy_symbol(np.array([1.0]), 2.5)
+@pytest.mark.parametrize("n", [1.1, 1.5, 2.0, 2.5])
+def test_heavy_tail_coefficient_matches_high_precision_integral(n):
+    """A = int_0^inf sin(y) y^(1-n) dy, the integrated-by-parts form of
+    2c int_0^inf (1 - cos y) y^(-n) dy, taken by mpmath (unreliable
+    itself near n = 3)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        f = lambda y: mp.sin(y) * y ** (1 - mp.mpf(n))
+        ref = mp.quad(f, [0, 1]) + mp.quadosc(f, [1, mp.inf], omega=1)
+    assert_allclose(KernelSpec.heavy_tail(n).coefficient(1), float(ref),
+                    rtol=1e-14)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-8])
@@ -202,14 +194,14 @@ def test_subordinator_density_levy_closed_form():
     # beta = 1/2 is the Levy density (4 pi)^(-1/2) s^(-3/2) e^(-1/(4s))
     for s in (0.3, 0.8, 2.0):
         closed = (4.0 * math.pi) ** -0.5 * s ** -1.5 * math.exp(-1.0 / (4.0 * s))
-        assert_allclose(float(subordinator_density(1.0, s)), closed, rtol=1e-12)
+        assert_allclose(kernels._stable_density(0.5, s), closed, rtol=1e-12)
 
 
 def test_subordinator_negative_moment_identity():
     """int s^(-q) eta_beta(s) ds = Gamma(q/beta) / (beta Gamma(q)), checked
     for beta = 0.6 by direct quadrature against the gamma-function value."""
     q, beta = 0.7, 0.6
-    lhs, _ = quad(lambda s: float(subordinator_density(1.2, s)) * s ** (-q),
+    lhs, _ = quad(lambda s: kernels._stable_density(beta, s) * s ** (-q),
                   0.0, 2000.0, limit=150, points=[0.5, 2.0, 20.0, 200.0])
     rhs = math.gamma(q / beta) / (beta * math.gamma(q))
     assert abs(lhs / rhs - 1.0) < 1e-4
