@@ -29,7 +29,7 @@ from .errors import DomainError, ResolutionError
 from .kernels import stable_profile
 from .numutil import loglog_slope, refine_max_on_grid
 from .specfun import log_gamma, log_sphere_area, sphere_area
-from .stationary import log_singular_constant
+from .stationary import _check_power, log_singular_constant
 
 __all__ = [
     "K_fractional",
@@ -54,8 +54,9 @@ def _log_K(alpha: float, d: float, p: float) -> float:
     """log K(alpha, d, p), the one form behind K_fractional and sweep_K."""
     if not (0.0 < alpha <= 2.0):
         raise DomainError("K covers alpha in (0, 2]")
+    _check_power(p)
     g = alpha / (p - 1.0)
-    if d <= g:
+    if not d > g:
         raise DomainError("need d > alpha/(p-1)")
     return log_singular_constant(alpha, d, p) - g * math.log(2.0) \
         + log_gamma((d - g) / 2.0) - log_gamma(d / 2.0) \
@@ -82,8 +83,9 @@ def K_fractional_at_time(alpha: float, d: float, p: float, t: float) -> float:
     radial quadrature of the kernel profile (relative target 1e-10);
     t-independent up to quadrature noise, which is exactly what the
     scale-invariance test checks."""
-    if t <= 0:
-        raise DomainError("t must be positive")
+    if not 0 < t < math.inf:
+        raise DomainError("t must be positive and finite")
+    _check_power(p)
     g = alpha / (p - 1.0)
     prof = stable_profile(alpha, int(d))
     s = math.exp(log_singular_constant(alpha, d, p))
@@ -121,8 +123,9 @@ def L_gaussian(d: float, p: float) -> LGaussianResult:
     The maximizer is t0 = 1/(4b) with b = d/2 - 1/(p-1) > 0 (boundary
     rejected), and the sup equals 4^(-1/(p-1)) pi^(-d/2) (b/e)^b.
     """
+    _check_power(p)
     b = d / 2.0 - 1.0 / (p - 1.0)
-    if b <= 0.0:
+    if not b > 0.0:
         raise DomainError("need d/2 > 1/(p-1); the exponent degenerates otherwise")
     log_val = -math.log(4.0) / (p - 1.0) - (d / 2.0) * math.log(math.pi) \
         + b * (math.log(b) - 1.0)
@@ -146,9 +149,10 @@ def L_fractional(alpha: float, d: float, p: float) -> LFractionalResult:
     """
     if not (0.0 < alpha < 2.0):
         raise DomainError("L_fractional covers alpha in (0, 2); use L_gaussian at alpha = 2")
+    _check_power(p)
     g = alpha / (p - 1.0)
     beta = d / 2.0 - g / 2.0 - 1.0
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise DomainError("need d/2 - alpha/(2(p-1)) > 1 (p > 1 + alpha/(d-2))")
     if alpha == 1.0:
         rho_sq = (d - g) / (1.0 + g)
@@ -180,15 +184,16 @@ def window_eta_from_beta(beta: float) -> float:
     """min over [tau0, tau0 + sqrt(2 beta)] of e^-tau tau^beta, normalized by
     the peak value m = e^-beta beta^beta; equals e^-h (1 + h/beta)^beta with
     h = sqrt(2 beta), which tends to 1/e as beta grows."""
-    if beta <= 0:
+    if not beta > 0:
         raise DomainError("beta must be positive")
     h = math.sqrt(2.0 * beta)
     return math.exp(-h + beta * math.log1p(h / beta))
 
 
 def window_lower_bound(alpha: float, d: float, p: float) -> float:
+    _check_power(p)
     beta = d / 2.0 - alpha / (2.0 * (p - 1.0)) - 1.0
-    if beta <= 0:
+    if not beta > 0:
         raise DomainError("need d/2 - alpha/(2(p-1)) > 1")
     return window_eta_from_beta(beta)
 
@@ -210,20 +215,31 @@ class AsymptoticReport:
     aux: list = field(default_factory=list)   # t0 (alpha = 2) or rho0
 
 
+def _sweep_dimensions(d_values: Sequence[float]) -> list:
+    """The dimensions as floats, in their order: each finite and >= 1, and
+    at least two distinct ones, so that a last pair and a slope exist."""
+    ds = [float(d) for d in d_values]
+    if not all(1.0 <= d < math.inf for d in ds) or len(set(ds)) < 2:
+        raise DomainError("a sweep needs at least two distinct finite "
+                          f"dimensions >= 1, got {ds}")
+    return ds
+
+
 def sweep_K(alpha: float, p: float, d_values: Sequence[float]) -> AsymptoticReport:
     """K over a dimension sweep; the prediction is plain boundedness, so the
     normalized column repeats the values."""
-    ds = [float(d) for d in d_values]
+    ds = _sweep_dimensions(d_values)
     logs = [_log_K(alpha, d, p) for d in ds]
     values = [math.exp(lv) for lv in logs]
-    verdict = {"last_pair_ratio": values[-1] / values[-2] - 1.0 if len(values) > 1 else math.nan}
+    verdict = {"last_pair_ratio": values[-1] / values[-2] - 1.0}
     return AsymptoticReport("K", alpha, p, ds, values, logs, list(values), verdict)
 
 
 def sweep_L(alpha: float, p: float, d_values: Sequence[float]) -> AsymptoticReport:
     """L over a dimension sweep with the paper-predicted normalization
     L * sigma_d * d^(1/(p-1) - 1/2) (Gaussian) or L * sigma_d * d^(g/2)."""
-    ds = [float(d) for d in d_values]
+    _check_power(p)
+    ds = _sweep_dimensions(d_values)
     logs, aux = [], []
     if alpha == 2.0:
         power = 1.0 / (p - 1.0) - 0.5
@@ -247,8 +263,7 @@ def sweep_L(alpha: float, p: float, d_values: Sequence[float]) -> AsymptoticRepo
     verdict = {
         "slope": float(slope),
         "predicted_slope": -power,
-        "normalized_last_pair_ratio": normalized[-1] / normalized[-2] - 1.0
-        if len(normalized) > 1 else math.nan,
+        "normalized_last_pair_ratio": normalized[-1] / normalized[-2] - 1.0,
         "normalized_band": (min(normalized), max(normalized)),
     }
     return AsymptoticReport("L", alpha, p, ds, values, logs, normalized,

@@ -533,7 +533,14 @@ def dichotomy_experiment(scale_list: Sequence[float], base_profile: GridFunction
                          cfg: SimConfig, bisection_steps: int = 6) -> DichotomySummary:
     """Run scaled copies of one profile, classify each as blowup / global
     decay / censored, and bisect the empirical threshold between the
-    largest surviving and smallest detonating scale."""
+    largest surviving and smallest detonating scale. Each distinct scale
+    runs once."""
+    scales = sorted({float(lam) for lam in scale_list})
+    if not scales or not all(0 < lam < math.inf for lam in scales):
+        raise DomainError("the dichotomy needs at least one scale, each "
+                          f"positive and finite, got {scales}")
+    if bisection_steps < 0:
+        raise DomainError(f"bisection_steps must be >= 0, got {bisection_steps}")
     F = cfg.nonlinearity
     if F.kind != "power":
         raise DomainError("the dichotomy study is formulated for power sources")
@@ -558,7 +565,7 @@ def dichotomy_experiment(scale_list: Sequence[float], base_profile: GridFunction
                             raw_outcome=traj.outcome, t_obs=traj.t_obs,
                             decay_sup=decay_sup, predicted_T_star=predicted)
 
-    rows = [run_one(lam) for lam in sorted(scale_list)]
+    rows = [run_one(lam) for lam in scales]
 
     monotone = True
     seen_blow = False

@@ -47,14 +47,19 @@ def _gamma_arguments(alpha: float, d: float, p: float) -> dict:
     }
 
 
+def _check_power(p: float) -> None:
+    # written so that NaN fails it too
+    if not 1.0 < p < math.inf:
+        raise DomainError(f"p must be finite and exceed 1, got {p!r}")
+
+
 def _check_region(alpha: float, d: float, p: float) -> dict:
     if not (0.0 < alpha <= 2.0):
         raise DomainError("alpha must lie in (0, 2]")
-    if p <= 1.0:
-        raise DomainError("p must exceed 1")
+    _check_power(p)
     args = _gamma_arguments(alpha, d, p)
     for name, val in args.items():
-        if val <= 0.0:
+        if not val > 0.0:
             raise DomainError(
                 f"outside the existence region p > 1 + alpha/(d-alpha): "
                 f"gamma argument {name} = {val:g} is not positive")
@@ -111,8 +116,8 @@ def singular_morrey_norm(sol: SingularSolution, q: float = 1.0) -> float:
 
     The ball integral of u^q converges only while q*alpha/(p-1) < d.
     """
-    if q < 1.0:
-        raise DomainError("q must be at least 1")
+    if not 1.0 <= q < math.inf:
+        raise DomainError(f"q must be finite and at least 1, got {q!r}")
     g = sol.decay_exponent
     if q * g >= sol.d:
         raise DomainError(

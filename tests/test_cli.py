@@ -3,6 +3,7 @@
 import json
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -355,6 +356,35 @@ def test_non_finite_inputs_exit_with_domain_error(outdir, tmp_path, capsys,
         argv = argv + ["--profile", str(path)]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not list(outdir.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-K", "--p", "1"],
+    ["sweep-K", "--p", "nan"],
+    ["sweep-K", "--d", "nan,400"],
+    ["sweep-K", "--d", "3:2"],
+    ["sweep-L", "--alpha", "1", "--p", "1", "--d", "3:5"],
+    ["sweep-L", "--alpha", "1", "--p", "0.5", "--d", "3:5"],
+    ["sweep-L", "--alpha", "1", "--p", "nan", "--d", "3:5"],
+    ["sweep-L", "--alpha", "2", "--p", "0.5", "--d", "3:5"],
+    ["sweep-L", "--d", "nan,5"],
+    ["sweep-L", "--d", "3:2"],
+    ["sweep-L", "--d", "5:5"],
+    ["constants", "--p", "nan"],
+    ["constants", "--q", "nan"],
+    ["dichotomy", "--bisection-steps", "-1"],
+    ["dichotomy", "--scales", "0,3"],
+    ["dichotomy", "--scales="],
+])
+def test_bad_parameters_exit_with_domain_error(outdir, capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
     assert not list(outdir.rglob("*.csv"))
 
 

@@ -307,6 +307,19 @@ def test_dichotomy_validation():
             kernel=KernelSpec.gaussian(),
             nonlinearity=Nonlinearity.power_law(1.0, 2.0),
             dt_init=0.05, dt_min=1e-14, t_end=30.0))
+    cfg = SimConfig(kernel=KernelSpec.gaussian(),
+                    nonlinearity=Nonlinearity.power_law(1.0, 4.0),
+                    dt_init=0.05, dt_min=1e-14, t_end=1.0, u_max=1e4)
+    # a zero scale would bisect at sqrt(0 * 3) = 0; an empty list and a
+    # negative step count used to run
+    for scales, steps in (([0.0, 3.0], 6), ([-1.0, 3.0], 6),
+                          ([math.nan, 3.0], 6), ([math.inf], 6), ([], 6),
+                          ([0.5, 4.0], -1)):
+        with pytest.raises(DomainError):
+            dichotomy_experiment(scales, base, cfg, bisection_steps=steps)
+    # a repeated scale runs once
+    summary = dichotomy_experiment([1.0, 1.0], base, cfg)
+    assert [r.scale for r in summary.rows] == [1.0]
 
 
 @pytest.mark.parametrize("entry", ["run", "step"])
