@@ -9,7 +9,7 @@ is the twelve-check release gate.
 """
 
 from .errors import DomainError, OsgoodViolationError, ResolutionError
-from .specfun import log_gamma, log_sphere_area, sphere_area
+from .specfun import log_sphere_area, sphere_area
 from .nonlinearity import (
     NONLINEARITY_FAMILIES,
     Nonlinearity,

@@ -28,7 +28,7 @@ from scipy.integrate import quad
 from .errors import DomainError, ResolutionError
 from .kernels import stable_profile
 from .numutil import loglog_slope, refine_max_on_grid
-from .specfun import log_gamma, log_sphere_area, sphere_area
+from .specfun import log_sphere_area, sphere_area
 from .stationary import _check_power, log_singular_constant
 
 __all__ = [
@@ -59,8 +59,8 @@ def _log_K(alpha: float, d: float, p: float) -> float:
     if not d > g:
         raise DomainError("need d > alpha/(p-1)")
     return log_singular_constant(alpha, d, p) - g * math.log(2.0) \
-        + log_gamma((d - g) / 2.0) - log_gamma(d / 2.0) \
-        + (log_gamma(1.0 + g / alpha) - log_gamma(1.0 + g / 2.0))
+        + math.lgamma((d - g) / 2.0) - math.lgamma(d / 2.0) \
+        + (math.lgamma(1.0 + g / alpha) - math.lgamma(1.0 + g / 2.0))
 
 
 def K_fractional(alpha: float, d: float, p: float) -> float:
@@ -156,7 +156,7 @@ def L_fractional(alpha: float, d: float, p: float) -> LFractionalResult:
         raise DomainError("need d/2 - alpha/(2(p-1)) > 1 (p > 1 + alpha/(d-2))")
     if alpha == 1.0:
         rho_sq = (d - g) / (1.0 + g)
-        log_c = log_gamma((d + 1.0) / 2.0) - ((d + 1.0) / 2.0) * math.log(math.pi)
+        log_c = math.lgamma((d + 1.0) / 2.0) - ((d + 1.0) / 2.0) * math.log(math.pi)
         log_lower = log_c + ((d - g) / 2.0) * math.log(rho_sq) \
             - ((d + 1.0) / 2.0) * math.log1p(rho_sq)
         rho0 = math.sqrt(rho_sq)

@@ -25,7 +25,7 @@ import cmath
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -33,7 +33,7 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.special import gammaln, hankel1e, jv
 
 from .errors import DomainError, ResolutionError
-from .specfun import log_gamma, sphere_area
+from .specfun import sphere_area
 
 __all__ = [
     "Grid",
@@ -678,7 +678,6 @@ class StableProfile:
     alpha: float
     d: int
     method: str = "auto"
-    _poisson_norm: float = field(init=False, default=0.0)
 
     def __post_init__(self):
         if not (0.0 < self.alpha <= 2.0):
@@ -689,9 +688,6 @@ class StableProfile:
             raise DomainError("method must be auto or subordination")
         if self.method == "subordination" and self.alpha == 2.0:
             raise DomainError("alpha = 2 is the Gaussian endpoint, not subordinated")
-        dd = self.d
-        self._poisson_norm = math.exp(log_gamma((dd + 1) / 2.0)
-                                      - ((dd + 1) / 2.0) * math.log(math.pi))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -725,7 +721,9 @@ class StableProfile:
             if self.alpha == 2.0:
                 value[:] = (4.0 * math.pi) ** (-self.d / 2.0) * np.exp(-flat ** 2 / 4.0)
             else:
-                value[:] = self._poisson_norm * (1.0 + flat ** 2) ** (-(self.d + 1) / 2.0)
+                h = (self.d + 1) / 2.0
+                value[:] = math.exp(math.lgamma(h) - h * math.log(math.pi)) \
+                    * (1.0 + flat ** 2) ** -h
             error[:] = 4.0 * _EPS * value
             route[:] = "closed"
         else:

@@ -20,7 +20,7 @@ from scipy.integrate import quad
 
 from .errors import DomainError, ResolutionError
 from .norms import RadialProfile
-from .specfun import log_gamma, sphere_area
+from .specfun import sphere_area
 
 __all__ = [
     "SingularSolution",
@@ -70,8 +70,8 @@ def log_singular_constant(alpha: float, d: float, p: float) -> float:
     """log s(alpha, d, p); stable at dimensions far beyond float overflow."""
     a = _check_region(alpha, d, p)
     num = alpha * math.log(2.0) \
-        + log_gamma(a["d/2 - alpha/(2(p-1))"]) + log_gamma(a["p*alpha/(2(p-1))"])
-    den = log_gamma(a["alpha/(2(p-1))"]) + log_gamma(a["d/2 - p*alpha/(2(p-1))"])
+        + math.lgamma(a["d/2 - alpha/(2(p-1))"]) + math.lgamma(a["p*alpha/(2(p-1))"])
+    den = math.lgamma(a["alpha/(2(p-1))"]) + math.lgamma(a["d/2 - p*alpha/(2(p-1))"])
     return (num - den) / (p - 1.0)
 
 
@@ -132,8 +132,8 @@ def singular_morrey_norm(sol: SingularSolution, q: float = 1.0) -> float:
 def _log_pv_normalization(alpha: float, d: int) -> float:
     # constant in (-Delta)^(alpha/2)u(x) = c * pv-int (u(x)-u(y))/|x-y|^(d+alpha) dy
     return math.log(alpha) + (alpha - 1.0) * math.log(2.0) \
-        + log_gamma((d + alpha) / 2.0) - (d / 2.0) * math.log(math.pi) \
-        - log_gamma(1.0 - alpha / 2.0)
+        + math.lgamma((d + alpha) / 2.0) - (d / 2.0) * math.log(math.pi) \
+        - math.lgamma(1.0 - alpha / 2.0)
 
 
 def _angular_kernel(r: float, rho: float, delta: float, d: int, alpha: float) -> float:

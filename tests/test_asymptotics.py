@@ -12,7 +12,6 @@ from blowlab.asymptotics import (K_fractional, K_fractional_at_time,
 from blowlab.errors import DomainError
 from blowlab.kernels import stable_profile
 from blowlab.numutil import golden_max
-from blowlab.specfun import log_gamma
 from blowlab.stationary import log_singular_constant
 
 
@@ -21,7 +20,7 @@ def log_K_gaussian(d, p):
     g = 2/(p-1), summed in the order K_fractional sums its first terms."""
     g = 2.0 / (p - 1.0)
     return log_singular_constant(2.0, d, p) - g * math.log(2.0) \
-        + log_gamma((d - g) / 2.0) - log_gamma(d / 2.0)
+        + math.lgamma((d - g) / 2.0) - math.lgamma(d / 2.0)
 
 
 def test_gaussian_discrepancy_constant_closed_form():

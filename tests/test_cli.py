@@ -262,7 +262,7 @@ def test_criterion_norms_radial_bytes(outdir, tmp_path):
     assert (outdir / "criterion_norms.csv").read_text() == (
         "# divergent = false\n"
         "functional,order,value,argmax\n"
-        "radial_concentration,1.5,4.556114470484535,1.2294893743309783\n")
+        "radial_concentration,1.5,4.55611447048453,1.2294893451661588\n")
 
 
 def test_criterion_norms_flag_divergent_concentration(outdir, tmp_path):
@@ -273,7 +273,7 @@ def test_criterion_norms_flag_divergent_concentration(outdir, tmp_path):
                      "--p", "4", "--kernel", "fractional", "--alpha", "2"]) == 0
     _, rows, meta = read_rows(outdir / "criterion_norms.csv")
     assert meta == {"divergent": "true"}
-    assert rows == [["radial_concentration", "1.5", "12.255457720380532",
+    assert rows == [["radial_concentration", "1.5", "12.255457720380523",
                      "1000.0"]]
 
 
@@ -417,7 +417,7 @@ def test_criterion_json_summary_flags_divergent_concentration(
     if divergent:
         assert summary["morrey_value"] is None
     else:
-        assert summary["morrey_value"] == 4.556114470484535
+        assert summary["morrey_value"] == 4.55611447048453
 
 
 def test_simulate_artifacts(outdir, capsys):

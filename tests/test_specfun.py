@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from blowlab.errors import DomainError
-from blowlab.specfun import log_gamma, log_sphere_area, sphere_area
+from blowlab.specfun import log_sphere_area, sphere_area
 
 # surface measure of the unit sphere in R^d
 SPHERE_AREAS = {
@@ -28,15 +28,3 @@ def test_sphere_area_closed_values(d, expected):
 def test_sphere_area_rejects_bad_dimension():
     with pytest.raises(DomainError):
         sphere_area(0)
-
-
-@pytest.mark.parametrize("z", [0.1, 0.5, 1.0, 2.5, 7.0, 41.5, 300.0])
-def test_log_gamma_matches_lgamma(z):
-    assert_allclose(log_gamma(z), math.lgamma(z), rtol=1e-14, atol=1e-14)
-
-
-def test_gamma_rejects_nonpositive_argument():
-    with pytest.raises(DomainError):
-        log_gamma(0.0)
-    with pytest.raises(DomainError):
-        log_gamma(-1.5)
