@@ -51,14 +51,12 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def _log_K(alpha: float, d: float, p: float) -> float:
-    """log K(alpha, d, p), the one form behind K_fractional and sweep_K."""
-    if not (0.0 < alpha <= 2.0):
-        raise DomainError("K covers alpha in (0, 2]")
-    _check_power(p)
+    """log K(alpha, d, p), the one form behind K_fractional and sweep_K.
+    log_singular_constant checks (alpha, d, p); its existence region
+    d > p*g implies the d > g that Gamma((d-g)/2) needs."""
+    log_s = log_singular_constant(alpha, d, p)
     g = alpha / (p - 1.0)
-    if not d > g:
-        raise DomainError("need d > alpha/(p-1)")
-    return log_singular_constant(alpha, d, p) - g * math.log(2.0) \
+    return log_s - g * math.log(2.0) \
         + math.lgamma((d - g) / 2.0) - math.lgamma(d / 2.0) \
         + (math.lgamma(1.0 + g / alpha) - math.lgamma(1.0 + g / 2.0))
 
@@ -85,10 +83,9 @@ def K_fractional_at_time(alpha: float, d: float, p: float, t: float) -> float:
     scale-invariance test checks."""
     if not 0 < t < math.inf:
         raise DomainError("t must be positive and finite")
-    _check_power(p)
+    s = math.exp(log_singular_constant(alpha, d, p))
     g = alpha / (p - 1.0)
     prof = stable_profile(alpha, int(d))
-    s = math.exp(log_singular_constant(alpha, d, p))
 
     def integrand(rho: float) -> float:
         return float(prof.kernel_radial(t, rho)) * rho ** (d - 1.0 - g)
@@ -238,21 +235,16 @@ def sweep_K(alpha: float, p: float, d_values: Sequence[float]) -> AsymptoticRepo
 def sweep_L(alpha: float, p: float, d_values: Sequence[float]) -> AsymptoticReport:
     """L over a dimension sweep with the paper-predicted normalization
     L * sigma_d * d^(1/(p-1) - 1/2) (Gaussian) or L * sigma_d * d^(g/2)."""
-    _check_power(p)
     ds = _sweep_dimensions(d_values)
-    logs, aux = [], []
+    # the first L call checks p, before power divides by p - 1
     if alpha == 2.0:
+        results = [L_gaussian(d, p) for d in ds]
+        logs, aux = [r.log_value for r in results], [r.t0 for r in results]
         power = 1.0 / (p - 1.0) - 0.5
-        for d in ds:
-            res = L_gaussian(d, p)
-            logs.append(res.log_value)
-            aux.append(res.t0)
     else:
+        results = [L_fractional(alpha, d, p) for d in ds]
+        logs, aux = [r.log_lower for r in results], [r.rho0 for r in results]
         power = alpha / (2.0 * (p - 1.0))
-        for d in ds:
-            res = L_fractional(alpha, d, p)
-            logs.append(res.log_lower)
-            aux.append(res.rho0)
     values = [math.exp(lv) if lv < 709.0 else math.inf for lv in logs]
     log_norm = [lv + log_sphere_area(d) + power * math.log(d)
                 for lv, d in zip(logs, ds)]

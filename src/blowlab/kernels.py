@@ -292,11 +292,8 @@ class KernelSpec:
             return self.strength
         if self.kind == "compact_bump":
             return _bump_coefficient(d)
-        if d != 1:
-            raise DomainError("heavy-tail kernels are realized in d = 1 only")
-        n = self.tail_order
-        c = (n - 1.0) / 2.0
-        return c * math.pi / (math.gamma(n) * math.sin(math.pi * (n - 1.0) / 2.0))
+        a = self.alpha_effective(d)     # n - 1; d = 1 only
+        return 0.5 * a * math.pi / (math.gamma(1.0 + a) * math.sin(0.5 * math.pi * a))
 
     def profile_J(self, r: np.ndarray, d: int) -> np.ndarray:
         """Radial values of the dispersal density J."""
