@@ -444,7 +444,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ap.error(f"cannot decode an argument file: {exc}")
     try:
         return args.fn(args)
-    except (DomainError, OsgoodViolationError, ResolutionError) as exc:
+    # OverflowError: a dimension whose closed forms leave the float range
+    except (DomainError, OsgoodViolationError, ResolutionError,
+            OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

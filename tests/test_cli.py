@@ -376,8 +376,12 @@ def test_non_finite_inputs_exit_with_domain_error(outdir, tmp_path, capsys,
     ["dichotomy", "--bisection-steps", "-1"],
     ["dichotomy", "--scales", "0,3"],
     ["dichotomy", "--scales="],
+    # math.lgamma overflows here, where the Lanczos form returned nan
+    ["kernel", "--kind", "fractional", "--radial", "--d", str(10 ** 306)],
+    ["constants", "--d", str(10 ** 306)],
+    ["sweep-K", "--d", "400,1e308"],
 ])
-def test_bad_parameters_exit_with_domain_error(outdir, capsys, argv):
+def test_bad_parameters_exit_with_an_error(outdir, capsys, argv):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert cli.main(argv) == 2
