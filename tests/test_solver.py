@@ -310,8 +310,7 @@ def test_dichotomy_validation():
     cfg = SimConfig(kernel=KernelSpec.gaussian(),
                     nonlinearity=Nonlinearity.power_law(1.0, 4.0),
                     dt_init=0.05, dt_min=1e-14, t_end=1.0, u_max=1e4)
-    # a zero scale would bisect at sqrt(0 * 3) = 0; an empty list and a
-    # negative step count used to run
+    # a zero scale would bisect at sqrt(0 * 3) = 0
     for scales, steps in (([0.0, 3.0], 6), ([-1.0, 3.0], 6),
                           ([math.nan, 3.0], 6), ([math.inf], 6), ([], 6),
                           ([0.5, 4.0], -1)):

@@ -1,4 +1,4 @@
-"""Closed-form and asymptotic checks for the gamma-function helpers."""
+"""Closed-form checks for the unit-sphere area helpers."""
 
 import math
 
