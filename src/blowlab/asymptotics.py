@@ -27,7 +27,7 @@ from scipy.integrate import quad
 
 from .errors import DomainError, ResolutionError
 from .kernels import stable_profile
-from .numutil import loglog_slope, refine_max_on_grid
+from .numutil import _quad_result, loglog_slope, refine_max_on_grid
 from .specfun import log_sphere_area, sphere_area
 from .stationary import _check_power, log_singular_constant
 
@@ -92,10 +92,12 @@ def K_fractional_at_time(alpha: float, d: float, p: float, t: float) -> float:
 
     scale = t ** (1.0 / (p - 1.0))
     cut = 20.0 * max(t ** (1.0 / alpha), 1.0)
-    v1, e1 = quad(integrand, 0.0, cut, epsabs=0.0, epsrel=1e-10,
-                  limit=400, points=[t ** (1.0 / alpha)])
-    v2, e2 = quad(integrand, cut, np.inf, epsabs=1e-14 * abs(v1), epsrel=1e-10,
-                  limit=200)
+    v1, e1 = _quad_result(quad(integrand, 0.0, cut, epsabs=0.0, epsrel=1e-10, limit=400,
+                               points=[t ** (1.0 / alpha)], full_output=1),
+                          f"K profile integral on [0, {cut:.6g}]")
+    v2, e2 = _quad_result(quad(integrand, cut, np.inf, epsabs=1e-14 * abs(v1), epsrel=1e-10,
+                               limit=200, full_output=1),
+                          f"K profile integral on [{cut:.6g}, inf]")
     val, err = v1 + v2, e1 + e2
     if err > 1e-7 * val:
         raise ResolutionError(

@@ -14,9 +14,11 @@ the Gaussian closed form at alpha = 2 and the Poisson closed form at
 alpha = 1. Other orders take a convergent or asymptotic series at small and
 large rho and, between them, one contour integral of the Hankel transform,
 turned off the real axis so that it does not oscillate (the standard device
-for stable densities: Nolan 1997; Zolotarev 1986). Bochner subordination
-over the one-sided stable density of index beta = alpha/2 (Zolotarev/Kanter
-representation) is kept as their slow, independent oracle.
+for stable densities: Nolan 1997; Zolotarev 1986). At alpha = 1 the profile
+also has a second route, Bochner subordination of the Gaussian over Levy's
+one-sided 1/2-stable density; the generic-order subordination oracle lives
+in the test suite. Every quadrature result goes through
+``numutil._quad_result``.
 """
 
 from __future__ import annotations
@@ -24,15 +26,15 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad
 from scipy.special import gammaln, hankel1e, jv
 
 from .errors import DomainError, ResolutionError
+from .numutil import _quad_result
 from .specfun import sphere_area
 
 __all__ = [
@@ -209,12 +211,10 @@ def _bump_profile(r: np.ndarray) -> np.ndarray:
 def _bump_moment(k: int) -> float:
     """int_0^1 bump(r) r^k dr; an error estimate above _BUMP_QUAD_TOL
     relative to the value raises ResolutionError."""
-    val, err = _checked_quad(lambda r: float(_bump_profile(np.asarray(r))) * r ** k,
-                             0.0, 1.0, epsabs=0.0, epsrel=_BUMP_QUAD_TOL, limit=200)
-    if err > _BUMP_QUAD_TOL * abs(val):
-        raise ResolutionError(f"bump moment r^{k}: quadrature error {err:.2e} "
-                              f"on {val:.6g}")
-    return val
+    return _quad_result(quad(lambda r: float(_bump_profile(np.asarray(r))) * r ** k,
+                             0.0, 1.0, epsabs=0.0, epsrel=_BUMP_QUAD_TOL, limit=200,
+                             full_output=1),
+                        f"bump moment r^{k}", _BUMP_QUAD_TOL)[0]
 
 
 @functools.lru_cache(maxsize=32)
@@ -418,48 +418,15 @@ def _audit_failure(spec: KernelSpec, t: float, grid: Grid,
 
 
 # ---------------------------------------------------------------------------
-# one-sided stable subordinator density (Zolotarev/Kanter representation)
+# one-sided 1/2-stable subordinator density
 # ---------------------------------------------------------------------------
 
-def _kanter_log_a(phi: np.ndarray, beta: float) -> np.ndarray:
-    b1 = 1.0 - beta
-    with np.errstate(divide="ignore"):
-        return (beta / b1) * np.log(np.sin(beta * phi)) \
-            + np.log(np.sin(b1 * phi)) - (1.0 / b1) * np.log(np.sin(phi))
-
-
-def _stable_density(beta: float, x: float) -> float:
-    """Density at x > 0 of the positive stable law with Laplace transform
-    exp(-s^beta), via Kanter's form of the Zolotarev integral."""
-    if not (0.0 < beta < 1.0):
-        raise DomainError("stable index beta must lie in (0, 1)")
+def _levy_density(x: float) -> float:
+    """Density at x of the positive 1/2-stable law with Laplace transform
+    exp(-s^(1/2)), Levy's closed form (4 pi)^(-1/2) x^(-3/2) e^(-1/(4x))."""
     if x <= 0.0:
         return 0.0
-    if beta == 0.5:
-        # Levy closed form, also the fast path for alpha = 1 subordination
-        return x ** -1.5 * math.exp(-0.25 / x) / (2.0 * math.sqrt(math.pi))
-    b1 = 1.0 - beta
-    scale = x ** (-beta / b1)
-    # smallest value of a(phi); if even that is crushed by the exponent the
-    # density underflows to zero
-    log_a_min = (beta / b1) * math.log(beta) + math.log(b1)
-    if scale * math.exp(log_a_min) > 745.0:
-        return 0.0
-
-    def integrand(phi: float) -> float:
-        la = float(_kanter_log_a(np.asarray(phi), beta))
-        arg = scale * math.exp(la)
-        if arg > 745.0:
-            return 0.0
-        return math.exp(la - arg)
-
-    # deep in the left tail the integrand survives only on a sliver of the
-    # phi interval and QUADPACK complains about roundoff; the value is then
-    # orders of magnitude below anything downstream consumers compare against
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(integrand, 0.0, math.pi, epsabs=1e-14, epsrel=1e-11, limit=300)
-    return (beta / b1) * x ** (-1.0 / b1) * val / math.pi
+    return x ** -1.5 * math.exp(-0.25 / x) / (2.0 * math.sqrt(math.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +439,8 @@ class ProfileValues(NamedTuple):
     Routes: ``closed`` (alpha in {1, 2}, and rho = 0 at any order),
     ``series-near`` and ``series-far`` (the small- and large-rho series),
     ``contour`` (the Hankel transform on a turned path, between the two
-    series) and ``subordination`` for the explicit oracle.
+    series) and ``subordination`` (alpha = 1 only, Bochner's integral over
+    Levy's density).
     """
 
     value: np.ndarray
@@ -586,16 +554,6 @@ def _series_switches(alpha: float, d: int):
     return rho_near, float(grid[i]), float(value[i])
 
 
-def _checked_quad(f, a, b, **kw):
-    """quad with its diagnostics kept: a QUADPACK failure raises
-    ResolutionError with QUADPACK's message instead of warning."""
-    out = quad(f, a, b, full_output=1, **kw)
-    if len(out) > 3:
-        raise ResolutionError(f"quadrature on [{a:.6g}, {b:.6g}] failed: "
-                              + " ".join(str(out[3]).split()))
-    return out[0], out[1]
-
-
 def _contour(alpha: float, d: int, rho: float, floor: float):
     """R(rho) = (2 pi)^(-d/2) rho^(1-d/2) Re int e^(-k^alpha) k^(d/2) H1_nu(k rho) dk,
     nu = d/2 - 1, on a path from 0 that turns off the real axis (where the
@@ -644,7 +602,8 @@ def _contour(alpha: float, d: int, rho: float, floor: float):
 
     def integrate(f, end, **kw):
         points = (end / 64.0, end / 8.0) if end < math.inf else None
-        return _checked_quad(f, 0.0, end, points=points, limit=200, **kw)
+        return _quad_result(quad(f, 0.0, end, points=points, limit=200, full_output=1, **kw),
+                            f"contour leg on [0, {end:.6g}] at rho = {rho:.6g}")
 
     front = (2.0 * math.pi) ** (-d / 2.0) * rho ** (1.0 - d / 2.0)
     size = abs(sum(integrate(f, end, epsrel=1e-6)[0] for f, end in legs))
@@ -667,9 +626,10 @@ class StableProfile:
     large rho, and the contour integral between, in every dimension.
     Every value must carry an error estimate within 1e-11 (``_QUAD_TOL``)
     relative to itself, or the call raises ResolutionError.
-    ``subordination`` computes the Bochner integral over the one-sided
-    stable density: the slow, independent oracle the routes are checked
-    against.
+    ``subordination`` (alpha = 1 only) computes the Bochner integral of the
+    Gaussian over Levy's density, a second route to the Poisson closed form.
+    Its error estimate is returned by ``evaluate`` but not held to 1e-11:
+    the absolute floor epsabs = 1e-14 lets small values exceed it.
     """
 
     alpha: float
@@ -683,8 +643,8 @@ class StableProfile:
             raise DomainError("dimension must be a positive integer")
         if self.method not in ("auto", "subordination"):
             raise DomainError("method must be auto or subordination")
-        if self.method == "subordination" and self.alpha == 2.0:
-            raise DomainError("alpha = 2 is the Gaussian endpoint, not subordinated")
+        if self.method == "subordination" and self.alpha != 1.0:
+            raise DomainError(f"subordination serves alpha = 1 only, got alpha = {self.alpha:g}")
 
     # -- evaluation ---------------------------------------------------------
 
@@ -749,29 +709,29 @@ class StableProfile:
             route[i] = "contour"
 
     def _subordinated(self, rho: float):
-        beta = 0.5 * self.alpha
         d = self.d
+        what = f"subordination at rho = {rho:.6g} (d = {d})"
         if rho <= 1.0:
             # lam-form: the Gaussian factor is tame here
             def integrand(lam: float) -> float:
-                g = _stable_density(beta, lam)
+                g = _levy_density(lam)
                 if g == 0.0:
                     return 0.0
                 return g * (4.0 * math.pi * lam) ** (-d / 2.0) * math.exp(-rho ** 2 / (4.0 * lam))
 
-            return quad(integrand, 0.0, np.inf, epsabs=1e-14,
-                        epsrel=_QUAD_TOL, limit=300)
+            return _quad_result(quad(integrand, 0.0, np.inf, epsabs=1e-14, epsrel=_QUAD_TOL,
+                                     limit=300, full_output=1), what)
         # tau-form, lam = rho^2/(4 tau): stabilizes the small-lam boundary
         # layer that carries the tail mass
 
         def integrand(tau: float) -> float:
-            g = _stable_density(beta, rho ** 2 / (4.0 * tau))
+            g = _levy_density(rho ** 2 / (4.0 * tau))
             if g == 0.0:
                 return 0.0
             return g * tau ** (d / 2.0 - 2.0) * math.exp(-tau)
 
-        val, err = quad(integrand, 0.0, np.inf, epsabs=1e-14,
-                        epsrel=_QUAD_TOL, limit=300)
+        val, err = _quad_result(quad(integrand, 0.0, np.inf, epsabs=1e-14, epsrel=_QUAD_TOL,
+                                     limit=300, full_output=1), what)
         front = math.pi ** (-d / 2.0) * rho ** (-d) * (rho ** 2 / 4.0)
         return front * val, front * err
 

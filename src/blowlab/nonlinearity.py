@@ -20,6 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import DomainError, OsgoodViolationError, ResolutionError
+from .numutil import _quad_result
 
 __all__ = [
     "Nonlinearity",
@@ -251,14 +252,9 @@ class OsgoodTransform:
 
         # F may overflow to inf at large u, where the integrand is 0
         with np.errstate(over="ignore"):
-            out = quad(integrand, a, b, epsabs=0.0, epsrel=_H_QUAD_TOL,
-                       limit=200, full_output=1)
-        val, err = out[0], out[1]
-        if len(out) > 3 or err > _H_QUAD_TOL * abs(val):
-            raise ResolutionError(
-                f"{label}: h quadrature on [{a:.6g}, {b:.6g}] reached "
-                f"error {err:.2e} on {val:.6g}")
-        return val
+            return _quad_result(quad(integrand, a, b, epsabs=0.0, epsrel=_H_QUAD_TOL,
+                                     limit=200, full_output=1),
+                                f"{label}: h on [{a:.6g}, {b:.6g}]", _H_QUAD_TOL)[0]
 
     @functools.cached_property
     def _h_above_one(self) -> float:

@@ -1,7 +1,8 @@
 """Small numeric helpers shared across modules.
 
 Golden-section search (used to refine sups taken first on coarse grids),
-log-spaced grids, and log-log slope fits.
+log-spaced grids, log-log slope fits, and the one check every QUADPACK
+result in the package goes through.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResolutionError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_TOL = 1e-10      # bracket width, absolute in the argument
@@ -79,3 +80,20 @@ def loglog_slope(x: Sequence[float], y: Sequence[float]) -> float:
     lx = np.log(np.asarray(x, dtype=float))
     ly = np.log(np.asarray(y, dtype=float))
     return float(np.polyfit(lx, ly, 1)[0])
+
+
+def _quad_result(out: tuple, what: str,
+                 rtol: Optional[float] = None) -> tuple[float, float]:
+    """(value, error estimate) of ``out = quad(..., full_output=1)``.
+
+    QUADPACK appends a message to ``out`` when it fails (it would warn
+    otherwise); that raises ResolutionError naming ``what`` and quoting the
+    message, and so does an error estimate above rtol*|value| when rtol is
+    given. Each module calls its own ``quad`` and hands the result here.
+    """
+    value, error = out[0], out[1]
+    if len(out) > 3:
+        raise ResolutionError(f"{what}: " + " ".join(str(out[3]).split()))
+    if rtol is not None and error > rtol * abs(value):
+        raise ResolutionError(f"{what}: quadrature error {error:.2e} on {value:.6g}")
+    return value, error

@@ -20,6 +20,7 @@ from scipy.integrate import quad
 
 from .errors import DomainError, ResolutionError
 from .norms import RadialProfile
+from .numutil import _quad_result
 from .specfun import sphere_area
 
 __all__ = [
@@ -139,8 +140,9 @@ def _log_pv_normalization(alpha: float, d: int) -> float:
 def _angular_kernel(r: float, rho: float, delta: float, d: int, alpha: float) -> float:
     """Integral over unit directions w of |r e1 - rho w|^(-d-alpha),
     restricted to |r e1 - rho w| > delta (the cap matters only when
-    |r - rho| < delta). An error estimate above the quadrature's epsrel
-    (1e-11) relative to the value raises ResolutionError."""
+    |r - rho| < delta). A QUADPACK message, or an error estimate above the
+    quadrature's epsrel (1e-11) relative to the value, raises
+    ResolutionError."""
     q_plus = (r + rho) ** 2
     q_star = max(delta ** 2, (r - rho) ** 2)
     if d == 3:
@@ -157,10 +159,9 @@ def _angular_kernel(r: float, rho: float, delta: float, d: int, alpha: float) ->
         q = r * r + rho * rho - 2.0 * r * rho * math.cos(theta)
         return math.sin(theta) ** (d - 2) * q ** -ex
 
-    val, err = quad(integrand, theta_star, math.pi, epsabs=0.0, epsrel=1e-11, limit=200)
-    if err > 1e-11 * abs(val):
-        raise ResolutionError(f"angular kernel at r = {r:.6g}, rho = {rho:.6g}: "
-                              f"quadrature error {err:.2e} on {val:.6g}")
+    val, _ = _quad_result(quad(integrand, theta_star, math.pi, epsabs=0.0, epsrel=1e-11,
+                               limit=200, full_output=1),
+                          f"angular kernel at r = {r:.6g}, rho = {rho:.6g}", 1e-11)
     return sphere_area(d - 1) * val
 
 
@@ -192,8 +193,9 @@ def stationary_residual(sol: SingularSolution, probe_radius: float) -> float:
             * _angular_kernel(r, rho, delta, d, alpha)
 
     scale = r ** (-g - alpha)
-    pieces = [quad(outer, a, b, epsabs=_RESIDUAL_QUAD_TOL * scale,
-                   epsrel=_RESIDUAL_QUAD_TOL, limit=400)
+    pieces = [_quad_result(quad(outer, a, b, epsabs=_RESIDUAL_QUAD_TOL * scale,
+                                epsrel=_RESIDUAL_QUAD_TOL, limit=400, full_output=1),
+                           f"residual piece on [{a:.6g}, {b:.6g}]")
               for a, b in ((0.0, r - delta), (r - delta, r + delta), (r + delta, np.inf))]
     # excised ball: pv of the gradient term vanishes by symmetry, the Hessian
     # term integrates to -(Lap u / 2d) * sigma_d * delta^(2-alpha)/(2-alpha)

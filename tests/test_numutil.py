@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
 
-from blowlab.numutil import golden_max, log_grid, loglog_slope, refine_max_on_grid
+from blowlab.errors import ResolutionError
+from blowlab.numutil import (_quad_result, golden_max, log_grid, loglog_slope,
+                             refine_max_on_grid)
 
 
 def test_golden_max_interior_parabola():
@@ -70,3 +73,19 @@ def test_log_grid_endpoints_and_validation():
 def test_loglog_slope_recovers_power():
     x = np.geomspace(0.1, 100.0, 40)
     assert_allclose(loglog_slope(x, 3.0 * x ** 2.5), 2.5, rtol=1e-12)
+
+
+def test_quad_result_checks_message_and_tolerance():
+    clean = quad(lambda x: x * x, 0.0, 1.0, full_output=1)
+    assert _quad_result(clean, "x^2") == clean[:2]
+    assert _quad_result(clean, "x^2", rtol=1e-13) == clean[:2]
+    # one subdivision cannot resolve 160 periods: QUADPACK's message
+    failed = quad(lambda x: math.sin(50.0 * x) ** 2, 0.0, 10.0, limit=1,
+                  full_output=1)
+    assert len(failed) == 4
+    with pytest.raises(ResolutionError,
+                       match=r"^sin\^2: The maximum number of subdivisions \(1\)"):
+        _quad_result(failed, "sin^2")
+    with pytest.raises(ResolutionError, match="^f: quadrature error 1.00e-09 on 1$"):
+        _quad_result((1.0, 1e-9, {}), "f", rtol=1e-10)
+    assert _quad_result((1.0, 1e-10, {}), "f", rtol=1e-10) == (1.0, 1e-10)

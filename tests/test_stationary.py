@@ -81,7 +81,7 @@ def test_dimension_growth_check():
 
 
 def test_angular_kernel_error_over_tolerance_raises(monkeypatch):
-    monkeypatch.setattr(stationary, "quad", lambda f, a, b, **kw: (1.0, 1e-10))
+    monkeypatch.setattr(stationary, "quad", lambda f, a, b, **kw: (1.0, 1e-10, {}))
     with pytest.raises(ResolutionError, match="angular kernel"):
         stationary._angular_kernel(1.0, 2.0, 0.05, 4, 1.0)
     # d = 3 takes the closed form and no quadrature

@@ -1,6 +1,6 @@
-"""Package surface: each top-level name is defined once, and every exported
-name resolves. Standard library only (ast, importlib), since no linter is a
-dependency."""
+"""Package surface: each top-level name is defined once, every exported
+name resolves, and every quadrature result is checked. Standard library
+only (ast, importlib), since no linter is a dependency."""
 
 import ast
 import importlib
@@ -64,3 +64,34 @@ def test_init_reexports_only_names_that_exist():
             for alias in node.names
             if alias.name not in top_level_bindings(parse(node.module))]
     assert gone == []
+
+
+def called_name(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_every_quad_goes_through_the_checker():
+    """Each quad(...) passes full_output=1 and is the first argument of
+    numutil._quad_result, so a QUADPACK message raises ResolutionError in
+    place of a warning; no module silences warnings. The modules call their
+    own `quad` binding, which the benchmark's tracer counts per module."""
+    bad, callers = [], set()
+    for stem in MODULES:
+        calls = [node for node in ast.walk(parse(stem))
+                 if isinstance(node, ast.Call)]
+        checked = {id(c.args[0]) for c in calls
+                   if called_name(c) == "_quad_result" and c.args}
+        for c in calls:
+            if called_name(c) != "quad":
+                continue
+            callers.add(stem)
+            full = any(k.arg == "full_output" and isinstance(k.value, ast.Constant)
+                       and k.value.value == 1 for k in c.keywords)
+            if not (full and id(c) in checked and isinstance(c.func, ast.Name)):
+                bad.append(f"{stem}.py:{c.lineno}")
+        text = (PACKAGE / f"{stem}.py").read_text()
+        bad += [f"{stem}.py: {word}" for word in ("catch_warnings", "simplefilter")
+                if word in text]
+    assert bad == []
+    assert callers == {"asymptotics", "kernels", "nonlinearity", "stationary"}
