@@ -65,7 +65,6 @@ from .solver import (
     dichotomy_experiment,
     jensen_report,
     run,
-    step,
 )
 
 __version__ = "0.1.0"

@@ -125,7 +125,11 @@ def moment_field(u0: GridFunction, kernel: KernelSpec, T: float,
 
 
 def _radial_pairing(profile: StableProfile, t: float, u: RadialProfile) -> float:
-    """(P_t * u)(0) for radial u: sigma_d * int P_t(rho) u(rho) rho^(d-1) drho."""
+    """(P_t * u)(0) for radial u: sigma_d * int P_t(rho) u(rho) rho^(d-1) drho.
+
+    Below the first sample u is taken as c r^-a with the head exponent a of
+    u (0 when it cannot be fitted); a >= d is not integrable at the origin
+    and raises DomainError."""
     d = u.d
     kern = profile.kernel_radial(t, u.r)
     vals = kern * u.u * u.r ** (d - 1)
@@ -134,7 +138,10 @@ def _radial_pairing(profile: StableProfile, t: float, u: RadialProfile) -> float
     if u.u[0] == 0.0:
         head = 0.0
     else:
-        a = head_a if head_a is not None and head_a < d else 0.0
+        a = 0.0 if head_a is None else head_a
+        if a >= d:
+            raise DomainError(f"the profile's head exponent {a:.6g} is not below "
+                              f"d = {d}: u ~ r^-a is not integrable at the origin")
         head = float(profile.kernel_radial(t, 0.0)) * u.u[0] * u.r[0] ** d / (d - a)
     return sphere_area(d) * (head + tail)
 

@@ -45,16 +45,15 @@ __all__ = ["PRESETS", "main", "run_preset"]
 # release-gate presets (the table lives in acceptance)
 # ---------------------------------------------------------------------------
 
-def run_preset(name: str, outdir: Optional[Path] = None, echo=print) -> int:
+def run_preset(name: str) -> int:
     """Execute one preset: run its check, write its tables and manifest
-    under <outdir>/<name>/, print one PASS/FAIL line per expected check.
-    Returns a process exit status (0 pass, 1 fail); KeyError for an
-    unknown name."""
+    under <output dir>/selftest/<name>/, print one PASS/FAIL line per
+    expected check. Returns a process exit status (0 pass, 1 fail);
+    KeyError for an unknown name."""
     result = acceptance.run_check(name)
     preset = PRESETS[name]
 
-    base = Path(outdir) if outdir is not None else output_dir() / "selftest"
-    pdir = base / name
+    pdir = output_dir() / "selftest" / name
     for table, (header, rows, meta) in result.tables.items():
         write_csv(pdir / f"{table}.csv", header, rows, meta)
     config = {"preset": name, "criterion": preset.criterion,
@@ -66,8 +65,8 @@ def run_preset(name: str, outdir: Optional[Path] = None, echo=print) -> int:
                     for lab, ok, det in result.checks])
 
     for lab, ok, det in result.checks:
-        echo(f"  [{'PASS' if ok else 'FAIL'}] {lab}: {det}")
-    echo(f"{preset.criterion} {name}: {'PASS' if result.passed else 'FAIL'}")
+        print(f"  [{'PASS' if ok else 'FAIL'}] {lab}: {det}")
+    print(f"{preset.criterion} {name}: {'PASS' if result.passed else 'FAIL'}")
     return 0 if result.passed else 1
 
 

@@ -517,8 +517,14 @@ def _far_series(alpha: float, d: int, rho: np.ndarray):
     scale = sum(np.abs(p) for p in parts)
     weight = np.where(n % 2 == 1.0, 1.0, -1.0) * np.sin(0.5 * math.pi * alpha * n)
     value, error = _sum_series(log_mag, weight, scale, asymptotic=alpha > 1.0)
-    front = math.pi ** (-d / 2.0 - 1.0) * rho ** (-float(d))
-    return front * value, front * error
+    # rho^(-d) overflows at small rho in high dimension, and underflows at
+    # large rho: a value that is not finite, or a NaN error, becomes an
+    # infinite error, as in _sum_series
+    with np.errstate(over="ignore", invalid="ignore"):
+        front = math.pi ** (-d / 2.0 - 1.0) * rho ** (-float(d))
+        value, error = front * value, front * error
+    finite = np.isfinite(value)
+    return np.where(finite, value, 0.0), np.where(finite & ~np.isnan(error), error, np.inf)
 
 
 def _chunked(series, alpha: float, d: int, rho: np.ndarray):

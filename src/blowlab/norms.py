@@ -91,10 +91,6 @@ class RadialProfile:
             return None
         return float(-np.polyfit(np.log(rr[pos]), np.log(uu[pos]), 1)[0])
 
-    def scaled(self, factor: float) -> "RadialProfile":
-        return RadialProfile(self.d, self.r, factor * self.u,
-                             head_exponent=self.head_exponent)
-
 
 @dataclass
 class MorreyResult:
@@ -241,7 +237,7 @@ def concentration_values(u: RadialProfile, p: float, alpha: float,
 # CSV ingestion of profiles
 # ---------------------------------------------------------------------------
 
-def read_profile_csv(path, d: int, **hints) -> RadialProfile:
+def read_profile_csv(path, d: int) -> RadialProfile:
     """Profile from a two-column (r, value) CSV with one header line;
     `#`-prefixed lines are skipped. A file that cannot be read or decoded,
     or is malformed, is a DomainError that names the file (and the line)."""
@@ -268,4 +264,4 @@ def read_profile_csv(path, d: int, **hints) -> RadialProfile:
     if not rows:
         raise DomainError(f"{path}: no data rows")
     arr = np.asarray(rows, dtype=float)
-    return RadialProfile(d, arr[:, 0], arr[:, 1], **hints)
+    return RadialProfile(d, arr[:, 0], arr[:, 1])

@@ -44,7 +44,6 @@ __all__ = [
     "MomentSeries",
     "Trajectory",
     "BlowupSignal",
-    "step",
     "run",
     "jensen_report",
     "JensenReport",
@@ -212,17 +211,6 @@ def _advance(state: _State, e_half: np.ndarray, grid: Grid, fn,
         except FloatingPointError as exc:
             raise BlowupSignal(str(exc)) from exc
     return _state(_clipped(out), grid, fn), f_mid_sum
-
-
-def step(u: GridFunction, cfg: SimConfig, dt: float) -> GridFunction:
-    """Advance one step of size dt in [dt_min, dt_init]."""
-    if not (cfg.dt_min <= dt <= cfg.dt_init):
-        raise DomainError("dt must lie in [dt_min, dt_init]")
-    grid = u.grid
-    e_half = _half_propagator(generator_symbol_grid(cfg.kernel, grid), dt)
-    F = cfg.nonlinearity
-    new, _ = _advance(_state(u.values, grid, F), e_half, grid, F.fn, dt)
-    return GridFunction(grid, new.values)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """High-dimension constants: closed forms against brute-force suprema."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from numpy.testing import assert_allclose
 from blowlab.asymptotics import (K_fractional, K_fractional_at_time,
                                  L_fractional, L_gaussian, sweep_K, sweep_L,
                                  window_eta_from_beta, window_lower_bound)
-from blowlab.errors import DomainError
+from blowlab.errors import DomainError, ResolutionError
 from blowlab.kernels import stable_profile
 from blowlab.numutil import golden_max
 from blowlab.stationary import log_singular_constant
@@ -120,6 +121,17 @@ def test_fractional_envelope_generic_order():
     grid_sup = float(np.max(rhos ** (5.0 - 0.75) * prof(rhos)))
     assert res.lower >= grid_sup * (1.0 - 1e-12)   # refinement only raises it
     assert abs(res.lower / grid_sup - 1.0) < 1e-3
+
+
+def test_high_dimension_envelope_fails_without_a_warning():
+    """At d = 50 the far series' factor rho^(-d) overflows at the switch
+    grid's small radii; that is an infinite error estimate, not a
+    RuntimeWarning. The contour then misses its tolerance (roundoff, from
+    d near 20 at this order), which is a ResolutionError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ResolutionError, match="contour leg"):
+            L_fractional(1.5, 50, 3.0)
 
 
 def test_window_factor_values():

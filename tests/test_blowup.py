@@ -58,6 +58,19 @@ def test_moment_at_zero_radial_route():
     assert abs(W / closed - 1.0) < 1e-4
 
 
+def test_moment_at_zero_rejects_a_non_integrable_head():
+    """u = r^-a e^-r in d = 1 on [1e-3, 50]: a head exponent a >= d is not
+    integrable at the origin. Read as a flat head, a = 1 and a = 1.5 gave
+    4.09 and 52.4, below and far above the 5.37 of a = 0.9."""
+    spec = KernelSpec.fractional(1.5)
+    for a in (1.0, 1.5):
+        u = RadialProfile.from_function(1, lambda r: r ** -a * np.exp(-r), 1e-3, 50.0)
+        with pytest.raises(DomainError, match="head exponent"):
+            moment_at_zero(u, spec, 1.0)
+    u = RadialProfile.from_function(1, lambda r: r ** -0.9 * np.exp(-r), 1e-3, 50.0)
+    assert 5.0 < moment_at_zero(u, spec, 1.0) < 6.0
+
+
 @pytest.mark.parametrize("alpha", [1.5, 2.0])
 def test_moment_field_2d_matches_radial_pairing(alpha):
     """2-D Gaussian data: the lattice semigroup at the center against the

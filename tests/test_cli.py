@@ -277,6 +277,15 @@ def test_criterion_norms_flag_divergent_concentration(outdir, tmp_path):
                      "1000.0"]]
 
 
+def test_criterion_rejects_a_non_integrable_head(outdir, tmp_path, capsys):
+    """u = r^-1.5 e^-r in d = 1 has no finite semigroup moment: exit 2."""
+    prof = write_profile(tmp_path / "profile.csv", lambda r: r ** -1.5 * np.exp(-r))
+    assert cli.main(["criterion", "--profile", str(prof), "--d", "1", "--p", "4",
+                     "--kernel", "fractional", "--alpha", "1.5"]) == 2
+    assert "head exponent 1.5" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("profile", ["gauss", "radial"])
 def test_criterion_evaluates_the_concentration_once(outdir, tmp_path,
                                                     monkeypatch, profile):
@@ -407,7 +416,10 @@ def test_bad_horizon_grid_exits_with_domain_error(outdir, capsys, horizons):
 
 @pytest.mark.parametrize("profile, divergent", [
     (lambda r: 3.0 * np.exp(-r * r), False),
-    (lambda r: np.exp(-r) / (r * r), True),    # a head that is not integrable
+    # the sup runs to the last sample, where the value read is finite; a
+    # head that is not integrable exits 2
+    # (test_criterion_rejects_a_non_integrable_head)
+    (lambda r: (1.0 + r) ** -0.5, True),
 ])
 def test_criterion_json_summary_flags_divergent_concentration(
         outdir, tmp_path, capsys, profile, divergent):
@@ -418,10 +430,8 @@ def test_criterion_json_summary_flags_divergent_concentration(
                 if l.startswith("{"))
     summary = json.loads(line, parse_constant=pytest.fail)
     assert summary["morrey_divergent"] is divergent
-    if divergent:
-        assert summary["morrey_value"] is None
-    else:
-        assert summary["morrey_value"] == 4.55611447048453
+    assert summary["morrey_value"] == (12.255457720380523 if divergent
+                                       else 4.55611447048453)
 
 
 def test_simulate_artifacts(outdir, capsys):
@@ -444,15 +454,15 @@ def test_selftest_single_preset(outdir, capsys):
     assert (outdir / "selftest" / "constants-closed-forms" / "manifest.csv").exists()
 
 
-def test_run_preset_validation(tmp_path):
+def test_run_preset_validation(outdir):
     with pytest.raises(KeyError):
-        cli.run_preset("no-such-preset", outdir=tmp_path)
+        cli.run_preset("no-such-preset")
 
 
-def test_manifest_records_configuration(tmp_path):
-    cli.run_preset("constants-closed-forms", outdir=tmp_path,
-                   echo=lambda *_: None)
-    lines = (tmp_path / "constants-closed-forms" / "manifest.csv").read_text()
+def test_manifest_records_configuration(outdir, capsys):
+    cli.run_preset("constants-closed-forms")
+    assert "C1 constants-closed-forms: PASS" in capsys.readouterr().out
+    lines = (outdir / "selftest" / "constants-closed-forms" / "manifest.csv").read_text()
     assert "# tolerance_version = 1" in lines
     assert "# criterion = C1" in lines
     assert "# binding.d = 5" in lines

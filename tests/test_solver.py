@@ -11,8 +11,19 @@ from blowlab.errors import DomainError
 from blowlab.kernels import (Grid, GridFunction, KernelSpec,
                              generator_symbol_grid, semigroup_kernel)
 from blowlab.nonlinearity import Nonlinearity
-from blowlab.solver import (BlowupSignal, SimConfig, _MomentProbe, _state,
-                            dichotomy_experiment, jensen_report, run, step)
+from blowlab.solver import (BlowupSignal, SimConfig, _MomentProbe, _advance,
+                            _half_propagator, _state, dichotomy_experiment,
+                            jensen_report, run)
+
+
+def step(u, cfg, dt):
+    """One step of run's update (the integrating-factor midpoint rule) from
+    u, with no dt control and no audits."""
+    grid = u.grid
+    e_half = _half_propagator(generator_symbol_grid(cfg.kernel, grid), dt)
+    F = cfg.nonlinearity
+    new, _ = _advance(_state(u.values, grid, F), e_half, grid, F.fn, dt)
+    return GridFunction(grid, new.values)
 
 
 def make_cfg(**kw):
@@ -46,13 +57,6 @@ def test_run_equals_a_loop_of_steps_bit_for_bit():
     for dt in traj.dt[1:]:
         u = step(u, cfg, dt)
     assert np.array_equal(u.values, traj.final_state.values)
-
-
-def test_step_rejects_out_of_range_dt():
-    g = Grid(1, 8.0, 64)
-    u = GridFunction.gaussian(g, mass=1.0, sigma=1.0)
-    with pytest.raises(DomainError):
-        step(u, make_cfg(), 0.1)
 
 
 def stepped_constant_error(dt):
