@@ -28,7 +28,7 @@ from scipy.integrate import quad
 from .errors import DomainError, ResolutionError
 from .kernels import stable_profile
 from .numutil import _quad_result, loglog_slope, refine_max_on_grid
-from .specfun import log_sphere_area, sphere_area
+from .specfun import _log_gamma_ratio, log_sphere_area, sphere_area
 from .stationary import _check_power, log_singular_constant
 
 __all__ = [
@@ -56,8 +56,7 @@ def _log_K(alpha: float, d: float, p: float) -> float:
     d > p*g implies the d > g that Gamma((d-g)/2) needs."""
     log_s = log_singular_constant(alpha, d, p)
     g = alpha / (p - 1.0)
-    return log_s - g * math.log(2.0) \
-        + math.lgamma((d - g) / 2.0) - math.lgamma(d / 2.0) \
+    return log_s - g * math.log(2.0) - _log_gamma_ratio((d - g) / 2.0, g / 2.0) \
         + (math.lgamma(1.0 + g / alpha) - math.lgamma(1.0 + g / 2.0))
 
 

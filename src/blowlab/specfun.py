@@ -1,5 +1,6 @@
 """The unit sphere's surface area, on the log scale so that large
-dimensions neither overflow nor lose digits. Scalar log Gamma throughout
+dimensions neither overflow nor lose digits, and the log of a ratio of
+Gammas whose arguments differ by a fixed shift. Scalar log Gamma throughout
 the package is math.lgamma; the vectorized series use scipy's gammaln.
 """
 
@@ -7,7 +8,23 @@ from __future__ import annotations
 
 import math
 
+from scipy.special import poch
+
 from .errors import DomainError
+
+
+def _log_gamma_ratio(x: float, m: float) -> float:
+    """ln Gamma(x+m)/Gamma(x) for x > 0, m >= 0.
+
+    The difference of two log Gammas of size x ln x cancels at large x
+    (for K(2, d, 3) it loses 3.5e-2 relative at d = 1e13), so the ratio
+    comes from scipy's poch where that is finite and positive; where it is
+    not (large m, as for p near 1) from that difference.
+    """
+    ratio = float(poch(x, m))
+    if 0.0 < ratio < math.inf:
+        return math.log(ratio)
+    return math.lgamma(x + m) - math.lgamma(x)
 
 
 def log_sphere_area(d: int) -> float:

@@ -21,7 +21,7 @@ from scipy.integrate import quad
 from .errors import DomainError, ResolutionError
 from .norms import RadialProfile
 from .numutil import _quad_result
-from .specfun import sphere_area
+from .specfun import _log_gamma_ratio, sphere_area
 
 __all__ = [
     "SingularSolution",
@@ -68,12 +68,14 @@ def _check_region(alpha: float, d: float, p: float) -> dict:
 
 
 def log_singular_constant(alpha: float, d: float, p: float) -> float:
-    """log s(alpha, d, p); stable at dimensions far beyond float overflow."""
+    """log s(alpha, d, p); stable at dimensions far beyond float overflow.
+    The two d-dependent Gammas, whose arguments differ by alpha/2, enter
+    as one ratio."""
     a = _check_region(alpha, d, p)
-    num = alpha * math.log(2.0) \
-        + math.lgamma(a["d/2 - alpha/(2(p-1))"]) + math.lgamma(a["p*alpha/(2(p-1))"])
-    den = math.lgamma(a["alpha/(2(p-1))"]) + math.lgamma(a["d/2 - p*alpha/(2(p-1))"])
-    return (num - den) / (p - 1.0)
+    return (alpha * math.log(2.0)
+            + _log_gamma_ratio(a["d/2 - p*alpha/(2(p-1))"], 0.5 * alpha)
+            + math.lgamma(a["p*alpha/(2(p-1))"]) - math.lgamma(a["alpha/(2(p-1))"])) \
+        / (p - 1.0)
 
 
 def singular_constant(alpha: float, d: float, p: float) -> float:

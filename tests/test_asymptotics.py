@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import poch
 
 from blowlab.asymptotics import (K_fractional, K_fractional_at_time,
                                  L_fractional, L_gaussian, sweep_K, sweep_L,
@@ -13,6 +14,7 @@ from blowlab.asymptotics import (K_fractional, K_fractional_at_time,
 from blowlab.errors import DomainError, ResolutionError
 from blowlab.kernels import stable_profile
 from blowlab.numutil import golden_max
+from blowlab.specfun import _log_gamma_ratio
 from blowlab.stationary import log_singular_constant
 
 
@@ -21,7 +23,7 @@ def log_K_gaussian(d, p):
     g = 2/(p-1), summed in the order K_fractional sums its first terms."""
     g = 2.0 / (p - 1.0)
     return log_singular_constant(2.0, d, p) - g * math.log(2.0) \
-        + math.lgamma((d - g) / 2.0) - math.lgamma(d / 2.0)
+        - _log_gamma_ratio((d - g) / 2.0, g / 2.0)
 
 
 def test_gaussian_discrepancy_constant_closed_form():
@@ -67,6 +69,55 @@ def test_fractional_discrepancy_domain():
         K_fractional(2.5, 5.0, 3.0)
     with pytest.raises(DomainError):
         K_fractional(0.0, 5.0, 3.0)
+
+
+def mp_log_s_and_K(mp, alpha, d, p):
+    """(log s, log K) at mpmath's working precision, from the Gamma closed
+    forms s^(p-1) = 2^alpha G(d/2-h) G(p h) / (G(h) G(d/2-p h)) and
+    K = s 2^(-g) G((d-g)/2) G(1+g/alpha) / (G(d/2) G(1+g/2)), g = 2h =
+    alpha/(p-1)."""
+    a, d, p = mp.mpf(alpha), mp.mpf(d), mp.mpf(p)
+    h = a / (2 * (p - 1))
+    log_s = (a * mp.log(2) + mp.loggamma(d / 2 - h) + mp.loggamma(p * h)
+             - mp.loggamma(h) - mp.loggamma(d / 2 - p * h)) / (p - 1)
+    log_K = (log_s - 2 * h * mp.log(2) + mp.loggamma(d / 2 - h) - mp.loggamma(d / 2)
+             + mp.loggamma(1 + 2 * h / a) - mp.loggamma(1 + h))
+    return log_s, log_K
+
+
+@pytest.mark.parametrize("alpha, p", [(2.0, 3.0), (1.0, 3.0), (1.5, 2.5)])
+def test_s_and_K_keep_their_digits_at_large_dimension(alpha, p):
+    """Against mpmath at a precision sized to d. The d-dependent Gammas
+    enter as one ratio from scipy's poch, which holds 2.2e-11 up to
+    d = 1e5 (worst near 1.5e4) and 5e-15 beyond; the difference of two
+    math.lgamma values lost 2e-9 by d = 1e6 and every digit by 1e15."""
+    mp = pytest.importorskip("mpmath")
+    for d in (5.0, 50.0, 800.0, 1e4, 1.5e4, 1e6, 1e8, 1e10, 1e13, 1e15):
+        with mp.workdps(30 + int(math.log10(d))):
+            log_s, log_K = mp_log_s_and_K(mp, alpha, d, p)
+            s_ref, K_ref = float(mp.exp(log_s)), float(mp.exp(log_K))
+        rtol = 5e-11 if d <= 1e5 else 2e-14
+        assert_allclose(math.exp(log_singular_constant(alpha, d, p)), s_ref, rtol=rtol)
+        assert_allclose(K_fractional(alpha, d, p), K_ref, rtol=rtol)
+
+
+def test_K_near_p_one_takes_the_log_gamma_difference():
+    """At p = 1.01 the ratio Gamma(d/2)/Gamma((d-g)/2), g = 200, overflows
+    poch, and K sums math.lgamma values instead."""
+    mp = pytest.importorskip("mpmath")
+    alpha, d, p = 2.0, 1e4, 1.01
+    g = alpha / (p - 1.0)
+    assert math.isinf(poch((d - g) / 2.0, g / 2.0))
+    with mp.workdps(35):
+        K_ref = float(mp.exp(mp_log_s_and_K(mp, alpha, d, p)[1]))
+    assert_allclose(K_fractional(alpha, d, p), K_ref, rtol=5e-11)
+
+
+def test_K_at_the_largest_dimensions():
+    """K(2, d, 3) -> 2^(-1/2) as d grows; at d = 1e308 its Gamma ratios
+    are finite (math.lgamma alone overflows there)."""
+    assert_allclose(K_fractional(2.0, 1e308, 3.0), 2.0 ** -0.5, rtol=1e-13)
+    assert sweep_K(2.0, 3.0, [400.0, 1e308]).values[1] == K_fractional(2.0, 1e308, 3.0)
 
 
 def sup_objective_gaussian(d, p, t_center):

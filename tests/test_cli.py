@@ -388,7 +388,6 @@ def test_non_finite_inputs_exit_with_domain_error(outdir, tmp_path, capsys,
     # dimensions whose closed forms overflow the float range
     ["kernel", "--kind", "fractional", "--radial", "--d", str(10 ** 306)],
     ["constants", "--d", str(10 ** 306)],
-    ["sweep-K", "--d", "400,1e308"],
 ])
 def test_bad_parameters_exit_with_an_error(outdir, capsys, argv):
     with warnings.catch_warnings(record=True) as caught:
