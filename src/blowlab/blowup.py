@@ -6,10 +6,11 @@ concentrated point x*. Comparing W_T with the level h_inv(T) that makes the
 space-free comparison ODE w' = F(w) explode exactly at time T gives a
 verdict: W_T > h_inv(T) rules out continuation of the solution past T.
 
-Two input shapes are supported. Grid data evaluates the semigroup spectrally
-on the torus (with a boundary-leak audit per horizon, since large T on a
-fixed box wraps around); radial profiles pair directly against the
-whole-space stable kernel and have no box artifacts, which is what the
+Two input shapes are supported, one moment route each. Grid data evaluates
+the semigroup spectrally on the torus (``moment_field``, with a
+boundary-leak audit per horizon, since large T on a fixed box wraps
+around); radial profiles pair directly against the whole-space stable
+kernel (``moment_at_zero``) and have no box artifacts, which is what the
 long-horizon growth studies use.
 
 Grid data follows the layout contract of ``Grid``: u0 is transformed as it
@@ -146,7 +147,16 @@ def _radial_pairing(profile: StableProfile, t: float, u: RadialProfile) -> float
     return sphere_area(d) * (head + tail)
 
 
-def _radial_moment(u0: RadialProfile, kernel: KernelSpec, T: float) -> float:
+def moment_at_zero(u0: RadialProfile, kernel: KernelSpec, T: float) -> float:
+    """W_T of a radial profile: the horizon-T semigroup smoothing of the
+    data at the origin, paired against the whole-space stable kernel.
+
+    Grid data has its own route, ``moment_field``, whose maximum over the
+    lattice is W_T at the best center.
+    """
+    if isinstance(u0, GridFunction):
+        raise DomainError("moment_at_zero pairs radial profiles; for grid "
+                          "data take the maximum of moment_field")
     if kernel.kind != "pure_fractional":
         raise DomainError(
             "radial-profile moments need a pure_fractional kernel; "
@@ -155,17 +165,6 @@ def _radial_moment(u0: RadialProfile, kernel: KernelSpec, T: float) -> float:
     # strength A rescales time: the multiplier e^{-T A |xi|^alpha} is the
     # unit-strength kernel at time A*T
     return _radial_pairing(prof, kernel.strength * T, u0)
-
-
-def moment_at_zero(u0: InitialData, kernel: KernelSpec, T: float) -> float:
-    """W_T: the horizon-T semigroup smoothing of the data at its best center.
-
-    Grid data searches all lattice centers (translation of the data moves
-    the optimal center with it); radial profiles read the origin.
-    """
-    if isinstance(u0, RadialProfile):
-        return _radial_moment(u0, kernel, T)
-    return float(moment_field(u0, kernel, T).values.max())
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +233,7 @@ def evaluate_criterion(inp: CriterionInput) -> BlowupVerdict:
     verdict's note records the cut.
     """
     F = inp.nonlinearity
-    F.check_osgood()   # raises when the comparison ODE never detonates
-    transform = OsgoodTransform(F)
+    transform = OsgoodTransform(F)   # checks that the comparison ODE detonates
     p_power = F.power if F.kind == "power" else None
 
     horizons = (np.asarray(inp.T_grid, dtype=float) if inp.T_grid is not None
@@ -244,7 +242,7 @@ def evaluate_criterion(inp: CriterionInput) -> BlowupVerdict:
         moment, centers = _grid_moments(inp.u0, inp.kernel)
     else:
         def moment(T: float):
-            return _radial_moment(inp.u0, inp.kernel, T), True
+            return moment_at_zero(inp.u0, inp.kernel, T), True
         centers = {}
     rows: List[CurvePoint] = []
     cut = _extend_rows(rows, moment, horizons, transform)

@@ -62,6 +62,14 @@ _BOUNDARY_FRACTION = 0.75
 # grids and grid functions
 # ---------------------------------------------------------------------------
 
+def _length(meshes: list) -> np.ndarray:
+    """|x| from coordinate meshes in one buffer: hypot(|a|, b) = hypot(a, b)."""
+    out = np.abs(meshes[0])
+    for c in meshes[1:]:
+        np.hypot(out, c, out=out)
+    return out
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid on [-L, L)^d with n points per axis.
@@ -106,23 +114,20 @@ class Grid:
     def axis(self) -> np.ndarray:
         return -self.L + self.spacing * np.arange(self.n)
 
+    def meshes(self) -> list:
+        """The d coordinate meshes x_1, ..., x_d in the natural layout."""
+        return np.meshgrid(*[self.axis()] * self.d, indexing="ij")
+
     def radius(self) -> np.ndarray:
         """|x| mesh in the natural layout."""
-        x = self.axis()
-        if self.d == 1:
-            return np.abs(x)
-        xx, yy = np.meshgrid(x, x, indexing="ij")
-        return np.hypot(xx, yy)
+        return _length(self.meshes())
 
     def freq_radius(self) -> np.ndarray:
         """|xi| mesh on the real-FFT half lattice: every frequency on the
-        leading axis, the n//2 + 1 nonnegative ones on the last."""
-        half = 2.0 * math.pi * np.fft.rfftfreq(self.n, d=self.spacing)
-        if self.d == 1:
-            return half
+        leading axes, the n//2 + 1 nonnegative ones on the last."""
         xi = 2.0 * math.pi * np.fft.fftfreq(self.n, d=self.spacing)
-        kx, ky = np.meshgrid(xi, half, indexing="ij")
-        return np.hypot(kx, ky)
+        half = 2.0 * math.pi * np.fft.rfftfreq(self.n, d=self.spacing)
+        return _length(np.meshgrid(*[xi] * (self.d - 1), half, indexing="ij"))
 
     def rfft(self, values: np.ndarray) -> np.ndarray:
         """Half spectrum of a real field on this grid."""
@@ -162,13 +167,8 @@ class GridFunction:
 
     @classmethod
     def from_function(cls, grid: Grid, f: Callable) -> "GridFunction":
-        x = grid.axis()
-        if grid.d == 1:
-            vals = f(x)
-        else:
-            xx, yy = np.meshgrid(x, x, indexing="ij")
-            vals = f(xx, yy)
-        return cls(grid, np.asarray(vals, dtype=float))
+        """Samples of f(x_1, ..., x_d) on the grid's coordinate meshes."""
+        return cls(grid, np.asarray(f(*grid.meshes()), dtype=float))
 
     @classmethod
     def gaussian(cls, grid: Grid, mass: float = 1.0, sigma: float = 1.0,
@@ -179,10 +179,12 @@ class GridFunction:
         if not 0 <= mass < math.inf:
             raise DomainError("mass must be nonnegative and finite")
         norm = mass / (sigma * math.sqrt(2.0 * math.pi)) ** grid.d
-        if grid.d == 1:
-            return cls.from_function(grid, lambda x: norm * np.exp(-(x - center) ** 2 / (2 * sigma ** 2)))
-        return cls.from_function(
-            grid, lambda x, y: norm * np.exp(-((x - center) ** 2 + (y - center) ** 2) / (2 * sigma ** 2)))
+
+        def density(*xs):
+            square = sum(((x - center) ** 2 for x in xs[1:]), (xs[0] - center) ** 2)
+            return norm * np.exp(-square / (2 * sigma ** 2))
+
+        return cls.from_function(grid, density)
 
     def sup(self) -> float:
         return float(self.values.max())
@@ -316,7 +318,15 @@ class KernelSpec:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=64)
-def _generator_symbol_cached(spec: KernelSpec, grid: Grid) -> np.ndarray:
+def generator_symbol_grid(spec: KernelSpec, grid: Grid) -> np.ndarray:
+    """Generator multiplier Lhat on the grid's real-FFT half lattice.
+
+    Lhat = Jhat - 1 for dispersal kinds and -A|xi|^alpha for
+    pure_fractional; the semigroup multiplier at time t is exp(t*Lhat).
+    Lhat is real and even, so its half lattice (``Grid.freq_radius``)
+    determines it and multiplies ``Grid.rfft`` spectra exactly. The last
+    64 symbols are cached, read-only.
+    """
     if spec.kind == "pure_fractional":
         out = -spec.strength * grid.freq_radius() ** spec.alpha
     elif spec.kind == "gaussian_like":
@@ -330,17 +340,6 @@ def _generator_symbol_cached(spec: KernelSpec, grid: Grid) -> np.ndarray:
         out = Jhat - 1.0
     out.setflags(write=False)
     return out
-
-
-def generator_symbol_grid(spec: KernelSpec, grid: Grid) -> np.ndarray:
-    """Generator multiplier Lhat on the grid's real-FFT half lattice.
-
-    Lhat = Jhat - 1 for dispersal kinds and -A|xi|^alpha for
-    pure_fractional; the semigroup multiplier at time t is exp(t*Lhat).
-    Lhat is real and even, so its half lattice (``Grid.freq_radius``)
-    determines it and multiplies ``Grid.rfft`` spectra exactly.
-    """
-    return _generator_symbol_cached(spec, grid)
 
 
 @dataclass
@@ -360,13 +359,8 @@ class SemigroupKernel:
 
     def boundary_mass(self) -> float:
         """|k| mass in the region max_i |x_i| > 0.75 L."""
-        x = np.abs(self.grid.axis())
         edge = _BOUNDARY_FRACTION * self.grid.L
-        if self.grid.d == 1:
-            outer = x > edge
-        else:
-            xx, yy = np.meshgrid(x, x, indexing="ij")
-            outer = np.maximum(xx, yy) > edge
+        outer = functools.reduce(np.logical_or, [np.abs(c) > edge for c in self.grid.meshes()])
         return float(np.abs(self.values[outer]).sum()) * self.grid.cell_volume
 
     def min_value(self) -> float:

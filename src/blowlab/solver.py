@@ -245,10 +245,6 @@ class _MomentProbe:
         return float(np.real(np.sum(mult * u_hat * self.phase)))
 
 
-def _choose_center(u0: GridFunction, kernel: KernelSpec, T: float) -> Tuple[int, ...]:
-    return _peak_index(moment_field(u0, kernel, T, boundary_tol=None).values)
-
-
 # ---------------------------------------------------------------------------
 # support audit and box enlargement
 # ---------------------------------------------------------------------------
@@ -307,11 +303,18 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
         state = _state(u0.values.copy(), grid, F)
     except BlowupSignal as exc:
         raise DomainError(f"u0 or F(u0) is not finite: {exc}") from exc
-    sym = generator_symbol_grid(cfg.kernel, grid)
-    cell = grid.cell_volume
 
-    centers = {T: _choose_center(u0, cfg.kernel, T) for T in cfg.moment_targets}
-    probes = {T: _MomentProbe(grid, sym, centers[T]) for T in cfg.moment_targets}
+    def box(grid: Grid, centers: Dict[float, Tuple[int, ...]]):
+        """The generator symbol, cell volume and moment probes of a box."""
+        sym = generator_symbol_grid(cfg.kernel, grid)
+        return sym, grid.cell_volume, {T: _MomentProbe(grid, sym, c)
+                                       for T, c in centers.items()}
+
+    # each horizon's center is the lattice peak of its smoothed data; it
+    # moves with the data when the box doubles
+    centers = {T: _peak_index(moment_field(u0, cfg.kernel, T, boundary_tol=None).values)
+               for T in cfg.moment_targets}
+    sym, cell, probes = box(grid, centers)
     moments = {T: MomentSeries(target=T, center=centers[T])
                for T in cfg.moment_targets}
 
@@ -411,14 +414,11 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
                     values, grid = _embed_double(state.values, grid)
                     state = _state(values, grid, fn)
                     enlargements += 1
-                    sym = generator_symbol_grid(cfg.kernel, grid)
-                    e_dt = None
-                    cell = grid.cell_volume
                     shift = grid.n // 4
                     centers = {T: tuple(i + shift for i in c)
                                for T, c in centers.items()}
-                    probes = {T: _MomentProbe(grid, sym, centers[T])
-                              for T in cfg.moment_targets}
+                    sym, cell, probes = box(grid, centers)
+                    e_dt = None
                     notes.append(f"box doubled to half-width {grid.L:g} at t={t:g}")
                 elif reliable:
                     reliable = False

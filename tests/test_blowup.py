@@ -88,6 +88,12 @@ def test_moment_field_2d_matches_radial_pairing(alpha):
     assert abs(radial_value / grid_value - 1.0) < 1e-5
 
 
+def test_moment_at_zero_points_grid_data_to_moment_field():
+    u0 = GridFunction.gaussian(Grid(1, 16.0, 128), mass=1.0, sigma=1.0)
+    with pytest.raises(DomainError, match="moment_field"):
+        moment_at_zero(u0, KernelSpec.fractional(2.0), 1.0)
+
+
 def test_radial_moments_need_fractional_kernels():
     u = RadialProfile.from_function(1, lambda r: np.exp(-r * r),
                                     r_min=1e-3, r_max=20.0)

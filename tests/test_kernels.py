@@ -55,6 +55,35 @@ def test_gaussian_field_mass_and_scaling():
     assert_allclose(u.scaled(2.0).mass(), 8.0, rtol=1e-9)
 
 
+@pytest.mark.parametrize("n", [64, 256])
+def test_grid_geometry_equals_the_per_axis_forms_bit_for_bit(n):
+    """The coordinate meshes serve every dimension; in d = 1 and d = 2 they
+    give the arrays of the written-out forms, bit for bit."""
+    g1, g2 = Grid(1, 8.0, n), Grid(2, 8.0, n)
+    x = g1.axis()
+    xx, yy = np.meshgrid(x, x, indexing="ij")
+    assert np.array_equal(g1.radius(), np.abs(x))
+    assert np.array_equal(g2.radius(), np.hypot(xx, yy))
+    half = 2.0 * math.pi * np.fft.rfftfreq(n, d=g1.spacing)
+    xi = 2.0 * math.pi * np.fft.fftfreq(n, d=g1.spacing)
+    kx, ky = np.meshgrid(xi, half, indexing="ij")
+    assert np.array_equal(g1.freq_radius(), half)
+    assert np.array_equal(g2.freq_radius(), np.hypot(kx, ky))
+    norm1, norm2 = (3.0 / (1.2 * math.sqrt(2.0 * math.pi)) ** d for d in (1, 2))
+    assert np.array_equal(GridFunction.gaussian(g1, 3.0, 1.2, center=0.5).values,
+                          norm1 * np.exp(-(x - 0.5) ** 2 / (2 * 1.2 ** 2)))
+    assert np.array_equal(
+        GridFunction.gaussian(g2, 3.0, 1.2, center=0.5).values,
+        norm2 * np.exp(-((xx - 0.5) ** 2 + (yy - 0.5) ** 2) / (2 * 1.2 ** 2)))
+    assert np.array_equal(GridFunction.from_function(g2, lambda a, b: a * a + 2 * b * b).values,
+                          xx * xx + 2 * yy * yy)
+    for g, outer in ((g1, np.abs(x) > 6.0),
+                     (g2, np.maximum(np.abs(xx), np.abs(yy)) > 6.0)):
+        kern = kernels.SemigroupKernel(KernelSpec.gaussian(), 1.0, g,
+                                       np.ones(g.shape))
+        assert kern.boundary_mass() == float(outer.sum()) * g.cell_volume
+
+
 def test_from_function_samples_on_axis():
     g = Grid(1, 8.0, 64)
     u = GridFunction.from_function(g, lambda x: np.exp(-x * x))
