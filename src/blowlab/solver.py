@@ -494,10 +494,10 @@ class DichotomyRow:
 @dataclass(frozen=True)
 class DichotomySummary:
     rows: List[DichotomyRow]
-    lambda_lo: Optional[float]    # largest scale seen surviving
-    lambda_hi: Optional[float]    # smallest scale seen blowing up
-    monotone: bool
-    bisection_steps: int
+    lambda_lo: Optional[float]    # largest global_decay scale
+    lambda_hi: Optional[float]    # smallest blowup scale
+    monotone: bool                # lambda_lo < lambda_hi, or an end is missing
+    bisection_steps: int          # midpoints run; a censored one is the last
 
 
 def _classify_run(traj: Trajectory, p: float, t_end: float) -> Tuple[str, float]:
@@ -520,9 +520,14 @@ def _classify_run(traj: Trajectory, p: float, t_end: float) -> Tuple[str, float]
 def dichotomy_experiment(scale_list: Sequence[float], base_profile: GridFunction,
                          cfg: SimConfig, bisection_steps: int = 6) -> DichotomySummary:
     """Run scaled copies of one profile, classify each as blowup / global
-    decay / censored, and bisect the empirical threshold between the
-    largest surviving and smallest detonating scale. Each distinct scale
-    runs once."""
+    decay / censored, and bisect the empirical threshold geometrically
+    between the largest global_decay and the smallest blowup scale. Each
+    distinct scale runs once.
+
+    The bracket ends are rows of those two outcomes only. A censored
+    midpoint is recorded and moves neither end, so it ends the bisection:
+    the next midpoint would be the same scale.
+    """
     scales = sorted({float(lam) for lam in scale_list})
     if not scales or not all(0 < lam < math.inf for lam in scales):
         raise DomainError("the dichotomy needs at least one scale, each "
@@ -553,32 +558,20 @@ def dichotomy_experiment(scale_list: Sequence[float], base_profile: GridFunction
                             raw_outcome=traj.outcome, t_obs=traj.t_obs,
                             decay_sup=decay_sup, predicted_T_star=predicted)
 
+    def ends():
+        return (max((r.scale for r in rows if r.outcome == "global_decay"), default=None),
+                min((r.scale for r in rows if r.outcome == "blowup"), default=None))
+
     rows = [run_one(lam) for lam in scales]
-
-    monotone = True
-    seen_blow = False
-    for r in rows:
-        if r.outcome == "blowup":
-            seen_blow = True
-        elif r.outcome == "global_decay" and seen_blow:
-            monotone = False
-
-    survived = [r.scale for r in rows if r.outcome == "global_decay"]
-    blown = [r.scale for r in rows if r.outcome == "blowup"]
-    lo = max(survived) if survived else None
-    hi = min(blown) if blown else None
-
+    lo, hi = ends()
     done = 0
-    if lo is not None and hi is not None and lo < hi:
-        for _ in range(bisection_steps):
-            mid = math.sqrt(lo * hi)
-            row = run_one(mid)
-            rows.append(row)
-            if row.outcome == "blowup":
-                hi = mid
-            else:
-                lo = mid
-            done += 1
+    while done < bisection_steps and lo is not None and hi is not None and lo < hi:
+        rows.append(run_one(math.sqrt(lo * hi)))
+        done += 1
+        if rows[-1].outcome == "censored":
+            break
+        lo, hi = ends()
     rows.sort(key=lambda r: r.scale)
     return DichotomySummary(rows=rows, lambda_lo=lo, lambda_hi=hi,
-                            monotone=monotone, bisection_steps=done)
+                            monotone=lo is None or hi is None or lo < hi,
+                            bisection_steps=done)

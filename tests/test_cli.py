@@ -445,6 +445,20 @@ def test_simulate_artifacts(outdir, capsys):
     assert (outdir / "final_state.csv").exists()
 
 
+def test_readme_dichotomy_bracket_ends_are_decay_and_blowup_rows(outdir, capsys):
+    """The README example: the midpoint 1.8551571554236668 is censored, so
+    it moves neither end and ends the bisection after four midpoints."""
+    assert cli.main(["dichotomy", "--p", "4", "--scales", "0.3,1,3,10"]) == 0
+    _, rows, meta = read_rows(outdir / "dichotomy.csv")
+    outcome = {row[0]: row[1] for row in rows}
+    assert outcome[meta["lambda_lo"]] == "global_decay"
+    assert outcome[meta["lambda_hi"]] == "blowup"
+    assert (meta["lambda_lo"], meta["lambda_hi"]) == ("1.7320508075688772",
+                                                      "1.9870133464215778")
+    assert outcome["1.8551571554236668"] == "censored"
+    assert meta["bisection_steps"] == "4" and meta["monotone"] == "true"
+
+
 def test_selftest_single_preset(outdir, capsys):
     assert cli.main(["selftest", "--only", "constants-closed-forms"]) == 0
     out = capsys.readouterr().out

@@ -297,6 +297,25 @@ def test_dichotomy_brackets_the_threshold():
     assert all(r.t_obs is not None for r in blown)
 
 
+def test_a_censored_midpoint_moves_neither_end_and_ends_the_bisection():
+    """t_end = 1 is too short for the first midpoint, sqrt(2), to settle:
+    it is censored. The bracket stays on its global_decay and blowup rows,
+    and the bisection stops there (the next midpoint would be sqrt(2)
+    again). Counted as a survival, it used to move lambda_lo to a
+    censored row."""
+    g = Grid(1, 64.0, 512)
+    base = GridFunction.gaussian(g, mass=1.0, sigma=1.0)
+    cfg = SimConfig(kernel=KernelSpec.gaussian(),
+                    nonlinearity=Nonlinearity.power_law(1.0, 4.0),
+                    dt_init=0.05, dt_min=1e-14, t_end=1.0, u_max=1e4)
+    summary = dichotomy_experiment([0.5, 4.0], base, cfg, bisection_steps=6)
+    assert [(r.scale, r.outcome) for r in summary.rows] == [
+        (0.5, "global_decay"), (math.sqrt(2.0), "censored"), (4.0, "blowup")]
+    assert (summary.lambda_lo, summary.lambda_hi) == (0.5, 4.0)
+    assert summary.bisection_steps == 1
+    assert summary.monotone
+
+
 def test_dichotomy_validation():
     g = Grid(1, 64.0, 512)
     base = GridFunction.gaussian(g, mass=1.0, sigma=1.0)
