@@ -11,7 +11,6 @@ is the twelve-check release gate.
 from .errors import DomainError, OsgoodViolationError, ResolutionError
 from .specfun import log_sphere_area, sphere_area
 from .nonlinearity import (
-    NONLINEARITY_FAMILIES,
     Nonlinearity,
     OsgoodTransform,
     fujita_exponent,

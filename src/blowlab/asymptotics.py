@@ -27,9 +27,9 @@ from scipy.integrate import quad
 
 from .errors import DomainError, ResolutionError
 from .kernels import stable_profile
-from .numutil import _quad_result, loglog_slope, refine_max_on_grid
+from .numutil import _check_power, _quad_result, loglog_slope, refine_max_on_grid
 from .specfun import _log_gamma_ratio, log_sphere_area, sphere_area
-from .stationary import _check_power, log_singular_constant
+from .stationary import log_singular_constant
 
 __all__ = [
     "K_fractional",
@@ -84,7 +84,7 @@ def K_fractional_at_time(alpha: float, d: float, p: float, t: float) -> float:
         raise DomainError("t must be positive and finite")
     s = math.exp(log_singular_constant(alpha, d, p))
     g = alpha / (p - 1.0)
-    prof = stable_profile(alpha, int(d))
+    prof = stable_profile(alpha, d)
 
     def integrand(rho: float) -> float:
         return float(prof.kernel_radial(t, rho)) * rho ** (d - 1.0 - g)
@@ -101,7 +101,7 @@ def K_fractional_at_time(alpha: float, d: float, p: float, t: float) -> float:
     if err > 1e-7 * val:
         raise ResolutionError(
             f"profile quadrature achieved relative error {err / max(val, 1e-300):.2e}")
-    return scale * s * sphere_area(int(d)) * val
+    return scale * s * sphere_area(d) * val
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +159,7 @@ def L_fractional(alpha: float, d: float, p: float) -> LFractionalResult:
             - ((d + 1.0) / 2.0) * math.log1p(rho_sq)
         rho0 = math.sqrt(rho_sq)
     else:
-        prof = stable_profile(alpha, int(d))
+        prof = stable_profile(alpha, d)
 
         def log_f(lr: float) -> float:
             rho = math.exp(lr)

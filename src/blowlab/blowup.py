@@ -148,12 +148,9 @@ def _radial_pairing(profile: StableProfile, t: float, u: RadialProfile) -> float
 
 
 def moment_at_zero(u0: RadialProfile, kernel: KernelSpec, T: float) -> float:
-    """W_T of a radial profile: the horizon-T semigroup smoothing of the
-    data at the origin, paired against the whole-space stable kernel.
-
-    Grid data has its own route, ``moment_field``, whose maximum over the
-    lattice is W_T at the best center.
-    """
+    """W_T of a radial profile: its pairing at the origin with the
+    whole-space stable kernel at horizon T. For grid data, W_T is the
+    maximum of ``moment_field`` over the lattice."""
     if isinstance(u0, GridFunction):
         raise DomainError("moment_at_zero pairs radial profiles; for grid "
                           "data take the maximum of moment_field")

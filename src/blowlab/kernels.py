@@ -34,7 +34,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln, hankel1e, jv
 
 from .errors import DomainError, ResolutionError
-from .numutil import _quad_result
+from .numutil import _check_dimension, _quad_result
 from .specfun import sphere_area
 
 __all__ = [
@@ -183,7 +183,6 @@ class GridFunction:
         def density(*xs):
             square = sum(((x - center) ** 2 for x in xs[1:]), (xs[0] - center) ** 2)
             return norm * np.exp(-square / (2 * sigma ** 2))
-
         return cls.from_function(grid, density)
 
     def sup(self) -> float:
@@ -639,8 +638,7 @@ class StableProfile:
     def __post_init__(self):
         if not (0.0 < self.alpha <= 2.0):
             raise DomainError("profile order alpha must lie in (0, 2]")
-        if int(self.d) < 1:
-            raise DomainError("dimension must be a positive integer")
+        self.d = _check_dimension(self.d)
         if self.method not in ("auto", "subordination"):
             raise DomainError("method must be auto or subordination")
         if self.method == "subordination" and self.alpha != 1.0:
@@ -745,4 +743,4 @@ class StableProfile:
 
 
 def stable_profile(alpha: float, d: int, method: str = "auto") -> StableProfile:
-    return StableProfile(alpha=float(alpha), d=int(d), method=method)
+    return StableProfile(alpha=float(alpha), d=d, method=method)

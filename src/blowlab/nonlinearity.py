@@ -20,14 +20,13 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import DomainError, OsgoodViolationError, ResolutionError
-from .numutil import _quad_result
+from .numutil import _check_dimension, _check_power, _quad_result
 
 __all__ = [
     "Nonlinearity",
     "OsgoodTransform",
     "fujita_exponent",
     "threshold_constant_c",
-    "NONLINEARITY_FAMILIES",
 ]
 
 _CONVEXITY_FLOOR = -1e-10
@@ -322,9 +321,7 @@ def fujita_exponent(alpha: float, d: int) -> float:
     """Critical exponent 1 + alpha/d separating the mass-driven blowup range."""
     if not (0 < alpha <= 2):
         raise DomainError("order alpha must lie in (0, 2]")
-    if int(d) != d or d < 1:
-        raise DomainError("dimension must be a positive integer")
-    return 1.0 + alpha / float(d)
+    return 1.0 + alpha / _check_dimension(d)
 
 
 def threshold_constant_c(alpha: float, p: float) -> float:
@@ -333,16 +330,8 @@ def threshold_constant_c(alpha: float, p: float) -> float:
     No closed form is established for alpha < 2; the alpha = 2 value is
     returned there too.
     """
-    if not p > 1:
-        raise DomainError("threshold constant needs p > 1")
+    _check_power(p)
     if not (0 < alpha <= 2):
         raise DomainError("order alpha must lie in (0, 2]")
     return (1.0 / (p - 1.0)) ** (1.0 / (p - 1.0))
 
-
-NONLINEARITY_FAMILIES = {
-    "power": Nonlinearity.power_law,
-    "power-sum": Nonlinearity.power_sum,
-    "exponential": Nonlinearity.exponential,
-    "zero": Nonlinearity.zero,
-}

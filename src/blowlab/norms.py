@@ -29,7 +29,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from .errors import DomainError
 from .kernels import GridFunction
-from .numutil import refine_max_on_grid
+from .numutil import _check_dimension, _check_power, refine_max_on_grid
 from .specfun import sphere_area
 
 __all__ = [
@@ -58,8 +58,7 @@ class RadialProfile:
     head_exponent: Optional[float] = None
 
     def __post_init__(self):
-        if int(self.d) < 1:
-            raise DomainError("dimension must be a positive integer")
+        self.d = _check_dimension(self.d)
         self.r = np.asarray(self.r, dtype=float)
         self.u = np.asarray(self.u, dtype=float)
         if self.r.ndim != 1 or self.r.size < 4:
@@ -189,8 +188,9 @@ def _centered_morrey(u: RadialProfile, s_order: float, e: float) -> MorreyResult
 
 
 def _concentration_exponent(d: int, p: float, alpha: float) -> float:
-    if p <= 1 or alpha <= 0:
-        raise DomainError("need p > 1 and alpha > 0")
+    _check_power(p)
+    if not alpha > 0:
+        raise DomainError(f"need alpha > 0, got {alpha!r}")
     return alpha / (p - 1) - d
 
 

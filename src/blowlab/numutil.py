@@ -1,13 +1,15 @@
 """Small numeric helpers shared across modules.
 
 Golden-section search (used to refine sups taken first on coarse grids),
-log-spaced grids, log-log slope fits, and the one check every QUADPACK
-result in the package goes through.
+log-spaced grids, log-log slope fits, the one check of a dimension and the
+one of a power, and the one check every QUADPACK result in the package
+goes through.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -66,6 +68,20 @@ def refine_max_on_grid(f: Callable[[float], float], xs: Sequence[float],
     if v < vals[i]:
         return float(xs[i]), float(vals[i])
     return x, v
+
+
+def _check_dimension(d) -> int:
+    """d as an int. A float with an integer value passes (the sweeps pass
+    10.0); NaN, 2.5 or 0 raise DomainError."""
+    if not (isinstance(d, numbers.Real) and d >= 1 and float(d).is_integer()):
+        raise DomainError(f"dimension must be a positive integer, got {d!r}")
+    return int(d)
+
+
+def _check_power(p: float) -> None:
+    # written so that NaN fails it too
+    if not 1.0 < p < math.inf:
+        raise DomainError(f"p must be finite and exceed 1, got {p!r}")
 
 
 def log_grid(lo: float, hi: float, n: int) -> np.ndarray:

@@ -545,11 +545,9 @@ def dichotomy_experiment(scale_list: Sequence[float], base_profile: GridFunction
 
     def run_one(lam: float) -> DichotomyRow:
         u0 = base_profile.scaled(lam)
-        predicted: Optional[float] = None
         try:
-            verdict = evaluate_criterion(CriterionInput(
-                u0=u0, kernel=cfg.kernel, nonlinearity=F))
-            predicted = verdict.T_star
+            predicted = evaluate_criterion(CriterionInput(
+                u0=u0, kernel=cfg.kernel, nonlinearity=F)).T_star
         except (DomainError, ResolutionError):
             predicted = None
         traj = run(u0, cfg)

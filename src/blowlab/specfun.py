@@ -10,7 +10,7 @@ import math
 
 from scipy.special import poch
 
-from .errors import DomainError
+from .numutil import _check_dimension
 
 
 def _log_gamma_ratio(x: float, m: float) -> float:
@@ -29,9 +29,7 @@ def _log_gamma_ratio(x: float, m: float) -> float:
 
 def log_sphere_area(d: int) -> float:
     """ln of the surface area of the unit sphere in R^d."""
-    if int(d) != d or d < 1:
-        raise DomainError(f"dimension must be a positive integer, got {d!r}")
-    d = int(d)
+    d = _check_dimension(d)
     return math.log(2.0) + 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d)
 
 

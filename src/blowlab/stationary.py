@@ -20,7 +20,7 @@ from scipy.integrate import quad
 
 from .errors import DomainError, ResolutionError
 from .norms import RadialProfile
-from .numutil import _quad_result
+from .numutil import _check_power, _quad_result
 from .specfun import _log_gamma_ratio, sphere_area
 
 __all__ = [
@@ -46,12 +46,6 @@ def _gamma_arguments(alpha: float, d: float, p: float) -> dict:
         "p*alpha/(2(p-1))": p * g,
         "d/2 - p*alpha/(2(p-1))": d / 2.0 - p * g,
     }
-
-
-def _check_power(p: float) -> None:
-    # written so that NaN fails it too
-    if not 1.0 < p < math.inf:
-        raise DomainError(f"p must be finite and exceed 1, got {p!r}")
 
 
 def _check_region(alpha: float, d: float, p: float) -> dict:

@@ -388,6 +388,8 @@ def test_non_finite_inputs_exit_with_domain_error(outdir, tmp_path, capsys,
     # dimensions whose closed forms overflow the float range
     ["kernel", "--kind", "fractional", "--radial", "--d", str(10 ** 306)],
     ["constants", "--d", str(10 ** 306)],
+    # a dimension that is not an integer, before anything is computed
+    ["sweep-L", "--alpha", "1.5", "--p", "3", "--d", "10.5,11"],
 ])
 def test_bad_parameters_exit_with_an_error(outdir, capsys, argv):
     with warnings.catch_warnings(record=True) as caught:

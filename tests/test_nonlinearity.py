@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from blowlab import cli
 from blowlab.errors import DomainError, OsgoodViolationError
-from blowlab.nonlinearity import (NONLINEARITY_FAMILIES, Nonlinearity,
-                                  OsgoodTransform, fujita_exponent,
-                                  threshold_constant_c)
+from blowlab.nonlinearity import (Nonlinearity, OsgoodTransform,
+                                  fujita_exponent, threshold_constant_c)
 
 
 def test_power_law_values_and_derivative():
@@ -128,8 +128,15 @@ def test_power_sum_values():
 
 
 def test_family_registry_names():
-    assert sorted(NONLINEARITY_FAMILIES) == ["exponential", "power",
-                                             "power-sum", "zero"]
+    """The parser's --family choices, each building the source of that kind."""
+    parser = cli.build_parser()
+    for command in ("criterion", "simulate"):
+        sub = parser._subparsers._group_actions[0].choices[command]
+        family = next(a for a in sub._actions if a.dest == "family")
+        assert family.choices == ["exponential", "power", "power-sum", "zero"]
+        for name in family.choices:
+            args = parser.parse_args([command, "--family", name])
+            assert cli._build_nonlinearity(args).kind == name
 
 
 def test_fujita_exponent_values():

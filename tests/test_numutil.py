@@ -5,9 +5,15 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from blowlab.errors import ResolutionError
-from blowlab.numutil import (_quad_result, golden_max, log_grid, loglog_slope,
+from blowlab.asymptotics import L_fractional
+from blowlab.errors import DomainError, ResolutionError
+from blowlab.kernels import StableProfile, stable_profile
+from blowlab.nonlinearity import fujita_exponent, threshold_constant_c
+from blowlab.norms import RadialProfile, radial_concentration
+from blowlab.numutil import (_check_dimension, _check_power, _quad_result,
+                             golden_max, log_grid, loglog_slope,
                              refine_max_on_grid)
+from blowlab.specfun import log_sphere_area
 
 
 def test_golden_max_interior_parabola():
@@ -89,3 +95,50 @@ def test_quad_result_checks_message_and_tolerance():
     with pytest.raises(ResolutionError, match="^f: quadrature error 1.00e-09 on 1$"):
         _quad_result((1.0, 1e-9, {}), "f", rtol=1e-10)
     assert _quad_result((1.0, 1e-10, {}), "f", rtol=1e-10) == (1.0, 1e-10)
+
+
+def test_dimension_check():
+    """A dimension is a positive integer; an integer-valued float passes as
+    an int, since the sweeps pass dimensions such as 10.0."""
+    assert _check_dimension(10.0) == 10 and type(_check_dimension(10.0)) is int
+    assert _check_dimension(np.int64(3)) == 3
+    for d in (math.nan, 2.5, 0, -1, 0.0, math.inf, "3", None):
+        with pytest.raises(DomainError, match="dimension"):
+            _check_dimension(d)
+
+
+def test_power_check():
+    _check_power(1.5)
+    for p in (1.0, 0.5, math.nan, math.inf):
+        with pytest.raises(DomainError, match="p must be finite and exceed 1"):
+            _check_power(p)
+
+
+def _radial(d):
+    return RadialProfile(d, np.geomspace(1e-3, 10.0, 50), np.exp(-np.geomspace(1e-3, 10.0, 50)))
+
+
+@pytest.mark.parametrize("call", [
+    # built d = 2 through int(d)
+    lambda: stable_profile(1.5, 2.5),
+    # kept d = 2.5 and evaluated it
+    lambda: StableProfile(1.5, 2.5),
+    lambda: _radial(2.5),
+    # paired the d = 10 profile with the exponent at d = 10.5 (0.0267)
+    lambda: L_fractional(1.5, 10.5, 3.0),
+    lambda: fujita_exponent(1.0, 2.5),
+    lambda: log_sphere_area(2.5),
+    # returned 1.0
+    lambda: threshold_constant_c(2.0, math.inf),
+    # returned a NaN value
+    lambda: radial_concentration(_radial(2), math.nan, 2.0),
+])
+def test_bad_dimensions_and_powers_raise(call):
+    with pytest.raises(DomainError, match="dimension|p must be"):
+        call()
+
+
+def test_integer_valued_dimensions_pass():
+    assert StableProfile(1.5, 10.0).d == 10 and _radial(3.0).d == 3
+    assert fujita_exponent(1.0, 4.0) == 1.25
+    assert L_fractional(1.5, 10.0, 3.0) == L_fractional(1.5, 10, 3.0)

@@ -1,12 +1,15 @@
 """Package surface: each top-level name is defined once, every exported
-name resolves, and every quadrature result is checked. Standard library
-only (ast, importlib), since no linter is a dependency."""
+name resolves, every quadrature result is checked, and the README example
+list has one content wherever it is copied. Standard library only (ast,
+importlib, re), since no linter is a dependency."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "blowlab"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "blowlab"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
 
@@ -95,3 +98,21 @@ def test_every_quad_goes_through_the_checker():
                 if word in text]
     assert bad == []
     assert callers == {"asymptotics", "kernels", "nonlinearity", "stationary"}
+
+
+def test_readme_examples_are_one_list():
+    """The README's example block, the examples the CI workflow runs twice
+    and diffs, and the benchmark's README_EXAMPLES (read with ast, so the
+    benchmark is not imported) are one list."""
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    from_readme = [line.removeprefix("blowlab ") for line in block.splitlines()]
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    ci = re.findall(r'"([^"]*)"', re.search(r"examples=\((.*?)\n\s*\)",
+                                            workflow, re.S).group(1))
+    bench = next(ast.literal_eval(node.value)
+                 for node in ast.parse((ROOT / "bench" / "workloads.py").read_text()).body
+                 if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["README_EXAMPLES"])
+    assert len(from_readme) == 7
+    assert from_readme == ci == list(bench)
