@@ -7,7 +7,10 @@ closed form by a ratio of gamma functions. This module evaluates s in log
 space, its Morrey norm, and a quadrature residual check
 that the profile really annihilates the stationary equation: the fractional
 Laplacian of |x|^(-g) is evaluated as a principal-value hypersingular
-integral in radial coordinates and compared against s^(p-1).
+integral in radial coordinates and compared against s^(p-1). The angular
+integral at each radius is a Gauss hypergeometric function outside the
+excised ball (Gradshteyn and Ryzhik 3.665, DLMF 15.2), so only the radii
+that meet the ball run an inner quadrature.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import beta, hyp2f1
 
 from .errors import DomainError, ResolutionError
 from .norms import RadialProfile
@@ -95,8 +99,9 @@ class SingularSolution:
 
     def __call__(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        if np.any(r <= 0):
-            raise DomainError("the profile is singular at the origin; r must be positive")
+        if not np.all((0.0 < r) & (r < math.inf)):
+            raise DomainError("r must be positive and finite; "
+                              "the profile is singular at the origin")
         return self.s_value * r ** (-self.decay_exponent)
 
 
@@ -136,20 +141,30 @@ def _log_pv_normalization(alpha: float, d: int) -> float:
 def _angular_kernel(r: float, rho: float, delta: float, d: int, alpha: float) -> float:
     """Integral over unit directions w of |r e1 - rho w|^(-d-alpha),
     restricted to |r e1 - rho w| > delta (the cap matters only when
-    |r - rho| < delta). A QUADPACK message, or an error estimate above the
-    quadrature's epsrel (1e-11) relative to the value, raises
-    ResolutionError."""
-    q_plus = (r + rho) ** 2
-    q_star = max(delta ** 2, (r - rho) ** 2)
+    |r - rho| < delta).
+
+    d = 3 integrates in closed form, cap included. For |r - rho| >= delta
+    the polar-angle integral is a Gegenbauer generating-function integral
+    (Gradshteyn and Ryzhik 3.665; DLMF 15.2):
+    sigma_(d-1) B((d-1)/2, 1/2) M^(-2s) 2F1(s, s - nu; nu + 1; (m/M)^2)
+    with s = (d+alpha)/2, nu = (d-2)/2, M = max(r, rho), m = min(r, rho).
+    For |r - rho| < delta it is a polar-angle quadrature over the admissible
+    cap [theta_star, pi]; a QUADPACK message, or an error estimate above its
+    epsrel (1e-11) relative to the value, raises ResolutionError."""
     if d == 3:
+        q_plus = (r + rho) ** 2
+        q_star = max(delta ** 2, (r - rho) ** 2)
         ex = (1.0 + alpha) / 2.0
         return 2.0 * math.pi / ((1.0 + alpha) * r * rho) \
             * (q_star ** -ex - q_plus ** -ex)
-    # general d >= 2: one-dimensional polar-angle quadrature over the
-    # admissible cap [theta_star, pi]
-    m_star = (r * r + rho * rho - delta * delta) / (2.0 * r * rho)
-    theta_star = math.acos(min(1.0, max(-1.0, m_star))) if m_star < 1.0 else 0.0
     ex = (d + alpha) / 2.0
+    if abs(r - rho) >= delta:
+        nu = (d - 2) / 2.0
+        big, small = max(r, rho), min(r, rho)
+        return sphere_area(d - 1) * beta((d - 1) / 2.0, 0.5) * big ** (-2.0 * ex) \
+            * hyp2f1(ex, ex - nu, nu + 1.0, (small / big) ** 2)
+    m_star = (r * r + rho * rho - delta * delta) / (2.0 * r * rho)
+    theta_star = math.acos(min(1.0, max(-1.0, m_star)))
 
     def integrand(theta: float) -> float:
         q = r * r + rho * rho - 2.0 * r * rho * math.cos(theta)
@@ -169,10 +184,18 @@ def stationary_residual(sol: SingularSolution, probe_radius: float) -> float:
     evaluated with the ball |y - x| < delta excised and replaced by its
     second-order Taylor correction; delta = 0.05 * probe_radius keeps the
     whole scheme scale covariant.
+
+    The radial integral runs in three pieces. Off [r - delta, r + delta]
+    the angular kernel is closed form. On it, where the ball cuts a cap
+    out of each sphere, the integrand carries (delta - |r - rho|)^((d-1)/2)
+    at both ends, not smooth for even d; in rho = r + delta cos(psi),
+    psi in [0, pi], that term is psi^(d-1), and QUADPACK resolves the
+    piece in a few panels instead of hundreds of cap quadratures. The
+    probe radius must be positive and finite.
     """
     r = float(probe_radius)
-    if r <= 0:
-        raise DomainError("probe radius must be positive")
+    if not 0.0 < r < math.inf:
+        raise DomainError(f"probe radius must be positive and finite, got {probe_radius!r}")
     g = sol.decay_exponent
     target = sol.s_value ** (sol.p - 1.0)
     if sol.alpha == 2.0:
@@ -188,11 +211,17 @@ def stationary_residual(sol: SingularSolution, probe_radius: float) -> float:
         return rho ** (d - 1) * (r ** -g - rho ** -g) \
             * _angular_kernel(r, rho, delta, d, alpha)
 
+    def middle(psi: float) -> float:
+        # outer on [r - delta, r + delta] with rho = r + delta cos(psi)
+        return delta * math.sin(psi) * outer(r + delta * math.cos(psi))
+
     scale = r ** (-g - alpha)
-    pieces = [_quad_result(quad(outer, a, b, epsabs=_RESIDUAL_QUAD_TOL * scale,
+    pieces = [_quad_result(quad(f, a, b, epsabs=_RESIDUAL_QUAD_TOL * scale,
                                 epsrel=_RESIDUAL_QUAD_TOL, limit=400, full_output=1),
-                           f"residual piece on [{a:.6g}, {b:.6g}]")
-              for a, b in ((0.0, r - delta), (r - delta, r + delta), (r + delta, np.inf))]
+                           f"residual piece on [{lo:.6g}, {hi:.6g}]")
+              for f, a, b, lo, hi in ((outer, 0.0, r - delta, 0.0, r - delta),
+                                      (middle, 0.0, math.pi, r - delta, r + delta),
+                                      (outer, r + delta, np.inf, r + delta, np.inf))]
     # excised ball: pv of the gradient term vanishes by symmetry, the Hessian
     # term integrates to -(Lap u / 2d) * sigma_d * delta^(2-alpha)/(2-alpha)
     lap_u = g * (g + 2.0 - d) * r ** (-g - 2.0)

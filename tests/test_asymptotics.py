@@ -88,8 +88,8 @@ def mp_log_s_and_K(mp, alpha, d, p):
 @pytest.mark.parametrize("alpha, p", [(2.0, 3.0), (1.0, 3.0), (1.5, 2.5)])
 def test_s_and_K_keep_their_digits_at_large_dimension(alpha, p):
     """Against mpmath at a precision sized to d. The d-dependent Gammas
-    enter as one ratio from scipy's poch, which holds 2.2e-11 up to
-    d = 1e5 (worst near 1.5e4) and 5e-15 beyond; the difference of two
+    enter as one ratio from Stirling's formula; scipy's poch held only
+    2.2e-11 up to d = 1e5 (worst near 1.5e4), and the difference of two
     math.lgamma values lost 2e-9 by d = 1e6 and every digit by 1e15."""
     mp = pytest.importorskip("mpmath")
     for d in (5.0, 50.0, 800.0, 1e4, 1.5e4, 1e6, 1e8, 1e10, 1e13, 1e15):
@@ -101,9 +101,9 @@ def test_s_and_K_keep_their_digits_at_large_dimension(alpha, p):
         assert_allclose(K_fractional(alpha, d, p), K_ref, rtol=rtol)
 
 
-def test_K_near_p_one_takes_the_log_gamma_difference():
+def test_K_near_p_one_where_poch_overflows():
     """At p = 1.01 the ratio Gamma(d/2)/Gamma((d-g)/2), g = 200, overflows
-    poch, and K sums math.lgamma values instead."""
+    poch; its log from Stirling's formula stays finite."""
     mp = pytest.importorskip("mpmath")
     alpha, d, p = 2.0, 1e4, 1.01
     g = alpha / (p - 1.0)

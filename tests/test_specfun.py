@@ -1,12 +1,14 @@
-"""Closed-form checks for the unit-sphere area helpers."""
+"""Closed-form checks for the unit-sphere area helpers, and the log Gamma
+ratio against mpmath."""
 
 import math
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from blowlab.errors import DomainError
-from blowlab.specfun import log_sphere_area, sphere_area
+from blowlab.specfun import _log_gamma_ratio, log_sphere_area, sphere_area
 
 # surface measure of the unit sphere in R^d
 SPHERE_AREAS = {
@@ -28,3 +30,25 @@ def test_sphere_area_closed_values(d, expected):
 def test_sphere_area_rejects_bad_dimension():
     with pytest.raises(DomainError):
         sphere_area(0)
+
+
+@pytest.mark.parametrize("m", [0.005, 0.05, 0.5, 0.75, 1.0, 2.5, 100.0])
+def test_log_gamma_ratio_against_mpmath(m):
+    """x from 1 to 1e15, Stirling's form from x = 10 and the shifted one
+    below. Between 1 and 2 the ratio crosses zero, so there the bound is
+    also absolute: s and K take the exponential of the ratio, and an
+    absolute error in it is the relative error they carry."""
+    mp = pytest.importorskip("mpmath")
+    xs = np.concatenate([np.linspace(1.0, 2.0, 41), np.geomspace(2.0, 1e15, 141)])
+    with mp.workdps(40):
+        for x in map(float, xs):
+            ref = float(mp.loggamma(mp.mpf(x) + mp.mpf(m)) - mp.loggamma(x))
+            assert_allclose(_log_gamma_ratio(x, m), ref, rtol=1e-14,
+                            atol=4e-16 if x < 2.0 else 0.0)
+
+
+def test_log_gamma_ratio_edges():
+    assert _log_gamma_ratio(3.7, 0.0) == 0.0
+    # m/x overflows: the log Gamma difference serves
+    x = 5e-324
+    assert _log_gamma_ratio(x, 0.5) == math.lgamma(x + 0.5) - math.lgamma(x)
