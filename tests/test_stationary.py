@@ -160,8 +160,8 @@ def test_residual_small_and_probe_independent_in_general_dimension(alpha, d):
 
 @pytest.mark.parametrize("alpha, d", [(1.2, 4), (0.807, 5)])
 def test_residual_makes_few_quad_calls(monkeypatch, alpha, d):
-    # the closed form outside the cap leaves the cap quadratures, which the
-    # smooth middle piece keeps to a few panels (a nested quad made ~1000)
+    # outside the cap the kernel is closed form; the middle piece, smooth in
+    # psi, needs the cap quadrature at a few panels' nodes only
     calls = []
 
     def counting_quad(*args, **kwargs):
