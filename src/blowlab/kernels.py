@@ -12,18 +12,17 @@ for resolved grids; a boundary-mass audit reports when the box is too small.
 Self-similar profiles R with P_t(x) = t^(-d/alpha) R(|x| t^(-1/alpha)) use
 the Gaussian closed form at alpha = 2 and the Poisson closed form at
 alpha = 1. Other orders take a convergent or asymptotic series at small and
-large rho and, between them, one contour integral of the Hankel transform,
-turned off the real axis so that it does not oscillate (the standard device
-for stable densities: Nolan 1997; Zolotarev 1986). At alpha = 1 the profile
-also has a second route, Bochner subordination of the Gaussian over Levy's
-one-sided 1/2-stable density; the generic-order subordination oracle lives
-in the test suite. Every quadrature result goes through
+large rho and, between them, in every dimension, one Mellin-Barnes integral
+of the closed-form radial moments on a line through the saddle of its
+integrand (Zolotarev 1986; Paris and Kaminski 2001). At alpha = 1 the
+profile also has a second route, Bochner subordination of the Gaussian over
+Levy's one-sided 1/2-stable density; the generic-order subordination oracle
+lives in the test suite. Every quadrature result goes through
 ``numutil._quad_result``.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -31,7 +30,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaln, hankel1e, jv
+from scipy.optimize import minimize_scalar
+from scipy.special import gammaln, loggamma
 
 from .errors import DomainError, ResolutionError
 from .numutil import _check_dimension, _quad_result
@@ -431,9 +431,9 @@ class ProfileValues(NamedTuple):
 
     Routes: ``closed`` (alpha in {1, 2}, and rho = 0 at any order),
     ``series-near`` and ``series-far`` (the small- and large-rho series),
-    ``contour`` (the Hankel transform on a turned path, between the two
-    series) and ``subordination`` (alpha = 1 only, Bochner's integral over
-    Levy's density).
+    ``mellin`` (the Mellin-Barnes inversion of the radial moments, between
+    the two series) and ``subordination`` (alpha = 1 only, Bochner's
+    integral over Levy's density).
     """
 
     value: np.ndarray
@@ -445,8 +445,10 @@ _EPS = float(np.finfo(float).eps)
 # every profile value carries an error estimate within this share of itself
 _QUAD_TOL = 1e-11
 _SERIES_TERMS = 400
-# the contour's real leg stops where its damped amplitude falls to e^-69
-_CUT_LOG = 69.0
+_LOG2, _LOG_PI = math.log(2.0), math.log(math.pi)
+# the Mellin-Barnes line moves past the poles at q = alpha, 2 alpha, ...
+# when its saddle lies within this distance of the first
+_POLE_GAP = 0.3
 # each route switch sits where its series' estimated error falls to this
 # share of _QUAD_TOL, on a grid of 20 radii per decade
 _SWITCH_MARGIN = 0.25
@@ -498,17 +500,23 @@ def _near_series(alpha: float, d: int, rho: np.ndarray):
     return front * value, front * error
 
 
+def _far_terms(alpha: float, d: int, rho: np.ndarray, terms: int):
+    """Log magnitudes, weights and log-gamma scales of the far series' first terms,
+    one row per rho, without its factor pi^(-d/2-1) rho^(-d). The weight (-1)^(n+1)
+    sin(pi n alpha/2) is taken as sin(pi n (2 - alpha)/2), accurate at alpha near 2."""
+    n = np.arange(1, terms + 1, dtype=float)
+    parts = (gammaln((n * alpha + d) / 2.0), gammaln(1.0 + n * alpha / 2.0),
+             gammaln(n + 1.0), n * alpha * np.log(2.0 / rho)[:, None])
+    log_mag = parts[0] + parts[1] - parts[2] + parts[3]
+    return log_mag, np.sin(0.5 * math.pi * (2.0 - alpha) * n), sum(np.abs(p) for p in parts)
+
+
 def _far_series(alpha: float, d: int, rho: np.ndarray):
     """pi^(-d/2-1) rho^(-d) sum_n (-1)^(n+1)/n! Gamma((n alpha+d)/2) Gamma(1+n alpha/2)
     sin(pi n alpha/2) (2/rho)^(n alpha), convergent for alpha < 1 and
     asymptotic for alpha > 1; its first term is the far-field tail
     c rho^(-d-alpha)."""
-    n = np.arange(1, _SERIES_TERMS + 1, dtype=float)
-    parts = (gammaln((n * alpha + d) / 2.0), gammaln(1.0 + n * alpha / 2.0),
-             gammaln(n + 1.0), n * alpha * np.log(2.0 / rho)[:, None])
-    log_mag = parts[0] + parts[1] - parts[2] + parts[3]
-    scale = sum(np.abs(p) for p in parts)
-    weight = np.where(n % 2 == 1.0, 1.0, -1.0) * np.sin(0.5 * math.pi * alpha * n)
+    log_mag, weight, scale = _far_terms(alpha, d, rho, _SERIES_TERMS)
     value, error = _sum_series(log_mag, weight, scale, asymptotic=alpha > 1.0)
     # rho^(-d) overflows at small rho in high dimension, and underflows at
     # large rho: a value that is not finite, or a NaN error, becomes an
@@ -529,12 +537,11 @@ def _chunked(series, alpha: float, d: int, rho: np.ndarray):
 
 @functools.lru_cache(maxsize=128)
 def _series_switches(alpha: float, d: int):
-    """(rho_near, rho_far, R(rho_far)) for a generic order.
+    """(rho_near, rho_far) for a generic order.
 
     The near series serves 0 < rho <= rho_near (rho_near = 0 for alpha < 1),
     the far series rho >= rho_far (inf if it never gets within _QUAD_TOL),
-    and the contour the radii between. R(rho_far) bounds R from below on
-    the integral range, since R decreases in rho.
+    and the Mellin-Barnes integral the radii between.
     """
     grid, target = _SWITCH_GRID, _SWITCH_MARGIN * _QUAD_TOL
     rho_near = 0.0
@@ -548,71 +555,66 @@ def _series_switches(alpha: float, d: int):
     value, error = _chunked(_far_series, alpha, d, grid)
     fails = np.flatnonzero(~(error <= target * np.abs(value)))
     if fails.size and fails[-1] == grid.size - 1:
-        return rho_near, math.inf, 0.0
-    i = fails[-1] + 1 if fails.size else 0
-    return rho_near, float(grid[i]), float(value[i])
+        return rho_near, math.inf
+    return rho_near, float(grid[fails[-1] + 1 if fails.size else 0])
 
 
-def _contour(alpha: float, d: int, rho: float, floor: float):
-    """R(rho) = (2 pi)^(-d/2) rho^(1-d/2) Re int e^(-k^alpha) k^(d/2) H1_nu(k rho) dk,
-    nu = d/2 - 1, on a path from 0 that turns off the real axis (where the
-    real part is the Hankel transform with J_nu) into the quadrant where H1
-    decays, so that no leg oscillates. Each leg runs its parameter from 0:
+def _mellin(alpha: float, d: int, rho: float):
+    """R(rho) by Mellin-Barnes inversion of the radial moments
+    E|X|^q = 2^q Gamma((d+q)/2) Gamma(1-q/alpha) / (Gamma(d/2) Gamma(1-q/2)),
+    -d < q < alpha (Zolotarev 1986; Paris and Kaminski 2001):
+    sigma_d rho^(d-1) R(rho) = (1/pi) int_0^inf Re[E|X|^(s-1) rho^(-s)] dt
+    on s = c + i t. c is the real-axis minimum of the integrand, a saddle:
+    E|X|^q is the Mellin transform of a positive law, so the integrand over
+    its value at t = 0 is at most 1 in modulus, and its phase is stationary
+    there. One quad, in logs, holds the line to a quarter of _QUAD_TOL.
 
-    - alpha < 1: the real axis with J_nu up to r0 = min(k_cut, 6/rho)
-      (k_cut: the damped amplitude is e^-69), then the ray r0 + i s/rho;
-    - alpha > 1: the imaginary axis up to iT, then the ray
-      iT + s e^(0.4 i pi/alpha), on which e^(-k^alpha) decays. T is the
-      minimum of |e^(-k^alpha + i k rho)| on the axis, or where the phase
-      t^alpha sin(pi alpha/2) of e^(-k^alpha) reaches pi/2, if that comes
-      first: a single ray from k = 0 cancels in the far tail at alpha near
-      2, and the axis beyond that phase oscillates.
-
-    The legs may cancel: a coarse pass sizes their sum, and each leg is then
-    held to an absolute share of that size (or of ``floor``, a lower bound
-    for R, if larger). Finite legs break at end/64 and end/8, where
-    QUADPACK's first bisections could otherwise settle on an underestimate.
+    Within _POLE_GAP of the pole at q = alpha (alpha near 2, large rho) the
+    pole pins the saddle and the line cancels. The line then moves past
+    the poles at q = alpha, ..., n alpha to c - 1 = (n + 1/2) alpha, where
+    its scale is least (or first falls to eps of its scale at n = 1), adds
+    their residues, the far series' first n terms, and is held to the same
+    share of their size: its own relative target meets QUADPACK's roundoff.
+    Outside the double range R is 0 with an infinite error, as in the series.
     """
-    nu, half = d / 2.0 - 1.0, d / 2.0
+    lr = math.log(rho)
+    lo, hi = 1.0 - d, 1.0 + alpha
 
-    def complex_leg(k0: complex, u: complex):
-        def f(s: float) -> float:
-            k = k0 + s * u
-            return (u * cmath.exp(half * cmath.log(k) - k ** alpha + 1j * k * rho)
-                    * hankel1e(nu, k * rho)).real
-        return f
+    def log_moment(q):
+        # log(Gamma(d/2) E|X|^q); complex loggamma takes the negative reals past the poles
+        return (q * _LOG2 + loggamma(0.5 * (d + q)) + loggamma(1.0 - q / alpha)
+                - loggamma(1.0 - 0.5 * q))
 
-    if alpha < 1.0:
-        s = _CUT_LOG
-        for _ in range(4):
-            s = _CUT_LOG + (d + 1.0) / (2.0 * alpha) * math.log(s)
-        k_cut = s ** (1.0 / alpha)
-        r0 = min(k_cut, 6.0 / rho)
-        legs = [(lambda k: math.exp(-k ** alpha) * k ** half * float(jv(nu, k * rho)), r0)]
-        if r0 < k_cut:
-            legs.append((complex_leg(complex(r0), 1j / rho), math.inf))
-    else:
-        c, sn = math.cos(0.5 * math.pi * alpha), math.sin(0.5 * math.pi * alpha)
-        # in logs: the first power overflows for alpha just above 1
-        T = math.exp(min(math.log(rho / (alpha * -c)) / (alpha - 1.0),
-                         math.log(0.5 * math.pi / sn) / alpha))
-        legs = [(complex_leg(0j, 1j), T),
-                (complex_leg(1j * T, cmath.exp(0.4j * math.pi / alpha)), math.inf)]
+    def log_scale(c):
+        return log_moment(complex(c - 1.0)).real - c * lr
 
-    def integrate(f, end, **kw):
-        points = (end / 64.0, end / 8.0) if end < math.inf else None
-        return _quad_result(quad(f, 0.0, end, points=points, limit=200, full_output=1, **kw),
-                            f"contour leg on [0, {end:.6g}] at rho = {rho:.6g}")
+    c = minimize_scalar(log_scale, bounds=(lo, hi), method="bounded",
+                        options={"xatol": 1e-6 * (hi - lo)}).x
+    tol = 0.25 * _QUAD_TOL
+    residues = rounding = 0.0
+    if hi - c < _POLE_GAP:
+        q = (np.arange(1, _SERIES_TERMS + 1) + 0.5) * alpha
+        line = log_moment(q + 0j).real - q * lr
+        n = int(np.argmin(np.maximum(line, line[0] + math.log(_EPS)))) + 1
+        c = 1.0 + (n + 0.5) * alpha
+        log_mag, weight, scale = _far_terms(alpha, d, np.array([rho]), n)
+        terms = np.exp(log_mag[0] - (0.5 * d + 1.0) * _LOG_PI - d * lr) * weight
+        residues = math.fsum(terms)
+        rounding = 4.0 * _EPS * float((np.abs(terms) * (scale[0] + 1.0)).sum())
+    base = log_scale(c)
+    with np.errstate(over="ignore"):
+        front = float(np.exp(base - (d - 1) * lr - math.log(2.0 * math.pi) - 0.5 * d * _LOG_PI))
+    if not 0.0 < front < math.inf:
+        return 0.0, math.inf
 
-    front = (2.0 * math.pi) ** (-d / 2.0) * rho ** (1.0 - d / 2.0)
-    size = abs(sum(integrate(f, end, epsrel=1e-6)[0] for f, end in legs))
-    epsabs = 0.25 * _QUAD_TOL * max(size, floor / abs(front)) / len(legs)
-    total = err = 0.0
-    for f, end in legs:
-        v, e = integrate(f, end, epsabs=epsabs, epsrel=0.0)
-        total += v
-        err += e
-    return front * total, abs(front) * err
+    def f(t: float) -> float:
+        z = log_moment(complex(c - 1.0, t)) - 1j * t * lr - c * lr - base
+        return math.exp(z.real) * math.cos(z.imag)
+
+    value, error = _quad_result(quad(f, 0.0, math.inf, epsabs=tol * abs(residues) / front,
+                                     epsrel=tol, limit=200, full_output=1),
+                                f"Mellin-Barnes line at rho = {rho:.6g}")
+    return residues + front * value, front * error + rounding
 
 
 @dataclass
@@ -622,7 +624,7 @@ class StableProfile:
     ``auto`` evaluates alpha = 2 and alpha = 1 in closed form; other orders
     take the route their (alpha, d, rho) selects: the closed form at
     rho = 0, the near series for alpha > 1 at small rho, the far series at
-    large rho, and the contour integral between, in every dimension.
+    large rho, and the Mellin-Barnes integral between, in every dimension.
     Every value must carry an error estimate within 1e-11 (``_QUAD_TOL``)
     relative to itself, or the call raises ResolutionError.
     ``subordination`` (alpha = 1 only) computes the Bochner integral of the
@@ -688,7 +690,7 @@ class StableProfile:
 
     def _generic(self, rho, value, error, route):
         alpha, d = self.alpha, self.d
-        rho_near, rho_far, floor = _series_switches(alpha, d)
+        rho_near, rho_far = _series_switches(alpha, d)
         center = rho == 0.0
         near = ~center & (rho <= rho_near)
         far = ~center & ~near & (rho >= rho_far)
@@ -703,8 +705,8 @@ class StableProfile:
                 value[mask], error[mask] = _chunked(series, alpha, d, rho[mask])
                 route[mask] = name
         for i in np.flatnonzero(~(center | near | far)):
-            value[i], error[i] = _contour(alpha, d, float(rho[i]), floor)
-            route[i] = "contour"
+            value[i], error[i] = _mellin(alpha, d, float(rho[i]))
+            route[i] = "mellin"
 
     def _subordinated(self, rho: float):
         d = self.d

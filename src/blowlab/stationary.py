@@ -38,7 +38,7 @@ __all__ = [
 
 # excised ball radius of the principal-value scheme, relative to the probe
 _DELTA_RATIO = 0.05
-# relative (and, times the residual's scale, absolute) target of its quad
+# relative and absolute target of its quad, at unit radius
 _RESIDUAL_QUAD_TOL = 1e-10
 
 
@@ -182,19 +182,20 @@ def stationary_residual(sol: SingularSolution, probe_radius: float) -> float:
     For alpha = 2 the Laplacian of r^(-g) is symbolic and the residual is
     pure arithmetic. For alpha in (0, 2) the hypersingular integral is
     evaluated with the ball |y - x| < delta excised and replaced by its
-    second-order Taylor correction; delta = 0.05 * probe_radius keeps the
-    whole scheme scale covariant.
+    second-order Taylor correction, delta = 0.05 |x|. The profile is
+    homogeneous and the scheme scale covariant, so the defect does not
+    depend on the probe radius (positive and finite): the scheme runs at
+    |x| = 1, since QUADPACK's unit-scale map of [|x| + delta, inf) loses the
+    outer piece at |x| far from 1.
 
-    The radial integral runs in three pieces. Off [r - delta, r + delta]
-    the angular kernel is closed form. On it, where the ball cuts a cap
-    out of each sphere, the integrand carries (delta - |r - rho|)^((d-1)/2)
-    at both ends, not smooth for even d; in rho = r + delta cos(psi),
-    psi in [0, pi], that term is psi^(d-1), and QUADPACK resolves the
-    piece in a few panels instead of hundreds of cap quadratures. The
-    probe radius must be positive and finite.
+    The radial integral runs in three pieces. Off [1 - delta, 1 + delta] the
+    angular kernel is closed form. On it, where the ball cuts a cap out of
+    each sphere, the integrand carries (delta - |1 - rho|)^((d-1)/2) at both
+    ends, not smooth for even d; in rho = 1 + delta cos(psi), psi in
+    [0, pi], that term is psi^(d-1), and QUADPACK resolves the piece in a
+    few panels instead of hundreds of cap quadratures.
     """
-    r = float(probe_radius)
-    if not 0.0 < r < math.inf:
+    if not 0.0 < float(probe_radius) < math.inf:
         raise DomainError(f"probe radius must be positive and finite, got {probe_radius!r}")
     g = sol.decay_exponent
     target = sol.s_value ** (sol.p - 1.0)
@@ -204,33 +205,29 @@ def stationary_residual(sol: SingularSolution, probe_radius: float) -> float:
         return abs(ell - target) / target
     if sol.d < 2:
         raise DomainError("the radial principal-value scheme needs d >= 2")
-    d, alpha = sol.d, sol.alpha
-    delta = _DELTA_RATIO * r
+    d, alpha, delta = sol.d, sol.alpha, _DELTA_RATIO
 
     def outer(rho: float) -> float:
-        return rho ** (d - 1) * (r ** -g - rho ** -g) \
-            * _angular_kernel(r, rho, delta, d, alpha)
+        return rho ** (d - 1) * (1.0 - rho ** -g) * _angular_kernel(1.0, rho, delta, d, alpha)
 
     def middle(psi: float) -> float:
-        # outer on [r - delta, r + delta] with rho = r + delta cos(psi)
-        return delta * math.sin(psi) * outer(r + delta * math.cos(psi))
+        # outer on [1 - delta, 1 + delta] with rho = 1 + delta cos(psi)
+        return delta * math.sin(psi) * outer(1.0 + delta * math.cos(psi))
 
-    scale = r ** (-g - alpha)
-    pieces = [_quad_result(quad(f, a, b, epsabs=_RESIDUAL_QUAD_TOL * scale,
-                                epsrel=_RESIDUAL_QUAD_TOL, limit=400, full_output=1),
+    pieces = [_quad_result(quad(f, a, b, epsabs=_RESIDUAL_QUAD_TOL, epsrel=_RESIDUAL_QUAD_TOL,
+                                limit=400, full_output=1),
                            f"residual piece on [{lo:.6g}, {hi:.6g}]")
-              for f, a, b, lo, hi in ((outer, 0.0, r - delta, 0.0, r - delta),
-                                      (middle, 0.0, math.pi, r - delta, r + delta),
-                                      (outer, r + delta, np.inf, r + delta, np.inf))]
+              for f, a, b, lo, hi in ((outer, 0.0, 1.0 - delta, 0.0, 1.0 - delta),
+                                      (middle, 0.0, math.pi, 1.0 - delta, 1.0 + delta),
+                                      (outer, 1.0 + delta, np.inf, 1.0 + delta, np.inf))]
     # excised ball: pv of the gradient term vanishes by symmetry, the Hessian
     # term integrates to -(Lap u / 2d) * sigma_d * delta^(2-alpha)/(2-alpha)
-    lap_u = g * (g + 2.0 - d) * r ** (-g - 2.0)
+    lap_u = g * (g + 2.0 - d)
     inner = -(lap_u / (2.0 * d)) * sphere_area(d) * delta ** (2.0 - alpha) / (2.0 - alpha)
     total_err = sum(err for _, err in pieces)
-    if total_err > 1e-6 * scale:
-        raise ResolutionError(
-            f"hypersingular quadrature achieved only {total_err:.2e} "
-            f"absolute error against scale {scale:.2e}")
+    if total_err > 1e-6:
+        raise ResolutionError(f"hypersingular quadrature achieved only {total_err:.2e} "
+                              f"absolute error at unit radius")
     c = math.exp(_log_pv_normalization(alpha, d))
-    ell_num = c * (sum(val for val, _ in pieces) + inner) / scale
+    ell_num = c * (sum(val for val, _ in pieces) + inner)
     return abs(ell_num - target) / target

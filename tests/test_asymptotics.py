@@ -11,7 +11,7 @@ from scipy.special import poch
 from blowlab.asymptotics import (K_fractional, K_fractional_at_time,
                                  L_fractional, L_gaussian, sweep_K, sweep_L,
                                  window_eta_from_beta, window_lower_bound)
-from blowlab.errors import DomainError, ResolutionError
+from blowlab.errors import DomainError
 from blowlab.kernels import stable_profile
 from blowlab.numutil import golden_max
 from blowlab.specfun import _log_gamma_ratio
@@ -88,17 +88,17 @@ def mp_log_s_and_K(mp, alpha, d, p):
 @pytest.mark.parametrize("alpha, p", [(2.0, 3.0), (1.0, 3.0), (1.5, 2.5)])
 def test_s_and_K_keep_their_digits_at_large_dimension(alpha, p):
     """Against mpmath at a precision sized to d. The d-dependent Gammas
-    enter as one ratio from Stirling's formula; scipy's poch held only
-    2.2e-11 up to d = 1e5 (worst near 1.5e4), and the difference of two
-    math.lgamma values lost 2e-9 by d = 1e6 and every digit by 1e15."""
+    enter as one ratio from Stirling's formula, which holds 6.4e-15 here;
+    scipy's poch held only 2.2e-11 up to d = 1e5 (worst near 1.5e4), and
+    the difference of two math.lgamma values lost 2e-9 by d = 1e6 and
+    every digit by 1e15."""
     mp = pytest.importorskip("mpmath")
     for d in (5.0, 50.0, 800.0, 1e4, 1.5e4, 1e6, 1e8, 1e10, 1e13, 1e15):
         with mp.workdps(30 + int(math.log10(d))):
             log_s, log_K = mp_log_s_and_K(mp, alpha, d, p)
             s_ref, K_ref = float(mp.exp(log_s)), float(mp.exp(log_K))
-        rtol = 5e-11 if d <= 1e5 else 2e-14
-        assert_allclose(math.exp(log_singular_constant(alpha, d, p)), s_ref, rtol=rtol)
-        assert_allclose(K_fractional(alpha, d, p), K_ref, rtol=rtol)
+        assert_allclose(math.exp(log_singular_constant(alpha, d, p)), s_ref, rtol=2e-14)
+        assert_allclose(K_fractional(alpha, d, p), K_ref, rtol=2e-14)
 
 
 def test_K_near_p_one_where_poch_overflows():
@@ -174,15 +174,15 @@ def test_fractional_envelope_generic_order():
     assert abs(res.lower / grid_sup - 1.0) < 1e-3
 
 
-def test_high_dimension_envelope_fails_without_a_warning():
+def test_high_dimension_envelope_is_finite_without_a_warning():
     """At d = 50 the far series' factor rho^(-d) overflows at the switch
     grid's small radii; that is an infinite error estimate, not a
-    RuntimeWarning. The contour then misses its tolerance (roundoff, from
-    d near 20 at this order), which is a ResolutionError."""
+    RuntimeWarning. The Mellin-Barnes line serves the radii between the
+    series in every dimension, so L is finite."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ResolutionError, match="contour leg"):
-            L_fractional(1.5, 50, 3.0)
+        res = L_fractional(1.5, 50, 3.0)
+    assert math.isfinite(res.lower) and res.lower > 0
 
 
 def test_window_factor_values():

@@ -150,6 +150,14 @@ def test_sweep_L_reports_band(outdir):
     assert "normalized_band_lo" in meta and "normalized_band_hi" in meta
 
 
+def test_sweep_L_at_a_generic_order_in_high_dimension(outdir):
+    # from d = 14 the generic-order profile once missed its tolerance
+    # between the series; the Mellin-Barnes line serves every dimension
+    assert cli.main(["sweep-L", "--alpha", "1.5", "--p", "3", "--d", "12:16"]) == 0
+    _, rows, _ = read_rows(outdir / "sweep_L.csv")
+    assert len(rows) == 5
+
+
 def test_parse_d_values_forms():
     assert cli._parse_d_values("3:5") == [3, 4, 5]
     assert cli._parse_d_values("400,800") == [400.0, 800.0]

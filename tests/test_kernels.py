@@ -17,9 +17,9 @@ from scipy.integrate import IntegrationWarning, quad
 from blowlab.blowup import moment_field
 from blowlab.errors import DomainError, ResolutionError
 from blowlab import kernels
-from blowlab.kernels import (Grid, GridFunction, KernelSpec, _contour,
-                             _far_series, _near_series, _series_switches,
-                             semigroup_kernel, stable_profile)
+from blowlab.kernels import (Grid, GridFunction, KernelSpec, _far_series, _mellin,
+                             _near_series, _series_switches, semigroup_kernel,
+                             stable_profile)
 from blowlab.numutil import loglog_slope, refine_max_on_grid
 
 
@@ -414,11 +414,11 @@ def test_kernel_bound_grid_validation():
 # (alpha, d, rho, route auto takes): every route, d in {1, 2, 3, 5}, alpha
 # on both sides of 1, at points where subordination costs under a second
 ROUTE_POINTS = [
-    (0.8, 1, 0.3, "contour"),
-    (1.3, 1, 2.5, "contour"),
-    (1.4, 2, 3.0, "contour"),
-    (0.7, 3, 0.4, "contour"),
-    (1.2, 5, 2.0, "contour"),
+    (0.8, 1, 0.3, "mellin"),
+    (1.3, 1, 2.5, "mellin"),
+    (1.4, 2, 3.0, "mellin"),
+    (0.7, 3, 0.4, "mellin"),
+    (1.2, 5, 2.0, "mellin"),
     (1.5, 5, 0.5, "series-near"),
     (0.8, 5, 3.0, "series-far"),
 ]
@@ -440,22 +440,22 @@ def test_profile_routes_match_subordination(alpha, d, rho, route):
 @pytest.mark.parametrize("alpha,d", [(1.4, 2), (1.2, 1), (1.8, 5), (1.05, 3),
                                      (0.7, 3), (0.9, 1), (0.6, 2)])
 def test_profile_routes_agree_at_their_switches(alpha, d):
-    rho_near, rho_far, floor = _series_switches(alpha, d)
+    rho_near, rho_far = _series_switches(alpha, d)
 
-    def contour(r):
-        return _contour(alpha, d, r, floor)[0]
+    def mellin(r):
+        return _mellin(alpha, d, r)[0]
 
     def series(fn, r):
         return float(fn(alpha, d, np.array([r]))[0][0])
 
     # rho = 0: the closed form against the route serving the smallest radii
-    first = series(_near_series, 1e-9) if alpha > 1 else contour(1e-9)
+    first = series(_near_series, 1e-9) if alpha > 1 else mellin(1e-9)
     assert_allclose(first, stable_profile(alpha, d)(0.0), rtol=1e-10)
     if alpha > 1:
         assert rho_near > 0
-        assert_allclose(series(_near_series, rho_near), contour(rho_near), rtol=1e-10)
+        assert_allclose(series(_near_series, rho_near), mellin(rho_near), rtol=1e-10)
     assert math.isfinite(rho_far)
-    assert_allclose(contour(rho_far), series(_far_series, rho_far), rtol=1e-10)
+    assert_allclose(mellin(rho_far), series(_far_series, rho_far), rtol=1e-10)
 
 
 @pytest.mark.parametrize("alpha,d,rho", [(1.5, 1, 250.0), (1.7, 1, 200.0),
@@ -497,13 +497,14 @@ def near_series_derivative(alpha, d, rho):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_contour_obeys_the_dimension_recurrence(alpha, d):
     """R_(d+2)(rho) = -R_d'(rho)/(2 pi rho) (DLMF 10.6.6), with R_(d+2) on
-    the contour and R_d' from the near series of the lower dimension, just
-    past the switch where the derivative series still cancels mildly."""
+    the Mellin-Barnes contour and R_d' from the near series of the lower
+    dimension, just past the switch where the derivative series still
+    cancels mildly."""
     prof = stable_profile(alpha, d + 2)
-    rho_near, _, _ = _series_switches(alpha, d + 2)
+    rho_near, _ = _series_switches(alpha, d + 2)
     rho = rho_near * np.array([1.02, 1.1, 1.25])
     res = prof.evaluate(rho)
-    assert list(res.route) == ["contour"] * rho.size
+    assert list(res.route) == ["mellin"] * rho.size
     for r, value in zip(rho, res.value):
         slope, rounding = near_series_derivative(alpha, d, r)
         assert abs(value + slope / (2.0 * math.pi * r)) \
@@ -535,20 +536,22 @@ def test_profile_leaks_no_integration_warning():
 
 
 def test_profile_error_over_tolerance_raises(monkeypatch):
-    # a small order in high dimension, where the integral along the real
-    # axis cancels below double precision: the contour serves it (its value
-    # is pinned against mpmath below)
+    # a small order in high dimension, where the Hankel integral along the
+    # real axis cancels below double precision: the Mellin-Barnes line
+    # serves it (its value is pinned against mpmath below)
     assert stable_profile(0.3, 8)(0.05) > 0
-    # a tolerance the contour cannot reach there (QUADPACK reports roundoff);
-    # the switch radii are cached per (alpha, d) at the tolerance in force,
-    # so the cache is cleared on both sides of the patch
-    monkeypatch.setattr(kernels, "_QUAD_TOL", 1e-13)
-    _series_switches.cache_clear()
-    try:
-        with pytest.raises(ResolutionError):
-            stable_profile(0.3, 8)(0.05)
-    finally:
-        _series_switches.cache_clear()
+    # the line reaches 1e-13 there, and QUADPACK refuses a relative target
+    # under 50 eps, so a lower tolerance cannot show a miss: the estimate
+    # QUADPACK returns is inflated instead, which the route must pass on
+    def coarse_quad(*args, **kwargs):
+        out = quad(*args, **kwargs)
+        return (out[0], 1e4 * out[1]) + out[2:]
+
+    monkeypatch.setattr(kernels, "quad", coarse_quad)
+    res = stable_profile(0.3, 8).evaluate(0.05)
+    assert res.error[0] > kernels._QUAD_TOL * res.value[0]
+    with pytest.raises(ResolutionError, match="profile route mellin"):
+        stable_profile(0.3, 8)(0.05)
 
 
 def _mp_series(terms, dps=30):
@@ -566,15 +569,14 @@ def _mp_series(terms, dps=30):
 @pytest.mark.parametrize("alpha,d,rho,series,dps", [
     (0.3, 8, 0.05, "far", 30),
     (1.95, 3, 7.0, "near", 30),
-    # without the breakpoints QUADPACK settles on 3 intervals of the real
-    # leg here and misses by 2e-11; the far series cancels by 3e19
+    # the far series cancels by 3e19 here
     (0.32, 7, 2.1544346900318845e-4, "far", 50),
 ])
 def test_contour_matches_high_precision_series(alpha, d, rho, series, dps):
-    """The contour against the series at high precision, where double
-    precision serves neither: the far series converges for alpha < 1 and the
-    near one for alpha > 1. At (0.3, 8, 0.05) the Hankel integral by
-    mpmath's quadosc gives 26625649.937826782."""
+    """The Mellin-Barnes contour against the series at high precision, where
+    double precision serves neither: the far series converges for
+    alpha < 1 and the near one for alpha > 1. At (0.3, 8, 0.05) the Hankel
+    integral by mpmath's quadosc gives 26625649.937826782."""
     def far(mp):
         a, r = mp.mpf(alpha), mp.mpf(rho)
         for n in range(1, 2000):
@@ -591,35 +593,42 @@ def test_contour_matches_high_precision_series(alpha, d, rho, series, dps):
 
     ref = float(_mp_series(far if series == "far" else near, dps))
     res = stable_profile(alpha, d).evaluate(rho)
-    assert res.route[0] == "contour"
+    assert res.route[0] == "mellin"
     assert_allclose(res.value[0], ref, rtol=2e-12)
+
+
+def _quadosc_profile(mp, alpha, d, rho):
+    """R at d = 1 (cosine) or d = 3 (sine transform) by mpmath's quadosc,
+    at the working precision in force."""
+    a, r = mp.mpf(alpha), mp.mpf(rho)
+    if d == 1:
+        return mp.quadosc(lambda k: mp.exp(-k ** a) * mp.cos(k * r), [0, mp.inf], omega=r) / mp.pi
+    return mp.quadosc(lambda k: mp.exp(-k ** a) * k * mp.sin(k * r),
+                      [0, mp.inf], omega=r) / (2 * mp.pi ** 2 * r)
+
+
+def _between_the_series(alpha, d, points):
+    """R at ``points`` radii strictly between the switches, each on the
+    Mellin-Barnes route within the profile tolerance."""
+    rho_near, rho_far = _series_switches(alpha, d)
+    rho = np.linspace(rho_near, rho_far, points + 2)[1:-1]
+    res = stable_profile(alpha, d).evaluate(rho)
+    assert list(res.route) == ["mellin"] * rho.size
+    assert np.all(res.error <= kernels._QUAD_TOL * res.value), (alpha, d)
+    return rho, res.value
 
 
 @pytest.mark.parametrize("d", [1, 3])
 def test_contour_serves_orders_just_above_one(d):
-    """At alpha = 1.002 the axis minimum of |e^(-k^alpha + i k rho)| lies far
-    beyond the phase cap (its power overflows a float at these radii); the
-    contour takes the cap. Against the cosine (d = 1) and sine (d = 3)
-    transforms by mpmath at 20 digits."""
+    """At alpha = 1.002 the near and far series both converge slowly and
+    leave a wide range to the Mellin-Barnes contour. Against the cosine
+    (d = 1) and sine (d = 3) transforms by mpmath at 20 digits."""
     mp = pytest.importorskip("mpmath")
-    alpha = 1.002
-    prof = stable_profile(alpha, d)
-    rho_near, rho_far, _ = _series_switches(alpha, d)
-    rho = np.linspace(rho_near, rho_far, 4)[1:-1]
-    res = prof.evaluate(rho)
-    assert list(res.route) == ["contour"] * rho.size
-    assert np.all(res.error <= kernels._QUAD_TOL * res.value)
-    a = mp.mpf(alpha)
+    rho, values = _between_the_series(1.002, d, 2)
     with mp.workdps(20):
-        for r, value in zip(rho, res.value):
-            r = mp.mpf(r)
-            if d == 1:
-                ref = mp.quadosc(lambda k: mp.exp(-k ** a) * mp.cos(k * r),
-                                 [0, mp.inf], omega=r) / mp.pi
-            else:
-                ref = mp.quadosc(lambda k: mp.exp(-k ** a) * k * mp.sin(k * r),
-                                 [0, mp.inf], omega=r) / (2 * mp.pi ** 2 * r)
-            assert_allclose(value, float(ref), rtol=kernels._QUAD_TOL)
+        for r, value in zip(rho, values):
+            assert_allclose(value, float(_quadosc_profile(mp, 1.002, d, r)),
+                            rtol=kernels._QUAD_TOL)
 
 
 def test_contour_serves_every_radius_between_the_series():
@@ -627,9 +636,82 @@ def test_contour_serves_every_radius_between_the_series():
     strictly between the switches, each served within the profile tolerance."""
     for alpha in np.linspace(0.3, 1.99, 12):
         for d in range(1, 9):
-            prof = stable_profile(alpha, d)
-            rho_near, rho_far, _ = _series_switches(prof.alpha, d)
-            rho = np.linspace(rho_near, rho_far, 6)[1:-1]
-            res = prof.evaluate(rho)
-            assert list(res.route) == ["contour"] * rho.size
-            assert np.all(res.error <= kernels._QUAD_TOL * res.value), (alpha, d)
+            _between_the_series(float(alpha), d, 4)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_mellin_line_passes_the_poles_near_alpha_two(d, monkeypatch):
+    """At alpha = 1.9995 and large rho the pole of Gamma(1 - q/alpha) at
+    q = alpha pins the saddle; the line moves past the poles and adds their
+    residues, the far series' first terms. Against mpmath's quadosc at 25
+    digits; the line left at the saddle misses the profile tolerance there."""
+    mp = pytest.importorskip("mpmath")
+    rho, values = _between_the_series(1.9995, d, 4)
+    with mp.workdps(25):
+        for r, value in zip(rho, values):
+            assert_allclose(value, float(_quadosc_profile(mp, 1.9995, d, r)), rtol=1e-12)
+    monkeypatch.setattr(kernels, "_POLE_GAP", 0.0)
+
+    def misses(r):
+        try:
+            value, error = _mellin(1.9995, d, float(r))
+        except ResolutionError:
+            return True
+        return error > kernels._QUAD_TOL * value
+
+    assert any(misses(r) for r in rho)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 10, 40, 100])
+def test_mellin_line_matches_the_poisson_closed_form(d):
+    """At alpha = 1, where auto takes the closed form, the private route
+    against (Gamma((d+1)/2)/pi^((d+1)/2)) (1 + rho^2)^(-(d+1)/2), from
+    rho = 1e-3 to 1e3, in dimensions where the Hankel path failed."""
+    closed = stable_profile(1.0, d)
+    for r in np.geomspace(1e-3, 1e3, 7):
+        value, error = _mellin(1.0, d, float(r))
+        assert error <= kernels._QUAD_TOL * value
+        assert_allclose(value, closed(r), rtol=1e-12)
+
+
+def test_mellin_line_outside_the_double_range_raises():
+    """At d = 400, R(33) lies below the smallest double: the line returns 0
+    with an infinite error, as the series do, and a call raises."""
+    assert _mellin(1.5, 400, 33.0) == (0.0, math.inf)
+    with pytest.raises(ResolutionError, match="profile route mellin"):
+        stable_profile(1.5, 400)(33.0)
+
+
+def test_mellin_line_matches_the_near_series_at_dimension_twenty():
+    """alpha = 1.5, d = 20 between the switches, against the near series
+    summed by mpmath at 50 digits (it converges for alpha > 1)."""
+    rho, values = _between_the_series(1.5, 20, 4)
+
+    def near(r):
+        def terms(mp):
+            a, x = mp.mpf("1.5"), mp.mpf(r)
+            for k in range(2000):
+                yield (2 / (a * (4 * mp.pi) ** 10) * (-1) ** k * mp.gamma((2 * k + 20) / a)
+                       / (mp.factorial(k) * mp.gamma(k + 10)) * (x / 2) ** (2 * k))
+        return float(_mp_series(terms, 50))
+
+    for r, value in zip(rho, values):
+        assert_allclose(value, near(r), rtol=1e-12)
+
+
+def test_far_series_keeps_its_digits_near_alpha_two():
+    """At alpha = 1 - 1e-6 below 2 the weights sin(pi n alpha/2) are near
+    n pi and lose six digits if taken from alpha; from 2 - alpha they keep
+    them. Against the far series summed by mpmath at 30 digits."""
+    alpha, d, rho = 1.999999, 3, 20.0
+
+    def terms(mp):
+        a, r = mp.mpf(alpha), mp.mpf(rho)
+        for n in range(1, 60):
+            yield (mp.pi ** -2.5 * r ** -d * (-1) ** (n + 1) / mp.factorial(n)
+                   * mp.gamma((n * a + d) / 2) * mp.gamma(1 + n * a / 2)
+                   * mp.sinpi(n * a / 2) * (2 / r) ** (n * a))
+
+    value, error = _far_series(alpha, d, np.array([rho]))
+    assert error[0] <= kernels._QUAD_TOL * value[0]
+    assert_allclose(value[0], float(_mp_series(terms)), rtol=1e-13)

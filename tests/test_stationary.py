@@ -158,6 +158,18 @@ def test_residual_small_and_probe_independent_in_general_dimension(alpha, d):
     assert abs(r_half - r_two) < 1e-8
 
 
+def test_residual_is_the_same_at_every_probe_radius():
+    """The profile is homogeneous, so the defect does not depend on the
+    probe radius: each positive finite radius returns the unit-radius value
+    bit for bit, far from 1 as well, where the scheme run at the radius
+    itself raised, returned 1.438 or overflowed."""
+    sol = SingularSolution(1.0, 4, 3.0)
+    at_one = stationary_residual(sol, 1.0)
+    assert at_one < 1e-6
+    for radius in (1e-100, 1e-30, 1e-8, 1e-3, 0.5, 2.0, 1e8, 1e20, 1e60, 1e100, 1e300):
+        assert stationary_residual(sol, radius) == at_one
+
+
 @pytest.mark.parametrize("alpha, d", [(1.2, 4), (0.807, 5)])
 def test_residual_makes_few_quad_calls(monkeypatch, alpha, d):
     # outside the cap the kernel is closed form; the middle piece, smooth in
