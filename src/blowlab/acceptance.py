@@ -337,8 +337,7 @@ def asymptotic_orders(res: CheckResult) -> None:
             pair <= 0.02, f"pair_ratio={pair:.3e} bound=0.02")
 
     rep_Lf = sweep_L(1.0, 3.0, list(range(3, 51)))
-    lo, hi = rep_Lf.verdict["normalized_band"]
-    band = hi / lo
+    band = rep_Lf.verdict["normalized_band_hi"] / rep_Lf.verdict["normalized_band_lo"]
     res.add("L sigma_d d^(1/4) (alpha=1, p=3) two-sided over d in [3, 50]",
             band <= 5.0, f"band_max_over_min={band:.4f} bound=5")
     rep_Lf_slope = sweep_L(1.0, 3.0, list(range(10, 51)))

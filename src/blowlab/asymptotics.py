@@ -36,8 +36,7 @@ __all__ = [
     "K_fractional_at_time",
     "L_gaussian",
     "L_fractional",
-    "LGaussianResult",
-    "LFractionalResult",
+    "LResult",
     "window_lower_bound",
     "window_eta_from_beta",
     "sweep_K",
@@ -109,13 +108,21 @@ def K_fractional_at_time(alpha: float, d: float, p: float, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LGaussianResult:
+class LResult:
+    """L = exp(log_value), attained at ``argmax``: t0 for the Gaussian
+    envelope, rho0 for the fractional one. ``value`` is inf where L leaves
+    the double range; ``log_value`` stays finite."""
     value: float
     log_value: float
-    t0: float
+    argmax: float
 
 
-def L_gaussian(d: float, p: float) -> LGaussianResult:
+def _L_result(log_value: float, argmax: float) -> LResult:
+    return LResult(math.exp(log_value) if log_value < 709.0 else math.inf,
+                   log_value, argmax)
+
+
+def L_gaussian(d: float, p: float) -> LResult:
     """sup_t t^(1/(p-1)) (4 pi t)^(-d/2) e^(-1/(4t)) in log space.
 
     The maximizer is t0 = 1/(4b) with b = d/2 - 1/(p-1) > 0 (boundary
@@ -127,51 +134,46 @@ def L_gaussian(d: float, p: float) -> LGaussianResult:
         raise DomainError("need d/2 > 1/(p-1); the exponent degenerates otherwise")
     log_val = -math.log(4.0) / (p - 1.0) - (d / 2.0) * math.log(math.pi) \
         + b * (math.log(b) - 1.0)
-    value = math.exp(log_val) if log_val < 709.0 else math.inf
-    return LGaussianResult(value=value, log_value=log_val, t0=1.0 / (4.0 * b))
+    return _L_result(log_val, 1.0 / (4.0 * b))
 
 
-@dataclass(frozen=True)
-class LFractionalResult:
-    lower: float
-    rho0: float
-    log_lower: float
+def _window_beta(alpha: float, d: float, p: float) -> float:
+    """beta = d/2 - alpha/(2(p-1)) - 1, the exponent of the window bound;
+    the fractional envelope needs it positive too."""
+    _check_power(p)
+    beta = d / 2.0 - alpha / (2.0 * (p - 1.0)) - 1.0
+    if not beta > 0.0:
+        raise DomainError("need d/2 - alpha/(2(p-1)) > 1 (p > 1 + alpha/(d-2))")
+    return beta
 
 
-def L_fractional(alpha: float, d: float, p: float) -> LFractionalResult:
+def L_fractional(alpha: float, d: float, p: float) -> LResult:
     """sup_x x^(d-g) R(x) for alpha in (0, 2), attained at x = rho0.
 
-    ``lower`` is the realized sup of the profile expression (a certified
-    point value): closed form at alpha = 1, golden-section maximization of
-    the stable profile otherwise.
+    The value is the realized sup of the profile expression (a certified
+    point value): closed form at alpha = 1; otherwise the largest of 50
+    log-spaced radii in [0.05, 50], refined by bounded Brent search
+    (``refine_max_on_grid``).
     """
     if not (0.0 < alpha < 2.0):
         raise DomainError("L_fractional covers alpha in (0, 2); use L_gaussian at alpha = 2")
-    _check_power(p)
+    _window_beta(alpha, d, p)
     g = alpha / (p - 1.0)
-    beta = d / 2.0 - g / 2.0 - 1.0
-    if not beta > 0.0:
-        raise DomainError("need d/2 - alpha/(2(p-1)) > 1 (p > 1 + alpha/(d-2))")
     if alpha == 1.0:
         rho_sq = (d - g) / (1.0 + g)
         log_c = math.lgamma((d + 1.0) / 2.0) - ((d + 1.0) / 2.0) * math.log(math.pi)
-        log_lower = log_c + ((d - g) / 2.0) * math.log(rho_sq) \
+        log_value = log_c + ((d - g) / 2.0) * math.log(rho_sq) \
             - ((d + 1.0) / 2.0) * math.log1p(rho_sq)
-        rho0 = math.sqrt(rho_sq)
-    else:
-        prof = stable_profile(alpha, d)
+        return _L_result(log_value, math.sqrt(rho_sq))
+    prof = stable_profile(alpha, d)
 
-        def log_f(lr: float) -> float:
-            rho = math.exp(lr)
-            val = float(prof(rho))
-            return -math.inf if val <= 0.0 else (d - g) * lr + math.log(val)
+    def log_f(lr: float) -> float:
+        rho = math.exp(lr)
+        val = float(prof(rho))
+        return -math.inf if val <= 0.0 else (d - g) * lr + math.log(val)
 
-        grid = np.log(np.geomspace(0.05, 50.0, 50))
-        lr0, log_lower = refine_max_on_grid(log_f, grid)
-        rho0 = math.exp(lr0)
-    return LFractionalResult(
-        lower=math.exp(log_lower) if log_lower < 709.0 else math.inf,
-        rho0=rho0, log_lower=log_lower)
+    lr0, log_value = refine_max_on_grid(log_f, np.log(np.geomspace(0.05, 50.0, 50)))
+    return _L_result(log_value, math.exp(lr0))
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +191,7 @@ def window_eta_from_beta(beta: float) -> float:
 
 
 def window_lower_bound(alpha: float, d: float, p: float) -> float:
-    _check_power(p)
-    beta = d / 2.0 - alpha / (2.0 * (p - 1.0)) - 1.0
-    if not beta > 0:
-        raise DomainError("need d/2 - alpha/(2(p-1)) > 1")
-    return window_eta_from_beta(beta)
+    return window_eta_from_beta(_window_beta(alpha, d, p))
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +238,11 @@ def sweep_L(alpha: float, p: float, d_values: Sequence[float]) -> AsymptoticRepo
     # the first L call checks p, before power divides by p - 1
     if alpha == 2.0:
         results = [L_gaussian(d, p) for d in ds]
-        logs, aux = [r.log_value for r in results], [r.t0 for r in results]
         power = 1.0 / (p - 1.0) - 0.5
     else:
         results = [L_fractional(alpha, d, p) for d in ds]
-        logs, aux = [r.log_lower for r in results], [r.rho0 for r in results]
         power = alpha / (2.0 * (p - 1.0))
-    values = [math.exp(lv) if lv < 709.0 else math.inf for lv in logs]
+    logs = [r.log_value for r in results]
     log_norm = [lv + log_sphere_area(d) + power * math.log(d)
                 for lv, d in zip(logs, ds)]
     normalized = [math.exp(ln) for ln in log_norm]
@@ -257,7 +253,8 @@ def sweep_L(alpha: float, p: float, d_values: Sequence[float]) -> AsymptoticRepo
         "slope": float(slope),
         "predicted_slope": -power,
         "normalized_last_pair_ratio": normalized[-1] / normalized[-2] - 1.0,
-        "normalized_band": (min(normalized), max(normalized)),
+        "normalized_band_lo": min(normalized),
+        "normalized_band_hi": max(normalized),
     }
-    return AsymptoticReport("L", alpha, p, ds, values, logs, normalized,
-                            verdict, aux)
+    return AsymptoticReport("L", alpha, p, ds, [r.value for r in results], logs,
+                            normalized, verdict, [r.argmax for r in results])

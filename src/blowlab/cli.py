@@ -16,6 +16,7 @@ environment.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -266,35 +267,18 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _sweep_table(report) -> tuple:
-    header = ("quantity", "alpha", "p", "d", "value", "normalized",
-              "t0_or_rho0")
-    aux = report.aux if report.aux else [""] * len(report.d_values)
-    rows = [(report.quantity, report.alpha, report.p, d, v, nv, a)
-            for d, v, nv, a in zip(report.d_values, report.values,
-                                   report.normalized, aux)]
-    return header, rows
-
-
-def _cmd_sweep_K(args) -> int:
-    rep = sweep_K(args.alpha, args.p, _parse_d_values(args.d))
-    header, rows = _sweep_table(rep)
-    path = write_csv(output_dir() / "sweep_K.csv", header, rows,
-                     {k: v for k, v in sorted(rep.verdict.items())})
-    print(f"last_pair_ratio = {rep.verdict['last_pair_ratio']!r}")
-    print(f"wrote {path}")
-    return 0
-
-
-def _cmd_sweep_L(args) -> int:
-    rep = sweep_L(args.alpha, args.p, _parse_d_values(args.d))
-    header, rows = _sweep_table(rep)
-    meta = {k: v for k, v in sorted(rep.verdict.items())}
-    band = meta.pop("normalized_band")
-    meta["normalized_band_lo"], meta["normalized_band_hi"] = band
-    path = write_csv(output_dir() / "sweep_L.csv", header, rows, meta)
-    print(f"slope = {rep.verdict['slope']!r}")
-    print(f"predicted_slope = {rep.verdict['predicted_slope']!r}")
+def _cmd_sweep(sweep, shown_keys, args) -> int:
+    """sweep_K or sweep_L: a sweep_<quantity>.csv with the verdict as its
+    metadata, and the verdict's ``shown_keys`` on stdout."""
+    rep = sweep(args.alpha, args.p, _parse_d_values(args.d))
+    aux = rep.aux or [""] * len(rep.d_values)
+    path = write_csv(output_dir() / f"sweep_{rep.quantity}.csv",
+                     ("quantity", "alpha", "p", "d", "value", "normalized", "t0_or_rho0"),
+                     [(rep.quantity, rep.alpha, rep.p, d, v, nv, a)
+                      for d, v, nv, a in zip(rep.d_values, rep.values, rep.normalized, aux)],
+                     rep.verdict)
+    for key in shown_keys:
+        print(f"{key} = {rep.verdict[key]!r}")
     print(f"wrote {path}")
     return 0
 
@@ -408,16 +392,16 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma list of moment horizons T")
     sim.set_defaults(fn=_cmd_simulate)
 
-    for name, fn, d, text in (
-            ("sweep-K", _cmd_sweep_K, "400,800",
+    for name, sweep, shown_keys, d, text in (
+            ("sweep-K", sweep_K, ("last_pair_ratio",), "400,800",
              "discrepancy constant over dimension"),
-            ("sweep-L", _cmd_sweep_L, "3:50",
+            ("sweep-L", sweep_L, ("slope", "predicted_slope"), "3:50",
              "sphere-pairing envelope over dimension")):
         sw = sub.add_parser(name, help=text)
         _floats(sw, alpha=2.0, p=3.0)
         sw.add_argument("--d", default=d,
                         help="'400,800' or '3:50' or '100:1000:7'")
-        sw.set_defaults(fn=fn)
+        sw.set_defaults(fn=functools.partial(_cmd_sweep, sweep, shown_keys))
 
     di = sub.add_parser("dichotomy", help="scaling family blowup/decay split")
     _add_lattice(di, L=128.0)

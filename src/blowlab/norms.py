@@ -12,7 +12,7 @@ data in a ball of radius R. Two routes evaluate it:
 ``concentration_values`` tabulates the radial route's objective at chosen
 radii. Radial integrals use trapezoidal quadrature on the sample grid plus a
 fitted power-law head below the first sample; the sup over r is refined by
-golden section around the discrete argmax. Divergence (sup growing without
+bounded Brent search around the discrete argmax. Divergence (sup growing without
 bound at either end of the grid) is flagged on the result rather than
 raised.
 """
@@ -172,7 +172,7 @@ def _centered_objective(u: RadialProfile, e: float):
 
 def _centered_morrey(u: RadialProfile, s_order: float, e: float) -> MorreyResult:
     """sup_r of the centered objective over the sample grid, refined by
-    golden section. A sup that keeps growing through the outer decades of
+    bounded Brent search. A sup that keeps growing through the outer decades of
     the grid, or a non-integrable or too steep head, marks the result
     divergent instead of raising."""
     f, curve, head_a = _centered_objective(u, e)

@@ -1,9 +1,9 @@
 """Small numeric helpers shared across modules.
 
-Golden-section search (used to refine sups taken first on coarse grids),
-log-spaced grids, log-log slope fits, the one check of a dimension and the
-one of a power, and the one check every QUADPACK result in the package
-goes through.
+The one refined sup (a grid argmax refined by scipy's bounded Brent
+search), log-spaced grids, log-log slope fits, the one check of a
+dimension and the one of a power, and the one check every QUADPACK result
+in the package goes through.
 """
 
 from __future__ import annotations
@@ -13,49 +13,20 @@ import numbers
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .errors import DomainError, ResolutionError
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_TOL = 1e-10      # bracket width, absolute in the argument
-_GOLDEN_MAXITER = 200
-
-
-def golden_max(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal callable on [a, b].
-
-    Returns (argmax, max) once the bracket is 1e-10 wide (absolute in the
-    argument); endpoints are included so monotone functions resolve to the
-    correct boundary.
-    """
-    if not b > a:
-        raise ValueError("golden_max needs a < b")
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    lo, hi = a, b
-    for _ in range(_GOLDEN_MAXITER):
-        if hi - lo <= _GOLDEN_TOL:
-            break
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INVPHI * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INVPHI * (hi - lo)
-            f1 = f(x1)
-    candidates = [(a, f(a)), (x1, f1), (x2, f2), (b, f(b))]
-    return max(candidates, key=lambda t: t[1])
 
 
 def refine_max_on_grid(f: Callable[[float], float], xs: Sequence[float],
                        vals: Optional[Sequence[float]] = None) -> tuple[float, float]:
-    """(argmax, max) of f: the grid argmax, golden-refined between its two
-    neighbours (clipped at the grid ends, so an edge argmax is refined too).
+    """(argmax, max) of f: the grid argmax, refined between its two
+    neighbours (clipped at the grid ends, so an edge argmax is refined too)
+    by bounded Brent search (Brent 1973) to 1e-10 in the argument. The grid
+    value is kept where the refinement comes out lower.
 
     ``vals`` are f on ``xs`` when the caller already has them; f is then
-    called only by the golden-section search.
+    called only by the Brent search.
     """
     xs = np.asarray(xs, dtype=float)
     vals = np.array([f(x) for x in xs]) if vals is None else np.asarray(vals)
@@ -64,10 +35,11 @@ def refine_max_on_grid(f: Callable[[float], float], xs: Sequence[float],
     hi = xs[min(i + 1, len(xs) - 1)]
     if hi <= lo:
         return float(xs[i]), float(vals[i])
-    x, v = golden_max(f, float(lo), float(hi))
-    if v < vals[i]:
+    res = minimize_scalar(lambda x: -f(x), bounds=(float(lo), float(hi)),
+                          method="bounded", options={"xatol": 1e-10})
+    if -res.fun < vals[i]:
         return float(xs[i]), float(vals[i])
-    return x, v
+    return float(res.x), float(-res.fun)
 
 
 def _check_dimension(d) -> int:

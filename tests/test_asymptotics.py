@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import minimize_scalar
 from scipy.special import poch
 
 from blowlab.asymptotics import (K_fractional, K_fractional_at_time,
@@ -13,7 +14,6 @@ from blowlab.asymptotics import (K_fractional, K_fractional_at_time,
                                  window_eta_from_beta, window_lower_bound)
 from blowlab.errors import DomainError
 from blowlab.kernels import stable_profile
-from blowlab.numutil import golden_max
 from blowlab.specfun import _log_gamma_ratio
 from blowlab.stationary import log_singular_constant
 
@@ -125,17 +125,18 @@ def sup_objective_gaussian(d, p, t_center):
         t = math.exp(lt)
         return (lt / (p - 1.0) - (d / 2.0) * math.log(4.0 * math.pi * t)
                 - 0.25 / t)
-    lt, best = golden_max(log_obj, math.log(t_center) - 2.0,
-                          math.log(t_center) + 2.0)
-    return math.exp(lt), math.exp(best)
+    res = minimize_scalar(lambda lt: -log_obj(lt), method="bounded",
+                          bounds=(math.log(t_center) - 2.0, math.log(t_center) + 2.0),
+                          options={"xatol": 1e-10})
+    return math.exp(res.x), math.exp(-res.fun)
 
 
 @pytest.mark.parametrize("d,p", [(6.0, 2.0), (11.0, 3.0)])
 def test_gaussian_envelope_matches_brute_supremum(d, p):
     res = L_gaussian(d, p)
-    t_brute, v_brute = sup_objective_gaussian(d, p, res.t0)
+    t_brute, v_brute = sup_objective_gaussian(d, p, res.argmax)
     assert_allclose(res.value, v_brute, rtol=1e-10)
-    assert abs(t_brute / res.t0 - 1.0) < 1e-6
+    assert abs(t_brute / res.argmax - 1.0) < 1e-6
 
 
 def test_gaussian_envelope_overflow_keeps_logs():
@@ -143,7 +144,7 @@ def test_gaussian_envelope_overflow_keeps_logs():
     assert math.isinf(res.value)
     assert math.isfinite(res.log_value)
     b = 1500.0 - 1.0
-    assert_allclose(res.t0, 1.0 / (4.0 * b), rtol=1e-12)
+    assert_allclose(res.argmax, 1.0 / (4.0 * b), rtol=1e-12)
 
 
 def test_gaussian_envelope_degenerate_domain():
@@ -160,9 +161,10 @@ def test_fractional_envelope_closed_case_matches_brute():
     rhos = np.geomspace(0.3, 10.0, 150)
     vals = rhos ** e * prof(rhos)
     i = int(np.argmax(vals))
-    _, best = golden_max(lambda lr: e * lr + math.log(float(prof(math.exp(lr)))),
-                         math.log(rhos[i - 1]), math.log(rhos[i + 1]))
-    assert_allclose(res.lower, math.exp(best), rtol=1e-8)
+    best = minimize_scalar(lambda lr: -e * lr - math.log(float(prof(math.exp(lr)))),
+                           bounds=(math.log(rhos[i - 1]), math.log(rhos[i + 1])),
+                           method="bounded", options={"xatol": 1e-10})
+    assert_allclose(res.value, math.exp(-best.fun), rtol=1e-8)
 
 
 def test_fractional_envelope_generic_order():
@@ -170,8 +172,8 @@ def test_fractional_envelope_generic_order():
     prof = stable_profile(1.5, 5)
     rhos = np.geomspace(0.2, 20.0, 120)
     grid_sup = float(np.max(rhos ** (5.0 - 0.75) * prof(rhos)))
-    assert res.lower >= grid_sup * (1.0 - 1e-12)   # refinement only raises it
-    assert abs(res.lower / grid_sup - 1.0) < 1e-3
+    assert res.value >= grid_sup * (1.0 - 1e-12)   # refinement only raises it
+    assert abs(res.value / grid_sup - 1.0) < 1e-3
 
 
 def test_high_dimension_envelope_is_finite_without_a_warning():
@@ -182,7 +184,7 @@ def test_high_dimension_envelope_is_finite_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = L_fractional(1.5, 50, 3.0)
-    assert math.isfinite(res.lower) and res.lower > 0
+    assert math.isfinite(res.value) and res.value > 0
 
 
 def test_window_factor_values():
@@ -199,6 +201,15 @@ def test_window_factor_values():
 def test_window_lower_bound_stays_positive():
     for d in (10.0, 1000.0):
         assert window_lower_bound(1.0, d, 3.0) >= 0.05
+
+
+@pytest.mark.parametrize("bound", [L_fractional, window_lower_bound])
+def test_envelope_and_window_share_their_exponent_check(bound):
+    """beta = d/2 - alpha/(2(p-1)) - 1 must be positive for both: at
+    (1.5, 4, 1.5) it is -0.5, at (1.5, 4, 3) it is 0.625."""
+    with pytest.raises(DomainError, match=r"need d/2 - alpha/\(2\(p-1\)\) > 1"):
+        bound(1.5, 4.0, 1.5)
+    bound(1.5, 4.0, 3.0)
 
 
 def test_sweep_reports():

@@ -115,6 +115,14 @@ def test_kernel_radial_profile(outdir):
     assert len(rows) == 501
 
 
+def test_kernel_radial_profile_outside_the_double_range(outdir, capsys):
+    # R(0) at alpha = 1, d = 1000 exceeds the largest double
+    assert cli.main(["kernel", "--radial", "--kind", "fractional",
+                     "--alpha", "1", "--d", "1000"]) == 2
+    assert "error: profile route closed at rho = 0 " in capsys.readouterr().err
+    assert not (outdir / "kernel_profile.csv").exists()
+
+
 def test_kernel_radial_needs_fractional(outdir, capsys):
     assert cli.main(["kernel", "--radial", "--kind", "gaussian"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -270,7 +278,7 @@ def test_criterion_norms_radial_bytes(outdir, tmp_path):
     assert (outdir / "criterion_norms.csv").read_text() == (
         "# divergent = false\n"
         "functional,order,value,argmax\n"
-        "radial_concentration,1.5,4.55611447048453,1.2294893451661588\n")
+        "radial_concentration,1.5,4.55611447048453,1.2294893564391196\n")
 
 
 def test_criterion_norms_flag_divergent_concentration(outdir, tmp_path):

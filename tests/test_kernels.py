@@ -682,6 +682,31 @@ def test_mellin_line_outside_the_double_range_raises():
         stable_profile(1.5, 400)(33.0)
 
 
+@pytest.mark.parametrize("alpha,d,rho", [
+    (1.0, 1000, 1.0),    # R itself lies above the largest double
+    (1.0, 600, 50.0),    # its constant Gamma(h)/pi^h does
+    (0.5, 300, 0.0),     # the center's Gamma(d/alpha) does
+])
+def test_closed_form_outside_the_double_range_raises(alpha, d, rho):
+    """Where the closed form's arithmetic overflows, it returns 0 with an
+    infinite error, as the series and the Mellin line do, and a call
+    raises ResolutionError naming the route."""
+    prof = stable_profile(alpha, d)
+    res = prof.evaluate(rho)
+    assert (res.value[0], res.error[0], res.route[0]) == (0.0, math.inf, "closed")
+    with pytest.raises(ResolutionError, match="profile route closed"):
+        prof(rho)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+def test_closed_form_is_zero_without_a_warning_at_huge_radii(alpha):
+    """rho^2 overflows at rho = 1e200; R there is 0 in doubles, and that
+    is no RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert stable_profile(alpha, 3)(1e200) == 0.0
+
+
 def test_mellin_line_matches_the_near_series_at_dimension_twenty():
     """alpha = 1.5, d = 20 between the switches, against the near series
     summed by mpmath at 50 digits (it converges for alpha > 1)."""

@@ -11,26 +11,8 @@ from blowlab.kernels import StableProfile, stable_profile
 from blowlab.nonlinearity import fujita_exponent, threshold_constant_c
 from blowlab.norms import RadialProfile, radial_concentration
 from blowlab.numutil import (_check_dimension, _check_power, _quad_result,
-                             golden_max, log_grid, loglog_slope,
-                             refine_max_on_grid)
+                             log_grid, loglog_slope, refine_max_on_grid)
 from blowlab.specfun import log_sphere_area
-
-
-def test_golden_max_interior_parabola():
-    # near a smooth extremum the argument is only sqrt(eps)-determined
-    x, v = golden_max(lambda t: -(t - 2.0) ** 2, 0.0, 5.0)
-    assert abs(x - 2.0) < 1e-6
-    assert abs(v) < 1e-12
-
-
-def test_golden_max_monotone_resolves_to_endpoint():
-    x, v = golden_max(lambda t: t, 0.0, 1.0)
-    assert x == 1.0 and v == 1.0
-
-
-def test_golden_max_rejects_empty_bracket():
-    with pytest.raises(ValueError):
-        golden_max(lambda t: t, 1.0, 1.0)
 
 
 def test_refine_max_on_grid_beats_grid_argmax():
@@ -62,6 +44,23 @@ def test_refine_max_on_grid_beats_grid_argmax():
     calls.clear()
     refine_max_on_grid(counted, xs)
     assert len(calls) == n_given + len(xs)
+
+
+@pytest.mark.parametrize("f,xs", [
+    (math.sin, np.linspace(0.0, math.pi, 7)),
+    (lambda t: -(t - 1.85) ** 2, np.linspace(0.0, 1.9, 6)),
+], ids=["sine", "parabola-at-the-edge"])
+def test_refine_max_on_grid_is_cheap_beyond_the_grid(f, xs):
+    """Bounded Brent search reaches 1e-10 in a few evaluations past the
+    grid on the two cases above (golden section took 50-52)."""
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return f(t)
+
+    refine_max_on_grid(counted, xs, [f(t) for t in xs])
+    assert len(calls) <= 20
 
 
 def test_log_grid_endpoints_and_validation():
