@@ -496,7 +496,11 @@ def _near_series(alpha: float, d: int, rho: np.ndarray):
     scale = sum(np.abs(p) for p in parts)
     weight = np.where(k % 2 == 0.0, 1.0, -1.0)
     value, error = _sum_series(log_mag, weight, scale, asymptotic=alpha < 1.0)
-    front = 2.0 / (alpha * (4.0 * math.pi) ** (d / 2.0))
+    try:
+        front = 2.0 / (alpha * (4.0 * math.pi) ** (d / 2.0))
+    except OverflowError:
+        # (4 pi)^(d/2) leaves the double range: R is 0 with an infinite error
+        return np.zeros_like(value), np.full_like(error, np.inf)
     return front * value, front * error
 
 

@@ -4,13 +4,13 @@ For exponents p above the existence threshold 1 + alpha/(d - alpha), the
 profile u(x) = s |x|^(-alpha/(p-1)) solves the stationary equation
 (-Delta)^(alpha/2) u = u^p with a coefficient s = s(alpha, d, p) given in
 closed form by a ratio of gamma functions. This module evaluates s in log
-space, its Morrey norm, and a quadrature residual check
-that the profile really annihilates the stationary equation: the fractional
-Laplacian of |x|^(-g) is evaluated as a principal-value hypersingular
-integral in radial coordinates and compared against s^(p-1). The angular
-integral at each radius is a Gauss hypergeometric function outside the
-excised ball (Gradshteyn and Ryzhik 3.665, DLMF 15.2), so only the radii
-that meet the ball run an inner quadrature.
+space, its Morrey norm, and a quadrature residual check that the profile
+really annihilates the stationary equation: the fractional Laplacian of
+|x|^(-g) is evaluated as a principal-value hypersingular integral in
+spherical means about the probe point and compared against s^(p-1). Each
+spherical mean of |x|^(-g) is a Gauss hypergeometric function (Gradshteyn
+and Ryzhik 3.665, DLMF 15.2), so the integral is one-dimensional: two
+quads over the sphere radius, neither nested.
 """
 
 from __future__ import annotations
@@ -38,8 +38,10 @@ __all__ = [
 
 # excised ball radius of the principal-value scheme, relative to the probe
 _DELTA_RATIO = 0.05
-# relative and absolute target of its quad, at unit radius
-_RESIDUAL_QUAD_TOL = 1e-10
+# target of each of its two quads, relative to the piece or to the defect's scale
+_RESIDUAL_QUAD_TOL = 1e-11
+# largest share of s^(p-1) the quads' summed error estimates may make up
+_RESIDUAL_ERROR_SHARE = 1e-9
 
 
 def _gamma_arguments(alpha: float, d: float, p: float) -> dict:
@@ -138,42 +140,18 @@ def _log_pv_normalization(alpha: float, d: int) -> float:
         - math.lgamma(1.0 - alpha / 2.0)
 
 
-def _angular_kernel(r: float, rho: float, delta: float, d: int, alpha: float) -> float:
-    """Integral over unit directions w of |r e1 - rho w|^(-d-alpha),
-    restricted to |r e1 - rho w| > delta (the cap matters only when
-    |r - rho| < delta).
-
-    d = 3 integrates in closed form, cap included. For |r - rho| >= delta
-    the polar-angle integral is a Gegenbauer generating-function integral
-    (Gradshteyn and Ryzhik 3.665; DLMF 15.2):
-    sigma_(d-1) B((d-1)/2, 1/2) M^(-2s) 2F1(s, s - nu; nu + 1; (m/M)^2)
-    with s = (d+alpha)/2, nu = (d-2)/2, M = max(r, rho), m = min(r, rho).
-    For |r - rho| < delta it is a polar-angle quadrature over the admissible
-    cap [theta_star, pi]; a QUADPACK message, or an error estimate above its
-    epsrel (1e-11) relative to the value, raises ResolutionError."""
-    if d == 3:
-        q_plus = (r + rho) ** 2
-        q_star = max(delta ** 2, (r - rho) ** 2)
-        ex = (1.0 + alpha) / 2.0
-        return 2.0 * math.pi / ((1.0 + alpha) * r * rho) \
-            * (q_star ** -ex - q_plus ** -ex)
-    ex = (d + alpha) / 2.0
-    if abs(r - rho) >= delta:
-        nu = (d - 2) / 2.0
-        big, small = max(r, rho), min(r, rho)
-        return sphere_area(d - 1) * beta((d - 1) / 2.0, 0.5) * big ** (-2.0 * ex) \
-            * hyp2f1(ex, ex - nu, nu + 1.0, (small / big) ** 2)
-    m_star = (r * r + rho * rho - delta * delta) / (2.0 * r * rho)
-    theta_star = math.acos(min(1.0, max(-1.0, m_star)))
-
-    def integrand(theta: float) -> float:
-        q = r * r + rho * rho - 2.0 * r * rho * math.cos(theta)
-        return math.sin(theta) ** (d - 2) * q ** -ex
-
-    val, _ = _quad_result(quad(integrand, theta_star, math.pi, epsabs=0.0, epsrel=1e-11,
-                               limit=200, full_output=1),
-                          f"angular kernel at r = {r:.6g}, rho = {rho:.6g}", 1e-11)
-    return sphere_area(d - 1) * val
+def _spherical_mean(g: float, d: int):
+    """The integral M(s) of |e1 + s w|^(-g) over unit directions w, as a
+    function of z = s^2 in [0, 1): a Gegenbauer generating-function
+    integral (Gradshteyn and Ryzhik 3.665; DLMF 15.2),
+    z -> sigma_(d-1) B((d-1)/2, 1/2) 2F1(g/2, g/2 - nu; nu + 1; z),
+    nu = (d-2)/2. Past s = 1, M(s) = s^(-g) M(1/s), since |e1 + s w| =
+    |s e1 + w|. M(1) is finite for g < d - 1 only, but integrable in s for
+    every g < d."""
+    nu = (d - 2) / 2.0
+    front = sphere_area(d - 1) * beta((d - 1) / 2.0, 0.5)
+    a, b, c = 0.5 * g, 0.5 * g - nu, nu + 1.0
+    return lambda z: front * hyp2f1(a, b, c, z)
 
 
 def stationary_residual(sol: SingularSolution, probe_radius: float) -> float:
@@ -185,15 +163,16 @@ def stationary_residual(sol: SingularSolution, probe_radius: float) -> float:
     second-order Taylor correction, delta = 0.05 |x|. The profile is
     homogeneous and the scheme scale covariant, so the defect does not
     depend on the probe radius (positive and finite): the scheme runs at
-    |x| = 1, since QUADPACK's unit-scale map of [|x| + delta, inf) loses the
-    outer piece at |x| far from 1.
+    x = e1.
 
-    The radial integral runs in three pieces. Off [1 - delta, 1 + delta] the
-    angular kernel is closed form. On it, where the ball cuts a cap out of
-    each sphere, the integrand carries (delta - |1 - rho|)^((d-1)/2) at both
-    ends, not smooth for even d; in rho = 1 + delta cos(psi), psi in
-    [0, pi], that term is psi^(d-1), and QUADPACK resolves the piece in a
-    few panels instead of hundreds of cap quadratures.
+    In spherical means about the probe (Kwasnicki 2017), y = e1 + s w, the
+    excised integral is int_delta^inf s^(-1-alpha) (sigma_d - M(s)) ds, M
+    the closed-form integral of |y|^(-g) over each sphere
+    (``_spherical_mean``). Two quads compute it, neither nested: one over
+    s in [delta, 1], and one over t = 1/s in (0, 1], where the piece is
+    sigma_d/alpha minus the integral of t^(alpha-1) M(1/t) =
+    t^(alpha+g-1) M(t). A QUADPACK message raises ResolutionError, and so
+    do error estimates that could move the defect by more than 1e-9.
     """
     if not 0.0 < float(probe_radius) < math.inf:
         raise DomainError(f"probe radius must be positive and finite, got {probe_radius!r}")
@@ -204,30 +183,32 @@ def stationary_residual(sol: SingularSolution, probe_radius: float) -> float:
         ell = g * (sol.d - 2.0 - g)
         return abs(ell - target) / target
     if sol.d < 2:
-        raise DomainError("the radial principal-value scheme needs d >= 2")
+        raise DomainError("the spherical-mean scheme needs d >= 2")
     d, alpha, delta = sol.d, sol.alpha, _DELTA_RATIO
+    sigma, mean = sphere_area(d), _spherical_mean(g, d)
 
-    def outer(rho: float) -> float:
-        return rho ** (d - 1) * (1.0 - rho ** -g) * _angular_kernel(1.0, rho, delta, d, alpha)
+    def near(s: float) -> float:
+        return s ** (-1.0 - alpha) * (sigma - mean(s * s))
 
-    def middle(psi: float) -> float:
-        # outer on [1 - delta, 1 + delta] with rho = 1 + delta cos(psi)
-        return delta * math.sin(psi) * outer(1.0 + delta * math.cos(psi))
+    def far(t: float) -> float:
+        # t^(alpha-1) M(1/t)
+        return t ** (alpha + g - 1.0) * mean(t * t)
 
-    pieces = [_quad_result(quad(f, a, b, epsabs=_RESIDUAL_QUAD_TOL, epsrel=_RESIDUAL_QUAD_TOL,
-                                limit=400, full_output=1),
-                           f"residual piece on [{lo:.6g}, {hi:.6g}]")
-              for f, a, b, lo, hi in ((outer, 0.0, 1.0 - delta, 0.0, 1.0 - delta),
-                                      (middle, 0.0, math.pi, 1.0 - delta, 1.0 + delta),
-                                      (outer, 1.0 + delta, np.inf, 1.0 + delta, np.inf))]
+    # each piece to _RESIDUAL_QUAD_TOL relative to itself or to s^(p-1)/c,
+    # its scale in the defect
+    c = math.exp(_log_pv_normalization(alpha, d))
+    (v_near, e_near), (v_far, e_far) = (
+        _quad_result(quad(f, a, 1.0, epsabs=_RESIDUAL_QUAD_TOL * target / c,
+                          epsrel=_RESIDUAL_QUAD_TOL, limit=400, full_output=1),
+                     f"residual piece {what} at unit radius")
+        for f, a, what in ((near, delta, "delta <= s <= 1"), (far, 0.0, "s >= 1")))
     # excised ball: pv of the gradient term vanishes by symmetry, the Hessian
     # term integrates to -(Lap u / 2d) * sigma_d * delta^(2-alpha)/(2-alpha)
     lap_u = g * (g + 2.0 - d)
-    inner = -(lap_u / (2.0 * d)) * sphere_area(d) * delta ** (2.0 - alpha) / (2.0 - alpha)
-    total_err = sum(err for _, err in pieces)
-    if total_err > 1e-6:
-        raise ResolutionError(f"hypersingular quadrature achieved only {total_err:.2e} "
-                              f"absolute error at unit radius")
-    c = math.exp(_log_pv_normalization(alpha, d))
-    ell_num = c * (sum(val for val, _ in pieces) + inner)
+    inner = -(lap_u / (2.0 * d)) * sigma * delta ** (2.0 - alpha) / (2.0 - alpha)
+    share = c * (e_near + e_far) / target
+    if share > _RESIDUAL_ERROR_SHARE:
+        raise ResolutionError(f"hypersingular quadrature error estimate {share:.2e} "
+                              f"relative to s^(p-1), over {_RESIDUAL_ERROR_SHARE:.0e}")
+    ell_num = c * (v_near + sigma / alpha - v_far + inner)
     return abs(ell_num - target) / target

@@ -123,6 +123,14 @@ def test_kernel_radial_profile_outside_the_double_range(outdir, capsys):
     assert not (outdir / "kernel_profile.csv").exists()
 
 
+def test_sweep_L_outside_the_double_range_names_the_route(outdir, capsys):
+    # at d = 1000 the near series' (4 pi)^(d/2) overflows, and the
+    # envelope's sup reaches radii where R lies below the smallest double
+    assert cli.main(["sweep-L", "--alpha", "1.5", "--p", "3", "--d", "1000,1001"]) == 2
+    assert "error: profile route mellin at rho = " in capsys.readouterr().err
+    assert not (outdir / "sweep_L.csv").exists()
+
+
 def test_kernel_radial_needs_fractional(outdir, capsys):
     assert cli.main(["kernel", "--radial", "--kind", "gaussian"]) == 2
     assert "error:" in capsys.readouterr().err

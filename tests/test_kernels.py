@@ -698,6 +698,29 @@ def test_closed_form_outside_the_double_range_raises(alpha, d, rho):
         prof(rho)
 
 
+def test_near_series_outside_the_double_range_yields_to_the_mellin_line():
+    """(4 pi)^(d/2) overflows from d = 562: the near series then returns 0
+    with an infinite error, as the other routes do, and the route switch
+    never picks it. At d = 1000, R(0.05) comes from the Mellin line,
+    against the near series summed by mpmath at 40 digits; it ended in a
+    bare OverflowError."""
+    mp = pytest.importorskip("mpmath")
+    value, error = _near_series(1.5, 1000, np.array([0.05, 1.0]))
+    assert value.tolist() == [0.0, 0.0] and error.tolist() == [math.inf, math.inf]
+    assert _series_switches(1.5, 1000)[0] == 0.0
+    with mp.workdps(40):
+        a, d, rho = mp.mpf(1.5), 1000, mp.mpf(0.05)
+        ref = 2 / (a * (4 * mp.pi) ** (d / 2)) * mp.nsum(
+            lambda k: (-1) ** k * mp.gamma((2 * k + d) / a)
+            / (mp.factorial(k) * mp.gamma(k + mp.mpf(d) / 2)) * (rho / 2) ** (2 * k),
+            [0, mp.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prof = stable_profile(1.5, 1000)
+        assert prof.evaluate(0.05).route[0] == "mellin"
+        assert_allclose(prof(0.05), float(ref), rtol=1e-11)
+
+
 @pytest.mark.parametrize("alpha", [1.0, 2.0])
 def test_closed_form_is_zero_without_a_warning_at_huge_radii(alpha):
     """rho^2 overflows at rho = 1e200; R there is 0 in doubles, and that

@@ -82,70 +82,89 @@ def test_dimension_growth_check():
     assert abs(ratios[-1] / ratios[-2] - 1.0) < 0.02
 
 
-def test_angular_kernel_error_over_tolerance_raises(monkeypatch):
-    monkeypatch.setattr(stationary, "quad", lambda f, a, b, **kw: (1.0, 1e-10, {}))
-    # |r - rho| < delta: the cap's polar-angle quadrature runs and is checked
-    with pytest.raises(ResolutionError, match="angular kernel"):
-        stationary._angular_kernel(1.0, 1.02, 0.05, 4, 1.0)
-    # d = 3 takes the closed form and no quadrature
-    assert stationary._angular_kernel(1.0, 2.0, 0.05, 3, 1.0) > 0
+def spherical_mean(s, g, d):
+    """M(s) at every s > 0 from the library's function of z = s^2 < 1,
+    by M(s) = s^(-g) M(1/s) past s = 1."""
+    big = max(1.0, s)
+    return big ** -g * stationary._spherical_mean(g, d)((min(1.0, s) / big) ** 2)
 
 
-def test_angular_kernel_outside_the_cap_makes_no_quad_call(monkeypatch):
-    def no_quad(*args, **kwargs):
-        raise AssertionError("quad called outside the cap")
-
-    monkeypatch.setattr(stationary, "quad", no_quad)
-    for rho in (1e-3, 0.5, 0.95, 1.05, 2.0, 1e3):
-        assert stationary._angular_kernel(1.0, rho, 0.05, 4, 1.0) > 0
-
-
-def polar_angle_kernel(r, rho, delta, d, alpha):
-    """The angular kernel as a polar-angle quadrature over the admissible
-    cap [theta_star, pi], in every dimension."""
-    m_star = (r * r + rho * rho - delta * delta) / (2.0 * r * rho)
-    theta_star = math.acos(min(1.0, max(-1.0, m_star))) if m_star < 1.0 else 0.0
-    ex = (d + alpha) / 2.0
+def polar_angle_mean(s, g, d):
+    """M(s) as a polar-angle quadrature in every dimension:
+    sigma_(d-1) int_0^pi sin(theta)^(d-2) |e1 - s w|^(-g) dtheta, with
+    |e1 - s w|^2 = (1 - s)^2 + 4 s sin(theta/2)^2 and breakpoints at
+    multiples of |1 - s|, the width of its peak near s = 1."""
+    width = abs(1.0 - s)
+    points = [x for x in (width, 10.0 * width, 100.0 * width, 1e-3, 1e-2, 0.1, 1.0)
+              if x < math.pi]
 
     def integrand(theta):
-        q = r * r + rho * rho - 2.0 * r * rho * math.cos(theta)
-        return math.sin(theta) ** (d - 2) * q ** -ex
+        q = (1.0 - s) ** 2 + 4.0 * s * math.sin(0.5 * theta) ** 2
+        return math.sin(theta) ** (d - 2) * q ** (-0.5 * g)
 
-    val, err = quad(integrand, theta_star, math.pi, epsabs=0.0, epsrel=1e-11, limit=200)
-    assert err <= 1e-11 * abs(val)
+    val, err = quad(integrand, 0.0, math.pi, points=points, epsabs=0.0, epsrel=1e-12,
+                    limit=400)
+    assert err <= 1e-12 * abs(val)
     return sphere_area(d - 1) * val
 
 
-# the 2F1 form's domain: d != 3, |r - rho| >= delta (r = 1, delta = 0.05),
-# rho/r from 1e-3 to 1e3 and just outside the cap; alpha = 1 makes
-# c - a - b = -1 - alpha an integer
-KERNEL_DIMS = (2, 4, 5, 6, 8, 12)
-KERNEL_ALPHAS = (0.1, 0.5, 1.0, 1.5, 1.99)
-KERNEL_RHOS = [float(q) for q in np.geomspace(1e-3, 1e3, 25) if abs(q - 1.0) >= 0.05] \
-    + [0.95 - 1e-9, 0.95, 1.05, 1.05 + 1e-9]
+# radii from 1e-3 to 1e3 and next to the unit sphere, where 2F1 meets z = 1;
+# g up to d - 1/2: g = 1 makes c - a - b = d - 2 an integer (a log at z = 1
+# in d = 2), g = d - 1 makes it 0, and g > d - 1 makes M infinite at s = 1
+MEAN_DIMS = (2, 3, 4, 5, 6, 8, 12)
+MEAN_RADII = [float(q) for q in np.geomspace(1e-3, 1e3, 24)] + [1.0 - 1e-9, 1.0 + 1e-9]
 
 
-@pytest.mark.parametrize("d", KERNEL_DIMS)
-def test_angular_kernel_closed_form_matches_mpmath(d):
+def mean_exponents(d):
+    return sorted({0.15, 0.5, 1.0, 1.7, d - 1.0, d - 0.5})
+
+
+@pytest.mark.parametrize("d", MEAN_DIMS)
+def test_spherical_mean_matches_mpmath(d):
+    """The library's 2F1 at the z it is given, against mpmath at 30 digits.
+    Next to z = 1 scipy's hyp2f1 holds 1.5e-13."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
-        for alpha in KERNEL_ALPHAS:
-            s, nu = mp.mpf(d + alpha) / 2, mp.mpf(d - 2) / 2
-            sigma = 2 * mp.pi ** ((d - 1) / mp.mpf(2)) / mp.gamma((d - 1) / mp.mpf(2))
-            for rho in KERNEL_RHOS:
-                big, small = mp.mpf(max(1.0, rho)), mp.mpf(min(1.0, rho))
-                ref = sigma * mp.beta(nu + mp.mpf(1) / 2, mp.mpf(1) / 2) * big ** (-2 * s) \
-                    * mp.hyp2f1(s, s - nu, nu + 1, (small / big) ** 2)
-                assert_allclose(stationary._angular_kernel(1.0, rho, 0.05, d, alpha),
-                                float(ref), rtol=1e-14)
+        nu = mp.mpf(d - 2) / 2
+        front = 2 * mp.pi ** ((d - 1) / mp.mpf(2)) / mp.gamma((d - 1) / mp.mpf(2)) \
+            * mp.beta(nu + mp.mpf(1) / 2, mp.mpf(1) / 2)
+        for g in mean_exponents(d):
+            h = mp.mpf(g) / 2
+            for s in MEAN_RADII:
+                big = max(1.0, s)
+                z = (min(1.0, s) / big) ** 2
+                ref = front * mp.mpf(big) ** (-2 * h) * mp.hyp2f1(h, h - nu, nu + 1, mp.mpf(z))
+                rtol = 5e-13 if abs(s - 1.0) < 1e-6 else 1e-13
+                assert_allclose(spherical_mean(s, g, d), float(ref), rtol=rtol)
 
 
-@pytest.mark.parametrize("d", KERNEL_DIMS)
-def test_angular_kernel_closed_form_matches_the_polar_angle_quadrature(d):
-    for alpha in KERNEL_ALPHAS:
-        for rho in KERNEL_RHOS:
-            assert_allclose(stationary._angular_kernel(1.0, rho, 0.05, d, alpha),
-                            polar_angle_kernel(1.0, rho, 0.05, d, alpha), rtol=2e-13)
+@pytest.mark.parametrize("d", MEAN_DIMS)
+def test_spherical_mean_matches_the_polar_angle_quadrature(d):
+    """At s = 1 +- 1e-9 rounding z = s^2 moves 1 - z by up to 1e-7 of
+    itself, and M responds in proportion to |d - 1 - g|, or to 1/log for
+    g = d - 1: there the closed form holds 2e-9."""
+    for g in mean_exponents(d):
+        for s in MEAN_RADII:
+            rtol = 2e-9 if abs(s - 1.0) < 1e-6 else 1e-13
+            assert_allclose(spherical_mean(s, g, d), polar_angle_mean(s, g, d), rtol=rtol)
+
+
+def elementary_mean_3d(s, g):
+    """d = 3: M(s) = 2 pi ((1 + s)^(2-g) - |1 - s|^(2-g)) / ((2 - g) s), for
+    g != 2; the difference is taken by expm1 below s = 1, and M(s) =
+    s^(-g) M(1/s) above."""
+    if s > 1.0:
+        return s ** -g * elementary_mean_3d(1.0 / s, g)
+    e = 2.0 - g
+    return 2.0 * math.pi * (1.0 - s) ** e * math.expm1(e * (math.log1p(s) - math.log1p(-s))) \
+        / (e * s)
+
+
+def test_spherical_mean_in_three_dimensions_is_elementary():
+    for g in (0.15, 0.5, 1.0, 1.7, 2.5):
+        for s in MEAN_RADII:
+            rtol = 2e-9 if abs(s - 1.0) < 1e-6 else 1e-13
+            assert_allclose(spherical_mean(s, g, 3), elementary_mean_3d(s, g), rtol=rtol)
 
 
 @pytest.mark.parametrize("alpha, d", [(1.0, 2), (1.2, 4), (0.807, 5), (1.7, 6)])
@@ -172,17 +191,58 @@ def test_residual_is_the_same_at_every_probe_radius():
 
 @pytest.mark.parametrize("alpha, d", [(1.2, 4), (0.807, 5)])
 def test_residual_makes_few_quad_calls(monkeypatch, alpha, d):
-    # outside the cap the kernel is closed form; the middle piece, smooth in
-    # psi, needs the cap quadrature at a few panels' nodes only
-    calls = []
+    """Two quads over the sphere radius, and none from inside an integrand:
+    each spherical mean is closed form."""
+    calls, inside = [], []
 
-    def counting_quad(*args, **kwargs):
+    def counting_quad(f, *args, **kwargs):
+        assert not inside, "quad called from inside an integrand"
         calls.append(args)
-        return quad(*args, **kwargs)
+
+        def watched(x):
+            inside.append(x)
+            try:
+                return f(x)
+            finally:
+                inside.pop()
+
+        return quad(watched, *args, **kwargs)
 
     monkeypatch.setattr(stationary, "quad", counting_quad)
     assert stationary_residual(SingularSolution(alpha, d, 3.0), 1.0) < 1e-4
-    assert len(calls) <= 100
+    assert len(calls) == 2
+
+
+# the parent route's values: the spherical means move them by quadrature
+# error only; (0.8, 2, 1.8) and (1.2, 4, 2.2) have g = 1
+PINNED_RESIDUALS = [
+    ((1.0, 2, 3.0), 4.456152920900993e-06),
+    ((1.0, 3, 3.0), 8.293986825114177e-07),
+    ((1.2, 4, 3.0), 1.2579129677356576e-06),
+    ((0.807, 5, 3.0), 2.220759046449567e-07),
+    ((1.7, 6, 3.0), 1.0374728631182265e-05),
+    ((0.3, 8, 3.0), 4.0570923395746014e-08),
+    ((0.8, 2, 1.8), 1.2817011839737211e-05),
+    ((1.2, 4, 2.2), 2.207509878890566e-06),
+]
+
+
+@pytest.mark.parametrize("params, value", PINNED_RESIDUALS,
+                         ids=["-".join(map(str, params)) for params, _ in PINNED_RESIDUALS])
+def test_residual_is_pinned(params, value):
+    assert abs(stationary_residual(SingularSolution(*params), 1.0) - value) <= 2e-12
+
+
+def test_residual_error_estimate_over_its_share_raises(monkeypatch):
+    """At (0.3, 8, 3) the defect is 4.1e-8. An error estimate of 1e-7 on
+    each quad would make up a share of it far above 1e-9 and raises."""
+    def inflated(*args, **kwargs):
+        out = quad(*args, **kwargs)
+        return (out[0], 1e-7) + tuple(out[2:])
+
+    monkeypatch.setattr(stationary, "quad", inflated)
+    with pytest.raises(ResolutionError):
+        stationary_residual(SingularSolution(0.3, 8, 3.0), 1.0)
 
 
 @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, 0.0, -1.0])
