@@ -167,6 +167,67 @@ def test_spherical_mean_in_three_dimensions_is_elementary():
             assert_allclose(spherical_mean(s, g, 3), elementary_mean_3d(s, g), rtol=rtol)
 
 
+def angular_kernel(rho, d, alpha):
+    """The angular kernel of the fractional Laplacian at |x| = 1: the mean
+    of |x - y|^(-d-alpha) over the sphere |y| = rho, which is the spherical
+    mean at the hypersingular exponent g = d + alpha."""
+    return spherical_mean(rho, d + alpha, d)
+
+
+def polar_angle_kernel(rho, d, alpha):
+    """The angular kernel as a polar-angle quadrature over the whole sphere,
+    in every dimension; rho stays delta = 0.05 away from 1."""
+    ex = (d + alpha) / 2.0
+
+    def integrand(theta):
+        q = 1.0 + rho * rho - 2.0 * rho * math.cos(theta)
+        return math.sin(theta) ** (d - 2) * q ** -ex
+
+    val, err = quad(integrand, 0.0, math.pi, epsabs=0.0, epsrel=1e-11, limit=200)
+    assert err <= 1e-11 * abs(val)
+    return sphere_area(d - 1) * val
+
+
+# g = d + alpha > d - 1: the kernel is infinite at rho = 1, so rho/r runs from
+# 1e-3 to 1e3 at least delta = 0.05 from it; alpha = 1 makes c - a - b =
+# -1 - alpha an integer
+KERNEL_DIMS = (2, 4, 5, 6, 8, 12)
+KERNEL_ALPHAS = (0.1, 0.5, 1.0, 1.5, 1.99)
+KERNEL_RHOS = [float(q) for q in np.geomspace(1e-3, 1e3, 25) if abs(q - 1.0) >= 0.05] \
+    + [0.95 - 1e-9, 0.95, 1.05, 1.05 + 1e-9]
+
+
+def test_angular_kernel_outside_the_cap_makes_no_quad_call(monkeypatch):
+    def no_quad(*args, **kwargs):
+        raise AssertionError("quad called for a closed-form kernel")
+
+    monkeypatch.setattr(stationary, "quad", no_quad)
+    for rho in (1e-3, 0.5, 0.95, 1.05, 2.0, 1e3):
+        assert angular_kernel(rho, 4, 1.0) > 0
+
+
+@pytest.mark.parametrize("d", KERNEL_DIMS)
+def test_angular_kernel_closed_form_matches_mpmath(d):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for alpha in KERNEL_ALPHAS:
+            s, nu = mp.mpf(d + alpha) / 2, mp.mpf(d - 2) / 2
+            sigma = 2 * mp.pi ** ((d - 1) / mp.mpf(2)) / mp.gamma((d - 1) / mp.mpf(2))
+            for rho in KERNEL_RHOS:
+                big, small = mp.mpf(max(1.0, rho)), mp.mpf(min(1.0, rho))
+                ref = sigma * mp.beta(nu + mp.mpf(1) / 2, mp.mpf(1) / 2) * big ** (-2 * s) \
+                    * mp.hyp2f1(s, s - nu, nu + 1, (small / big) ** 2)
+                assert_allclose(angular_kernel(rho, d, alpha), float(ref), rtol=1e-14)
+
+
+@pytest.mark.parametrize("d", KERNEL_DIMS)
+def test_angular_kernel_closed_form_matches_the_polar_angle_quadrature(d):
+    for alpha in KERNEL_ALPHAS:
+        for rho in KERNEL_RHOS:
+            assert_allclose(angular_kernel(rho, d, alpha), polar_angle_kernel(rho, d, alpha),
+                            rtol=2e-13)
+
+
 @pytest.mark.parametrize("alpha, d", [(1.0, 2), (1.2, 4), (0.807, 5), (1.7, 6)])
 def test_residual_small_and_probe_independent_in_general_dimension(alpha, d):
     sol = SingularSolution(alpha, d, 3.0)
