@@ -106,8 +106,9 @@ class BlowupVerdict:
 # ---------------------------------------------------------------------------
 
 def _smoothed(u_hat: np.ndarray, sym: np.ndarray, T: float, grid) -> np.ndarray:
-    """e^{T A} u0 from the half spectrum of u0, clipped at zero."""
-    return np.maximum(grid.irfft(np.exp(T * sym) * u_hat), 0.0)
+    """e^{T A} u0 from the half spectrum of u0, clipped at zero in place."""
+    fld = grid.irfft(np.exp(T * sym) * u_hat)
+    return np.maximum(fld, 0.0, out=fld)
 
 
 def moment_field(u0: GridFunction, kernel: KernelSpec, T: float,

@@ -83,8 +83,14 @@ class Grid:
     and commutes with the half-box roll, so applying one to a natural-layout
     field needs no shift. Only arrays whose origin must sit at index 0 are
     rolled there (``np.fft.ifftshift``) before a transform and back after:
-    the sampled dispersal density behind the symbol, the ball indicators of
-    the grid Morrey functional and the stored ``SemigroupKernel.values``.
+    the sampled dispersal density behind the symbol, the distance mesh of
+    the grid Morrey functional's balls and the stored
+    ``SemigroupKernel.values``.
+
+    Buffer contract: ``rfft(values, out=buf)`` writes the half spectrum
+    into buf (complex, shape (n,)*(d-1) + (n//2 + 1,), not overlapping
+    values) and returns buf; without out it returns a fresh array, in 2-D
+    one array for both axis passes. ``irfft`` returns a fresh real field.
     """
 
     d: int
@@ -129,11 +135,13 @@ class Grid:
         half = 2.0 * math.pi * np.fft.rfftfreq(self.n, d=self.spacing)
         return _length(np.meshgrid(*[xi] * (self.d - 1), half, indexing="ij"))
 
-    def rfft(self, values: np.ndarray) -> np.ndarray:
-        """Half spectrum of a real field on this grid."""
+    def rfft(self, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Half spectrum of a real field on this grid (out: see above)."""
         if self.d == 1:
-            return np.fft.rfft(values)
-        return np.fft.rfftn(values)
+            return np.fft.rfft(values, out=out)
+        if out is None:
+            out = np.empty((self.n, self.n // 2 + 1), dtype=complex)
+        return np.fft.rfftn(values, out=out)
 
     def irfft(self, spectrum: np.ndarray) -> np.ndarray:
         """Real field with the given half spectrum (inverse of ``rfft``)."""

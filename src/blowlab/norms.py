@@ -214,12 +214,14 @@ def morrey_norm_grid(u: GridFunction, s_order: float) -> MorreyResult:
     d = g.d
     e = d / s_order - d
     w_hat = g.rfft(u.values)
-    dist = g.radius()
+    # the balls are origin-anchored: the distance mesh is rolled to index 0
+    # once, and each ball's spectrum takes the product in place
+    dist = np.fft.ifftshift(g.radius())
     best_v, best_r = 0.0, float(radii[0])
     for R in radii:
-        # the ball is origin-anchored: roll its center to index 0
-        ball = np.fft.ifftshift((dist <= R).astype(float))
-        sums = g.irfft(w_hat * g.rfft(ball)) * g.cell_volume
+        ball_hat = g.rfft((dist <= R).astype(float))
+        np.multiply(w_hat, ball_hat, out=ball_hat)
+        sums = g.irfft(ball_hat) * g.cell_volume
         v = float(R) ** e * float(np.max(sums))
         if v > best_v:
             best_v, best_r = v, float(R)

@@ -189,9 +189,9 @@ def _advance(state: _State, e_half: np.ndarray, grid: Grid, fn,
     """
     with np.errstate(over="raise", invalid="raise"):
         try:
-            # the transforms return fresh arrays, updated in place below;
-            # one spectrum name keeps one temporary alive at a time, and
-            # F(mid) goes once transformed. An overflow in a transform, a
+            # the step owns one spectrum buffer: F(mid) is transformed into
+            # it, and it goes after the last inverse transform, before
+            # _state builds the new state. An overflow in a transform, a
             # product or the sum of F(mid) raises; a NaN or inf in F(mid)
             # is caught here because the clip would turn a -inf update to 0
             spec = grid.rfft(state.source)
@@ -202,12 +202,13 @@ def _advance(state: _State, e_half: np.ndarray, grid: Grid, fn,
             f_mid_sum = float(np.add.reduce(f_mid, axis=None))
             if not math.isfinite(f_mid_sum):
                 raise BlowupSignal("midpoint source left the finite range")
-            spec = grid.rfft(f_mid)
+            grid.rfft(f_mid, out=spec)
             del f_mid
             spec *= dt
             spec += e_half * state.spectrum
             spec *= e_half
             out = grid.irfft(spec)
+            del spec
         except FloatingPointError as exc:
             raise BlowupSignal(str(exc)) from exc
     return _state(_clipped(out), grid, fn), f_mid_sum
@@ -241,8 +242,12 @@ class _MomentProbe:
         self.phase = phase
 
     def __call__(self, u_hat: np.ndarray, remaining: float) -> float:
-        mult = np.exp(remaining * self.sym)
-        return float(np.real(np.sum(mult * u_hat * self.phase)))
+        # exp(remaining * sym) * u_hat * phase with one complex temporary
+        mult = np.multiply(remaining, self.sym)
+        np.exp(mult, out=mult)
+        prod = mult * u_hat
+        prod *= self.phase
+        return float(np.real(np.sum(prod)))
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +316,7 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
                                        for T, c in centers.items()}
 
     # each horizon's center is the lattice peak of its smoothed data; it
-    # moves with the data when the box doubles
+    # moves with the data when the box doubles, while the horizon is ahead
     centers = {T: _peak_index(moment_field(u0, cfg.kernel, T, boundary_tol=None).values)
                for T in cfg.moment_targets}
     sym, cell, probes = box(grid, centers)
@@ -324,14 +329,17 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
         traj_mass.append(mass)
         traj_dt.append(dt_used)
         traj_src.append(state.source_total * cell)
-        for T in cfg.moment_targets:
+        for T in list(probes):
             remaining = T - t
-            if remaining > 0:
-                W = max(probes[T](state.spectrum, remaining), 0.0)
-                ms = moments[T]
-                ms.t.append(t)
-                ms.W.append(W)
-                ms.F_of_W.append(float(fn_scalar(W)))
+            if remaining <= 0:
+                # a passed horizon is dropped: no probe, no center to move
+                del probes[T], centers[T]
+                continue
+            W = max(probes[T](state.spectrum, remaining), 0.0)
+            ms = moments[T]
+            ms.t.append(t)
+            ms.W.append(W)
+            ms.F_of_W.append(float(fn_scalar(W)))
 
     traj_t: List[float] = []
     traj_sup: List[float] = []

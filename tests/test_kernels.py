@@ -55,6 +55,22 @@ def test_gaussian_field_mass_and_scaling():
     assert_allclose(u.scaled(2.0).mass(), 8.0, rtol=1e-9)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_rfft_into_a_buffer_equals_numpy_bit_for_bit(d):
+    """rfft(values, out=buf) writes numpy's half spectrum into buf and
+    returns buf; without out it returns the same bits, and irfft leaves its
+    argument as it was."""
+    g = Grid(d, 8.0, 64)
+    values = np.random.default_rng(5).standard_normal(g.shape)
+    expected = np.fft.rfft(values) if d == 1 else np.fft.rfftn(values)
+    buf = np.empty_like(expected)
+    assert g.rfft(values, out=buf) is buf
+    assert np.array_equal(buf, expected)
+    assert np.array_equal(g.rfft(values), expected)
+    g.irfft(buf)
+    assert np.array_equal(buf, expected)
+
+
 @pytest.mark.parametrize("n", [64, 256])
 def test_grid_geometry_equals_the_per_axis_forms_bit_for_bit(n):
     """The coordinate meshes serve every dimension; in d = 1 and d = 2 they

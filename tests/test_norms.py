@@ -90,6 +90,34 @@ def test_grid_morrey_matches_radial_route():
     assert grid_res.profile_kind == "grid"
 
 
+def morrey_grid_oracle(u, s_order):
+    """The grid Morrey functional written out with numpy's transforms: each
+    ball indicator is rolled to index 0 on its own and transformed anew."""
+    g = u.grid
+    axes = tuple(range(g.d))
+    w_hat = np.fft.rfftn(u.values)
+    radii = np.geomspace(2.0 * g.spacing, g.L / 3.0, 25)
+    dist = g.radius()
+    best_v, best_r = 0.0, float(radii[0])
+    for R in radii:
+        ball = np.fft.ifftshift((dist <= R).astype(float))
+        sums = np.fft.irfftn(w_hat * np.fft.rfftn(ball), s=g.shape, axes=axes) \
+            * g.cell_volume
+        v = float(R) ** (g.d / s_order - g.d) * float(np.max(sums))
+        if v > best_v:
+            best_v, best_r = v, float(R)
+    return best_v, best_r
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_grid_morrey_equals_the_per_ball_oracle_bit_for_bit(d):
+    g = Grid(d, 8.0, 64)
+    u = GridFunction.from_function(
+        g, lambda *xs: np.exp(-sum((x - 0.3 * k) ** 2 for k, x in enumerate(xs))))
+    res = morrey_norm_grid(u, s_order=1.5)
+    assert (res.value, res.argmax_radius) == morrey_grid_oracle(u, 1.5)
+
+
 def test_heat_characterization_of_steady_state():
     """On the exact steady profile the scaled semigroup moment
     t^(1/(p-1)) (P_t * u)(0) is constant in t and equals the stationary

@@ -1,12 +1,14 @@
 """Integrating-factor stepper: ODE fidelity, structure laws, audits."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from blowlab import solver
 from blowlab.errors import DomainError
 from blowlab.kernels import (Grid, GridFunction, KernelSpec,
                              generator_symbol_grid, semigroup_kernel)
@@ -46,17 +48,42 @@ def test_config_validation():
 def test_run_equals_a_loop_of_steps_bit_for_bit():
     """run keeps one half-step propagator per trial dt; landing on t_end
     shortens the last step, so dt changes value and the propagator is
-    rebuilt."""
-    g = Grid(1, 32.0, 256)
-    u0 = GridFunction.gaussian(g, mass=1.0, sigma=1.0)
-    cfg = make_cfg(dt_init=0.01, t_end=0.205)
-    traj = run(u0, cfg)
-    assert traj.outcome == "reached_horizon" and not traj.notes
-    assert len(set(traj.dt[1:])) >= 2
-    u = u0
-    for dt in traj.dt[1:]:
-        u = step(u, cfg, dt)
-    assert np.array_equal(u.values, traj.final_state.values)
+    rebuilt. In d = 1 and d = 2, with no box doubling (in d = 2 under the
+    compact bump, since the gaussian kernel's tail reaches the support
+    margin of this box by t = 0.16)."""
+    for g, kernel in ((Grid(1, 32.0, 256), KernelSpec.gaussian()),
+                      (Grid(2, 16.0, 64), KernelSpec.bump())):
+        cfg = make_cfg(kernel=kernel, dt_init=0.01, t_end=0.205)
+        u0 = GridFunction.gaussian(g, mass=1.0, sigma=1.0)
+        traj = run(u0, cfg)
+        assert traj.outcome == "reached_horizon" and not traj.notes
+        assert len(set(traj.dt[1:])) >= 2
+        u = u0
+        for dt in traj.dt[1:]:
+            u = step(u, cfg, dt)
+        assert np.array_equal(u.values, traj.final_state.values)
+
+
+def test_advance_in_2d_holds_at_most_three_half_spectra():
+    """Working-set guard: one 2-D step at n = 256 allocates at most three
+    half spectra above its inputs at its peak, the size of the state it
+    returns (values, source values, spectrum)."""
+    g = Grid(2, 16.0, 256)
+    cfg = make_cfg(kernel=KernelSpec.fractional(1.5),
+                   nonlinearity=Nonlinearity.power_law(1.0, 3.0))
+    F = cfg.nonlinearity
+    state = _state(GridFunction.gaussian(g, mass=4.0, sigma=1.0).values, g, F)
+    e_half = _half_propagator(generator_symbol_grid(cfg.kernel, g), 0.01)
+    _advance(state, e_half, g, F.fn, 0.01)     # first calls allocate caches
+    half_spectrum = g.n * (g.n // 2 + 1) * 16
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _advance(state, e_half, g, F.fn, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / half_spectrum <= 3.0
 
 
 def stepped_constant_error(dt):
@@ -167,6 +194,49 @@ def test_mass_production_law_2d_through_box_doublings():
     gained = traj.mass[-1] - traj.mass[0]
     assert gained > 0.05 * traj.mass[0]
     assert abs(gained - produced) < 1e-4 * gained
+
+
+def test_a_passed_horizon_builds_no_probe_at_a_later_doubling(monkeypatch):
+    """Run to t = 1.7, the box doubles at t = 0.8 and 1.6: the first
+    doubling builds probes for T = 1 and T = 2, the second only for T = 2,
+    since T = 1 has passed. Run to t = 0.97, the second doubling comes at
+    t = 0.97 and builds both; up to t = 0.95 the two runs take the same
+    steps, and their T = 1 series agree there bit for bit."""
+    built = []
+
+    class CountingProbe(_MomentProbe):
+        def __init__(self, grid, sym, center):
+            built.append(grid.n)
+            super().__init__(grid, sym, center)
+
+    monkeypatch.setattr(solver, "_MomentProbe", CountingProbe)
+    u0 = GridFunction.gaussian(Grid(2, 8.0, 32), mass=6.0, sigma=1.0)
+
+    def moments(t_end, doubled_at):
+        built.clear()
+        traj = run(u0, make_cfg(kernel=KernelSpec.fractional(1.5),
+                                nonlinearity=Nonlinearity.power_law(1.0, 3.0),
+                                dt_init=0.05, t_end=t_end, moment_targets=(1.0, 2.0)))
+        assert [n for n in traj.notes if "doubled" in n] == [
+            f"box doubled to half-width {L} at t={t}" for L, t in doubled_at]
+        return traj.moments[1.0]
+
+    late = moments(1.7, [(16, 0.8), (32, 1.6)])
+    assert built == [32, 32, 64, 64, 128]
+    early = moments(0.97, [(16, 0.8), (32, 0.97)])
+    assert built == [32, 32, 64, 64, 128, 128]
+    k = len(late.t)
+    assert late.t[-1] < 1.0 and late.t == early.t[:k] and early.t[k] == 0.97
+    assert late.W == early.W[:k] and late.F_of_W == early.F_of_W[:k]
+    assert late.center == early.center
+
+
+def test_a_repeated_target_records_each_sample_once():
+    g = Grid(1, 16.0, 128)
+    u0 = GridFunction.gaussian(g, mass=1.0, sigma=1.0)
+    traj = run(u0, make_cfg(dt_init=0.05, t_end=0.3, moment_targets=(1.0, 1.0)))
+    assert traj.moments[1.0].t == traj.t
+    assert np.all(np.isfinite(traj.moments[1.0].finite_differences()))
 
 
 def test_comparison_principle():
