@@ -19,10 +19,15 @@ comparison ODE it is supposed to dominate.
 
 Fields follow the layout contract of ``Grid``: they are transformed as they
 lie, with real FFTs, and nothing in a step is shifted. Each accepted state
-carries its half spectrum and its source values F(u); the next step, the
-moment probes and the recorded source integral share them. The sums of u
-and F(u), which the mass audit and the records need anyway, double as the
-finiteness checks of the state.
+carries its values, the half spectra of u and of F(u), and the sums of u
+and F(u); the values of F(u) are not kept. The moment probes read the
+spectrum of u; the next step reads both spectra and takes them over as its
+own buffers, into which it transforms the state it returns. The states run
+builds itself (u0 and a doubled box) and those the support audit may
+replace, the final state among them, carry no F(u) spectrum: the step from
+them evaluates F(u) again and transforms it, so a run transforms the F(u)
+of a state that no step reads at most once. The sums, which the mass audit
+and the records need anyway, double as the finiteness checks of the state.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ _MASS_DEFECT_TOL = 1e-4      # relative mass defect per unit time
 _AUDIT_STRIDE = 16           # steps between support audits
 _SPIKE_GROWTH = 4.0          # sup ramp factor that ends the mass audit
 _JENSEN_SLACK = 1e-4         # relative slack of the integrated Jensen check
+_PHASE_BLOCK = 1 << 15       # lattice phase entries a moment probe forms at once
 
 
 class BlowupSignal(RuntimeError):
@@ -124,13 +130,22 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 class _State(NamedTuple):
-    """An accepted state with what the next step and the records share:
-    its half spectrum, its source values F(values), and the sums of values
-    and of F(values)."""
+    """An accepted state: its values, the half spectra of its values and of
+    its source values F(values), and the sums of values and of F(values).
+
+    The moment probes and the records only read a state. A step spends it:
+    it works in both spectra in place and hands them to the state it
+    returns, so after ``_advance`` only ``values`` and the sums still hold.
+    source_spectrum is None when F(values) was not transformed with the
+    state: for u0, after a box doubling, on a state the support audit may
+    replace, and when the transform overflowed. The step from it then
+    evaluates F(values) again, bit for bit the same, and transforms it, so
+    an overflow there ends that step and never rejects this state.
+    """
 
     values: np.ndarray
     spectrum: np.ndarray
-    source: np.ndarray
+    source_spectrum: Optional[np.ndarray]
     total: float
     source_total: float
 
@@ -147,16 +162,20 @@ def _check_finite(a: np.ndarray, total: float, what: str) -> None:
         raise BlowupSignal(f"{what} left the finite range")
 
 
-def _state(values: np.ndarray, grid: Grid, source_fn) -> _State:
-    """Evaluate the source on clipped values and transform them. An
-    overflow, a value or a source value that is not finite is a
-    BlowupSignal. source_fn is the checked ``Nonlinearity.__call__`` where
-    values enter from outside and ``Nonlinearity.fn`` on the step's own
-    clipped update."""
+def _state(values: np.ndarray, grid: Grid, source_fn,
+           spectrum: Optional[np.ndarray] = None,
+           source_spectrum: Optional[np.ndarray] = None) -> _State:
+    """Evaluate the source on clipped values and transform the values, into
+    spectrum if given. F(values) is transformed only into a given
+    source_spectrum buffer (a step hands on the ones it spent); without
+    one it is left to the next step. An overflow, a value or a source value
+    that is not finite is a BlowupSignal. source_fn is the checked
+    ``Nonlinearity.__call__`` where values enter from outside and
+    ``Nonlinearity.fn`` on the step's own clipped update."""
     with np.errstate(over="raise", invalid="raise"):
         try:
             source = source_fn(values)
-            spectrum = grid.rfft(values)
+            spectrum = grid.rfft(values, out=spectrum)
         except FloatingPointError as exc:
             raise BlowupSignal(str(exc)) from exc
     # the mass audit and the records need both sums; they double as the
@@ -166,7 +185,15 @@ def _state(values: np.ndarray, grid: Grid, source_fn) -> _State:
         source_total = float(np.add.reduce(source, axis=None))
     _check_finite(values, total, "values")
     _check_finite(source, source_total, "source values")
-    return _State(values, spectrum, source, total, source_total)
+    if source_spectrum is not None:
+        # only the next step reads F(values), and only as a spectrum: an
+        # overflow in its transform is left to that step (see _State)
+        with np.errstate(over="raise", invalid="raise"):
+            try:
+                grid.rfft(source, out=source_spectrum)
+            except FloatingPointError:
+                source_spectrum = None
+    return _State(values, spectrum, source_spectrum, total, source_total)
 
 
 def _clipped(values: np.ndarray) -> np.ndarray:
@@ -179,22 +206,26 @@ def _half_propagator(sym: np.ndarray, dt: float) -> np.ndarray:
     return np.exp((0.5 * dt) * sym)
 
 
-def _advance(state: _State, e_half: np.ndarray, grid: Grid, fn,
-             dt: float) -> Tuple[_State, float]:
+def _advance(state: _State, e_half: np.ndarray, grid: Grid, fn, dt: float,
+             transform_source: bool = True) -> Tuple[_State, float]:
     """One integrating-factor midpoint step on natural-layout values, with
     e_half = _half_propagator(sym, dt) and fn = Nonlinearity.fn.
 
     Returns the new state and int F(mid) per unit volume factor (the exact
-    discrete mass production of this step is dt * that integral).
+    discrete mass production of this step is dt * that integral). The step
+    spends state (see ``_State``), whether it succeeds or not. With
+    transform_source False the new state leaves F(values) to the next step.
     """
     with np.errstate(over="raise", invalid="raise"):
         try:
-            # the step owns one spectrum buffer: F(mid) is transformed into
-            # it, and it goes after the last inverse transform, before
-            # _state builds the new state. An overflow in a transform, a
-            # product or the sum of F(mid) raises; a NaN or inf in F(mid)
-            # is caught here because the clip would turn a -inf update to 0
-            spec = grid.rfft(state.source)
+            # the source spectrum is the step's spectrum buffer: the
+            # midpoint update runs in it and F(mid) is transformed into it.
+            # An overflow in a transform, a product or the sum of F(mid)
+            # raises; a NaN or inf in F(mid) is caught here because the
+            # clip would turn a -inf update to 0
+            spec = state.source_spectrum
+            if spec is None:
+                spec = grid.rfft(fn(state.values))
             spec *= 0.5 * dt
             spec += state.spectrum
             spec *= e_half
@@ -205,13 +236,15 @@ def _advance(state: _State, e_half: np.ndarray, grid: Grid, fn,
             grid.rfft(f_mid, out=spec)
             del f_mid
             spec *= dt
-            spec += e_half * state.spectrum
+            np.multiply(e_half, state.spectrum, out=state.spectrum)
+            spec += state.spectrum
             spec *= e_half
             out = grid.irfft(spec)
-            del spec
         except FloatingPointError as exc:
             raise BlowupSignal(str(exc)) from exc
-    return _state(_clipped(out), grid, fn), f_mid_sum
+    # the new values and F(new values) are transformed into the two buffers
+    return _state(_clipped(out), grid, fn, state.spectrum,
+                  spec if transform_source else None), f_mid_sum
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +259,10 @@ class _MomentProbe:
     The field is real, so the full-lattice sum pairs each mode with its
     conjugate: the half lattice carries weight 2 on the interior modes of
     the last axis and weight 1 on its modes 0 and n/2.
+
+    The probe keeps one phase vector per axis. A call forms the lattice
+    phase a block of leading-axis rows at a time (``np.multiply.outer``),
+    each entry the single product of one entry per axis.
     """
 
     def __init__(self, grid: Grid, sym: np.ndarray, center: Tuple[int, ...]):
@@ -236,17 +273,21 @@ class _MomentProbe:
         weight = np.full(n // 2 + 1, 2.0)
         weight[0] = weight[-1] = 1.0
         phases[-1] = phases[-1] * weight / float(n) ** grid.d
-        phase = phases[0]
-        for pv in phases[1:]:
-            phase = np.multiply.outer(phase, pv)
-        self.phase = phase
+        self.phases = phases
+        self.rows = max(1, _PHASE_BLOCK // math.prod(len(pv) for pv in phases[1:]))
 
     def __call__(self, u_hat: np.ndarray, remaining: float) -> float:
         # exp(remaining * sym) * u_hat * phase with one complex temporary
+        # beside one block of the phase
         mult = np.multiply(remaining, self.sym)
-        np.exp(mult, out=mult)
-        prod = mult * u_hat
-        prod *= self.phase
+        prod = np.exp(mult, out=mult) * u_hat
+        del mult
+        lead, *rest = self.phases
+        for a in range(0, len(lead), self.rows):
+            block = lead[a:a + self.rows]
+            for pv in rest:
+                block = np.multiply.outer(block, pv)
+            prod[a:a + self.rows] *= block
         return float(np.real(np.sum(prod)))
 
 
@@ -271,14 +312,13 @@ def _support_ok(values: np.ndarray, grid: Grid) -> bool:
     return True
 
 
-def _embed_double(values: np.ndarray, grid: Grid) -> Tuple[np.ndarray, Grid]:
-    """Zero-extend onto a box of twice the half-width at the same spacing."""
-    big = Grid(d=grid.d, L=2.0 * grid.L, n=2 * grid.n)
-    out = np.zeros(big.shape)
-    lo = grid.n // 2
-    sl = tuple(slice(lo, lo + grid.n) for _ in range(grid.d))
-    out[sl] = values
-    return out, big
+def _embed_double(values: np.ndarray) -> np.ndarray:
+    """Zero-extend values onto a box of twice the half-width at the same
+    spacing, keeping the origin at the middle index."""
+    n = values.shape[0]
+    out = np.zeros(tuple(2 * k for k in values.shape))
+    out[(slice(n // 2, n // 2 + n),) * values.ndim] = values
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +414,17 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
 
         if trial != e_dt:
             e_dt, e_half = trial, _half_propagator(sym, trial)
+        # the support audit is due after every _AUDIT_STRIDE steps and at
+        # t_end; a state it may replace, the final one among them, leaves
+        # the transform of its F(u) to a step that may never come
+        audit_due = (steps_since_audit + 1 >= _AUDIT_STRIDE
+                     or t + trial >= cfg.t_end - 1e-15)
         try:
-            new_state, f_mid_sum = _advance(state, e_half, grid, fn, trial)
+            # the step spends the state; only its values stay, for a final
+            # state if the step fails
+            state, f_mid_sum = _advance(
+                state, e_half, grid, fn, trial,
+                transform_source=detection_mode or not audit_due)
         except BlowupSignal:
             outcome, t_obs = "blew_up", t
             break
@@ -386,7 +435,7 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
         # defect is a genuine failure; once the reaction has ramped the sup
         # well past it, the terminal peak is narrower than any fixed lattice
         # and the audit can only annotate.
-        mass_new = new_state.total * cell
+        mass_new = state.total * cell
         mass_old = traj_mass[-1]
         produced = trial * f_mid_sum * cell
         defect = abs(mass_new - (mass_old + produced))
@@ -409,18 +458,17 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
         elif not detection_mode:
             defect_streak = 0
 
-        state = new_state
         t += trial
         record(t, trial, mass_new)
 
         steps_since_audit += 1
-        if (not detection_mode
-                and (steps_since_audit >= _AUDIT_STRIDE or t >= cfg.t_end - 1e-15)):
+        if audit_due and not detection_mode:
             steps_since_audit = 0
             if not _support_ok(state.values, grid):
                 if enlargements < 2:
-                    values, grid = _embed_double(state.values, grid)
-                    state = _state(values, grid, fn)
+                    # the zero-extended values live in the new state only
+                    grid = Grid(d=grid.d, L=2.0 * grid.L, n=2 * grid.n)
+                    state = _state(_embed_double(state.values), grid, fn)
                     enlargements += 1
                     shift = grid.n // 4
                     centers = {T: tuple(i + shift for i in c)

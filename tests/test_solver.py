@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -64,26 +65,115 @@ def test_run_equals_a_loop_of_steps_bit_for_bit():
         assert np.array_equal(u.values, traj.final_state.values)
 
 
-def test_advance_in_2d_holds_at_most_three_half_spectra():
-    """Working-set guard: one 2-D step at n = 256 allocates at most three
-    half spectra above its inputs at its peak, the size of the state it
-    returns (values, source values, spectrum)."""
+def half_spectra(grid, nbytes):
+    """nbytes in units of the grid's half spectrum, n*(n/2 + 1) complex."""
+    return nbytes / (grid.n * (grid.n // 2 + 1) * 16)
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and its tracemalloc peak in bytes above the start."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak - base
+
+
+def test_advance_in_2d_holds_at_most_two_half_spectra():
+    """Working-set guard: one 2-D step at n = 256 allocates at most two
+    half spectra above its input state at its peak. It works in the input
+    state's spectra and transforms the new state into them, so the new
+    values and one source-values temporary are all it adds. A step spends
+    its state, so each step here starts from a fresh one."""
     g = Grid(2, 16.0, 256)
     cfg = make_cfg(kernel=KernelSpec.fractional(1.5),
                    nonlinearity=Nonlinearity.power_law(1.0, 3.0))
     F = cfg.nonlinearity
-    state = _state(GridFunction.gaussian(g, mass=4.0, sigma=1.0).values, g, F)
+    u0 = GridFunction.gaussian(g, mass=4.0, sigma=1.0).values
     e_half = _half_propagator(generator_symbol_grid(cfg.kernel, g), 0.01)
-    _advance(state, e_half, g, F.fn, 0.01)     # first calls allocate caches
-    half_spectrum = g.n * (g.n // 2 + 1) * 16
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        _advance(state, e_half, g, F.fn, 0.01)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (peak - base) / half_spectrum <= 3.0
+
+    def fresh():
+        """A state with both spectra, as a step returns it."""
+        return _advance(_state(u0.copy(), g, F), e_half, g, F.fn, 0.01)[0]
+
+    _advance(fresh(), e_half, g, F.fn, 0.01)    # first calls allocate caches
+    state = fresh()
+    (new, _), peak = traced_peak(_advance, state, e_half, g, F.fn, 0.01)
+    assert half_spectra(g, peak) <= 2.0
+    assert new.spectrum is state.spectrum
+    assert new.source_spectrum is state.source_spectrum
+
+
+def test_run_in_2d_through_two_doublings_holds_at_most_six_half_spectra():
+    """Working-set guard of a whole run: CI's 2-D simulate (n = 128 to 512,
+    the horizon T = 2 still ahead at the end) peaks at most six half
+    spectra of its final grid above its start, once the generator symbols
+    are cached: the state (values and two spectra), a step's two arrays
+    and the half-step propagator."""
+    u0 = GridFunction.gaussian(Grid(2, 24.0, 128), mass=1.0, sigma=1.0)
+    cfg = make_cfg(kernel=KernelSpec.fractional(1.5),
+                   nonlinearity=Nonlinearity.power_law(1.0, 3.0),
+                   dt_init=0.05, t_end=1.7, moment_targets=(1.0, 2.0))
+    run(u0, cfg)                                # caches the three symbols
+    traj, peak = traced_peak(run, u0, cfg)
+    assert traj.grid == Grid(2, 96.0, 512)
+    assert half_spectra(traj.grid, peak) <= 6.0
+
+
+def test_a_doubled_array_dies_with_the_state_that_holds_it(monkeypatch):
+    """run zero-extends the values when the box doubles; that array is the
+    values of one state only, so it is gone once a step has moved on from
+    that state."""
+    embedded, live = [], []
+    embed, advance = solver._embed_double, solver._advance
+
+    def tracked_embed(*args):
+        out = embed(*args)
+        embedded.append(weakref.ref(out))
+        return out
+
+    def checked_advance(state, *args, **kw):
+        live.append(sum(ref() is not None and ref() is not state.values
+                        for ref in embedded))
+        return advance(state, *args, **kw)
+
+    monkeypatch.setattr(solver, "_embed_double", tracked_embed)
+    monkeypatch.setattr(solver, "_advance", checked_advance)
+    u0 = GridFunction.gaussian(Grid(2, 4.0, 32), mass=6.0, sigma=1.0)
+    traj = run(u0, make_cfg(kernel=KernelSpec.fractional(1.5),
+                            nonlinearity=Nonlinearity.power_law(1.0, 3.0),
+                            dt_init=0.01, t_end=0.3))
+    assert traj.grid == Grid(2, 16.0, 128) and len(embedded) == 2
+    assert max(live) == 0
+
+
+def test_a_source_spectrum_that_overflows_ends_the_next_step():
+    """The transform of F(values) overflows although every value and F(value)
+    is finite: the state is accepted without a warning and carries no
+    source spectrum, and the step from it transforms F(values) again and
+    signals blowup. A state built without a source buffer carries none
+    either, and the step from it equals the step from one that does."""
+    g = Grid(1, 8.0, 64)
+    F = Nonlinearity.power_law(1.0, 2.0)
+    e_half = _half_propagator(generator_symbol_grid(KernelSpec.gaussian(), g), 1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = _state(np.full(g.shape, 1e154), g, F,
+                       source_spectrum=np.empty(g.n // 2 + 1, dtype=complex))
+    assert state.source_spectrum is None and state.source_total == math.inf
+    with pytest.raises(BlowupSignal, match="overflow"):
+        _advance(state, e_half, g, F.fn, 1e-3)
+    u0 = GridFunction.gaussian(g, mass=1.0, sigma=1.0).values
+    deferred = _state(u0, g, F)
+    transformed = _state(u0, g, F, source_spectrum=np.empty(g.n // 2 + 1, dtype=complex))
+    assert deferred.source_spectrum is None
+    assert np.array_equal(transformed.source_spectrum, g.rfft(F(u0)))
+    stepped = [_advance(s, e_half, g, F.fn, 1e-3)[0].values
+               for s in (deferred, transformed)]
+    assert np.array_equal(*stepped)
 
 
 def stepped_constant_error(dt):
@@ -168,6 +258,42 @@ def test_moment_probe_matches_full_field(d, center):
                    - full_field_at(g, kernel, values, t, center)) < 1e-12
 
 
+def full_phase_probe(grid, sym, center, u_hat, remaining):
+    """The probe with its lattice phase formed whole, by one outer product
+    of the per-axis phase vectors."""
+    n = grid.n
+    phases = [np.exp(2j * np.pi * np.arange(n) * c / n) for c in center]
+    phases[-1] = phases[-1][: n // 2 + 1]
+    weight = np.full(n // 2 + 1, 2.0)
+    weight[0] = weight[-1] = 1.0
+    phases[-1] = phases[-1] * weight / float(n) ** grid.d
+    phase = phases[0]
+    for pv in phases[1:]:
+        phase = np.multiply.outer(phase, pv)
+    mult = np.multiply(remaining, sym)
+    np.exp(mult, out=mult)
+    prod = mult * u_hat
+    prod *= phase
+    return float(np.real(np.sum(prod)))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", [32, 256])
+def test_block_wise_probe_equals_the_full_phase_bit_for_bit(d, n):
+    """The probe forms its phase a block of rows at a time (at n = 256 in
+    2-D, two blocks); each entry is the same product as in the whole
+    lattice phase, so W keeps its bits."""
+    g = Grid(d, 8.0, n)
+    kernel = KernelSpec.fractional(1.5)
+    sym = generator_symbol_grid(kernel, g)
+    u_hat = g.rfft(np.random.default_rng(n + d).uniform(0.0, 1.0, g.shape))
+    for center in ((n // 2 + 3, n // 3)[:d], (5, n - 2)[:d]):
+        probe = _MomentProbe(g, sym, center)
+        for remaining in (0.01, 0.7, 3.0):
+            assert probe(u_hat, remaining) == full_phase_probe(
+                g, sym, center, u_hat, remaining)
+
+
 def test_mass_production_law():
     # the recorded source integrals account for the entire mass gain
     g = Grid(1, 32.0, 512)
@@ -194,6 +320,26 @@ def test_mass_production_law_2d_through_box_doublings():
     gained = traj.mass[-1] - traj.mass[0]
     assert gained > 0.05 * traj.mass[0]
     assert abs(gained - produced) < 1e-4 * gained
+
+
+def test_a_run_to_its_horizon_transforms_no_state_that_no_step_reads(monkeypatch):
+    """Through two box doublings, the second at t_end: one transform of u0,
+    five per step and one per doubling, as when each step transformed the
+    F(u) of the state it started from. The states the support audit
+    replaces and the final state are never stepped, and their F(u) is
+    never transformed."""
+    calls = []
+    for name in ("rfft", "irfft"):
+        def counted(self, *args, _f=getattr(Grid, name), **kw):
+            calls.append(self.n)
+            return _f(self, *args, **kw)
+        monkeypatch.setattr(Grid, name, counted)
+    u0 = GridFunction.gaussian(Grid(2, 4.0, 32), mass=6.0, sigma=1.0)
+    traj = run(u0, make_cfg(kernel=KernelSpec.fractional(1.5),
+                            nonlinearity=Nonlinearity.power_law(1.0, 3.0),
+                            dt_init=0.01, t_end=0.3))
+    assert traj.outcome == "reached_horizon" and traj.grid.n == 128
+    assert len(calls) == 1 + 5 * (len(traj.t) - 1) + 2
 
 
 def test_a_passed_horizon_builds_no_probe_at_a_later_doubling(monkeypatch):
@@ -467,3 +613,20 @@ def test_finite_source_values_whose_sum_overflows_do_not_signal_blowup():
     assert traj.t_obs == 0.0
     assert traj.source_integral == [math.inf]
     assert math.isfinite(traj.mass[0])
+
+
+def test_a_state_whose_source_transform_overflows_is_accepted():
+    """u' = u^2 from constant data 1.4e153 (dt = 0.5/F'(u0)): the first
+    step's midpoint source still transforms, but the sum of F over the new
+    state, its transform's mode 0, overflows. That state is accepted and
+    recorded with an infinite source integral; the step from it ends the
+    run as blew_up at its time."""
+    g = Grid(1, 8.0, 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = run(GridFunction(g, np.full(g.shape, 1.4e153)),
+                   make_cfg(dt_min=1e-300, u_max=1e300))
+    assert traj.outcome == "blew_up"
+    assert len(traj.t) == 2 and traj.t_obs == traj.t[1] > 0.0
+    assert math.isfinite(traj.source_integral[0])
+    assert traj.source_integral[1] == math.inf
