@@ -247,7 +247,9 @@ def _cmd_simulate(args) -> int:
     meta = {"outcome": traj.outcome, "t_obs": traj.t_obs,
             "reliable": traj.reliable, "notes": "; ".join(traj.notes)}
     paths = [write_csv(out / "trajectory.csv", ("t", "sup_u", "mass", "dt"),
-                       list(zip(traj.t, traj.sup, traj.mass, traj.dt)), meta)]
+                       list(zip(traj.t, traj.sup, traj.mass, traj.dt)),
+                       {**meta, "rejected_steps": traj.rejected_steps,
+                        "step_error": traj.step_error})]
     for T, ms in sorted(traj.moments.items()):
         fd = ms.finite_differences()
         rows = [(tt, W, FW, fd[i] if i < fd.size else "")

@@ -23,7 +23,9 @@ def refine_max_on_grid(f: Callable[[float], float], xs: Sequence[float],
     """(argmax, max) of f: the grid argmax, refined between its two
     neighbours (clipped at the grid ends, so an edge argmax is refined too)
     by bounded Brent search (Brent 1973) to 1e-10 in the argument. The grid
-    value is kept where the refinement comes out lower.
+    value is kept where the refinement comes out lower. A bracket end where
+    f is -inf or NaN raises ResolutionError naming the point; it is never
+    handed to the search.
 
     ``vals`` are f on ``xs`` when the caller already has them; f is then
     called only by the Brent search.
@@ -31,10 +33,16 @@ def refine_max_on_grid(f: Callable[[float], float], xs: Sequence[float],
     xs = np.asarray(xs, dtype=float)
     vals = np.array([f(x) for x in xs]) if vals is None else np.asarray(vals)
     i = int(np.argmax(vals))
-    lo = xs[max(i - 1, 0)]
-    hi = xs[min(i + 1, len(xs) - 1)]
+    ends = (max(i - 1, 0), min(i + 1, len(xs) - 1))
+    lo, hi = xs[ends[0]], xs[ends[1]]
     if hi <= lo:
         return float(xs[i]), float(vals[i])
+    for j in ends:
+        # written so that NaN fails it too: Brent's arithmetic on such an
+        # end turns into NaN
+        if not vals[j] > -math.inf:
+            raise ResolutionError(f"refine_max_on_grid: f({float(xs[j])!r}) = "
+                                  f"{float(vals[j])!r} at an end of the bracket")
     res = minimize_scalar(lambda x: -f(x), bounds=(float(lo), float(hi)),
                           method="bounded", options={"xatol": 1e-10})
     if -res.fun < vals[i]:

@@ -9,8 +9,26 @@ space and the scheme must not quietly paper over that:
 * mass: the discrete update satisfies M_{n+1} = M_n + dt * int F(mid)
   identically, so any post-clip deviation measures lost resolution;
 * support: the data must keep a quarter box of clearance from the
-  boundary, with automatic box doubling (twice) before giving up;
+  boundary, with automatic box doubling (twice) before giving up. The
+  audit is due after _AUDIT_STRIDE steps, once _AUDIT_STRIDE * dt_init of
+  time has passed since the last one, and at t_end, so long steps cannot
+  skip it;
 * stability: dt never exceeds half the local linearization time 1/F'(sup).
+
+Steps are sized by accuracy, but only ever lengthened. The floor is
+min(dt_init, 0.5/F'(sup)), the step a run without an error estimate would
+take. Each step also returns an embedded local error estimate: the
+midpoint update minus the integrating-factor Euler update, in the L2 norm
+relative to u's, which costs no transform (Hairer, Norsett and Wanner,
+Solving ODEs I, II.4; Cox and Matthews, J. Comput. Phys. 176, 2002). The
+controller proposes dt_ctl = dt * min(5, 0.9 (_STEP_TOL/est)^(1/2)) after
+each accepted step, and the next trial is min(0.5/F'(sup), max(floor,
+dt_ctl)). A trial longer than the floor whose estimate exceeds _STEP_TOL
+is rejected and retried shorter; a trial at the floor is never rejected,
+and a non-finite estimate only forbids lengthening. A run whose estimates
+never allow a longer step takes the floor's steps, as before the
+estimate. A step that would leave less than _T_END_RTOL * t_end before
+t_end lands on t_end.
 
 Blow-up is detected by threshold crossing, never by waiting for overflow;
 the moment W_T(t) = (k_{T-t} * u)(x*) is tracked at a fixed center per
@@ -22,7 +40,10 @@ lie, with real FFTs, and nothing in a step is shifted. Each accepted state
 carries its values, the half spectra of u and of F(u), and the sums of u
 and F(u); the values of F(u) are not kept. The moment probes read the
 spectrum of u; the next step reads both spectra and takes them over as its
-own buffers, into which it transforms the state it returns. The states run
+own buffers, into which it transforms the state it returns; F(mid) is
+transformed into a fresh array, which the step drops once the new spectrum
+is formed. A rejected step spends the F(u) spectrum and transforms the
+values into the u spectrum again, bit for bit what it held. The states run
 builds itself (u0 and a doubled box) and those the support audit may
 replace, the final state among them, carry no F(u) spectrum: the step from
 them evaluates F(u) again and transforms it, so a run transforms the F(u)
@@ -62,6 +83,9 @@ _AUDIT_STRIDE = 16           # steps between support audits
 _SPIKE_GROWTH = 4.0          # sup ramp factor that ends the mass audit
 _JENSEN_SLACK = 1e-4         # relative slack of the integrated Jensen check
 _PHASE_BLOCK = 1 << 15       # lattice phase entries a moment probe forms at once
+_STEP_TOL = 1e-7             # relative local error a lengthened step may make
+_MAX_GROWTH = 5.0            # largest ratio of a step to the one before
+_T_END_RTOL = 1e-9           # a step leaving less than this * t_end lands on t_end
 
 
 class BlowupSignal(RuntimeError):
@@ -70,6 +94,10 @@ class BlowupSignal(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
+    """A run's kernel, source and time controls. dt_init is the shortest
+    step unless the stability cap 0.5/F'(sup) is lower; the error estimate
+    may lengthen steps past it. dt_min ends a run whose cap falls below it."""
+
     kernel: KernelSpec
     nonlinearity: Nonlinearity
     dt_init: float
@@ -119,6 +147,8 @@ class Trajectory:
     final_state: GridFunction
     reliable: bool = True
     notes: List[str] = field(default_factory=list)
+    rejected_steps: int = 0               # trial steps the error estimate rejected
+    step_error: float = 0.0               # sum of the accepted steps' estimates
 
     @property
     def grid(self) -> Grid:
@@ -136,11 +166,13 @@ class _State(NamedTuple):
     The moment probes and the records only read a state. A step spends it:
     it works in both spectra in place and hands them to the state it
     returns, so after ``_advance`` only ``values`` and the sums still hold.
-    source_spectrum is None when F(values) was not transformed with the
-    state: for u0, after a box doubling, on a state the support audit may
-    replace, and when the transform overflowed. The step from it then
-    evaluates F(values) again, bit for bit the same, and transforms it, so
-    an overflow there ends that step and never rejects this state.
+    A rejected step returns the state with its spectrum transformed again
+    and without source_spectrum. source_spectrum is None when F(values) was
+    not transformed with the state: for u0, after a box doubling, on a
+    state the support audit may replace, after a rejected step, and when
+    the transform overflowed. The step from it then evaluates F(values)
+    again, bit for bit the same, and transforms it, so an overflow there
+    ends that step and never rejects this state.
     """
 
     values: np.ndarray
@@ -206,23 +238,82 @@ def _half_propagator(sym: np.ndarray, dt: float) -> np.ndarray:
     return np.exp((0.5 * dt) * sym)
 
 
+def _sum_sq(a: np.ndarray) -> np.float64:
+    # by einsum, which unlike a BLAS dot starts no threads; a is contiguous,
+    # so its reshape is a view
+    flat = a.reshape(-1)
+    return np.einsum("i,i->", flat, flat)
+
+
+def _half_sq_norm(z: np.ndarray) -> np.float64:
+    """Squared L2 norm of the real field whose half spectrum is z, up to the
+    factor n**d: Parseval weight 2 on the interior modes of the last axis
+    and 1 on its modes 0 and n/2 (as in ``_MomentProbe``)."""
+    pairs = z.view(np.float64)             # (real, imag) along the last axis
+    return 2.0 * _sum_sq(pairs) - _sum_sq(pairs[..., [0, 1, -2, -1]])
+
+
+def _error_estimate(values: np.ndarray, h: np.ndarray, mid: np.ndarray,
+                    x: np.ndarray, e_half: np.ndarray) -> float:
+    """The step's embedded local error estimate: the midpoint update minus
+    the integrating-factor Euler update, e_half (x - dt e_half F^(u)), in
+    the L2 norm relative to that of the values u. Here h = e_half u_hat,
+    mid = e_half (u_hat + (dt/2) F^(u)) = h + (dt/2) e_half F^(u) and
+    x = dt F^(mid), so the difference is e_half (x + 2 (h - mid)).
+
+    mid is overwritten with the difference; no temporary is made. Any
+    overflow is ignored: a non-finite estimate is returned as such.
+    """
+    with np.errstate(all="ignore"):
+        diff = np.subtract(h, mid, out=mid)
+        diff *= 2.0
+        diff += x
+        diff *= e_half
+        # by Parseval, u_hat's norm is size * sum(u^2); a norm that
+        # overflows must not read as a zero estimate
+        u_sq = values.size * _sum_sq(values)
+        if not np.isfinite(u_sq):
+            return math.nan
+        return float(np.sqrt(_half_sq_norm(diff) / u_sq))
+
+
+def _step_ratio(est: float) -> float:
+    """The next step over this one for an estimate est (Hairer, Norsett and
+    Wanner, Solving ODEs I, II.4): 0.9 (tol/est)^(1/2), at most
+    _MAX_GROWTH. A non-finite estimate gives 0, which forbids lengthening."""
+    if not math.isfinite(est):
+        return 0.0
+    if est <= _STEP_TOL * (0.9 / _MAX_GROWTH) ** 2:
+        return _MAX_GROWTH
+    return 0.9 * math.sqrt(_STEP_TOL / est)
+
+
 def _advance(state: _State, e_half: np.ndarray, grid: Grid, fn, dt: float,
-             transform_source: bool = True) -> Tuple[_State, float]:
+             transform_source: bool = True, tol: float = math.inf
+             ) -> Tuple[_State, Optional[float], float]:
     """One integrating-factor midpoint step on natural-layout values, with
     e_half = _half_propagator(sym, dt) and fn = Nonlinearity.fn.
 
-    Returns the new state and int F(mid) per unit volume factor (the exact
-    discrete mass production of this step is dt * that integral). The step
-    spends state (see ``_State``), whether it succeeds or not. With
+    Returns the new state, int F(mid) per unit volume factor (the exact
+    discrete mass production of this step is dt * that integral) and the
+    step's embedded error estimate (``_error_estimate``). The step spends
+    state (see ``_State``), whether it succeeds or not. With
     transform_source False the new state leaves F(values) to the next step.
+
+    A step whose estimate exceeds tol is rejected: it transforms the
+    values into the spectrum of u again, bit for bit what it held, and
+    returns state with no source spectrum, None for the integral, and the
+    estimate.
     """
     with np.errstate(over="raise", invalid="raise"):
         try:
             # the source spectrum is the step's spectrum buffer: the
-            # midpoint update runs in it and F(mid) is transformed into it.
-            # An overflow in a transform, a product or the sum of F(mid)
-            # raises; a NaN or inf in F(mid) is caught here because the
-            # clip would turn a -inf update to 0
+            # midpoint update, the estimate's difference and the final
+            # update run in it; F(mid) is transformed into a fresh array,
+            # and the spectrum of u is scaled in place. An overflow in
+            # a transform, a product or the sum of F(mid) raises; a NaN or
+            # inf in F(mid) is caught here because the clip would turn a
+            # -inf update to 0
             spec = state.source_spectrum
             if spec is None:
                 spec = grid.rfft(fn(state.values))
@@ -233,18 +324,25 @@ def _advance(state: _State, e_half: np.ndarray, grid: Grid, fn, dt: float,
             f_mid_sum = float(np.add.reduce(f_mid, axis=None))
             if not math.isfinite(f_mid_sum):
                 raise BlowupSignal("midpoint source left the finite range")
-            grid.rfft(f_mid, out=spec)
+            x = grid.rfft(f_mid)
             del f_mid
-            spec *= dt
-            np.multiply(e_half, state.spectrum, out=state.spectrum)
-            spec += state.spectrum
+            x *= dt
+            # the linear half of the final update, in the spectrum's buffer
+            h = np.multiply(e_half, state.spectrum, out=state.spectrum)
+            est = _error_estimate(state.values, h, spec, x, e_half)
+            if est > tol:
+                # the spectrum of the values, transformed again bit for bit
+                grid.rfft(state.values, out=state.spectrum)
+                return state._replace(source_spectrum=None), None, est
+            np.add(h, x, out=spec)
+            del x
             spec *= e_half
             out = grid.irfft(spec)
         except FloatingPointError as exc:
             raise BlowupSignal(str(exc)) from exc
     # the new values and F(new values) are transformed into the two buffers
     return _state(_clipped(out), grid, fn, state.spectrum,
-                  spec if transform_source else None), f_mid_sum
+                  spec if transform_source else None), f_mid_sum, est
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +424,20 @@ def _embed_double(values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
-    """Integrate to cfg.t_end with adaptive dt and the three audits.
+    """Integrate to cfg.t_end with error-controlled dt and the three audits.
+
+    Each trial step is min(0.5/F'(sup), max(floor, dt_ctl)), with floor =
+    min(dt_init, 0.5/F'(sup)) and dt_ctl the controller's proposal from the
+    last step's error estimate (see the module docstring); a trial longer
+    than the floor whose estimate exceeds _STEP_TOL is rejected and
+    retried shorter. The support audit is due after _AUDIT_STRIDE steps or
+    _AUDIT_STRIDE * dt_init of time since the last one, and at t_end.
 
     Outcomes: ``blew_up`` when sup u crosses u_max (or a step leaves the
     finite range), ``dt_underflow`` when the stability bound pushes dt
     below dt_min, ``reached_horizon`` otherwise. t_obs is the last
-    accepted time for the first two.
+    accepted time for the first two. The trajectory counts the rejected
+    trials and sums the accepted steps' estimates.
     """
     F = cfg.nonlinearity
     if float(u0.values.max()) >= cfg.u_max:
@@ -396,38 +502,58 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
     enlargements = 0
     defect_streak = 0
     steps_since_audit = 0
+    t_audit = 0.0
     sup_init = max(float(u0.values.max()), _SUPPORT_FLOOR)
     detection_mode = False
-    # the half-step propagator of the last trial dt; dt stays put for long
-    # stretches, so it is rebuilt only when dt or the box changes
+    # the controller's next step; until an estimate allows more, the floor
+    dt_ctl = 0.0
+    rejected_steps = 0
+    step_error = 0.0
+    # the half-step propagator of the last trial dt, rebuilt only when dt
+    # or the box changes
     e_dt: Optional[float] = None
     e_half: Optional[np.ndarray] = None
 
-    while t < cfg.t_end - 1e-15 * cfg.t_end:
+    while t < cfg.t_end:
         sup = traj_sup[-1]
         dprime = float(dfn_scalar(max(sup, 0.0)))
-        dt = cfg.dt_init if dprime <= 0 else min(cfg.dt_init, 0.5 / dprime)
-        if dt < cfg.dt_min:
+        cap = math.inf if dprime <= 0 else 0.5 / dprime
+        floor = min(cfg.dt_init, cap)
+        if floor < cfg.dt_min:
             outcome, t_obs = "dt_underflow", t
             break
-        trial = min(dt, cfg.t_end - t)
+        trial = min(cap, max(floor, dt_ctl))
+        # only a trial the controller lengthened past the floor may be
+        # rejected: each rejection shortens the next one, down to the floor
+        step_tol = _STEP_TOL if trial > floor else math.inf
+        # a step that would leave a sliver before t_end lands on it
+        landing = cfg.t_end - (t + trial) <= _T_END_RTOL * cfg.t_end
+        if landing:
+            trial = cfg.t_end - t
 
         if trial != e_dt:
             e_dt, e_half = trial, _half_propagator(sym, trial)
-        # the support audit is due after every _AUDIT_STRIDE steps and at
-        # t_end; a state it may replace, the final one among them, leaves
+        # the support audit is due after every _AUDIT_STRIDE steps, once
+        # _AUDIT_STRIDE * dt_init of time has passed since the last one, and
+        # at t_end; a state it may replace, the final one among them, leaves
         # the transform of its F(u) to a step that may never come
-        audit_due = (steps_since_audit + 1 >= _AUDIT_STRIDE
-                     or t + trial >= cfg.t_end - 1e-15)
+        audit_due = (landing or steps_since_audit + 1 >= _AUDIT_STRIDE
+                     or t + trial - t_audit >= _AUDIT_STRIDE * cfg.dt_init)
         try:
             # the step spends the state; only its values stay, for a final
-            # state if the step fails
-            state, f_mid_sum = _advance(
+            # state if the step fails, and its spectrum is restored if the
+            # step is rejected
+            state, f_mid_sum, est = _advance(
                 state, e_half, grid, fn, trial,
-                transform_source=detection_mode or not audit_due)
+                transform_source=detection_mode or not audit_due, tol=step_tol)
         except BlowupSignal:
             outcome, t_obs = "blew_up", t
             break
+        dt_ctl = trial * _step_ratio(est)
+        if f_mid_sum is None:
+            rejected_steps += 1
+            continue
+        step_error += est
 
         # mass audit: the update satisfies M' = M + dt*int F(mid) exactly up
         # to clipped ringing, so the defect measures spatial resolution, not
@@ -458,12 +584,12 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
         elif not detection_mode:
             defect_streak = 0
 
-        t += trial
+        t = cfg.t_end if landing else t + trial
         record(t, trial, mass_new)
 
         steps_since_audit += 1
         if audit_due and not detection_mode:
-            steps_since_audit = 0
+            steps_since_audit, t_audit = 0, t
             if not _support_ok(state.values, grid):
                 if enlargements < 2:
                     # the zero-extended values live in the new state only
@@ -488,7 +614,8 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
                       source_integral=traj_src, moments=moments,
                       outcome=outcome, t_obs=t_obs,
                       final_state=GridFunction(grid, state.values),
-                      reliable=reliable, notes=notes)
+                      reliable=reliable, notes=notes,
+                      rejected_steps=rejected_steps, step_error=step_error)
 
 
 # ---------------------------------------------------------------------------

@@ -463,8 +463,12 @@ def test_simulate_artifacts(outdir, capsys):
     assert cli.main(["simulate", "--profile", "gauss", "--mass", "2",
                      "--t-end", "0.1", "--dt-init", "1e-3",
                      "--targets", "0.5"]) == 0
-    header, _, _ = read_rows(outdir / "trajectory.csv")
+    header, _, meta = read_rows(outdir / "trajectory.csv")
     assert header == ["t", "sup_u", "mass", "dt"]
+    # the step control's record: no step rejected, and the accepted steps'
+    # local error estimates summed
+    assert meta["rejected_steps"] == "0"
+    assert 0.0 < float(meta["step_error"]) < 1e-3
     header, rows, _ = read_rows(outdir / "moment_T0.5.csv")
     assert header == ["t", "W", "F_of_W", "dW_dt_fd"]
     assert rows[-1][3] == ""              # no forward difference at the end

@@ -63,6 +63,23 @@ def test_refine_max_on_grid_is_cheap_beyond_the_grid(f, xs):
     assert len(calls) <= 20
 
 
+@pytest.mark.parametrize("beyond", [-math.inf, math.nan])
+def test_refine_max_on_grid_raises_on_a_bracket_end_that_is_not_a_number(beyond):
+    """f is -inf (or NaN) past 1.05, as log R is where R underflows. The
+    grid argmax 1 has the bracket [0, 2], whose end 2 reads -inf; handed to
+    Brent, the search warned (invalid value in a scalar multiply) and went
+    on. It raises naming the point, and f is not called past the grid."""
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return -(t - 1.0) ** 2 if t <= 1.05 else beyond
+
+    with pytest.raises(ResolutionError, match=r"f\(2\.0\) = (-inf|nan)"):
+        refine_max_on_grid(f, [0.0, 1.0, 2.0])
+    assert calls == [0.0, 1.0, 2.0]
+
+
 def test_log_grid_endpoints_and_validation():
     g = log_grid(1e-3, 1e3, 25)
     assert g.size == 25

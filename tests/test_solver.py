@@ -25,7 +25,7 @@ def step(u, cfg, dt):
     grid = u.grid
     e_half = _half_propagator(generator_symbol_grid(cfg.kernel, grid), dt)
     F = cfg.nonlinearity
-    new, _ = _advance(_state(u.values, grid, F), e_half, grid, F.fn, dt)
+    new = _advance(_state(u.values, grid, F), e_half, grid, F.fn, dt)[0]
     return GridFunction(grid, new.values)
 
 
@@ -101,7 +101,7 @@ def test_advance_in_2d_holds_at_most_two_half_spectra():
 
     _advance(fresh(), e_half, g, F.fn, 0.01)    # first calls allocate caches
     state = fresh()
-    (new, _), peak = traced_peak(_advance, state, e_half, g, F.fn, 0.01)
+    (new, _, _), peak = traced_peak(_advance, state, e_half, g, F.fn, 0.01)
     assert half_spectra(g, peak) <= 2.0
     assert new.spectrum is state.spectrum
     assert new.source_spectrum is state.source_spectrum
@@ -630,3 +630,194 @@ def test_a_state_whose_source_transform_overflows_is_accepted():
     assert len(traj.t) == 2 and traj.t_obs == traj.t[1] > 0.0
     assert math.isfinite(traj.source_integral[0])
     assert traj.source_integral[1] == math.inf
+
+
+# ---------------------------------------------------------------------------
+# step control: the floor, the embedded estimate and the audits
+# ---------------------------------------------------------------------------
+
+def dichotomy_cfg(**kw):
+    """The README dichotomy's runs: p = 4 on the 1-D gaussian kernel."""
+    base = dict(kernel=KernelSpec.gaussian(),
+                nonlinearity=Nonlinearity.power_law(1.0, 4.0),
+                dt_init=0.05, dt_min=1e-14, t_end=60.0, u_max=1e4)
+    base.update(kw)
+    return SimConfig(**base)
+
+
+def dichotomy_data(scale):
+    return GridFunction.gaussian(Grid(1, 128.0, 1024), mass=1.0,
+                                 sigma=1.0).scaled(scale)
+
+
+def fixed_rule(cfg, sup):
+    """The step of a run without an error estimate: dt_init, or half the
+    linearization time 1/F'(sup) where that is shorter."""
+    dprime = cfg.nonlinearity._for_floats(cfg.nonlinearity.dfn)(sup)
+    return cfg.dt_init if dprime <= 0 else min(cfg.dt_init, 0.5 / dprime)
+
+
+@pytest.mark.parametrize("scale, outcome", [(0.3, "reached_horizon"),
+                                            (3.0, "blew_up")])
+def test_no_step_is_shorter_than_the_fixed_rule(scale, outcome):
+    """Every step is at least the fixed rule at the state it starts from,
+    except one that lands on t_end. The decay run lengthens its steps past
+    dt_init; the blowup run takes the fixed rule's steps."""
+    cfg = dichotomy_cfg()
+    traj = run(dichotomy_data(scale), cfg)
+    assert traj.outcome == outcome and not traj.notes
+    for k in range(1, len(traj.t)):
+        if traj.t[k] != cfg.t_end:
+            assert traj.dt[k] >= fixed_rule(cfg, traj.sup[k - 1])
+    assert (max(traj.dt) > cfg.dt_init) == (outcome == "reached_horizon")
+
+
+@pytest.mark.parametrize("step_tol", [None, 0.0])
+def test_a_run_lands_on_t_end_without_a_sliver(monkeypatch, step_tol):
+    """t accumulates by addition, so 1200 steps of 0.05 end at
+    59.99999999999873; the run used to add a step of 1.27e-12 there (a
+    full step, and a finite difference over 1e-12 in every series). The
+    last step now lands on t_end. With _STEP_TOL = 0 no step lengthens, as
+    in a run without an error estimate."""
+    if step_tol is not None:
+        monkeypatch.setattr(solver, "_STEP_TOL", step_tol)
+    cfg = dichotomy_cfg()
+    traj = run(dichotomy_data(0.3), cfg)
+    assert traj.outcome == "reached_horizon"
+    assert traj.t[-1] == cfg.t_end
+    assert min(traj.dt[1:]) >= 1e-9 * cfg.t_end
+    if step_tol == 0.0:
+        assert len(traj.t) - 1 == 1200
+
+
+def test_a_blowup_run_equals_a_loop_of_steps_at_the_fixed_rule():
+    """C6's run (u' = u^2 from a mass-4 gaussian, dt_init = 1e-3): the
+    estimate never allows a step longer than the fixed rule, so every step
+    is that rule's, and the run equals a loop of bare steps bit for bit."""
+    u0 = GridFunction.gaussian(Grid(1, 48.0, 1024), mass=4.0, sigma=1.0)
+    cfg = make_cfg(dt_min=1e-18, t_end=1.5)
+    traj = run(u0, cfg)
+    assert traj.outcome == "blew_up" and traj.rejected_steps == 0
+    u = u0
+    for k, dt in enumerate(traj.dt[1:], 1):
+        assert dt == fixed_rule(cfg, traj.sup[k - 1])
+        u = step(u, cfg, dt)
+    assert np.array_equal(u.values, traj.final_state.values)
+
+
+def test_a_rejected_step_keeps_its_state_and_its_retry_is_a_fresh_step():
+    """A step whose estimate exceeds tol spends the source spectrum: the
+    values keep their bits, the spectrum is transformed again into its own
+    buffer with the same bits, and the step from the returned state equals
+    the step from a fresh state bit for bit."""
+    g = Grid(1, 16.0, 128)
+    F = Nonlinearity.power_law(1.0, 2.0)
+    sym = generator_symbol_grid(KernelSpec.gaussian(), g)
+    u0 = GridFunction.gaussian(g, mass=4.0, sigma=1.0).values
+
+    def fresh():
+        return _state(u0.copy(), g, F,
+                      source_spectrum=np.empty(g.n // 2 + 1, dtype=complex))
+
+    state = fresh()
+    values, spectrum = state.values.copy(), state.spectrum.copy()
+    kept, f_mid_sum, est = _advance(state, _half_propagator(sym, 0.5), g,
+                                    F.fn, 0.5, tol=1e-9)
+    assert f_mid_sum is None and est > 1e-9
+    assert kept.source_spectrum is None
+    assert kept.values is state.values and kept.spectrum is state.spectrum
+    assert np.array_equal(kept.values, values)
+    assert np.array_equal(kept.spectrum, spectrum)
+    e_half = _half_propagator(sym, 0.1)
+    retried, fresh_step = (_advance(s, e_half, g, F.fn, 0.1)
+                           for s in (kept, fresh()))
+    assert retried[1:] == fresh_step[1:]
+    for a, b in zip(retried[0], fresh_step[0]):
+        assert np.array_equal(a, b)
+
+
+def test_rejected_steps_are_retried_from_the_same_state(monkeypatch):
+    """With the controller pushed to lengthen by 5x after every step within
+    tolerance, the decay run meets rejections; each retry starts from the
+    state the rejected step left, so the run still equals a loop of bare
+    steps at its recorded dt."""
+    ratio = solver._step_ratio
+    monkeypatch.setattr(solver, "_step_ratio", lambda est: solver._MAX_GROWTH
+                        if est <= solver._STEP_TOL else ratio(est))
+    cfg = dichotomy_cfg(t_end=20.0)
+    u0 = dichotomy_data(0.3)
+    traj = run(u0, cfg)
+    assert traj.outcome == "reached_horizon" and traj.rejected_steps > 0
+    u = u0
+    for dt in traj.dt[1:]:
+        u = step(u, cfg, dt)
+    assert np.array_equal(u.values, traj.final_state.values)
+
+
+def test_a_decay_run_takes_a_tenth_of_the_fixed_steps_at_the_same_error():
+    """C8 at a quarter of its size (p = 4, mass 0.3, dt_init = 0.25, to
+    t = 400): the fixed rule takes 1600 steps of dt_init. The run takes at
+    most a tenth of them, and its final state is within 1.05 times the
+    fixed rule's distance from a dt_init/16 reference (max relative)."""
+    g = Grid(1, 256.0, 1024)
+    cfg = dichotomy_cfg(dt_init=0.25, dt_min=1e-10, t_end=400.0, u_max=1e8)
+    u0 = GridFunction.gaussian(g, mass=0.3, sigma=1.0)
+    F = cfg.nonlinearity
+    sym = generator_symbol_grid(cfg.kernel, g)
+
+    def fixed(dt):
+        state = _state(u0.values.copy(), g, F)
+        e_half = _half_propagator(sym, dt)
+        for _ in range(round(cfg.t_end / dt)):
+            state = _advance(state, e_half, g, F.fn, dt)[0]
+        return state.values
+
+    traj = run(u0, cfg)
+    assert traj.outcome == "reached_horizon" and traj.grid == g
+    steps = round(cfg.t_end / cfg.dt_init)
+    assert len(traj.t) - 1 <= steps / 10
+    reference = fixed(cfg.dt_init / 16)
+
+    def error(values):
+        return np.max(np.abs(values - reference)) / np.max(reference)
+
+    assert error(traj.final_state.values) <= 1.05 * error(fixed(cfg.dt_init))
+
+
+@pytest.mark.parametrize("cfg, data", [
+    (make_cfg(t_end=0.2), lambda: GridFunction.gaussian(
+        Grid(1, 32.0, 1024), mass=2.0, sigma=1.0)),
+    (dichotomy_cfg(), lambda: dichotomy_data(0.3)),
+], ids=["fixed-steps", "lengthened"])
+def test_audits_come_after_16_steps_or_16_dt_init_of_time(monkeypatch, cfg, data):
+    """The support audit falls on the first step that completes 16 steps or
+    16 dt_init of time since the last audit, and on the last step. A run of
+    dt_init steps (C5's data) is audited on every 16th step, as before the
+    estimate; a lengthened run more often in steps."""
+    accepted, audited = [0], []
+    advance, support_ok = solver._advance, solver._support_ok
+
+    def counted_advance(*args, **kw):
+        out = advance(*args, **kw)
+        accepted[0] += out[1] is not None
+        return out
+
+    def recorded_support_ok(values, grid):
+        audited.append(accepted[0])
+        return support_ok(values, grid)
+
+    monkeypatch.setattr(solver, "_advance", counted_advance)
+    monkeypatch.setattr(solver, "_support_ok", recorded_support_ok)
+    traj = run(data(), cfg)
+    assert traj.outcome == "reached_horizon" and traj.t[-1] == cfg.t_end
+    span = 16 * cfg.dt_init
+    last = 0
+    for k in range(1, len(traj.t)):
+        due = (k - last >= 16 or traj.t[k] - traj.t[last] >= span
+               or k == len(traj.t) - 1)
+        assert (k in audited) == due
+        last = k if due else last
+    if max(traj.dt) == cfg.dt_init:
+        assert audited == list(range(16, len(traj.t) - 1, 16)) + [len(traj.t) - 1]
+    else:
+        assert len(audited) > (len(traj.t) - 1) / 16
