@@ -36,19 +36,17 @@ horizon so the recorded series can be compared directly against the
 comparison ODE it is supposed to dominate.
 
 Fields follow the layout contract of ``Grid``: they are transformed as they
-lie, with real FFTs, and nothing in a step is shifted. Each accepted state
-carries its values, the half spectra of u and of F(u), and the sums of u
-and F(u); the values of F(u) are not kept. The moment probes read the
-spectrum of u; the next step reads both spectra and takes them over as its
-own buffers, into which it transforms the state it returns; F(mid) is
-transformed into a fresh array, which the step drops once the new spectrum
-is formed. A rejected step spends the F(u) spectrum and transforms the
-values into the u spectrum again, bit for bit what it held. The states run
-builds itself (u0 and a doubled box) and those the support audit may
-replace, the final state among them, carry no F(u) spectrum: the step from
-them evaluates F(u) again and transforms it, so a run transforms the F(u)
-of a state that no step reads at most once. The sums, which the mass audit
-and the records need anyway, double as the finiteness checks of the state.
+lie, with real FFTs, and nothing in a step is shifted. Every state, u0's,
+a step's, a doubled box's and a rejected step's, is built by ``_state``:
+its values, the half spectra of u and of F(u), and the sums of u and F(u);
+the values of F(u) are not kept. The moment probes read the spectrum of
+u; the next step reads both spectra and takes them over as its own
+buffers, into which it transforms the state it returns, or, when it is
+rejected, the state it started from, bit for bit. F(mid) is transformed
+into a fresh array, which the step drops once the new spectrum is formed.
+A state lacks the F(u) spectrum only when that transform overflowed, and
+the step from it then ends as blowup. The sums, which the mass audit and
+the records need anyway, double as the finiteness checks of the state.
 """
 
 from __future__ import annotations
@@ -109,8 +107,8 @@ class SimConfig:
     def __post_init__(self):
         if not (0 < self.dt_min < self.dt_init < math.inf):
             raise DomainError("need 0 < dt_min < dt_init < inf")
-        if not (0 < self.t_end < math.inf and self.u_max > 0):
-            raise DomainError("t_end must be positive and finite, u_max positive")
+        if not (0 < self.t_end < math.inf and 0 < self.u_max < math.inf):
+            raise DomainError("t_end and u_max must be positive and finite")
         if not all(0 < T < math.inf for T in self.moment_targets):
             raise DomainError("moment targets must be positive finite horizons")
         object.__setattr__(self, "moment_targets",
@@ -163,16 +161,14 @@ class _State(NamedTuple):
     """An accepted state: its values, the half spectra of its values and of
     its source values F(values), and the sums of values and of F(values).
 
-    The moment probes and the records only read a state. A step spends it:
-    it works in both spectra in place and hands them to the state it
-    returns, so after ``_advance`` only ``values`` and the sums still hold.
-    A rejected step returns the state with its spectrum transformed again
-    and without source_spectrum. source_spectrum is None when F(values) was
-    not transformed with the state: for u0, after a box doubling, on a
-    state the support audit may replace, after a rejected step, and when
-    the transform overflowed. The step from it then evaluates F(values)
-    again, bit for bit the same, and transforms it, so an overflow there
-    ends that step and never rejects this state.
+    Every state is built by ``_state``. The moment probes and the records
+    only read a state. A step spends it: it works in both spectra in place
+    and hands them to the state it returns, so after ``_advance`` only
+    ``values`` and the sums still hold. A rejected step rebuilds the state
+    in its own two buffers, bit for bit. source_spectrum is None only when
+    the transform of F(values) overflowed; the step from the state then
+    ends as blowup, since evaluating and transforming F(values) again would
+    overflow again, bit for bit.
     """
 
     values: np.ndarray
@@ -197,11 +193,12 @@ def _check_finite(a: np.ndarray, total: float, what: str) -> None:
 def _state(values: np.ndarray, grid: Grid, source_fn,
            spectrum: Optional[np.ndarray] = None,
            source_spectrum: Optional[np.ndarray] = None) -> _State:
-    """Evaluate the source on clipped values and transform the values, into
-    spectrum if given. F(values) is transformed only into a given
-    source_spectrum buffer (a step hands on the ones it spent); without
-    one it is left to the next step. An overflow, a value or a source value
-    that is not finite is a BlowupSignal. source_fn is the checked
+    """Evaluate the source on clipped values and transform the values and
+    F(values), into spectrum and source_spectrum if given (a step hands on
+    the ones it spent) and into fresh arrays otherwise. An overflow, a value
+    or a source value that is not finite is a BlowupSignal; an overflow in
+    the transform of F(values) leaves the state without source_spectrum
+    (see ``_State``). source_fn is the checked
     ``Nonlinearity.__call__`` where values enter from outside and
     ``Nonlinearity.fn`` on the step's own clipped update."""
     with np.errstate(over="raise", invalid="raise"):
@@ -217,14 +214,13 @@ def _state(values: np.ndarray, grid: Grid, source_fn,
         source_total = float(np.add.reduce(source, axis=None))
     _check_finite(values, total, "values")
     _check_finite(source, source_total, "source values")
-    if source_spectrum is not None:
-        # only the next step reads F(values), and only as a spectrum: an
-        # overflow in its transform is left to that step (see _State)
-        with np.errstate(over="raise", invalid="raise"):
-            try:
-                grid.rfft(source, out=source_spectrum)
-            except FloatingPointError:
-                source_spectrum = None
+    # only the next step reads F(values), and only as a spectrum: an
+    # overflow in its transform is left to that step (see _State)
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            source_spectrum = grid.rfft(source, out=source_spectrum)
+        except FloatingPointError:
+            source_spectrum = None
     return _State(values, spectrum, source_spectrum, total, source_total)
 
 
@@ -289,22 +285,25 @@ def _step_ratio(est: float) -> float:
 
 
 def _advance(state: _State, e_half: np.ndarray, grid: Grid, fn, dt: float,
-             transform_source: bool = True, tol: float = math.inf
-             ) -> Tuple[_State, Optional[float], float]:
+             tol: float = math.inf) -> Tuple[_State, Optional[float], float]:
     """One integrating-factor midpoint step on natural-layout values, with
     e_half = _half_propagator(sym, dt) and fn = Nonlinearity.fn.
 
     Returns the new state, int F(mid) per unit volume factor (the exact
     discrete mass production of this step is dt * that integral) and the
     step's embedded error estimate (``_error_estimate``). The step spends
-    state (see ``_State``), whether it succeeds or not. With
-    transform_source False the new state leaves F(values) to the next step.
+    state (see ``_State``), whether it succeeds or not. It evaluates F
+    itself only at the midpoint; ``_state`` evaluates it on the values it
+    returns. A state without a source spectrum ends the step as a
+    BlowupSignal at once.
 
-    A step whose estimate exceeds tol is rejected: it transforms the
-    values into the spectrum of u again, bit for bit what it held, and
-    returns state with no source spectrum, None for the integral, and the
-    estimate.
+    A step whose estimate exceeds tol is rejected: it rebuilds state in its
+    own two buffers, bit for bit the state it started from, and returns
+    that state, None for the integral, and the estimate.
     """
+    spec = state.source_spectrum
+    if spec is None:
+        raise BlowupSignal("the transform of the source values overflowed")
     with np.errstate(over="raise", invalid="raise"):
         try:
             # the source spectrum is the step's spectrum buffer: the
@@ -314,9 +313,6 @@ def _advance(state: _State, e_half: np.ndarray, grid: Grid, fn, dt: float,
             # a transform, a product or the sum of F(mid) raises; a NaN or
             # inf in F(mid) is caught here because the clip would turn a
             # -inf update to 0
-            spec = state.source_spectrum
-            if spec is None:
-                spec = grid.rfft(fn(state.values))
             spec *= 0.5 * dt
             spec += state.spectrum
             spec *= e_half
@@ -331,18 +327,18 @@ def _advance(state: _State, e_half: np.ndarray, grid: Grid, fn, dt: float,
             h = np.multiply(e_half, state.spectrum, out=state.spectrum)
             est = _error_estimate(state.values, h, spec, x, e_half)
             if est > tol:
-                # the spectrum of the values, transformed again bit for bit
-                grid.rfft(state.values, out=state.spectrum)
-                return state._replace(source_spectrum=None), None, est
-            np.add(h, x, out=spec)
-            del x
-            spec *= e_half
-            out = grid.irfft(spec)
+                del x
+                values, f_mid_sum = state.values, None
+            else:
+                np.add(h, x, out=spec)
+                del x
+                spec *= e_half
+                values = _clipped(grid.irfft(spec))
         except FloatingPointError as exc:
             raise BlowupSignal(str(exc)) from exc
-    # the new values and F(new values) are transformed into the two buffers
-    return _state(_clipped(out), grid, fn, state.spectrum,
-                  spec if transform_source else None), f_mid_sum, est
+    # the new values, or a rejected step's own, and their F are transformed
+    # into the two buffers
+    return _state(values, grid, fn, state.spectrum, spec), f_mid_sum, est
 
 
 # ---------------------------------------------------------------------------
@@ -535,17 +531,14 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
             e_dt, e_half = trial, _half_propagator(sym, trial)
         # the support audit is due after every _AUDIT_STRIDE steps, once
         # _AUDIT_STRIDE * dt_init of time has passed since the last one, and
-        # at t_end; a state it may replace, the final one among them, leaves
-        # the transform of its F(u) to a step that may never come
+        # at t_end
         audit_due = (landing or steps_since_audit + 1 >= _AUDIT_STRIDE
                      or t + trial - t_audit >= _AUDIT_STRIDE * cfg.dt_init)
         try:
             # the step spends the state; only its values stay, for a final
-            # state if the step fails, and its spectrum is restored if the
-            # step is rejected
-            state, f_mid_sum, est = _advance(
-                state, e_half, grid, fn, trial,
-                transform_source=detection_mode or not audit_due, tol=step_tol)
+            # state if the step fails, and a rejected step rebuilds it
+            state, f_mid_sum, est = _advance(state, e_half, grid, fn, trial,
+                                             tol=step_tol)
         except BlowupSignal:
             outcome, t_obs = "blew_up", t
             break
@@ -684,10 +677,15 @@ class DichotomySummary:
 
 
 def _classify_run(traj: Trajectory, p: float, t_end: float) -> Tuple[str, float]:
+    """A run's row outcome and its decay statistic. An unreliable run, whose
+    support reached the boundary margin of its last box, is censored
+    whatever its outcome: the torus no longer stands in for the space."""
     t = np.asarray(traj.t)
     sup = np.asarray(traj.sup)
     stat = np.where(t > 0, t ** (1.0 / (p - 1.0)) * sup, 0.0)
     decay_sup = float(stat.max()) if stat.size else math.nan
+    if not traj.reliable:
+        return "censored", decay_sup
     if traj.outcome == "blew_up":
         return "blowup", decay_sup
     if traj.outcome == "dt_underflow":

@@ -380,6 +380,9 @@ FOUR_ROWS = "r,value\n0.1,1.0\n0.2,{}\n0.3,0.5\n0.4,0.2\n"
     (["criterion", "--kernel", "fractional", "--strength", "nan"], None),
     (["criterion", "--kernel", "fractional"], FOUR_ROWS.format("nan")),
     (["criterion", "--kernel", "fractional"], FOUR_ROWS.format("inf")),
+    # blowup is a crossing of u_max, never an overflow
+    (["simulate", "--u-max", "inf"], None),
+    (["dichotomy", "--u-max", "inf"], None),
 ])
 def test_non_finite_inputs_exit_with_domain_error(outdir, tmp_path, capsys,
                                                   argv, profile):

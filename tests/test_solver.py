@@ -1,5 +1,6 @@
 """Integrating-factor stepper: ODE fidelity, structure laws, audits."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -44,6 +45,10 @@ def test_config_validation():
         make_cfg(t_end=0.0)
     with pytest.raises(DomainError):
         make_cfg(moment_targets=(0.5, -1.0))
+    # blowup is a crossing of u_max, never an overflow
+    for u_max in (0.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="u_max"):
+            make_cfg(u_max=u_max)
 
 
 def test_run_equals_a_loop_of_steps_bit_for_bit():
@@ -107,6 +112,25 @@ def test_advance_in_2d_holds_at_most_two_half_spectra():
     assert new.source_spectrum is state.source_spectrum
 
 
+def test_a_rejected_step_in_2d_holds_at_most_two_half_spectra():
+    """Working-set guard of a rejected step: a 2-D step at n = 256 whose
+    estimate exceeds tol allocates at most two half spectra above its
+    input state at its peak, and rebuilds the state in its own buffers."""
+    g = Grid(2, 16.0, 256)
+    kernel = KernelSpec.fractional(1.5)
+    F = Nonlinearity.power_law(1.0, 3.0)
+    u0 = GridFunction.gaussian(g, mass=4.0, sigma=1.0).values
+    e_half = _half_propagator(generator_symbol_grid(kernel, g), 0.5)
+    _advance(_state(u0.copy(), g, F), e_half, g, F.fn, 0.5, tol=1e-12)
+    state = _state(u0.copy(), g, F)
+    (kept, f_mid_sum, _), peak = traced_peak(
+        lambda: _advance(state, e_half, g, F.fn, 0.5, tol=1e-12))
+    assert f_mid_sum is None
+    assert half_spectra(g, peak) <= 2.0
+    assert kept.spectrum is state.spectrum
+    assert kept.source_spectrum is state.source_spectrum
+
+
 def test_run_in_2d_through_two_doublings_holds_at_most_six_half_spectra():
     """Working-set guard of a whole run: CI's 2-D simulate (n = 128 to 512,
     the horizon T = 2 still ahead at the end) peaks at most six half
@@ -153,9 +177,9 @@ def test_a_doubled_array_dies_with_the_state_that_holds_it(monkeypatch):
 def test_a_source_spectrum_that_overflows_ends_the_next_step():
     """The transform of F(values) overflows although every value and F(value)
     is finite: the state is accepted without a warning and carries no
-    source spectrum, and the step from it transforms F(values) again and
-    signals blowup. A state built without a source buffer carries none
-    either, and the step from it equals the step from one that does."""
+    source spectrum, and the step from it signals blowup. A state built
+    without a source buffer carries the transform of F(values) in a fresh
+    array, and the step from it equals the step from one built with it."""
     g = Grid(1, 8.0, 64)
     F = Nonlinearity.power_law(1.0, 2.0)
     e_half = _half_propagator(generator_symbol_grid(KernelSpec.gaussian(), g), 1e-3)
@@ -167,12 +191,12 @@ def test_a_source_spectrum_that_overflows_ends_the_next_step():
     with pytest.raises(BlowupSignal, match="overflow"):
         _advance(state, e_half, g, F.fn, 1e-3)
     u0 = GridFunction.gaussian(g, mass=1.0, sigma=1.0).values
-    deferred = _state(u0, g, F)
-    transformed = _state(u0, g, F, source_spectrum=np.empty(g.n // 2 + 1, dtype=complex))
-    assert deferred.source_spectrum is None
-    assert np.array_equal(transformed.source_spectrum, g.rfft(F(u0)))
+    unbuffered = _state(u0, g, F)
+    buffered = _state(u0, g, F, source_spectrum=np.empty(g.n // 2 + 1, dtype=complex))
+    assert np.array_equal(unbuffered.source_spectrum, g.rfft(F(u0)))
+    assert np.array_equal(buffered.source_spectrum, g.rfft(F(u0)))
     stepped = [_advance(s, e_half, g, F.fn, 1e-3)[0].values
-               for s in (deferred, transformed)]
+               for s in (unbuffered, buffered)]
     assert np.array_equal(*stepped)
 
 
@@ -322,12 +346,11 @@ def test_mass_production_law_2d_through_box_doublings():
     assert abs(gained - produced) < 1e-4 * gained
 
 
-def test_a_run_to_its_horizon_transforms_no_state_that_no_step_reads(monkeypatch):
-    """Through two box doublings, the second at t_end: one transform of u0,
-    five per step and one per doubling, as when each step transformed the
-    F(u) of the state it started from. The states the support audit
-    replaces and the final state are never stepped, and their F(u) is
-    never transformed."""
+def test_a_run_to_its_horizon_transforms_each_state_and_its_source_once(monkeypatch):
+    """Through two box doublings, the second at t_end: two transforms of
+    u0 (u and F(u)), five per step and two per doubling. Every state
+    carries the spectrum of its F(u), the final state and the states the
+    support audit replaces among them."""
     calls = []
     for name in ("rfft", "irfft"):
         def counted(self, *args, _f=getattr(Grid, name), **kw):
@@ -339,7 +362,7 @@ def test_a_run_to_its_horizon_transforms_no_state_that_no_step_reads(monkeypatch
                             nonlinearity=Nonlinearity.power_law(1.0, 3.0),
                             dt_init=0.01, t_end=0.3))
     assert traj.outcome == "reached_horizon" and traj.grid.n == 128
-    assert len(calls) == 1 + 5 * (len(traj.t) - 1) + 2
+    assert len(calls) == 2 + 5 * (len(traj.t) - 1) + 2 * 2
 
 
 def test_a_passed_horizon_builds_no_probe_at_a_later_doubling(monkeypatch):
@@ -532,6 +555,25 @@ def test_a_censored_midpoint_moves_neither_end_and_ends_the_bisection():
     assert summary.monotone
 
 
+def test_a_run_whose_support_reached_the_margin_is_censored():
+    """On a box of half-width 8 the support of the decaying row reaches the
+    boundary margin after two doublings, so its run is unreliable: the row
+    is censored although the run reached its horizon decaying, and so is
+    an unreliable run that blew up."""
+    base = GridFunction.gaussian(Grid(1, 8.0, 64), mass=1.0, sigma=1.0)
+    cfg = dichotomy_cfg(t_end=20.0)
+    summary = dichotomy_experiment([0.3], base, cfg, bisection_steps=0)
+    [row] = summary.rows
+    assert (row.outcome, row.raw_outcome) == ("censored", "reached_horizon")
+    assert summary.lambda_lo is None
+    traj = run(base.scaled(0.3), cfg)
+    assert not traj.reliable
+    blown = dataclasses.replace(traj, outcome="blew_up", t_obs=traj.t[-1])
+    assert solver._classify_run(blown, 4.0, cfg.t_end)[0] == "censored"
+    assert solver._classify_run(dataclasses.replace(blown, reliable=True),
+                                4.0, cfg.t_end)[0] == "blowup"
+
+
 def test_dichotomy_validation():
     g = Grid(1, 64.0, 512)
     base = GridFunction.gaussian(g, mass=1.0, sigma=1.0)
@@ -706,10 +748,11 @@ def test_a_blowup_run_equals_a_loop_of_steps_at_the_fixed_rule():
 
 
 def test_a_rejected_step_keeps_its_state_and_its_retry_is_a_fresh_step():
-    """A step whose estimate exceeds tol spends the source spectrum: the
-    values keep their bits, the spectrum is transformed again into its own
-    buffer with the same bits, and the step from the returned state equals
-    the step from a fresh state bit for bit."""
+    """A step whose estimate exceeds tol spends both spectra and rebuilds
+    its state in them: the values keep their bits, each spectrum is
+    transformed again into its own buffer with the bits of a fresh
+    state's, and the step from the returned state equals the step from a
+    fresh state bit for bit."""
     g = Grid(1, 16.0, 128)
     F = Nonlinearity.power_law(1.0, 2.0)
     sym = generator_symbol_grid(KernelSpec.gaussian(), g)
@@ -720,14 +763,15 @@ def test_a_rejected_step_keeps_its_state_and_its_retry_is_a_fresh_step():
                       source_spectrum=np.empty(g.n // 2 + 1, dtype=complex))
 
     state = fresh()
-    values, spectrum = state.values.copy(), state.spectrum.copy()
+    values = state.values.copy()
     kept, f_mid_sum, est = _advance(state, _half_propagator(sym, 0.5), g,
                                     F.fn, 0.5, tol=1e-9)
     assert f_mid_sum is None and est > 1e-9
-    assert kept.source_spectrum is None
     assert kept.values is state.values and kept.spectrum is state.spectrum
+    assert kept.source_spectrum is state.source_spectrum
     assert np.array_equal(kept.values, values)
-    assert np.array_equal(kept.spectrum, spectrum)
+    for a, b in zip(kept, fresh()):
+        assert np.array_equal(a, b)
     e_half = _half_propagator(sym, 0.1)
     retried, fresh_step = (_advance(s, e_half, g, F.fn, 0.1)
                            for s in (kept, fresh()))
