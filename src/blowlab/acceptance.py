@@ -56,11 +56,6 @@ class CheckResult:
                              dict(metadata or {}))
 
 
-def _fit_slope(x, y) -> float:
-    return float(loglog_slope(np.asarray(x, dtype=float),
-                              np.asarray(y, dtype=float)))
-
-
 # -- C1 ----------------------------------------------------------------------
 
 def constants_closed_forms(res: CheckResult) -> None:
@@ -249,7 +244,7 @@ def fujita_growth(res: CheckResult) -> None:
         stat = float(T) ** e * W
         stats.append(stat)
         rows.append((float(T), W, stat))
-    slope = _fit_slope(T_values, stats)
+    slope = loglog_slope(T_values, stats)
     target = e - 1.0 / 2.0  # growth exponent 1/(p-1) - d/alpha at d=1, alpha=2
     res.add("fitted growth exponent of T^(1/(p-1)) W_T(0) within 5% of 1/6",
             abs(slope / target - 1.0) <= 0.05,
@@ -273,7 +268,7 @@ def dichotomy_decay(res: CheckResult) -> None:
     sup = np.asarray(traj.sup)
     late = t >= 10.0
     stat = t[late] ** (1.0 / 3.0) * sup[late]
-    slope = _fit_slope(t[late], stat)
+    slope = loglog_slope(t[late], stat)
     res.add("t^(1/3) sup u shows no growth trend (slope <= 0.02)",
             slope <= 0.02, f"slope={slope:.6f} bound=0.02")
     keep = np.unique(np.geomspace(1, t.size - 1, 200).astype(int))

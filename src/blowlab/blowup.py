@@ -30,8 +30,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import DomainError, ResolutionError
-from .kernels import (GridFunction, KernelSpec, StableProfile, _audit_failure,
-                      generator_symbol_grid, stable_profile)
+from .kernels import (_BOUNDARY_TOL, GridFunction, KernelSpec, StableProfile,
+                      _audit_failure, generator_symbol_grid, stable_profile)
 from .nonlinearity import Nonlinearity, OsgoodTransform, fujita_exponent
 from .norms import MorreyResult, RadialProfile, morrey_norm_grid, radial_concentration
 from .specfun import sphere_area
@@ -47,7 +47,6 @@ __all__ = [
 ]
 
 InitialData = Union[GridFunction, RadialProfile]
-_BOUNDARY_TOL = 1e-8   # kernel boundary-mass audit of every grid horizon
 
 
 def default_horizon_grid() -> np.ndarray:

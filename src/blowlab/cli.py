@@ -30,7 +30,8 @@ from .acceptance import PRESETS
 from .asymptotics import K_fractional, sweep_K, sweep_L
 from .blowup import CriterionInput, evaluate_criterion
 from .errors import DomainError, OsgoodViolationError, ResolutionError
-from .kernels import Grid, GridFunction, KernelSpec, semigroup_kernel, stable_profile
+from .kernels import _BOUNDARY_TOL, Grid, GridFunction, KernelSpec, semigroup_kernel, \
+    stable_profile
 from .nonlinearity import Nonlinearity
 from .norms import read_profile_csv
 from .numutil import log_grid
@@ -295,10 +296,10 @@ def _cmd_dichotomy(args) -> int:
     summary = dichotomy_experiment(_parse_floats(args.scales), base, cfg,
                                    args.bisection_steps)
     rows = [(r.scale, r.outcome, r.raw_outcome, r.t_obs, r.decay_sup,
-             r.predicted_T_star) for r in summary.rows]
+             r.predicted_T_star, r.reliable) for r in summary.rows]
     path = write_csv(output_dir() / "dichotomy.csv",
                      ("scale", "outcome", "raw_outcome", "t_obs",
-                      "decay_sup", "predicted_T_star"), rows,
+                      "decay_sup", "predicted_T_star", "reliable"), rows,
                      {"lambda_lo": summary.lambda_lo,
                       "lambda_hi": summary.lambda_hi,
                       "monotone": summary.monotone,
@@ -364,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     k = sub.add_parser("kernel", help="dump a semigroup kernel cross-section")
     _add_kernel(k, "--kind")
     _add_lattice(k, data=False)
-    _floats(k, t=1.0, boundary_tol=1e-8, rho_max=10.0)
+    _floats(k, t=1.0, boundary_tol=_BOUNDARY_TOL, rho_max=10.0)
     k.add_argument("--radial", action="store_true",
                    help="emit the self-similar radial profile instead")
     k.set_defaults(fn=_cmd_kernel)

@@ -34,7 +34,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import gammaln, loggamma
 
 from .errors import DomainError, ResolutionError
-from .numutil import _check_dimension, _quad_result
+from .numutil import _check_dimension, _check_order, _quad_result
 from .specfun import sphere_area
 
 __all__ = [
@@ -54,8 +54,10 @@ _CLIP_FLOOR = -1e-12
 _BUMP_QUAD_TOL = 1e-13
 # audit verdicts kept by _audit_failure, one short string (or None) each
 _AUDIT_MEMO_SIZE = 4096
-# the boundary-mass audit counts |k| beyond this share of the half-width L
+# the torus audits read the band beyond this share of the half-width L
 _BOUNDARY_FRACTION = 0.75
+# the largest kernel mass the boundary-mass audit lets into that band
+_BOUNDARY_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +91,8 @@ class Grid:
 
     Buffer contract: ``rfft(values, out=buf)`` writes the half spectrum
     into buf (complex, shape (n,)*(d-1) + (n//2 + 1,), not overlapping
-    values) and returns buf; without out it returns a fresh array, in 2-D
-    one array for both axis passes. ``irfft`` returns a fresh real field.
+    values) and returns buf; without out it returns a fresh array, one for
+    all axis passes. ``irfft`` returns a fresh real field.
     """
 
     d: int
@@ -135,19 +137,30 @@ class Grid:
         half = 2.0 * math.pi * np.fft.rfftfreq(self.n, d=self.spacing)
         return _length(np.meshgrid(*[xi] * (self.d - 1), half, indexing="ij"))
 
+    def edge(self) -> np.ndarray:
+        """The band where some |x_i| > 0.75 L, as a mask in the natural
+        layout: the boundary margin of the torus audits."""
+        line = np.abs(self.axis()) > _BOUNDARY_FRACTION * self.L
+        return functools.reduce(np.logical_or.outer, [line] * self.d)
+
     def rfft(self, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Half spectrum of a real field on this grid (out: see above)."""
-        if self.d == 1:
-            return np.fft.rfft(values, out=out)
-        if out is None:
-            out = np.empty((self.n, self.n // 2 + 1), dtype=complex)
-        return np.fft.rfftn(values, out=out)
+        """Half spectrum of a real field on this grid (out: see above).
+
+        The passes of ``np.fft.rfftn``, bit for bit: a real transform along
+        the last axis, then complex ones in place along the others. Called
+        directly they skip its argument handling, which over a step's five
+        transforms costs about a sixth of a 1-D step at n = 1024."""
+        out = np.fft.rfft(values, out=out)
+        for axis in range(self.d - 1):
+            np.fft.fft(out, axis=axis, out=out)
+        return out
 
     def irfft(self, spectrum: np.ndarray) -> np.ndarray:
-        """Real field with the given half spectrum (inverse of ``rfft``)."""
-        if self.d == 1:
-            return np.fft.irfft(spectrum, n=self.n)
-        return np.fft.irfftn(spectrum, s=self.shape, axes=(0, 1))
+        """Real field with the given half spectrum (inverse of ``rfft``), by
+        the passes of ``np.fft.irfftn``."""
+        for axis in range(self.d - 1):
+            spectrum = np.fft.ifft(spectrum, axis=axis)
+        return np.fft.irfft(spectrum, n=self.n)
 
 
 @dataclass
@@ -269,8 +282,7 @@ class KernelSpec:
 
     @classmethod
     def fractional(cls, alpha: float, strength: float = 1.0) -> "KernelSpec":
-        if not (0.0 < alpha <= 2.0):
-            raise DomainError("fractional order alpha must lie in (0, 2]")
+        _check_order(alpha)
         if not 0 < strength < math.inf:
             raise DomainError("symbol coefficient must be positive and finite")
         return cls(kind="pure_fractional", alpha=float(alpha), strength=float(strength))
@@ -365,17 +377,15 @@ class SemigroupKernel:
         return float(self.values.sum()) * self.grid.cell_volume
 
     def boundary_mass(self) -> float:
-        """|k| mass in the region max_i |x_i| > 0.75 L."""
-        edge = _BOUNDARY_FRACTION * self.grid.L
-        outer = functools.reduce(np.logical_or, [np.abs(c) > edge for c in self.grid.meshes()])
-        return float(np.abs(self.values[outer]).sum()) * self.grid.cell_volume
+        """|k| mass in the band max_i |x_i| > 0.75 L (``Grid.edge``)."""
+        return float(np.abs(self.values[self.grid.edge()]).sum()) * self.grid.cell_volume
 
     def min_value(self) -> float:
         return float(self.values.min())
 
 
 def semigroup_kernel(spec: KernelSpec, t: float, grid: Grid,
-                     boundary_tol: float = 1e-8) -> SemigroupKernel:
+                     boundary_tol: float = _BOUNDARY_TOL) -> SemigroupKernel:
     """Construct k_t on a grid from the exact frequency multiplier.
 
     Raises ResolutionError when the kernel's mass within a quarter
@@ -662,8 +672,7 @@ class StableProfile:
     method: str = "auto"
 
     def __post_init__(self):
-        if not (0.0 < self.alpha <= 2.0):
-            raise DomainError("profile order alpha must lie in (0, 2]")
+        _check_order(self.alpha)
         self.d = _check_dimension(self.d)
         if self.method not in ("auto", "subordination"):
             raise DomainError("method must be auto or subordination")

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import DomainError, OsgoodViolationError, ResolutionError
-from .numutil import _check_dimension, _check_power, _quad_result
+from .numutil import _check_dimension, _check_order, _check_power, _quad_result
 
 __all__ = [
     "Nonlinearity",
@@ -319,8 +319,7 @@ class OsgoodTransform:
 
 def fujita_exponent(alpha: float, d: int) -> float:
     """Critical exponent 1 + alpha/d separating the mass-driven blowup range."""
-    if not (0 < alpha <= 2):
-        raise DomainError("order alpha must lie in (0, 2]")
+    _check_order(alpha)
     return 1.0 + alpha / _check_dimension(d)
 
 
@@ -331,7 +330,6 @@ def threshold_constant_c(alpha: float, p: float) -> float:
     returned there too.
     """
     _check_power(p)
-    if not (0 < alpha <= 2):
-        raise DomainError("order alpha must lie in (0, 2]")
+    _check_order(alpha)
     return (1.0 / (p - 1.0)) ** (1.0 / (p - 1.0))
 

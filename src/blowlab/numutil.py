@@ -2,8 +2,8 @@
 
 The one refined sup (a grid argmax refined by scipy's bounded Brent
 search), log-spaced grids, log-log slope fits, the one check of a
-dimension and the one of a power, and the one check every QUADPACK result
-in the package goes through.
+dimension, the one of a power and the one of an order, and the one check
+every QUADPACK result in the package goes through.
 """
 
 from __future__ import annotations
@@ -62,6 +62,12 @@ def _check_power(p: float) -> None:
     # written so that NaN fails it too
     if not 1.0 < p < math.inf:
         raise DomainError(f"p must be finite and exceed 1, got {p!r}")
+
+
+def _check_order(alpha: float) -> None:
+    # written so that NaN fails it too
+    if not 0.0 < alpha <= 2.0:
+        raise DomainError(f"order alpha must lie in (0, 2], got {alpha!r}")
 
 
 def log_grid(lo: float, hi: float, n: int) -> np.ndarray:

@@ -44,9 +44,8 @@ u; the next step reads both spectra and takes them over as its own
 buffers, into which it transforms the state it returns, or, when it is
 rejected, the state it started from, bit for bit. F(mid) is transformed
 into a fresh array, which the step drops once the new spectrum is formed.
-A state lacks the F(u) spectrum only when that transform overflowed, and
-the step from it then ends as blowup. The sums, which the mass audit and
-the records need anyway, double as the finiteness checks of the state.
+One overflow rule holds throughout: a state whose sums or transforms
+leave the doubles is a blowup.
 """
 
 from __future__ import annotations
@@ -58,8 +57,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, ResolutionError
-from .kernels import _BOUNDARY_FRACTION, Grid, GridFunction, KernelSpec, \
-    generator_symbol_grid
+from .kernels import Grid, GridFunction, KernelSpec, generator_symbol_grid
 from .nonlinearity import Nonlinearity, OsgoodTransform, fujita_exponent
 from .blowup import CriterionInput, _peak_index, evaluate_criterion, moment_field
 
@@ -165,29 +163,14 @@ class _State(NamedTuple):
     only read a state. A step spends it: it works in both spectra in place
     and hands them to the state it returns, so after ``_advance`` only
     ``values`` and the sums still hold. A rejected step rebuilds the state
-    in its own two buffers, bit for bit. source_spectrum is None only when
-    the transform of F(values) overflowed; the step from the state then
-    ends as blowup, since evaluating and transforming F(values) again would
-    overflow again, bit for bit.
+    in its own two buffers, bit for bit.
     """
 
     values: np.ndarray
     spectrum: np.ndarray
-    source_spectrum: Optional[np.ndarray]
+    source_spectrum: np.ndarray
     total: float
     source_total: float
-
-
-def _check_finite(a: np.ndarray, total: float, what: str) -> None:
-    """Raise BlowupSignal when an entry of a is not finite, given its sum.
-
-    A float sum is finite only if every entry is, so a finite total settles
-    the check; only a total that is not finite is followed by the
-    elementwise scan, which tells an overflowing sum of finite entries from
-    a bad entry.
-    """
-    if not math.isfinite(total) and not np.all(np.isfinite(a)):
-        raise BlowupSignal(f"{what} left the finite range")
 
 
 def _state(values: np.ndarray, grid: Grid, source_fn,
@@ -195,32 +178,23 @@ def _state(values: np.ndarray, grid: Grid, source_fn,
            source_spectrum: Optional[np.ndarray] = None) -> _State:
     """Evaluate the source on clipped values and transform the values and
     F(values), into spectrum and source_spectrum if given (a step hands on
-    the ones it spent) and into fresh arrays otherwise. An overflow, a value
-    or a source value that is not finite is a BlowupSignal; an overflow in
-    the transform of F(values) leaves the state without source_spectrum
-    (see ``_State``). source_fn is the checked
-    ``Nonlinearity.__call__`` where values enter from outside and
-    ``Nonlinearity.fn`` on the step's own clipped update."""
+    the ones it spent) and into fresh arrays otherwise. An overflow
+    anywhere, or a sum that is not finite, is a BlowupSignal. source_fn is
+    the checked ``Nonlinearity.__call__`` where values enter from outside
+    and ``Nonlinearity.fn`` on the step's own clipped update."""
     with np.errstate(over="raise", invalid="raise"):
         try:
             source = source_fn(values)
             spectrum = grid.rfft(values, out=spectrum)
+            # the mass audit and the records need both sums; a float sum is
+            # finite only if every entry is, so they are the finiteness checks
+            total = float(np.add.reduce(values, axis=None))
+            source_total = float(np.add.reduce(source, axis=None))
+            if not (math.isfinite(total) and math.isfinite(source_total)):
+                raise BlowupSignal("the values or their source left the finite range")
+            source_spectrum = grid.rfft(source, out=source_spectrum)
         except FloatingPointError as exc:
             raise BlowupSignal(str(exc)) from exc
-    # the mass audit and the records need both sums; they double as the
-    # finiteness checks
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = float(np.add.reduce(values, axis=None))
-        source_total = float(np.add.reduce(source, axis=None))
-    _check_finite(values, total, "values")
-    _check_finite(source, source_total, "source values")
-    # only the next step reads F(values), and only as a spectrum: an
-    # overflow in its transform is left to that step (see _State)
-    with np.errstate(over="raise", invalid="raise"):
-        try:
-            source_spectrum = grid.rfft(source, out=source_spectrum)
-        except FloatingPointError:
-            source_spectrum = None
     return _State(values, spectrum, source_spectrum, total, source_total)
 
 
@@ -294,16 +268,13 @@ def _advance(state: _State, e_half: np.ndarray, grid: Grid, fn, dt: float,
     step's embedded error estimate (``_error_estimate``). The step spends
     state (see ``_State``), whether it succeeds or not. It evaluates F
     itself only at the midpoint; ``_state`` evaluates it on the values it
-    returns. A state without a source spectrum ends the step as a
-    BlowupSignal at once.
+    returns. An overflow is a BlowupSignal.
 
     A step whose estimate exceeds tol is rejected: it rebuilds state in its
     own two buffers, bit for bit the state it started from, and returns
     that state, None for the integral, and the estimate.
     """
     spec = state.source_spectrum
-    if spec is None:
-        raise BlowupSignal("the transform of the source values overflowed")
     with np.errstate(over="raise", invalid="raise"):
         try:
             # the source spectrum is the step's spectrum buffer: the
@@ -390,20 +361,12 @@ class _MomentProbe:
 # ---------------------------------------------------------------------------
 
 def _support_ok(values: np.ndarray, grid: Grid) -> bool:
+    """No support in the grid's boundary band (``Grid.edge``)."""
     # floor is relative to the sup once it exceeds one: a detonating peak
     # rings at ~1e-9 of its height across the whole box, and that ringing
     # is not support
-    mask = values > _SUPPORT_FLOOR * max(1.0, float(values.max()))
-    if not np.any(mask):
-        return True
-    for ax in range(grid.d):
-        other = tuple(a for a in range(grid.d) if a != ax)
-        line = mask.any(axis=other) if other else mask
-        idx = np.nonzero(line)[0]
-        x = (idx - grid.n // 2) * grid.spacing
-        if np.max(np.abs(x)) > _BOUNDARY_FRACTION * grid.L:
-            return False
-    return True
+    floor = _SUPPORT_FLOOR * max(1.0, float(values.max()))
+    return not np.any(values[grid.edge()] > floor)
 
 
 def _embed_double(values: np.ndarray) -> np.ndarray:
@@ -449,7 +412,7 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
     try:
         state = _state(u0.values.copy(), grid, F)
     except BlowupSignal as exc:
-        raise DomainError(f"u0 or F(u0) is not finite: {exc}") from exc
+        raise DomainError(f"u0 or F(u0) leaves the double range: {exc}") from exc
 
     def box(grid: Grid, centers: Dict[float, Tuple[int, ...]]):
         """The generator symbol, cell volume and moment probes of a box."""
@@ -665,6 +628,7 @@ class DichotomyRow:
     t_obs: Optional[float]
     decay_sup: float          # sup_t t^(1/(p-1)) ||u(t)||_inf over the run
     predicted_T_star: Optional[float]
+    reliable: bool            # the run's Trajectory.reliable
 
 
 @dataclass(frozen=True)
@@ -735,7 +699,8 @@ def dichotomy_experiment(scale_list: Sequence[float], base_profile: GridFunction
         outcome, decay_sup = _classify_run(traj, p, cfg.t_end)
         return DichotomyRow(scale=float(lam), outcome=outcome,
                             raw_outcome=traj.outcome, t_obs=traj.t_obs,
-                            decay_sup=decay_sup, predicted_T_star=predicted)
+                            decay_sup=decay_sup, predicted_T_star=predicted,
+                            reliable=traj.reliable)
 
     def ends():
         return (max((r.scale for r in rows if r.outcome == "global_decay"), default=None),

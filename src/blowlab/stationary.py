@@ -24,7 +24,7 @@ from scipy.special import beta, hyp2f1
 
 from .errors import DomainError, ResolutionError
 from .norms import RadialProfile
-from .numutil import _check_power, _quad_result
+from .numutil import _check_order, _check_power, _quad_result
 from .specfun import _log_gamma_ratio, sphere_area
 
 __all__ = [
@@ -55,8 +55,7 @@ def _gamma_arguments(alpha: float, d: float, p: float) -> dict:
 
 
 def _check_region(alpha: float, d: float, p: float) -> dict:
-    if not (0.0 < alpha <= 2.0):
-        raise DomainError("alpha must lie in (0, 2]")
+    _check_order(alpha)
     _check_power(p)
     args = _gamma_arguments(alpha, d, p)
     for name, val in args.items():

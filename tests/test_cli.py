@@ -383,6 +383,8 @@ FOUR_ROWS = "r,value\n0.1,1.0\n0.2,{}\n0.3,0.5\n0.4,0.2\n"
     # blowup is a crossing of u_max, never an overflow
     (["simulate", "--u-max", "inf"], None),
     (["dichotomy", "--u-max", "inf"], None),
+    # the sum of F(u0) leaves the double range
+    (["simulate", "--mass", "1e154", "--u-max", "1e300"], None),
 ])
 def test_non_finite_inputs_exit_with_domain_error(outdir, tmp_path, capsys,
                                                   argv, profile):

@@ -7,12 +7,14 @@ from scipy.integrate import quad
 
 from blowlab.asymptotics import L_fractional
 from blowlab.errors import DomainError, ResolutionError
-from blowlab.kernels import StableProfile, stable_profile
+from blowlab.kernels import KernelSpec, StableProfile, stable_profile
 from blowlab.nonlinearity import fujita_exponent, threshold_constant_c
 from blowlab.norms import RadialProfile, radial_concentration
-from blowlab.numutil import (_check_dimension, _check_power, _quad_result,
-                             log_grid, loglog_slope, refine_max_on_grid)
+from blowlab.numutil import (_check_dimension, _check_order, _check_power,
+                             _quad_result, log_grid, loglog_slope,
+                             refine_max_on_grid)
 from blowlab.specfun import log_sphere_area
+from blowlab.stationary import singular_constant
 
 
 def test_refine_max_on_grid_beats_grid_argmax():
@@ -130,6 +132,14 @@ def test_power_check():
             _check_power(p)
 
 
+def test_order_check():
+    _check_order(1.5)
+    _check_order(2.0)
+    for alpha in (math.nan, 0.0, -1.0, 2.5, math.inf):
+        with pytest.raises(DomainError, match=r"order alpha must lie in \(0, 2\]"):
+            _check_order(alpha)
+
+
 def _radial(d):
     return RadialProfile(d, np.geomspace(1e-3, 10.0, 50), np.exp(-np.geomspace(1e-3, 10.0, 50)))
 
@@ -148,9 +158,15 @@ def _radial(d):
     lambda: threshold_constant_c(2.0, math.inf),
     # returned a NaN value
     lambda: radial_concentration(_radial(2), math.nan, 2.0),
+    # orders outside (0, 2], one check for every entry point
+    lambda: KernelSpec.fractional(math.nan),
+    lambda: StableProfile(2.5, 1),
+    lambda: fujita_exponent(0.0, 1),
+    lambda: threshold_constant_c(-1.0, 3.0),
+    lambda: singular_constant(math.inf, 5, 3.0),
 ])
 def test_bad_dimensions_and_powers_raise(call):
-    with pytest.raises(DomainError, match="dimension|p must be"):
+    with pytest.raises(DomainError, match="dimension|p must be|order alpha"):
         call()
 
 

@@ -174,22 +174,20 @@ def test_a_doubled_array_dies_with_the_state_that_holds_it(monkeypatch):
     assert max(live) == 0
 
 
-def test_a_source_spectrum_that_overflows_ends_the_next_step():
-    """The transform of F(values) overflows although every value and F(value)
-    is finite: the state is accepted without a warning and carries no
-    source spectrum, and the step from it signals blowup. A state built
-    without a source buffer carries the transform of F(values) in a fresh
-    array, and the step from it equals the step from one built with it."""
+def test_a_state_whose_source_sum_overflows_is_a_blowup():
+    """The sum of F(values) overflows although every value and F(value) is
+    finite: building the state signals blowup without a warning. A state
+    built without a source buffer carries the transform of F(values) in a
+    fresh array, and the step from it equals the step from one built with
+    it."""
     g = Grid(1, 8.0, 64)
     F = Nonlinearity.power_law(1.0, 2.0)
     e_half = _half_propagator(generator_symbol_grid(KernelSpec.gaussian(), g), 1e-3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        state = _state(np.full(g.shape, 1e154), g, F,
-                       source_spectrum=np.empty(g.n // 2 + 1, dtype=complex))
-    assert state.source_spectrum is None and state.source_total == math.inf
-    with pytest.raises(BlowupSignal, match="overflow"):
-        _advance(state, e_half, g, F.fn, 1e-3)
+        with pytest.raises(BlowupSignal, match="overflow encountered in reduce"):
+            _state(np.full(g.shape, 1e154), g, F,
+                   source_spectrum=np.empty(g.n // 2 + 1, dtype=complex))
     u0 = GridFunction.gaussian(g, mass=1.0, sigma=1.0).values
     unbuffered = _state(u0, g, F)
     buffered = _state(u0, g, F, source_spectrum=np.empty(g.n // 2 + 1, dtype=complex))
@@ -565,6 +563,7 @@ def test_a_run_whose_support_reached_the_margin_is_censored():
     summary = dichotomy_experiment([0.3], base, cfg, bisection_steps=0)
     [row] = summary.rows
     assert (row.outcome, row.raw_outcome) == ("censored", "reached_horizon")
+    assert row.reliable is False
     assert summary.lambda_lo is None
     traj = run(base.scaled(0.3), cfg)
     assert not traj.reliable
@@ -642,36 +641,29 @@ def test_non_finite_update_values_signal_blowup(bad):
         _state(values, g, Nonlinearity.zero().fn)
 
 
-def test_finite_source_values_whose_sum_overflows_do_not_signal_blowup():
-    """Every F(u0) = 1e308 is a finite double, but their sum is not. The run
-    starts and records an infinite source integral without a warning; dt
-    control (dt = 0.5/F'(1e154)) then ends it at t = 0."""
+def test_u0_whose_source_sum_overflows_is_a_domain_error():
+    """Every F(u0) = 1e308 is a finite double, but their sum is not: u0
+    leaves the double range, and run rejects it before the first record."""
     g = Grid(1, 8.0, 64)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        traj = run(GridFunction(g, np.full(g.shape, 1e154)),
-                   make_cfg(u_max=1e300))
-    assert traj.outcome == "dt_underflow"
-    assert traj.t_obs == 0.0
-    assert traj.source_integral == [math.inf]
-    assert math.isfinite(traj.mass[0])
+        with pytest.raises(DomainError, match="leaves the double range"):
+            run(GridFunction(g, np.full(g.shape, 1e154)), make_cfg(u_max=1e300))
 
 
-def test_a_state_whose_source_transform_overflows_is_accepted():
+def test_a_step_to_a_state_whose_source_sum_overflows_is_a_blowup():
     """u' = u^2 from constant data 1.4e153 (dt = 0.5/F'(u0)): the first
     step's midpoint source still transforms, but the sum of F over the new
-    state, its transform's mode 0, overflows. That state is accepted and
-    recorded with an infinite source integral; the step from it ends the
-    run as blew_up at its time."""
+    state, its transform's mode 0, overflows. The step signals blowup, so
+    the run ends as blew_up at t = 0 with the finite source integral of u0."""
     g = Grid(1, 8.0, 64)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         traj = run(GridFunction(g, np.full(g.shape, 1.4e153)),
                    make_cfg(dt_min=1e-300, u_max=1e300))
     assert traj.outcome == "blew_up"
-    assert len(traj.t) == 2 and traj.t_obs == traj.t[1] > 0.0
+    assert traj.t == [0.0] and traj.t_obs == 0.0
     assert math.isfinite(traj.source_integral[0])
-    assert traj.source_integral[1] == math.inf
 
 
 # ---------------------------------------------------------------------------
