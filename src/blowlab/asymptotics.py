@@ -19,6 +19,7 @@ in the test suite.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -27,7 +28,7 @@ from scipy.integrate import quad
 
 from .errors import DomainError, ResolutionError
 from .kernels import stable_profile
-from .numutil import _check_power, _quad_result, loglog_slope, refine_max_on_grid
+from .numutil import _check_power, _check_range, _quad_result, loglog_slope, refine_max_on_grid
 from .specfun import _log_gamma_ratio, log_sphere_area, sphere_area
 from .stationary import log_singular_constant
 
@@ -79,8 +80,7 @@ def K_fractional_at_time(alpha: float, d: float, p: float, t: float) -> float:
     radial quadrature of the kernel profile (relative target 1e-10);
     t-independent up to quadrature noise, which is exactly what the
     scale-invariance test checks."""
-    if not 0 < t < math.inf:
-        raise DomainError("t must be positive and finite")
+    _check_range("t", t)
     s = math.exp(log_singular_constant(alpha, d, p))
     g = alpha / (p - 1.0)
     prof = stable_profile(alpha, d)
@@ -118,8 +118,8 @@ class LResult:
 
 
 def _L_result(log_value: float, argmax: float) -> LResult:
-    return LResult(math.exp(log_value) if log_value < 709.0 else math.inf,
-                   log_value, argmax)
+    return LResult(math.exp(log_value) if log_value <= math.log(sys.float_info.max)
+                   else math.inf, log_value, argmax)
 
 
 def L_gaussian(d: float, p: float) -> LResult:
@@ -128,6 +128,7 @@ def L_gaussian(d: float, p: float) -> LResult:
     The maximizer is t0 = 1/(4b) with b = d/2 - 1/(p-1) > 0 (boundary
     rejected), and the sup equals 4^(-1/(p-1)) pi^(-d/2) (b/e)^b.
     """
+    _check_range("dimension", d, 1.0, closed=True)
     _check_power(p)
     b = d / 2.0 - 1.0 / (p - 1.0)
     if not b > 0.0:
@@ -184,8 +185,7 @@ def window_eta_from_beta(beta: float) -> float:
     """min over [tau0, tau0 + sqrt(2 beta)] of e^-tau tau^beta, normalized by
     the peak value m = e^-beta beta^beta; equals e^-h (1 + h/beta)^beta with
     h = sqrt(2 beta), which tends to 1/e as beta grows."""
-    if not beta > 0:
-        raise DomainError("beta must be positive")
+    _check_range("beta", beta)
     h = math.sqrt(2.0 * beta)
     return math.exp(-h + beta * math.log1p(h / beta))
 
@@ -215,9 +215,9 @@ def _sweep_dimensions(d_values: Sequence[float]) -> list:
     """The dimensions as floats, in their order: each finite and >= 1, and
     at least two distinct ones, so that a last pair and a slope exist."""
     ds = [float(d) for d in d_values]
-    if not all(1.0 <= d < math.inf for d in ds) or len(set(ds)) < 2:
-        raise DomainError("a sweep needs at least two distinct finite "
-                          f"dimensions >= 1, got {ds}")
+    _check_range("dimension", ds, 1.0, closed=True)
+    if len(set(ds)) < 2:
+        raise DomainError(f"a sweep needs at least two distinct dimensions, got {ds}")
     return ds
 
 

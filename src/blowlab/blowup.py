@@ -34,6 +34,7 @@ from .kernels import (_BOUNDARY_TOL, GridFunction, KernelSpec, StableProfile,
                       _audit_failure, generator_symbol_grid, stable_profile)
 from .nonlinearity import Nonlinearity, OsgoodTransform, fujita_exponent
 from .norms import MorreyResult, RadialProfile, morrey_norm_grid, radial_concentration
+from .numutil import _check_range
 from .specfun import sphere_area
 
 __all__ = [
@@ -63,14 +64,12 @@ class CriterionInput:
     threshold: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.threshold < math.inf:
-            raise DomainError("threshold must be positive and finite")
+        _check_range("threshold", self.threshold)
         if self.T_grid is not None:
             grid = np.asarray(self.T_grid, dtype=float)
-            if (grid.size == 0 or not np.all(np.isfinite(grid))
-                    or np.any(grid <= 0) or np.any(np.diff(grid) <= 0)):
-                raise DomainError("horizon grid must be increasing, positive "
-                                  "and finite")
+            _check_range("horizon", grid)
+            if grid.size == 0 or np.any(np.diff(grid) <= 0):
+                raise DomainError("horizon grid must be nonempty and increasing")
             object.__setattr__(self, "T_grid", grid)
 
     @property
@@ -114,8 +113,7 @@ def moment_field(u0: GridFunction, kernel: KernelSpec, T: float,
                  boundary_tol: Optional[float] = _BOUNDARY_TOL) -> GridFunction:
     """e^{T A} u0 on the torus as a full field; pass boundary_tol=None to
     skip the kernel-leak audit (the caller then owns reliability)."""
-    if not 0 < T < math.inf:
-        raise DomainError("horizon T must be positive and finite")
+    _check_range("horizon T", T)
     if boundary_tol is not None:
         failure = _audit_failure(kernel, float(T), u0.grid, float(boundary_tol))
         if failure is not None:

@@ -34,7 +34,7 @@ from .kernels import _BOUNDARY_TOL, Grid, GridFunction, KernelSpec, semigroup_ke
     stable_profile
 from .nonlinearity import Nonlinearity
 from .norms import read_profile_csv
-from .numutil import log_grid
+from .numutil import _check_range, log_grid
 from .reporting import output_dir, write_csv, write_manifest
 from .solver import SimConfig, dichotomy_experiment, run
 from .specfun import sphere_area
@@ -155,6 +155,7 @@ def _cmd_kernel(args) -> int:
         if spec.kind != "pure_fractional":
             raise DomainError("the radial profile dump needs a fractional kernel")
         prof = stable_profile(spec.alpha, args.d)
+        _check_range("--rho-max", args.rho_max)
         rho = np.linspace(0.0, args.rho_max, 501)
         path = write_csv(out / "kernel_profile.csv", ("rho", "R"),
                          [(float(r), float(v)) for r, v in zip(rho, prof(rho))],

@@ -34,7 +34,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import gammaln, loggamma
 
 from .errors import DomainError, ResolutionError
-from .numutil import _check_dimension, _check_order, _quad_result
+from .numutil import _check_dimension, _check_order, _check_range, _quad_result
 from .specfun import sphere_area
 
 __all__ = [
@@ -102,8 +102,7 @@ class Grid:
     def __post_init__(self):
         if self.d not in (1, 2):
             raise DomainError("grids support d in {1, 2}")
-        if not 0 < self.L < math.inf:
-            raise DomainError("half-width L must be positive and finite")
+        _check_range("half-width L", self.L)
         if self.n < 4 or (self.n & (self.n - 1)) != 0:
             raise DomainError("n must be a power of two >= 4")
 
@@ -195,10 +194,8 @@ class GridFunction:
     def gaussian(cls, grid: Grid, mass: float = 1.0, sigma: float = 1.0,
                  center: float = 0.0) -> "GridFunction":
         """mass * (unit-mass isotropic Gaussian of width sigma)."""
-        if not 0 < sigma < math.inf:
-            raise DomainError("sigma must be positive and finite")
-        if not 0 <= mass < math.inf:
-            raise DomainError("mass must be nonnegative and finite")
+        _check_range("sigma", sigma)
+        _check_range("mass", mass, closed=True)
         norm = mass / (sigma * math.sqrt(2.0 * math.pi)) ** grid.d
 
         def density(*xs):
@@ -283,8 +280,7 @@ class KernelSpec:
     @classmethod
     def fractional(cls, alpha: float, strength: float = 1.0) -> "KernelSpec":
         _check_order(alpha)
-        if not 0 < strength < math.inf:
-            raise DomainError("symbol coefficient must be positive and finite")
+        _check_range("strength", strength)
         return cls(kind="pure_fractional", alpha=float(alpha), strength=float(strength))
 
     def alpha_effective(self, d: int) -> float:
@@ -393,10 +389,8 @@ def semigroup_kernel(spec: KernelSpec, t: float, grid: Grid,
     small; the message suggests doubling L) or when negative excursions
     exceed the -1e-9 floor (the grid is too coarse).
     """
-    if not 0 < t < math.inf:
-        raise DomainError("semigroup time t must be positive and finite")
-    if not 0.0 <= boundary_tol < math.inf:
-        raise DomainError(f"boundary_tol must be finite and >= 0, got {boundary_tol!r}")
+    _check_range("semigroup time t", t)
+    _check_range("boundary_tol", boundary_tol, closed=True)
     mult = np.exp(t * generator_symbol_grid(spec, grid))
     vals = np.fft.fftshift(grid.irfft(mult)) / grid.cell_volume
     kern = SemigroupKernel(spec, float(t), grid, vals)
@@ -697,8 +691,7 @@ class StableProfile:
     def evaluate(self, rho) -> ProfileValues:
         """R at each rho with its error estimate and route, unchecked."""
         rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
-        if np.any(rho_arr < 0):
-            raise DomainError("profile argument rho must be nonnegative")
+        _check_range("profile argument rho", rho_arr, closed=True)
         flat = rho_arr.ravel()
         value = np.empty(flat.shape)
         error = np.empty(flat.shape)
@@ -770,8 +763,7 @@ class StableProfile:
 
     def kernel_radial(self, t: float, r) -> np.ndarray:
         """P_t at radius r: t^(-d/alpha) R(r t^(-1/alpha))."""
-        if not t > 0:
-            raise DomainError("time t must be positive")
+        _check_range("time t", t)
         r_arr = np.asarray(r, dtype=float)
         s = t ** (-1.0 / self.alpha)
         return t ** (-self.d / self.alpha) * self(r_arr * s)

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import DomainError, OsgoodViolationError, ResolutionError
-from .numutil import _check_dimension, _check_order, _check_power, _quad_result
+from .numutil import _check_dimension, _check_order, _check_power, _check_range, _quad_result
 
 __all__ = [
     "Nonlinearity",
@@ -99,8 +99,8 @@ class Nonlinearity:
 
     @classmethod
     def power_law(cls, c: float = 1.0, p: float = 2.0) -> "Nonlinearity":
-        if not (0 < c < math.inf and 1 < p < math.inf):
-            raise DomainError("power law needs finite c > 0 and p > 1")
+        _check_range("c", c)
+        _check_power(p)
 
         def df(u):
             return c * p * np.power(u, p - 1.0)
@@ -111,10 +111,10 @@ class Nonlinearity:
     @classmethod
     def power_sum(cls, c1: float = 1.0, p1: float = 2.0,
                   c2: float = 1.0, p2: float = 3.0) -> "Nonlinearity":
-        if not (0 < c1 < math.inf and 0 < c2 < math.inf
-                and 1 < p1 < math.inf and 1 < p2 < math.inf):
-            raise DomainError("power sum needs finite positive weights and "
-                              "finite exponents > 1")
+        _check_range("c1", c1)
+        _check_range("c2", c2)
+        _check_power(p1)
+        _check_power(p2)
 
         f1, f2 = _power_term(c1, p1), _power_term(c2, p2)
 
@@ -130,8 +130,7 @@ class Nonlinearity:
 
     @classmethod
     def exponential(cls, c: float = 1.0) -> "Nonlinearity":
-        if not 0 < c < math.inf:
-            raise DomainError("exponential family needs finite c > 0")
+        _check_range("c", c)
 
         def f(u):
             return c * np.expm1(u)
@@ -261,8 +260,7 @@ class OsgoodTransform:
 
     def h(self, w: float) -> float:
         w = float(w)
-        if not w > 0:
-            raise DomainError("h is defined for w > 0")
+        _check_range("w", w)
         if self._is_power:
             c, p = self.source.coeff, self.source.power
             return w ** (1.0 - p) / (c * (p - 1.0))
@@ -274,8 +272,7 @@ class OsgoodTransform:
 
     def h_inverse(self, T: float) -> float:
         T = float(T)
-        if not T > 0:
-            raise DomainError("h_inverse is defined for T > 0")
+        _check_range("T", T)
         if self._is_power:
             c, p = self.source.coeff, self.source.power
             return (c * (p - 1.0) * T) ** (-1.0 / (p - 1.0))

@@ -29,7 +29,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from .errors import DomainError
 from .kernels import GridFunction
-from .numutil import _check_dimension, _check_power, refine_max_on_grid
+from .numutil import _check_dimension, _check_power, _check_range, refine_max_on_grid
 from .specfun import sphere_area
 
 __all__ = [
@@ -65,12 +65,10 @@ class RadialProfile:
             raise DomainError("need at least 4 radial samples")
         if self.u.shape != self.r.shape:
             raise DomainError("value array must match the radial grid")
-        if not (np.all(np.isfinite(self.r)) and np.all(np.isfinite(self.u))):
-            raise DomainError("radial samples must be finite")
-        if self.r[0] <= 0 or np.any(np.diff(self.r) <= 0):
-            raise DomainError("radial grid must be strictly increasing and positive")
-        if float(self.u.min()) < 0:
-            raise DomainError("profile values must be nonnegative")
+        _check_range("radius", self.r)
+        _check_range("profile value", self.u, closed=True)
+        if np.any(np.diff(self.r) <= 0):
+            raise DomainError("radial grid must be strictly increasing")
 
     @classmethod
     def from_function(cls, d: int, f, r_min: float = 1e-3, r_max: float = 1e3,
@@ -189,8 +187,7 @@ def _centered_morrey(u: RadialProfile, s_order: float, e: float) -> MorreyResult
 
 def _concentration_exponent(d: int, p: float, alpha: float) -> float:
     _check_power(p)
-    if not alpha > 0:
-        raise DomainError(f"need alpha > 0, got {alpha!r}")
+    _check_range("alpha", alpha)
     return alpha / (p - 1) - d
 
 
@@ -209,6 +206,7 @@ def morrey_norm_grid(u: GridFunction, s_order: float) -> MorreyResult:
     The radii are 25 log-spaced from two cells to a third of the box
     half-width; circular wrap-around makes larger radii unreliable.
     """
+    _check_range("s_order", s_order)
     g = u.grid
     radii = np.geomspace(2.0 * g.spacing, g.L / 3.0, 25)
     d = g.d
@@ -232,6 +230,7 @@ def concentration_values(u: RadialProfile, p: float, alpha: float,
                          r_values: Sequence[float]) -> list:
     """Rows (r, functional value) of the concentration at chosen radii."""
     f = _centered_objective(u, _concentration_exponent(u.d, p, alpha))[0]
+    _check_range("radius", r_values)
     return [(float(rr), float(f(rr))) for rr in r_values]
 
 

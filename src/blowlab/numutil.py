@@ -2,8 +2,9 @@
 
 The one refined sup (a grid argmax refined by scipy's bounded Brent
 search), log-spaced grids, log-log slope fits, the one check of a
-dimension, the one of a power and the one of an order, and the one check
-every QUADPACK result in the package goes through.
+dimension, the one of a power, the one of an order and the one of every
+other number's finite range, and the one check every QUADPACK result in
+the package goes through.
 """
 
 from __future__ import annotations
@@ -68,6 +69,19 @@ def _check_order(alpha: float) -> None:
     # written so that NaN fails it too
     if not 0.0 < alpha <= 2.0:
         raise DomainError(f"order alpha must lie in (0, 2], got {alpha!r}")
+
+
+def _check_range(name: str, value, bound: float = 0.0, closed: bool = False) -> None:
+    """DomainError unless value is finite and above bound, or at it when
+    closed; NaN fails too. An array is checked element by element and the
+    message quotes its first element that fails."""
+    x = np.asarray(value, dtype=float)
+    ok = ((x >= bound) if closed else (x > bound)) & (x < math.inf)
+    if not ok.all():
+        kind = (f"at least {bound:g}" if bound else "nonnegative") if closed \
+            else (f"above {bound:g}" if bound else "positive")
+        got = value if x.ndim == 0 else float(x[~ok].flat[0])
+        raise DomainError(f"{name} must be {kind} and finite, got {got!r}")
 
 
 def log_grid(lo: float, hi: float, n: int) -> np.ndarray:

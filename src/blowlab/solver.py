@@ -60,6 +60,7 @@ from .errors import DomainError, ResolutionError
 from .kernels import Grid, GridFunction, KernelSpec, generator_symbol_grid
 from .nonlinearity import Nonlinearity, OsgoodTransform, fujita_exponent
 from .blowup import CriterionInput, _peak_index, evaluate_criterion, moment_field
+from .numutil import _check_range
 
 __all__ = [
     "SimConfig",
@@ -103,12 +104,13 @@ class SimConfig:
     moment_targets: Tuple[float, ...] = ()
 
     def __post_init__(self):
-        if not (0 < self.dt_min < self.dt_init < math.inf):
-            raise DomainError("need 0 < dt_min < dt_init < inf")
-        if not (0 < self.t_end < math.inf and 0 < self.u_max < math.inf):
-            raise DomainError("t_end and u_max must be positive and finite")
-        if not all(0 < T < math.inf for T in self.moment_targets):
-            raise DomainError("moment targets must be positive finite horizons")
+        _check_range("dt_min", self.dt_min)
+        _check_range("dt_init", self.dt_init)
+        if not self.dt_min < self.dt_init:
+            raise DomainError("need dt_min < dt_init")
+        _check_range("t_end", self.t_end)
+        _check_range("u_max", self.u_max)
+        _check_range("moment target", self.moment_targets)
         object.__setattr__(self, "moment_targets",
                            tuple(float(T) for T in self.moment_targets))
 
@@ -674,9 +676,9 @@ def dichotomy_experiment(scale_list: Sequence[float], base_profile: GridFunction
     the next midpoint would be the same scale.
     """
     scales = sorted({float(lam) for lam in scale_list})
-    if not scales or not all(0 < lam < math.inf for lam in scales):
-        raise DomainError("the dichotomy needs at least one scale, each "
-                          f"positive and finite, got {scales}")
+    if not scales:
+        raise DomainError("the dichotomy needs at least one scale")
+    _check_range("scale", scales)
     if bisection_steps < 0:
         raise DomainError(f"bisection_steps must be >= 0, got {bisection_steps}")
     F = cfg.nonlinearity

@@ -24,7 +24,7 @@ from scipy.special import beta, hyp2f1
 
 from .errors import DomainError, ResolutionError
 from .norms import RadialProfile
-from .numutil import _check_order, _check_power, _quad_result
+from .numutil import _check_order, _check_power, _check_range, _quad_result
 from .specfun import _log_gamma_ratio, sphere_area
 
 __all__ = [
@@ -56,6 +56,7 @@ def _gamma_arguments(alpha: float, d: float, p: float) -> dict:
 
 def _check_region(alpha: float, d: float, p: float) -> dict:
     _check_order(alpha)
+    _check_range("dimension", d, 1.0, closed=True)
     _check_power(p)
     args = _gamma_arguments(alpha, d, p)
     for name, val in args.items():
@@ -100,9 +101,7 @@ class SingularSolution:
 
     def __call__(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        if not np.all((0.0 < r) & (r < math.inf)):
-            raise DomainError("r must be positive and finite; "
-                              "the profile is singular at the origin")
+        _check_range("r", r)
         return self.s_value * r ** (-self.decay_exponent)
 
 
@@ -119,8 +118,7 @@ def singular_morrey_norm(sol: SingularSolution, q: float = 1.0) -> float:
 
     The ball integral of u^q converges only while q*alpha/(p-1) < d.
     """
-    if not 1.0 <= q < math.inf:
-        raise DomainError(f"q must be finite and at least 1, got {q!r}")
+    _check_range("q", q, 1.0, closed=True)
     g = sol.decay_exponent
     if q * g >= sol.d:
         raise DomainError(
@@ -173,8 +171,7 @@ def stationary_residual(sol: SingularSolution, probe_radius: float) -> float:
     t^(alpha+g-1) M(t). A QUADPACK message raises ResolutionError, and so
     do error estimates that could move the defect by more than 1e-9.
     """
-    if not 0.0 < float(probe_radius) < math.inf:
-        raise DomainError(f"probe radius must be positive and finite, got {probe_radius!r}")
+    _check_range("probe radius", probe_radius)
     g = sol.decay_exponent
     target = sol.s_value ** (sol.p - 1.0)
     if sol.alpha == 2.0:

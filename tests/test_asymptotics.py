@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import minimize_scalar
 from scipy.special import poch
 
-from blowlab.asymptotics import (K_fractional, K_fractional_at_time,
+from blowlab.asymptotics import (K_fractional, K_fractional_at_time, _L_result,
                                  L_fractional, L_gaussian, sweep_K, sweep_L,
                                  window_eta_from_beta, window_lower_bound)
 from blowlab.errors import DomainError
@@ -221,3 +221,11 @@ def test_sweep_reports():
     assert rl.quantity == "L"
     assert len(rl.aux) == 2
     assert abs(rl.normalized[1] / rl.normalized[0] - 1.0) < 0.02
+
+
+def test_L_result_keeps_every_value_the_doubles_hold():
+    """L is inf only where exp(log L) leaves the doubles, which reach
+    exp(709.78); the cut sat at log L = 709."""
+    assert _L_result(709.5, 1.0).value == math.exp(709.5)
+    assert _L_result(709.5, 1.0).log_value == 709.5
+    assert _L_result(710.0, 1.0).value == math.inf

@@ -419,6 +419,11 @@ def test_non_finite_inputs_exit_with_domain_error(outdir, tmp_path, capsys,
     ["constants", "--d", str(10 ** 306)],
     # a dimension that is not an integer, before anything is computed
     ["sweep-L", "--alpha", "1.5", "--p", "3", "--d", "10.5,11"],
+    # the radial dump's last radius, before the rho grid is built: inf
+    # reached np.linspace and warned, and 0 wrote 501 rows at rho = 0
+    ["kernel", "--kind", "fractional", "--alpha", "1.5", "--radial", "--rho-max", "inf"],
+    ["kernel", "--kind", "fractional", "--alpha", "1.5", "--radial", "--rho-max", "nan"],
+    ["kernel", "--kind", "fractional", "--alpha", "1.5", "--radial", "--rho-max", "0"],
 ])
 def test_bad_parameters_exit_with_an_error(outdir, capsys, argv):
     with warnings.catch_warnings(record=True) as caught:
@@ -429,6 +434,17 @@ def test_bad_parameters_exit_with_an_error(outdir, capsys, argv):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert not list(outdir.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("rho_max", ["inf", "nan", "0"])
+def test_radial_dump_checks_its_last_radius_first(outdir, capsys, rho_max):
+    """--rho-max is checked before the rho grid is built, under its own
+    name; nan used to end in a ResolutionError of the Mellin route at
+    rho = nan."""
+    argv = ["kernel", "--kind", "fractional", "--alpha", "1.5", "--radial"]
+    assert cli.main(argv + ["--rho-max", rho_max]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: --rho-max must be positive and finite, got ")
 
 
 @pytest.mark.parametrize("horizons", [

@@ -1,17 +1,20 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from blowlab.asymptotics import L_fractional
+from blowlab.asymptotics import K_fractional, L_fractional, L_gaussian, window_eta_from_beta
 from blowlab.errors import DomainError, ResolutionError
-from blowlab.kernels import KernelSpec, StableProfile, stable_profile
-from blowlab.nonlinearity import fujita_exponent, threshold_constant_c
-from blowlab.norms import RadialProfile, radial_concentration
+from blowlab.kernels import Grid, GridFunction, KernelSpec, StableProfile, stable_profile
+from blowlab.nonlinearity import (Nonlinearity, OsgoodTransform, fujita_exponent,
+                                  threshold_constant_c)
+from blowlab.norms import (RadialProfile, concentration_values, morrey_norm_grid,
+                           radial_concentration)
 from blowlab.numutil import (_check_dimension, _check_order, _check_power,
-                             _quad_result, log_grid, loglog_slope,
+                             _check_range, _quad_result, log_grid, loglog_slope,
                              refine_max_on_grid)
 from blowlab.specfun import log_sphere_area
 from blowlab.stationary import singular_constant
@@ -140,6 +143,27 @@ def test_order_check():
             _check_order(alpha)
 
 
+def test_range_check():
+    """A number passes when it is finite and above its bound, or at it
+    where the bound passes; an array passes element by element, and the
+    message names the argument and quotes the first element that fails."""
+    _check_range("x", 1e-300)
+    _check_range("x", 0.0, closed=True)
+    _check_range("x", 1.0, 1.0, closed=True)
+    _check_range("x", [0.0, 1e308], closed=True)
+    _check_range("x", [])
+    for bound, closed, kind, below in [(0.0, False, "positive", [0.0, -1.0]),
+                                       (0.0, True, "nonnegative", [-1e-300]),
+                                       (1.0, True, "at least 1", [0.5, 0.0]),
+                                       (1.0, False, "above 1", [1.0])]:
+        for x in [math.nan, math.inf, -math.inf] + below:
+            with pytest.raises(DomainError,
+                               match=rf"^x must be {kind} and finite, got {x!r}$"):
+                _check_range("x", x, bound, closed)
+    with pytest.raises(DomainError, match=r"^r must be positive and finite, got nan$"):
+        _check_range("r", np.array([[1.0, 2.0], [math.nan, -1.0]]))
+
+
 def _radial(d):
     return RadialProfile(d, np.geomspace(1e-3, 10.0, 50), np.exp(-np.geomspace(1e-3, 10.0, 50)))
 
@@ -174,3 +198,49 @@ def test_integer_valued_dimensions_pass():
     assert StableProfile(1.5, 10.0).d == 10 and _radial(3.0).d == 3
     assert fujita_exponent(1.0, 4.0) == 1.25
     assert L_fractional(1.5, 10.0, 3.0) == L_fractional(1.5, 10, 3.0)
+
+
+_GAUSS = GridFunction.gaussian(Grid(1, 16.0, 64))
+_POWER = OsgoodTransform(Nonlinearity.power_law(1.0, 3.0))
+
+
+@pytest.mark.parametrize("call, name", [
+    # warned (divide by zero in log), then a ResolutionError of series-far
+    (lambda: stable_profile(1.5, 3)(math.inf), "profile argument rho"),
+    # ResolutionErrors of the routes mellin and closed
+    (lambda: stable_profile(1.5, 3)(math.nan), "profile argument rho"),
+    (lambda: stable_profile(1.0, 3)([1.0, math.nan]), "profile argument rho"),
+    # ZeroDivisionError; then values for -1 and inf, and 0.0 for nan
+    (lambda: morrey_norm_grid(_GAUSS, 0), "s_order"),
+    (lambda: morrey_norm_grid(_GAUSS, -1.0), "s_order"),
+    (lambda: morrey_norm_grid(_GAUSS, math.inf), "s_order"),
+    (lambda: morrey_norm_grid(_GAUSS, math.nan), "s_order"),
+    # ZeroDivisionError; then rows for -1 and nan
+    (lambda: concentration_values(_radial(3), 3.0, 2.0, [0.0]), "radius"),
+    (lambda: concentration_values(_radial(3), 3.0, 2.0, [1.0, -1.0]), "radius"),
+    (lambda: concentration_values(_radial(3), 3.0, 2.0, [math.nan]), "radius"),
+    # warned (invalid value in a scalar subtract)
+    (lambda: radial_concentration(_radial(3), 3.0, math.inf), "alpha"),
+    # NaN
+    (lambda: window_eta_from_beta(math.inf), "beta"),
+    # 0.0
+    (lambda: stable_profile(1.5, 3).kernel_radial(math.inf, 1.0), "time t"),
+    (lambda: _POWER.h(math.inf), "w"),
+    (lambda: _POWER.h_inverse(math.inf), "T"),
+    # NaN values and a NaN log L
+    (lambda: singular_constant(1.5, math.inf, 3.0), "dimension"),
+    (lambda: K_fractional(1.5, math.inf, 3.0), "dimension"),
+    (lambda: L_gaussian(math.inf, 3.0), "dimension"),
+], ids=["rho-inf", "rho-nan-mellin", "rho-nan-closed", "s_order-0", "s_order--1",
+        "s_order-inf", "s_order-nan", "radius-0", "radius--1", "radius-nan",
+        "alpha-inf", "beta-inf", "t-inf", "w-inf", "T-inf", "s-d-inf", "K-d-inf",
+        "L-d-inf"])
+def test_numbers_out_of_range_stop_where_they_enter(call, name):
+    """Each call raises a DomainError that names its argument, with no
+    warning; the comments say how each ended before it was checked."""
+    kinds = "(positive|nonnegative|at least 1)"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DomainError, match=rf"^{name} must be {kinds} and finite, got "):
+            call()
+    assert caught == []

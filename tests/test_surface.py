@@ -1,7 +1,8 @@
 """Package surface: each top-level name is defined once, every exported
-name resolves, every quadrature result is checked, and the README example
-list has one content wherever it is copied. Standard library only (ast,
-importlib, re), since no linter is a dependency."""
+name resolves, every quadrature result is checked, every finite range is
+decided in numutil, and the README example list has one content wherever
+it is copied. Standard library only (ast, importlib, re), since no linter
+is a dependency."""
 
 import ast
 import importlib
@@ -98,6 +99,29 @@ def test_every_quad_goes_through_the_checker():
                 if word in text]
     assert bad == []
     assert callers == {"asymptotics", "kernels", "nonlinearity", "stationary"}
+
+
+def test_range_checks_are_decided_in_numutil():
+    """No module but numutil raises DomainError from an `if` whose test
+    compares with math.inf: a number's finite range is decided in
+    numutil._check_range, with one predicate and one message."""
+    bad = []
+    for stem in MODULES:
+        if stem == "numutil":
+            continue
+        for node in ast.walk(parse(stem)):
+            if not isinstance(node, ast.If):
+                continue
+            infinite = any(isinstance(n, ast.Attribute) and n.attr == "inf"
+                           and isinstance(n.value, ast.Name) and n.value.id == "math"
+                           for c in ast.walk(node.test) if isinstance(c, ast.Compare)
+                           for n in ast.walk(c))
+            raises = any(isinstance(r, ast.Raise) and isinstance(r.exc, ast.Call)
+                         and called_name(r.exc) == "DomainError"
+                         for stmt in node.body for r in ast.walk(stmt))
+            if infinite and raises:
+                bad.append(f"{stem}.py:{node.lineno}")
+    assert bad == []
 
 
 def test_readme_examples_are_one_list():
