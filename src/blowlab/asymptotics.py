@@ -186,8 +186,16 @@ def window_eta_from_beta(beta: float) -> float:
     the peak value m = e^-beta beta^beta; equals e^-h (1 + h/beta)^beta with
     h = sqrt(2 beta), which tends to 1/e as beta grows."""
     _check_range("beta", beta)
-    h = math.sqrt(2.0 * beta)
-    return math.exp(-h + beta * math.log1p(h / beta))
+    if beta <= 1e3:
+        h = math.sqrt(2.0 * beta)
+        return math.exp(-h + beta * math.log1p(h / beta))
+    # with x = h / beta, beta x^2 = 2 and the exponent is -2 (x - log1p(x)) / x^2,
+    # whose two terms of size h cancel: sum its series 1/2 - x/3 + x^2/4 - ...
+    x = math.sqrt(2.0 / beta)
+    s = 0.0
+    for k in range(17, 1, -1):
+        s = 1.0 / k - x * s
+    return math.exp(-2.0 * s)
 
 
 def window_lower_bound(alpha: float, d: float, p: float) -> float:

@@ -35,7 +35,7 @@ from .kernels import _BOUNDARY_TOL, Grid, GridFunction, KernelSpec, semigroup_ke
 from .nonlinearity import Nonlinearity
 from .norms import read_profile_csv
 from .numutil import _check_range, log_grid
-from .reporting import output_dir, write_csv, write_manifest
+from .reporting import output_dir, write_csv
 from .solver import SimConfig, dichotomy_experiment, run
 from .specfun import sphere_area
 from .stationary import SingularSolution, singular_constant, singular_morrey_norm
@@ -62,9 +62,9 @@ def run_preset(name: str) -> int:
               "targets": ",".join(preset.targets),
               "tolerance_version": acceptance.TOLERANCE_VERSION}
     config.update({f"binding.{k}": v for k, v in preset.bindings.items()})
-    write_manifest(pdir / "manifest.csv", config,
-                   [(preset.criterion, lab, ok, det)
-                    for lab, ok, det in result.checks])
+    write_csv(pdir / "manifest.csv", ("criterion", "name", "passed", "detail"),
+              [(preset.criterion, lab, ok, det) for lab, ok, det in result.checks],
+              config)
 
     for lab, ok, det in result.checks:
         print(f"  [{'PASS' if ok else 'FAIL'}] {lab}: {det}")

@@ -657,8 +657,6 @@ class StableProfile:
     relative to itself, or the call raises ResolutionError.
     ``subordination`` (alpha = 1 only) computes the Bochner integral of the
     Gaussian over Levy's density, a second route to the Poisson closed form.
-    Its error estimate is returned by ``evaluate`` but not held to 1e-11:
-    the absolute floor epsabs = 1e-14 lets small values exceed it.
     """
 
     alpha: float
@@ -677,15 +675,14 @@ class StableProfile:
 
     def __call__(self, rho) -> np.ndarray:
         res = self.evaluate(rho)
-        if self.method != "subordination":
-            over = np.flatnonzero(~(res.error <= _QUAD_TOL * np.abs(res.value)))
-            if over.size:
-                i = over[0]
-                raise ResolutionError(
-                    f"profile route {res.route.flat[i]} at rho = {np.ravel(rho)[i]:.6g} "
-                    f"(alpha = {self.alpha:g}, d = {self.d}) estimates its error at "
-                    f"{res.error.flat[i]:.2e}, over {_QUAD_TOL:.1e} "
-                    f"relative to R = {res.value.flat[i]:.6e}")
+        over = np.flatnonzero(~(res.error <= _QUAD_TOL * np.abs(res.value)))
+        if over.size:
+            i = over[0]
+            raise ResolutionError(
+                f"profile route {res.route.flat[i]} at rho = {np.ravel(rho)[i]:.6g} "
+                f"(alpha = {self.alpha:g}, d = {self.d}) estimates its error at "
+                f"{res.error.flat[i]:.2e}, over {_QUAD_TOL:.1e} "
+                f"relative to R = {res.value.flat[i]:.6e}")
         return float(res.value[0]) if np.ndim(rho) == 0 else res.value
 
     def evaluate(self, rho) -> ProfileValues:
@@ -745,7 +742,7 @@ class StableProfile:
                     return 0.0
                 return g * (4.0 * math.pi * lam) ** (-d / 2.0) * math.exp(-rho ** 2 / (4.0 * lam))
 
-            return _quad_result(quad(integrand, 0.0, np.inf, epsabs=1e-14, epsrel=_QUAD_TOL,
+            return _quad_result(quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=_QUAD_TOL,
                                      limit=300, full_output=1), what)
         # tau-form, lam = rho^2/(4 tau): stabilizes the small-lam boundary
         # layer that carries the tail mass
@@ -756,7 +753,7 @@ class StableProfile:
                 return 0.0
             return g * tau ** (d / 2.0 - 2.0) * math.exp(-tau)
 
-        val, err = _quad_result(quad(integrand, 0.0, np.inf, epsabs=1e-14, epsrel=_QUAD_TOL,
+        val, err = _quad_result(quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=_QUAD_TOL,
                                      limit=300, full_output=1), what)
         front = math.pi ** (-d / 2.0) * rho ** (-d) * (rho ** 2 / 4.0)
         return front * val, front * err

@@ -113,8 +113,8 @@ class Nonlinearity:
                   c2: float = 1.0, p2: float = 3.0) -> "Nonlinearity":
         _check_range("c1", c1)
         _check_range("c2", c2)
-        _check_power(p1)
-        _check_power(p2)
+        _check_power(p1, "p1")
+        _check_power(p2, "p2")
 
         f1, f2 = _power_term(c1, p1), _power_term(c2, p2)
 

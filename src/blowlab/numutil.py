@@ -59,10 +59,10 @@ def _check_dimension(d) -> int:
     return int(d)
 
 
-def _check_power(p: float) -> None:
+def _check_power(p: float, name: str = "p") -> None:
     # written so that NaN fails it too
     if not 1.0 < p < math.inf:
-        raise DomainError(f"p must be finite and exceed 1, got {p!r}")
+        raise DomainError(f"{name} must be finite and exceed 1, got {p!r}")
 
 
 def _check_order(alpha: float) -> None:

@@ -18,7 +18,6 @@ __all__ = [
     "format_value",
     "output_dir",
     "write_csv",
-    "write_manifest",
 ]
 
 _ENV_OUTDIR = "BLOWLAB_OUTDIR"
@@ -58,15 +57,3 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence],
         lines.append(",".join(format_value(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
     return path
-
-
-def write_manifest(path, config: Mapping[str, object],
-                   checks: Sequence[tuple]) -> Path:
-    """Manifest for a preset run: the effective config and each check's
-    verdict as (criterion, name, passed, detail) rows."""
-    return write_csv(
-        path,
-        header=("criterion", "name", "passed", "detail"),
-        rows=[(c, n, p, d) for (c, n, p, d) in checks],
-        metadata=dict(config),
-    )

@@ -79,7 +79,6 @@ _MASS_DEFECT_TOL = 1e-4      # relative mass defect per unit time
 _AUDIT_STRIDE = 16           # steps between support audits
 _SPIKE_GROWTH = 4.0          # sup ramp factor that ends the mass audit
 _JENSEN_SLACK = 1e-4         # relative slack of the integrated Jensen check
-_PHASE_BLOCK = 1 << 15       # lattice phase entries a moment probe forms at once
 _STEP_TOL = 1e-7             # relative local error a lengthened step may make
 _MAX_GROWTH = 5.0            # largest ratio of a step to the one before
 _T_END_RTOL = 1e-9           # a step leaving less than this * t_end lands on t_end
@@ -327,9 +326,9 @@ class _MomentProbe:
     conjugate: the half lattice carries weight 2 on the interior modes of
     the last axis and weight 1 on its modes 0 and n/2.
 
-    The probe keeps one phase vector per axis. A call forms the lattice
-    phase a block of leading-axis rows at a time (``np.multiply.outer``),
-    each entry the single product of one entry per axis.
+    The probe keeps one phase vector per axis. A call multiplies the
+    weighted spectrum by the last axis's vector and sums that axis, then
+    does the same with the axis before it.
     """
 
     def __init__(self, grid: Grid, sym: np.ndarray, center: Tuple[int, ...]):
@@ -341,21 +340,17 @@ class _MomentProbe:
         weight[0] = weight[-1] = 1.0
         phases[-1] = phases[-1] * weight / float(n) ** grid.d
         self.phases = phases
-        self.rows = max(1, _PHASE_BLOCK // math.prod(len(pv) for pv in phases[1:]))
 
     def __call__(self, u_hat: np.ndarray, remaining: float) -> float:
-        # exp(remaining * sym) * u_hat * phase with one complex temporary
-        # beside one block of the phase
+        # exp(remaining * sym) * u_hat with one complex temporary, then
+        # contracted one axis at a time
         mult = np.multiply(remaining, self.sym)
         prod = np.exp(mult, out=mult) * u_hat
         del mult
-        lead, *rest = self.phases
-        for a in range(0, len(lead), self.rows):
-            block = lead[a:a + self.rows]
-            for pv in rest:
-                block = np.multiply.outer(block, pv)
-            prod[a:a + self.rows] *= block
-        return float(np.real(np.sum(prod)))
+        for pv in reversed(self.phases):
+            prod *= pv
+            prod = prod.sum(axis=-1)
+        return float(np.real(prod))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """High-dimension constants: closed forms against brute-force suprema."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -196,6 +197,19 @@ def test_window_factor_values():
     assert abs(window_eta_from_beta(1e8) - 1.0 / math.e) < 1e-4
     with pytest.raises(DomainError):
         window_eta_from_beta(0.0)
+
+
+def test_window_factor_holds_its_digits_up_to_the_largest_double():
+    """The exponent -h + beta log1p(h/beta) is near -1 while its terms are
+    of size h = sqrt(2 beta); against mpmath at log10(beta) + 40 digits."""
+    mp = pytest.importorskip("mpmath")
+    betas = [*np.logspace(-3, 308, 63), 1e3, 1001.0, 8e307, sys.float_info.max]
+    for beta in map(float, betas):
+        with mp.workdps(max(0, int(math.log10(beta))) + 40):
+            b = mp.mpf(beta)
+            h = mp.sqrt(2 * b)
+            exact = mp.exp(-h + b * mp.log1p(h / b))
+            assert abs(window_eta_from_beta(beta) - exact) <= 1e-14 * exact, beta
 
 
 def test_window_lower_bound_stays_positive():

@@ -524,13 +524,22 @@ def test_run_preset_validation(outdir):
 
 
 def test_manifest_records_configuration(outdir, capsys):
+    """Sorted metadata lines, the header, then one row per check."""
     cli.run_preset("constants-closed-forms")
-    assert "C1 constants-closed-forms: PASS" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "C1 constants-closed-forms: PASS" in out
     lines = (outdir / "selftest" / "constants-closed-forms" / "manifest.csv").read_text()
     assert "# tolerance_version = 1" in lines
     assert "# criterion = C1" in lines
     assert "# binding.d = 5" in lines
     assert "seed" not in lines
+    text = lines.splitlines()
+    meta = [line for line in text if line.startswith("#")]
+    assert text[:len(meta)] == sorted(meta)
+    assert text[len(meta)] == "criterion,name,passed,detail"
+    rows = text[len(meta) + 1:]
+    assert len(rows) == out.count("  [PASS] ") > 0
+    assert all(row.startswith("C1,") and ",true," in row for row in rows)
 
 
 def test_seed_is_not_an_option(outdir, tmp_path, capsys):

@@ -355,6 +355,13 @@ def test_profile_closed_and_subordination_routes_agree():
     assert float(np.max(np.abs(closed(rho) - sub(rho)))) < 1e-7
 
 
+def test_subordination_estimates_are_held_to_the_profile_tolerance():
+    """Both subordination quads take the relative target alone, so a small
+    value far out is held to 1e-11 of itself like every other route."""
+    res = stable_profile(1.0, 2, method="subordination").evaluate(100.0)
+    assert res.error[0] <= 1e-11 * res.value[0]
+
+
 def test_profile_self_similar_kernel():
     prof = stable_profile(1.4, 2)
     t, r = 3.0, 1.7

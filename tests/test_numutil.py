@@ -135,6 +135,15 @@ def test_power_check():
             _check_power(p)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: Nonlinearity.power_sum(p1=0.5), "p1"),
+    (lambda: Nonlinearity.power_sum(p2=math.nan), "p2"),
+], ids=["p1-0.5", "p2-nan"])
+def test_power_sum_names_its_exponent(call, name):
+    with pytest.raises(DomainError, match=rf"^{name} must be finite and exceed 1, got "):
+        call()
+
+
 def test_order_check():
     _check_order(1.5)
     _check_order(2.0)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 
-from blowlab.reporting import format_value, output_dir, write_csv, write_manifest
+from blowlab.reporting import format_value, output_dir, write_csv
 
 
 def test_format_value_branches():
@@ -35,17 +35,6 @@ def test_write_csv_is_reproducible(tmp_path):
     p1 = write_csv(tmp_path / "one.csv", ("x", "y"), rows, meta)
     p2 = write_csv(tmp_path / "two.csv", ("x", "y"), rows, meta)
     assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_write_manifest_layout(tmp_path):
-    path = write_manifest(tmp_path / "manifest.csv",
-                          {"preset": "demo", "seed": 0},
-                          [("C1", "demo", True, "ok")])
-    text = path.read_text().splitlines()
-    assert text[0] == "# preset = demo"
-    assert text[1] == "# seed = 0"
-    assert text[2] == "criterion,name,passed,detail"
-    assert text[3] == "C1,demo,true,ok"
 
 
 def test_output_dir_honors_environment(tmp_path, monkeypatch):

@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from blowlab import solver
-from blowlab.errors import DomainError
+from blowlab.errors import DomainError, ResolutionError
 from blowlab.kernels import (Grid, GridFunction, KernelSpec,
                              generator_symbol_grid, semigroup_kernel)
 from blowlab.nonlinearity import Nonlinearity
@@ -299,21 +299,32 @@ def full_phase_probe(grid, sym, center, u_hat, remaining):
     return float(np.real(np.sum(prod)))
 
 
-@pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("n", [32, 256])
-def test_block_wise_probe_equals_the_full_phase_bit_for_bit(d, n):
-    """The probe forms its phase a block of rows at a time (at n = 256 in
-    2-D, two blocks); each entry is the same product as in the whole
-    lattice phase, so W keeps its bits."""
+def full_phase_cases(d, n):
     g = Grid(d, 8.0, n)
-    kernel = KernelSpec.fractional(1.5)
-    sym = generator_symbol_grid(kernel, g)
+    sym = generator_symbol_grid(KernelSpec.fractional(1.5), g)
     u_hat = g.rfft(np.random.default_rng(n + d).uniform(0.0, 1.0, g.shape))
     for center in ((n // 2 + 3, n // 3)[:d], (5, n - 2)[:d]):
         probe = _MomentProbe(g, sym, center)
         for remaining in (0.01, 0.7, 3.0):
-            assert probe(u_hat, remaining) == full_phase_probe(
+            yield probe(u_hat, remaining), full_phase_probe(
                 g, sym, center, u_hat, remaining)
+
+
+@pytest.mark.parametrize("n", [32, 256])
+def test_one_axis_probe_equals_the_full_phase_bit_for_bit(n):
+    """In 1-D the probe's one product and one sum are the whole-phase
+    arithmetic, so W keeps its bits."""
+    for W, oracle in full_phase_cases(1, n):
+        assert W == oracle
+
+
+@pytest.mark.parametrize("n", [32, 256])
+def test_two_axis_probe_is_within_ulps_of_the_full_phase(n):
+    """In 2-D the probe sums each row before the rows, a different order
+    of the same terms than the whole-phase sum."""
+    eps = np.finfo(float).eps
+    for W, oracle in full_phase_cases(2, n):
+        assert abs(W - oracle) <= 4 * eps * abs(oracle)
 
 
 def test_mass_production_law():
@@ -342,6 +353,34 @@ def test_mass_production_law_2d_through_box_doublings():
     gained = traj.mass[-1] - traj.mass[0]
     assert gained > 0.05 * traj.mass[0]
     assert abs(gained - produced) < 1e-4 * gained
+
+
+def audit_cfg(kernel, p, dt_init):
+    return SimConfig(kernel=kernel, nonlinearity=Nonlinearity.power_law(1.0, p),
+                     dt_init=dt_init, dt_min=1e-14, t_end=50.0, u_max=1e12)
+
+
+def test_a_persistent_mass_defect_before_the_growth_window_is_an_error():
+    """A lattice too coarse for its data (spacing 1.5 under sigma = 0.5)
+    misses the mass law step after step while the sup is still near its
+    start, and the run ends with ResolutionError."""
+    u0 = GridFunction.gaussian(Grid(1, 48.0, 64), mass=4.0, sigma=0.5)
+    with pytest.raises(ResolutionError,
+                       match="persistent relative mass defect above 0.0001 "
+                             "outside the growth window"):
+        run(u0, audit_cfg(KernelSpec.gaussian(), 2.0, 1e-3))
+
+
+def test_a_mass_defect_in_the_growth_window_suspends_the_audits():
+    """Once the sup has ramped past four times its start, a defect only
+    annotates: the run goes on to detect the crossing and ends by the
+    stability cap instead."""
+    u0 = GridFunction.gaussian(Grid(1, 16.0, 32), mass=4.0, sigma=0.5)
+    traj = run(u0, audit_cfg(KernelSpec.fractional(1.5), 3.0, 1e-2))
+    assert traj.outcome == "dt_underflow"
+    assert traj.t_obs == pytest.approx(0.0564, abs=1e-4)
+    assert traj.notes == ["audits suspended at t=0.0535471: terminal peak "
+                          "narrower than the lattice"]
 
 
 def test_a_run_to_its_horizon_transforms_each_state_and_its_source_once(monkeypatch):
