@@ -37,6 +37,20 @@ def test_write_csv_is_reproducible(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_write_manifest_layout(tmp_path):
+    """A preset manifest as cli.run_preset writes it: the config as sorted
+    metadata, then one (criterion, name, passed, detail) row per check."""
+    path = write_csv(tmp_path / "manifest.csv",
+                     ("criterion", "name", "passed", "detail"),
+                     [("C1", "demo", True, "ok")],
+                     {"preset": "demo", "tolerance_version": 1})
+    text = path.read_text().splitlines()
+    assert text[0] == "# preset = demo"
+    assert text[1] == "# tolerance_version = 1"
+    assert text[2] == "criterion,name,passed,detail"
+    assert text[3] == "C1,demo,true,ok"
+
+
 def test_output_dir_honors_environment(tmp_path, monkeypatch):
     target = tmp_path / "artifacts"
     monkeypatch.setenv("BLOWLAB_OUTDIR", str(target))
