@@ -14,11 +14,11 @@ the Gaussian closed form at alpha = 2 and the Poisson closed form at
 alpha = 1. Other orders take a convergent or asymptotic series at small and
 large rho and, between them, in every dimension, one Mellin-Barnes integral
 of the closed-form radial moments on a line through the saddle of its
-integrand (Zolotarev 1986; Paris and Kaminski 2001). At alpha = 1 the
-profile also has a second route, Bochner subordination of the Gaussian over
-Levy's one-sided 1/2-stable density; the generic-order subordination oracle
-lives in the test suite. Every quadrature result goes through
-``numutil._quad_result``.
+integrand (Zolotarev 1986; Paris and Kaminski 2001); the series and R(0)
+carry their constant fronts in logs. At alpha = 1 the profile also has a
+second route, Bochner subordination of the Gaussian over Levy's one-sided
+1/2-stable density; the generic-order subordination oracle lives in the
+test suite. Every quadrature result goes through ``numutil._quad_result``.
 """
 
 from __future__ import annotations
@@ -453,7 +453,7 @@ class ProfileValues(NamedTuple):
     route: np.ndarray
 
 
-_EPS = float(np.finfo(float).eps)
+_EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
 # every profile value carries an error estimate within this share of itself
 _QUAD_TOL = 1e-11
 _SERIES_TERMS = 400
@@ -472,7 +472,7 @@ def _sum_series(log_mag, weight, scale, asymptotic):
     (rows are summed alike whatever their number, so an array call returns
     the scalar calls' values bit for bit).
 
-    ``scale`` bounds the magnitudes of the log-gamma parts of each log_mag,
+    ``scale`` bounds the magnitudes of the log parts summed into each log_mag,
     so each term carries a relative rounding error of about eps * scale.
     A convergent series adds a geometric bound on its tail and reports an
     infinite error while its terms still grow; an asymptotic one stops
@@ -503,27 +503,23 @@ def _near_series(alpha: float, d: int, rho: np.ndarray):
     convergent for alpha > 1 and rho > 0 (asymptotic for alpha < 1)."""
     k = np.arange(_SERIES_TERMS, dtype=float)
     parts = (gammaln((2.0 * k + d) / alpha), gammaln(k + 1.0), gammaln(k + d / 2.0),
-             2.0 * k * np.log(rho / 2.0)[:, None])
-    log_mag = parts[0] - parts[1] - parts[2] + parts[3]
+             2.0 * k * np.log(rho / 2.0)[:, None],
+             -math.log(0.5 * alpha) - 0.5 * d * math.log(4.0 * math.pi))
+    log_mag = parts[0] - parts[1] - parts[2] + parts[3] + parts[4]
     scale = sum(np.abs(p) for p in parts)
     weight = np.where(k % 2 == 0.0, 1.0, -1.0)
-    value, error = _sum_series(log_mag, weight, scale, asymptotic=alpha < 1.0)
-    try:
-        front = 2.0 / (alpha * (4.0 * math.pi) ** (d / 2.0))
-    except OverflowError:
-        # (4 pi)^(d/2) leaves the double range: R is 0 with an infinite error
-        return np.zeros_like(value), np.full_like(error, np.inf)
-    return front * value, front * error
+    return _sum_series(log_mag, weight, scale, asymptotic=alpha < 1.0)
 
 
 def _far_terms(alpha: float, d: int, rho: np.ndarray, terms: int):
-    """Log magnitudes, weights and log-gamma scales of the far series' first terms,
-    one row per rho, without its factor pi^(-d/2-1) rho^(-d). The weight (-1)^(n+1)
+    """Log magnitudes, weights and log scales of the far series' first terms, one
+    row per rho, its factor pi^(-d/2-1) rho^(-d) included. The weight (-1)^(n+1)
     sin(pi n alpha/2) is taken as sin(pi n (2 - alpha)/2), accurate at alpha near 2."""
     n = np.arange(1, terms + 1, dtype=float)
     parts = (gammaln((n * alpha + d) / 2.0), gammaln(1.0 + n * alpha / 2.0),
-             gammaln(n + 1.0), n * alpha * np.log(2.0 / rho)[:, None])
-    log_mag = parts[0] + parts[1] - parts[2] + parts[3]
+             gammaln(n + 1.0), n * alpha * np.log(2.0 / rho)[:, None],
+             -(0.5 * d + 1.0) * _LOG_PI - d * np.log(rho)[:, None])
+    log_mag = parts[0] + parts[1] - parts[2] + parts[3] + parts[4]
     return log_mag, np.sin(0.5 * math.pi * (2.0 - alpha) * n), sum(np.abs(p) for p in parts)
 
 
@@ -533,15 +529,7 @@ def _far_series(alpha: float, d: int, rho: np.ndarray):
     asymptotic for alpha > 1; its first term is the far-field tail
     c rho^(-d-alpha)."""
     log_mag, weight, scale = _far_terms(alpha, d, rho, _SERIES_TERMS)
-    value, error = _sum_series(log_mag, weight, scale, asymptotic=alpha > 1.0)
-    # rho^(-d) overflows at small rho in high dimension, and underflows at
-    # large rho: a value that is not finite, or a NaN error, becomes an
-    # infinite error, as in _sum_series
-    with np.errstate(over="ignore", invalid="ignore"):
-        front = math.pi ** (-d / 2.0 - 1.0) * rho ** (-float(d))
-        value, error = front * value, front * error
-    finite = np.isfinite(value)
-    return np.where(finite, value, 0.0), np.where(finite & ~np.isnan(error), error, np.inf)
+    return _sum_series(log_mag, weight, scale, asymptotic=alpha > 1.0)
 
 
 def _chunked(series, alpha: float, d: int, rho: np.ndarray):
@@ -614,7 +602,7 @@ def _mellin(alpha: float, d: int, rho: float):
         n = int(np.argmin(np.maximum(line, line[0] + math.log(_EPS)))) + 1
         c = 1.0 + (n + 0.5) * alpha
         log_mag, weight, scale = _far_terms(alpha, d, np.array([rho]), n)
-        terms = np.exp(log_mag[0] - (0.5 * d + 1.0) * _LOG_PI - d * lr) * weight
+        terms = np.exp(log_mag[0]) * weight
         residues = math.fsum(terms)
         rounding = 4.0 * _EPS * float((np.abs(terms) * (scale[0] + 1.0)).sum())
     base = log_scale(c)
@@ -633,16 +621,17 @@ def _mellin(alpha: float, d: int, rho: float):
     return residues + front * value, front * error + rounding
 
 
-def _closed(form):
-    """(value, error) of a closed form, held to 4 eps. Where its constant
-    overflows (math raises), R is 0 with an infinite error, as in the
-    series; rho^2 overflowing in numpy makes R 0, which it is in doubles."""
+def _closed(form, scale=0.0):
+    """(value, error) of a closed form, held to 4 eps (1 + scale), where
+    scale bounds the log terms it sums, as in _sum_series. Where its
+    constant overflows (math raises), R is 0 with an infinite error, as in
+    the series; rho^2 overflowing in numpy makes R 0, which it is in doubles."""
     try:
         with np.errstate(over="ignore"):
             value = form()
     except OverflowError:
         return 0.0, math.inf
-    return value, 4.0 * _EPS * value
+    return value, 4.0 * _EPS * value * (1.0 + scale)
 
 
 @dataclass
@@ -654,7 +643,10 @@ class StableProfile:
     rho = 0, the near series for alpha > 1 at small rho, the far series at
     large rho, and the Mellin-Barnes integral between, in every dimension.
     Every value must carry an error estimate within 1e-11 (``_QUAD_TOL``)
-    relative to itself, or the call raises ResolutionError.
+    relative to itself, or the call raises ResolutionError; a route that
+    cannot resolve R returns 0 with an infinite estimate. Where both the
+    value and its estimate lie below the smallest normal double, R reads 0
+    with estimate 0, on every route.
     ``subordination`` (alpha = 1 only) computes the Bochner integral of the
     Gaussian over Levy's density, a second route to the Poisson closed form.
     """
@@ -708,6 +700,8 @@ class StableProfile:
             route[:] = "closed"
         else:
             self._generic(flat, value, error, route)
+        under = (np.abs(value) < _TINY) & (error < _TINY)
+        value[under] = error[under] = 0.0
         shape = rho_arr.shape
         return ProfileValues(value.reshape(shape), error.reshape(shape), route.reshape(shape))
 
@@ -718,9 +712,11 @@ class StableProfile:
         near = ~center & (rho <= rho_near)
         far = ~center & ~near & (rho >= rho_far)
         if center.any():
-            value[center], error[center] = _closed(
-                lambda: 2.0 * math.exp(math.lgamma(d / alpha) - math.lgamma(d / 2.0))
-                / (alpha * (4.0 * math.pi) ** (d / 2.0)))
+            # the near series' first term: its front and Gamma(d/alpha)/Gamma(d/2)
+            parts = (math.lgamma(d / alpha), -math.lgamma(d / 2.0),
+                     -math.log(0.5 * alpha) - 0.5 * d * math.log(4.0 * math.pi))
+            value[center], error[center] = _closed(lambda: math.exp(sum(parts)),
+                                                   sum(map(abs, parts)))
             route[center] = "closed"
         for mask, series, name in ((near, _near_series, "series-near"),
                                    (far, _far_series, "series-far")):

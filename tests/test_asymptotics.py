@@ -13,7 +13,7 @@ from scipy.special import poch
 from blowlab.asymptotics import (K_fractional, K_fractional_at_time, _L_result,
                                  L_fractional, L_gaussian, sweep_K, sweep_L,
                                  window_eta_from_beta, window_lower_bound)
-from blowlab.errors import DomainError
+from blowlab.errors import DomainError, ResolutionError
 from blowlab.kernels import stable_profile
 from blowlab.specfun import _log_gamma_ratio
 from blowlab.stationary import log_singular_constant
@@ -186,6 +186,59 @@ def test_high_dimension_envelope_is_finite_without_a_warning():
         warnings.simplefilter("error")
         res = L_fractional(1.5, 50, 3.0)
     assert math.isfinite(res.value) and res.value > 0
+
+
+def mp_log_L_far(mp, alpha, d, p, lo, hi, terms=300):
+    """max of (d - g) log rho + log R(rho) over [lo, hi] by golden section
+    in log rho, with R the far series summed by mpmath, stopped before its
+    smallest term by magnitude (which must lie below 1e-20 of the sum)."""
+    a, g = mp.mpf(alpha), mp.mpf(alpha) / (p - 1)
+
+    def f(lr):
+        r = mp.exp(lr)
+        mags = [mp.gamma((n * a + d) / 2) * mp.gamma(1 + n * a / 2) / mp.factorial(n)
+                * (2 / r) ** (n * a) for n in range(1, terms + 1)]
+        stop = mags.index(min(mags))
+        total = mp.fsum((-1) ** (n + 1) * mp.sinpi(n * a / 2) * m
+                        for n, m in enumerate(mags[:stop], start=1))
+        assert mags[stop] < 1e-20 * abs(total)
+        return (d - g) * lr + mp.log(mp.pi ** (-mp.mpf(d) / 2 - 1) * r ** -d * total)
+
+    left, right, shrink = mp.log(lo), mp.log(hi), (mp.sqrt(5) - 1) / 2
+    x1, x2 = right - shrink * (right - left), left + shrink * (right - left)
+    f1, f2 = f(x1), f(x2)
+    while right - left > 1e-8:
+        if f1 < f2:
+            left, x1, f1 = x1, x2, f2
+            x2 = left + shrink * (right - left)
+            f2 = f(x2)
+        else:
+            right, x2, f2 = x2, x1, f1
+            x1 = right - shrink * (right - left)
+            f1 = f(x1)
+    return max(f1, f2)
+
+
+@pytest.mark.parametrize("d", [230, 300])
+def test_fractional_envelope_in_high_dimension(d):
+    """Past d = 213 the far series' front leaves the normal doubles on L's
+    grid; summed in logs it still serves, and log L matches the far series
+    maximized by mpmath at 30 digits."""
+    mp = pytest.importorskip("mpmath")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = L_fractional(1.5, d, 3.0)
+    with mp.workdps(30):
+        ref = mp_log_L_far(mp, 1.5, d, 3.0, 0.8 * math.sqrt(d), 1.4 * math.sqrt(d))
+    assert abs(res.log_value - float(ref)) <= 1e-10
+
+
+def test_fractional_envelope_refuses_a_zero_at_its_bracket():
+    """At d = 450, R(24.7) on the Mellin line is 7.7e-309, below the normal
+    doubles, so it reads 0; that radius ends the bracket around the grid
+    argmax, and the refinement refuses it. Serving it needs log R."""
+    with pytest.raises(ResolutionError, match="refine_max_on_grid"):
+        L_fractional(1.5, 450, 3.0)
 
 
 def test_window_factor_values():

@@ -124,8 +124,8 @@ def test_kernel_radial_profile_outside_the_double_range(outdir, capsys):
 
 
 def test_sweep_L_outside_the_double_range_names_the_route(outdir, capsys):
-    # at d = 1000 the near series' (4 pi)^(d/2) overflows, and the
-    # envelope's sup reaches radii where R lies below the smallest double
+    # at d = 1000 the envelope's grid reaches radii where R lies below the
+    # smallest double, and the Mellin line there cannot resolve it
     assert cli.main(["sweep-L", "--alpha", "1.5", "--p", "3", "--d", "1000,1001"]) == 2
     assert "error: profile route mellin at rho = " in capsys.readouterr().err
     assert not (outdir / "sweep_L.csv").exists()

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import IntegrationWarning, quad
+from scipy.special import gammaln
 
 from blowlab.blowup import moment_field
 from blowlab.errors import DomainError, ResolutionError
@@ -461,7 +462,7 @@ def test_profile_routes_match_subordination(alpha, d, rho, route):
 
 
 @pytest.mark.parametrize("alpha,d", [(1.4, 2), (1.2, 1), (1.8, 5), (1.05, 3),
-                                     (0.7, 3), (0.9, 1), (0.6, 2)])
+                                     (0.7, 3), (0.9, 1), (0.6, 2), (1.9, 200)])
 def test_profile_routes_agree_at_their_switches(alpha, d):
     rho_near, rho_far = _series_switches(alpha, d)
 
@@ -697,12 +698,13 @@ def test_mellin_line_matches_the_poisson_closed_form(d):
         assert_allclose(value, closed(r), rtol=1e-12)
 
 
-def test_mellin_line_outside_the_double_range_raises():
+def test_mellin_line_outside_the_double_range_yields_to_the_far_series():
     """At d = 400, R(33) lies below the smallest double: the line returns 0
-    with an infinite error, as the series do, and a call raises."""
+    with an infinite error, as the series do. The far series serves that
+    radius and R reads 0, which it is in doubles."""
     assert _mellin(1.5, 400, 33.0) == (0.0, math.inf)
-    with pytest.raises(ResolutionError, match="profile route mellin"):
-        stable_profile(1.5, 400)(33.0)
+    res = stable_profile(1.5, 400).evaluate(33.0)
+    assert (res.value[0], res.error[0], res.route[0]) == (0.0, 0.0, "series-far")
 
 
 @pytest.mark.parametrize("alpha,d,rho", [
@@ -721,15 +723,13 @@ def test_closed_form_outside_the_double_range_raises(alpha, d, rho):
         prof(rho)
 
 
-def test_near_series_outside_the_double_range_yields_to_the_mellin_line():
-    """(4 pi)^(d/2) overflows from d = 562: the near series then returns 0
-    with an infinite error, as the other routes do, and the route switch
-    never picks it. At d = 1000, R(0.05) comes from the Mellin line,
-    against the near series summed by mpmath at 40 digits; it ended in a
-    bare OverflowError."""
+def test_near_series_keeps_its_front_in_logs_at_dimension_thousand():
+    """(4 pi)^(d/2) overflows from d = 562; the near series sums its front
+    in logs, so at d = 1000 it still reads R(0.05), against the near series
+    summed by mpmath at 40 digits. Its rounding estimate there misses the
+    switch target, so the route switch never picks it, and the Mellin line
+    serves R(0.05) to the same oracle."""
     mp = pytest.importorskip("mpmath")
-    value, error = _near_series(1.5, 1000, np.array([0.05, 1.0]))
-    assert value.tolist() == [0.0, 0.0] and error.tolist() == [math.inf, math.inf]
     assert _series_switches(1.5, 1000)[0] == 0.0
     with mp.workdps(40):
         a, d, rho = mp.mpf(1.5), 1000, mp.mpf(0.05)
@@ -737,6 +737,7 @@ def test_near_series_outside_the_double_range_yields_to_the_mellin_line():
             lambda k: (-1) ** k * mp.gamma((2 * k + d) / a)
             / (mp.factorial(k) * mp.gamma(k + mp.mpf(d) / 2)) * (rho / 2) ** (2 * k),
             [0, mp.inf])
+    assert_allclose(_near_series(1.5, 1000, np.array([0.05]))[0][0], float(ref), rtol=1e-11)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         prof = stable_profile(1.5, 1000)
@@ -786,3 +787,98 @@ def test_far_series_keeps_its_digits_near_alpha_two():
     value, error = _far_series(alpha, d, np.array([rho]))
     assert error[0] <= kernels._QUAD_TOL * value[0]
     assert_allclose(value[0], float(_mp_series(terms)), rtol=1e-13)
+
+
+def _mp_far_series(mp, alpha, d, rho, terms=400):
+    """The far series summed by mpmath, stopped before its smallest term by
+    magnitude, which must lie below 1e-13 of the sum. The sine weight is
+    left out of that choice: at alpha = 1.5 every fourth weight is 0."""
+    a, r = mp.mpf(alpha), mp.mpf(rho)
+    mags = [mp.gamma((n * a + d) / 2) * mp.gamma(1 + n * a / 2) / mp.factorial(n)
+            * (2 / r) ** (n * a) for n in range(1, terms + 1)]
+    stop = mags.index(min(mags))
+    total = mp.fsum((-1) ** (n + 1) * mp.sinpi(n * a / 2) * m
+                    for n, m in enumerate(mags[:stop], start=1))
+    assert mags[stop] < 1e-13 * abs(total)
+    return mp.pi ** (-mp.mpf(d) / 2 - 1) * r ** -d * total
+
+
+def _mp_mellin_line(mp, alpha, d, rho):
+    """R(rho) from the Mellin-Barnes line by mpmath's quad:
+    R = int_0^inf Re[2^q Gamma((d+q)/2) Gamma(1-q/alpha) / Gamma(1-q/2)
+    rho^(-q-1)] dt / (2 pi^(d/2+1) rho^(d-1)), q = c - 1 + i t, with c
+    near the real-axis minimum of the integrand."""
+    q = np.linspace(1.0 - d, alpha, 4001)[1:-1]
+    c = 1.0 + q[np.argmin(gammaln(0.5 * (d + q)) + gammaln(1.0 - q / alpha)
+                          - gammaln(1.0 - 0.5 * q) + q * math.log(2.0 / rho))]
+    a, r, h = mp.mpf(alpha), mp.mpf(rho), mp.mpf(d) / 2
+
+    def f(t):
+        q = mp.mpc(c - 1.0, t)
+        return mp.re(2 ** q * mp.gamma(h + q / 2) * mp.gamma(1 - q / a)
+                     / mp.gamma(1 - q / 2) * r ** -(q + 1))
+    return mp.quad(f, [0, mp.inf]) / (2 * mp.pi ** (h + 1) * r ** (d - 1))
+
+
+# indices 40 and 41 of np.geomspace(1e-2, 1e3, 61): at d = 200 the far
+# series' front pi^(-d/2-1) rho^(-d) is subnormal at the first and below
+# the doubles at the second, where R is about 1e-178
+_RHO_40, _RHO_41 = np.geomspace(1e-2, 1e3, 61)[40:42]
+
+
+@pytest.mark.parametrize("alpha,d,rho,oracle", [
+    (1.5, 213, 20.0, "far"),
+    (0.5, 200, _RHO_40, "far"), (0.5, 200, _RHO_41, "far"),
+    (1.5, 200, _RHO_40, "far"), (1.5, 200, _RHO_41, "far"),
+    # inside rho_far the far series stops 3e-4 short of R: the line serves
+    (1.9, 200, _RHO_40, "mellin"), (1.9, 200, _RHO_41, "far"),
+])
+def test_far_series_keeps_its_front_in_logs(alpha, d, rho, oracle):
+    """Where the far series' front leaves the normal doubles, the series
+    sums it in logs: R(20) at (1.5, 213) is 4.6e-162, not 0. Against the
+    far series or the Mellin line taken by mpmath at 30 digits."""
+    mp = pytest.importorskip("mpmath")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = stable_profile(alpha, d)(rho)
+    with mp.workdps(30):
+        ref = (_mp_far_series if oracle == "far" else _mp_mellin_line)(mp, alpha, d, rho)
+    assert_allclose(value, float(ref), rtol=1e-11)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 1.9])
+@pytest.mark.parametrize("d", [50, 200, 400])
+def test_profile_values_below_the_normal_doubles_read_zero(alpha, d):
+    """No route returns a value between 0 and the smallest normal double.
+    A 0 is R in doubles (error 0, where the far series' leading term lies
+    below that double) or an unresolved route (error inf, where R lies
+    above the largest double at alpha = 0.5), which the call refuses."""
+    rho = np.geomspace(1e-2, 1e3, 61)
+    res = stable_profile(alpha, d).evaluate(rho)
+    tiny = np.finfo(float).tiny
+    assert not np.any((res.value != 0.0) & (np.abs(res.value) < tiny))
+    zero = res.value == 0.0
+    assert np.all((res.error[zero] == 0.0) | (res.error[zero] == math.inf))
+    flushed = zero & (res.error == 0.0)
+    assert np.all(kernels._far_terms(alpha, d, rho[flushed], 1)[0][:, 0] < math.log(tiny))
+
+
+def test_gaussian_profile_below_the_normal_doubles_reads_zero():
+    """R(54) at alpha = 2, d = 1 is the subnormal 7.07e-318 in doubles: it
+    reads 0 with error 0."""
+    res = stable_profile(2.0, 1).evaluate(54.0)
+    assert (res.value[0], res.error[0]) == (0.0, 0.0)
+    assert stable_profile(2.0, 1)(54.0) == 0.0
+
+
+@pytest.mark.parametrize("alpha,d", [(1.5, 300), (1.5, 500), (0.7, 100)])
+def test_center_estimate_covers_its_error(alpha, d):
+    """R(0) sums three log terms of size up to d; its error estimate counts
+    them, and covers R(0) against mpmath at 30 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        a = mp.mpf(alpha)
+        ref = 2 / (a * (4 * mp.pi) ** (mp.mpf(d) / 2)) * mp.gamma(d / a) / mp.gamma(mp.mpf(d) / 2)
+        res = stable_profile(alpha, d).evaluate(0.0)
+        assert res.error[0] >= abs(mp.mpf(res.value[0]) / ref - 1) * res.value[0]
+    assert res.error[0] <= kernels._QUAD_TOL * res.value[0]
