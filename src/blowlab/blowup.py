@@ -104,8 +104,9 @@ class BlowupVerdict:
 # ---------------------------------------------------------------------------
 
 def _smoothed(u_hat: np.ndarray, sym: np.ndarray, T: float, grid) -> np.ndarray:
-    """e^{T A} u0 from the half spectrum of u0, clipped at zero in place."""
-    fld = grid.irfft(np.exp(T * sym) * u_hat)
+    """e^{T A} u0 from the half spectrum of u0, clipped at zero in place.
+    The product is inverted in place, as it is a temporary."""
+    fld = grid.irfft(np.exp(T * sym) * u_hat, overwrite=True)
     return np.maximum(fld, 0.0, out=fld)
 
 

@@ -58,6 +58,10 @@ _AUDIT_MEMO_SIZE = 4096
 _BOUNDARY_FRACTION = 0.75
 # the largest kernel mass the boundary-mass audit lets into that band
 _BOUNDARY_TOL = 1e-8
+_EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
+_DOUBLE_MAX = float(np.finfo(float).max)
+# the narrowest gaussian whose 2 sigma^2 is a normal double
+_SIGMA_MIN = math.sqrt(0.5 * _TINY)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +96,8 @@ class Grid:
     Buffer contract: ``rfft(values, out=buf)`` writes the half spectrum
     into buf (complex, shape (n,)*(d-1) + (n//2 + 1,), not overlapping
     values) and returns buf; without out it returns a fresh array, one for
-    all axis passes. ``irfft`` returns a fresh real field.
+    all axis passes. ``irfft`` returns a fresh real field; with
+    ``overwrite=True`` it spends its input instead of a complex temporary.
     """
 
     d: int
@@ -102,7 +107,9 @@ class Grid:
     def __post_init__(self):
         if self.d not in (1, 2):
             raise DomainError("grids support d in {1, 2}")
-        _check_range("half-width L", self.L)
+        # the spacing 2L/n and the cell volume (2L/n)^d must be doubles
+        _check_range("half-width L", self.L, upper=min(
+            0.5 * _DOUBLE_MAX, 0.5 * self.n * _DOUBLE_MAX ** (1.0 / self.d)))
         if self.n < 4 or (self.n & (self.n - 1)) != 0:
             raise DomainError("n must be a power of two >= 4")
 
@@ -154,11 +161,13 @@ class Grid:
             np.fft.fft(out, axis=axis, out=out)
         return out
 
-    def irfft(self, spectrum: np.ndarray) -> np.ndarray:
+    def irfft(self, spectrum: np.ndarray, overwrite: bool = False) -> np.ndarray:
         """Real field with the given half spectrum (inverse of ``rfft``), by
-        the passes of ``np.fft.irfftn``."""
+        the passes of ``np.fft.irfftn``. With overwrite the complex passes
+        run in place in spectrum, which is spent, with the same bits."""
         for axis in range(self.d - 1):
-            spectrum = np.fft.ifft(spectrum, axis=axis)
+            spectrum = np.fft.ifft(spectrum, axis=axis,
+                                   out=spectrum if overwrite else None)
         return np.fft.irfft(spectrum, n=self.n)
 
 
@@ -194,13 +203,16 @@ class GridFunction:
     def gaussian(cls, grid: Grid, mass: float = 1.0, sigma: float = 1.0,
                  center: float = 0.0) -> "GridFunction":
         """mass * (unit-mass isotropic Gaussian of width sigma)."""
-        _check_range("sigma", sigma)
+        # 2 sigma^2 must be a normal double, or the exponent divides by 0
+        _check_range("sigma", sigma, _SIGMA_MIN, closed=True)
         _check_range("mass", mass, closed=True)
         norm = mass / (sigma * math.sqrt(2.0 * math.pi)) ** grid.d
 
         def density(*xs):
             square = sum(((x - center) ** 2 for x in xs[1:]), (xs[0] - center) ** 2)
-            return norm * np.exp(-square / (2 * sigma ** 2))
+            # an exponent below -max is -inf, and its exp the 0 it rounds to
+            with np.errstate(over="ignore"):
+                return norm * np.exp(-square / (2 * sigma ** 2))
         return cls.from_function(grid, density)
 
     def sup(self) -> float:
@@ -453,7 +465,6 @@ class ProfileValues(NamedTuple):
     route: np.ndarray
 
 
-_EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
 # every profile value carries an error estimate within this share of itself
 _QUAD_TOL = 1e-11
 _SERIES_TERMS = 400

@@ -263,7 +263,15 @@ class OsgoodTransform:
         _check_range("w", w)
         if self._is_power:
             c, p = self.source.coeff, self.source.power
-            return w ** (1.0 - p) / (c * (p - 1.0))
+            # the power raises OverflowError, the division returns inf
+            try:
+                value = w ** (1.0 - p) / (c * (p - 1.0))
+                if math.isfinite(value):
+                    return value
+            except OverflowError:
+                pass
+            raise DomainError(f"w = {w!r} is too small: h(w) = w^(1-p)/(c(p-1)) "
+                              "leaves the doubles")
         v = math.log(w)
         if v > 0.0:
             return self._log_integral(v, math.inf)

@@ -71,15 +71,18 @@ def _check_order(alpha: float) -> None:
         raise DomainError(f"order alpha must lie in (0, 2], got {alpha!r}")
 
 
-def _check_range(name: str, value, bound: float = 0.0, closed: bool = False) -> None:
+def _check_range(name: str, value, bound: float = 0.0, closed: bool = False,
+                 upper: float = math.inf) -> None:
     """DomainError unless value is finite and above bound, or at it when
-    closed; NaN fails too. An array is checked element by element and the
-    message quotes its first element that fails."""
+    closed, and below upper; NaN fails too. An array is checked element by
+    element and the message quotes its first element that fails."""
     x = np.asarray(value, dtype=float)
-    ok = ((x >= bound) if closed else (x > bound)) & (x < math.inf)
+    ok = ((x >= bound) if closed else (x > bound)) & (x < upper) & (x < math.inf)
     if not ok.all():
         kind = (f"at least {bound:g}" if bound else "nonnegative") if closed \
             else (f"above {bound:g}" if bound else "positive")
+        if upper < math.inf:
+            kind += f" and below {upper:g}"
         got = value if x.ndim == 0 else float(x[~ok].flat[0])
         raise DomainError(f"{name} must be {kind} and finite, got {got!r}")
 

@@ -17,18 +17,32 @@ space and the scheme must not quietly paper over that:
 
 Steps are sized by accuracy, but only ever lengthened. The floor is
 min(dt_init, 0.5/F'(sup)), the step a run without an error estimate would
-take. Each step also returns an embedded local error estimate: the
-midpoint update minus the integrating-factor Euler update, in the L2 norm
-relative to u's, which costs no transform (Hairer, Norsett and Wanner,
-Solving ODEs I, II.4; Cox and Matthews, J. Comput. Phys. 176, 2002). The
-controller proposes dt_ctl = dt * min(5, 0.9 (_STEP_TOL/est)^(1/2)) after
-each accepted step, and the next trial is min(0.5/F'(sup), max(floor,
-dt_ctl)). A trial longer than the floor whose estimate exceeds _STEP_TOL
-is rejected and retried shorter; a trial at the floor is never rejected,
-and a non-finite estimate only forbids lengthening. A run whose estimates
-never allow a longer step takes the floor's steps, as before the
-estimate. A step that would leave less than _T_END_RTOL * t_end before
-t_end lands on t_end.
+take. Each step also returns an embedded local error estimate of its own
+order: the midpoint update minus the integrating-factor trapezoid
+u^T = E(dt)(u_hat + (dt/2) F^(u_n)) + (dt/2) F^(u_(n+1)), in the L2 norm
+relative to u_n's. Both updates are second order, so their difference is
+the midpoint step's O(dt^3) local error up to a small factor (1.6 to 4
+times it on the states the tests probe). The trapezoid reuses the
+transform of F(u_(n+1)), which the new state carries anyway, so the
+estimate costs no transform (Lawson, SIAM J. Numer. Anal. 4, 1967;
+Bogacki and Shampine, Appl. Math. Lett. 2, 1989; Hairer, Norsett and
+Wanner, Solving ODEs I, II.4). The controller proposes dt_ctl = dt *
+min(5, 0.9 (_STEP_TOL/est)^(1/3)) after each accepted step, and the next
+trial is min(0.5/F'(sup), max(floor, dt_ctl)). A trial longer than the
+floor whose estimate exceeds _STEP_TOL is rejected and retried shorter; a
+trial at the floor is never rejected, and a non-finite estimate only
+forbids lengthening. A run whose estimates never allow a longer step
+takes the floor's steps, as before the estimate. A step that would leave
+less than _T_END_RTOL * t_end before t_end lands on t_end.
+
+_STEP_TOL = 3e-9 is set by C8's accuracy: its final state must stay within
+3.3e-6 (max relative) of a reference at dt_init/16, as close as with the
+Euler-difference estimate this one replaced. At 3e-9 C8 takes 141 steps
+and errs by 3.27e-6; at 1e-8 it takes 104 and errs by 3.34e-6.
+Trajectory.step_error sums the accepted steps' estimates, so it reads far
+below the Euler differences it used to sum: 27 to 62 times on runs that
+stay at the floor without blowing up, 2 to 3 times on blowup runs, whose
+last estimates approach 1 either way.
 
 Blow-up is detected by threshold crossing, never by waiting for overflow;
 the moment W_T(t) = (k_{T-t} * u)(x*) is tracked at a fixed center per
@@ -37,15 +51,15 @@ comparison ODE it is supposed to dominate.
 
 Fields follow the layout contract of ``Grid``: they are transformed as they
 lie, with real FFTs, and nothing in a step is shifted. Every state, u0's,
-a step's, a doubled box's and a rejected step's, is built by ``_state``:
-its values, the half spectra of u and of F(u), and the sums of u and F(u);
-the values of F(u) are not kept. The moment probes read the spectrum of
-u; the next step reads both spectra and takes them over as its own
-buffers, into which it transforms the state it returns, or, when it is
-rejected, the state it started from, bit for bit. F(mid) is transformed
-into a fresh array, which the step drops once the new spectrum is formed.
-One overflow rule holds throughout: a state whose sums or transforms
-leave the doubles is a blowup.
+a step's, a doubled box's and a rejected step's, is built from ``_source``
+and a transform of its values: its values, the half spectra of u and of F(u), and the
+sums of u and F(u); the values of F(u) are not kept. The moment probes
+read the spectrum of u; the next step reads both spectra and takes them
+over as its own buffers, into which it transforms the state it returns,
+or, when it is rejected, the state it started from, bit for bit. F(mid)
+is transformed into a fresh array, which becomes the final update and is
+inverted in place. One overflow rule holds throughout: a state whose sums
+or transforms leave the doubles is a blowup.
 """
 
 from __future__ import annotations
@@ -79,7 +93,7 @@ _MASS_DEFECT_TOL = 1e-4      # relative mass defect per unit time
 _AUDIT_STRIDE = 16           # steps between support audits
 _SPIKE_GROWTH = 4.0          # sup ramp factor that ends the mass audit
 _JENSEN_SLACK = 1e-4         # relative slack of the integrated Jensen check
-_STEP_TOL = 1e-7             # relative local error a lengthened step may make
+_STEP_TOL = 3e-9             # relative local error a lengthened step may make
 _MAX_GROWTH = 5.0            # largest ratio of a step to the one before
 _T_END_RTOL = 1e-9           # a step leaving less than this * t_end lands on t_end
 
@@ -160,8 +174,9 @@ class _State(NamedTuple):
     """An accepted state: its values, the half spectra of its values and of
     its source values F(values), and the sums of values and of F(values).
 
-    Every state is built by ``_state``. The moment probes and the records
-    only read a state. A step spends it: it works in both spectra in place
+    Every state is built by ``_state``, or by a step from the same parts:
+    ``_source`` and a transform of the values. The moment probes and the
+    records only read a state. A step spends it: it works in both spectra in place
     and hands them to the state it returns, so after ``_advance`` only
     ``values`` and the sums still hold. A rejected step rebuilds the state
     in its own two buffers, bit for bit.
@@ -174,26 +189,35 @@ class _State(NamedTuple):
     source_total: float
 
 
+def _source(values: np.ndarray, grid: Grid, source_fn,
+            out: Optional[np.ndarray] = None) -> Tuple[np.ndarray, float, float]:
+    """The half spectrum of F(values), into out if given and into a fresh
+    array otherwise, and the sums of values and of F(values). It runs under
+    its caller's np.errstate(over="raise", invalid="raise"), so an overflow
+    raises FloatingPointError; a sum that is not finite is a BlowupSignal.
+    source_fn is the checked ``Nonlinearity.__call__`` where values enter
+    from outside and ``Nonlinearity.fn`` on the step's own clipped update."""
+    source = source_fn(values)
+    # the mass audit and the records need both sums; a float sum is finite
+    # only if every entry is, so they are the finiteness checks
+    total = float(np.add.reduce(values, axis=None))
+    source_total = float(np.add.reduce(source, axis=None))
+    if not (math.isfinite(total) and math.isfinite(source_total)):
+        raise BlowupSignal("the values or their source left the finite range")
+    return grid.rfft(source, out=out), total, source_total
+
+
 def _state(values: np.ndarray, grid: Grid, source_fn,
            spectrum: Optional[np.ndarray] = None,
            source_spectrum: Optional[np.ndarray] = None) -> _State:
-    """Evaluate the source on clipped values and transform the values and
-    F(values), into spectrum and source_spectrum if given (a step hands on
-    the ones it spent) and into fresh arrays otherwise. An overflow
-    anywhere, or a sum that is not finite, is a BlowupSignal. source_fn is
-    the checked ``Nonlinearity.__call__`` where values enter from outside
-    and ``Nonlinearity.fn`` on the step's own clipped update."""
+    """The state of values: F(values) and values transformed (``_source``),
+    into spectrum and source_spectrum if given (a step hands on the ones it
+    spent) and into fresh arrays otherwise. An overflow is a BlowupSignal."""
     with np.errstate(over="raise", invalid="raise"):
         try:
-            source = source_fn(values)
+            source_spectrum, total, source_total = _source(values, grid, source_fn,
+                                                           source_spectrum)
             spectrum = grid.rfft(values, out=spectrum)
-            # the mass audit and the records need both sums; a float sum is
-            # finite only if every entry is, so they are the finiteness checks
-            total = float(np.add.reduce(values, axis=None))
-            source_total = float(np.add.reduce(source, axis=None))
-            if not (math.isfinite(total) and math.isfinite(source_total)):
-                raise BlowupSignal("the values or their source left the finite range")
-            source_spectrum = grid.rfft(source, out=source_spectrum)
         except FloatingPointError as exc:
             raise BlowupSignal(str(exc)) from exc
     return _State(values, spectrum, source_spectrum, total, source_total)
@@ -224,22 +248,19 @@ def _half_sq_norm(z: np.ndarray) -> np.float64:
     return 2.0 * _sum_sq(pairs) - _sum_sq(pairs[..., [0, 1, -2, -1]])
 
 
-def _error_estimate(values: np.ndarray, h: np.ndarray, mid: np.ndarray,
-                    x: np.ndarray, e_half: np.ndarray) -> float:
+def _error_estimate(values: np.ndarray, diff: np.ndarray,
+                    source_spectrum: np.ndarray, dt: float) -> float:
     """The step's embedded local error estimate: the midpoint update minus
-    the integrating-factor Euler update, e_half (x - dt e_half F^(u)), in
-    the L2 norm relative to that of the values u. Here h = e_half u_hat,
-    mid = e_half (u_hat + (dt/2) F^(u)) = h + (dt/2) e_half F^(u) and
-    x = dt F^(mid), so the difference is e_half (x + 2 (h - mid)).
+    the integrating-factor trapezoid e_half mid + (dt/2) F^(u_(n+1)), in
+    the L2 norm relative to that of the values u_n. Here diff = x - e_half
+    mid, with x the midpoint update, and source_spectrum = F^(u_(n+1)).
 
-    mid is overwritten with the difference; no temporary is made. Any
+    diff is overwritten with the difference, through one temporary. Any
     overflow is ignored: a non-finite estimate is returned as such.
     """
     with np.errstate(all="ignore"):
-        diff = np.subtract(h, mid, out=mid)
-        diff *= 2.0
-        diff += x
-        diff *= e_half
+        # dt multiplies, never divides: it reaches 1e-308 before a blowup
+        diff -= (0.5 * dt) * source_spectrum
         # by Parseval, u_hat's norm is size * sum(u^2); a norm that
         # overflows must not read as a zero estimate
         u_sq = values.size * _sum_sq(values)
@@ -249,14 +270,15 @@ def _error_estimate(values: np.ndarray, h: np.ndarray, mid: np.ndarray,
 
 
 def _step_ratio(est: float) -> float:
-    """The next step over this one for an estimate est (Hairer, Norsett and
-    Wanner, Solving ODEs I, II.4): 0.9 (tol/est)^(1/2), at most
-    _MAX_GROWTH. A non-finite estimate gives 0, which forbids lengthening."""
+    """The next step over this one for an estimate est of a local error of
+    order dt^3 (Hairer, Norsett and Wanner, Solving ODEs I, II.4): 0.9
+    (tol/est)^(1/3), at most _MAX_GROWTH. A non-finite estimate gives 0,
+    which forbids lengthening."""
     if not math.isfinite(est):
         return 0.0
-    if est <= _STEP_TOL * (0.9 / _MAX_GROWTH) ** 2:
+    if est <= _STEP_TOL * (0.9 / _MAX_GROWTH) ** 3:
         return _MAX_GROWTH
-    return 0.9 * math.sqrt(_STEP_TOL / est)
+    return 0.9 * (_STEP_TOL / est) ** (1.0 / 3.0)
 
 
 def _advance(state: _State, e_half: np.ndarray, grid: Grid, fn, dt: float,
@@ -268,49 +290,55 @@ def _advance(state: _State, e_half: np.ndarray, grid: Grid, fn, dt: float,
     discrete mass production of this step is dt * that integral) and the
     step's embedded error estimate (``_error_estimate``). The step spends
     state (see ``_State``), whether it succeeds or not. It evaluates F
-    itself only at the midpoint; ``_state`` evaluates it on the values it
-    returns. An overflow is a BlowupSignal.
+    itself only at the midpoint; ``_source`` evaluates it on the values it
+    returns, whose transform the estimate reads. An overflow is a
+    BlowupSignal, in a trial that tol would reject too.
 
     A step whose estimate exceeds tol is rejected: it rebuilds state in its
     own two buffers, bit for bit the state it started from, and returns
     that state, None for the integral, and the estimate.
     """
-    spec = state.source_spectrum
+    spec, mid = state.spectrum, state.source_spectrum
     with np.errstate(over="raise", invalid="raise"):
         try:
-            # the source spectrum is the step's spectrum buffer: the
-            # midpoint update, the estimate's difference and the final
-            # update run in it; F(mid) is transformed into a fresh array,
-            # and the spectrum of u is scaled in place. An overflow in
-            # a transform, a product or the sum of F(mid) raises; a NaN or
+            # the midpoint update runs in the source spectrum's buffer, and
+            # F(mid) is transformed into a fresh array x, which becomes the
+            # final update. The spectrum's buffer takes e_half u_hat, then
+            # the estimate's difference x - e_half mid; the source spectrum
+            # of the new values goes into the midpoint's. An overflow in a
+            # transform, a product or the sum of F(mid) raises; a NaN or
             # inf in F(mid) is caught here because the clip would turn a
             # -inf update to 0
-            spec *= 0.5 * dt
-            spec += state.spectrum
-            spec *= e_half
-            f_mid = fn(_clipped(grid.irfft(spec)))
+            mid *= 0.5 * dt
+            mid += spec
+            mid *= e_half
+            f_mid = fn(_clipped(grid.irfft(mid)))
             f_mid_sum = float(np.add.reduce(f_mid, axis=None))
             if not math.isfinite(f_mid_sum):
                 raise BlowupSignal("midpoint source left the finite range")
             x = grid.rfft(f_mid)
             del f_mid
             x *= dt
-            # the linear half of the final update, in the spectrum's buffer
-            h = np.multiply(e_half, state.spectrum, out=state.spectrum)
-            est = _error_estimate(state.values, h, spec, x, e_half)
-            if est > tol:
-                del x
-                values, f_mid_sum = state.values, None
-            else:
-                np.add(h, x, out=spec)
-                del x
-                spec *= e_half
-                values = _clipped(grid.irfft(spec))
+            spec *= e_half
+            x += spec
+            x *= e_half
+            np.multiply(e_half, mid, out=spec)
+            np.subtract(x, spec, out=spec)
+            values = _clipped(grid.irfft(x, overwrite=True))
+            del x
+            _, total, source_total = _source(values, grid, fn, out=mid)
+            est = _error_estimate(state.values, spec, mid, dt)
+            rejected = est > tol
+            if not rejected:
+                grid.rfft(values, out=spec)
         except FloatingPointError as exc:
             raise BlowupSignal(str(exc)) from exc
-    # the new values, or a rejected step's own, and their F are transformed
-    # into the two buffers
-    return _state(values, grid, fn, state.spectrum, spec), f_mid_sum, est
+    if rejected:
+        # the rejected step's own values and their F are transformed into
+        # the two buffers
+        del values
+        return _state(state.values, grid, fn, spec, mid), None, est
+    return _State(values, spec, mid, total, source_total), f_mid_sum, est
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,51 @@ def test_rfft_into_a_buffer_equals_numpy_bit_for_bit(d):
     assert np.array_equal(buf, expected)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_irfft_in_place_equals_out_of_place_bit_for_bit(d):
+    """irfft(spectrum, overwrite=True) returns the bits of irfft(spectrum)
+    and of numpy's irfftn; it spends spectrum in d = 2 only, where its
+    complex pass runs in place."""
+    g = Grid(d, 8.0, 64)
+    spectrum = g.rfft(np.random.default_rng(6).standard_normal(g.shape))
+    spectrum *= np.exp(-0.3 * g.freq_radius())
+    kept = spectrum.copy()
+    expected = g.irfft(spectrum)
+    assert np.array_equal(spectrum, kept)
+    assert np.array_equal(expected, np.fft.irfftn(kept, s=g.shape, axes=range(d)))
+    assert np.array_equal(g.irfft(spectrum, overwrite=True), expected)
+    assert np.array_equal(spectrum, kept) == (d == 1)
+
+
+def test_a_grid_whose_spacing_leaves_the_doubles_is_a_domain_error():
+    """2L/n and (2L/n)^d must be doubles: L = 1e308 makes the spacing inf
+    in d = 1, L = 1e160 the cell volume in d = 2. Each raises naming L,
+    without a warning; the largest half-width that passes keeps both
+    finite."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d, L in ((1, 1e308), (2, 1e160)):
+            with pytest.raises(DomainError, match="half-width L must be positive and below"):
+                Grid(d, L, 64)
+        for d, L in ((1, 8.98e307), (2, 4.29e155)):
+            g = Grid(d, L, 64)
+            assert math.isfinite(g.spacing) and math.isfinite(g.cell_volume)
+
+
+def test_a_gaussian_narrower_than_the_doubles_is_a_domain_error():
+    """sigma = 1e-300 made 2 sigma^2 zero and warned "divide by zero"; it
+    raises naming sigma. Just above the bound the exponent leaves the
+    doubles away from the center, and the field is 0 there, without a
+    warning."""
+    g = Grid(1, 8.0, 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^sigma must be at least"):
+            GridFunction.gaussian(g, sigma=1e-300)
+        u = GridFunction.gaussian(g, mass=1e-150, sigma=1.1e-154)
+    assert np.count_nonzero(u.values) == 1 and math.isfinite(u.sup())
+
+
 @pytest.mark.parametrize("n", [64, 256])
 def test_grid_geometry_equals_the_per_axis_forms_bit_for_bit(n):
     """The coordinate meshes serve every dimension; in d = 1 and d = 2 they

@@ -91,6 +91,19 @@ def test_exponential_level_below_the_doubles_is_a_domain_error():
         OsgoodTransform(Nonlinearity.exponential(1.0)).h_inverse(1000.0)
 
 
+def test_power_transform_outside_the_double_range_is_a_domain_error():
+    """h(1e-300) = 1e600 / 2 for u^3: w ** (1 - p) raised a bare
+    OverflowError; it raises naming w, without a warning. With c = 1e-10
+    the power is finite and the division overflows: the same error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c, w in ((1.0, 1e-300), (1e-10, 1e-150)):
+            h = OsgoodTransform(Nonlinearity.power_law(c, 3.0))
+            with pytest.raises(DomainError, match=rf"^w = {w!r} is too small"):
+                h.h(w)
+        assert OsgoodTransform(Nonlinearity.power_law(1.0, 3.0)).h(1e-150) == 5e299
+
+
 def test_transform_domain():
     h = OsgoodTransform(Nonlinearity.power_law(1.0, 2.0))
     with pytest.raises(DomainError):

@@ -173,6 +173,15 @@ def test_range_check():
         _check_range("r", np.array([[1.0, 2.0], [math.nan, -1.0]]))
 
 
+def test_range_check_with_an_upper_bound():
+    """An upper bound is excluded, and the message states it."""
+    _check_range("x", 1.0, upper=2.0)
+    for x in (2.0, 3.0, math.inf, math.nan):
+        with pytest.raises(DomainError,
+                           match=rf"^x must be positive and below 2 and finite, got {x!r}$"):
+            _check_range("x", x, upper=2.0)
+
+
 def _radial(d):
     return RadialProfile(d, np.geomspace(1e-3, 10.0, 50), np.exp(-np.geomspace(1e-3, 10.0, 50)))
 

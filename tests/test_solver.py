@@ -515,6 +515,18 @@ def test_moment_inequality_report():
         jensen_report(traj, Nonlinearity.power_law(1.0, 2.0), 0.75)
 
 
+def test_a_jensen_report_on_moments_whose_h_leaves_the_doubles_is_a_domain_error():
+    """Data of mass 1e-160 under u^3 record moments near 3e-161, where
+    h(W) = W^-2 / 2 leaves the doubles: the report raises naming w, where
+    it raised a bare OverflowError."""
+    F = Nonlinearity.power_law(1.0, 3.0)
+    traj = run(GridFunction.gaussian(Grid(1, 8.0, 64), mass=1e-160),
+               make_cfg(nonlinearity=F, dt_init=0.01, t_end=0.05,
+                        moment_targets=(0.5,)))
+    with pytest.raises(DomainError, match="^w = .* is too small"):
+        jensen_report(traj, F, 0.5)
+
+
 def test_step_signals_blowup_on_overflow():
     g = Grid(1, 8.0, 64)
     u = GridFunction(g, np.full(g.shape, 1e160))
@@ -776,6 +788,69 @@ def test_a_blowup_run_equals_a_loop_of_steps_at_the_fixed_rule():
         assert dt == fixed_rule(cfg, traj.sup[k - 1])
         u = step(u, cfg, dt)
     assert np.array_equal(u.values, traj.final_state.values)
+
+
+def test_a_2d_run_at_the_floor_equals_a_loop_of_out_of_place_steps():
+    """A 2-D run whose estimates never allow a step past the floor (the
+    alpha = 2 fractional kernel, p = 2, n = 128, to t = 2): every trial but
+    the one that lands on t_end is the fixed rule's, and none is rejected.
+    Each step inverts its final update in place, and the run equals bit
+    for bit a loop of bare steps whose inverse transforms all go through a
+    fresh temporary."""
+    u0 = GridFunction.gaussian(Grid(2, 24.0, 128), mass=2.0, sigma=1.5)
+    cfg = make_cfg(kernel=KernelSpec.fractional(2.0), dt_init=0.05, t_end=2.0)
+    irfft, spent = Grid.irfft, []
+
+    def recorded(self, spectrum, overwrite=False):
+        spent.append(overwrite)
+        return irfft(self, spectrum, overwrite=overwrite)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Grid, "irfft", recorded)
+        traj = run(u0, cfg)
+    assert traj.outcome == "reached_horizon" and not traj.notes
+    assert traj.rejected_steps == 0
+    assert spent.count(True) == len(traj.t) - 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Grid, "irfft", lambda self, spectrum, overwrite=False:
+                   irfft(self, spectrum))
+        u = u0
+        for k, dt in enumerate(traj.dt[1:], 1):
+            assert dt == fixed_rule(cfg, traj.sup[k - 1]) or traj.t[k] == cfg.t_end
+            u = step(u, cfg, dt)
+    assert np.array_equal(u.values, traj.final_state.values)
+
+
+@pytest.mark.parametrize("data, cfg, dts", [
+    (lambda: dichotomy_data(1.8552), dichotomy_cfg(t_end=30.0), (0.05, 0.2, 0.8)),
+    (lambda: GridFunction.gaussian(Grid(2, 32.0, 128), mass=1.0, sigma=1.0),
+     make_cfg(dt_init=0.01, t_end=1.0), (0.01, 0.04, 0.16)),
+    (lambda: GridFunction.gaussian(Grid(1, 48.0, 1024), mass=4.0, sigma=1.0),
+     make_cfg(t_end=0.5), (0.001, 0.004, 0.016)),
+], ids=["readme-row-1.8552", "2d-gaussian-p2", "c6"])
+def test_the_estimate_is_within_one_to_eight_times_the_kept_steps_error(data, cfg, dts):
+    """From a state mid-run (the README dichotomy row 1.8552 at t = 30, a
+    2-D gaussian-kernel run at t = 1, C6's data at t = 0.5), one step of
+    each dt is compared with 64 steps of dt/64 from the same state. The
+    step's estimate is within 1 to 8 times the kept step's true local
+    error, in the same norm (L2, relative to the state's). The midpoint
+    minus Euler difference overstated it 19 to 2135 times at these
+    points."""
+    u = run(data(), cfg).final_state
+    g, F = u.grid, cfg.nonlinearity
+    sym = generator_symbol_grid(cfg.kernel, g)
+
+    def steps(dt, k):
+        state, e_half = _state(u.values.copy(), g, F), _half_propagator(sym, dt)
+        for _ in range(k):
+            state, _, est = _advance(state, e_half, g, F.fn, dt)
+        return state.values, est
+
+    norm = np.linalg.norm(u.values)
+    for dt in dts:
+        kept, est = steps(dt, 1)
+        true = np.linalg.norm(kept - steps(dt / 64, 64)[0]) / norm
+        assert 1.0 <= est / true <= 8.0
 
 
 def test_a_rejected_step_keeps_its_state_and_its_retry_is_a_fresh_step():
