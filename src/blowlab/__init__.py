@@ -54,7 +54,6 @@ from .blowup import (
     CriterionInput,
     evaluate_criterion,
     moment_at_zero,
-    moment_field,
 )
 from .solver import (
     DichotomySummary,

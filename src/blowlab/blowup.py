@@ -7,8 +7,8 @@ space-free comparison ODE w' = F(w) explode exactly at time T gives a
 verdict: W_T > h_inv(T) rules out continuation of the solution past T.
 
 Two input shapes are supported, one moment route each. Grid data evaluates
-the semigroup spectrally on the torus (``moment_field``, with a
-boundary-leak audit per horizon, since large T on a fixed box wraps
+the semigroup spectrally on the torus (inside ``evaluate_criterion``, with
+a boundary-leak audit per horizon, since large T on a fixed box wraps
 around); radial profiles pair directly against the whole-space stable
 kernel (``moment_at_zero``) and have no box artifacts, which is what the
 long-horizon growth studies use.
@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, ResolutionError
+from .errors import DomainError
 from .kernels import (_BOUNDARY_TOL, GridFunction, KernelSpec, StableProfile,
                       _audit_failure, generator_symbol_grid, stable_profile)
 from .nonlinearity import Nonlinearity, OsgoodTransform, fujita_exponent
@@ -42,7 +42,6 @@ __all__ = [
     "CurvePoint",
     "BlowupVerdict",
     "default_horizon_grid",
-    "moment_field",
     "moment_at_zero",
     "evaluate_criterion",
 ]
@@ -110,20 +109,6 @@ def _smoothed(u_hat: np.ndarray, sym: np.ndarray, T: float, grid) -> np.ndarray:
     return np.maximum(fld, 0.0, out=fld)
 
 
-def moment_field(u0: GridFunction, kernel: KernelSpec, T: float,
-                 boundary_tol: Optional[float] = _BOUNDARY_TOL) -> GridFunction:
-    """e^{T A} u0 on the torus as a full field; pass boundary_tol=None to
-    skip the kernel-leak audit (the caller then owns reliability)."""
-    _check_range("horizon T", T)
-    if boundary_tol is not None:
-        failure = _audit_failure(kernel, float(T), u0.grid, float(boundary_tol))
-        if failure is not None:
-            raise ResolutionError(failure)
-    grid = u0.grid
-    sym = generator_symbol_grid(kernel, grid)
-    return GridFunction(grid, _smoothed(grid.rfft(u0.values), sym, T, grid))
-
-
 def _radial_pairing(profile: StableProfile, t: float, u: RadialProfile) -> float:
     """(P_t * u)(0) for radial u: sigma_d * int P_t(rho) u(rho) rho^(d-1) drho.
 
@@ -148,11 +133,11 @@ def _radial_pairing(profile: StableProfile, t: float, u: RadialProfile) -> float
 
 def moment_at_zero(u0: RadialProfile, kernel: KernelSpec, T: float) -> float:
     """W_T of a radial profile: its pairing at the origin with the
-    whole-space stable kernel at horizon T. For grid data, W_T is the
-    maximum of ``moment_field`` over the lattice."""
+    whole-space stable kernel at horizon T. ``evaluate_criterion`` takes
+    W_T of grid data as the lattice maximum of the smoothed data."""
     if isinstance(u0, GridFunction):
-        raise DomainError("moment_at_zero pairs radial profiles; for grid "
-                          "data take the maximum of moment_field")
+        raise DomainError("moment_at_zero pairs radial profiles; grid data "
+                          "takes its moments through evaluate_criterion")
     if kernel.kind != "pure_fractional":
         raise DomainError(
             "radial-profile moments need a pure_fractional kernel; "

@@ -203,15 +203,19 @@ class GridFunction:
     def gaussian(cls, grid: Grid, mass: float = 1.0, sigma: float = 1.0,
                  center: float = 0.0) -> "GridFunction":
         """mass * (unit-mass isotropic Gaussian of width sigma)."""
-        # 2 sigma^2 must be a normal double, or the exponent divides by 0
-        _check_range("sigma", sigma, _SIGMA_MIN, closed=True)
+        # 2 sigma^2 must be a normal double, or the exponent divides by 0,
+        # and a finite one, as must the normalization (sigma sqrt(2 pi))^d
+        _check_range("sigma", sigma, _SIGMA_MIN, closed=True, upper=min(
+            math.sqrt(0.5 * _DOUBLE_MAX),
+            _DOUBLE_MAX ** (1.0 / grid.d) / math.sqrt(2.0 * math.pi)))
         _check_range("mass", mass, closed=True)
         norm = mass / (sigma * math.sqrt(2.0 * math.pi)) ** grid.d
 
         def density(*xs):
-            square = sum(((x - center) ** 2 for x in xs[1:]), (xs[0] - center) ** 2)
-            # an exponent below -max is -inf, and its exp the 0 it rounds to
+            # a square or an exponent past the doubles is inf or -inf, and
+            # its exp the 0 it rounds to
             with np.errstate(over="ignore"):
+                square = sum(((x - center) ** 2 for x in xs[1:]), (xs[0] - center) ** 2)
                 return norm * np.exp(-square / (2 * sigma ** 2))
         return cls.from_function(grid, density)
 

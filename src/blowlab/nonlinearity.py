@@ -153,7 +153,10 @@ class Nonlinearity:
 
     @classmethod
     def custom(cls, fn: Callable, dfn: Callable, label: str = "custom") -> "Nonlinearity":
-        obj = cls(fn, dfn, label, kind="custom")
+        """F and F' from callables written for arrays; they are wrapped to
+        take Python floats too, as a 0-d array, like the named families."""
+        obj = cls(lambda u: fn(np.asarray(u)), lambda u: dfn(np.asarray(u)),
+                  label, kind="custom")
         obj._audit()
         return obj
 
@@ -165,14 +168,6 @@ class Nonlinearity:
             raise DomainError("source terms are defined on u >= 0")
         out = self.fn(u)
         return float(out) if np.ndim(out) == 0 else out
-
-    def _for_floats(self, f: Callable) -> Callable:
-        """f (``fn`` or ``dfn``) as a function of one Python float, without
-        the negativity scan. The named families take floats as they are;
-        custom callables are written for arrays and get a 0-d one."""
-        if self.kind != "custom":
-            return f
-        return lambda u: f(np.asarray(u))
 
     # -- audits (constructor-time for custom callables) ---------------------
 
@@ -219,7 +214,6 @@ class OsgoodTransform:
     def __init__(self, source: Nonlinearity):
         source.check_osgood()
         self.source = source
-        self._fn = source._for_floats(source.fn)
 
     # closed-form fast path predicate
     @property
@@ -228,13 +222,13 @@ class OsgoodTransform:
 
     def _F(self, u: float) -> float:
         with np.errstate(over="ignore"):
-            return float(self._fn(u))
+            return float(self.source.fn(u))
 
     def _log_integral(self, a: float, b: float) -> float:
         """int_a^b u/F(u) dv with u = e^v; QUADPACK's diagnostics and its
         error estimate are checked against _H_QUAD_TOL."""
         label = self.source.label
-        fn = self._fn
+        fn = self.source.fn
 
         def integrand(v: float) -> float:
             if v > _LOG_HUGE:

@@ -10,9 +10,10 @@ space and the scheme must not quietly paper over that:
   identically, so any post-clip deviation measures lost resolution;
 * support: the data must keep a quarter box of clearance from the
   boundary, with automatic box doubling (twice) before giving up. The
-  audit is due after _AUDIT_STRIDE steps, once _AUDIT_STRIDE * dt_init of
-  time has passed since the last one, and at t_end, so long steps cannot
-  skip it;
+  audit runs on u0 before the first step, so data that start in the
+  boundary band never run on the small box; it is then due after
+  _AUDIT_STRIDE steps, once _AUDIT_STRIDE * dt_init of time has passed
+  since the last one, and at t_end, so long steps cannot skip it;
 * stability: dt never exceeds half the local linearization time 1/F'(sup).
 
 Steps are sized by accuracy, but only ever lengthened. The floor is
@@ -73,7 +74,7 @@ import numpy as np
 from .errors import DomainError, ResolutionError
 from .kernels import Grid, GridFunction, KernelSpec, generator_symbol_grid
 from .nonlinearity import Nonlinearity, OsgoodTransform, fujita_exponent
-from .blowup import CriterionInput, _peak_index, evaluate_criterion, moment_field
+from .blowup import CriterionInput, _peak_index, _smoothed, evaluate_criterion
 from .numutil import _check_range
 
 __all__ = [
@@ -361,6 +362,7 @@ class _MomentProbe:
 
     def __init__(self, grid: Grid, sym: np.ndarray, center: Tuple[int, ...]):
         self.sym = sym
+        self.center = center
         n = grid.n
         phases = [np.exp(2j * np.pi * np.arange(n) * c / n) for c in center]
         phases[-1] = phases[-1][: n // 2 + 1]
@@ -414,8 +416,9 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
     min(dt_init, 0.5/F'(sup)) and dt_ctl the controller's proposal from the
     last step's error estimate (see the module docstring); a trial longer
     than the floor whose estimate exceeds _STEP_TOL is rejected and
-    retried shorter. The support audit is due after _AUDIT_STRIDE steps or
-    _AUDIT_STRIDE * dt_init of time since the last one, and at t_end.
+    retried shorter. The support audit runs on u0 before the first step,
+    then after _AUDIT_STRIDE steps or _AUDIT_STRIDE * dt_init of time since
+    the last one, and at t_end.
 
     Outcomes: ``blew_up`` when sup u crosses u_max (or a step leaves the
     finite range), ``dt_underflow`` when the stability bound pushes dt
@@ -432,79 +435,86 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
     # go to F.fn directly, and dt control and the moment series evaluate F
     # and F' on Python floats
     fn = F.fn
-    dfn_scalar = F._for_floats(F.dfn)
-    fn_scalar = F._for_floats(fn)
     try:
         state = _state(u0.values.copy(), grid, F)
     except BlowupSignal as exc:
         raise DomainError(f"u0 or F(u0) leaves the double range: {exc}") from exc
 
-    def box(grid: Grid, centers: Dict[float, Tuple[int, ...]]):
-        """The generator symbol, cell volume and moment probes of a box."""
-        sym = generator_symbol_grid(cfg.kernel, grid)
-        return sym, grid.cell_volume, {T: _MomentProbe(grid, sym, c)
-                                       for T, c in centers.items()}
-
+    sym, cell = generator_symbol_grid(cfg.kernel, grid), grid.cell_volume
     # each horizon's center is the lattice peak of its smoothed data; it
     # moves with the data when the box doubles, while the horizon is ahead
-    centers = {T: _peak_index(moment_field(u0, cfg.kernel, T, boundary_tol=None).values)
-               for T in cfg.moment_targets}
-    sym, cell, probes = box(grid, centers)
-    moments = {T: MomentSeries(target=T, center=centers[T])
-               for T in cfg.moment_targets}
+    probes = {T: _MomentProbe(grid, sym,
+                              _peak_index(_smoothed(state.spectrum, sym, T, grid)))
+              for T in cfg.moment_targets}
+    traj = Trajectory(t=[], sup=[], mass=[], dt=[], source_integral=[],
+                      moments={T: MomentSeries(target=T, center=probe.center)
+                               for T, probe in probes.items()},
+                      outcome="reached_horizon", t_obs=None, final_state=u0)
 
     def record(t: float, dt_used: float, mass: float):
-        traj_t.append(t)
-        traj_sup.append(float(state.values.max()))
-        traj_mass.append(mass)
-        traj_dt.append(dt_used)
-        traj_src.append(state.source_total * cell)
+        traj.t.append(t)
+        traj.sup.append(float(state.values.max()))
+        traj.mass.append(mass)
+        traj.dt.append(dt_used)
+        traj.source_integral.append(state.source_total * cell)
         for T in list(probes):
             remaining = T - t
             if remaining <= 0:
-                # a passed horizon is dropped: no probe, no center to move
-                del probes[T], centers[T]
+                # a passed horizon is dropped: no probe to rebuild
+                del probes[T]
                 continue
             W = max(probes[T](state.spectrum, remaining), 0.0)
-            ms = moments[T]
+            ms = traj.moments[T]
             ms.t.append(t)
             ms.W.append(W)
-            ms.F_of_W.append(float(fn_scalar(W)))
-
-    traj_t: List[float] = []
-    traj_sup: List[float] = []
-    traj_mass: List[float] = []
-    traj_dt: List[float] = []
-    traj_src: List[float] = []
-    notes: List[str] = []
+            ms.F_of_W.append(float(fn(W)))
 
     t = 0.0
     record(t, 0.0, state.total * cell)
-    outcome = "reached_horizon"
-    t_obs: Optional[float] = None
-    reliable = True
     enlargements = 0
     defect_streak = 0
-    steps_since_audit = 0
-    t_audit = 0.0
     sup_init = max(float(u0.values.max()), _SUPPORT_FLOOR)
     detection_mode = False
     # the controller's next step; until an estimate allows more, the floor
     dt_ctl = 0.0
-    rejected_steps = 0
-    step_error = 0.0
     # the half-step propagator of the last trial dt, rebuilt only when dt
     # or the box changes
     e_dt: Optional[float] = None
     e_half: Optional[np.ndarray] = None
+    audit_due = True
 
-    while t < cfg.t_end:
-        sup = traj_sup[-1]
-        dprime = float(dfn_scalar(max(sup, 0.0)))
+    while True:
+        # the support audit: on u0, then as due after an accepted step
+        if audit_due and not detection_mode:
+            steps_since_audit, t_audit = 0, t
+            if not _support_ok(state.values, grid):
+                if enlargements < 2:
+                    # the zero-extended values live in the new state only
+                    grid = Grid(d=grid.d, L=2.0 * grid.L, n=2 * grid.n)
+                    state = _state(_embed_double(state.values), grid, fn)
+                    enlargements += 1
+                    sym, cell = generator_symbol_grid(cfg.kernel, grid), grid.cell_volume
+                    shift = grid.n // 4
+                    probes = {T: _MomentProbe(grid, sym, tuple(i + shift for i in p.center))
+                              for T, p in probes.items()}
+                    e_dt = None
+                    traj.notes.append(f"box doubled to half-width {grid.L:g} at t={t:g}")
+                elif traj.reliable:
+                    traj.reliable = False
+                    traj.notes.append(f"support reached the boundary margin at t={t:g}")
+        audit_due = False
+        sup = traj.sup[-1]
+        if sup >= cfg.u_max:
+            traj.outcome, traj.t_obs = "blew_up", t
+            break
+        if t >= cfg.t_end:
+            break
+
+        dprime = float(F.dfn(max(sup, 0.0)))
         cap = math.inf if dprime <= 0 else 0.5 / dprime
         floor = min(cfg.dt_init, cap)
         if floor < cfg.dt_min:
-            outcome, t_obs = "dt_underflow", t
+            traj.outcome, traj.t_obs = "dt_underflow", t
             break
         trial = min(cap, max(floor, dt_ctl))
         # only a trial the controller lengthened past the floor may be
@@ -517,24 +527,19 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
 
         if trial != e_dt:
             e_dt, e_half = trial, _half_propagator(sym, trial)
-        # the support audit is due after every _AUDIT_STRIDE steps, once
-        # _AUDIT_STRIDE * dt_init of time has passed since the last one, and
-        # at t_end
-        audit_due = (landing or steps_since_audit + 1 >= _AUDIT_STRIDE
-                     or t + trial - t_audit >= _AUDIT_STRIDE * cfg.dt_init)
         try:
             # the step spends the state; only its values stay, for a final
             # state if the step fails, and a rejected step rebuilds it
             state, f_mid_sum, est = _advance(state, e_half, grid, fn, trial,
                                              tol=step_tol)
         except BlowupSignal:
-            outcome, t_obs = "blew_up", t
+            traj.outcome, traj.t_obs = "blew_up", t
             break
         dt_ctl = trial * _step_ratio(est)
         if f_mid_sum is None:
-            rejected_steps += 1
+            traj.rejected_steps += 1
             continue
-        step_error += est
+        traj.step_error += est
 
         # mass audit: the update satisfies M' = M + dt*int F(mid) exactly up
         # to clipped ringing, so the defect measures spatial resolution, not
@@ -543,7 +548,7 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
         # well past it, the terminal peak is narrower than any fixed lattice
         # and the audit can only annotate.
         mass_new = state.total * cell
-        mass_old = traj_mass[-1]
+        mass_old = traj.mass[-1]
         produced = trial * f_mid_sum * cell
         defect = abs(mass_new - (mass_old + produced))
         tol = _MASS_DEFECT_TOL * trial * max(mass_new, 1.0) \
@@ -553,7 +558,7 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
                 # entering the terminal window: from here on the run only
                 # detects the threshold crossing, accuracy audits annotate
                 detection_mode = True
-                notes.append(
+                traj.notes.append(
                     f"audits suspended at t={t:g}: terminal peak narrower "
                     "than the lattice")
             else:
@@ -567,36 +572,15 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
 
         t = cfg.t_end if landing else t + trial
         record(t, trial, mass_new)
-
         steps_since_audit += 1
-        if audit_due and not detection_mode:
-            steps_since_audit, t_audit = 0, t
-            if not _support_ok(state.values, grid):
-                if enlargements < 2:
-                    # the zero-extended values live in the new state only
-                    grid = Grid(d=grid.d, L=2.0 * grid.L, n=2 * grid.n)
-                    state = _state(_embed_double(state.values), grid, fn)
-                    enlargements += 1
-                    shift = grid.n // 4
-                    centers = {T: tuple(i + shift for i in c)
-                               for T, c in centers.items()}
-                    sym, cell, probes = box(grid, centers)
-                    e_dt = None
-                    notes.append(f"box doubled to half-width {grid.L:g} at t={t:g}")
-                elif reliable:
-                    reliable = False
-                    notes.append(f"support reached the boundary margin at t={t:g}")
+        # the support audit is due after every _AUDIT_STRIDE steps, once
+        # _AUDIT_STRIDE * dt_init of time has passed since the last one, and
+        # at t_end
+        audit_due = (landing or steps_since_audit >= _AUDIT_STRIDE
+                     or t - t_audit >= _AUDIT_STRIDE * cfg.dt_init)
 
-        if traj_sup[-1] >= cfg.u_max:
-            outcome, t_obs = "blew_up", t
-            break
-
-    return Trajectory(t=traj_t, sup=traj_sup, mass=traj_mass, dt=traj_dt,
-                      source_integral=traj_src, moments=moments,
-                      outcome=outcome, t_obs=t_obs,
-                      final_state=GridFunction(grid, state.values),
-                      reliable=reliable, notes=notes,
-                      rejected_steps=rejected_steps, step_error=step_error)
+    traj.final_state = GridFunction(grid, state.values)
+    return traj
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,29 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from blowlab.blowup import (CriterionInput, _radial_pairing,
+from blowlab.blowup import (CriterionInput, _radial_pairing, _smoothed,
                             default_horizon_grid, evaluate_criterion,
-                            moment_at_zero, moment_field)
+                            moment_at_zero)
 from blowlab.errors import DomainError, ResolutionError
-from blowlab.kernels import (Grid, GridFunction, KernelSpec, _audit_failure,
+from blowlab.kernels import (_BOUNDARY_TOL, Grid, GridFunction, KernelSpec,
+                             _audit_failure, generator_symbol_grid,
                              semigroup_kernel, stable_profile)
 from blowlab.nonlinearity import Nonlinearity
 from blowlab.norms import RadialProfile
 from blowlab.numutil import log_grid, loglog_slope
+
+
+def moment_field(u0, kernel, T, boundary_tol=_BOUNDARY_TOL):
+    """e^{T A} u0 on the torus as a full field, the oracle the criterion's
+    lattice maxima are read from; boundary_tol=None skips the kernel-leak
+    audit, which otherwise raises the memoized verdict."""
+    if boundary_tol is not None:
+        failure = _audit_failure(kernel, float(T), u0.grid, float(boundary_tol))
+        if failure is not None:
+            raise ResolutionError(failure)
+    grid = u0.grid
+    sym = generator_symbol_grid(kernel, grid)
+    return GridFunction(grid, _smoothed(grid.rfft(u0.values), sym, T, grid))
 
 
 def test_moment_field_matches_closed_gaussian():
@@ -88,9 +102,9 @@ def test_moment_field_2d_matches_radial_pairing(alpha):
     assert abs(radial_value / grid_value - 1.0) < 1e-5
 
 
-def test_moment_at_zero_points_grid_data_to_moment_field():
+def test_moment_at_zero_points_grid_data_to_evaluate_criterion():
     u0 = GridFunction.gaussian(Grid(1, 16.0, 128), mass=1.0, sigma=1.0)
-    with pytest.raises(DomainError, match="moment_field"):
+    with pytest.raises(DomainError, match="evaluate_criterion"):
         moment_at_zero(u0, KernelSpec.fractional(2.0), 1.0)
 
 
@@ -248,22 +262,16 @@ def test_memoized_audit_matches_semigroup_kernel(spec, kinds):
     assert first == again
 
 
-def test_moment_field_audit_is_the_kernel_verdict_on_miss_and_hit():
-    u0 = GridFunction.gaussian(AUDIT_GRID, mass=1.0, sigma=1.0)
+def test_the_audit_memo_is_the_kernel_verdict_on_miss_and_hit():
     spec, T = KernelSpec.gaussian(), float(AUDIT_HORIZONS[5])
     expected = kernel_verdict(spec, T, AUDIT_GRID)
     assert expected.startswith("boundary mass")
     _audit_failure.cache_clear()
     for _ in range(2):            # computed, then read from the memo
-        with pytest.raises(ResolutionError) as exc:
-            moment_field(u0, spec, T, boundary_tol=1e-8)
-        assert str(exc.value) == expected
+        assert _audit_failure(spec, T, AUDIT_GRID, 1e-8) == expected
     assert _audit_failure.cache_info().hits == 1
     # a looser tolerance is a verdict of its own, and its kernel passes
     assert kernel_verdict(spec, T, AUDIT_GRID, boundary_tol=1e-6) is None
-    loose = moment_field(u0, spec, T, boundary_tol=1e-6)
-    unaudited = moment_field(u0, spec, T, boundary_tol=None)
-    assert np.array_equal(loose.values, unaudited.values)
-    with pytest.raises(ResolutionError):
-        moment_field(u0, spec, T, boundary_tol=1e-8)
+    assert _audit_failure(spec, T, AUDIT_GRID, 1e-6) is None
+    assert _audit_failure(spec, T, AUDIT_GRID, 1e-8) == expected
     assert _audit_failure.cache_info().misses == 2

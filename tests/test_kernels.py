@@ -15,7 +15,6 @@ from numpy.testing import assert_allclose
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import gammaln
 
-from blowlab.blowup import moment_field
 from blowlab.errors import DomainError, ResolutionError
 from blowlab import kernels
 from blowlab.kernels import (Grid, GridFunction, KernelSpec, _far_series, _mellin,
@@ -115,6 +114,19 @@ def test_a_gaussian_narrower_than_the_doubles_is_a_domain_error():
             GridFunction.gaussian(g, sigma=1e-300)
         u = GridFunction.gaussian(g, mass=1e-150, sigma=1.1e-154)
     assert np.count_nonzero(u.values) == 1 and math.isfinite(u.sup())
+
+
+def test_a_gaussian_wider_than_the_doubles_is_a_domain_error():
+    """sigma = 1e300 in d = 2 raised a bare OverflowError from the
+    normalization (sigma sqrt(2 pi))^d; it raises naming sigma. On a box of
+    half-width 1e200 the squares (x - center)^2 warned "overflow"; they are
+    inf there, and the field 0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^sigma must be at least .* and below"):
+            GridFunction.gaussian(Grid(2, 8.0, 64), sigma=1e300)
+        u = GridFunction.gaussian(Grid(1, 1e200, 64))
+    assert np.count_nonzero(u.values) == 1 and u.sup() == 1 / math.sqrt(2 * math.pi)
 
 
 @pytest.mark.parametrize("n", [64, 256])
@@ -270,9 +282,6 @@ def test_boundary_tol_must_be_finite_and_nonnegative(tol):
                          boundary_tol=tol)
     # a nan tolerance used to pass every boundary audit: this kernel's
     # boundary mass is 0.23
-    u0 = GridFunction.gaussian(Grid(1, 8.0, 256), mass=1.0, sigma=1.0)
-    with pytest.raises(DomainError, match="boundary_tol"):
-        moment_field(u0, KernelSpec.gaussian(), 25.0, boundary_tol=tol)
     with pytest.raises(DomainError, match="boundary_tol"):
         kernels._audit_failure(KernelSpec.gaussian(), 25.0, Grid(1, 8.0, 256), tol)
 

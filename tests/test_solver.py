@@ -403,7 +403,8 @@ def test_a_run_to_its_horizon_transforms_each_state_and_its_source_once(monkeypa
 
 
 def test_a_passed_horizon_builds_no_probe_at_a_later_doubling(monkeypatch):
-    """Run to t = 1.7, the box doubles at t = 0.8 and 1.6: the first
+    """The data start clear of the boundary band, so u0's audit passes.
+    Run to t = 1.7, the box doubles at t = 0.8 and 1.6: the first
     doubling builds probes for T = 1 and T = 2, the second only for T = 2,
     since T = 1 has passed. Run to t = 0.97, the second doubling comes at
     t = 0.97 and builds both; up to t = 0.95 the two runs take the same
@@ -416,7 +417,8 @@ def test_a_passed_horizon_builds_no_probe_at_a_later_doubling(monkeypatch):
             super().__init__(grid, sym, center)
 
     monkeypatch.setattr(solver, "_MomentProbe", CountingProbe)
-    u0 = GridFunction.gaussian(Grid(2, 8.0, 32), mass=6.0, sigma=1.0)
+    u0 = GridFunction.gaussian(Grid(2, 8.0, 32), mass=3.0, sigma=0.75)
+    assert solver._support_ok(u0.values, u0.grid)
 
     def moments(t_end, doubled_at):
         built.clear()
@@ -435,6 +437,30 @@ def test_a_passed_horizon_builds_no_probe_at_a_later_doubling(monkeypatch):
     assert late.t[-1] < 1.0 and late.t == early.t[:k] and early.t[k] == 0.97
     assert late.W == early.W[:k] and late.F_of_W == early.F_of_W[:k]
     assert late.center == early.center
+
+
+def test_data_that_start_in_the_band_double_the_box_before_the_first_step(monkeypatch):
+    """u0 reads 1.5e-8 at |x| = 6 = 0.75 L, inside the boundary band, so its
+    audit doubles the box at t = 0: the first step starts from the
+    zero-extended u0, bit for bit, and no step runs on the small box."""
+    first = []
+    advance = solver._advance
+
+    def recorded_advance(state, e_half, grid, *args, **kw):
+        if not first:
+            first.append((grid, state.values.copy()))
+        return advance(state, e_half, grid, *args, **kw)
+
+    monkeypatch.setattr(solver, "_advance", recorded_advance)
+    u0 = GridFunction.gaussian(Grid(2, 8.0, 32), mass=6.0, sigma=1.0)
+    assert not solver._support_ok(u0.values, u0.grid)
+    traj = run(u0, make_cfg(kernel=KernelSpec.fractional(1.5),
+                            nonlinearity=Nonlinearity.power_law(1.0, 3.0),
+                            dt_init=0.05, t_end=0.1))
+    assert traj.notes[0] == "box doubled to half-width 16 at t=0"
+    grid, values = first[0]
+    assert grid == Grid(2, 16.0, 64)
+    assert np.array_equal(values, solver._embed_double(u0.values))
 
 
 def test_a_repeated_target_records_each_sample_once():
@@ -738,7 +764,7 @@ def dichotomy_data(scale):
 def fixed_rule(cfg, sup):
     """The step of a run without an error estimate: dt_init, or half the
     linearization time 1/F'(sup) where that is shorter."""
-    dprime = cfg.nonlinearity._for_floats(cfg.nonlinearity.dfn)(sup)
+    dprime = cfg.nonlinearity.dfn(sup)
     return cfg.dt_init if dprime <= 0 else min(cfg.dt_init, 0.5 / dprime)
 
 
@@ -940,10 +966,11 @@ def test_a_decay_run_takes_a_tenth_of_the_fixed_steps_at_the_same_error():
     (dichotomy_cfg(), lambda: dichotomy_data(0.3)),
 ], ids=["fixed-steps", "lengthened"])
 def test_audits_come_after_16_steps_or_16_dt_init_of_time(monkeypatch, cfg, data):
-    """The support audit falls on the first step that completes 16 steps or
-    16 dt_init of time since the last audit, and on the last step. A run of
-    dt_init steps (C5's data) is audited on every 16th step, as before the
-    estimate; a lengthened run more often in steps."""
+    """The support audit falls on u0, before the first step, then on the
+    first step that completes 16 steps or 16 dt_init of time since the last
+    audit, and on the last step. A run of dt_init steps (C5's data) is
+    audited on every 16th step, as before the estimate; a lengthened run
+    more often in steps."""
     accepted, audited = [0], []
     advance, support_ok = solver._advance, solver._support_ok
 
@@ -960,6 +987,7 @@ def test_audits_come_after_16_steps_or_16_dt_init_of_time(monkeypatch, cfg, data
     monkeypatch.setattr(solver, "_support_ok", recorded_support_ok)
     traj = run(data(), cfg)
     assert traj.outcome == "reached_horizon" and traj.t[-1] == cfg.t_end
+    assert audited[0] == 0
     span = 16 * cfg.dt_init
     last = 0
     for k in range(1, len(traj.t)):
@@ -968,6 +996,6 @@ def test_audits_come_after_16_steps_or_16_dt_init_of_time(monkeypatch, cfg, data
         assert (k in audited) == due
         last = k if due else last
     if max(traj.dt) == cfg.dt_init:
-        assert audited == list(range(16, len(traj.t) - 1, 16)) + [len(traj.t) - 1]
+        assert audited == list(range(0, len(traj.t) - 1, 16)) + [len(traj.t) - 1]
     else:
-        assert len(audited) > (len(traj.t) - 1) / 16
+        assert len(audited) - 1 > (len(traj.t) - 1) / 16
