@@ -13,6 +13,10 @@ around); radial profiles pair directly against the whole-space stable
 kernel (``moment_at_zero``) and have no box artifacts, which is what the
 long-horizon growth studies use.
 
+The verdict is the criterion's alone: the data's concentration at the
+scale-critical order is a separate functional (``norms``), which the
+``criterion`` command computes beside it.
+
 Grid data follows the layout contract of ``Grid``: u0 is transformed as it
 lies, with one real half spectrum per criterion call, and each horizon
 costs one inverse transform whose maximum is W_T and whose argmax is the
@@ -33,7 +37,7 @@ from .errors import DomainError
 from .kernels import (_BOUNDARY_TOL, GridFunction, KernelSpec, StableProfile,
                       _audit_failure, generator_symbol_grid, stable_profile)
 from .nonlinearity import Nonlinearity, OsgoodTransform, fujita_exponent
-from .norms import MorreyResult, RadialProfile, morrey_norm_grid, radial_concentration
+from .norms import RadialProfile
 from .numutil import _check_range
 from .specfun import sphere_area
 
@@ -91,7 +95,6 @@ class CurvePoint:
 class BlowupVerdict:
     curve: List[CurvePoint]
     T_star: Optional[float]
-    morrey: Optional[MorreyResult]  # concentration; None unless p > 1 + alpha/d
     classification: str    # criterion_met | not_met_on_grid | fujita_supercritical_small_data
     threshold: float
     center: Optional[Tuple[int, ...]] = None
@@ -215,7 +218,6 @@ def evaluate_criterion(inp: CriterionInput) -> BlowupVerdict:
     """
     F = inp.nonlinearity
     transform = OsgoodTransform(F)   # checks that the comparison ODE detonates
-    p_power = F.power if F.kind == "power" else None
 
     horizons = (np.asarray(inp.T_grid, dtype=float) if inp.T_grid is not None
                 else default_horizon_grid())
@@ -239,18 +241,8 @@ def evaluate_criterion(inp: CriterionInput) -> BlowupVerdict:
 
     met = [r for r in rows if r.reliable and r.ratio > inp.threshold]
     d = inp.dimension
-    alpha_eff = inp.kernel.alpha_effective(d)
-    supercritical = (p_power is not None
-                     and p_power > fujita_exponent(alpha_eff, d))
-
-    # the concentration at the scale-critical order; p > 1 + alpha/d keeps
-    # both routes inside their domains
-    morrey: Optional[MorreyResult] = None
-    if supercritical:
-        if isinstance(inp.u0, RadialProfile):
-            morrey = radial_concentration(inp.u0, p_power, alpha_eff)
-        else:
-            morrey = morrey_norm_grid(inp.u0, d * (p_power - 1.0) / alpha_eff)
+    supercritical = (F.kind == "power"
+                     and F.power > fujita_exponent(inp.kernel.alpha_effective(d), d))
 
     probe = next((r for r in rows if r.reliable), rows[0] if rows else None)
     center = centers.get(probe.T) if probe else None
@@ -274,7 +266,7 @@ def evaluate_criterion(inp: CriterionInput) -> BlowupVerdict:
         else:
             classification = "not_met_on_grid"
 
-    return BlowupVerdict(curve=rows, T_star=T_star, morrey=morrey,
+    return BlowupVerdict(curve=rows, T_star=T_star,
                          classification=classification, threshold=inp.threshold,
                          center=center, hypothesis_note=note)
 

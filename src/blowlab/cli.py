@@ -32,8 +32,8 @@ from .blowup import CriterionInput, evaluate_criterion
 from .errors import DomainError, OsgoodViolationError, ResolutionError
 from .kernels import _BOUNDARY_TOL, Grid, GridFunction, KernelSpec, semigroup_kernel, \
     stable_profile
-from .nonlinearity import Nonlinearity
-from .norms import read_profile_csv
+from .nonlinearity import Nonlinearity, fujita_exponent
+from .norms import morrey_norm_grid, radial_concentration, read_profile_csv
 from .numutil import _check_range, log_grid
 from .reporting import output_dir, write_csv
 from .solver import SimConfig, dichotomy_experiment, run
@@ -201,6 +201,15 @@ def _cmd_criterion(args) -> int:
                                                args.t_count)),
                          threshold=args.threshold)
     verdict = evaluate_criterion(inp)
+    # the concentration at the scale-critical order, computed before any
+    # artifact is written; p > 1 + alpha/d keeps both routes in their domains
+    F, d = inp.nonlinearity, inp.dimension
+    alpha_eff = inp.kernel.alpha_effective(d)
+    on_grid = isinstance(u0, GridFunction)
+    res = None
+    if F.kind == "power" and F.power > fujita_exponent(alpha_eff, d):
+        res = (morrey_norm_grid(u0, d * (F.power - 1.0) / alpha_eff) if on_grid
+               else radial_concentration(u0, F.power, alpha_eff))
     out = output_dir()
     unreliable = [pt.T for pt in verdict.curve if not pt.reliable]
     path = write_csv(out / "criterion_curve.csv",
@@ -211,14 +220,11 @@ def _cmd_criterion(args) -> int:
                       "T_star": verdict.T_star,
                       "threshold": verdict.threshold,
                       "unreliable_T": ";".join(repr(T) for T in unreliable)})
-
-    res = verdict.morrey
     if res is not None:
-        fname = ("morrey_norm_grid" if res.profile_kind == "grid"
-                 else "radial_concentration")
         write_csv(out / "criterion_norms.csv",
                   ("functional", "order", "value", "argmax"),
-                  [(fname, res.s_order, res.value, res.argmax_radius)],
+                  [("morrey_norm_grid" if on_grid else "radial_concentration",
+                    res.s_order, res.value, res.argmax_radius)],
                   {"divergent": res.divergent})
     summary = {
         "classification": verdict.classification,

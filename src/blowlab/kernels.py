@@ -34,7 +34,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import gammaln, loggamma
 
 from .errors import DomainError, ResolutionError
-from .numutil import _check_dimension, _check_order, _check_range, _quad_result
+from .numutil import _check_dimension, _check_order, _check_range, _pow, _quad_result
 from .specfun import sphere_area
 
 __all__ = [
@@ -328,21 +328,6 @@ class KernelSpec:
         a = self.alpha_effective(d)     # n - 1; d = 1 only
         return 0.5 * a * math.pi / (math.gamma(1.0 + a) * math.sin(0.5 * math.pi * a))
 
-    def profile_J(self, r: np.ndarray, d: int) -> np.ndarray:
-        """Radial values of the dispersal density J."""
-        r = np.abs(np.asarray(r, dtype=float))
-        if self.kind == "gaussian_like":
-            return (4.0 * math.pi) ** (-d / 2.0) * np.exp(-(r ** 2) / 4.0)
-        if self.kind == "compact_bump":
-            return _bump_profile(r) / _bump_norm(d)
-        if self.kind == "heavy_tail":
-            if d != 1:
-                raise DomainError("heavy-tail kernels are realized in d = 1 only")
-            n = self.tail_order
-            c = (n - 1.0) / 2.0  # unit mass on the line
-            return c * (1.0 + r) ** (-n)
-        raise DomainError("pure_fractional has no dispersal density")
-
 
 # ---------------------------------------------------------------------------
 # semigroup kernels on grids
@@ -365,7 +350,12 @@ def generator_symbol_grid(spec: KernelSpec, grid: Grid) -> np.ndarray:
     else:
         # sample J, renormalize on the grid (periodization), discrete
         # transform with the origin rolled to index 0
-        J = spec.profile_J(grid.radius(), grid.d)
+        if spec.kind == "compact_bump":
+            J = _bump_profile(grid.radius()) / _bump_norm(grid.d)
+        else:
+            spec.alpha_effective(grid.d)    # heavy tails are realized in d = 1 only
+            n = spec.tail_order
+            J = (n - 1.0) / 2.0 * (1.0 + grid.radius()) ** (-n)   # unit mass on the line
         J = J / (J.sum() * grid.cell_volume)
         Jhat = grid.rfft(np.fft.ifftshift(J)).real * grid.cell_volume
         out = Jhat - 1.0
@@ -638,15 +628,26 @@ def _mellin(alpha: float, d: int, rho: float):
 
 def _closed(form, scale=0.0):
     """(value, error) of a closed form, held to 4 eps (1 + scale), where
-    scale bounds the log terms it sums, as in _sum_series. Where its
-    constant overflows (math raises), R is 0 with an infinite error, as in
-    the series; rho^2 overflowing in numpy makes R 0, which it is in doubles."""
+    scale bounds the log terms it sums, as in _sum_series. A constant that
+    overflows (math raises) makes R 0 with an infinite error, as a series."""
     try:
-        with np.errstate(over="ignore"):
-            value = form()
+        value = form()
     except OverflowError:
         return 0.0, math.inf
     return value, 4.0 * _EPS * value * (1.0 + scale)
+
+
+def _poisson(d: int, sq: np.ndarray):
+    """(value, error) of R at alpha = 1, Gamma(h) pi^(-h) (1 + rho^2)^(-h)
+    with h = (d + 1)/2, from sq = rho^2: the constant times the power where
+    the power is a normal double, else the log terms summed before one exp."""
+    h = (d + 1) / 2.0
+    log_front, log_base = math.lgamma(h) - h * _LOG_PI, np.log1p(sq)
+    power = (1.0 + sq) ** -h
+    # the base rounds by eps/2, which the power multiplies by h
+    return _closed(lambda: np.where(power >= _TINY, math.exp(log_front) * power,
+                                    np.exp(log_front - h * log_base)),
+                   abs(math.lgamma(h)) + h * _LOG_PI + h * log_base + h)
 
 
 @dataclass
@@ -704,14 +705,12 @@ class StableProfile:
             for i, r in enumerate(flat):
                 value[i], error[i] = self._subordinated(r)
             route[:] = "subordination"
-        elif self.alpha == 2.0:
-            value[:], error[:] = _closed(
-                lambda: (4.0 * math.pi) ** (-self.d / 2.0) * np.exp(-flat ** 2 / 4.0))
-            route[:] = "closed"
-        elif self.alpha == 1.0:
-            h = (self.d + 1) / 2.0
-            value[:], error[:] = _closed(
-                lambda: math.exp(math.lgamma(h) - h * math.log(math.pi)) * (1.0 + flat ** 2) ** -h)
+        elif self.alpha in (1.0, 2.0):
+            # R is 0 in doubles from rho = 1e154 on, where rho^2 would overflow
+            sq = np.minimum(flat, 1e154) ** 2
+            value[:], error[:] = _poisson(self.d, sq) if self.alpha == 1.0 else _closed(
+                lambda: (4.0 * math.pi) ** (-self.d / 2.0) * np.exp(-sq / 4.0),
+                0.5 * self.d * math.log(4.0 * math.pi) + sq / 4.0)
             route[:] = "closed"
         else:
             self._generic(flat, value, error, route)
@@ -772,9 +771,9 @@ class StableProfile:
     def kernel_radial(self, t: float, r) -> np.ndarray:
         """P_t at radius r: t^(-d/alpha) R(r t^(-1/alpha))."""
         _check_range("time t", t)
+        front = _pow(t, -self.d / self.alpha, "time t", float(t))
         r_arr = np.asarray(r, dtype=float)
-        s = t ** (-1.0 / self.alpha)
-        return t ** (-self.d / self.alpha) * self(r_arr * s)
+        return front * self(r_arr * t ** (-1.0 / self.alpha))
 
 
 def stable_profile(alpha: float, d: int, method: str = "auto") -> StableProfile:

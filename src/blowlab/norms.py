@@ -2,7 +2,8 @@
 
 One functional: the q = 1 Morrey functional at the scale-critical order
 s = d(p-1)/alpha, sup over R of R^(alpha/(p-1) - d) times the mass of the
-data in a ball of radius R. Two routes evaluate it:
+data in a ball of radius R. The ``criterion`` command evaluates it beside
+the blowup verdict, above the Fujita exponent, by one of two routes:
 
 * ``radial_concentration`` -- radial profiles, with the ball centered at the
   origin (exact for radial nonincreasing data, by rearrangement);
@@ -12,9 +13,9 @@ data in a ball of radius R. Two routes evaluate it:
 ``concentration_values`` tabulates the radial route's objective at chosen
 radii. Radial integrals use trapezoidal quadrature on the sample grid plus a
 fitted power-law head below the first sample; the sup over r is refined by
-bounded Brent search around the discrete argmax. Divergence (sup growing without
-bound at either end of the grid) is flagged on the result rather than
-raised.
+bounded Brent search around the discrete argmax. Divergence (sup growing
+without bound at either end of the grid) is flagged on the result; a weight
+R^e past the doubles is a DomainError naming the argument that set e.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from scipy.integrate import cumulative_trapezoid
 
 from .errors import DomainError
 from .kernels import GridFunction
-from .numutil import _check_dimension, _check_power, _check_range, refine_max_on_grid
+from .numutil import (_check_dimension, _check_power, _check_range, _pow,
+                      refine_max_on_grid)
 from .specfun import sphere_area
 
 __all__ = [
@@ -95,7 +97,6 @@ class MorreyResult:
     value: float
     argmax_radius: float
     divergent: bool = False
-    profile_kind: str = "radial"
 
 
 # ---------------------------------------------------------------------------
@@ -154,26 +155,31 @@ def _detect_divergence(r_grid: np.ndarray, vals: np.ndarray) -> bool:
 # the functional
 # ---------------------------------------------------------------------------
 
-def _centered_objective(u: RadialProfile, e: float):
-    """r -> r^e * sigma_d * int_{B_r} u, the centered functional at radius
-    r, with its ball-integral curve and the head exponent of u it assumes
-    below the first sample."""
+def _centered_objective(u: RadialProfile, p: float, alpha: float):
+    """r -> r^e * sigma_d * int_{B_r} u with e = alpha/(p-1) - d, the
+    centered functional at radius r, with e, its ball-integral curve and
+    the head exponent of u it assumes below the first sample."""
+    _check_power(p)
+    _check_range("alpha", alpha)
+    e = alpha / (p - 1) - u.d
     head_a = u.fitted_head_exponent()
     curve = _BallIntegralCurve(u.r, u.u, u.d, head_a)
     sigma = sphere_area(u.d)
 
     def f(rr: float) -> float:
-        return rr ** e * sigma * curve(rr)
+        return _pow(rr, e, "p", p) * sigma * curve(rr)
 
-    return f, curve, head_a
+    return f, e, curve, head_a
 
 
-def _centered_morrey(u: RadialProfile, s_order: float, e: float) -> MorreyResult:
-    """sup_r of the centered objective over the sample grid, refined by
-    bounded Brent search. A sup that keeps growing through the outer decades of
-    the grid, or a non-integrable or too steep head, marks the result
-    divergent instead of raising."""
-    f, curve, head_a = _centered_objective(u, e)
+def radial_concentration(u: RadialProfile, p: float, alpha: float) -> MorreyResult:
+    """sup_r r^(alpha/(p-1) - d) * (mass of u in the centered ball B_r),
+    at the order s = d(p-1)/alpha, over the sample grid and refined by
+    bounded Brent search. A sup that keeps growing through the outer
+    decades of the grid, or a non-integrable or too steep head, marks the
+    result divergent instead of raising."""
+    f, e, curve, head_a = _centered_objective(u, p, alpha)
+    s_order = u.d * (p - 1) / alpha
     if not math.isfinite(curve.head):
         return MorreyResult(s_order, math.inf, float(u.r[0]), divergent=True)
     vals = np.array([f(rr) for rr in u.r])
@@ -183,19 +189,6 @@ def _centered_morrey(u: RadialProfile, s_order: float, e: float) -> MorreyResult
     divergent = _detect_divergence(u.r, vals) or (
         head_a is not None and head_a > e + u.d + 1e-9)
     return MorreyResult(s_order, best_v, best_r, divergent=divergent)
-
-
-def _concentration_exponent(d: int, p: float, alpha: float) -> float:
-    _check_power(p)
-    _check_range("alpha", alpha)
-    return alpha / (p - 1) - d
-
-
-def radial_concentration(u: RadialProfile, p: float, alpha: float) -> MorreyResult:
-    """sup_r r^(alpha/(p-1) - d) * (mass of u in the centered ball B_r),
-    at the order s = d(p-1)/alpha."""
-    e = _concentration_exponent(u.d, p, alpha)
-    return _centered_morrey(u, u.d * (p - 1) / alpha, e)
 
 
 def morrey_norm_grid(u: GridFunction, s_order: float) -> MorreyResult:
@@ -220,16 +213,16 @@ def morrey_norm_grid(u: GridFunction, s_order: float) -> MorreyResult:
         ball_hat = g.rfft((dist <= R).astype(float))
         np.multiply(w_hat, ball_hat, out=ball_hat)
         sums = g.irfft(ball_hat) * g.cell_volume
-        v = float(R) ** e * float(np.max(sums))
+        v = _pow(float(R), e, "s_order", s_order) * float(np.max(sums))
         if v > best_v:
             best_v, best_r = v, float(R)
-    return MorreyResult(s_order, best_v, best_r, profile_kind="grid")
+    return MorreyResult(s_order, best_v, best_r)
 
 
 def concentration_values(u: RadialProfile, p: float, alpha: float,
                          r_values: Sequence[float]) -> list:
     """Rows (r, functional value) of the concentration at chosen radii."""
-    f = _centered_objective(u, _concentration_exponent(u.d, p, alpha))[0]
+    f = _centered_objective(u, p, alpha)[0]
     _check_range("radius", r_values)
     return [(float(rr), float(f(rr))) for rr in r_values]
 

@@ -87,6 +87,15 @@ def _check_range(name: str, value, bound: float = 0.0, closed: bool = False,
         raise DomainError(f"{name} must be {kind} and finite, got {got!r}")
 
 
+def _pow(x: float, e: float, name: str, value) -> float:
+    """x^e, or a DomainError naming the argument ``name`` = value that set
+    it, where x^e leaves the doubles."""
+    try:
+        return math.pow(x, e)
+    except OverflowError:
+        raise DomainError(f"{name} = {value!r}: {x:.6g}^{e:.6g} leaves the doubles") from None
+
+
 def log_grid(lo: float, hi: float, n: int) -> np.ndarray:
     if not (0 < lo < hi < math.inf and n >= 2):
         raise DomainError(f"log_grid needs 0 < lo < hi < inf and n >= 2, "

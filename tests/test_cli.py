@@ -238,6 +238,21 @@ def test_criterion_json_summary(outdir, capsys):
     assert header == ["T", "W", "hinv", "ratio"]
 
 
+def test_criterion_writes_no_concentration_at_or_below_fujita(outdir, capsys):
+    """At or below the Fujita exponent 1 + alpha/d = 3 (d = 1, Gaussian J)
+    the command computes no concentration: no criterion_norms.csv, and the
+    JSON line reads null."""
+    for p in ("3", "2.5"):
+        assert cli.main(["criterion", "--p", p, "--t-count", "12"]) == 0
+        line = next(l for l in capsys.readouterr().out.splitlines()
+                    if l.startswith("{"))
+        summary = json.loads(line)
+        assert summary["morrey_value"] is None
+        assert summary["morrey_divergent"] is None
+        assert (outdir / "criterion_curve.csv").exists()
+        assert not (outdir / "criterion_norms.csv").exists()
+
+
 def test_criterion_exponential_default_grid_cuts_out_of_range_horizon(outdir,
                                                                       capsys):
     """h_inv(1000) of e^u - 1 is below the smallest normal double: the sweep

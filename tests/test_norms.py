@@ -87,7 +87,18 @@ def test_grid_morrey_matches_radial_route():
     rad_res = radial_concentration(radial, 4.0, 2.0)   # s = d(p-1)/alpha = 1.5
     assert rad_res.s_order == grid_res.s_order
     assert abs(grid_res.value / rad_res.value - 1.0) < 1e-2
-    assert grid_res.profile_kind == "grid"
+
+
+def test_grid_morrey_is_homogeneous_at_the_critical_order():
+    """At s = d(p-1)/alpha = 1.5 (d = 1, p = 4, alpha = 2) the grid
+    concentration is 1-homogeneous in the data and not flagged divergent."""
+    g = Grid(1, 32.0, 512)
+    u = GridFunction.gaussian(g, mass=1.0, sigma=1.0)
+    c1 = morrey_norm_grid(u, 1.5)
+    c2 = morrey_norm_grid(u.scaled(2.0), 1.5)
+    assert_allclose(c2.value, 2.0 * c1.value, rtol=1e-12)
+    assert c1.s_order == 1.5
+    assert not c1.divergent and not c2.divergent
 
 
 def morrey_grid_oracle(u, s_order):

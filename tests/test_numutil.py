@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -260,5 +261,26 @@ def test_numbers_out_of_range_stop_where_they_enter(call, name):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(DomainError, match=rf"^{name} must be {kinds} and finite, got "):
+            call()
+    assert caught == []
+
+
+@pytest.mark.parametrize("call, message", [
+    # OverflowError: R^(d/s - d) at s = 1e-300
+    (lambda: morrey_norm_grid(_GAUSS, 1e-300), "s_order = 1e-300"),
+    # OverflowError: the front t^(-d/alpha) at t = 1e-300
+    (lambda: stable_profile(1.5, 3).kernel_radial(1e-300, 1.0), "time t = 1e-300"),
+    # warned (overflow encountered in scalar power): r^(alpha/(p-1) - d)
+    (lambda: radial_concentration(_radial(1), 1 + 1e-15, 2.0),
+     "p = 1.000000000000001"),
+], ids=["s_order-1e-300", "t-1e-300", "p-1+1e-15"])
+def test_finite_arguments_whose_arithmetic_overflows_raise(call, message):
+    """A finite argument whose arithmetic leaves the doubles raises a
+    DomainError that names it, with no warning; the comments say how each
+    ended before."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DomainError,
+                           match=rf"^{re.escape(message)}\b.* leaves the doubles"):
             call()
     assert caught == []
