@@ -14,7 +14,6 @@ from .nonlinearity import (
     Nonlinearity,
     OsgoodTransform,
     fujita_exponent,
-    threshold_constant_c,
 )
 from .kernels import (
     Grid,
@@ -44,7 +43,6 @@ from .asymptotics import (
     AsymptoticReport,
     K_fractional,
     L_fractional,
-    L_gaussian,
     sweep_K,
     sweep_L,
     window_lower_bound,

@@ -19,7 +19,7 @@ import numpy as np
 from .asymptotics import sweep_K, sweep_L, window_lower_bound
 from .blowup import CriterionInput, evaluate_criterion, moment_at_zero
 from .kernels import Grid, GridFunction, KernelSpec, semigroup_kernel, stable_profile
-from .nonlinearity import Nonlinearity, OsgoodTransform, threshold_constant_c
+from .nonlinearity import Nonlinearity, OsgoodTransform
 from .norms import concentration_values, radial_concentration
 from .numutil import log_grid, loglog_slope
 from .solver import SimConfig, jensen_report, run
@@ -63,8 +63,9 @@ def constants_closed_forms(res: CheckResult) -> None:
     res.add_rel("sphere_area(3) = 4*pi", sigma3, 4.0 * math.pi, 1e-12)
     s = singular_constant(2.0, 5, 3.0)
     res.add_rel("singular_constant(2,5,3) = sqrt(2)", s, math.sqrt(2.0), 1e-12)
-    c22 = threshold_constant_c(2.0, 2.0)
-    res.add("threshold_constant_c(2,2) = 1 exactly", c22 == 1.0, f"value={c22!r}")
+    c22 = OsgoodTransform(Nonlinearity.power_law(1.0, 2.0)).h_inverse(1.0)
+    res.add("OsgoodTransform(Nonlinearity.power_law(1, 2)).h_inverse(1) = 1 exactly",
+            c22 == 1.0, f"value={c22!r}")
     res.table("constants",
               ("name", "value", "target"),
               [("sigma_3", sigma3, 4.0 * math.pi),
@@ -343,7 +344,7 @@ def asymptotic_orders(res: CheckResult) -> None:
 
     res.table("K_sweep", ("d", "K"),
               list(zip(rep_K.d_values, rep_K.values)))
-    res.table("L_gaussian_sweep", ("d", "L", "normalized", "t0"),
+    res.table("L_gaussian_sweep", ("d", "L", "normalized", "rho0"),
               list(zip(rep_Lg.d_values, rep_Lg.values, rep_Lg.normalized,
                        rep_Lg.aux)),
               {"slope": slope, "predicted_slope": pred})

@@ -8,12 +8,12 @@ radial quantities:
     K(d) = s * sigma_d * int_0^inf R(x) x^(d-1-g) dx,       g = alpha/(p-1),
     L(d) = sup_x x^(d-g) R(x),
 
-with R the self-similar kernel profile. K stays of order one as d grows; L
-carries the 1/sigma_d volume collapse with a d^(-g/2) correction (Gaussian
-case: d^(1/2 - 1/(p-1))). Everything here is evaluated in log space so that
-dimensions in the thousands neither overflow nor lose the leading digits,
-and every closed form has an independent quadrature or maximization oracle
-in the test suite.
+with R the self-similar kernel profile, for every order alpha in (0, 2].
+K stays of order one as d grows; L carries the 1/sigma_d volume collapse
+with a d^(-g/2) correction (alpha = 2: d^(1/2 - 1/(p-1))). Everything here
+is evaluated in log space so that dimensions in the thousands neither
+overflow nor lose the leading digits, and every closed form has an
+independent quadrature or maximization oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -28,14 +28,14 @@ from scipy.integrate import quad
 
 from .errors import DomainError, ResolutionError
 from .kernels import stable_profile
-from .numutil import _check_power, _check_range, _quad_result, loglog_slope, refine_max_on_grid
+from .numutil import _check_order, _check_power, _check_range, _quad_result, loglog_slope, \
+    refine_max_on_grid
 from .specfun import _log_gamma_ratio, log_sphere_area, sphere_area
 from .stationary import log_singular_constant
 
 __all__ = [
     "K_fractional",
     "K_fractional_at_time",
-    "L_gaussian",
     "L_fractional",
     "LResult",
     "window_lower_bound",
@@ -109,9 +109,9 @@ def K_fractional_at_time(alpha: float, d: float, p: float, t: float) -> float:
 
 @dataclass(frozen=True)
 class LResult:
-    """L = exp(log_value), attained at ``argmax``: t0 for the Gaussian
-    envelope, rho0 for the fractional one. ``value`` is inf where L leaves
-    the double range; ``log_value`` stays finite."""
+    """L = exp(log_value), attained at the radius ``argmax`` = rho0.
+    ``value`` is inf where L leaves the double range; ``log_value`` stays
+    finite."""
     value: float
     log_value: float
     argmax: float
@@ -120,22 +120,6 @@ class LResult:
 def _L_result(log_value: float, argmax: float) -> LResult:
     return LResult(math.exp(log_value) if log_value <= math.log(sys.float_info.max)
                    else math.inf, log_value, argmax)
-
-
-def L_gaussian(d: float, p: float) -> LResult:
-    """sup_t t^(1/(p-1)) (4 pi t)^(-d/2) e^(-1/(4t)) in log space.
-
-    The maximizer is t0 = 1/(4b) with b = d/2 - 1/(p-1) > 0 (boundary
-    rejected), and the sup equals 4^(-1/(p-1)) pi^(-d/2) (b/e)^b.
-    """
-    _check_range("dimension", d, 1.0, closed=True)
-    _check_power(p)
-    b = d / 2.0 - 1.0 / (p - 1.0)
-    if not b > 0.0:
-        raise DomainError("need d/2 > 1/(p-1); the exponent degenerates otherwise")
-    log_val = -math.log(4.0) / (p - 1.0) - (d / 2.0) * math.log(math.pi) \
-        + b * (math.log(b) - 1.0)
-    return _L_result(log_val, 1.0 / (4.0 * b))
 
 
 def _window_beta(alpha: float, d: float, p: float) -> float:
@@ -149,15 +133,26 @@ def _window_beta(alpha: float, d: float, p: float) -> float:
 
 
 def L_fractional(alpha: float, d: float, p: float) -> LResult:
-    """sup_x x^(d-g) R(x) for alpha in (0, 2), attained at x = rho0.
+    """sup_x x^(d-g) R(x) for alpha in (0, 2], attained at x = rho0.
 
-    The value is the realized sup of the profile expression (a certified
-    point value): closed form at alpha = 1; otherwise the largest of 50
-    log-spaced radii in [0.05, 50], refined by bounded Brent search
-    (``refine_max_on_grid``).
+    Closed forms at alpha = 2 and alpha = 1. At alpha = 2, t = 1/x^2 turns
+    the sup into sup_t t^(1/(p-1)) (4 pi t)^(-d/2) e^(-1/(4t)), which
+    equals 4^(-1/(p-1)) pi^(-d/2) (b/e)^b at rho0 = 2 sqrt(b), with
+    b = d/2 - 1/(p-1) > 0 (boundary rejected) and any real d >= 1.
+    Other orders take the realized sup of the profile expression (a
+    certified point value): the largest of 50 log-spaced radii in
+    [0.05, 50], refined by bounded Brent search (``refine_max_on_grid``).
     """
-    if not (0.0 < alpha < 2.0):
-        raise DomainError("L_fractional covers alpha in (0, 2); use L_gaussian at alpha = 2")
+    _check_order(alpha)
+    if alpha == 2.0:
+        _check_range("dimension", d, 1.0, closed=True)
+        _check_power(p)
+        b = d / 2.0 - 1.0 / (p - 1.0)
+        if not b > 0.0:
+            raise DomainError("need d/2 > 1/(p-1); the exponent degenerates otherwise")
+        log_value = -math.log(4.0) / (p - 1.0) - (d / 2.0) * math.log(math.pi) \
+            + b * (math.log(b) - 1.0)
+        return _L_result(log_value, 2.0 * math.sqrt(b))
     _window_beta(alpha, d, p)
     g = alpha / (p - 1.0)
     if alpha == 1.0:
@@ -216,7 +211,7 @@ class AsymptoticReport:
     log_values: list
     normalized: list          # values scaled by the predicted d-power and sigma_d
     verdict: dict
-    aux: list = field(default_factory=list)   # t0 (alpha = 2) or rho0
+    aux: list = field(default_factory=list)   # L only: the argmax rho0
 
 
 def _sweep_dimensions(d_values: Sequence[float]) -> list:
@@ -241,15 +236,11 @@ def sweep_K(alpha: float, p: float, d_values: Sequence[float]) -> AsymptoticRepo
 
 def sweep_L(alpha: float, p: float, d_values: Sequence[float]) -> AsymptoticReport:
     """L over a dimension sweep with the paper-predicted normalization
-    L * sigma_d * d^(1/(p-1) - 1/2) (Gaussian) or L * sigma_d * d^(g/2)."""
+    L * sigma_d * d^(1/(p-1) - 1/2) (alpha = 2) or L * sigma_d * d^(g/2)."""
     ds = _sweep_dimensions(d_values)
-    # the first L call checks p, before power divides by p - 1
-    if alpha == 2.0:
-        results = [L_gaussian(d, p) for d in ds]
-        power = 1.0 / (p - 1.0) - 0.5
-    else:
-        results = [L_fractional(alpha, d, p) for d in ds]
-        power = alpha / (2.0 * (p - 1.0))
+    # the first L call checks alpha and p, before power divides by p - 1
+    results = [L_fractional(alpha, d, p) for d in ds]
+    power = 1.0 / (p - 1.0) - 0.5 if alpha == 2.0 else alpha / (2.0 * (p - 1.0))
     logs = [r.log_value for r in results]
     log_norm = [lv + log_sphere_area(d) + power * math.log(d)
                 for lv, d in zip(logs, ds)]

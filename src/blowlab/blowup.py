@@ -27,7 +27,6 @@ one (kernel, grid, T) build that kernel once per process.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -194,7 +193,7 @@ def _extend_rows(rows: List[CurvePoint], moment, horizons: Sequence[float],
                 raise
             return f"sweep cut at T={float(T):g}: {exc}"
         W, reliable = moment(T)
-        ratio = W / level if level > 0 else math.inf
+        ratio = W / level
         rows.append(CurvePoint(T=float(T), moment=W, horizon_level=float(level),
                                ratio=float(ratio), reliable=reliable))
     return None

@@ -260,8 +260,8 @@ def _cmd_simulate(args) -> int:
                         "step_error": traj.step_error})]
     for T, ms in sorted(traj.moments.items()):
         fd = ms.finite_differences()
-        rows = [(tt, W, FW, fd[i] if i < fd.size else "")
-                for i, (tt, W, FW) in enumerate(zip(ms.t, ms.W, ms.F_of_W))]
+        rows = [(tt, W, float(cfg.nonlinearity.fn(W)), fd[i] if i < fd.size else "")
+                for i, (tt, W) in enumerate(zip(ms.t, ms.W))]
         paths.append(write_csv(out / f"moment_T{T:g}.csv",
                                ("t", "W", "F_of_W", "dW_dt_fd"), rows,
                                {"T": T, "center": ";".join(map(str, ms.center))}))
@@ -283,7 +283,7 @@ def _cmd_sweep(sweep, shown_keys, args) -> int:
     rep = sweep(args.alpha, args.p, _parse_d_values(args.d))
     aux = rep.aux or [""] * len(rep.d_values)
     path = write_csv(output_dir() / f"sweep_{rep.quantity}.csv",
-                     ("quantity", "alpha", "p", "d", "value", "normalized", "t0_or_rho0"),
+                     ("quantity", "alpha", "p", "d", "value", "normalized", "rho0"),
                      [(rep.quantity, rep.alpha, rep.p, d, v, nv, a)
                       for d, v, nv, a in zip(rep.d_values, rep.values, rep.normalized, aux)],
                      rep.verdict)

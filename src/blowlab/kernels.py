@@ -14,8 +14,8 @@ the Gaussian closed form at alpha = 2 and the Poisson closed form at
 alpha = 1. Other orders take a convergent or asymptotic series at small and
 large rho and, between them, in every dimension, one Mellin-Barnes integral
 of the closed-form radial moments on a line through the saddle of its
-integrand (Zolotarev 1986; Paris and Kaminski 2001); the series and R(0)
-carry their constant fronts in logs. At alpha = 1 the profile also has a
+integrand (Zolotarev 1986; Paris and Kaminski 2001); the series and the
+closed forms carry their constant fronts in logs. At alpha = 1 the profile also has a
 second route, Bochner subordination of the Gaussian over Levy's one-sided
 1/2-stable density; the generic-order subordination oracle lives in the
 test suite. Every quadrature result goes through ``numutil._quad_result``.
@@ -626,27 +626,24 @@ def _mellin(alpha: float, d: int, rho: float):
     return residues + front * value, front * error + rounding
 
 
-def _closed(form, scale=0.0):
-    """(value, error) of a closed form, held to 4 eps (1 + scale), where
-    scale bounds the log terms it sums, as in _sum_series. A constant that
-    overflows (math raises) makes R 0 with an infinite error, as a series."""
-    try:
-        value = form()
-    except OverflowError:
-        return 0.0, math.inf
-    return value, 4.0 * _EPS * value * (1.0 + scale)
+def _closed(log_value, scale):
+    """(value, error) of a closed form exp(log_value), held to 4 eps
+    (1 + scale), where scale bounds the log terms summed into log_value, as
+    in _sum_series. Above the largest double R is 0 with an infinite error,
+    as on every other route."""
+    with np.errstate(over="ignore"):
+        value = np.exp(log_value)
+        error = 4.0 * _EPS * value * (1.0 + scale)
+    return np.where(value < math.inf, value, 0.0), error
 
 
 def _poisson(d: int, sq: np.ndarray):
     """(value, error) of R at alpha = 1, Gamma(h) pi^(-h) (1 + rho^2)^(-h)
-    with h = (d + 1)/2, from sq = rho^2: the constant times the power where
-    the power is a normal double, else the log terms summed before one exp."""
+    with h = (d + 1)/2, from sq = rho^2, its log terms summed before one exp."""
     h = (d + 1) / 2.0
-    log_front, log_base = math.lgamma(h) - h * _LOG_PI, np.log1p(sq)
-    power = (1.0 + sq) ** -h
+    log_base = np.log1p(sq)
     # the base rounds by eps/2, which the power multiplies by h
-    return _closed(lambda: np.where(power >= _TINY, math.exp(log_front) * power,
-                                    np.exp(log_front - h * log_base)),
+    return _closed(math.lgamma(h) - h * _LOG_PI - h * log_base,
                    abs(math.lgamma(h)) + h * _LOG_PI + h * log_base + h)
 
 
@@ -709,7 +706,7 @@ class StableProfile:
             # R is 0 in doubles from rho = 1e154 on, where rho^2 would overflow
             sq = np.minimum(flat, 1e154) ** 2
             value[:], error[:] = _poisson(self.d, sq) if self.alpha == 1.0 else _closed(
-                lambda: (4.0 * math.pi) ** (-self.d / 2.0) * np.exp(-sq / 4.0),
+                -0.5 * self.d * math.log(4.0 * math.pi) - sq / 4.0,
                 0.5 * self.d * math.log(4.0 * math.pi) + sq / 4.0)
             route[:] = "closed"
         else:
@@ -729,8 +726,7 @@ class StableProfile:
             # the near series' first term: its front and Gamma(d/alpha)/Gamma(d/2)
             parts = (math.lgamma(d / alpha), -math.lgamma(d / 2.0),
                      -math.log(0.5 * alpha) - 0.5 * d * math.log(4.0 * math.pi))
-            value[center], error[center] = _closed(lambda: math.exp(sum(parts)),
-                                                   sum(map(abs, parts)))
+            value[center], error[center] = _closed(sum(parts), sum(map(abs, parts)))
             route[center] = "closed"
         for mask, series, name in ((near, _near_series, "series-near"),
                                    (far, _far_series, "series-far")):

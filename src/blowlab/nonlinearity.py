@@ -26,7 +26,6 @@ __all__ = [
     "Nonlinearity",
     "OsgoodTransform",
     "fujita_exponent",
-    "threshold_constant_c",
 ]
 
 _CONVEXITY_FLOOR = -1e-10
@@ -277,7 +276,14 @@ class OsgoodTransform:
         _check_range("T", T)
         if self._is_power:
             c, p = self.source.coeff, self.source.power
-            return (c * (p - 1.0) * T) ** (-1.0 / (p - 1.0))
+            # the power raises where it overflows, or where its base underflowed to 0
+            try:
+                w = (c * (p - 1.0) * T) ** (-1.0 / (p - 1.0))
+            except (OverflowError, ZeroDivisionError):
+                raise DomainError(f"h_inverse({T:g}) exceeds the largest double") from None
+            if w < _TINY:
+                raise DomainError(f"h_inverse({T:g}) lies below the smallest normal double")
+            return w
         # Newton's method on G(x) = log h(e^x) - log T, which decreases in
         # x = log w with G'(x) = -w / (F(w) h(w)). Iterates that leave the
         # bracket [lo, hi] the evaluations have established are replaced by
@@ -320,15 +326,3 @@ def fujita_exponent(alpha: float, d: int) -> float:
     """Critical exponent 1 + alpha/d separating the mass-driven blowup range."""
     _check_order(alpha)
     return 1.0 + alpha / _check_dimension(d)
-
-
-def threshold_constant_c(alpha: float, p: float) -> float:
-    """Sharp sup-criterion constant (1/(p-1))^(1/(p-1)) for alpha = 2.
-
-    No closed form is established for alpha < 2; the alpha = 2 value is
-    returned there too.
-    """
-    _check_power(p)
-    _check_order(alpha)
-    return (1.0 / (p - 1.0)) ** (1.0 / (p - 1.0))
-

@@ -11,7 +11,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import poch
 
 from blowlab.asymptotics import (K_fractional, K_fractional_at_time, _L_result,
-                                 L_fractional, L_gaussian, sweep_K, sweep_L,
+                                 L_fractional, sweep_K, sweep_L,
                                  window_eta_from_beta, window_lower_bound)
 from blowlab.errors import DomainError, ResolutionError
 from blowlab.kernels import stable_profile
@@ -134,23 +134,28 @@ def sup_objective_gaussian(d, p, t_center):
 
 @pytest.mark.parametrize("d,p", [(6.0, 2.0), (11.0, 3.0)])
 def test_gaussian_envelope_matches_brute_supremum(d, p):
-    res = L_gaussian(d, p)
-    t_brute, v_brute = sup_objective_gaussian(d, p, res.argmax)
+    """At alpha = 2 the sup over x is the sup over t = 1/x^2, taken by
+    brute force; the argmax is the radius rho0 = 1/sqrt(t0)."""
+    res = L_fractional(2.0, d, p)
+    t_brute, v_brute = sup_objective_gaussian(d, p, res.argmax ** -2)
     assert_allclose(res.value, v_brute, rtol=1e-10)
-    assert abs(t_brute / res.argmax - 1.0) < 1e-6
+    assert abs(t_brute ** -0.5 / res.argmax - 1.0) < 1e-6
 
 
 def test_gaussian_envelope_overflow_keeps_logs():
-    res = L_gaussian(3000.0, 2.0)
+    res = L_fractional(2.0, 3000.0, 2.0)
     assert math.isinf(res.value)
     assert math.isfinite(res.log_value)
     b = 1500.0 - 1.0
-    assert_allclose(res.argmax, 1.0 / (4.0 * b), rtol=1e-12)
+    assert_allclose(res.argmax, 2.0 * math.sqrt(b), rtol=1e-12)
+    # a non-integer dimension is a real d in the closed form
+    assert L_fractional(2.0, 10.5, 3.0).argmax == 2.0 * math.sqrt(4.75)
 
 
 def test_gaussian_envelope_degenerate_domain():
-    with pytest.raises(DomainError):
-        L_gaussian(1.0, 2.0)    # sup runs away when d/2 <= 1/(p-1)
+    # the sup runs away when d/2 <= 1/(p-1)
+    with pytest.raises(DomainError, match=r"need d/2 > 1/\(p-1\)"):
+        L_fractional(2.0, 1.0, 2.0)
 
 
 def test_fractional_envelope_closed_case_matches_brute():
@@ -288,6 +293,18 @@ def test_sweep_reports():
     assert rl.quantity == "L"
     assert len(rl.aux) == 2
     assert abs(rl.normalized[1] / rl.normalized[0] - 1.0) < 0.02
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_gaussian_sweep_reads_L_fractional_row_for_row(p):
+    """At alpha = 2 the sweep's values, logs and argmax radii are
+    L_fractional's, bit for bit."""
+    ds = [6.0, 11.0, 400.0, 3000.0]
+    rep = sweep_L(2.0, p, ds)
+    rows = [L_fractional(2.0, d, p) for d in ds]
+    assert rep.values == [r.value for r in rows]
+    assert rep.log_values == [r.log_value for r in rows]
+    assert rep.aux == [r.argmax for r in rows]
 
 
 def test_L_result_keeps_every_value_the_doubles_hold():

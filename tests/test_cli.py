@@ -154,7 +154,7 @@ def test_sweep_is_byte_deterministic(tmp_path, monkeypatch):
     assert blobs[0] == blobs[1]
     header, rows, _ = read_rows(tmp_path / "one" / "sweep_K.csv")
     assert header == ["quantity", "alpha", "p", "d", "value",
-                      "normalized", "t0_or_rho0"]
+                      "normalized", "rho0"]
     assert len(rows) == 2
 
 
@@ -265,6 +265,17 @@ def test_criterion_exponential_default_grid_cuts_out_of_range_horizon(outdir,
     assert "sweep cut at T=1000" in summary["note"]
     _, rows, _ = read_rows(outdir / "criterion_curve.csv")
     assert len(rows) == 39
+
+
+def test_criterion_level_below_the_normal_doubles_exits_2(outdir, capsys):
+    """At p = 1.01 the level h_inv(1e200) of u^p is about 1e-19800: the
+    first horizon has no level, so the command exits 2 and writes nothing
+    (it wrote hinv = 0.0 and ratio = inf rows)."""
+    assert cli.main(["criterion", "--p", "1.01", "--t-min", "1e200",
+                     "--t-max", "1e300", "--t-count", "3"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: h_inverse(1e+200) lies below the smallest normal double")
+    assert not outdir.exists() or not any(outdir.rglob("*"))
 
 
 def test_criterion_rejects_radial_profile_with_lattice_kernel(outdir, tmp_path,
@@ -508,6 +519,8 @@ def test_simulate_artifacts(outdir, capsys):
     header, rows, _ = read_rows(outdir / "moment_T0.5.csv")
     assert header == ["t", "W", "F_of_W", "dW_dt_fd"]
     assert rows[-1][3] == ""              # no forward difference at the end
+    # F = u^2, evaluated on each recorded W
+    assert all(float(r[2]) == float(r[1]) * float(r[1]) for r in rows)
     assert (outdir / "final_state.csv").exists()
 
 

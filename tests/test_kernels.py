@@ -763,7 +763,6 @@ def test_mellin_line_outside_the_double_range_yields_to_the_far_series():
 
 @pytest.mark.parametrize("alpha,d,rho", [
     (1.0, 1000, 1.0),    # R itself lies above the largest double
-    (1.0, 600, 50.0),    # its constant Gamma(h)/pi^h does
     (0.5, 300, 0.0),     # the center's Gamma(d/alpha) does
 ])
 def test_closed_form_outside_the_double_range_raises(alpha, d, rho):
@@ -775,6 +774,29 @@ def test_closed_form_outside_the_double_range_raises(alpha, d, rho):
     assert (res.value[0], res.error[0], res.route[0]) == (0.0, math.inf, "closed")
     with pytest.raises(ResolutionError, match="profile route closed"):
         prof(rho)
+
+
+@pytest.mark.parametrize("d", [450, 600])
+def test_poisson_closed_form_serves_dimensions_where_its_constant_overflows(d):
+    """Gamma(h) pi^(-h), h = (d+1)/2, leaves the doubles from d = 438; the
+    closed form sums it in logs with the power, so R is served wherever it
+    is a normal double: on rho in [1.6, 19] against mpmath at 40 digits,
+    where every radius raised. Further out R is below the normal doubles
+    and reads 0."""
+    mp = pytest.importorskip("mpmath")
+    h = (d + 1) / 2.0
+    assert math.lgamma(h) - h * math.log(math.pi) > math.log(np.finfo(float).max)
+    rho = np.geomspace(1.6, 19.0, 25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prof = stable_profile(1.0, d)
+        values = prof(rho)
+        assert prof(50.0) == 0.0
+    with mp.workdps(40):
+        hm = mp.mpf(d + 1) / 2
+        for r, value in zip(rho, values):
+            ref = mp.gamma(hm) * mp.pi ** -hm * (1 + mp.mpf(float(r)) ** 2) ** -hm
+            assert abs(mp.mpf(float(value)) - ref) <= 1e-12 * ref
 
 
 def test_near_series_keeps_its_front_in_logs_at_dimension_thousand():

@@ -1,6 +1,7 @@
 """Source terms, their blowup-time transform, and critical exponents."""
 
 import math
+import re
 import sys
 import warnings
 
@@ -10,8 +11,7 @@ from numpy.testing import assert_allclose
 
 from blowlab import cli
 from blowlab.errors import DomainError, OsgoodViolationError
-from blowlab.nonlinearity import (Nonlinearity, OsgoodTransform,
-                                  fujita_exponent, threshold_constant_c)
+from blowlab.nonlinearity import Nonlinearity, OsgoodTransform, fujita_exponent
 
 
 def test_power_law_values_and_derivative():
@@ -161,11 +161,23 @@ def test_fujita_exponent_values():
         fujita_exponent(1.0, 0)
 
 
-def test_threshold_constant_values_and_source():
-    assert threshold_constant_c(2.0, 2.0) == 1.0
-    assert_allclose(threshold_constant_c(2.0, 3.0), math.sqrt(0.5), rtol=1e-14)
-    with pytest.raises(DomainError):
-        threshold_constant_c(2.0, 1.0)
+@pytest.mark.parametrize("p, T, message", [
+    # returned 6.2e-311, a subnormal
+    (1.02, 8e7, "lies below the smallest normal double"),
+    # returned 0.0
+    (1.01, 1e300, "lies below the smallest normal double"),
+    # raised a bare OverflowError
+    (1.01, 1e-300, "exceeds the largest double"),
+], ids=["subnormal", "zero", "overflow"])
+def test_power_h_inverse_stays_in_the_normal_doubles(p, T, message):
+    """The closed form (c (p-1) T)^(-1/(p-1)) obeys the range rule of the
+    quadrature route: a level outside the normal doubles is a DomainError
+    with that route's message, and no warning."""
+    tr = OsgoodTransform(Nonlinearity.power_law(1.0, p))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^" + re.escape(f"h_inverse({T:g}) {message}")):
+            tr.h_inverse(T)
 
 
 # -- evaluation routes of the power families ---------------------------------

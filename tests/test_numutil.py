@@ -7,11 +7,10 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from blowlab.asymptotics import K_fractional, L_fractional, L_gaussian, window_eta_from_beta
+from blowlab.asymptotics import K_fractional, L_fractional, window_eta_from_beta
 from blowlab.errors import DomainError, ResolutionError
 from blowlab.kernels import Grid, GridFunction, KernelSpec, StableProfile, stable_profile
-from blowlab.nonlinearity import (Nonlinearity, OsgoodTransform, fujita_exponent,
-                                  threshold_constant_c)
+from blowlab.nonlinearity import Nonlinearity, OsgoodTransform, fujita_exponent
 from blowlab.norms import (RadialProfile, concentration_values, morrey_norm_grid,
                            radial_concentration)
 from blowlab.numutil import (_check_dimension, _check_order, _check_power,
@@ -197,16 +196,16 @@ def _radial(d):
     lambda: L_fractional(1.5, 10.5, 3.0),
     lambda: fujita_exponent(1.0, 2.5),
     lambda: log_sphere_area(2.5),
-    # returned 1.0
-    lambda: threshold_constant_c(2.0, math.inf),
     # returned a NaN value
     lambda: radial_concentration(_radial(2), math.nan, 2.0),
     # orders outside (0, 2], one check for every entry point
     lambda: KernelSpec.fractional(math.nan),
     lambda: StableProfile(2.5, 1),
     lambda: fujita_exponent(0.0, 1),
-    lambda: threshold_constant_c(-1.0, 3.0),
     lambda: singular_constant(math.inf, 5, 3.0),
+    # raised a DomainError worded apart from the order check's
+    lambda: L_fractional(3.0, 10.0, 3.0),
+    lambda: L_fractional(math.nan, 10.0, 3.0),
 ])
 def test_bad_dimensions_and_powers_raise(call):
     with pytest.raises(DomainError, match="dimension|p must be|order alpha"):
@@ -249,7 +248,7 @@ _POWER = OsgoodTransform(Nonlinearity.power_law(1.0, 3.0))
     # NaN values and a NaN log L
     (lambda: singular_constant(1.5, math.inf, 3.0), "dimension"),
     (lambda: K_fractional(1.5, math.inf, 3.0), "dimension"),
-    (lambda: L_gaussian(math.inf, 3.0), "dimension"),
+    (lambda: L_fractional(2.0, math.inf, 3.0), "dimension"),
 ], ids=["rho-inf", "rho-nan-mellin", "rho-nan-closed", "s_order-0", "s_order--1",
         "s_order-inf", "s_order-nan", "radius-0", "radius--1", "radius-nan",
         "alpha-inf", "beta-inf", "t-inf", "w-inf", "T-inf", "s-d-inf", "K-d-inf",

@@ -435,7 +435,7 @@ def test_a_passed_horizon_builds_no_probe_at_a_later_doubling(monkeypatch):
     assert built == [32, 32, 64, 64, 128, 128]
     k = len(late.t)
     assert late.t[-1] < 1.0 and late.t == early.t[:k] and early.t[k] == 0.97
-    assert late.W == early.W[:k] and late.F_of_W == early.F_of_W[:k]
+    assert late.W == early.W[:k]
     assert late.center == early.center
 
 

@@ -1,8 +1,9 @@
 """Package surface: each top-level name is defined once, every exported
-name resolves, every library def has a library reader, every quadrature
-result is checked, every finite range is decided in numutil, and the
-README example list has one content wherever it is copied. Standard
-library only (ast, importlib, re), since no linter is a dependency."""
+name resolves, every library def has a library reader, no parameter is
+only range-checked, every quadrature result is checked, every finite
+range is decided in numutil, and the README example list has one content
+wherever it is copied. Standard library only (ast, importlib, re), since
+no linter is a dependency."""
 
 import ast
 import importlib
@@ -128,6 +129,33 @@ def test_every_quad_goes_through_the_checker():
                 if word in text]
     assert bad == []
     assert callers == {"asymptotics", "kernels", "nonlinearity", "stationary"}
+
+
+# waits on ROADMAP item 1: bench/workloads.py passes probe_radius by keyword,
+# so the parameter cannot go before the benchmark changes
+ONLY_RANGE_CHECKED = {"stationary.stationary_residual.probe_radius"}
+
+
+def test_no_parameter_is_only_range_checked():
+    """No def in src/blowlab has a parameter whose every read is an argument
+    of a _check_* call that stands as a statement: such a parameter is
+    checked, then ignored, so it changes no result."""
+    found = set()
+    for stem in MODULES:
+        for fn in ast.walk(parse(stem)):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            checked = {id(arg) for stmt in ast.walk(fn)
+                       if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
+                       and (called_name(stmt.value) or "").startswith("_check_")
+                       for arg in stmt.value.args + [k.value for k in stmt.value.keywords]}
+            a = fn.args
+            for param in a.posonlyargs + a.args + a.kwonlyargs:
+                reads = [n for n in ast.walk(fn) if isinstance(n, ast.Name)
+                         and n.id == param.arg and isinstance(n.ctx, ast.Load)]
+                if reads and all(id(n) in checked for n in reads):
+                    found.add(f"{stem}.{fn.name}.{param.arg}")
+    assert found == ONLY_RANGE_CHECKED
 
 
 def test_range_checks_are_decided_in_numutil():
