@@ -8,7 +8,7 @@ down. `blowlab.cli` exposes all of it as subcommands; `blowlab.acceptance`
 is the twelve-check release gate.
 """
 
-from .errors import DomainError, OsgoodViolationError, ResolutionError
+from .errors import DomainError, ResolutionError
 from .specfun import log_sphere_area, sphere_area
 from .nonlinearity import (
     Nonlinearity,

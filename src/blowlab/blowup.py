@@ -36,7 +36,7 @@ from .errors import DomainError
 from .kernels import (_BOUNDARY_TOL, GridFunction, KernelSpec, StableProfile,
                       _audit_failure, generator_symbol_grid, stable_profile)
 from .nonlinearity import Nonlinearity, OsgoodTransform, fujita_exponent
-from .norms import RadialProfile
+from .norms import RadialProfile, _BallIntegralCurve
 from .numutil import _check_range
 from .specfun import sphere_area
 
@@ -112,25 +112,17 @@ def _smoothed(u_hat: np.ndarray, sym: np.ndarray, T: float, grid) -> np.ndarray:
 
 
 def _radial_pairing(profile: StableProfile, t: float, u: RadialProfile) -> float:
-    """(P_t * u)(0) for radial u: sigma_d * int P_t(rho) u(rho) rho^(d-1) drho.
-
-    Below the first sample u is taken as c r^-a with the head exponent a of
-    u (0 when it cannot be fitted); a >= d is not integrable at the origin
-    and raises DomainError."""
-    d = u.d
-    kern = profile.kernel_radial(t, u.r)
-    vals = kern * u.u * u.r ** (d - 1)
-    tail = float(np.trapezoid(vals, u.r))
-    head_a = u.fitted_head_exponent()
-    if u.u[0] == 0.0:
-        head = 0.0
-    else:
-        a = 0.0 if head_a is None else head_a
-        if a >= d:
-            raise DomainError(f"the profile's head exponent {a:.6g} is not below "
-                              f"d = {d}: u ~ r^-a is not integrable at the origin")
-        head = float(profile.kernel_radial(t, 0.0)) * u.u[0] * u.r[0] ** d / (d - a)
-    return sphere_area(d) * (head + tail)
+    """(P_t * u)(0) for radial u: sigma_d * int P_t(rho) u(rho) rho^(d-1) drho
+    by the ball rule of ``norms``. Below the first sample P_t is flat at P_t(0)
+    and u is c r^-a with u's head exponent a; a >= d is not integrable at the
+    origin and raises DomainError."""
+    a = u.fitted_head_exponent()
+    curve = _BallIntegralCurve(u.r, profile.kernel_radial(t, u.r) * u.u, u.d, a,
+                               float(profile.kernel_radial(t, 0.0)) * u.u[0])
+    if not np.isfinite(curve.head):
+        raise DomainError(f"the profile's head exponent {a:.6g} is not below "
+                          f"d = {u.d}: u ~ r^-a is not integrable at the origin")
+    return sphere_area(u.d) * float(curve.cum[-1])
 
 
 def moment_at_zero(u0: RadialProfile, kernel: KernelSpec, T: float) -> float:

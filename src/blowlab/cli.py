@@ -29,7 +29,7 @@ from . import acceptance
 from .acceptance import PRESETS
 from .asymptotics import K_fractional, sweep_K, sweep_L
 from .blowup import CriterionInput, evaluate_criterion
-from .errors import DomainError, OsgoodViolationError, ResolutionError
+from .errors import DomainError, ResolutionError
 from .kernels import _BOUNDARY_TOL, Grid, GridFunction, KernelSpec, semigroup_kernel, \
     stable_profile
 from .nonlinearity import Nonlinearity, fujita_exponent
@@ -438,8 +438,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.fn(args)
     # OverflowError: a dimension whose closed forms leave the float range
-    except (DomainError, OsgoodViolationError, ResolutionError,
-            OverflowError) as exc:
+    except (DomainError, ResolutionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,12 +2,7 @@
 
 
 class DomainError(ValueError):
-    """An argument lies outside the mathematical domain of an operation."""
-
-
-class OsgoodViolationError(ValueError):
-    """The source term fails the finite blowup-time integral condition,
-    so transform-based criteria are inapplicable."""
+    """An argument lies outside an operation's domain (a non-Osgood source too)."""
 
 
 class ResolutionError(RuntimeError):

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import DomainError, OsgoodViolationError, ResolutionError
+from .errors import DomainError, ResolutionError
 from .numutil import _check_dimension, _check_order, _check_power, _check_range, _quad_result
 
 __all__ = [
@@ -185,18 +185,21 @@ class Nonlinearity:
         self.check_osgood()
 
     def check_osgood(self) -> None:
-        """Reject tails with local exponent <= 1, where int^inf du/F diverges."""
+        """DomainError for a tail exponent <= 1, where int^inf du/F diverges;
+        power, power-sum and exponential sources converge by construction."""
+        if self.kind in ("power", "power-sum", "exponential"):
+            return
         f = self.fn
         for lo, hi in zip(_TAIL_PROBES[:-1], _TAIL_PROBES[1:]):
             with np.errstate(over="ignore"):
                 flo, fhi = float(f(np.asarray(lo))), float(f(np.asarray(hi)))
             if not (flo > 0 and fhi > 0):
-                raise OsgoodViolationError(f"{self.label}: tail is not positive")
+                raise DomainError(f"{self.label}: tail is not positive")
             if math.isinf(flo) or math.isinf(fhi):
                 continue  # faster than any power, tail integral converges
             slope = (math.log(fhi) - math.log(flo)) / (math.log(hi) - math.log(lo))
             if slope <= 1.005:
-                raise OsgoodViolationError(
+                raise DomainError(
                     f"{self.label}: tail exponent {slope:.3f} <= 1, "
                     "the blowup-time integral diverges")
 
@@ -252,8 +255,17 @@ class OsgoodTransform:
         return self._log_integral(0.0, math.inf)
 
     def h(self, w: float) -> float:
+        """h(w); a DomainError names w where h(w) is below the normal doubles."""
         w = float(w)
         _check_range("w", w)
+        value = self._h(w)
+        if value < _TINY:
+            raise DomainError(f"w = {w!r} is too large: h(w) = {value:.6g} lies "
+                              f"below the smallest normal double {_TINY:g}")
+        return value
+
+    def _h(self, w: float) -> float:
+        """h(w) unbounded below: h_inverse reads an h flushed to 0 as w far too large."""
         if self._is_power:
             c, p = self.source.coeff, self.source.power
             # the power raises OverflowError, the division returns inf
@@ -293,7 +305,7 @@ class OsgoodTransform:
         x = 0.0
         for _ in range(_NEWTON_ITERATIONS):
             w = math.exp(x)
-            hw = self.h(w)
+            hw = self._h(w)
             if hw == 0.0:              # h underflowed: w is far too large
                 hi = x
                 x_new = 0.5 * (lo + hi)

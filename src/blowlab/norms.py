@@ -11,11 +11,12 @@ the blowup verdict, above the Fujita exponent, by one of two routes:
   over every grid center.
 
 ``concentration_values`` tabulates the radial route's objective at chosen
-radii. Radial integrals use trapezoidal quadrature on the sample grid plus a
-fitted power-law head below the first sample; the sup over r is refined by
-bounded Brent search around the discrete argmax. Divergence (sup growing
-without bound at either end of the grid) is flagged on the result; a weight
-R^e past the doubles is a DomainError naming the argument that set e.
+radii. Radial samples, here and in the criterion's pairing at the origin,
+integrate by one rule: trapezoids plus a fitted power-law head below the
+first sample. The sup over r is refined by bounded Brent search around the
+discrete argmax. Divergence (sup growing without bound at either end of the
+grid) is flagged on the result; a weight R^e past the doubles is a
+DomainError naming the argument that set e.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from scipy.integrate import cumulative_trapezoid
 from .errors import DomainError
 from .kernels import GridFunction
 from .numutil import (_check_dimension, _check_power, _check_range, _pow,
-                      refine_max_on_grid)
+                      loglog_slope, refine_max_on_grid)
 from .specfun import sphere_area
 
 __all__ = [
@@ -88,7 +89,7 @@ class RadialProfile:
         pos = uu > 0
         if pos.sum() < 3 or not pos[0]:
             return None
-        return float(-np.polyfit(np.log(rr[pos]), np.log(uu[pos]), 1)[0])
+        return -loglog_slope(rr[pos], uu[pos])
 
 
 @dataclass
@@ -104,18 +105,19 @@ class MorreyResult:
 # ---------------------------------------------------------------------------
 
 class _BallIntegralCurve:
-    """Continuous-in-r evaluator of integral_0^r w(rho) rho^(d-1) drho for a
-    sampled radial weight w, with a power-law head below the first sample."""
+    """integral_0^r w(rho) rho^(d-1) drho of a sampled radial weight w, for
+    every r and in the table ``cum`` at the samples; below the first sample
+    w is head_weight (rho/r[0])^-a, a = head_exp or 0, infinite for a >= d."""
 
     def __init__(self, r: np.ndarray, w: np.ndarray, d: int,
-                 head_exp: Optional[float]):
+                 head_exp: Optional[float], head_weight: float):
         self.r, self.w, self.d = r, w, d
-        a = 0.0 if head_exp is None else head_exp  # w ~ c rho^-a below r[0]
+        a = 0.0 if head_exp is None else head_exp
         self._head_pow = d - a
-        if w[0] == 0.0:
+        if head_weight == 0.0:
             self.head = 0.0
         elif a < d:
-            self.head = w[0] * r[0] ** d / (d - a)
+            self.head = head_weight * r[0] ** d / (d - a)
         else:
             self.head = math.inf  # non-integrable head
         integrand = w * r ** (d - 1)
@@ -163,7 +165,7 @@ def _centered_objective(u: RadialProfile, p: float, alpha: float):
     _check_range("alpha", alpha)
     e = alpha / (p - 1) - u.d
     head_a = u.fitted_head_exponent()
-    curve = _BallIntegralCurve(u.r, u.u, u.d, head_a)
+    curve = _BallIntegralCurve(u.r, u.u, u.d, head_a, u.u[0])
     sigma = sphere_area(u.d)
 
     def f(rr: float) -> float:
@@ -182,7 +184,7 @@ def radial_concentration(u: RadialProfile, p: float, alpha: float) -> MorreyResu
     s_order = u.d * (p - 1) / alpha
     if not math.isfinite(curve.head):
         return MorreyResult(s_order, math.inf, float(u.r[0]), divergent=True)
-    vals = np.array([f(rr) for rr in u.r])
+    vals = np.array([_pow(rr, e, "p", p) for rr in u.r]) * sphere_area(u.d) * curve.cum
     best_r, best_v = refine_max_on_grid(f, u.r, vals)
     # a head steeper than the functional exponent means the true sup blows
     # up as r -> 0 even though every grid value is finite

@@ -18,6 +18,7 @@ from blowlab.kernels import (_BOUNDARY_TOL, Grid, GridFunction, KernelSpec,
 from blowlab.nonlinearity import Nonlinearity
 from blowlab.norms import RadialProfile
 from blowlab.numutil import log_grid, loglog_slope
+from blowlab.specfun import sphere_area
 
 
 def moment_field(u0, kernel, T, boundary_tol=_BOUNDARY_TOL):
@@ -102,6 +103,24 @@ def test_moment_field_2d_matches_radial_pairing(alpha):
         r_min=1e-4, r_max=30.0)
     radial_value = _radial_pairing(stable_profile(alpha, 2), T, u)
     assert abs(radial_value / grid_value - 1.0) < 1e-5
+
+
+@pytest.mark.parametrize("d, alpha, f", [
+    (1, 1.5, lambda r: np.exp(-r * r)),
+    (3, 2.0, lambda r: r ** -0.6 * np.exp(-r)),
+    (2, 1.0, lambda r: np.where(r < 1.0, 0.0, np.exp(-r))),
+], ids=["flat-head", "power-head", "zero-head"])
+def test_radial_pairing_is_the_ball_rule_of_norms(d, alpha, f):
+    """The pairing at the origin is sigma_d times the last cumulative value
+    of norms' ball rule on the weight P_t u, whose head below the first
+    sample weighs u's power-law head by the flat kernel P_t(0): bit for
+    bit, so the criterion integrates radial samples by that rule alone."""
+    u = RadialProfile.from_function(d, f, r_min=1e-3, r_max=40.0)
+    prof, t = stable_profile(alpha, d), 0.7
+    curve = norms._BallIntegralCurve(
+        u.r, prof.kernel_radial(t, u.r) * u.u, d, u.fitted_head_exponent(),
+        float(prof.kernel_radial(t, 0.0)) * u.u[0])
+    assert _radial_pairing(prof, t, u) == sphere_area(d) * float(curve.cum[-1])
 
 
 def test_moment_at_zero_points_grid_data_to_evaluate_criterion():

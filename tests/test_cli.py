@@ -278,6 +278,17 @@ def test_criterion_level_below_the_normal_doubles_exits_2(outdir, capsys):
     assert not outdir.exists() or not any(outdir.rglob("*"))
 
 
+def test_criterion_on_a_power_law_near_p_1(outdir, capsys):
+    """u^1.004 satisfies the Osgood condition, so the criterion runs: the
+    tail probe refused it ("tail exponent 1.004 <= 1") with exit 2."""
+    assert cli.main(["criterion", "--p", "1.004", "--mass", "4",
+                     "--t-min", "20", "--t-max", "4000"]) == 0
+    summary = json.loads(next(l for l in capsys.readouterr().out.splitlines()
+                              if l.startswith("{")))
+    assert summary["classification"] == "not_met_on_grid"
+    assert (outdir / "criterion_curve.csv").exists()
+
+
 def test_criterion_rejects_radial_profile_with_lattice_kernel(outdir, tmp_path,
                                                               capsys):
     prof = tmp_path / "profile.csv"

@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from blowlab import cli
-from blowlab.errors import DomainError, OsgoodViolationError
+from blowlab.errors import DomainError
 from blowlab.nonlinearity import Nonlinearity, OsgoodTransform, fujita_exponent
 
 
@@ -104,6 +104,35 @@ def test_power_transform_outside_the_double_range_is_a_domain_error():
         assert OsgoodTransform(Nonlinearity.power_law(1.0, 3.0)).h(1e-150) == 5e299
 
 
+@pytest.mark.parametrize("make, w", [
+    (lambda: Nonlinearity.power_law(1.0, 3.0), 1e160),
+    (lambda: Nonlinearity.power_law(1.0, 3.0), 1e300),
+    (lambda: Nonlinearity.exponential(1.0), 800.0),
+], ids=["power-1e160", "power-1e300", "exponential-800"])
+def test_h_below_the_normal_doubles_is_a_domain_error(make, w):
+    """h(1e160) of u^3 read 5e-321 and h(1e300) read 0, and h(800) of
+    e^u - 1 flushed to 0 on the quadrature route: each raises naming w, as
+    h_inverse does for a level below the normal doubles."""
+    tr = OsgoodTransform(make())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=rf"^w = {re.escape(repr(w))} is "
+                           r"too large: .* below the smallest normal double"):
+            tr.h(w)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Nonlinearity.power_law(1.0, 1.004),
+    lambda: Nonlinearity.power_sum(1.0, 1.002, 1.0, 1.003),
+], ids=["power-1.004", "power-sum-1.002-1.003"])
+def test_power_sources_near_p_1_pass_the_osgood_condition(make):
+    """Every p > 1 makes int^inf du/F finite, which the tail probe, fitting
+    slopes between u = 1e4 and 1e8, refused at or below 1.005."""
+    F = make()
+    F.check_osgood()
+    assert OsgoodTransform(F).source is F
+
+
 def test_transform_domain():
     h = OsgoodTransform(Nonlinearity.power_law(1.0, 2.0))
     with pytest.raises(DomainError):
@@ -115,13 +144,13 @@ def test_transform_domain():
 def test_zero_source_evaluates_to_zero_and_fails_osgood():
     F = Nonlinearity.zero()
     assert np.all(F(np.array([0.0, 2.0, 5.0])) == 0.0)
-    with pytest.raises(OsgoodViolationError):
+    with pytest.raises(DomainError):
         F.check_osgood()
 
 
 def test_linear_tail_is_rejected_at_construction():
     # int^inf du/u diverges, so a linear source can never detonate
-    with pytest.raises(OsgoodViolationError):
+    with pytest.raises(DomainError):
         Nonlinearity.custom(lambda u: u, lambda u: np.ones_like(u))
 
 

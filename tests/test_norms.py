@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from blowlab import norms
 from blowlab.blowup import moment_at_zero
 from blowlab.errors import DomainError
 from blowlab.kernels import Grid, GridFunction, KernelSpec
@@ -69,6 +70,25 @@ def test_singular_profile_concentration_closed_form():
         uq = RadialProfile(5, u.r, u.u ** q, head_exponent=q * sol.decay_exponent)
         value = radial_concentration(uq, 2.0, q).value ** (1.0 / q)
         assert_allclose(value, singular_morrey_norm(sol, q), rtol=1e-5)
+
+
+def test_radial_grid_values_are_the_ball_rule_table(monkeypatch):
+    """On C9's sampled steady state radial_concentration reads its grid
+    values off the ball rule's table, sigma_d r^e cum; at every sample they
+    equal the objective that the Brent refinement and concentration_values
+    evaluate, to 1e-14 relative."""
+    u = singular_profile(SingularSolution(2.0, 5, 3.0))
+    seen = {}
+
+    def capture(f, xs, vals):
+        seen.update(xs=xs, vals=vals)
+        return float(xs[0]), float(vals[0])
+
+    monkeypatch.setattr(norms, "refine_max_on_grid", capture)
+    radial_concentration(u, 3.0, 2.0)
+    assert seen["xs"] is u.r
+    objective = np.array([v for _, v in concentration_values(u, 3.0, 2.0, u.r)])
+    assert_allclose(seen["vals"], objective, rtol=1e-14, atol=0.0)
 
 
 def test_morrey_norm_validation():

@@ -1,9 +1,10 @@
 """Package surface: each top-level name is defined once, every exported
 name resolves, every library def has a library reader, no parameter is
 only range-checked, every quadrature result is checked, every finite
-range is decided in numutil, and the README example list has one content
-wherever it is copied. Standard library only (ast, importlib, re), since
-no linter is a dependency."""
+range is decided in numutil, the package has three exception classes and
+one trapezoid rule, and the README example list has one content wherever
+it is copied. Standard library only (ast, importlib, re), since no linter
+is a dependency."""
 
 import ast
 import importlib
@@ -156,6 +157,31 @@ def test_no_parameter_is_only_range_checked():
                 if reads and all(id(n) in checked for n in reads):
                     found.add(f"{stem}.{fn.name}.{param.arg}")
     assert found == ONLY_RANGE_CHECKED
+
+
+def test_the_package_defines_three_exception_classes():
+    """DomainError for bad input, ResolutionError for a grid or quadrature
+    too coarse for its tolerance, and solver.BlowupSignal, which run
+    catches: no other class in src/blowlab derives from an exception."""
+    found = {f"{stem}.{node.name}" for stem in MODULES
+             for node in parse(stem).body if isinstance(node, ast.ClassDef)
+             and issubclass(getattr(importlib.import_module(f"blowlab.{stem}"),
+                                    node.name), BaseException)}
+    assert found == {"errors.DomainError", "errors.ResolutionError",
+                     "solver.BlowupSignal"}
+    run = next(node for node in parse("solver").body
+               if isinstance(node, ast.FunctionDef) and node.name == "run")
+    assert any(isinstance(h, ast.ExceptHandler) and isinstance(h.type, ast.Name)
+               and h.type.id == "BlowupSignal" for h in ast.walk(run))
+
+
+def test_only_norms_calls_a_trapezoid_rule():
+    """Sampled radial data integrate by one rule, norms._BallIntegralCurve:
+    no other module calls trapezoid or cumulative_trapezoid."""
+    callers = {stem for stem in MODULES for node in ast.walk(parse(stem))
+               if isinstance(node, ast.Call)
+               and called_name(node) in ("trapezoid", "cumulative_trapezoid")}
+    assert callers == {"norms"}
 
 
 def test_range_checks_are_decided_in_numutil():
