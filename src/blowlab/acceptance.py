@@ -148,7 +148,8 @@ def kernel_laws(res: CheckResult) -> None:
 def gaussian_approximation(res: CheckResult) -> None:
     spec = KernelSpec.gaussian()
     grid = Grid(1, 48.0, 2048)
-    A = spec.coefficient(1)
+    # the diffusivity: the symbol is e^(-|xi|^2) = 1 - |xi|^2 + ...
+    A = 1.0
     x = grid.axis()
     rows = []
     scaled = []

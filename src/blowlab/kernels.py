@@ -4,10 +4,11 @@ grids, and self-similar stable heat-kernel profiles.
 The generator throughout is A u = J * u - u for a symmetric probability
 density J (kinds: gaussian_like, compact_bump, heavy_tail), or the pure
 fractional generator -(-Delta)^(alpha/2) handled directly through its
-frequency multiplier. The heavy tail's small-frequency coefficient is a
-closed form. On a periodic grid the semigroup kernel is the inverse
-FFT of exp(t*(Jhat - 1)), which is exactly the periodized continuum kernel
-for resolved grids; a boundary-mass audit reports when the box is too small.
+frequency multiplier. The compact bump and the heavy tail are sampled on
+the grid and normalized to unit mass there, by the lattice sum alone. On a
+periodic grid the semigroup kernel is the inverse FFT of exp(t*(Jhat - 1)),
+which is exactly the periodized continuum kernel for resolved grids; a
+boundary-mass audit reports when the box is too small.
 
 Self-similar profiles R with P_t(x) = t^(-d/alpha) R(|x| t^(-1/alpha)) use
 the Gaussian closed form at alpha = 2 and the Poisson closed form at
@@ -35,7 +36,6 @@ from scipy.special import gammaln, loggamma
 
 from .errors import DomainError, ResolutionError
 from .numutil import _check_dimension, _check_order, _check_range, _pow, _quad_result
-from .specfun import sphere_area
 
 __all__ = [
     "Grid",
@@ -51,7 +51,6 @@ __all__ = [
 
 _NEGATIVITY_FLOOR = -1e-9
 _CLIP_FLOOR = -1e-12
-_BUMP_QUAD_TOL = 1e-13
 # audit verdicts kept by _audit_failure, one short string (or None) each
 _AUDIT_MEMO_SIZE = 4096
 # the torus audits read the band beyond this share of the half-width L
@@ -243,40 +242,22 @@ def _bump_profile(r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bump_moment(k: int) -> float:
-    """int_0^1 bump(r) r^k dr; an error estimate above _BUMP_QUAD_TOL
-    relative to the value raises ResolutionError."""
-    return _quad_result(quad(lambda r: float(_bump_profile(np.asarray(r))) * r ** k,
-                             0.0, 1.0, epsabs=0.0, epsrel=_BUMP_QUAD_TOL, limit=200,
-                             full_output=1),
-                        f"bump moment r^{k}", _BUMP_QUAD_TOL)[0]
-
-
-@functools.lru_cache(maxsize=32)
-def _bump_norm(d: int) -> float:
-    return sphere_area(d) * _bump_moment(d - 1)
-
-
-@functools.lru_cache(maxsize=32)
-def _bump_coefficient(d: int) -> float:
-    # A = int |x|^2 J dx / (2d) for a unit-mass radial J
-    return sphere_area(d) * _bump_moment(d + 1) / _bump_norm(d) / (2.0 * d)
-
-
 @dataclass(frozen=True)
 class KernelSpec:
     """Declarative description of the dispersal mechanism.
 
     kinds: ``gaussian_like`` (symbol exp(-|xi|^2)), ``compact_bump`` (smooth
-    mollifier on the unit ball), ``heavy_tail`` (J = c_n (1+|x|)^{-n} in
-    d = 1, effective order n - 1), ``pure_fractional`` (no kernel; the
-    propagator multiplier is exp(-t*A*|xi|^alpha) directly).
+    mollifier on the unit ball), ``heavy_tail`` (J proportional to
+    (1+|x|)^{-n} in d = 1, effective order n - 1), ``pure_fractional`` (no
+    kernel; the propagator multiplier is exp(-t*A*|xi|^alpha) directly).
+    The bump and the heavy tail are normalized on the lattice they are
+    sampled on (``generator_symbol_grid``).
     """
 
     kind: str
     alpha: Optional[float] = None       # pure_fractional order
     tail_order: Optional[float] = None  # heavy_tail n
-    strength: float = 1.0               # pure_fractional coefficient A
+    strength: float = 1.0               # pure_fractional diffusivity A
 
     @classmethod
     def gaussian(cls) -> "KernelSpec":
@@ -309,25 +290,6 @@ class KernelSpec:
             return self.tail_order - 1.0
         return self.alpha
 
-    def coefficient(self, d: int) -> float:
-        """Symbol coefficient A in 1 - A|xi|^alpha + o(|xi|^alpha).
-
-        For the heavy tail J = c (1+|x|)^(-n), c = (n-1)/2, alpha = n - 1,
-        A = c*pi / (Gamma(n) sin(pi*alpha/2)) in closed form: as xi -> 0,
-        1 - Jhat(xi) = 2c int_0^inf (1 - cos(xi x)) (1+x)^(-n) dx is
-        2c |xi|^alpha int_0^inf (1 - cos y) y^(-1-alpha) dy to leading
-        order, and that standard integral is
-        pi / (2 Gamma(1+alpha) sin(pi*alpha/2)).
-        """
-        if self.kind == "gaussian_like":
-            return 1.0
-        if self.kind == "pure_fractional":
-            return self.strength
-        if self.kind == "compact_bump":
-            return _bump_coefficient(d)
-        a = self.alpha_effective(d)     # n - 1; d = 1 only
-        return 0.5 * a * math.pi / (math.gamma(1.0 + a) * math.sin(0.5 * math.pi * a))
-
 
 # ---------------------------------------------------------------------------
 # semigroup kernels on grids
@@ -348,14 +310,13 @@ def generator_symbol_grid(spec: KernelSpec, grid: Grid) -> np.ndarray:
     elif spec.kind == "gaussian_like":
         out = np.exp(-grid.freq_radius() ** 2) - 1.0
     else:
-        # sample J, renormalize on the grid (periodization), discrete
-        # transform with the origin rolled to index 0
+        # sample J, normalize it to unit mass on the grid (periodization),
+        # discrete transform with the origin rolled to index 0
         if spec.kind == "compact_bump":
-            J = _bump_profile(grid.radius()) / _bump_norm(grid.d)
+            J = _bump_profile(grid.radius())
         else:
             spec.alpha_effective(grid.d)    # heavy tails are realized in d = 1 only
-            n = spec.tail_order
-            J = (n - 1.0) / 2.0 * (1.0 + grid.radius()) ** (-n)   # unit mass on the line
+            J = (1.0 + grid.radius()) ** (-spec.tail_order)
         J = J / (J.sum() * grid.cell_volume)
         Jhat = grid.rfft(np.fft.ifftshift(J)).real * grid.cell_volume
         out = Jhat - 1.0
@@ -370,8 +331,6 @@ class SemigroupKernel:
     ``values`` uses the natural layout (origin at index n//2 per axis).
     """
 
-    spec: KernelSpec
-    t: float
     grid: Grid
     values: np.ndarray
 
@@ -399,7 +358,7 @@ def semigroup_kernel(spec: KernelSpec, t: float, grid: Grid,
     _check_range("boundary_tol", boundary_tol, closed=True)
     mult = np.exp(t * generator_symbol_grid(spec, grid))
     vals = np.fft.fftshift(grid.irfft(mult)) / grid.cell_volume
-    kern = SemigroupKernel(spec, float(t), grid, vals)
+    kern = SemigroupKernel(grid, vals)
     worst = kern.min_value()
     scale = float(np.abs(vals).max())
     if worst < _NEGATIVITY_FLOOR * max(1.0, scale):

@@ -5,7 +5,8 @@ satisfy the finite tail-integral condition int^inf du/F(u) < inf; the
 transform h(w) = int_w^inf du/F(u) and its inverse convert moment lower
 bounds into blowup-time bounds. Power laws get closed forms; everything
 else goes through adaptive quadrature in log u plus Newton's method in
-log w.
+log w; where F leaves the doubles the quadrature stops, and h raises
+ResolutionError if the part past that cut may exceed its tolerance.
 """
 
 from __future__ import annotations
@@ -226,6 +227,31 @@ class OsgoodTransform:
         with np.errstate(over="ignore"):
             return float(self.source.fn(u))
 
+    @functools.cached_property
+    def _cut(self) -> tuple:
+        """(v_c, lost): the largest v = log u where F(u) is a double, by
+        bisection, and a bound on int_(v_c)^inf u/F(u) dv, the part of every
+        h that the quadrature reads as 0. The integrand falls like
+        e^((1-k) v), k the log-log slope of F, so the bound is
+        u/F(u) / (k - 1) at v_c while k does not fall past it."""
+        lo, hi = _LOG_TINY, _LOG_HUGE
+        if math.isfinite(self._F(math.exp(hi))):
+            lo = hi
+        while hi - lo > 4.0 * _EPS * max(1.0, abs(hi)):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if math.isfinite(self._F(math.exp(mid))) else (lo, mid)
+        u = math.exp(lo)
+        f = self._F(u)
+        # the secant over [u e^-1e-4, u], where F' may already overflow
+        k = (math.log(f) - math.log(self._F(u * math.exp(-1e-4)))) / 1e-4
+        return lo, (u / f / (k - 1.0) if k > 1.0 else math.inf)
+
+    def _cut_error(self, value: float, lost: float) -> ResolutionError:
+        return ResolutionError(
+            f"{self.source.label}: h is cut at u = e^{self._cut[0]:.6g}, where F "
+            f"leaves the doubles; the part past the cut, up to {lost:.3g}, "
+            f"exceeds {_H_QUAD_TOL:g} of the {value:.6g} before it")
+
     def _log_integral(self, a: float, b: float) -> float:
         """int_a^b u/F(u) dv with u = e^v; QUADPACK's diagnostics and its
         error estimate are checked against _H_QUAD_TOL."""
@@ -244,7 +270,8 @@ class OsgoodTransform:
                                   "of double range there")
             return u / fu
 
-        # F may overflow to inf at large u, where the integrand is 0
+        # F overflows to inf past the cut, where the integrand reads 0; the
+        # callers weigh the cut's bound against the value
         with np.errstate(over="ignore"):
             return _quad_result(quad(integrand, a, b, epsabs=0.0, epsrel=_H_QUAD_TOL,
                                      limit=200, full_output=1),
@@ -255,33 +282,38 @@ class OsgoodTransform:
         return self._log_integral(0.0, math.inf)
 
     def h(self, w: float) -> float:
-        """h(w); a DomainError names w where h(w) is below the normal doubles."""
+        """h(w), never truncated at the cut: a ResolutionError names the cut
+        where the part of h past it may exceed _H_QUAD_TOL of h, and a
+        DomainError names w where h(w) is below the normal doubles."""
         w = float(w)
         _check_range("w", w)
-        value = self._h(w)
+        value, lost = self._h(w)
+        if lost > _H_QUAD_TOL * value and value + lost >= _TINY:
+            raise self._cut_error(value, lost)
         if value < _TINY:
             raise DomainError(f"w = {w!r} is too large: h(w) = {value:.6g} lies "
                               f"below the smallest normal double {_TINY:g}")
         return value
 
-    def _h(self, w: float) -> float:
-        """h(w) unbounded below: h_inverse reads an h flushed to 0 as w far too large."""
+    def _h(self, w: float) -> tuple:
+        """(h(w) unbounded below, the bound on its part past the cut): h(w)
+        lies between the value and their sum."""
         if self._is_power:
             c, p = self.source.coeff, self.source.power
             # the power raises OverflowError, the division returns inf
             try:
                 value = w ** (1.0 - p) / (c * (p - 1.0))
                 if math.isfinite(value):
-                    return value
+                    return value, 0.0
             except OverflowError:
                 pass
             raise DomainError(f"w = {w!r} is too small: h(w) = w^(1-p)/(c(p-1)) "
                               "leaves the doubles")
         v = math.log(w)
         if v > 0.0:
-            return self._log_integral(v, math.inf)
+            return self._log_integral(v, math.inf), self._cut[1]
         below = self._log_integral(v, 0.0) if v < 0.0 else 0.0
-        return below + self._h_above_one
+        return below + self._h_above_one, self._cut[1]
 
     def h_inverse(self, T: float) -> float:
         T = float(T)
@@ -305,7 +337,11 @@ class OsgoodTransform:
         x = 0.0
         for _ in range(_NEWTON_ITERATIONS):
             w = math.exp(x)
-            hw = self._h(w)
+            hw, lost = self._h(w)
+            # where the cut leaves h(w) unresolved, hw + lost < T still says
+            # that w is too large, and the step below heads the right way
+            if lost >= _H_QUAD_TOL * hw and hw + lost >= T:
+                raise self._cut_error(hw, lost)
             if hw == 0.0:              # h underflowed: w is far too large
                 hi = x
                 x_new = 0.5 * (lo + hi)

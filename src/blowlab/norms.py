@@ -22,6 +22,7 @@ DomainError naming the argument that set e.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -81,9 +82,11 @@ class RadialProfile:
         return cls(d, r, np.asarray(f(r), dtype=float), **hints)
 
     def fitted_head_exponent(self) -> Optional[float]:
-        """-d(log u)/d(log r) near the first sample; hint takes precedence."""
-        if self.head_exponent is not None:
-            return self.head_exponent
+        """-d(log u)/d(log r) near the first sample, fitted once; hint takes precedence."""
+        return self._head_fit if self.head_exponent is None else self.head_exponent
+
+    @functools.cached_property
+    def _head_fit(self) -> Optional[float]:
         k = min(6, self.r.size)
         rr, uu = self.r[:k], self.u[:k]
         pos = uu > 0

@@ -289,6 +289,19 @@ def test_criterion_on_a_power_law_near_p_1(outdir, capsys):
     assert (outdir / "criterion_curve.csv").exists()
 
 
+def test_criterion_cut_where_the_source_leaves_the_doubles_exits_2(outdir, capsys):
+    """The level h_inv(20) of u^1.005 + u^1.006 read 8.98e110 (true
+    1.959e117), since the quadrature of h dropped the part past the u where
+    F overflows; the command now exits 2 naming the cut, and writes
+    nothing."""
+    assert cli.main(["criterion", "--family", "power-sum", "--p", "1.005",
+                     "--p2", "1.006", "--mass", "4", "--t-min", "20",
+                     "--t-max", "4000"]) == 2
+    assert re.match(r"error: 1\*u\^1.005\+1\*u\^1.006: h is cut at u = e\^705.15,",
+                    capsys.readouterr().err)
+    assert not outdir.exists() or not any(outdir.rglob("*"))
+
+
 def test_criterion_rejects_radial_profile_with_lattice_kernel(outdir, tmp_path,
                                                               capsys):
     prof = tmp_path / "profile.csv"
@@ -372,6 +385,25 @@ def test_criterion_evaluates_the_concentration_once(outdir, tmp_path,
     assert cli.main(argv) == 0
     expected = "morrey_norm_grid" if profile == "gauss" else "radial_concentration"
     assert calls == [expected]
+
+
+def test_radial_criterion_fits_the_head_once(outdir, tmp_path, monkeypatch):
+    """The head exponent depends on the profile alone: one fit serves the
+    pairing at every horizon and the concentration (the pairing refitted it
+    at each of the sweep's 40 horizons)."""
+    fits = []
+    original = norms.loglog_slope
+
+    def counted(*args):
+        fits.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(norms, "loglog_slope", counted)
+    prof = write_profile(tmp_path / "profile.csv", lambda r: 3.0 * np.exp(-r * r))
+    assert cli.main(["criterion", "--profile", str(prof), "--kernel", "fractional",
+                     "--p", "4"]) == 0
+    assert (outdir / "criterion_norms.csv").exists()
+    assert len(fits) == 1
 
 
 @pytest.mark.parametrize("body, where", [

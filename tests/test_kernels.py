@@ -153,8 +153,7 @@ def test_grid_geometry_equals_the_per_axis_forms_bit_for_bit(n):
                           xx * xx + 2 * yy * yy)
     for g, outer in ((g1, np.abs(x) > 6.0),
                      (g2, np.maximum(np.abs(xx), np.abs(yy)) > 6.0)):
-        kern = kernels.SemigroupKernel(KernelSpec.gaussian(), 1.0, g,
-                                       np.ones(g.shape))
+        kern = kernels.SemigroupKernel(g, np.ones(g.shape))
         assert kern.boundary_mass() == float(outer.sum()) * g.cell_volume
 
 
@@ -188,7 +187,41 @@ def test_heavy_tail_order_window():
 
 
 def test_fractional_strength_is_the_diffusivity():
-    assert KernelSpec.fractional(2.0, strength=0.7).coefficient(1) == 0.7
+    g = Grid(1, 8.0, 64)
+    sym = kernels.generator_symbol_grid(KernelSpec.fractional(2.0, strength=0.7), g)
+    assert np.array_equal(sym, -0.7 * g.freq_radius() ** 2.0)
+
+
+# the grids of C3 and C4, and the 2-D grids of the lattice benchmark
+_SAMPLED_SYMBOL_CASES = [(KernelSpec.bump(), Grid(1, 48.0, 1024)),
+                         (KernelSpec.bump(), Grid(1, 48.0, 2048)),
+                         (KernelSpec.bump(), Grid(2, 24.0, 128)),
+                         (KernelSpec.bump(), Grid(2, 48.0, 256)),
+                         (KernelSpec.heavy_tail(2.5), Grid(1, 48.0, 1024)),
+                         (KernelSpec.heavy_tail(2.5), Grid(1, 48.0, 2048))]
+
+
+@pytest.mark.parametrize("spec, grid", _SAMPLED_SYMBOL_CASES,
+                         ids=[f"{s.kind}-d{g.d}-L{g.L:g}-n{g.n}"
+                              for s, g in _SAMPLED_SYMBOL_CASES])
+def test_sampled_symbols_vanish_at_zero_frequency(spec, grid):
+    """The sampled kinds are normalized to unit mass on the lattice, so
+    Jhat(0) = 1 and the generator's symbol is 0 at xi = 0: on these grids
+    to the last bit (elsewhere the sum may round by an ulp)."""
+    sym = kernels.generator_symbol_grid(spec, grid)
+    assert sym.flat[0] == 0.0
+    assert np.all(sym <= 4 * np.finfo(float).eps)
+
+
+def test_gaussian_symbol_has_unit_diffusivity():
+    """C4 compares the lattice kernel with the heat kernel of diffusivity
+    A = 1: on its grid (1 - Jhat(xi)) / |xi|^2 = (1 - e^(-|xi|^2)) / |xi|^2
+    lies within |xi|^2 / 2 of 1 at the smallest frequencies."""
+    g = Grid(1, 48.0, 2048)
+    xi = g.freq_radius()[1:5]
+    ratio = -kernels.generator_symbol_grid(KernelSpec.gaussian(), g)[1:5] / xi ** 2
+    assert np.all(np.abs(ratio - 1.0) <= 0.5 * xi ** 2)
+    assert np.all(np.diff(ratio) < 0)      # it climbs to 1 as xi falls
 
 
 # ---------------------------------------------------------------------------
@@ -230,49 +263,6 @@ def test_kernel_composition_law_2d(spec):
         np.fft.fftn(np.fft.ifftshift(k1))
         * np.fft.fftn(np.fft.ifftshift(k2))).real) * g.cell_volume
     assert float(np.max(np.abs(conv - k3))) < 1e-12
-
-
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_bump_quadratures_against_gauss_legendre(d):
-    x, w = np.polynomial.legendre.leggauss(200)
-    r = 0.5 * (x + 1.0)
-
-    def moment(k):
-        return 0.5 * float(np.sum(w * kernels._bump_profile(r) * r ** k))
-
-    norm = kernels.sphere_area(d) * moment(d - 1)
-    assert_allclose(kernels._bump_norm(d), norm, rtol=1e-13)
-    assert_allclose(kernels._bump_coefficient(d),
-                    kernels.sphere_area(d) * moment(d + 1) / norm / (2.0 * d),
-                    rtol=1e-13)
-
-
-def test_bump_quadrature_error_over_tolerance_raises(monkeypatch):
-    monkeypatch.setattr(kernels, "quad", lambda f, a, b, **kw: (1.0, 1e-12, {}))
-    kernels._bump_norm.cache_clear()
-    kernels._bump_coefficient.cache_clear()
-    try:
-        with pytest.raises(ResolutionError, match="quadrature error"):
-            kernels._bump_norm(2)
-        with pytest.raises(ResolutionError, match="quadrature error"):
-            kernels._bump_coefficient(2)
-    finally:
-        monkeypatch.undo()
-        kernels._bump_norm.cache_clear()
-        kernels._bump_coefficient.cache_clear()
-
-
-@pytest.mark.parametrize("n", [1.1, 1.5, 2.0, 2.5])
-def test_heavy_tail_coefficient_matches_high_precision_integral(n):
-    """A = int_0^inf sin(y) y^(1-n) dy, the integrated-by-parts form of
-    2c int_0^inf (1 - cos y) y^(-n) dy, taken by mpmath (unreliable
-    itself near n = 3)."""
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(30):
-        f = lambda y: mp.sin(y) * y ** (1 - mp.mpf(n))
-        ref = mp.quad(f, [0, 1]) + mp.quadosc(f, [1, mp.inf], omega=1)
-    assert_allclose(KernelSpec.heavy_tail(n).coefficient(1), float(ref),
-                    rtol=1e-14)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-8])

@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from blowlab import cli
-from blowlab.errors import DomainError
+from blowlab.errors import DomainError, ResolutionError
 from blowlab.nonlinearity import Nonlinearity, OsgoodTransform, fujita_exponent
 
 
@@ -131,6 +131,71 @@ def test_power_sources_near_p_1_pass_the_osgood_condition(make):
     F = make()
     F.check_osgood()
     assert OsgoodTransform(F).source is F
+
+
+def h_power_sum_reference(p1, p2, w):
+    """h(w) of u^p1 + u^p2 (p1 < p2) in closed form, by mpmath:
+    w^(1-p2)/(p2-1) 2F1(1, b; 1+b; -w^(-s)), s = p2 - p1, b = (p2-1)/s."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        w, p1, p2 = mp.mpf(w), mp.mpf(p1), mp.mpf(p2)
+        s = p2 - p1
+        b = (p2 - 1) / s
+        return float(w ** (1 - p2) / (p2 - 1) * mp.hyp2f1(1, b, 1 + b, -w ** (-s)))
+
+
+@pytest.mark.parametrize("make, w", [
+    (lambda: Nonlinearity.power_sum(1.0, 1.005, 1.0, 1.006), 1e100),
+    (lambda: Nonlinearity.power_sum(1.0, 1.005, 1.0, 1.006), 1e300),
+    (lambda: Nonlinearity.power_sum(1.0, 1.1, 1.0, 1.2), 1e300),
+    (lambda: Nonlinearity.exponential(1.0), 705.0),
+], ids=["power-sum-1.005-1e100", "power-sum-1.005-1e300", "power-sum-1.1-1e300",
+        "exponential-705"])
+def test_h_cut_where_F_leaves_the_doubles_raises(make, w):
+    """The quadrature reads u/F(u) as 0 past the u where F overflows, and
+    returned what was left: h(1e100) of u^1.005 + u^1.006 read 23.294
+    (true 25.000) and h(1e300) read 0.146 (true 1.851); for u^1.1 + u^1.2,
+    h(1e300) = 5.0e-60 raised a DomainError as below the doubles; h(705)
+    of e^u - 1 read 0.84 % low. Each raises naming the cut."""
+    tr = OsgoodTransform(make())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ResolutionError, match=r"h is cut at u = e\^[0-9.]+, "
+                           r"where F leaves the doubles; the part past the cut"):
+            tr.h(w)
+
+
+@pytest.mark.parametrize("p1", [1.002, 1.005, 1.02, 1.03])
+def test_h_inverse_cut_where_F_leaves_the_doubles_raises(p1):
+    """h_inverse(20) of u^1.005 + u^1.006 read 8.98e110 (true 1.959e117)
+    and of u^1.02 + u^1.021 was 3.6e-5 off; at p1 = 1.002 QUADPACK gave up.
+    The part of h past the cut spoils every level near 20: each raises. At
+    p1 = 1.03 it is 1.2e-8, and h(1) < 20: Newton must step left from an
+    unresolved h."""
+    tr = OsgoodTransform(Nonlinearity.power_sum(1.0, p1, 1.0, p1 + 0.001))
+    with pytest.raises(ResolutionError, match="h is cut at u = e"):
+        tr.h_inverse(20.0)
+
+
+@pytest.mark.parametrize("p1, p2, w", [(1.05, 1.051, 10.0), (1.1, 1.2, 10.0),
+                                       (1.1, 1.2, 1e100), (1.5, 2.5, 1e100)])
+def test_power_sum_h_matches_the_closed_form_where_the_cut_is_negligible(p1, p2, w):
+    """Where the part past the cut is within the tolerance, h and its
+    inverse match the hypergeometric closed form."""
+    tr = OsgoodTransform(Nonlinearity.power_sum(1.0, p1, 1.0, p2))
+    ref = h_power_sum_reference(p1, p2, w)
+    assert_allclose(tr.h(w), ref, rtol=1e-11)
+    assert_allclose(h_power_sum_reference(p1, p2, tr.h_inverse(ref)), ref, rtol=1e-11)
+
+
+def test_exponential_h_inverse_steps_over_the_cut():
+    """Near T = 1e-4 Newton's first step from w = 1 lands at w of 650 to
+    710, where the cut spoils h; h there is far below T all the same, so
+    the step counts as too large and the levels still round-trip."""
+    tr = OsgoodTransform(Nonlinearity.exponential(1.0))
+    for T in np.geomspace(2e-8, 1.2e-4, 61):
+        # -log(1 - e^-w), accurate at large w
+        assert abs(-math.log1p(-math.exp(-tr.h_inverse(T))) / T - 1.0) < 1e-12
 
 
 def test_transform_domain():
