@@ -105,10 +105,11 @@ class BlowupVerdict:
 # ---------------------------------------------------------------------------
 
 def _smoothed(u_hat: np.ndarray, sym: np.ndarray, T: float, grid) -> np.ndarray:
-    """e^{T A} u0 from the half spectrum of u0, clipped at zero in place.
-    The product is inverted in place, as it is a temporary."""
-    fld = grid.irfft(np.exp(T * sym) * u_hat, overwrite=True)
-    return np.maximum(fld, 0.0, out=fld)
+    """e^{T A} u0 from the half spectrum of u0, negative ringing and all:
+    its readers take only its maximum and argmax, which a clip at zero
+    leaves as they are wherever the maximum is positive. The product is
+    inverted in place, as it is a temporary."""
+    return grid.irfft(np.exp(T * sym) * u_hat, overwrite=True)
 
 
 def _radial_pairing(profile: StableProfile, t: float, u: RadialProfile) -> float:
@@ -155,8 +156,8 @@ def _peak_index(values: np.ndarray) -> Tuple[int, ...]:
 def _grid_moments(u0: GridFunction, kernel: KernelSpec):
     """T -> (W_T, reliable) for grid data, and the dict of centers it fills.
     One half spectrum of u0 serves every horizon; each horizon reads the
-    memoized kernel audit and runs one inverse transform, whose maximum is
-    W_T and whose argmax the center."""
+    memoized kernel audit and runs one inverse transform, whose maximum,
+    or 0 for all-zero data, is W_T and whose argmax the center."""
     grid = u0.grid
     sym = generator_symbol_grid(kernel, grid)
     u_hat = grid.rfft(u0.values)
@@ -166,7 +167,7 @@ def _grid_moments(u0: GridFunction, kernel: KernelSpec):
         reliable = _audit_failure(kernel, float(T), grid, _BOUNDARY_TOL) is None
         fld = _smoothed(u_hat, sym, T, grid)
         centers[float(T)] = _peak_index(fld)
-        return float(fld[centers[float(T)]]), reliable
+        return float(np.maximum(fld[centers[float(T)]], 0.0)), reliable
 
     return moment, centers
 

@@ -3,10 +3,12 @@
 A source term F is convex, nondecreasing on [0, inf) with F(0) = 0 and must
 satisfy the finite tail-integral condition int^inf du/F(u) < inf; the
 transform h(w) = int_w^inf du/F(u) and its inverse convert moment lower
-bounds into blowup-time bounds. Power laws get closed forms; everything
-else goes through adaptive quadrature in log u plus Newton's method in
-log w; where F leaves the doubles the quadrature stops, and h raises
-ResolutionError if the part past that cut may exceed its tolerance.
+bounds into blowup-time bounds. Three families get exact routes: closed
+forms for the power law and the exponential, and two converging series for
+the power sum, which Newton's method in log w inverts. Only ``custom``
+sources go through adaptive quadrature in log u; where F leaves the doubles
+the quadrature stops, and h raises ResolutionError if the part past that
+cut may exceed its tolerance.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ _TINY = sys.float_info.min
 _LOG_TINY = math.log(_TINY)
 _LOG_HUGE = math.log(sys.float_info.max)
 _EPS = sys.float_info.epsilon
+_LN2 = math.log(2.0)
 _NEWTON_ITERATIONS = 100
 # relative error target, and bound on QUADPACK's estimate, of the h quadrature
 _H_QUAD_TOL = 1e-12
@@ -92,8 +95,12 @@ class Nonlinearity:
     dfn: Callable[[np.ndarray], np.ndarray]
     label: str
     kind: str = "custom"
-    coeff: float = math.nan   # power kind only
-    power: float = math.nan   # power kind only
+    # the family's parameters: c and p of the power law, c of the
+    # exponential, c1 and p1 then c2 and p2 of the power sum
+    coeff: float = math.nan
+    power: float = math.nan
+    coeff2: float = math.nan   # power-sum kind only
+    power2: float = math.nan   # power-sum kind only
 
     # -- factories ---------------------------------------------------------
 
@@ -126,7 +133,8 @@ class Nonlinearity:
         def df(u):
             return c1 * p1 * np.power(u, p1 - 1.0) + c2 * p2 * np.power(u, p2 - 1.0)
 
-        return cls(f, df, f"{c1:g}*u^{p1:g}+{c2:g}*u^{p2:g}", kind="power-sum")
+        return cls(f, df, f"{c1:g}*u^{p1:g}+{c2:g}*u^{p2:g}", kind="power-sum",
+                   coeff=c1, power=p1, coeff2=c2, power2=p2)
 
     @classmethod
     def exponential(cls, c: float = 1.0) -> "Nonlinearity":
@@ -138,7 +146,7 @@ class Nonlinearity:
         def df(u):
             return c * np.exp(u)
 
-        return cls(f, df, f"{c:g}*(e^u-1)", kind="exponential")
+        return cls(f, df, f"{c:g}*(e^u-1)", kind="exponential", coeff=c)
 
     @classmethod
     def zero(cls) -> "Nonlinearity":
@@ -205,23 +213,160 @@ class Nonlinearity:
                     "the blowup-time integral diverges")
 
 
+def _power_over(w: float, e: float, d: float) -> float:
+    """w^e/d. Where w^e is below the normal doubles it is formed from two
+    normal halves, so that a small d does not bring back the digits a
+    subnormal lost. The power raises OverflowError, the division returns
+    inf, where the value leaves the doubles."""
+    power = w ** e
+    if power < _TINY:
+        half = w ** (0.5 * e)
+        return half / d * half
+    return power / d
+
+
+def _power_law_h_inverse(c: float, p: float, T: float) -> float:
+    """(c(p-1)T)^(-1/(p-1)); the power raises where it overflows, or where
+    its base underflowed to 0."""
+    try:
+        return (c * (p - 1.0) * T) ** (-1.0 / (p - 1.0))
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"h_inverse({T:g}) exceeds the largest double") from None
+
+
+def _exponential_h(c: float, w: float) -> float:
+    """-log(1 - e^-w)/c, through log1p where e^-w < 1/2 and expm1 below.
+    Where e^-w is subnormal, h = e^-w/c is formed from two normal halves,
+    as in ``_power_over``."""
+    if w <= _LN2:
+        return -math.log(-math.expm1(-w)) / c
+    x = math.exp(-w)
+    if x < _TINY:
+        return math.exp(-0.5 * w) / c * math.exp(-0.5 * w)
+    return -math.log1p(-x) / c
+
+
+def _exponential_h_inverse(c: float, T: float) -> float:
+    """-log(1 - e^(-cT)), the same two ways; below eps, -log(cT) + cT/2
+    reads -log c - log T, whether or not cT underflows."""
+    y = c * T
+    if y > _LN2:
+        return -math.log1p(-math.exp(-y))
+    if y > _EPS:
+        return -math.log(-math.expm1(-y))
+    return -(math.log(c) + math.log(T))
+
+
+class _PowerSumH:
+    """w -> h(w) of c1 u^p1 + c2 u^p2, p1 < p2, s = p2 - p1, by two series
+    that meet at the crossover u_h, where (c2/c1) u_h^s = 1/2.
+
+    Above u_h, z = (c1/c2) w^-s <= 2 and h is w^(1-p2)/(c2(p2-1)) times
+    2F1(1, b; b+1; -z), b = (p2-1)/s, summed in Pfaff's form
+    (1+z)^-1 sum_k k!/(b+1)_k x^k, x = z/(1+z) <= 2/3 (DLMF 15.8.1).
+    Below, h(w) = h(u_h) + (1/c1) sum_k (-c2/c1)^k (u_h^e - w^e)/e,
+    e = k s - p1 + 1, each difference formed from the end that does not
+    overflow (log(u_h/w) at e = 0). Every term ratio is at most 2/3 above
+    and 1/2 below; the powers raise OverflowError where h leaves the
+    doubles.
+    """
+
+    def __init__(self, label: str, c1: float, p1: float, c2: float, p2: float):
+        if p1 > p2:
+            c1, p1, c2, p2 = c2, p2, c1, p1
+        self.c1, self.p1, self.c2, self.p2 = c1, p1, c2, p2
+        self.s = p2 - p1
+        self.b = (p2 - 1.0) / self.s
+        try:
+            self.u_h = (c1 / (2.0 * c2)) ** (1.0 / self.s)
+        except OverflowError:
+            self.u_h = math.inf
+        if not math.isfinite(self.u_h):
+            raise ResolutionError(f"{label}: the crossover u_h = (c1/(2 c2))^(1/s) "
+                                  "where c2 u^p2 is half of c1 u^p1 exceeds the "
+                                  "largest double; h has no route there")
+
+    def __call__(self, w: float) -> float:
+        return self._above(w) if w >= self.u_h else self._below(w)
+
+    def log_level_bound(self, T: float) -> float:
+        """log of the smaller of the two terms' levels at T, which bounds
+        h^{-1}(T) above, since h lies below each term's h."""
+        log_T = math.log(T)
+        return min(-(math.log(c) + math.log(p - 1.0) + log_T) / (p - 1.0)
+                   for c, p in ((self.c1, self.p1), (self.c2, self.p2)))
+
+    def _above(self, w: float) -> float:
+        z = self.c1 / self.c2 * w ** -self.s
+        x = z / (1.0 + z)
+        total = term = 1.0
+        k = 0
+        while term > 0.25 * _EPS * total:
+            k += 1
+            term *= k / (self.b + k) * x
+            total += term
+        return _power_over(w, 1.0 - self.p2, self.c2 * (self.p2 - 1.0)) / (1.0 + z) * total
+
+    @functools.cached_property
+    def _h_u_h(self) -> float:
+        return self._above(self.u_h)
+
+    def _below(self, w: float) -> float:
+        c1, c2, p1, s, u_h = self.c1, self.c2, self.p1, self.s, self.u_h
+        h_u_h = self._h_u_h
+        L = math.log(u_h / w)
+        # the k-th term is qk U or rk W, times its difference over e
+        U, q = u_h ** (1.0 - p1) / c1, c2 / c1 * u_h ** s
+        W, r = w ** (1.0 - p1) / c1, c2 / c1 * w ** s
+        total, sign, k, qk, rk = 0.0, 1.0, 0, 1.0, 1.0
+        while True:
+            e = k * s - p1 + 1.0
+            if e > 0.0:
+                term = qk * U * -math.expm1(-e * L) / e
+            elif e < 0.0:
+                term = rk * W * math.expm1(e * L) / e
+            else:
+                term = qk * U * L
+            total += sign * term
+            if term <= 0.5 * _EPS * (h_u_h + total):
+                return h_u_h + total
+            k, sign, qk, rk = k + 1, -sign, qk * q, rk * r
+
+
 class OsgoodTransform:
     """h(w) = int_w^inf du / F(u) and its inverse.
 
-    Power laws use the closed forms h(w) = w^(1-p)/(c(p-1)) and
-    h^{-1}(T) = (c(p-1)T)^(-1/(p-1)). Other kinds integrate in v = log u,
-    where int_w^inf du/F(u) = int_(log w)^inf u/F(u) dv, split at u = 1 (the
-    piece above is computed once), and invert by Newton's method in log w.
+    Three families have exact routes, with error at the level of rounding:
+    - the power law: h(w) = w^(1-p)/(c(p-1)) and
+      h^{-1}(T) = (c(p-1)T)^(-1/(p-1)); a power sum with equal powers is
+      the power law with c1 + c2;
+    - the exponential c(e^u - 1): h(w) = -log(1 - e^-w)/c and
+      h^{-1}(T) = -log(1 - e^(-cT)), each through log1p or expm1 on the
+      side where it keeps its digits;
+    - the power sum: the series of ``_PowerSumH``, inverted by Newton's
+      method in log w.
+    Only ``custom`` sources integrate in v = log u, where
+    int_w^inf du/F(u) = int_(log w)^inf u/F(u) dv, split at u = 1 (the piece
+    above is computed once), and invert by the same Newton's method.
     """
 
     def __init__(self, source: Nonlinearity):
         source.check_osgood()
         self.source = source
-
-    # closed-form fast path predicate
-    @property
-    def _is_power(self) -> bool:
-        return self.source.kind == "power"
+        kind, c, p = source.kind, source.coeff, source.power
+        if kind == "power-sum" and source.power2 == p:
+            kind, c = "power", c + source.coeff2
+        # the exact h, and the exact inverse where it has one; None for custom
+        self._h_exact = self._h_inverse_exact = None
+        if kind == "power":
+            d = c * (p - 1.0)
+            self._h_exact = lambda w: _power_over(w, 1.0 - p, d)
+            self._h_inverse_exact = functools.partial(_power_law_h_inverse, c, p)
+        elif kind == "exponential":
+            self._h_exact = functools.partial(_exponential_h, c)
+            self._h_inverse_exact = functools.partial(_exponential_h_inverse, c)
+        elif kind == "power-sum":
+            self._h_exact = _PowerSumH(source.label, c, p, source.coeff2, source.power2)
 
     def _F(self, u: float) -> float:
         with np.errstate(over="ignore"):
@@ -297,44 +442,40 @@ class OsgoodTransform:
 
     def _h(self, w: float) -> tuple:
         """(h(w) unbounded below, the bound on its part past the cut): h(w)
-        lies between the value and their sum."""
-        if self._is_power:
-            c, p = self.source.coeff, self.source.power
-            # the power raises OverflowError, the division returns inf
-            try:
-                value = w ** (1.0 - p) / (c * (p - 1.0))
-                if math.isfinite(value):
-                    return value, 0.0
-            except OverflowError:
-                pass
-            raise DomainError(f"w = {w!r} is too small: h(w) = w^(1-p)/(c(p-1)) "
-                              "leaves the doubles")
-        v = math.log(w)
-        if v > 0.0:
-            return self._log_integral(v, math.inf), self._cut[1]
-        below = self._log_integral(v, 0.0) if v < 0.0 else 0.0
-        return below + self._h_above_one, self._cut[1]
+        lies between the value and their sum. The exact routes bound
+        nothing; a DomainError names w where h(w) exceeds the doubles."""
+        if self._h_exact is None:
+            v = math.log(w)
+            if v > 0.0:
+                return self._log_integral(v, math.inf), self._cut[1]
+            below = self._log_integral(v, 0.0) if v < 0.0 else 0.0
+            return below + self._h_above_one, self._cut[1]
+        try:
+            value = self._h_exact(w)
+        except OverflowError:
+            value = math.inf
+        if math.isinf(value):
+            raise DomainError(f"w = {w!r} is too small: h(w) leaves the doubles")
+        return value, 0.0
 
     def h_inverse(self, T: float) -> float:
         T = float(T)
         _check_range("T", T)
-        if self._is_power:
-            c, p = self.source.coeff, self.source.power
-            # the power raises where it overflows, or where its base underflowed to 0
-            try:
-                w = (c * (p - 1.0) * T) ** (-1.0 / (p - 1.0))
-            except (OverflowError, ZeroDivisionError):
-                raise DomainError(f"h_inverse({T:g}) exceeds the largest double") from None
+        if self._h_inverse_exact is not None:
+            w = self._h_inverse_exact(T)
             if w < _TINY:
                 raise DomainError(f"h_inverse({T:g}) lies below the smallest normal double")
             return w
         # Newton's method on G(x) = log h(e^x) - log T, which decreases in
         # x = log w with G'(x) = -w / (F(w) h(w)). Iterates that leave the
         # bracket [lo, hi] the evaluations have established are replaced by
-        # its midpoint; x stays within the normal doubles.
+        # its midpoint; x stays within the normal doubles. A power sum
+        # starts from its bound on the level, a custom source from w = 1.
         log_T = math.log(T)
         lo, hi = -math.inf, math.inf
         x = 0.0
+        if isinstance(self._h_exact, _PowerSumH):
+            x = min(max(self._h_exact.log_level_bound(T), _LOG_TINY), _LOG_HUGE)
         for _ in range(_NEWTON_ITERATIONS):
             w = math.exp(x)
             hw, lost = self._h(w)

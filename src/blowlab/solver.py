@@ -94,6 +94,7 @@ _MASS_DEFECT_TOL = 1e-4      # relative mass defect per unit time
 _AUDIT_STRIDE = 16           # steps between support audits
 _SPIKE_GROWTH = 4.0          # sup ramp factor that ends the mass audit
 _JENSEN_SLACK = 1e-4         # relative slack of the integrated Jensen check
+_EPS = float(np.finfo(float).eps)  # h(W_last) below _EPS * h(W_first) reads 0
 _STEP_TOL = 3e-9             # relative local error a lengthened step may make
 _MAX_GROWTH = 5.0            # largest ratio of a step to the one before
 _T_END_RTOL = 1e-9           # a step leaving less than this * t_end lands on t_end
@@ -611,8 +612,13 @@ def jensen_report(traj: Trajectory, nonlinearity: Nonlinearity,
     tol = 1e-6 * (1.0 + FW)
     margins = dW - FW + tol
     ok = margins >= 0.0
-    h = OsgoodTransform(nonlinearity).h
-    lhs = h(ms.W[0]) - h(ms.W[-1])
+    transform = OsgoodTransform(nonlinearity)
+    first, last = transform.h(ms.W[0]), float(ms.W[-1])
+    # h(W_last), with the bound on its part past a quadrature's cut, reads
+    # 0 where it cannot move the difference, even past the normal doubles
+    _check_range("w", last)
+    value, lost = transform._h(last)
+    lhs = first - (transform.h(last) if value + lost >= _EPS * first else 0.0)
     elapsed = ms.t[-1] - ms.t[0]
     return JensenReport(
         target=target, steps=int(ok.size),

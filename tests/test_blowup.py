@@ -8,9 +8,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from blowlab import norms
-from blowlab.blowup import (CriterionInput, _radial_pairing, _smoothed,
-                            default_horizon_grid, evaluate_criterion,
-                            moment_at_zero)
+from blowlab.blowup import (CriterionInput, _grid_moments, _peak_index,
+                            _radial_pairing, _smoothed, default_horizon_grid,
+                            evaluate_criterion, moment_at_zero)
 from blowlab.errors import DomainError, ResolutionError
 from blowlab.kernels import (_BOUNDARY_TOL, Grid, GridFunction, KernelSpec,
                              _audit_failure, generator_symbol_grid,
@@ -45,6 +45,38 @@ def test_moment_field_matches_closed_gaussian():
     x = g.axis()
     closed = mass / math.sqrt(2.0 * math.pi * var) * np.exp(-x * x / (2.0 * var))
     assert float(np.max(np.abs(field.values - closed))) < 1e-12
+
+
+@pytest.mark.parametrize("kernel", [KernelSpec.fractional(1.5), KernelSpec.bump()],
+                         ids=["fractional-1.5", "bump"])
+def test_grid_moments_are_the_clipped_field_maximum(kernel):
+    """The smoothed field is not clipped at 0, since W_T and the center
+    read only its maximum and argmax; on nonnegative data, whose smoothed
+    field has a positive maximum, both are those of the clipped field, bit
+    for bit, though the field rings below 0."""
+    g = Grid(2, 24.0, 64)
+    u0 = GridFunction(g, np.where(np.abs(g.axis()) < 3.0, 1.0, 0.0)[:, None]
+                      * np.exp(-g.axis() ** 2)[None, :])
+    moment, centers = _grid_moments(u0, kernel)
+    sym, u_hat = generator_symbol_grid(kernel, g), g.rfft(u0.values)
+    rings = False
+    for T in (0.05, 0.5, 2.0):
+        field = _smoothed(u_hat, sym, T, g)
+        rings |= bool(np.min(field) < 0.0)
+        clipped = np.maximum(field, 0.0)
+        W, _ = moment(T)
+        assert centers[T] == _peak_index(clipped)
+        assert W == float(np.max(clipped))
+    assert rings
+
+
+def test_grid_moments_of_all_zero_data_read_0():
+    g = Grid(1, 8.0, 64)
+    moment, centers = _grid_moments(GridFunction(g, np.zeros(g.shape)),
+                                    KernelSpec.fractional(1.5))
+    W, _ = moment(1.0)
+    assert W == 0.0 and math.copysign(1.0, W) == 1.0
+    assert centers[1.0] == (0,)
 
 
 def test_criterion_2d_gaussian_closed_form():

@@ -292,14 +292,24 @@ def test_criterion_on_a_power_law_near_p_1(outdir, capsys):
 def test_criterion_cut_where_the_source_leaves_the_doubles_exits_2(outdir, capsys):
     """The level h_inv(20) of u^1.005 + u^1.006 read 8.98e110 (true
     1.959e117), since the quadrature of h dropped the part past the u where
-    F overflows; the command now exits 2 naming the cut, and writes
-    nothing."""
+    F overflows; then the command exited 2 naming that cut. The power sum's
+    exact route serves the level: the first row's hinv matches mpmath's
+    root of the 2F1 form, and no row reads a level past the doubles."""
+    mp = pytest.importorskip("mpmath")
     assert cli.main(["criterion", "--family", "power-sum", "--p", "1.005",
                      "--p2", "1.006", "--mass", "4", "--t-min", "20",
-                     "--t-max", "4000"]) == 2
-    assert re.match(r"error: 1\*u\^1.005\+1\*u\^1.006: h is cut at u = e\^705.15,",
-                    capsys.readouterr().err)
-    assert not outdir.exists() or not any(outdir.rglob("*"))
+                     "--t-max", "4000"]) == 0
+    assert capsys.readouterr().err == ""
+    header, rows, _ = read_rows(outdir / "criterion_curve.csv")
+    assert len(rows) == 40
+    level = float(rows[0][header.index("hinv")])
+    with mp.workdps(40):
+        p1, p2 = mp.mpf(1.005), mp.mpf(1.006)
+        b = (p2 - 1) / (p2 - p1)
+        root = mp.findroot(lambda x: mp.exp(x * (1 - p2)) / (p2 - 1) * mp.hyp2f1(
+            1, b, 1 + b, -mp.exp(-x * (p2 - p1))) - 20, mp.log(level))
+        assert abs(level / float(mp.exp(root)) - 1.0) < 1e-12
+    assert all(0.0 < float(r[header.index("hinv")]) < sys.float_info.max for r in rows)
 
 
 def test_criterion_rejects_radial_profile_with_lattice_kernel(outdir, tmp_path,

@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from blowlab import cli
+from scipy.integrate import quad
+
+from blowlab import cli, nonlinearity
+from blowlab.blowup import default_horizon_grid
 from blowlab.errors import DomainError, ResolutionError
 from blowlab.nonlinearity import Nonlinearity, OsgoodTransform, fujita_exponent
 
@@ -133,22 +136,52 @@ def test_power_sources_near_p_1_pass_the_osgood_condition(make):
     assert OsgoodTransform(F).source is F
 
 
-def h_power_sum_reference(p1, p2, w):
-    """h(w) of u^p1 + u^p2 (p1 < p2) in closed form, by mpmath:
-    w^(1-p2)/(p2-1) 2F1(1, b; 1+b; -w^(-s)), s = p2 - p1, b = (p2-1)/s."""
+def h_power_sum_mp(mp, w, c1, p1, c2, p2):
+    """h(w) of c1 u^p1 + c2 u^p2 in closed form, as an mpf: with p1 < p2,
+    w^(1-p2)/(c2(p2-1)) 2F1(1, b; 1+b; -(c1/c2) w^(-s)), s = p2 - p1,
+    b = (p2-1)/s; equal powers are the power law with c1 + c2."""
+    w, c1, p1, c2, p2 = (mp.mpf(v) for v in (w, c1, p1, c2, p2))
+    if p1 > p2:
+        c1, p1, c2, p2 = c2, p2, c1, p1
+    if p1 == p2:
+        return w ** (1 - p1) / ((c1 + c2) * (p1 - 1))
+    s = p2 - p1
+    b = (p2 - 1) / s
+    return w ** (1 - p2) / (c2 * (p2 - 1)) * mp.hyp2f1(1, b, 1 + b, -(c1 / c2) * w ** (-s))
+
+
+def h_power_sum_reference(p1, p2, w, c1=1.0, c2=1.0):
+    """h(w) of c1 u^p1 + c2 u^p2 by mpmath at 40 digits."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
-        w, p1, p2 = mp.mpf(w), mp.mpf(p1), mp.mpf(p2)
-        s = p2 - p1
-        b = (p2 - 1) / s
-        return float(w ** (1 - p2) / (p2 - 1) * mp.hyp2f1(1, b, 1 + b, -w ** (-s)))
+        return float(h_power_sum_mp(mp, w, c1, p1, c2, p2))
+
+
+def level_power_sum_reference(p1, p2, T, w0):
+    """h^{-1}(T) of u^p1 + u^p2 by mpmath's root finder in log w, from w0."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        root = mp.findroot(lambda x: h_power_sum_mp(mp, mp.exp(x), 1, p1, 1, p2) - T,
+                           mp.log(w0))
+        return float(mp.exp(root))
+
+
+def custom_power_sum(p1, p2):
+    """u^p1 + u^p2 from callables, so that h takes the quadrature route."""
+    return Nonlinearity.custom(lambda u: u ** p1 + u ** p2,
+                               lambda u: p1 * u ** (p1 - 1.0) + p2 * u ** (p2 - 1.0))
+
+
+def custom_exponential():
+    """e^u - 1 from callables, so that h takes the quadrature route."""
+    return Nonlinearity.custom(np.expm1, np.exp)
 
 
 @pytest.mark.parametrize("make, w", [
-    (lambda: Nonlinearity.power_sum(1.0, 1.005, 1.0, 1.006), 1e100),
-    (lambda: Nonlinearity.power_sum(1.0, 1.005, 1.0, 1.006), 1e300),
-    (lambda: Nonlinearity.power_sum(1.0, 1.1, 1.0, 1.2), 1e300),
-    (lambda: Nonlinearity.exponential(1.0), 705.0),
+    (lambda: custom_power_sum(1.005, 1.006), 1e100),
+    (lambda: custom_power_sum(1.005, 1.006), 1e300),
+    (lambda: custom_power_sum(1.1, 1.2), 1e300),
+    (custom_exponential, 705.0),
 ], ids=["power-sum-1.005-1e100", "power-sum-1.005-1e300", "power-sum-1.1-1e300",
         "exponential-705"])
 def test_h_cut_where_F_leaves_the_doubles_raises(make, w):
@@ -156,7 +189,9 @@ def test_h_cut_where_F_leaves_the_doubles_raises(make, w):
     returned what was left: h(1e100) of u^1.005 + u^1.006 read 23.294
     (true 25.000) and h(1e300) read 0.146 (true 1.851); for u^1.1 + u^1.2,
     h(1e300) = 5.0e-60 raised a DomainError as below the doubles; h(705)
-    of e^u - 1 read 0.84 % low. Each raises naming the cut."""
+    of e^u - 1 read 0.84 % low. Each raises naming the cut. The named
+    families take exact routes, so these sources are written as custom
+    ones."""
     tr = OsgoodTransform(make())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -168,13 +203,24 @@ def test_h_cut_where_F_leaves_the_doubles_raises(make, w):
 @pytest.mark.parametrize("p1", [1.002, 1.005, 1.02, 1.03])
 def test_h_inverse_cut_where_F_leaves_the_doubles_raises(p1):
     """h_inverse(20) of u^1.005 + u^1.006 read 8.98e110 (true 1.959e117)
-    and of u^1.02 + u^1.021 was 3.6e-5 off; at p1 = 1.002 QUADPACK gave up.
-    The part of h past the cut spoils every level near 20: each raises. At
-    p1 = 1.03 it is 1.2e-8, and h(1) < 20: Newton must step left from an
-    unresolved h."""
+    and of u^1.02 + u^1.021 was 3.6e-5 off, while the quadrature's cut
+    stood in the way; then each raised naming the cut. The exact route
+    serves every level that is a normal double: each matches mpmath's root.
+    At p1 = 1.002, h at the largest double is still 29.1 by mpmath, so the
+    level of 20 lies past the doubles."""
     tr = OsgoodTransform(Nonlinearity.power_sum(1.0, p1, 1.0, p1 + 0.001))
-    with pytest.raises(ResolutionError, match="h is cut at u = e"):
-        tr.h_inverse(20.0)
+    if p1 == 1.002:
+        assert h_power_sum_reference(p1, p1 + 0.001, sys.float_info.max) > 20.0
+        with pytest.raises(DomainError, match=re.escape("h_inverse(20) exceeds "
+                                                        "the largest double")):
+            tr.h_inverse(20.0)
+        return
+    w = tr.h_inverse(20.0)
+    assert_allclose(w, level_power_sum_reference(p1, p1 + 0.001, 20.0, w), rtol=1e-12)
+    if p1 == 1.005:
+        # the command line's u^1.005 + u^1.006; 1.005 + 0.001 is 1.0059999999999998
+        assert_allclose(OsgoodTransform(Nonlinearity.power_sum(1.0, 1.005, 1.0, 1.006))
+                        .h_inverse(20.0), 1.9593998259733862e117, rtol=1e-12)
 
 
 @pytest.mark.parametrize("p1, p2, w", [(1.05, 1.051, 10.0), (1.1, 1.2, 10.0),
@@ -191,11 +237,147 @@ def test_power_sum_h_matches_the_closed_form_where_the_cut_is_negligible(p1, p2,
 def test_exponential_h_inverse_steps_over_the_cut():
     """Near T = 1e-4 Newton's first step from w = 1 lands at w of 650 to
     710, where the cut spoils h; h there is far below T all the same, so
-    the step counts as too large and the levels still round-trip."""
-    tr = OsgoodTransform(Nonlinearity.exponential(1.0))
+    the step counts as too large and the levels still round-trip. The
+    named exponential inverts in closed form, so e^u - 1 is written as a
+    custom source."""
+    tr = OsgoodTransform(custom_exponential())
     for T in np.geomspace(2e-8, 1.2e-4, 61):
         # -log(1 - e^-w), accurate at large w
         assert abs(-math.log1p(-math.exp(-tr.h_inverse(T))) / T - 1.0) < 1e-12
+
+
+# -- exact routes of the power sum and the exponential ------------------------
+
+POWER_SUMS = [
+    # integer (p1 - 1)/s: the series below u_h has a log term
+    (1.0, 2.0, 1.0, 3.0), (1.0, 3.0, 1.0, 4.0), (1.0, 2.0, 1.0, 2.5),
+    # p2 = p1 + 0.001 near p = 1, where u_h is near 1e-301
+    (1.0, 1.002, 1.0, 1.003), (1.0, 1.005, 1.0, 1.006), (1.0, 1.01, 1.0, 1.011),
+    (1.0, 1.02, 1.0, 1.021), (1.0, 1.03, 1.0, 1.031),
+    # b = 2.0000000000000004 in doubles, and b = 1001
+    (1.0, 1.1, 1.0, 1.2), (1.0, 2.0, 1.0, 2.001),
+    # c1 != c2, p1 > p2, and equal powers
+    (0.5, 2.0, 0.25, 3.0), (2.0, 3.0, 0.5, 2.0), (0.7, 2.5, 1.3, 2.5),
+]
+POWER_SUM_IDS = ["-".join(f"{v:g}" for v in ps) for ps in POWER_SUMS]
+
+
+@pytest.mark.parametrize("c1, p1, c2, p2", POWER_SUMS, ids=POWER_SUM_IDS)
+def test_power_sum_h_matches_mpmath(c1, p1, c2, p2):
+    """Both series and the crossover between them, from w = 1e-30 to
+    1e300, against the 2F1 form at 40 digits; where that is below the
+    normal doubles h raises naming w."""
+    tr = OsgoodTransform(Nonlinearity.power_sum(c1, p1, c2, p2))
+    split = getattr(tr._h_exact, "u_h", 1.0)
+    ws = np.concatenate([np.geomspace(1e-30, 1e300, 23), split * np.array([0.5, 1.0, 2.0])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for w in ws:
+            ref = h_power_sum_reference(p1, p2, w, c1, c2)
+            if ref < sys.float_info.min:
+                with pytest.raises(DomainError, match="below the smallest normal"):
+                    tr.h(w)
+            else:
+                assert_allclose(tr.h(w), ref, rtol=1e-13, err_msg=f"w = {w!r}")
+
+
+@pytest.mark.parametrize("c", [1.0, 1.3])
+def test_exponential_h_and_its_inverse_match_mpmath(c):
+    """h(w) = -log(1 - e^-w)/c on both sides of ln 2, and the level
+    -log(1 - e^(-cT)): the naive -log(-expm1(-100)) reads 0, where the
+    level is 3.72e-44."""
+    mp = pytest.importorskip("mpmath")
+    tr = OsgoodTransform(Nonlinearity.exponential(c))
+
+    def h_ref(w):
+        with mp.workdps(40):
+            w = mp.mpf(w)
+            return float((-mp.log1p(-mp.exp(-w)) if w > 1 else -mp.log(-mp.expm1(-w))) / c)
+
+    for w in np.concatenate([np.geomspace(1e-30, 700.0, 31), [math.log(2.0)]]):
+        assert_allclose(tr.h(w), h_ref(w), rtol=1e-13, err_msg=f"w = {w!r}")
+    for T in np.geomspace(1e-8, 500.0, 31):
+        with mp.workdps(40):
+            ref = float(-mp.log1p(-mp.exp(-c * mp.mpf(T))) if c * T > 1
+                        else -mp.log(-mp.expm1(-c * mp.mpf(T))))
+        assert_allclose(tr.h_inverse(T), ref, rtol=1e-13, err_msg=f"T = {T!r}")
+    assert_allclose(OsgoodTransform(Nonlinearity.exponential(1.0)).h_inverse(100.0),
+                    3.720075976020836e-44, rtol=1e-13)
+
+
+@pytest.mark.parametrize("make, w, h_ref", [
+    (lambda: Nonlinearity.exponential(1e-14), 740.0,
+     lambda mp, w: mp.exp(-w) / mp.mpf(1e-14)),
+    (lambda: Nonlinearity.power_law(1e-10, 3.0), 1e156,
+     lambda mp, w: w ** -2 / (2 * mp.mpf(1e-10))),
+    (lambda: Nonlinearity.power_law(1e-100, 3.0), 1e200,
+     lambda mp, w: w ** -2 / (2 * mp.mpf(1e-100))),
+    (lambda: Nonlinearity.power_sum(1.0, 2.0, 1e-100, 3.0), 1e200,
+     lambda mp, w: h_power_sum_reference(2.0, 3.0, w, 1.0, 1e-100)),
+], ids=["exponential", "power-1e156", "power-1e200", "power-sum-1e200"])
+def test_h_of_a_small_coefficient_from_a_subnormal_power(make, w, h_ref):
+    """h = e^-w/c or w^(1-p)/(c(p-1)) is a normal double, though e^-w or
+    w^(1-p) is subnormal or 0: the plain quotient reads h(740) of
+    1e-14 (e^u - 1) 0.26 % high and h(1e156) of 1e-10 u^3 1.5e-12 low, and
+    h(1e200) of 1e-100 u^3 as 0, which raised DomainError. Each is formed
+    from two normal halves."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        ref = float(h_ref(mp, mp.mpf(w)))
+    assert_allclose(OsgoodTransform(make()).h(w), ref, rtol=1e-13)
+
+
+@pytest.mark.parametrize("make", [
+    *[(lambda ps=ps: Nonlinearity.power_sum(*ps)) for ps in POWER_SUMS],
+    lambda: Nonlinearity.exponential(1.0),
+    lambda: Nonlinearity.exponential(1.3),
+], ids=[*POWER_SUM_IDS, "exponential-1", "exponential-1.3"])
+def test_exact_levels_round_trip_over_the_default_horizons(make):
+    """h(h^{-1}(T)) = T within 1e-13 at every horizon of the default grid
+    whose level is a normal double; the others raise DomainError."""
+    tr = OsgoodTransform(make())
+    served = 0
+    for T in default_horizon_grid():
+        try:
+            w = tr.h_inverse(T)
+        except DomainError as exc:
+            assert re.search("exceeds the largest|below the smallest normal", str(exc))
+            continue
+        assert abs(tr.h(w) / T - 1.0) < 1e-13, (T, w)
+        served += 1
+    assert served >= 10
+
+
+@pytest.mark.parametrize("c1, p, c2", [(0.7, 2.5, 1.3), (1.0, 1.01, 2.0)])
+def test_a_power_sum_with_equal_powers_is_the_power_law(c1, p, c2):
+    both = OsgoodTransform(Nonlinearity.power_sum(c1, p, c2, p))
+    one = OsgoodTransform(Nonlinearity.power_law(c1 + c2, p))
+    for w in (1e-3, 1.0, 1e5):
+        assert both.h(w) == one.h(w)
+    for T in (1.0, 10.0, 1e3):
+        assert both.h_inverse(T) == one.h_inverse(T)
+
+
+def test_power_sum_whose_crossover_leaves_the_doubles_raises():
+    """5 u^1.005 + u^1.006: the crossover u_h = 2.5^1000 lies past the
+    largest double, where neither series reaches; the transform names it."""
+    with pytest.raises(ResolutionError, match="crossover u_h .* exceeds the largest double"):
+        OsgoodTransform(Nonlinearity.power_sum(5.0, 1.005, 1.0, 1.006))
+
+
+def test_named_families_call_no_quadrature(monkeypatch):
+    """Sweeps over the default horizons on the exact routes never reach
+    QUADPACK; a custom source still does."""
+    calls = []
+    monkeypatch.setattr(nonlinearity, "quad", lambda *a, **k: calls.append(a) or quad(*a, **k))
+    for F in (Nonlinearity.power_sum(1.0, 2.0, 1.0, 3.0), Nonlinearity.exponential(1.0),
+              Nonlinearity.power_law(1.0, 3.0)):
+        tr = OsgoodTransform(F)
+        for T in default_horizon_grid()[:-1]:
+            tr.h(tr.h_inverse(T))
+    assert calls == []
+    OsgoodTransform(custom_exponential()).h(1.0)
+    assert calls
 
 
 def test_transform_domain():

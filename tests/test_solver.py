@@ -15,9 +15,9 @@ from blowlab.errors import DomainError, ResolutionError
 from blowlab.kernels import (Grid, GridFunction, KernelSpec,
                              generator_symbol_grid, semigroup_kernel)
 from blowlab.nonlinearity import Nonlinearity
-from blowlab.solver import (BlowupSignal, SimConfig, _MomentProbe, _advance,
-                            _half_propagator, _state, dichotomy_experiment,
-                            jensen_report, run)
+from blowlab.solver import (BlowupSignal, MomentSeries, SimConfig, Trajectory,
+                            _MomentProbe, _advance, _half_propagator, _state,
+                            dichotomy_experiment, jensen_report, run)
 
 
 def step(u, cfg, dt):
@@ -551,6 +551,33 @@ def test_a_jensen_report_on_moments_whose_h_leaves_the_doubles_is_a_domain_error
                         moment_targets=(0.5,)))
     with pytest.raises(DomainError, match="^w = .* is too small"):
         jensen_report(traj, F, 0.5)
+
+
+def _moment_trajectory(W):
+    """A trajectory that recorded the moment series W at t = 0, 1, 2, ...
+    of its horizon 0.5."""
+    g = Grid(1, 8.0, 64)
+    series = MomentSeries(target=0.5, center=(32,), t=[float(i) for i in range(len(W))],
+                          W=list(W))
+    return Trajectory(t=[], sup=[], mass=[], dt=[], source_integral=[],
+                      moments={0.5: series}, outcome="reached_horizon", t_obs=None,
+                      final_state=GridFunction(g, np.zeros(g.shape)))
+
+
+@pytest.mark.parametrize("W_last", [690.0, 800.0])
+@pytest.mark.parametrize("make, h_1, rtol", [
+    (lambda: Nonlinearity.exponential(1.0), 0.45867514538708193, 0.0),
+    (lambda: Nonlinearity.custom(np.expm1, np.exp), 0.45867514538708193, 1e-12),
+], ids=["exponential", "custom-exponential"])
+def test_jensen_report_reads_a_negligible_last_h_as_0(make, h_1, rtol, W_last):
+    """h(W_last) of e^u - 1 is 2.2e-300 at 690 and below the doubles at 800;
+    either way it cannot move h(1) - h(W_last), which reads h(1). The report
+    raised at both: from the cut's window on the quadrature route and
+    below the normal doubles on both. A custom source counts the cut's
+    bound, 5.6e-309, in h(W_last)."""
+    jr = jensen_report(_moment_trajectory((1.0, 5.0, W_last)), make(), 0.5)
+    assert_allclose(jr.integrated_lhs, h_1, rtol=rtol, atol=0.0)
+    assert jr.elapsed == 2.0
 
 
 def test_step_signals_blowup_on_overflow():
