@@ -104,12 +104,22 @@ class BlowupVerdict:
 # the moment functional
 # ---------------------------------------------------------------------------
 
-def _smoothed(u_hat: np.ndarray, sym: np.ndarray, T: float, grid) -> np.ndarray:
-    """e^{T A} u0 from the half spectrum of u0, negative ringing and all:
-    its readers take only its maximum and argmax, which a clip at zero
-    leaves as they are wherever the maximum is positive. The product is
-    inverted in place, as it is a temporary."""
-    return grid.irfft(np.exp(T * sym) * u_hat, overwrite=True)
+def _smoother(u_hat: np.ndarray, sym: np.ndarray, grid):
+    """T -> e^{T A} u0 from the half spectrum of u0, negative ringing and
+    all: its readers take only its maximum and argmax, which a clip at zero
+    leaves as they are wherever the maximum is positive. Each call forms
+    e^{T sym} u_hat in the same two buffers, with the bits of fresh arrays
+    but not their allocation, and inverts it in place."""
+    decay = np.empty(sym.shape)
+    product = np.empty(u_hat.shape, dtype=complex)
+
+    def smoothed(T: float) -> np.ndarray:
+        np.multiply(sym, T, out=decay)
+        np.exp(decay, out=decay)
+        np.multiply(decay, u_hat, out=product)
+        return grid.irfft(product, overwrite=True)
+
+    return smoothed
 
 
 def _radial_pairing(profile: StableProfile, t: float, u: RadialProfile) -> float:
@@ -159,13 +169,12 @@ def _grid_moments(u0: GridFunction, kernel: KernelSpec):
     memoized kernel audit and runs one inverse transform, whose maximum,
     or 0 for all-zero data, is W_T and whose argmax the center."""
     grid = u0.grid
-    sym = generator_symbol_grid(kernel, grid)
-    u_hat = grid.rfft(u0.values)
+    smoothed = _smoother(grid.rfft(u0.values), generator_symbol_grid(kernel, grid), grid)
     centers: dict = {}
 
     def moment(T: float):
         reliable = _audit_failure(kernel, float(T), grid, _BOUNDARY_TOL) is None
-        fld = _smoothed(u_hat, sym, T, grid)
+        fld = smoothed(T)
         centers[float(T)] = _peak_index(fld)
         return float(np.maximum(fld[centers[float(T)]], 0.0)), reliable
 

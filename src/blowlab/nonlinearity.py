@@ -6,9 +6,10 @@ transform h(w) = int_w^inf du/F(u) and its inverse convert moment lower
 bounds into blowup-time bounds. Three families get exact routes: closed
 forms for the power law and the exponential, and two converging series for
 the power sum, which Newton's method in log w inverts. Only ``custom``
-sources go through adaptive quadrature in log u; where F leaves the doubles
-the quadrature stops, and h raises ResolutionError if the part past that
-cut may exceed its tolerance.
+sources, and power sums whose crossover of the two series lies past the
+largest double, go through adaptive quadrature in log u; where F leaves the
+doubles the quadrature stops, and h raises ResolutionError if the part past
+that cut may exceed its tolerance.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ _LOG_HUGE = math.log(sys.float_info.max)
 _EPS = sys.float_info.epsilon
 _LN2 = math.log(2.0)
 _NEWTON_ITERATIONS = 100
+# cap on the terms of the power sum's series, whose ratios are at most 2/3
+_SERIES_TERMS = 200
 # relative error target, and bound on QUADPACK's estimate, of the h quadrature
 _H_QUAD_TOL = 1e-12
 # probe scales for the large-u tail exponent audit
@@ -266,12 +269,13 @@ class _PowerSumH:
     (1+z)^-1 sum_k k!/(b+1)_k x^k, x = z/(1+z) <= 2/3 (DLMF 15.8.1).
     Below, h(w) = h(u_h) + (1/c1) sum_k (-c2/c1)^k (u_h^e - w^e)/e,
     e = k s - p1 + 1, each difference formed from the end that does not
-    overflow (log(u_h/w) at e = 0). Every term ratio is at most 2/3 above
-    and 1/2 below; the powers raise OverflowError where h leaves the
-    doubles.
+    overflow (L = log u_h - log w at e = 0). Every term ratio is at most
+    2/3 above and 1/2 below; the powers raise OverflowError where h leaves
+    the doubles, and a series that has not reached a positive sum in
+    _SERIES_TERMS terms raises ResolutionError.
     """
 
-    def __init__(self, label: str, c1: float, p1: float, c2: float, p2: float):
+    def __init__(self, c1: float, p1: float, c2: float, p2: float):
         if p1 > p2:
             c1, p1, c2, p2 = c2, p2, c1, p1
         self.c1, self.p1, self.c2, self.p2 = c1, p1, c2, p2
@@ -281,10 +285,6 @@ class _PowerSumH:
             self.u_h = (c1 / (2.0 * c2)) ** (1.0 / self.s)
         except OverflowError:
             self.u_h = math.inf
-        if not math.isfinite(self.u_h):
-            raise ResolutionError(f"{label}: the crossover u_h = (c1/(2 c2))^(1/s) "
-                                  "where c2 u^p2 is half of c1 u^p1 exceeds the "
-                                  "largest double; h has no route there")
 
     def __call__(self, w: float) -> float:
         return self._above(w) if w >= self.u_h else self._below(w)
@@ -300,12 +300,13 @@ class _PowerSumH:
         z = self.c1 / self.c2 * w ** -self.s
         x = z / (1.0 + z)
         total = term = 1.0
-        k = 0
-        while term > 0.25 * _EPS * total:
-            k += 1
+        for k in range(1, _SERIES_TERMS):
             term *= k / (self.b + k) * x
             total += term
-        return _power_over(w, 1.0 - self.p2, self.c2 * (self.p2 - 1.0)) / (1.0 + z) * total
+            if term <= 0.25 * _EPS * total:
+                return (_power_over(w, 1.0 - self.p2, self.c2 * (self.p2 - 1.0))
+                        / (1.0 + z) * total)
+        raise self._unresolved(w)
 
     @functools.cached_property
     def _h_u_h(self) -> float:
@@ -314,12 +315,13 @@ class _PowerSumH:
     def _below(self, w: float) -> float:
         c1, c2, p1, s, u_h = self.c1, self.c2, self.p1, self.s, self.u_h
         h_u_h = self._h_u_h
-        L = math.log(u_h / w)
+        # log(u_h / w) overflows where u_h is large and w small
+        L = math.log(u_h) - math.log(w)
         # the k-th term is qk U or rk W, times its difference over e
         U, q = u_h ** (1.0 - p1) / c1, c2 / c1 * u_h ** s
         W, r = w ** (1.0 - p1) / c1, c2 / c1 * w ** s
-        total, sign, k, qk, rk = 0.0, 1.0, 0, 1.0, 1.0
-        while True:
+        total, sign, qk, rk = 0.0, 1.0, 1.0, 1.0
+        for k in range(_SERIES_TERMS):
             e = k * s - p1 + 1.0
             if e > 0.0:
                 term = qk * U * -math.expm1(-e * L) / e
@@ -329,8 +331,16 @@ class _PowerSumH:
                 term = qk * U * L
             total += sign * term
             if term <= 0.5 * _EPS * (h_u_h + total):
-                return h_u_h + total
-            k, sign, qk, rk = k + 1, -sign, qk * q, rk * r
+                if h_u_h + total > 0.0:
+                    return h_u_h + total
+                break
+            sign, qk, rk = -sign, qk * q, rk * r
+        raise self._unresolved(w)
+
+    def _unresolved(self, w: float) -> ResolutionError:
+        return ResolutionError(f"h({w!r}) of {self.c1:g}*u^{self.p1:g}+{self.c2:g}"
+                               f"*u^{self.p2:g}: its series did not converge to a "
+                               f"positive value in {_SERIES_TERMS} terms")
 
 
 class OsgoodTransform:
@@ -344,8 +354,9 @@ class OsgoodTransform:
       h^{-1}(T) = -log(1 - e^(-cT)), each through log1p or expm1 on the
       side where it keeps its digits;
     - the power sum: the series of ``_PowerSumH``, inverted by Newton's
-      method in log w.
-    Only ``custom`` sources integrate in v = log u, where
+      method in log w, wherever their crossover u_h is a double.
+    Only ``custom`` sources, and power sums whose u_h is not, integrate in
+    v = log u, where
     int_w^inf du/F(u) = int_(log w)^inf u/F(u) dv, split at u = 1 (the piece
     above is computed once), and invert by the same Newton's method.
     """
@@ -366,7 +377,10 @@ class OsgoodTransform:
             self._h_exact = functools.partial(_exponential_h, c)
             self._h_inverse_exact = functools.partial(_exponential_h_inverse, c)
         elif kind == "power-sum":
-            self._h_exact = _PowerSumH(source.label, c, p, source.coeff2, source.power2)
+            series = _PowerSumH(c, p, source.coeff2, source.power2)
+            # past the largest double, u_h cannot anchor the lower series
+            if math.isfinite(series.u_h):
+                self._h_exact = series
 
     def _F(self, u: float) -> float:
         with np.errstate(over="ignore"):
@@ -432,7 +446,21 @@ class OsgoodTransform:
         DomainError names w where h(w) is below the normal doubles."""
         w = float(w)
         _check_range("w", w)
-        value, lost = self._h(w)
+        return self._checked(w, *self._h(w))
+
+    def h_difference(self, w0: float, w1: float) -> float:
+        """h(w0) - h(w1), where h(w1) reads 0 wherever it, with the bound on
+        its part past a quadrature's cut, is below eps h(w0): there it cannot
+        move the difference, even where h raises past the normal doubles."""
+        first = self.h(w0)
+        w1 = float(w1)
+        _check_range("w", w1)
+        value, lost = self._h(w1)
+        if value + lost < _EPS * first:
+            return first
+        return first - self._checked(w1, value, lost)
+
+    def _checked(self, w: float, value: float, lost: float) -> float:
         if lost > _H_QUAD_TOL * value and value + lost >= _TINY:
             raise self._cut_error(value, lost)
         if value < _TINY:

@@ -74,7 +74,7 @@ import numpy as np
 from .errors import DomainError, ResolutionError
 from .kernels import Grid, GridFunction, KernelSpec, generator_symbol_grid
 from .nonlinearity import Nonlinearity, OsgoodTransform, fujita_exponent
-from .blowup import CriterionInput, _peak_index, _smoothed, evaluate_criterion
+from .blowup import CriterionInput, _peak_index, _smoother, evaluate_criterion
 from .numutil import _check_range
 
 __all__ = [
@@ -94,7 +94,6 @@ _MASS_DEFECT_TOL = 1e-4      # relative mass defect per unit time
 _AUDIT_STRIDE = 16           # steps between support audits
 _SPIKE_GROWTH = 4.0          # sup ramp factor that ends the mass audit
 _JENSEN_SLACK = 1e-4         # relative slack of the integrated Jensen check
-_EPS = float(np.finfo(float).eps)  # h(W_last) below _EPS * h(W_first) reads 0
 _STEP_TOL = 3e-9             # relative local error a lengthened step may make
 _MAX_GROWTH = 5.0            # largest ratio of a step to the one before
 _T_END_RTOL = 1e-9           # a step leaving less than this * t_end lands on t_end
@@ -442,8 +441,8 @@ def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
     sym, cell = generator_symbol_grid(cfg.kernel, grid), grid.cell_volume
     # each horizon's center is the lattice peak of its smoothed data; it
     # moves with the data when the box doubles, while the horizon is ahead
-    probes = {T: _MomentProbe(grid, sym,
-                              _peak_index(_smoothed(state.spectrum, sym, T, grid)))
+    smoothed = _smoother(state.spectrum, sym, grid)
+    probes = {T: _MomentProbe(grid, sym, _peak_index(smoothed(T)))
               for T in cfg.moment_targets}
     traj = Trajectory(t=[], sup=[], mass=[], dt=[], source_integral=[],
                       moments={T: MomentSeries(target=T, center=probe.center)
@@ -612,13 +611,7 @@ def jensen_report(traj: Trajectory, nonlinearity: Nonlinearity,
     tol = 1e-6 * (1.0 + FW)
     margins = dW - FW + tol
     ok = margins >= 0.0
-    transform = OsgoodTransform(nonlinearity)
-    first, last = transform.h(ms.W[0]), float(ms.W[-1])
-    # h(W_last), with the bound on its part past a quadrature's cut, reads
-    # 0 where it cannot move the difference, even past the normal doubles
-    _check_range("w", last)
-    value, lost = transform._h(last)
-    lhs = first - (transform.h(last) if value + lost >= _EPS * first else 0.0)
+    lhs = OsgoodTransform(nonlinearity).h_difference(ms.W[0], ms.W[-1])
     elapsed = ms.t[-1] - ms.t[0]
     return JensenReport(
         target=target, steps=int(ok.size),

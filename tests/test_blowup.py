@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from blowlab import norms
 from blowlab.blowup import (CriterionInput, _grid_moments, _peak_index,
-                            _radial_pairing, _smoothed, default_horizon_grid,
+                            _radial_pairing, _smoother, default_horizon_grid,
                             evaluate_criterion, moment_at_zero)
 from blowlab.errors import DomainError, ResolutionError
 from blowlab.kernels import (_BOUNDARY_TOL, Grid, GridFunction, KernelSpec,
@@ -19,6 +19,11 @@ from blowlab.nonlinearity import Nonlinearity
 from blowlab.norms import RadialProfile
 from blowlab.numutil import log_grid, loglog_slope
 from blowlab.specfun import sphere_area
+
+
+def plain_smoothed(u_hat, sym, T, grid):
+    """e^{T A} u0 from fresh arrays, the bits the criterion's buffers keep."""
+    return grid.irfft(np.exp(T * sym) * u_hat)
 
 
 def moment_field(u0, kernel, T, boundary_tol=_BOUNDARY_TOL):
@@ -31,7 +36,7 @@ def moment_field(u0, kernel, T, boundary_tol=_BOUNDARY_TOL):
             raise ResolutionError(failure)
     grid = u0.grid
     sym = generator_symbol_grid(kernel, grid)
-    return GridFunction(grid, _smoothed(grid.rfft(u0.values), sym, T, grid))
+    return GridFunction(grid, plain_smoothed(grid.rfft(u0.values), sym, T, grid))
 
 
 def test_moment_field_matches_closed_gaussian():
@@ -61,13 +66,26 @@ def test_grid_moments_are_the_clipped_field_maximum(kernel):
     sym, u_hat = generator_symbol_grid(kernel, g), g.rfft(u0.values)
     rings = False
     for T in (0.05, 0.5, 2.0):
-        field = _smoothed(u_hat, sym, T, g)
+        field = plain_smoothed(u_hat, sym, T, g)
         rings |= bool(np.min(field) < 0.0)
         clipped = np.maximum(field, 0.0)
         W, _ = moment(T)
         assert centers[T] == _peak_index(clipped)
         assert W == float(np.max(clipped))
     assert rings
+
+
+@pytest.mark.parametrize("kernel", [KernelSpec.fractional(1.5), KernelSpec.bump(),
+                                    KernelSpec.gaussian()],
+                         ids=["fractional-1.5", "bump", "gaussian"])
+def test_smoother_reuses_its_buffers_with_the_bits_of_fresh_arrays(kernel):
+    g = Grid(2, 24.0, 64)
+    u0 = GridFunction.gaussian(g, mass=2.0, sigma=1.3)
+    sym, u_hat = generator_symbol_grid(kernel, g), g.rfft(u0.values)
+    smoothed = _smoother(u_hat, sym, g)
+    for T in (*default_horizon_grid()[::7], 0.05):
+        assert np.array_equal(smoothed(T), plain_smoothed(u_hat, sym, T, g))
+    assert np.array_equal(u_hat, g.rfft(u0.values))
 
 
 def test_grid_moments_of_all_zero_data_read_0():

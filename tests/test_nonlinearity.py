@@ -258,24 +258,31 @@ POWER_SUMS = [
     (1.0, 1.1, 1.0, 1.2), (1.0, 2.0, 1.0, 2.001),
     # c1 != c2, p1 > p2, and equal powers
     (0.5, 2.0, 0.25, 3.0), (2.0, 3.0, 0.5, 2.0), (0.7, 2.5, 1.3, 2.5),
+    # c1 well above 2 c2 near p = 1: u_h = 2^1000 = 1.07e301 and 1.25^1000,
+    # so log(u_h/w) overflowed at small w
+    (4.0, 1.005, 1.0, 1.006), (2.5, 1.005, 1.0, 1.006),
 ]
 POWER_SUM_IDS = ["-".join(f"{v:g}" for v in ps) for ps in POWER_SUMS]
 
 
 @pytest.mark.parametrize("c1, p1, c2, p2", POWER_SUMS, ids=POWER_SUM_IDS)
 def test_power_sum_h_matches_mpmath(c1, p1, c2, p2):
-    """Both series and the crossover between them, from w = 1e-30 to
+    """Both series and the crossover between them, from w = 1e-300 to
     1e300, against the 2F1 form at 40 digits; where that is below the
-    normal doubles h raises naming w."""
+    normal doubles, or above them, h raises naming w."""
     tr = OsgoodTransform(Nonlinearity.power_sum(c1, p1, c2, p2))
     split = getattr(tr._h_exact, "u_h", 1.0)
-    ws = np.concatenate([np.geomspace(1e-30, 1e300, 23), split * np.array([0.5, 1.0, 2.0])])
+    ws = np.concatenate([np.geomspace(1e-300, 1e-40, 14), np.geomspace(1e-30, 1e300, 23),
+                         split * np.array([0.5, 1.0, 2.0])])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for w in ws:
             ref = h_power_sum_reference(p1, p2, w, c1, c2)
             if ref < sys.float_info.min:
                 with pytest.raises(DomainError, match="below the smallest normal"):
+                    tr.h(w)
+            elif ref > sys.float_info.max:
+                with pytest.raises(DomainError, match="too small: h.w. leaves the doubles"):
                     tr.h(w)
             else:
                 assert_allclose(tr.h(w), ref, rtol=1e-13, err_msg=f"w = {w!r}")
@@ -333,11 +340,12 @@ def test_h_of_a_small_coefficient_from_a_subnormal_power(make, w, h_ref):
     lambda: Nonlinearity.exponential(1.3),
 ], ids=[*POWER_SUM_IDS, "exponential-1", "exponential-1.3"])
 def test_exact_levels_round_trip_over_the_default_horizons(make):
-    """h(h^{-1}(T)) = T within 1e-13 at every horizon of the default grid
-    whose level is a normal double; the others raise DomainError."""
+    """h(h^{-1}(T)) = T within 1e-13 at every horizon of the default grid,
+    and up to T = 4000, whose level is a normal double; the others raise
+    DomainError."""
     tr = OsgoodTransform(make())
     served = 0
-    for T in default_horizon_grid():
+    for T in np.concatenate([default_horizon_grid(), np.geomspace(20.0, 4000.0, 12)]):
         try:
             w = tr.h_inverse(T)
         except DomainError as exc:
@@ -358,11 +366,32 @@ def test_a_power_sum_with_equal_powers_is_the_power_law(c1, p, c2):
         assert both.h_inverse(T) == one.h_inverse(T)
 
 
-def test_power_sum_whose_crossover_leaves_the_doubles_raises():
-    """5 u^1.005 + u^1.006: the crossover u_h = 2.5^1000 lies past the
-    largest double, where neither series reaches; the transform names it."""
-    with pytest.raises(ResolutionError, match="crossover u_h .* exceeds the largest double"):
-        OsgoodTransform(Nonlinearity.power_sum(5.0, 1.005, 1.0, 1.006))
+def test_power_sum_whose_crossover_leaves_the_doubles_takes_the_quadrature():
+    """u^2 + 1e-10 u^2.03 has its crossover at u_h = 10^324, past the
+    largest double, where the lower series has no anchor; h and its inverse
+    take the quadrature, whose cut at u = 1.3e154 loses about 1e-154 of h,
+    and serve h(1) and h_inverse(1). For 5 u^1.005 + u^1.006, u_h =
+    2.5^1000, the part past the cut, up to 0.8, refuses the level of 20, as
+    for a custom source."""
+    tr = OsgoodTransform(Nonlinearity.power_sum(1.0, 2.0, 1e-10, 2.03))
+    assert tr._h_exact is None
+    ref = h_power_sum_reference(2.0, 2.03, 1.0, 1.0, 1e-10)
+    assert_allclose(tr.h(1.0), ref, rtol=1e-12)
+    assert_allclose(h_power_sum_reference(2.0, 2.03, tr.h_inverse(1.0), 1.0, 1e-10), 1.0,
+                    rtol=1e-12)
+    with pytest.raises(ResolutionError, match=r"h is cut at u = e\^[0-9.]+, "
+                       r"where F leaves the doubles; the part past the cut"):
+        OsgoodTransform(Nonlinearity.power_sum(5.0, 1.005, 1.0, 1.006)).h_inverse(20.0)
+
+
+def test_power_sum_series_cut_short_raises(monkeypatch):
+    """A series that has not converged to a positive sum within its cap
+    raises rather than summing on: 3 terms leave both of these short."""
+    monkeypatch.setattr(nonlinearity, "_SERIES_TERMS", 3)
+    tr = OsgoodTransform(Nonlinearity.power_sum(4.0, 1.005, 1.0, 1.006))
+    for w in (1e-300, 1e302):
+        with pytest.raises(ResolutionError, match="series did not converge"):
+            tr.h(w)
 
 
 def test_named_families_call_no_quadrature(monkeypatch):
@@ -378,6 +407,20 @@ def test_named_families_call_no_quadrature(monkeypatch):
     assert calls == []
     OsgoodTransform(custom_exponential()).h(1.0)
     assert calls
+
+
+@pytest.mark.parametrize("make", [lambda: Nonlinearity.exponential(1.0),
+                                  lambda: Nonlinearity.power_sum(1.0, 2.0, 1.0, 3.0),
+                                  custom_exponential],
+                         ids=["exponential", "power-sum", "custom-exponential"])
+def test_h_difference_is_the_difference_of_h_where_h_w1_counts(make):
+    """Where h(w1) is not negligible beside h(w0), h_difference is the
+    difference of the public h, bit for bit, in either order; where h(w1)
+    is not a normal double and h(w0) is, it reads h(w0)."""
+    tr = OsgoodTransform(make())
+    for w0, w1 in ((1.0, 5.0), (5.0, 1.0), (0.01, 30.0)):
+        assert tr.h_difference(w0, w1) == tr.h(w0) - tr.h(w1)
+    assert tr.h_difference(1.0, 1e300 if "u^3" in tr.source.label else 800.0) == tr.h(1.0)
 
 
 def test_transform_domain():
