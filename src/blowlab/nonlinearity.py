@@ -6,10 +6,9 @@ transform h(w) = int_w^inf du/F(u) and its inverse convert moment lower
 bounds into blowup-time bounds. Three families get exact routes: closed
 forms for the power law and the exponential, and two converging series for
 the power sum, which Newton's method in log w inverts. Only ``custom``
-sources, and power sums whose crossover of the two series lies past the
-largest double, go through adaptive quadrature in log u; where F leaves the
-doubles the quadrature stops, and h raises ResolutionError if the part past
-that cut may exceed its tolerance.
+sources go through adaptive quadrature in log u; where F leaves the doubles
+the quadrature stops, and h raises ResolutionError if the part past that cut
+may exceed its tolerance.
 """
 
 from __future__ import annotations
@@ -217,15 +216,17 @@ class Nonlinearity:
 
 
 def _power_over(w: float, e: float, d: float) -> float:
-    """w^e/d. Where w^e is below the normal doubles it is formed from two
-    normal halves, so that a small d does not bring back the digits a
-    subnormal lost. The power raises OverflowError, the division returns
-    inf, where the value leaves the doubles."""
-    power = w ** e
-    if power < _TINY:
-        half = w ** (0.5 * e)
-        return half / d * half
-    return power / d
+    """w^e/d. Where w^e leaves the normal doubles it is formed from two
+    halves, so that a quotient within them is a double with its digits; the
+    half raises OverflowError, or it reads inf, where it leaves them."""
+    try:
+        power = w ** e
+    except OverflowError:
+        power = math.inf
+    if _TINY <= power < math.inf:
+        return power / d
+    half = w ** (0.5 * e)
+    return half / d * half
 
 
 def _power_law_h_inverse(c: float, p: float, T: float) -> float:
@@ -262,18 +263,18 @@ def _exponential_h_inverse(c: float, T: float) -> float:
 
 class _PowerSumH:
     """w -> h(w) of c1 u^p1 + c2 u^p2, p1 < p2, s = p2 - p1, by two series
-    that meet at the crossover u_h, where (c2/c1) u_h^s = 1/2.
+    that meet at the crossover u_h, where z = (c1/c2) u_h^-s = 2; u_h, like
+    c1/c2, may leave the doubles, so it is held as log2 u_h.
 
-    Above u_h, z = (c1/c2) w^-s <= 2 and h is w^(1-p2)/(c2(p2-1)) times
-    2F1(1, b; b+1; -z), b = (p2-1)/s, summed in Pfaff's form
-    (1+z)^-1 sum_k k!/(b+1)_k x^k, x = z/(1+z) <= 2/3 (DLMF 15.8.1).
-    Below, h(w) = h(u_h) + (1/c1) sum_k (-c2/c1)^k (u_h^e - w^e)/e,
-    e = k s - p1 + 1, each difference formed from the end that does not
-    overflow (L = log u_h - log w at e = 0). Every term ratio is at most
-    2/3 above and 1/2 below; the powers raise OverflowError where h leaves
-    the doubles, and a series that has not reached a positive sum in
-    _SERIES_TERMS terms raises ResolutionError.
-    """
+    Above u_h, h is w^(1-p2)/(c2(p2-1)) times 2F1(1, b; b+1; -z), b =
+    (p2-1)/s, in Pfaff's form (1+z)^-1 sum_k k!/(b+1)_k x^k, x = z/(1+z)
+    <= 2/3 (DLMF 15.8.1). Below, h(w) = h(u_h) + (1/c1) sum_k (-c2/c1)^k
+    (u_h^e - w^e)/e, e = k s - p1 + 1, each difference formed from the end
+    that does not overflow (L = log u_h - log w at e = 0); the k-th term
+    carries 2^-k U, U = u_h^(1-p1)/c1 = u_h^(1-p2)/(2c2). Term ratios are at
+    most 2/3 above and 1/2 below. Past the doubles a power raises
+    OverflowError or the sum leaves them; a series not converged in
+    _SERIES_TERMS terms raises ResolutionError."""
 
     def __init__(self, c1: float, p1: float, c2: float, p2: float):
         if p1 > p2:
@@ -281,13 +282,14 @@ class _PowerSumH:
         self.c1, self.p1, self.c2, self.p2 = c1, p1, c2, p2
         self.s = p2 - p1
         self.b = (p2 - 1.0) / self.s
-        try:
-            self.u_h = (c1 / (2.0 * c2)) ** (1.0 / self.s)
-        except OverflowError:
-            self.u_h = math.inf
+        self.log2_u_h = (math.log2(c1) - math.log2(c2) - 1.0) / self.s
 
     def __call__(self, w: float) -> float:
-        return self._above(w) if w >= self.u_h else self._below(w)
+        L = self.log2_u_h * _LN2 - math.log(w)
+        if L > 0.0:
+            return self._below(w, L)
+        return self._above(w, self.c1 * _power_over(w, -self.s, self.c2),
+                           _power_over(w, 1.0 - self.p2, self.c2 * (self.p2 - 1.0)))
 
     def log_level_bound(self, T: float) -> float:
         """log of the smaller of the two terms' levels at T, which bounds
@@ -296,30 +298,31 @@ class _PowerSumH:
         return min(-(math.log(c) + math.log(p - 1.0) + log_T) / (p - 1.0)
                    for c, p in ((self.c1, self.p1), (self.c2, self.p2)))
 
-    def _above(self, w: float) -> float:
-        z = self.c1 / self.c2 * w ** -self.s
+    def fh_over_w(self, x: float, hw: float) -> float:
+        """F(w) h(w)/w at w = e^x, from 1/(p2-1) to 1/(p1-1), summed in logs."""
+        return sum(math.exp(math.log(c) + math.log(hw) + (p - 1.0) * x)
+                   for c, p in ((self.c1, self.p1), (self.c2, self.p2)))
+
+    def _above(self, w, z: float, scale: float) -> float:
         x = z / (1.0 + z)
         total = term = 1.0
         for k in range(1, _SERIES_TERMS):
             term *= k / (self.b + k) * x
             total += term
             if term <= 0.25 * _EPS * total:
-                return (_power_over(w, 1.0 - self.p2, self.c2 * (self.p2 - 1.0))
-                        / (1.0 + z) * total)
+                return scale / (1.0 + z) * total
         raise self._unresolved(w)
 
     @functools.cached_property
-    def _h_u_h(self) -> float:
-        return self._above(self.u_h)
+    def _anchor(self) -> tuple:
+        U = _power_over(2.0, (1.0 - self.p1) * self.log2_u_h, self.c1)
+        return self._above("u_h", 2.0, 2.0 * U / (self.p2 - 1.0)), U
 
-    def _below(self, w: float) -> float:
-        c1, c2, p1, s, u_h = self.c1, self.c2, self.p1, self.s, self.u_h
-        h_u_h = self._h_u_h
-        # log(u_h / w) overflows where u_h is large and w small
-        L = math.log(u_h) - math.log(w)
+    def _below(self, w: float, L: float) -> float:
+        c1, c2, p1, s = self.c1, self.c2, self.p1, self.s
+        h_u_h, U = self._anchor
         # the k-th term is qk U or rk W, times its difference over e
-        U, q = u_h ** (1.0 - p1) / c1, c2 / c1 * u_h ** s
-        W, r = w ** (1.0 - p1) / c1, c2 / c1 * w ** s
+        W, r = _power_over(w, 1.0 - p1, c1), c2 * _power_over(w, s, c1)
         total, sign, qk, rk = 0.0, 1.0, 1.0, 1.0
         for k in range(_SERIES_TERMS):
             e = k * s - p1 + 1.0
@@ -331,16 +334,13 @@ class _PowerSumH:
                 term = qk * U * L
             total += sign * term
             if term <= 0.5 * _EPS * (h_u_h + total):
-                if h_u_h + total > 0.0:
-                    return h_u_h + total
-                break
-            sign, qk, rk = -sign, qk * q, rk * r
+                return h_u_h + total
+            sign, qk, rk = -sign, 0.5 * qk, rk * r
         raise self._unresolved(w)
 
-    def _unresolved(self, w: float) -> ResolutionError:
-        return ResolutionError(f"h({w!r}) of {self.c1:g}*u^{self.p1:g}+{self.c2:g}"
-                               f"*u^{self.p2:g}: its series did not converge to a "
-                               f"positive value in {_SERIES_TERMS} terms")
+    def _unresolved(self, w) -> ResolutionError:
+        return ResolutionError(f"h({w}) of {self.c1:g}*u^{self.p1:g}+{self.c2:g}*u^{self.p2:g}: "
+                               f"its series did not converge in {_SERIES_TERMS} terms")
 
 
 class OsgoodTransform:
@@ -354,9 +354,8 @@ class OsgoodTransform:
       h^{-1}(T) = -log(1 - e^(-cT)), each through log1p or expm1 on the
       side where it keeps its digits;
     - the power sum: the series of ``_PowerSumH``, inverted by Newton's
-      method in log w, wherever their crossover u_h is a double.
-    Only ``custom`` sources, and power sums whose u_h is not, integrate in
-    v = log u, where
+      method in log w.
+    Only ``custom`` sources integrate in v = log u, where
     int_w^inf du/F(u) = int_(log w)^inf u/F(u) dv, split at u = 1 (the piece
     above is computed once), and invert by the same Newton's method.
     """
@@ -377,10 +376,7 @@ class OsgoodTransform:
             self._h_exact = functools.partial(_exponential_h, c)
             self._h_inverse_exact = functools.partial(_exponential_h_inverse, c)
         elif kind == "power-sum":
-            series = _PowerSumH(c, p, source.coeff2, source.power2)
-            # past the largest double, u_h cannot anchor the lower series
-            if math.isfinite(series.u_h):
-                self._h_exact = series
+            self._h_exact = _PowerSumH(c, p, source.coeff2, source.power2)
 
     def _F(self, u: float) -> float:
         with np.errstate(over="ignore"):
@@ -466,12 +462,14 @@ class OsgoodTransform:
         if value < _TINY:
             raise DomainError(f"w = {w!r} is too large: h(w) = {value:.6g} lies "
                               f"below the smallest normal double {_TINY:g}")
+        if math.isinf(value):
+            raise DomainError(f"w = {w!r} is too small: h(w) leaves the doubles")
         return value
 
     def _h(self, w: float) -> tuple:
         """(h(w) unbounded below, the bound on its part past the cut): h(w)
         lies between the value and their sum. The exact routes bound
-        nothing; a DomainError names w where h(w) exceeds the doubles."""
+        nothing, and read inf where h(w) exceeds the doubles."""
         if self._h_exact is None:
             v = math.log(w)
             if v > 0.0:
@@ -479,12 +477,9 @@ class OsgoodTransform:
             below = self._log_integral(v, 0.0) if v < 0.0 else 0.0
             return below + self._h_above_one, self._cut[1]
         try:
-            value = self._h_exact(w)
+            return self._h_exact(w), 0.0
         except OverflowError:
-            value = math.inf
-        if math.isinf(value):
-            raise DomainError(f"w = {w!r} is too small: h(w) leaves the doubles")
-        return value, 0.0
+            return math.inf, 0.0
 
     def h_inverse(self, T: float) -> float:
         T = float(T)
@@ -495,15 +490,16 @@ class OsgoodTransform:
                 raise DomainError(f"h_inverse({T:g}) lies below the smallest normal double")
             return w
         # Newton's method on G(x) = log h(e^x) - log T, which decreases in
-        # x = log w with G'(x) = -w / (F(w) h(w)). Iterates that leave the
-        # bracket [lo, hi] the evaluations have established are replaced by
-        # its midpoint; x stays within the normal doubles. A power sum
-        # starts from its bound on the level, a custom source from w = 1.
+        # x = log w with G'(x) = -w / (F(w) h(w)), formed in logs for a power
+        # sum where F(w), or the power w^p2 it sums, leaves the normal doubles.
+        # A step below the resolution of x has converged. Iterates outside the
+        # bracket [lo, hi] the evaluations have established take the midpoint
+        # of its finite ends. A power sum starts from its bound on the level,
+        # a custom source from w = 1.
         log_T = math.log(T)
         lo, hi = -math.inf, math.inf
-        x = 0.0
-        if isinstance(self._h_exact, _PowerSumH):
-            x = min(max(self._h_exact.log_level_bound(T), _LOG_TINY), _LOG_HUGE)
+        series = self._h_exact if isinstance(self._h_exact, _PowerSumH) else None
+        x = min(max(series.log_level_bound(T), _LOG_TINY), _LOG_HUGE) if series else 0.0
         for _ in range(_NEWTON_ITERATIONS):
             w = math.exp(x)
             hw, lost = self._h(w)
@@ -511,29 +507,33 @@ class OsgoodTransform:
             # that w is too large, and the step below heads the right way
             if lost >= _H_QUAD_TOL * hw and hw + lost >= T:
                 raise self._cut_error(hw, lost)
-            if hw == 0.0:              # h underflowed: w is far too large
-                hi = x
-                x_new = 0.5 * (lo + hi)
-            else:
+            if 0.0 < hw < math.inf:
                 g = math.log(hw) - log_T
                 if abs(g) <= 4.0 * _EPS:
                     return w
-                if g > 0.0:
-                    lo = x
-                    if x >= _LOG_HUGE:
-                        raise DomainError(f"h_inverse({T:g}) exceeds the "
-                                          "largest double")
-                else:
-                    hi = x
-                    if x <= _LOG_TINY:
-                        raise DomainError(
-                            f"h_inverse({T:g}) lies below the smallest normal "
-                            f"double {_TINY:g}: h({_TINY:g}) = {hw:.6g}")
-                x_new = x + g * self._F(w) * hw / w
-                x_new = min(max(x_new, _LOG_TINY), _LOG_HUGE)
-                if not lo < x_new < hi:
-                    x_new = 0.5 * (lo + hi)
-            if abs(x_new - x) <= 4.0 * _EPS * max(1.0, abs(x)):
+                step = g * self._F(w) * hw / w
+                if series and (abs(series.p2 * x) > -_LOG_TINY
+                               or not 0.0 < abs(step) < math.inf):
+                    step = g * series.fh_over_w(x, hw)
+            else:
+                g = step = math.inf if hw else -math.inf
+            if g > 0.0:
+                lo = x
+                if x >= _LOG_HUGE:
+                    raise DomainError(f"h_inverse({T:g}) exceeds the largest double")
+            else:
+                hi = x
+                if x <= _LOG_TINY:
+                    raise DomainError(
+                        f"h_inverse({T:g}) lies below the smallest normal "
+                        f"double {_TINY:g}: h({_TINY:g}) = {hw:.6g}")
+            tol = 4.0 * _EPS * max(1.0, abs(x))
+            if 0.0 < abs(step) <= tol:
+                return math.exp(x + step)
+            x_new = min(max(x + step, _LOG_TINY), _LOG_HUGE)
+            if not lo < x_new < hi:
+                x_new = 0.5 * (max(lo, _LOG_TINY) + min(hi, _LOG_HUGE))
+            if abs(x_new - x) <= tol:
                 return math.exp(x_new)
             x = x_new
         raise ResolutionError(f"h_inverse({T:g}) did not converge")

@@ -312,6 +312,33 @@ def test_criterion_cut_where_the_source_leaves_the_doubles_exits_2(outdir, capsy
     assert all(0.0 < float(r[header.index("hinv")]) < sys.float_info.max for r in rows)
 
 
+SCALES = ["1e-300", "1e-100", "1", "1e100", "1e300"]
+SOURCE_FLAGS = [
+    *[["--family", "power-sum", "--c", c1, "--c2", c2] for c1 in SCALES for c2 in SCALES],
+    *[["--family", family, "--c", c] for family in ("power", "exponential")
+      for c in SCALES if c != "1"],
+    # 5 u^1.005 + u^1.006, whose crossover 2.5^1000 lies past the largest double
+    ["--family", "power-sum", "--c", "5", "--p", "1.005", "--p2", "1.006",
+     "--t-min", "20", "--t-max", "4000"],
+]
+
+
+@pytest.mark.parametrize("flags", SOURCE_FLAGS, ids=[" ".join(f[1:]) for f in SOURCE_FLAGS])
+def test_criterion_over_the_source_flags_ends_without_a_traceback(outdir, capsys, flags):
+    """Every power and power-sum source here has a first level that is a
+    normal double, so the command exits 0; the exponential's level at
+    c >= 1e100 lies below them, so it exits 2 naming that. Power sums raised
+    ZeroDivisionError and ValueError, or exited 2 with "did not converge" or
+    a w or cut, where the level is a double."""
+    code = cli.main(["criterion", "--n", "256", "--mass", "4", *flags])
+    err = capsys.readouterr().err
+    if flags[1] == "exponential" and float(flags[3]) >= 1e100:
+        assert code == 2
+        assert "lies below the smallest normal double" in err
+    else:
+        assert (code, err) == (0, "")
+
+
 def test_criterion_rejects_radial_profile_with_lattice_kernel(outdir, tmp_path,
                                                               capsys):
     prof = tmp_path / "profile.csv"

@@ -111,11 +111,14 @@ def test_power_transform_outside_the_double_range_is_a_domain_error():
     (lambda: Nonlinearity.power_law(1.0, 3.0), 1e160),
     (lambda: Nonlinearity.power_law(1.0, 3.0), 1e300),
     (lambda: Nonlinearity.exponential(1.0), 800.0),
-], ids=["power-1e160", "power-1e300", "exponential-800"])
+    (lambda: Nonlinearity.power_sum(1e100, 2.0, 1e-300, 3.0), 1e300),
+], ids=["power-1e160", "power-1e300", "exponential-800", "power-sum-1e300"])
 def test_h_below_the_normal_doubles_is_a_domain_error(make, w):
     """h(1e160) of u^3 read 5e-321 and h(1e300) read 0, and h(800) of
     e^u - 1 flushed to 0 on the quadrature route: each raises naming w, as
-    h_inverse does for a level below the normal doubles."""
+    h_inverse does for a level below the normal doubles. So does h(1e300)
+    of 1e100 u^2 + 1e-300 u^3, about 1e-400, whose lower series sums to 0;
+    that is not a series that failed to converge."""
     tr = OsgoodTransform(make())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -261,6 +264,10 @@ POWER_SUMS = [
     # c1 well above 2 c2 near p = 1: u_h = 2^1000 = 1.07e301 and 1.25^1000,
     # so log(u_h/w) overflowed at small w
     (4.0, 1.005, 1.0, 1.006), (2.5, 1.005, 1.0, 1.006),
+    # u_h past the largest double (10^324 and 2.5^1000), and u_h = 5e-601
+    # below the doubles; c1/c2 = 1e400 leaves them, u_h = 1.6e133 does not
+    (1.0, 2.0, 1e-10, 2.03), (5.0, 1.005, 1.0, 1.006), (1e-300, 2.0, 1e300, 3.0),
+    (1e100, 2.0, 1e-300, 5.0),
 ]
 POWER_SUM_IDS = ["-".join(f"{v:g}" for v in ps) for ps in POWER_SUMS]
 
@@ -271,9 +278,12 @@ def test_power_sum_h_matches_mpmath(c1, p1, c2, p2):
     1e300, against the 2F1 form at 40 digits; where that is below the
     normal doubles, or above them, h raises naming w."""
     tr = OsgoodTransform(Nonlinearity.power_sum(c1, p1, c2, p2))
-    split = getattr(tr._h_exact, "u_h", 1.0)
+    # the crossover and either side of it, where they are doubles
+    log_u_h = getattr(tr._h_exact, "log2_u_h", 0.0) * math.log(2.0)
+    splits = [math.exp(log_u_h + math.log(f)) for f in (0.5, 1.0, 2.0)
+              if abs(log_u_h + math.log(f)) < 700.0]
     ws = np.concatenate([np.geomspace(1e-300, 1e-40, 14), np.geomspace(1e-30, 1e300, 23),
-                         split * np.array([0.5, 1.0, 2.0])])
+                         splits])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for w in ws:
@@ -366,22 +376,39 @@ def test_a_power_sum_with_equal_powers_is_the_power_law(c1, p, c2):
         assert both.h_inverse(T) == one.h_inverse(T)
 
 
-def test_power_sum_whose_crossover_leaves_the_doubles_takes_the_quadrature():
-    """u^2 + 1e-10 u^2.03 has its crossover at u_h = 10^324, past the
-    largest double, where the lower series has no anchor; h and its inverse
-    take the quadrature, whose cut at u = 1.3e154 loses about 1e-154 of h,
-    and serve h(1) and h_inverse(1). For 5 u^1.005 + u^1.006, u_h =
-    2.5^1000, the part past the cut, up to 0.8, refuses the level of 20, as
-    for a custom source."""
+def test_power_sum_whose_crossover_leaves_the_doubles_is_served_by_its_series():
+    """u^2 + 1e-10 u^2.03 has its crossover at u_h = 10^324, and
+    5 u^1.005 + u^1.006 at u_h = 2.5^1000, past the largest double; each is
+    held in logs and anchors the lower series. The quadrature served the
+    first, and refused the level of 20 of the second, where the part past
+    its cut may reach 0.8."""
     tr = OsgoodTransform(Nonlinearity.power_sum(1.0, 2.0, 1e-10, 2.03))
-    assert tr._h_exact is None
     ref = h_power_sum_reference(2.0, 2.03, 1.0, 1.0, 1e-10)
-    assert_allclose(tr.h(1.0), ref, rtol=1e-12)
+    assert_allclose(tr.h(1.0), ref, rtol=1e-13)
     assert_allclose(h_power_sum_reference(2.0, 2.03, tr.h_inverse(1.0), 1.0, 1e-10), 1.0,
-                    rtol=1e-12)
-    with pytest.raises(ResolutionError, match=r"h is cut at u = e\^[0-9.]+, "
-                       r"where F leaves the doubles; the part past the cut"):
-        OsgoodTransform(Nonlinearity.power_sum(5.0, 1.005, 1.0, 1.006)).h_inverse(20.0)
+                    rtol=1e-13)
+    # mpmath's root, with the parameters taken as doubles
+    assert_allclose(OsgoodTransform(Nonlinearity.power_sum(5.0, 1.005, 1.0, 1.006))
+                    .h_inverse(20.0), 2.5849404560576284e39, rtol=1e-12)
+
+
+@pytest.mark.parametrize("c1, p1, c2, p2", [
+    (1.0, 2.0, 1e50, 3.0), (1.0, 2.0, 1e100, 3.0), (1.0, 2.0, 1e200, 3.0),
+    (1e-300, 2.0, 1e-300, 3.0), (1e-100, 2.0, 1e-100, 3.0), (1e100, 2.0, 1e100, 3.0),
+    (1e240, 2.5, 1e-5, 1.005)])
+def test_power_sum_levels_far_from_w_1_round_trip(c1, p1, c2, p2):
+    """Newton's steps in x = log w fell below the resolution of x, failed
+    the bracket and took its midpoint with an end still at +-inf: levels
+    did not converge, or w = 0 reached log. For c = 1e-300, F(w) overflows
+    near the level, so the step is not finite, and the end of the doubles
+    it clamped to raised out of h_inverse. For 1e240 u^2.5 + 1e-5 u^1.005,
+    w^2.5 underflows near the level, so F(w) drops its larger term and
+    the steps, far shorter than Newton's, crawled. Each level round-trips
+    through mpmath's 2F1."""
+    tr = OsgoodTransform(Nonlinearity.power_sum(c1, p1, c2, p2))
+    for T in default_horizon_grid():
+        w = tr.h_inverse(T)
+        assert abs(h_power_sum_reference(p1, p2, w, c1, c2) / T - 1.0) < 1e-12, (T, w)
 
 
 def test_power_sum_series_cut_short_raises(monkeypatch):
@@ -400,10 +427,16 @@ def test_named_families_call_no_quadrature(monkeypatch):
     calls = []
     monkeypatch.setattr(nonlinearity, "quad", lambda *a, **k: calls.append(a) or quad(*a, **k))
     for F in (Nonlinearity.power_sum(1.0, 2.0, 1.0, 3.0), Nonlinearity.exponential(1.0),
-              Nonlinearity.power_law(1.0, 3.0)):
+              Nonlinearity.power_law(1.0, 3.0), Nonlinearity.power_sum(1.0, 2.0, 1e-10, 2.03),
+              Nonlinearity.power_sum(5.0, 1.005, 1.0, 1.006),
+              Nonlinearity.power_sum(1e100, 2.0, 1e-300, 5.0)):
         tr = OsgoodTransform(F)
         for T in default_horizon_grid()[:-1]:
-            tr.h(tr.h_inverse(T))
+            try:
+                tr.h(tr.h_inverse(T))
+            except DomainError as exc:
+                # the levels of 5 u^1.005 + u^1.006 below T = 0.767 lie past the doubles
+                assert F.coeff == 5.0 and "exceeds the largest double" in str(exc)
     assert calls == []
     OsgoodTransform(custom_exponential()).h(1.0)
     assert calls
@@ -457,6 +490,19 @@ def test_nonvanishing_source_is_rejected():
 def test_power_sum_values():
     F = Nonlinearity.power_sum(0.5, 2.0, 0.25, 3.0)
     assert_allclose(F(2.0), 0.5 * 4.0 + 0.25 * 8.0, rtol=1e-14)
+
+
+@pytest.mark.parametrize("c1, p1, c2, p2", [(0.5, 2.0, 0.25, 3.0), (0.7, 1.5, 1.3, 2.5),
+                                            (2.0, 3.0, 0.5, 2.0)])
+def test_power_sum_derivative(c1, p1, c2, p2):
+    """F' = c1 p1 u^(p1-1) + c2 p2 u^(p2-1), on arrays and on floats: the
+    solver's stability cap 0.5/F'(sup) reads it."""
+    F = Nonlinearity.power_sum(c1, p1, c2, p2)
+    u = np.array([0.0, 0.3, 1.0, 2.5, 1e3])
+    want = c1 * p1 * u ** (p1 - 1.0) + c2 * p2 * u ** (p2 - 1.0)
+    assert_allclose(F.dfn(u), want, rtol=1e-14)
+    for ui, wi in zip(u, want):
+        assert_allclose(F.dfn(float(ui)), wi, rtol=1e-14)
 
 
 def test_family_registry_names():

@@ -515,6 +515,22 @@ def test_constant_data_blowup_time():
     assert not traj.reliable      # constant data always trips the support audit
 
 
+def test_power_sum_run_takes_the_steps_of_its_custom_twin():
+    """run caps each step at 0.5/F'(sup), so the named power sum's F' sets
+    the steps: a run on u^2 + u^3 takes those of the same F written as a
+    custom source, whose powers differ from the products by a few ulps."""
+    u0 = GridFunction.gaussian(Grid(1, 16.0, 128), mass=2.0)
+    named, custom = (run(u0, make_cfg(nonlinearity=F, dt_init=0.2, t_end=0.5)) for F in (
+        Nonlinearity.power_sum(1.0, 2.0, 1.0, 3.0),
+        Nonlinearity.custom(lambda u: u ** 2 + u ** 3, lambda u: 2.0 * u + 3.0 * u ** 2)))
+    assert named.outcome == custom.outcome == "reached_horizon"
+    assert len(named.dt) == len(custom.dt) == 8
+    assert_allclose(named.dt, custom.dt, rtol=1e-12)
+    assert max(named.dt) < 0.2       # the cap, not dt_init, sets the steps
+    assert_allclose(named.final_state.values, custom.final_state.values,
+                    rtol=1e-12, atol=1e-12 * float(np.max(custom.final_state.values)))
+
+
 def test_support_audit_grows_the_box_then_gives_up():
     """Constant data has no compact support, so the audit must double the
     box (twice at most) and then mark the run unreliable instead of looping."""
