@@ -56,7 +56,9 @@ def _power_term(c: float, p: float) -> Callable:
     times u where p's next bit is set, updating its own result in place.
     p = 2 is bit for bit np.power; p = 3..8 is within a few ulps of it,
     since each product rounds once. Other p take np.power. c = 1 skips the
-    multiply.
+    multiply. Where u^p falls below the normal doubles and c u^p does not,
+    the term is formed from two halves, c u^(p/2) u^(p/2), as in
+    _power_over; every normal product keeps its bits.
     """
     if p in _PRODUCT_POWERS:
         bits = tuple(b == "1" for b in bin(int(p))[3:])
@@ -75,10 +77,24 @@ def _power_term(c: float, p: float) -> Callable:
             return np.power(u, p)
     if c == 1.0:
         return power
+    log_c = math.log(c)
+
+    def halves(u, out):
+        # c u^(p/2) u^(p/2) where log(c u^p) lies within the normal doubles
+        with np.errstate(divide="ignore"):
+            log_term = log_c + p * np.log(u)
+        half = np.power(u, 0.5 * p)
+        return np.where(log_term > _LOG_TINY, c * half * half, out)
 
     def term(u):
         out = power(u)
         out *= c
+        lost = out < _TINY
+        if not np.any(lost):
+            return out
+        if np.ndim(out) == 0:
+            return float(halves(u, out))
+        out[lost] = halves(u[lost], out[lost])
         return out
 
     return term

@@ -6,6 +6,8 @@ of the Zolotarev integral. Only tests call it, so it is not in the package.
 """
 
 import math
+import sys
+import tracemalloc
 import warnings
 from typing import NamedTuple, Optional
 
@@ -292,6 +294,14 @@ def _kanter_log_a(phi: np.ndarray, beta: float) -> np.ndarray:
             + np.log(np.sin(b1 * phi)) - (1.0 / b1) * np.log(np.sin(phi))
 
 
+def _levy_density(x: float) -> float:
+    """Density at x of the positive 1/2-stable law with Laplace transform
+    exp(-s^(1/2)), Levy's closed form (4 pi)^(-1/2) x^(-3/2) e^(-1/(4x))."""
+    if x <= 0.0:
+        return 0.0
+    return x ** -1.5 * math.exp(-0.25 / x) / (2.0 * math.sqrt(math.pi))
+
+
 def _stable_density(beta: float, x: float) -> float:
     """Density at x > 0 of the positive stable law with Laplace transform
     exp(-s^beta), via Kanter's form of the Zolotarev integral."""
@@ -300,7 +310,7 @@ def _stable_density(beta: float, x: float) -> float:
     if x <= 0.0:
         return 0.0
     if beta == 0.5:
-        return kernels._levy_density(x)
+        return _levy_density(x)
     b1 = 1.0 - beta
     scale = x ** (-beta / b1)
     # smallest value of a(phi); if even that is crushed by the exponent the
@@ -359,7 +369,7 @@ def test_subordinator_density_levy_closed_form():
     # beta = 1/2 is the Levy density (4 pi)^(-1/2) s^(-3/2) e^(-1/(4s))
     for s in (0.3, 0.8, 2.0):
         closed = (4.0 * math.pi) ** -0.5 * s ** -1.5 * math.exp(-1.0 / (4.0 * s))
-        assert_allclose(kernels._levy_density(s), closed, rtol=1e-12)
+        assert_allclose(_levy_density(s), closed, rtol=1e-12)
 
 
 def test_subordinator_negative_moment_identity():
@@ -401,10 +411,84 @@ def test_profile_closed_and_subordination_routes_agree():
 
 
 def test_subordination_estimates_are_held_to_the_profile_tolerance():
-    """Both subordination quads take the relative target alone, so a small
-    value far out is held to 1e-11 of itself like every other route."""
+    """The subordination trapezoid's estimate is relative, so a small value
+    far out is held to 1e-11 of itself like every other route."""
     res = stable_profile(1.0, 2, method="subordination").evaluate(100.0)
     assert res.error[0] <= 1e-11 * res.value[0]
+
+
+def _poisson_mp(mp, d: int, rho: float):
+    k = mp.mpf(d + 1) / 2
+    return mp.gamma(k) * mp.pi ** -k * (1 + mp.mpf(rho) ** 2) ** -k
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 50, 600])
+def test_subordination_matches_the_poisson_closed_form(d):
+    """The subordination trapezoid against mpmath's Gamma(k) pi^(-k)
+    (1 + rho^2)^(-k), k = (d + 1)/2, to 1e-13, each estimate at most 1e-11
+    of R and at least its true error. At d = 600 R is a normal double for
+    rho in [1.53, 19.1] only: above it R reads 0 with an infinite estimate,
+    below it 0 with estimate 0."""
+    mp = pytest.importorskip("mpmath")
+    rho = [0.0, 0.1, 1.0, 10.0, 100.0, 1e6, *np.linspace(0.05, 2.0, 40)]
+    if d == 600:
+        rho += [2.0, *np.geomspace(1.53, 19.1, 40)]
+    res = stable_profile(1.0, d, method="subordination").evaluate(np.array(rho))
+    with mp.workdps(30):
+        for r, value, error in zip(rho, res.value, res.error):
+            ref = _poisson_mp(mp, d, r)
+            if ref > sys.float_info.max:
+                assert (value, error) == (0.0, math.inf), r
+            elif ref < sys.float_info.min:
+                assert (value, error) == (0.0, 0.0), r
+            else:
+                true = float(abs(value - ref))
+                assert true <= 1e-13 * float(ref), r
+                assert true <= error <= 1e-11 * value, r
+
+
+@pytest.mark.parametrize("d", [1, 4, 600])
+def test_subordination_array_call_equals_scalar_calls(d):
+    """Rows are summed alike in every chunk of 32 radii, so an array call
+    returns the scalar calls' values and estimates bit for bit."""
+    rho = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 70)])
+    prof = stable_profile(1.0, d, method="subordination")
+    res = prof.evaluate(rho)
+    for r, value, error in zip(rho, res.value, res.error):
+        one = prof.evaluate(r)
+        assert (one.value[0], one.error[0]) == (value, error), r
+
+
+def test_subordination_tables_stay_bounded():
+    """10^5 radii in d = 1 (the most nodes, 362 a radius) take the node
+    tables 32 rows at a time: the whole table would hold 290 MB."""
+    rho = np.geomspace(1e-3, 1e3, 100_000)
+    prof = stable_profile(1.0, 1, method="subordination")
+    tracemalloc.start()
+    try:
+        value = prof(rho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value.shape == rho.shape
+    assert peak < 16e6
+
+
+def test_subordination_raises_no_floating_point_warning():
+    rho = np.array([0.0, 5e-324, 1e-300, 1e-8, 1.0, 1e154, 1e200, sys.float_info.max])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in (1, 2, 600, 20000):
+            res = stable_profile(1.0, d, method="subordination").evaluate(rho)
+            assert np.all(res.value >= 0.0) and not np.isnan(res.error).any()
+
+
+def test_subordination_makes_no_quad_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the subordination route called quad")
+
+    monkeypatch.setattr(kernels, "quad", refuse)
+    stable_profile(1.0, 3, method="subordination")(np.linspace(0.0, 10.0, 201))
 
 
 def test_profile_self_similar_kernel():

@@ -505,6 +505,36 @@ def test_power_sum_derivative(c1, p1, c2, p2):
         assert_allclose(F.dfn(float(ui)), wi, rtol=1e-14)
 
 
+@pytest.mark.parametrize("terms", [((1e300, 3.0),), ((1e300, 2.5),),
+                                   ((1e240, 2.5), (1e-5, 1.005))],
+                         ids=["power-1e300-3", "power-1e300-2.5", "power-sum-1e240"])
+def test_power_terms_whose_power_leaves_the_normal_doubles(terms):
+    """c u^p where u^p falls below the normal doubles and c u^p does not
+    is formed from two halves: power_law(1e300, 3)(1e-200) read 0 and
+    power_sum(1e240, 2.5, 1e-5, 1.005)(1e-140) read 2.0e-146, not 1e-110.
+    Against mpmath, on floats and on arrays; a term whose c u^p falls below
+    the normal doubles too still reads below them."""
+    mp = pytest.importorskip("mpmath")
+    F = (Nonlinearity.power_law(*terms[0]) if len(terms) == 1
+         else Nonlinearity.power_sum(*terms[0], *terms[1]))
+    u = np.array([1e-200, 1e-140, 1e-120, 1e-250, 1e-100, 0.0, 2.0])
+    with mp.workdps(30):
+        want = [sum(c * mp.mpf(x) ** p for c, p in terms) for x in u]
+    values = F(u)
+    for x, value, ref in zip(u, values, want):
+        assert F(float(x)) == value
+        if ref >= sys.float_info.min:
+            assert abs(value - ref) <= 1e-14 * ref, x
+        else:
+            assert value < sys.float_info.min, x
+
+
+def test_power_terms_keep_the_bits_of_normal_products():
+    F = Nonlinearity.power_law(1e300, 3.0)
+    u = np.geomspace(1e-100, 1e2, 50)
+    assert np.array_equal(F(u), u * u * u * 1e300)
+
+
 def test_family_registry_names():
     """The parser's --family choices, each building the source of that kind."""
     parser = cli.build_parser()
