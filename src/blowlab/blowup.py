@@ -34,7 +34,8 @@ import numpy as np
 
 from .errors import DomainError
 from .kernels import (_BOUNDARY_TOL, GridFunction, KernelSpec, StableProfile,
-                      _audit_failure, generator_symbol_grid, stable_profile)
+                      _audit_failure, _propagator, generator_symbol_grid,
+                      stable_profile)
 from .nonlinearity import Nonlinearity, OsgoodTransform, fujita_exponent
 from .norms import RadialProfile, _BallIntegralCurve
 from .numutil import _check_range
@@ -114,10 +115,8 @@ def _smoother(u_hat: np.ndarray, sym: np.ndarray, grid):
     product = np.empty(u_hat.shape, dtype=complex)
 
     def smoothed(T: float) -> np.ndarray:
-        np.multiply(sym, T, out=decay)
-        np.exp(decay, out=decay)
-        np.multiply(decay, u_hat, out=product)
-        return grid.irfft(product, overwrite=True)
+        return grid.irfft(_propagator(sym, T, decay, u_hat, product),
+                          overwrite=True)
 
     return smoothed
 

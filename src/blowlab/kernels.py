@@ -325,6 +325,20 @@ def generator_symbol_grid(spec: KernelSpec, grid: Grid) -> np.ndarray:
     return out
 
 
+def _propagator(sym: np.ndarray, t: float, out: Optional[np.ndarray] = None,
+                u_hat: Optional[np.ndarray] = None,
+                product: Optional[np.ndarray] = None) -> np.ndarray:
+    """exp(t*sym), the semigroup's multiplier at time t on the half lattice
+    of the generator symbol sym, into out if given and a fresh array
+    otherwise; with u_hat it returns exp(t*sym) u_hat, into product if
+    given. The one place a symbol is exponentiated."""
+    out = np.multiply(sym, t, out=out)
+    np.exp(out, out=out)
+    if u_hat is None:
+        return out
+    return np.multiply(out, u_hat, out=product)
+
+
 @dataclass
 class SemigroupKernel:
     """Kernel k_t of exp(t*(J*. - .)) realized on a periodic grid.
@@ -357,7 +371,7 @@ def semigroup_kernel(spec: KernelSpec, t: float, grid: Grid,
     """
     _check_range("semigroup time t", t)
     _check_range("boundary_tol", boundary_tol, closed=True)
-    mult = np.exp(t * generator_symbol_grid(spec, grid))
+    mult = _propagator(generator_symbol_grid(spec, grid), t)
     vals = np.fft.fftshift(grid.irfft(mult)) / grid.cell_volume
     kern = SemigroupKernel(grid, vals)
     worst = kern.min_value()

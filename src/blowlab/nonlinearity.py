@@ -49,18 +49,20 @@ _TAIL_PROBES = (1e4, 1e6, 1e8)
 _PRODUCT_POWERS = range(2, 9)
 
 
-def _power_term(c: float, p: float) -> Callable:
+def _power_term(c: float, p: float, products: bool = True) -> Callable:
     """u -> c u^p for arrays and Python floats, with the route fixed here.
 
-    Integer p in 2..8 takes left-to-right binary powering: square, then
-    times u where p's next bit is set, updating its own result in place.
-    p = 2 is bit for bit np.power; p = 3..8 is within a few ulps of it,
-    since each product rounds once. Other p take np.power. c = 1 skips the
-    multiply. Where u^p falls below the normal doubles and c u^p does not,
-    the term is formed from two halves, c u^(p/2) u^(p/2), as in
-    _power_over; every normal product keeps its bits.
+    With products, integer p in 2..8 takes left-to-right binary powering:
+    square, then times u where p's next bit is set, updating its own result
+    in place. p = 2 is bit for bit np.power; p = 3..8 is within a few ulps
+    of it, since each product rounds once. Other p take np.power. c = 1
+    skips the multiply. Where c u^p as computed falls below the normal
+    doubles, or u^p overflows, while log(c u^p) lies within them, the term
+    is formed from two halves, c u^(p/2) u^(p/2), as in _power_over; every
+    other product keeps its bits. Where c u^p overflows, the halves
+    overflow under the caller's np.errstate.
     """
-    if p in _PRODUCT_POWERS:
+    if products and p in _PRODUCT_POWERS:
         bits = tuple(b == "1" for b in bin(int(p))[3:])
 
         def power(u):
@@ -77,10 +79,17 @@ def _power_term(c: float, p: float) -> Callable:
             return np.power(u, p)
     if c == 1.0:
         return power
+    if c < 1.0:
+        # u^p may overflow where c u^p does not; the halves decide
+        bare = power
+
+        def power(u):
+            with np.errstate(over="ignore"):
+                return bare(u)
     log_c = math.log(c)
 
     def halves(u, out):
-        # c u^(p/2) u^(p/2) where log(c u^p) lies within the normal doubles
+        # c u^(p/2) u^(p/2) where log(c u^p) lies above log(tiny)
         with np.errstate(divide="ignore"):
             log_term = log_c + p * np.log(u)
         half = np.power(u, 0.5 * p)
@@ -89,15 +98,25 @@ def _power_term(c: float, p: float) -> Callable:
     def term(u):
         out = power(u)
         out *= c
-        lost = out < _TINY
-        if not np.any(lost):
-            return out
-        if np.ndim(out) == 0:
-            return float(halves(u, out))
-        out[lost] = halves(u[lost], out[lost])
+        if not isinstance(out, np.ndarray):
+            # a float or a numpy scalar, from a float or a 0-d array
+            return out if _TINY <= out < math.inf else float(halves(u, out))
+        lost = (out < _TINY) | (out == math.inf)
+        if lost.any():
+            out[lost] = halves(u[lost], out[lost])
         return out
 
     return term
+
+
+def _sum(f1: Callable, f2: Callable) -> Callable:
+    """u -> f1(u) + f2(u), in f1's result."""
+    def f(u):
+        out = f1(u)
+        out += f2(u)
+        return out
+
+    return f
 
 
 @dataclass(frozen=True)
@@ -127,11 +146,8 @@ class Nonlinearity:
         _check_range("c", c)
         _check_power(p)
 
-        def df(u):
-            return c * p * np.power(u, p - 1.0)
-
-        return cls(_power_term(c, p), df, f"{c:g}*u^{p:g}", kind="power",
-                   coeff=c, power=p)
+        return cls(_power_term(c, p), _power_term(c * p, p - 1.0, products=False),
+                   f"{c:g}*u^{p:g}", kind="power", coeff=c, power=p)
 
     @classmethod
     def power_sum(cls, c1: float = 1.0, p1: float = 2.0,
@@ -141,16 +157,9 @@ class Nonlinearity:
         _check_power(p1, "p1")
         _check_power(p2, "p2")
 
-        f1, f2 = _power_term(c1, p1), _power_term(c2, p2)
-
-        def f(u):
-            out = f1(u)
-            out += f2(u)
-            return out
-
-        def df(u):
-            return c1 * p1 * np.power(u, p1 - 1.0) + c2 * p2 * np.power(u, p2 - 1.0)
-
+        f = _sum(_power_term(c1, p1), _power_term(c2, p2))
+        df = _sum(_power_term(c1 * p1, p1 - 1.0, products=False),
+                  _power_term(c2 * p2, p2 - 1.0, products=False))
         return cls(f, df, f"{c1:g}*u^{p1:g}+{c2:g}*u^{p2:g}", kind="power-sum",
                    coeff=c1, power=p1, coeff2=c2, power2=p2)
 

@@ -2,8 +2,9 @@
 
 The linear part is a bounded Fourier multiplier, so each step applies it
 exactly and only the pointwise source is treated explicitly (an
-integrating-factor midpoint rule, second order in dt). Three audits run
-alongside the integration, because the torus is standing in for the whole
+integrating-factor midpoint rule, second order in dt). ``run`` is a step
+controller and two audits on one lattice, which a box doubling rebuilds as
+one unit. The audits run because the torus is standing in for the whole
 space and the scheme must not quietly paper over that:
 
 * mass: the discrete update satisfies M_{n+1} = M_n + dt * int F(mid)
@@ -13,54 +14,38 @@ space and the scheme must not quietly paper over that:
   audit runs on u0 before the first step, so data that start in the
   boundary band never run on the small box; it is then due after
   _AUDIT_STRIDE steps, once _AUDIT_STRIDE * dt_init of time has passed
-  since the last one, and at t_end, so long steps cannot skip it;
-* stability: dt never exceeds half the local linearization time 1/F'(sup).
+  since the last one, and at t_end, so long steps cannot skip it.
 
-Steps are sized by accuracy, but only ever lengthened. The floor is
-min(dt_init, 0.5/F'(sup)), the step a run without an error estimate would
-take. Each step also returns an embedded local error estimate of its own
-order: the midpoint update minus the integrating-factor trapezoid
-u^T = E(dt)(u_hat + (dt/2) F^(u_n)) + (dt/2) F^(u_(n+1)), in the L2 norm
-relative to u_n's. Both updates are second order, so their difference is
-the midpoint step's O(dt^3) local error up to a small factor (1.6 to 4
-times it on the states the tests probe). The trapezoid reuses the
-transform of F(u_(n+1)), which the new state carries anyway, so the
-estimate costs no transform (Lawson, SIAM J. Numer. Anal. 4, 1967;
-Bogacki and Shampine, Appl. Math. Lett. 2, 1989; Hairer, Norsett and
-Wanner, Solving ODEs I, II.4). The controller proposes dt_ctl = dt *
-min(5, 0.9 (_STEP_TOL/est)^(1/3)) after each accepted step, and the next
-trial is min(0.5/F'(sup), max(floor, dt_ctl)). A trial longer than the
-floor whose estimate exceeds _STEP_TOL is rejected and retried shorter; a
-trial at the floor is never rejected, and a non-finite estimate only
-forbids lengthening. A run whose estimates never allow a longer step
-takes the floor's steps, as before the estimate. A step that would leave
-less than _T_END_RTOL * t_end before t_end lands on t_end.
+The step rule, kept by ``_Controller``. Steps are sized by accuracy, but
+only ever lengthened. No step exceeds the stability cap 0.5/F'(sup), half
+the local linearization time. The floor is min(dt_init, cap), the step a
+run without an error estimate would take; a floor below dt_min ends the
+run (``dt_underflow``). Each step returns an embedded local error estimate
+of its own order: the midpoint update minus the integrating-factor
+trapezoid u^T = E(dt)(u_hat + (dt/2) F^(u_n)) + (dt/2) F^(u_(n+1)), in the
+L2 norm relative to u_n's. Both updates are second order, so their
+difference is the midpoint step's O(dt^3) local error up to a small factor
+(1.6 to 4 times it on the states the tests probe); the trapezoid reuses
+the transform of F(u_(n+1)), which the new state carries anyway (Lawson,
+SIAM J. Numer. Anal. 4, 1967; Bogacki and Shampine, Appl. Math. Lett. 2,
+1989; Hairer, Norsett and Wanner, Solving ODEs I, II.4). After each trial,
+accepted or rejected, the controller proposes dt_ctl = dt * min(5, 0.9
+(_STEP_TOL/est)^(1/3)), and the next trial is min(cap, max(floor,
+dt_ctl)). A trial that the controller lengthened past the floor (before it
+lands, below) is rejected where its estimate exceeds _STEP_TOL, and
+retried shorter; a trial at the floor never is. A non- finite estimate
+sends the next trial to the floor, and a NaN one is accepted. A step that
+would leave less than _T_END_RTOL * t_end before t_end lands on t_end.
 
 _STEP_TOL = 3e-9 is set by C8's accuracy: its final state must stay within
-3.3e-6 (max relative) of a reference at dt_init/16, as close as with the
-Euler-difference estimate this one replaced. At 3e-9 C8 takes 141 steps
-and errs by 3.27e-6; at 1e-8 it takes 104 and errs by 3.34e-6.
-Trajectory.step_error sums the accepted steps' estimates, so it reads far
-below the Euler differences it used to sum: 27 to 62 times on runs that
-stay at the floor without blowing up, 2 to 3 times on blowup runs, whose
-last estimates approach 1 either way.
+3.3e-6 (max relative) of a reference at dt_init/16. At 3e-9 C8 takes 141
+steps and errs by 3.27e-6; at 1e-8 it takes 104 and errs by 3.34e-6.
 
 Blow-up is detected by threshold crossing, never by waiting for overflow;
 the moment W_T(t) = (k_{T-t} * u)(x*) is tracked at a fixed center per
 horizon so the recorded series can be compared directly against the
-comparison ODE it is supposed to dominate.
-
-Fields follow the layout contract of ``Grid``: they are transformed as they
-lie, with real FFTs, and nothing in a step is shifted. Every state, u0's,
-a step's, a doubled box's and a rejected step's, is built from ``_source``
-and a transform of its values: its values, the half spectra of u and of F(u), and the
-sums of u and F(u); the values of F(u) are not kept. The moment probes
-read the spectrum of u; the next step reads both spectra and takes them
-over as its own buffers, into which it transforms the state it returns,
-or, when it is rejected, the state it started from, bit for bit. F(mid)
-is transformed into a fresh array, which becomes the final update and is
-inverted in place. One overflow rule holds throughout: a state whose sums
-or transforms leave the doubles is a blowup.
+comparison ODE it is supposed to dominate. Fields and their buffers follow
+the contract written at ``_State``.
 """
 
 from __future__ import annotations
@@ -72,7 +57,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, ResolutionError
-from .kernels import Grid, GridFunction, KernelSpec, generator_symbol_grid
+from .kernels import (Grid, GridFunction, KernelSpec, _propagator,
+                      generator_symbol_grid)
 from .nonlinearity import Nonlinearity, OsgoodTransform, fujita_exponent
 from .blowup import CriterionInput, _peak_index, _smoother, evaluate_criterion
 from .numutil import _check_range
@@ -105,9 +91,8 @@ class BlowupSignal(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """A run's kernel, source and time controls. dt_init is the shortest
-    step unless the stability cap 0.5/F'(sup) is lower; the error estimate
-    may lengthen steps past it. dt_min ends a run whose cap falls below it."""
+    """A run's kernel, source and time controls; the step rule that reads
+    dt_init and dt_min is in the module docstring."""
 
     kernel: KernelSpec
     nonlinearity: Nonlinearity
@@ -167,19 +152,28 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# single step
+# the step and its controller
 # ---------------------------------------------------------------------------
 
 class _State(NamedTuple):
     """An accepted state: its values, the half spectra of its values and of
-    its source values F(values), and the sums of values and of F(values).
+    its source values F(values), and the sums of values and of F(values);
+    the values of F(values) are not kept.
 
-    Every state is built by ``_state``, or by a step from the same parts:
-    ``_source`` and a transform of the values. The moment probes and the
-    records only read a state. A step spends it: it works in both spectra in place
-    and hands them to the state it returns, so after ``_advance`` only
-    ``values`` and the sums still hold. A rejected step rebuilds the state
-    in its own two buffers, bit for bit.
+    The buffer contract. Fields are transformed as they lie (the layout
+    contract of ``Grid``). Every state, u0's, a step's, a doubled box's and
+    a rejected step's, is built by ``_state``, or by a step from the same
+    parts: ``_source`` and a transform of the values. The moment probes and
+    the records only read a state. A step spends it, whether it succeeds or
+    not: the midpoint update runs in the source spectrum's buffer, and
+    F(mid) is transformed into a fresh array x, the final update, which is
+    inverted in place. The spectrum's buffer takes e_half u_hat, then the
+    estimate's difference x - e_half mid; the source spectrum of the new
+    values goes into the midpoint's. An accepted step transforms its values
+    into the spectrum's buffer and hands both to the state it returns; a
+    rejected one rebuilds in them the state it started from, bit for bit.
+    One overflow rule holds throughout: a state whose sums or transforms
+    leave the doubles is a blowup.
     """
 
     values: np.ndarray
@@ -228,11 +222,6 @@ def _clipped(values: np.ndarray) -> np.ndarray:
     return np.maximum(values, 0.0, out=values)
 
 
-def _half_propagator(sym: np.ndarray, dt: float) -> np.ndarray:
-    """exp((dt/2) sym), the linear flow over half a step."""
-    return np.exp((0.5 * dt) * sym)
-
-
 def _sum_sq(a: np.ndarray) -> np.float64:
     # by einsum, which unlike a BLAS dot starts no threads; a is contiguous,
     # so its reshape is a view
@@ -250,14 +239,11 @@ def _half_sq_norm(z: np.ndarray) -> np.float64:
 
 def _error_estimate(values: np.ndarray, diff: np.ndarray,
                     source_spectrum: np.ndarray, dt: float) -> float:
-    """The step's embedded local error estimate: the midpoint update minus
-    the integrating-factor trapezoid e_half mid + (dt/2) F^(u_(n+1)), in
-    the L2 norm relative to that of the values u_n. Here diff = x - e_half
-    mid, with x the midpoint update, and source_spectrum = F^(u_(n+1)).
-
-    diff is overwritten with the difference, through one temporary. Any
-    overflow is ignored: a non-finite estimate is returned as such.
-    """
+    """The step's embedded local error estimate (module docstring), from
+    diff = x - e_half mid, with x the midpoint update, and source_spectrum
+    = F^(u_(n+1)). diff is overwritten with the difference, through one
+    temporary. Any overflow is ignored: a non-finite estimate is returned
+    as such."""
     with np.errstate(all="ignore"):
         # dt multiplies, never divides: it reaches 1e-308 before a blowup
         diff -= (0.5 * dt) * source_spectrum
@@ -271,9 +257,8 @@ def _error_estimate(values: np.ndarray, diff: np.ndarray,
 
 def _step_ratio(est: float) -> float:
     """The next step over this one for an estimate est of a local error of
-    order dt^3 (Hairer, Norsett and Wanner, Solving ODEs I, II.4): 0.9
-    (tol/est)^(1/3), at most _MAX_GROWTH. A non-finite estimate gives 0,
-    which forbids lengthening."""
+    order dt^3: 0.9 (tol/est)^(1/3), at most _MAX_GROWTH, and 0 for a
+    non-finite est."""
     if not math.isfinite(est):
         return 0.0
     if est <= _STEP_TOL * (0.9 / _MAX_GROWTH) ** 3:
@@ -284,31 +269,25 @@ def _step_ratio(est: float) -> float:
 def _advance(state: _State, e_half: np.ndarray, grid: Grid, fn, dt: float,
              tol: float = math.inf) -> Tuple[_State, Optional[float], float]:
     """One integrating-factor midpoint step on natural-layout values, with
-    e_half = _half_propagator(sym, dt) and fn = Nonlinearity.fn.
+    e_half = exp((dt/2) sym) (``_Lattice.e_half``) and fn = Nonlinearity.fn.
 
     Returns the new state, int F(mid) per unit volume factor (the exact
     discrete mass production of this step is dt * that integral) and the
     step's embedded error estimate (``_error_estimate``). The step spends
-    state (see ``_State``), whether it succeeds or not. It evaluates F
-    itself only at the midpoint; ``_source`` evaluates it on the values it
+    state (``_State``). It evaluates F itself only at the midpoint; ``_source`` evaluates it on the values it
     returns, whose transform the estimate reads. An overflow is a
     BlowupSignal, in a trial that tol would reject too.
 
-    A step whose estimate exceeds tol is rejected: it rebuilds state in its
-    own two buffers, bit for bit the state it started from, and returns
-    that state, None for the integral, and the estimate.
+    A step whose estimate exceeds tol is rejected: it returns the state it
+    started from, rebuilt in its own two buffers, None for the integral,
+    and the estimate.
     """
     spec, mid = state.spectrum, state.source_spectrum
     with np.errstate(over="raise", invalid="raise"):
         try:
-            # the midpoint update runs in the source spectrum's buffer, and
-            # F(mid) is transformed into a fresh array x, which becomes the
-            # final update. The spectrum's buffer takes e_half u_hat, then
-            # the estimate's difference x - e_half mid; the source spectrum
-            # of the new values goes into the midpoint's. An overflow in a
-            # transform, a product or the sum of F(mid) raises; a NaN or
-            # inf in F(mid) is caught here because the clip would turn a
-            # -inf update to 0
+            # buffers as in _State. An overflow in a transform, a product or
+            # the sum of F(mid) raises; a NaN or inf in F(mid) is caught
+            # here because the clip would turn a -inf update to 0
             mid *= 0.5 * dt
             mid += spec
             mid *= e_half
@@ -334,30 +313,54 @@ def _advance(state: _State, e_half: np.ndarray, grid: Grid, fn, dt: float,
         except FloatingPointError as exc:
             raise BlowupSignal(str(exc)) from exc
     if rejected:
-        # the rejected step's own values and their F are transformed into
-        # the two buffers
         del values
         return _state(state.values, grid, fn, spec, mid), None, est
     return _State(values, spec, mid, total, source_total), f_mid_sum, est
 
 
+class _Trial(NamedTuple):
+    dt: float       # the step
+    tol: float      # the estimate above which _advance rejects it
+    end: float      # the time it reaches: t + dt, or t_end where it lands
+
+
+class _Controller:
+    """The step rule of the module docstring: ``propose`` gives the trial
+    from t at F'(sup), or None where the floor falls below dt_min;
+    ``verdict`` takes the trial's estimate, accepted or rejected, and sets
+    the next proposal."""
+
+    def __init__(self, cfg: SimConfig):
+        self.cfg, self.dt_ctl = cfg, 0.0    # dt_ctl 0: the floor
+
+    def propose(self, t: float, dprime: float) -> Optional[_Trial]:
+        cfg = self.cfg
+        cap = math.inf if dprime <= 0 else 0.5 / dprime
+        floor = min(cfg.dt_init, cap)
+        if floor < cfg.dt_min:
+            return None
+        dt = min(cap, max(floor, self.dt_ctl))
+        tol = _STEP_TOL if dt > floor else math.inf
+        if cfg.t_end - (t + dt) <= _T_END_RTOL * cfg.t_end:
+            return _Trial(cfg.t_end - t, tol, cfg.t_end)
+        return _Trial(dt, tol, t + dt)
+
+    def verdict(self, trial: _Trial, est: float) -> None:
+        self.dt_ctl = trial.dt * _step_ratio(est)
+
+
 # ---------------------------------------------------------------------------
-# moment probes (single-point inverse transforms at a fixed center)
+# the lattice: grid, symbol, moment probes and half-step propagator
 # ---------------------------------------------------------------------------
 
 class _MomentProbe:
     """Evaluates (k_{T-t} * u)(x*) without forming the full field: the half
     spectrum of each state is shared across horizons, and each probe is a
-    multiplier-weighted sum at one lattice phase.
-
-    The field is real, so the full-lattice sum pairs each mode with its
-    conjugate: the half lattice carries weight 2 on the interior modes of
-    the last axis and weight 1 on its modes 0 and n/2.
-
-    The probe keeps one phase vector per axis. A call multiplies the
-    weighted spectrum by the last axis's vector and sums that axis, then
-    does the same with the axis before it.
-    """
+    multiplier-weighted sum at one lattice phase. The field is real, so the
+    half lattice carries weight 2 on the interior modes of the last axis and
+    weight 1 on its modes 0 and n/2. The probe keeps one phase vector per
+    axis; a call multiplies the weighted spectrum by the last axis's vector
+    and sums that axis, then does the same with the axis before it."""
 
     def __init__(self, grid: Grid, sym: np.ndarray, center: Tuple[int, ...]):
         self.sym = sym
@@ -371,20 +374,107 @@ class _MomentProbe:
         self.phases = phases
 
     def __call__(self, u_hat: np.ndarray, remaining: float) -> float:
-        # exp(remaining * sym) * u_hat with one complex temporary, then
+        # exp(remaining * sym) * u_hat in one complex temporary, then
         # contracted one axis at a time
-        mult = np.multiply(remaining, self.sym)
-        prod = np.exp(mult, out=mult) * u_hat
-        del mult
+        prod = _propagator(self.sym, remaining, u_hat=u_hat)
         for pv in reversed(self.phases):
             prod *= pv
             prod = prod.sum(axis=-1)
         return float(np.real(prod))
 
 
+class _Lattice:
+    """The grid a run steps on and what is built on it: the generator
+    symbol, the cell volume, a moment probe for each horizon still ahead,
+    and the half-step propagator of the last trial dt."""
+
+    def __init__(self, grid: Grid, kernel: KernelSpec,
+                 centers: Dict[float, Tuple[int, ...]]):
+        self.grid, self.kernel, self.cell = grid, kernel, grid.cell_volume
+        self.sym = generator_symbol_grid(kernel, grid)
+        self.probes = {T: _MomentProbe(grid, self.sym, c) for T, c in centers.items()}
+        self._dt, self._e_half = None, None
+
+    def doubled(self) -> "_Lattice":
+        """The lattice of twice the half-width at the same spacing, with the
+        probes of the horizons still ahead; their centers move with the
+        data (``_embed_double``)."""
+        grid = Grid(d=self.grid.d, L=2.0 * self.grid.L, n=2 * self.grid.n)
+        shift = grid.n // 4
+        return _Lattice(grid, self.kernel, {T: tuple(i + shift for i in p.center)
+                                            for T, p in self.probes.items()})
+
+    def e_half(self, dt: float) -> np.ndarray:
+        """exp((dt/2) sym), the linear flow over half a step, formed again in
+        its own buffer only when dt differs from the last call's."""
+        if dt != self._dt:
+            self._dt = dt
+            self._e_half = _propagator(self.sym, 0.5 * dt, out=self._e_half)
+        return self._e_half
+
+
+def _record(traj: Trajectory, lattice: _Lattice, state: _State, t: float,
+            dt: float) -> None:
+    """Append the state at t, reached by a step dt (0 for u0), and the
+    moment of each horizon still ahead; a passed horizon's probe is
+    dropped, so no later doubling rebuilds it."""
+    traj.t.append(t)
+    traj.sup.append(float(state.values.max()))
+    traj.mass.append(state.total * lattice.cell)
+    traj.dt.append(dt)
+    traj.source_integral.append(state.source_total * lattice.cell)
+    for T in list(lattice.probes):
+        remaining = T - t
+        if remaining <= 0:
+            del lattice.probes[T]
+            continue
+        W = max(lattice.probes[T](state.spectrum, remaining), 0.0)
+        traj.moments[T].t.append(t)
+        traj.moments[T].W.append(W)
+
+
 # ---------------------------------------------------------------------------
-# support audit and box enlargement
+# the audits and the run
 # ---------------------------------------------------------------------------
+
+@dataclass
+class _AuditState:                  # what the audits carry from step to step
+    sup_init: float                 # the mass audit's scale of the sup
+    streak: int = 0                 # its steps in a row above tolerance
+    detecting: bool = False         # in the terminal window: audits stand down
+    t_last: Optional[float] = None  # the support audit's last time; None: due
+    steps: int = 0                  # accepted steps since then
+    doublings: int = 0
+
+
+def _mass_audit(audits: _AuditState, traj: Trajectory, lattice: _Lattice,
+                state: _State, dt: float, f_mid_sum: float) -> None:
+    """The mass audit of an accepted step of dt from the last recorded state
+    to state: the defect measures spatial resolution, not step size. While
+    the sup stays near its initial scale a persistent defect is a genuine
+    failure; once the reaction has ramped the sup well past it, the terminal
+    peak is narrower than any fixed lattice and the audit only annotates."""
+    if audits.detecting:
+        return
+    mass_old, mass_new = traj.mass[-1], state.total * lattice.cell
+    produced = dt * f_mid_sum * lattice.cell
+    defect = abs(mass_new - (mass_old + produced))
+    tol = _MASS_DEFECT_TOL * dt * max(mass_new, 1.0) \
+        + 1e-12 * (mass_old + mass_new + abs(produced))
+    if not defect > tol:
+        audits.streak = 0
+    elif traj.sup[-1] >= _SPIKE_GROWTH * audits.sup_init:
+        # the terminal window: from here on the run only detects the crossing
+        audits.detecting = True
+        traj.notes.append(f"audits suspended at t={traj.t[-1]:g}: terminal "
+                          "peak narrower than the lattice")
+    else:
+        audits.streak += 1
+        if audits.streak >= 25:
+            raise ResolutionError(
+                "persistent relative mass defect above "
+                f"{_MASS_DEFECT_TOL:g} outside the growth window")
+
 
 def _support_ok(values: np.ndarray, grid: Grid) -> bool:
     """No support in the grid's boundary band (``Grid.edge``)."""
@@ -404,179 +494,88 @@ def _embed_double(values: np.ndarray) -> np.ndarray:
     return out
 
 
-# ---------------------------------------------------------------------------
-# the run loop
-# ---------------------------------------------------------------------------
+def _support_audit(audits: _AuditState, traj: Trajectory, lattice: _Lattice,
+                   state: _State, cfg: SimConfig) -> Tuple[_Lattice, _State]:
+    """The support audit of the last recorded state, where it is due (module
+    docstring): the lattice and the state to go on with, both doubled where
+    the support reaches the boundary band, up to twice; after that the run
+    is unreliable."""
+    t = traj.t[-1]
+    audits.steps += 1
+    due = (audits.t_last is None or t == cfg.t_end
+           or audits.steps >= _AUDIT_STRIDE
+           or t - audits.t_last >= _AUDIT_STRIDE * cfg.dt_init)
+    if audits.detecting or not due:
+        return lattice, state
+    audits.steps, audits.t_last = 0, t
+    if _support_ok(state.values, lattice.grid):
+        return lattice, state
+    if audits.doublings < 2:
+        audits.doublings += 1
+        lattice = lattice.doubled()
+        state = _state(_embed_double(state.values), lattice.grid,
+                       cfg.nonlinearity.fn)
+        traj.notes.append(f"box doubled to half-width {lattice.grid.L:g} at t={t:g}")
+    elif traj.reliable:
+        traj.reliable = False
+        traj.notes.append(f"support reached the boundary margin at t={t:g}")
+    return lattice, state
+
 
 def run(u0: GridFunction, cfg: SimConfig) -> Trajectory:
-    """Integrate to cfg.t_end with error-controlled dt and the three audits.
-
-    Each trial step is min(0.5/F'(sup), max(floor, dt_ctl)), with floor =
-    min(dt_init, 0.5/F'(sup)) and dt_ctl the controller's proposal from the
-    last step's error estimate (see the module docstring); a trial longer
-    than the floor whose estimate exceeds _STEP_TOL is rejected and
-    retried shorter. The support audit runs on u0 before the first step,
-    then after _AUDIT_STRIDE steps or _AUDIT_STRIDE * dt_init of time since
-    the last one, and at t_end.
-
-    Outcomes: ``blew_up`` when sup u crosses u_max (or a step leaves the
-    finite range), ``dt_underflow`` when the stability bound pushes dt
-    below dt_min, ``reached_horizon`` otherwise. t_obs is the last
-    accepted time for the first two. The trajectory counts the rejected
-    trials and sums the accepted steps' estimates.
-    """
+    """Integrate to cfg.t_end under the step rule and the audits of the
+    module docstring. Outcomes: ``blew_up`` when sup u crosses u_max (or a
+    step leaves the finite range), ``dt_underflow`` when the stability cap
+    pushes the floor below dt_min, ``reached_horizon`` otherwise. t_obs is
+    the last accepted time for the first two. The trajectory counts the
+    rejected trials and sums the accepted steps' estimates."""
     F = cfg.nonlinearity
     if float(u0.values.max()) >= cfg.u_max:
         raise DomainError("u_max must exceed the initial sup")
-
-    grid = u0.grid
-    # u0 enters through F's negativity scan; the step's own clipped values
-    # go to F.fn directly, and dt control evaluates F' on Python floats
-    fn = F.fn
     try:
-        state = _state(u0.values.copy(), grid, F)
+        # u0 enters through F's negativity scan; the step's own clipped
+        # values go to F.fn directly
+        state = _state(u0.values.copy(), u0.grid, F)
     except BlowupSignal as exc:
         raise DomainError(f"u0 or F(u0) leaves the double range: {exc}") from exc
-
-    sym, cell = generator_symbol_grid(cfg.kernel, grid), grid.cell_volume
-    # each horizon's center is the lattice peak of its smoothed data; it
-    # moves with the data when the box doubles, while the horizon is ahead
-    smoothed = _smoother(state.spectrum, sym, grid)
-    probes = {T: _MomentProbe(grid, sym, _peak_index(smoothed(T)))
-              for T in cfg.moment_targets}
+    # each horizon's center is the lattice peak of its smoothed data
+    smoothed = _smoother(state.spectrum, generator_symbol_grid(cfg.kernel, u0.grid),
+                         u0.grid)
+    lattice = _Lattice(u0.grid, cfg.kernel,
+                       {T: _peak_index(smoothed(T)) for T in cfg.moment_targets})
     traj = Trajectory(t=[], sup=[], mass=[], dt=[], source_integral=[],
                       moments={T: MomentSeries(target=T, center=probe.center)
-                               for T, probe in probes.items()},
+                               for T, probe in lattice.probes.items()},
                       outcome="reached_horizon", t_obs=None, final_state=u0)
-
-    def record(t: float, dt_used: float, mass: float):
-        traj.t.append(t)
-        traj.sup.append(float(state.values.max()))
-        traj.mass.append(mass)
-        traj.dt.append(dt_used)
-        traj.source_integral.append(state.source_total * cell)
-        for T in list(probes):
-            remaining = T - t
-            if remaining <= 0:
-                # a passed horizon is dropped: no probe to rebuild
-                del probes[T]
-                continue
-            W = max(probes[T](state.spectrum, remaining), 0.0)
-            ms = traj.moments[T]
-            ms.t.append(t)
-            ms.W.append(W)
-
-    t = 0.0
-    record(t, 0.0, state.total * cell)
-    enlargements = 0
-    defect_streak = 0
-    sup_init = max(float(u0.values.max()), _SUPPORT_FLOOR)
-    detection_mode = False
-    # the controller's next step; until an estimate allows more, the floor
-    dt_ctl = 0.0
-    # the half-step propagator of the last trial dt, rebuilt only when dt
-    # or the box changes
-    e_dt: Optional[float] = None
-    e_half: Optional[np.ndarray] = None
-    audit_due = True
-
-    while True:
-        # the support audit: on u0, then as due after an accepted step
-        if audit_due and not detection_mode:
-            steps_since_audit, t_audit = 0, t
-            if not _support_ok(state.values, grid):
-                if enlargements < 2:
-                    # the zero-extended values live in the new state only
-                    grid = Grid(d=grid.d, L=2.0 * grid.L, n=2 * grid.n)
-                    state = _state(_embed_double(state.values), grid, fn)
-                    enlargements += 1
-                    sym, cell = generator_symbol_grid(cfg.kernel, grid), grid.cell_volume
-                    shift = grid.n // 4
-                    probes = {T: _MomentProbe(grid, sym, tuple(i + shift for i in p.center))
-                              for T, p in probes.items()}
-                    e_dt = None
-                    traj.notes.append(f"box doubled to half-width {grid.L:g} at t={t:g}")
-                elif traj.reliable:
-                    traj.reliable = False
-                    traj.notes.append(f"support reached the boundary margin at t={t:g}")
-        audit_due = False
-        sup = traj.sup[-1]
-        if sup >= cfg.u_max:
-            traj.outcome, traj.t_obs = "blew_up", t
-            break
-        if t >= cfg.t_end:
-            break
-
-        dprime = float(F.dfn(max(sup, 0.0)))
-        cap = math.inf if dprime <= 0 else 0.5 / dprime
-        floor = min(cfg.dt_init, cap)
-        if floor < cfg.dt_min:
+    _record(traj, lattice, state, 0.0, 0.0)
+    audits = _AuditState(sup_init=max(float(u0.values.max()), _SUPPORT_FLOOR))
+    lattice, state = _support_audit(audits, traj, lattice, state, cfg)
+    control = _Controller(cfg)
+    while traj.sup[-1] < cfg.u_max and traj.t[-1] < cfg.t_end:
+        t = traj.t[-1]
+        trial = control.propose(t, float(F.dfn(max(traj.sup[-1], 0.0))))
+        if trial is None:
             traj.outcome, traj.t_obs = "dt_underflow", t
             break
-        trial = min(cap, max(floor, dt_ctl))
-        # only a trial the controller lengthened past the floor may be
-        # rejected: each rejection shortens the next one, down to the floor
-        step_tol = _STEP_TOL if trial > floor else math.inf
-        # a step that would leave a sliver before t_end lands on it
-        landing = cfg.t_end - (t + trial) <= _T_END_RTOL * cfg.t_end
-        if landing:
-            trial = cfg.t_end - t
-
-        if trial != e_dt:
-            e_dt, e_half = trial, _half_propagator(sym, trial)
         try:
-            # the step spends the state; only its values stay, for a final
-            # state if the step fails, and a rejected step rebuilds it
-            state, f_mid_sum, est = _advance(state, e_half, grid, fn, trial,
-                                             tol=step_tol)
+            # the step spends the state; a rejected step rebuilds it
+            state, f_mid_sum, est = _advance(state, lattice.e_half(trial.dt),
+                                             lattice.grid, F.fn, trial.dt,
+                                             tol=trial.tol)
         except BlowupSignal:
             traj.outcome, traj.t_obs = "blew_up", t
             break
-        dt_ctl = trial * _step_ratio(est)
+        control.verdict(trial, est)
         if f_mid_sum is None:
             traj.rejected_steps += 1
             continue
         traj.step_error += est
-
-        # mass audit: the update satisfies M' = M + dt*int F(mid) exactly up
-        # to clipped ringing, so the defect measures spatial resolution, not
-        # step size. While the sup stays near its initial scale a persistent
-        # defect is a genuine failure; once the reaction has ramped the sup
-        # well past it, the terminal peak is narrower than any fixed lattice
-        # and the audit can only annotate.
-        mass_new = state.total * cell
-        mass_old = traj.mass[-1]
-        produced = trial * f_mid_sum * cell
-        defect = abs(mass_new - (mass_old + produced))
-        tol = _MASS_DEFECT_TOL * trial * max(mass_new, 1.0) \
-            + 1e-12 * (mass_old + mass_new + abs(produced))
-        if defect > tol and not detection_mode:
-            if sup >= _SPIKE_GROWTH * sup_init:
-                # entering the terminal window: from here on the run only
-                # detects the threshold crossing, accuracy audits annotate
-                detection_mode = True
-                traj.notes.append(
-                    f"audits suspended at t={t:g}: terminal peak narrower "
-                    "than the lattice")
-            else:
-                defect_streak += 1
-                if defect_streak >= 25:
-                    raise ResolutionError(
-                        "persistent relative mass defect above "
-                        f"{_MASS_DEFECT_TOL:g} outside the growth window")
-        elif not detection_mode:
-            defect_streak = 0
-
-        t = cfg.t_end if landing else t + trial
-        record(t, trial, mass_new)
-        steps_since_audit += 1
-        # the support audit is due after every _AUDIT_STRIDE steps, once
-        # _AUDIT_STRIDE * dt_init of time has passed since the last one, and
-        # at t_end
-        audit_due = (landing or steps_since_audit >= _AUDIT_STRIDE
-                     or t - t_audit >= _AUDIT_STRIDE * cfg.dt_init)
-
-    traj.final_state = GridFunction(grid, state.values)
+        _mass_audit(audits, traj, lattice, state, trial.dt, f_mid_sum)
+        _record(traj, lattice, state, trial.end, trial.dt)
+        lattice, state = _support_audit(audits, traj, lattice, state, cfg)
+    if traj.sup[-1] >= cfg.u_max:
+        traj.outcome, traj.t_obs = "blew_up", traj.t[-1]
+    traj.final_state = GridFunction(lattice.grid, state.values)
     return traj
 
 

@@ -535,6 +535,71 @@ def test_power_terms_keep_the_bits_of_normal_products():
     assert np.array_equal(F(u), u * u * u * 1e300)
 
 
+@pytest.mark.parametrize("source, derivative, terms, u", [
+    (lambda: Nonlinearity.power_law(1e300, 3.0), True, [(1e300, 3.0)],
+     [1e-200, 1e-170, 1e-250, 1e-100, 2.0, 0.0]),
+    (lambda: Nonlinearity.power_sum(1e300, 3.0, 1.0, 2.0), True,
+     [(1e300, 3.0), (1.0, 2.0)], [1e-200, 1e-170, 1e-250, 2.0, 0.0]),
+    (lambda: Nonlinearity.power_law(1e-300, 3.0), False, [(1e-300, 3.0)],
+     [1e110, 1e150, 1e200, 2.0, 1e-50, 0.0]),
+    (lambda: Nonlinearity.power_law(1e-300, 3.0), True, [(1e-300, 3.0)],
+     [1e160, 1e200, 1e100, 2.0]),
+    (lambda: Nonlinearity.power_sum(1e-300, 2.5, 1e-300, 3.0), False,
+     [(1e-300, 2.5), (1e-300, 3.0)], [1e110, 1e150, 1e200, 2.0]),
+], ids=["dfn-below", "power-sum-dfn-below", "fn-past", "dfn-past", "power-sum-fn-past"])
+def test_power_terms_and_derivatives_whose_power_leaves_the_doubles(
+        source, derivative, terms, u):
+    """c u^p and its F' = c p u^(p-1) where the power leaves the normal
+    doubles, below them or past them, while the term does not: each is formed
+    from two halves. power_law(1e300, 3).dfn(1e-200) read 0.0,
+    power_sum(1e300, 3, 1, 2).dfn(1e-200) 2e-200 and power_law(1e-300,
+    3)(1e110) overflowed (true: 3e-100, 3e-100 and 1e30). Against mpmath,
+    on floats and on arrays, with warnings as errors; a value whose true
+    size lies below the normal doubles still reads below them."""
+    mp = pytest.importorskip("mpmath")
+    F = source()
+    f = F.dfn if derivative else F.fn
+    u = np.array(u)
+    with mp.workdps(30):
+        want = [sum(c * p * mp.mpf(x) ** (p - 1) if derivative else c * mp.mpf(x) ** p
+                    for c, p in terms) for x in u]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = f(u.copy())
+        scalars = [f(float(x)) for x in u]
+    for x, value, scalar, ref in zip(u, values, scalars, want):
+        assert scalar == value, x
+        if ref >= sys.float_info.min:
+            assert abs(value - ref) <= 1e-14 * ref, x
+        else:
+            assert value < sys.float_info.min, x
+
+
+def test_power_terms_that_overflow_still_overflow():
+    """Where c u^p itself leaves the doubles, the term overflows: under the
+    solver's np.errstate(over="raise") it raises, on arrays and on floats,
+    and so does its derivative."""
+    F = Nonlinearity.power_law(1e-300, 3.0)
+    for f, u in ((F.fn, 1e205), (F.dfn, 1e305)):
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                f(np.array([2.0, u]))
+            with pytest.raises(FloatingPointError):
+                f(u)
+
+
+def test_derivatives_keep_the_bits_of_normal_products():
+    """F' of every named power family is c p np.power(u, p - 1) bit for bit
+    wherever that product is a normal double."""
+    u = np.geomspace(1e-100, 1e2, 50)
+    F = Nonlinearity.power_law(1e300, 3.0)
+    assert np.array_equal(F.dfn(u), 1e300 * 3.0 * np.power(u, 2.0))
+    G = Nonlinearity.power_sum(0.5, 2.5, 2.0, 4.0)
+    assert np.array_equal(G.dfn(u), 0.5 * 2.5 * np.power(u, 1.5) + 2.0 * 4.0 * np.power(u, 3.0))
+    for x in (0.3, 1.7, 25.0):
+        assert G.dfn(x) == 0.5 * 2.5 * np.power(x, 1.5) + 2.0 * 4.0 * np.power(x, 3.0)
+
+
 def test_family_registry_names():
     """The parser's --family choices, each building the source of that kind."""
     parser = cli.build_parser()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 import warnings
 import weakref
@@ -12,11 +13,11 @@ from numpy.testing import assert_allclose
 
 from blowlab import solver
 from blowlab.errors import DomainError, ResolutionError
-from blowlab.kernels import (Grid, GridFunction, KernelSpec,
+from blowlab.kernels import (Grid, GridFunction, KernelSpec, _propagator,
                              generator_symbol_grid, semigroup_kernel)
 from blowlab.nonlinearity import Nonlinearity
 from blowlab.solver import (BlowupSignal, MomentSeries, SimConfig, Trajectory,
-                            _MomentProbe, _advance, _half_propagator, _state,
+                            _MomentProbe, _advance, _state,
                             dichotomy_experiment, jensen_report, run)
 
 
@@ -24,7 +25,7 @@ def step(u, cfg, dt):
     """One step of run's update (the integrating-factor midpoint rule) from
     u, with no dt control and no audits."""
     grid = u.grid
-    e_half = _half_propagator(generator_symbol_grid(cfg.kernel, grid), dt)
+    e_half = _propagator(generator_symbol_grid(cfg.kernel, grid), dt / 2)
     F = cfg.nonlinearity
     new = _advance(_state(u.values, grid, F), e_half, grid, F.fn, dt)[0]
     return GridFunction(grid, new.values)
@@ -98,7 +99,7 @@ def test_advance_in_2d_holds_at_most_two_half_spectra():
                    nonlinearity=Nonlinearity.power_law(1.0, 3.0))
     F = cfg.nonlinearity
     u0 = GridFunction.gaussian(g, mass=4.0, sigma=1.0).values
-    e_half = _half_propagator(generator_symbol_grid(cfg.kernel, g), 0.01)
+    e_half = _propagator(generator_symbol_grid(cfg.kernel, g), 0.01 / 2)
 
     def fresh():
         """A state with both spectra, as a step returns it."""
@@ -120,7 +121,7 @@ def test_a_rejected_step_in_2d_holds_at_most_two_half_spectra():
     kernel = KernelSpec.fractional(1.5)
     F = Nonlinearity.power_law(1.0, 3.0)
     u0 = GridFunction.gaussian(g, mass=4.0, sigma=1.0).values
-    e_half = _half_propagator(generator_symbol_grid(kernel, g), 0.5)
+    e_half = _propagator(generator_symbol_grid(kernel, g), 0.5 / 2)
     _advance(_state(u0.copy(), g, F), e_half, g, F.fn, 0.5, tol=1e-12)
     state = _state(u0.copy(), g, F)
     (kept, f_mid_sum, _), peak = traced_peak(
@@ -182,7 +183,7 @@ def test_a_state_whose_source_sum_overflows_is_a_blowup():
     it."""
     g = Grid(1, 8.0, 64)
     F = Nonlinearity.power_law(1.0, 2.0)
-    e_half = _half_propagator(generator_symbol_grid(KernelSpec.gaussian(), g), 1e-3)
+    e_half = _propagator(generator_symbol_grid(KernelSpec.gaussian(), g), 1e-3 / 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(BlowupSignal, match="overflow encountered in reduce"):
@@ -771,6 +772,26 @@ def test_u0_whose_source_sum_overflows_is_a_domain_error():
             run(GridFunction(g, np.full(g.shape, 1e154)), make_cfg(u_max=1e300))
 
 
+def test_a_run_whose_power_overflows_below_its_source_ends_as_a_blowup():
+    """F = 1e-300 u^3 from data whose sup is 1e150: u^3 overflows, while
+    F(u0) = 1e150 is a double, so the run starts (it raised DomainError when
+    F lost such terms to the overflow of u^3). Its steps shrink with the
+    stability cap 0.5/F'(sup), whose F' = 3e-300 u^2 also passes through an
+    overflowing u^2, and the run ends as a blowup where F itself overflows,
+    near sup = 5.6e202, below u_max = 1e300; with warnings as errors."""
+    u0 = GridFunction.gaussian(Grid(1, 16.0, 64), mass=2.5e150, sigma=1.0)
+    cfg = make_cfg(nonlinearity=Nonlinearity.power_law(1e-300, 3.0),
+                   dt_init=0.01, dt_min=1e-250, t_end=2.0, u_max=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = run(u0, cfg)
+    assert traj.outcome == "blew_up" and traj.t_obs == traj.t[-1]
+    assert 1e202 < traj.sup[-1] < (sys.float_info.max / 1e-300) ** (1 / 3)
+    for k in range(1, len(traj.t)):
+        cap = 0.5 / (3e-300 * traj.sup[k - 1] * traj.sup[k - 1])
+        assert traj.dt[k] <= cap * (1.0 + 1e-12)
+
+
 def test_a_step_to_a_state_whose_source_sum_overflows_is_a_blowup():
     """u' = u^2 from constant data 1.4e153 (dt = 0.5/F'(u0)): the first
     step's midpoint source still transforms, but the sum of F over the new
@@ -910,7 +931,7 @@ def test_the_estimate_is_within_one_to_eight_times_the_kept_steps_error(data, cf
     sym = generator_symbol_grid(cfg.kernel, g)
 
     def steps(dt, k):
-        state, e_half = _state(u.values.copy(), g, F), _half_propagator(sym, dt)
+        state, e_half = _state(u.values.copy(), g, F), _propagator(sym, dt / 2)
         for _ in range(k):
             state, _, est = _advance(state, e_half, g, F.fn, dt)
         return state.values, est
@@ -939,7 +960,7 @@ def test_a_rejected_step_keeps_its_state_and_its_retry_is_a_fresh_step():
 
     state = fresh()
     values = state.values.copy()
-    kept, f_mid_sum, est = _advance(state, _half_propagator(sym, 0.5), g,
+    kept, f_mid_sum, est = _advance(state, _propagator(sym, 0.5 / 2), g,
                                     F.fn, 0.5, tol=1e-9)
     assert f_mid_sum is None and est > 1e-9
     assert kept.values is state.values and kept.spectrum is state.spectrum
@@ -947,7 +968,7 @@ def test_a_rejected_step_keeps_its_state_and_its_retry_is_a_fresh_step():
     assert np.array_equal(kept.values, values)
     for a, b in zip(kept, fresh()):
         assert np.array_equal(a, b)
-    e_half = _half_propagator(sym, 0.1)
+    e_half = _propagator(sym, 0.1 / 2)
     retried, fresh_step = (_advance(s, e_half, g, F.fn, 0.1)
                            for s in (kept, fresh()))
     assert retried[1:] == fresh_step[1:]
@@ -986,7 +1007,7 @@ def test_a_decay_run_takes_a_tenth_of_the_fixed_steps_at_the_same_error():
 
     def fixed(dt):
         state = _state(u0.values.copy(), g, F)
-        e_half = _half_propagator(sym, dt)
+        e_half = _propagator(sym, dt / 2)
         for _ in range(round(cfg.t_end / dt)):
             state = _advance(state, e_half, g, F.fn, dt)[0]
         return state.values
@@ -1042,3 +1063,107 @@ def test_audits_come_after_16_steps_or_16_dt_init_of_time(monkeypatch, cfg, data
         assert audited == list(range(0, len(traj.t) - 1, 16)) + [len(traj.t) - 1]
     else:
         assert len(audited) - 1 > (len(traj.t) - 1) / 16
+
+
+
+def scripted_trials(cfg, script):
+    """Drive the controller as run does, without a step: each pair of the
+    script is (F'(sup), estimate), the estimate being the trial's own; a
+    trial whose estimate exceeds its tol is rejected and keeps t. Each trial
+    is checked against the rule of the module docstring. Returns (t, trial,
+    rejected) per trial, and (t, None, None) where the controller ends the
+    run."""
+    control, t, out, proposal = solver._Controller(cfg), 0.0, [], 0.0
+    for dprime, est in script:
+        trial = control.propose(t, dprime)
+        cap = math.inf if dprime <= 0 else 0.5 / dprime
+        floor = min(cfg.dt_init, cap)
+        if floor < cfg.dt_min:
+            assert trial is None
+            return out + [(t, None, None)]
+        dt = min(cap, max(floor, proposal))
+        if cfg.t_end - (t + dt) <= solver._T_END_RTOL * cfg.t_end:
+            assert trial.dt == cfg.t_end - t and trial.end == cfg.t_end
+        else:
+            assert trial.dt == pytest.approx(dt, rel=1e-14) and trial.end == t + trial.dt
+        # tol is set by the trial before it lands
+        assert trial.tol == (solver._STEP_TOL if dt > floor else math.inf)
+        rejected = est > trial.tol
+        control.verdict(trial, est)
+        # the docstring's proposal: dt min(5, 0.9 (tol/est)^(1/3)), and 0
+        # (the floor) for a non-finite estimate
+        proposal = trial.dt * (min(5.0, 0.9 * (solver._STEP_TOL / est) ** (1 / 3))
+                               if math.isfinite(est) else 0.0)
+        out.append((t, trial, rejected))
+        t = t if rejected else trial.end
+    return out
+
+
+def test_the_controller_lengthens_by_at_most_max_growth():
+    """With estimates far below _STEP_TOL each trial is _MAX_GROWTH times
+    the last, up to the stability cap; an estimate of _STEP_TOL allows 0.9
+    times the step."""
+    cfg = make_cfg(dt_init=1e-3, t_end=1e6)
+    script = ([(0.0, 1e-20)] * 6 + [(50.0, 1e-20)] * 2 + [(0.0, solver._STEP_TOL)]
+              + [(0.0, 1e-20)] * 2)
+    trials = scripted_trials(cfg, script)
+    dts = [trial.dt for _, trial, _ in trials]
+    assert not any(rejected for _, _, rejected in trials)
+    assert all(b <= solver._MAX_GROWTH * a for a, b in zip(dts, dts[1:]))
+    assert dts[:6] == pytest.approx([1e-3 * 5.0 ** k for k in range(6)], rel=1e-14)
+    assert dts[6:8] == [0.01, 0.01]                   # the cap 0.5/50
+    assert dts[8:] == pytest.approx([0.05, 0.045, 0.225], rel=1e-14)
+
+
+def test_the_controller_never_rejects_a_trial_at_the_floor():
+    """A lengthened trial whose estimate exceeds _STEP_TOL is rejected and
+    retried shorter from the same t, down to the floor; a trial at the
+    floor is accepted whatever its estimate, infinite included."""
+    cfg = make_cfg(dt_init=0.01, t_end=1e6)
+    script = [(0.0, 1e-20)] * 3 + [(0.0, 1e-3)] * 3 + [(0.0, math.inf), (0.0, 1.0)]
+    trials = scripted_trials(cfg, script)
+    assert [rejected for _, _, rejected in trials] == [False] * 3 + [True] * 2 + [False] * 3
+    assert trials[3][0] == trials[4][0] == trials[5][0]
+    assert trials[4][1].dt < trials[3][1].dt
+    for _, trial, _ in trials[5:]:
+        assert trial.dt == cfg.dt_init and trial.tol == math.inf
+
+
+def test_a_nonfinite_estimate_is_accepted_and_sends_the_next_trial_to_the_floor():
+    """A NaN estimate on a lengthened trial does not reject it, and the next
+    trial is the floor; an infinite one at the floor does the same. An
+    infinite one on a lengthened trial exceeds _STEP_TOL, so that trial is
+    rejected, and its retry is the floor."""
+    cfg = make_cfg(dt_init=0.01, t_end=1e6)
+    trials = scripted_trials(cfg, [(0.0, 1e-20), (0.0, math.nan), (0.0, math.inf),
+                                   (0.0, 1e-20), (0.0, math.inf), (0.0, 1e-20)])
+    assert [rejected for _, _, rejected in trials] == [False] * 4 + [True, False]
+    assert trials[1][1].dt == 0.05 and trials[1][1].tol == solver._STEP_TOL
+    assert [trial.dt for _, trial, _ in trials] == [0.01, 0.05, 0.01, 0.01, 0.05, 0.01]
+
+
+def test_a_landing_leaves_no_sliver_before_t_end():
+    """Ten steps of 0.1 from 0 reach 0.9999999999999999, so the tenth
+    lands on t_end = 1; a trial that would pass t_end lands on it too, at
+    the floor and lengthened. No trial ends past t_end, and none within
+    _T_END_RTOL * t_end of it but on it."""
+    for t_end, est in ((1.0, 1.0), (0.95, 1.0), (1.0, 1e-20)):
+        cfg = make_cfg(dt_init=0.1, t_end=t_end)
+        trials = scripted_trials(cfg, [(0.0, est)] * 12)
+        ends = [trial.end for _, trial, _ in trials]
+        last = ends.index(t_end)
+        assert all(t_end - end > solver._T_END_RTOL * t_end for end in ends[:last])
+    t = sum([0.1] * 9)
+    assert 0.0 < 1.0 - (t + 0.1) <= solver._T_END_RTOL
+    trial = solver._Controller(make_cfg(dt_init=0.1, t_end=1.0)).propose(t, 0.0)
+    assert trial == (1.0 - t, math.inf, 1.0)
+
+
+def test_the_controller_ends_the_run_once_the_floor_falls_below_dt_min():
+    """The floor follows the stability cap 0.5/F'(sup) down; the first
+    proposal whose floor is below dt_min is None, which run reports as
+    dt_underflow."""
+    cfg = make_cfg(dt_init=1e-3, dt_min=1e-6, t_end=1e6)
+    trials = scripted_trials(cfg, [(10.0 ** k, 1.0) for k in range(3, 9)])
+    assert [trial.dt for _, trial, _ in trials[:-1]] == [0.5 / 10.0 ** k for k in range(3, 6)]
+    assert trials[-1][1] is None and len(trials) == 4

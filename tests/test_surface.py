@@ -2,9 +2,9 @@
 name resolves, every library def has a library reader, no parameter is
 only range-checked, every quadrature result is checked, every finite
 range is decided in numutil, the package has three exception classes and
-one trapezoid rule, and the README example list has one content wherever
-it is copied. Standard library only (ast, importlib, re), since no linter
-is a dependency."""
+one trapezoid rule, one function exponentiates a generator symbol, and
+the README example list has one content wherever it is copied. Standard
+library only (ast, importlib, re), since no linter is a dependency."""
 
 import ast
 import importlib
@@ -223,3 +223,49 @@ def test_readme_examples_are_one_list():
                  and [t.id for t in node.targets] == ["README_EXAMPLES"])
     assert len(from_readme) == 7
     assert from_readme == ci == list(bench)
+
+
+def symbol_reads(node, held):
+    """Whether an expression reads a generator symbol: a call of
+    generator_symbol_grid, a name or attribute `sym` (or `sym_...`,
+    `..._sym`), or a name in held."""
+    for n in ast.walk(node):
+        name = (n.id if isinstance(n, ast.Name) else
+                n.attr if isinstance(n, ast.Attribute) else None)
+        if name in held or (name and re.search(r"(^|_)sym($|_)", name)):
+            return True
+        if isinstance(n, ast.Call) and called_name(n) == "generator_symbol_grid":
+            return True
+    return False
+
+
+def test_only_the_propagator_exponentiates_a_generator_symbol():
+    """exp(t*sym), the semigroup's multiplier on the half lattice, is formed
+    by kernels._propagator alone: no other def applies np.exp to an
+    expression that reads a generator symbol, or to a name that holds one
+    that was formed from it (by assignment, or as the out= of a call that
+    reads it)."""
+    bad = []
+    for stem in MODULES:
+        for fn in ast.walk(parse(stem)):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    or (stem, fn.name) == ("kernels", "_propagator"):
+                continue
+            held, grown = set(), True
+            while grown:
+                size = len(held)
+                for n in ast.walk(fn):
+                    if isinstance(n, (ast.Assign, ast.AugAssign, ast.AnnAssign)) \
+                            and n.value is not None and symbol_reads(n.value, held):
+                        targets = n.targets if isinstance(n, ast.Assign) else [n.target]
+                        held.update(t.id for target in targets for t in ast.walk(target)
+                                    if isinstance(t, ast.Name))
+                    elif isinstance(n, ast.Call) and any(
+                            symbol_reads(a, held) for a in n.args):
+                        held.update(k.value.id for k in n.keywords
+                                    if k.arg == "out" and isinstance(k.value, ast.Name))
+                grown = len(held) > size
+            bad += [f"{stem}.py:{n.lineno}" for n in ast.walk(fn)
+                    if isinstance(n, ast.Call) and called_name(n) == "exp"
+                    and any(symbol_reads(a, held) for a in n.args)]
+    assert bad == []
