@@ -143,11 +143,14 @@ class Grid:
         half = 2.0 * math.pi * np.fft.rfftfreq(self.n, d=self.spacing)
         return _length(np.meshgrid(*[xi] * (self.d - 1), half, indexing="ij"))
 
+    @functools.lru_cache(maxsize=64)
     def edge(self) -> np.ndarray:
-        """The band where some |x_i| > 0.75 L, as a mask in the natural
-        layout: the boundary margin of the torus audits."""
+        """The band where some |x_i| > 0.75 L, as a read-only mask in the natural
+        layout, built once per grid: the boundary margin of the torus audits."""
         line = np.abs(self.axis()) > _BOUNDARY_FRACTION * self.L
-        return functools.reduce(np.logical_or.outer, [line] * self.d)
+        out = functools.reduce(np.logical_or.outer, [line] * self.d)
+        out.setflags(write=False)
+        return out
 
     def rfft(self, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Half spectrum of a real field on this grid (out: see above).
@@ -466,11 +469,8 @@ def _sum_series(log_mag, weight, scale, asymptotic):
             tail = np.where(last == 0.0, 0.0,
                             np.where(ratio < 1.0, last * ratio / (1.0 - ratio), np.inf))
         kept = np.where(keep, terms, 0.0)
-        value = kept.sum(axis=1)
         rounding = 4.0 * _EPS * (np.abs(kept) * (scale + 1.0)).sum(axis=1)
-        error = rounding + tail
-    bad = ~(np.isfinite(value) & np.isfinite(error))
-    return np.where(bad, 0.0, value), np.where(bad, np.inf, error)
+        return kept.sum(axis=1), rounding + tail
 
 
 def _near_series(alpha: float, d: int, rho: np.ndarray):
@@ -507,10 +507,10 @@ def _far_series(alpha: float, d: int, rho: np.ndarray):
     return _sum_series(log_mag, weight, scale, asymptotic=alpha > 1.0)
 
 
-def _chunked(route, alpha: float, d: int, rho: np.ndarray):
-    """A vectorized route over rho in chunks of 32 points, which bounds its
-    tables at 32 rows (of _SERIES_TERMS terms, or of subordination nodes)."""
-    chunks = [route(alpha, d, c) for c in np.array_split(rho, max(1, -(-rho.size // 32)))]
+def _chunked(route, alpha: float, d: int, x: np.ndarray):
+    """A vectorized route over x (rho, or rho^2) in chunks of 32 points, which
+    bounds its tables at 32 rows (of _SERIES_TERMS terms, or of nodes)."""
+    chunks = [route(alpha, d, c) for c in np.array_split(x, max(1, -(-x.size // 32)))]
     return np.concatenate([v for v, _ in chunks]), np.concatenate([e for _, e in chunks])
 
 
@@ -519,20 +519,21 @@ def _series_switches(alpha: float, d: int):
     """(rho_near, rho_far) for a generic order.
 
     The near series serves 0 < rho <= rho_near (rho_near = 0 for alpha < 1),
-    the far series rho >= rho_far (inf if it never gets within _QUAD_TOL),
-    and the Mellin-Barnes integral the radii between.
+    the far series rho >= rho_far (inf if it never passes), and the
+    Mellin-Barnes integral the radii between. A raw series sum passes where
+    it is finite and its estimate within _SWITCH_MARGIN _QUAD_TOL of it.
     """
     grid, target = _SWITCH_GRID, _SWITCH_MARGIN * _QUAD_TOL
     rho_near = 0.0
     if alpha > 1.0:
         value, error = _chunked(_near_series, alpha, d, grid)
-        fails = np.flatnonzero(~(error <= target * np.abs(value)))
+        fails = np.flatnonzero(~(np.isfinite(value) & (error <= target * np.abs(value))))
         if fails.size == 0:
             rho_near = float(grid[-1])
         elif fails[0] > 0:
             rho_near = float(grid[fails[0] - 1])
     value, error = _chunked(_far_series, alpha, d, grid)
-    fails = np.flatnonzero(~(error <= target * np.abs(value)))
+    fails = np.flatnonzero(~(np.isfinite(value) & (error <= target * np.abs(value))))
     if fails.size and fails[-1] == grid.size - 1:
         return rho_near, math.inf
     return rho_near, float(grid[fails[-1] + 1 if fails.size else 0])
@@ -554,7 +555,7 @@ def _mellin(alpha: float, d: int, rho: float):
     its scale is least (or first falls to eps of its scale at n = 1), adds
     their residues, the far series' first n terms, and is held to the same
     share of their size: its own relative target meets QUADPACK's roundoff.
-    Outside the double range R is 0 with an infinite error, as in the series.
+    Where the line's front leaves the doubles R is 0 with an infinite error.
     """
     lr = math.log(rho)
     lo, hi = 1.0 - d, 1.0 + alpha
@@ -599,12 +600,10 @@ def _mellin(alpha: float, d: int, rho: float):
 def _closed(log_value, scale):
     """(value, error) of a closed form exp(log_value), held to 4 eps
     (1 + scale), where scale bounds the log terms summed into log_value, as
-    in _sum_series. Above the largest double R is 0 with an infinite error,
-    as on every other route."""
+    in _sum_series."""
     with np.errstate(over="ignore"):
         value = np.exp(log_value)
-        error = 4.0 * _EPS * value * (1.0 + scale)
-    return np.where(value < math.inf, value, 0.0), error
+    return value, 4.0 * _EPS * value * (1.0 + scale)
 
 
 def _poisson(d: int, sq: np.ndarray):
@@ -653,8 +652,8 @@ def _two_sum(a, b):
     return s, (a - (s - t)) + (b - t)
 
 
-def _subordinated(alpha: float, d: int, rho: np.ndarray):
-    """(value, error) of R at alpha = 1 by Bochner's subordination,
+def _subordinated(alpha: float, d: int, sq: np.ndarray):
+    """(value, error) of R at alpha = 1 from sq = rho^2 by Bochner's subordination,
     R(rho) = int_0^inf eta(lam) G_lam(rho) dlam, with Levy's 1/2-stable
     density eta(lam) = (4 pi)^(-1/2) lam^(-3/2) e^(-1/(4 lam)) and the
     Gaussian G_lam(rho) = (4 pi lam)^(-d/2) e^(-rho^2/(4 lam)).
@@ -677,8 +676,7 @@ def _subordinated(alpha: float, d: int, rho: np.ndarray):
     array call returns the scalar calls' values bit for bit."""
     k = 0.5 * (d + 1)
     h, left, first, size, nodes, em1s = _subordination_nodes(d)
-    # R is 0 in doubles from rho = 1e154 on, where rho^2 would overflow
-    a = 0.25 * (1.0 + np.minimum(rho, 1e154) ** 2)
+    a = 0.25 * (1.0 + sq)
     n = np.rint(np.log2(a / k))
     b = np.ldexp(a, -n.astype(int))
     start = 2.0 * np.floor((np.log(b / k) - left) / (2.0 * h))
@@ -700,9 +698,7 @@ def _subordinated(alpha: float, d: int, rho: np.ndarray):
         e = e + r
     with np.errstate(over="ignore"):
         value = np.exp(s) * (1.0 + e)
-    error = value * ((np.abs(fine - coarse) + tails + rounding) / fine)
-    # above the largest double R is 0 with an infinite error, as on every route
-    return np.where(value < math.inf, value, 0.0), error
+    return value, value * ((np.abs(fine - coarse) + tails + rounding) / fine)
 
 
 @dataclass
@@ -714,10 +710,10 @@ class StableProfile:
     rho = 0, the near series for alpha > 1 at small rho, the far series at
     large rho, and the Mellin-Barnes integral between, in every dimension.
     Every value must carry an error estimate within 1e-11 (``_QUAD_TOL``)
-    relative to itself, or the call raises ResolutionError; a route that
-    cannot resolve R returns 0 with an infinite estimate. Where both the
-    value and its estimate lie below the smallest normal double, R reads 0
-    with estimate 0, on every route.
+    relative to itself, or the call raises ResolutionError. ``evaluate``
+    applies one range rule after every route: a value or estimate that is
+    not finite reads 0 with an infinite estimate, and where both lie below
+    the smallest normal double, R reads 0 with estimate 0.
     ``subordination`` (alpha = 1 only) computes the Bochner integral of the
     Gaussian over Levy's density, a second route to the Poisson closed form,
     by a trapezoid rule in log lambda over all radii at once
@@ -758,18 +754,21 @@ class StableProfile:
         value = np.empty(flat.shape)
         error = np.empty(flat.shape)
         route = np.empty(flat.shape, dtype=object)
+        # R is 0 in doubles from rho = 1e154 on, where rho^2 would overflow
+        sq = np.minimum(flat, 1e154) ** 2
         if self.method == "subordination":
-            value[:], error[:] = _chunked(_subordinated, 1.0, self.d, flat)
+            value[:], error[:] = _chunked(_subordinated, 1.0, self.d, sq)
             route[:] = "subordination"
         elif self.alpha in (1.0, 2.0):
-            # R is 0 in doubles from rho = 1e154 on, where rho^2 would overflow
-            sq = np.minimum(flat, 1e154) ** 2
             value[:], error[:] = _poisson(self.d, sq) if self.alpha == 1.0 else _closed(
                 -0.5 * self.d * math.log(4.0 * math.pi) - sq / 4.0,
                 0.5 * self.d * math.log(4.0 * math.pi) + sq / 4.0)
             route[:] = "closed"
         else:
             self._generic(flat, value, error, route)
+        # the one range rule of every route (class docstring)
+        unresolved = ~(np.isfinite(value) & np.isfinite(error))
+        value[unresolved], error[unresolved] = 0.0, math.inf
         under = (np.abs(value) < _TINY) & (error < _TINY)
         value[under] = error[under] = 0.0
         shape = rho_arr.shape

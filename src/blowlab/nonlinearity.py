@@ -56,11 +56,10 @@ def _power_term(c: float, p: float, products: bool = True) -> Callable:
     square, then times u where p's next bit is set, updating its own result
     in place. p = 2 is bit for bit np.power; p = 3..8 is within a few ulps
     of it, since each product rounds once. Other p take np.power. c = 1
-    skips the multiply. Where c u^p as computed falls below the normal
-    doubles, or u^p overflows, while log(c u^p) lies within them, the term
-    is formed from two halves, c u^(p/2) u^(p/2), as in _power_over; every
-    other product keeps its bits. Where c u^p overflows, the halves
-    overflow under the caller's np.errstate.
+    skips the multiply. Where u^p is subnormal, zero or infinite while
+    log(c u^p) lies above log(tiny), the term is c u^(p/2) u^(p/2), as in
+    _power_over; elsewhere it is c times u^p, bit for bit, which overflows
+    under the caller's np.errstate (a Python float from products reads inf).
     """
     if products and p in _PRODUCT_POWERS:
         bits = tuple(b == "1" for b in bin(int(p))[3:])
@@ -89,7 +88,6 @@ def _power_term(c: float, p: float, products: bool = True) -> Callable:
     log_c = math.log(c)
 
     def halves(u, out):
-        # c u^(p/2) u^(p/2) where log(c u^p) lies above log(tiny)
         with np.errstate(divide="ignore"):
             log_term = log_c + p * np.log(u)
         half = np.power(u, 0.5 * p)
@@ -97,11 +95,11 @@ def _power_term(c: float, p: float, products: bool = True) -> Callable:
 
     def term(u):
         out = power(u)
-        out *= c
         if not isinstance(out, np.ndarray):
             # a float or a numpy scalar, from a float or a 0-d array
-            return out if _TINY <= out < math.inf else float(halves(u, out))
+            return c * out if _TINY <= out < math.inf else float(halves(u, c * out))
         lost = (out < _TINY) | (out == math.inf)
+        out *= c
         if lost.any():
             out[lost] = halves(u[lost], out[lost])
         return out

@@ -8,7 +8,9 @@ series use scipy's gammaln.
 from __future__ import annotations
 
 import math
+import sys
 
+from .errors import DomainError
 from .numutil import _check_dimension
 
 # B_2k / (2k (2k-1)), k = 1..7: the Stirling series of ln Gamma(z); its
@@ -58,5 +60,10 @@ def log_sphere_area(d: int) -> float:
 
 
 def sphere_area(d: int) -> float:
-    """Surface area sigma_d of the unit sphere in R^d (2, 2*pi, 4*pi, ...)."""
-    return math.exp(log_sphere_area(d))
+    """Surface area sigma_d of the unit sphere in R^d (2, 2*pi, 4*pi, ...).
+    From d = 439 on sigma_d lies below the smallest normal double, and a
+    DomainError names d; ``log_sphere_area`` serves every d."""
+    area = math.exp(log_sphere_area(d))
+    if area < sys.float_info.min:
+        raise DomainError(f"sigma_d at d = {d} lies below the smallest normal double")
+    return area

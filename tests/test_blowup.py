@@ -186,6 +186,15 @@ def test_radial_moments_need_fractional_kernels():
         moment_at_zero(u, KernelSpec.gaussian(), 1.0)
 
 
+@pytest.mark.parametrize("T_grid", [[], [1.0, 1.0, 2.0], [2.0, 1.0]],
+                         ids=["empty", "repeated", "decreasing"])
+def test_a_horizon_grid_that_does_not_increase_is_a_domain_error(T_grid):
+    u0 = GridFunction.gaussian(Grid(1, 16.0, 128), mass=1.0, sigma=1.0)
+    with pytest.raises(DomainError, match="horizon grid must be nonempty and increasing"):
+        CriterionInput(u0, KernelSpec.gaussian(), Nonlinearity.power_law(1.0, 2.0),
+                       T_grid=T_grid)
+
+
 def test_default_horizon_grid_shape():
     T = default_horizon_grid()
     assert T[0] > 0 and T[-1] > T[0]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from blowlab import cli, norms
+from blowlab.errors import DomainError
 from blowlab.norms import RadialProfile
 from blowlab.reporting import write_csv
 
@@ -36,6 +37,23 @@ def test_constants_output(outdir, capsys):
     assert header == ["alpha", "d", "p", "s", "morrey_norm"]
     assert rows[0][0] == "2.0" and rows[0][1] == "5"
     assert {"K", "q", "sigma_d"} <= set(meta)
+
+
+def test_constants_whose_sphere_area_leaves_the_doubles_exit_2(outdir, capsys):
+    """sigma_500 is 0 in doubles: the command printed sigma_500 = 0 and
+    morrey_norm = 0 and exited 0."""
+    assert cli.main(["constants", "--d", "500", "--p", "3"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: sigma_d at d = 500 lies below the smallest normal double")
+    assert not list(outdir.rglob("*.csv"))
+
+
+def test_simulate_on_a_profile_file_is_a_domain_error(outdir, tmp_path):
+    path = tmp_path / "profile.csv"
+    path.write_text("r,value\n0.1,1.0\n0.2,0.7\n0.3,0.5\n0.4,0.2\n")
+    args = cli.build_parser().parse_args(["simulate", "--profile", str(path)])
+    with pytest.raises(DomainError, match="^simulate needs lattice data; use --profile gauss$"):
+        args.fn(args)
 
 
 # every flag of each subcommand with the value it takes when not given

@@ -171,6 +171,15 @@ def test_fields_must_be_nonnegative():
         GridFunction.from_function(g, lambda x: np.cos(x))
 
 
+@pytest.mark.parametrize("values, match", [
+    (np.ones(63), r"values shape \(63,\) does not match grid \(64,\)"),
+    (np.full(64, math.nan), "values must be finite"),
+], ids=["shape", "non-finite"])
+def test_fields_must_match_their_grid_and_be_finite(values, match):
+    with pytest.raises(DomainError, match=match):
+        GridFunction(Grid(1, 8.0, 64), values)
+
+
 # ---------------------------------------------------------------------------
 # kernel specs
 # ---------------------------------------------------------------------------
@@ -186,6 +195,11 @@ def test_heavy_tail_order_window():
     # finite mass needs n > d, an order below two needs n < d + 2
     with pytest.raises(DomainError):
         KernelSpec.heavy_tail(3.5).alpha_effective(1)
+
+
+def test_heavy_tail_symbol_is_realized_in_one_dimension_only():
+    with pytest.raises(DomainError, match="heavy-tail kernels are realized in d = 1 only"):
+        kernels.generator_symbol_grid(KernelSpec.heavy_tail(2.5), Grid(2, 8.0, 16))
 
 
 def test_fractional_strength_is_the_diffusivity():
@@ -848,6 +862,31 @@ def test_closed_form_outside_the_double_range_raises(alpha, d, rho):
     assert (res.value[0], res.error[0], res.route[0]) == (0.0, math.inf, "closed")
     with pytest.raises(ResolutionError, match="profile route closed"):
         prof(rho)
+
+
+def test_routes_hand_evaluate_what_they_summed():
+    """The routes return the value and estimate they formed, overflowed or
+    not, and evaluate alone applies the range rule to them: a closed form
+    past the largest double reads inf from its route and 0 with an infinite
+    estimate from evaluate."""
+    value, error = kernels._closed(np.array([800.0]), np.array([800.0]))
+    assert (value[0], error[0]) == (math.inf, math.inf)
+    value, error = _near_series(1.5, 3, np.array([1e4]))
+    assert not (math.isfinite(value[0]) and math.isfinite(error[0]))
+    res = stable_profile(1.0, 1000).evaluate(1.0)
+    assert (res.value[0], res.error[0]) == (0.0, math.inf)
+
+
+def test_switch_radii_refuse_raw_sums_that_are_not_finite(monkeypatch):
+    """A raw series sum passes the switch test only where it is finite:
+    inf <= target * inf holds, so series that read inf with an infinite
+    estimate at every radius would otherwise serve them all."""
+    def infinite(alpha, d, rho):
+        return np.full(rho.size, math.inf), np.full(rho.size, math.inf)
+
+    monkeypatch.setattr(kernels, "_near_series", infinite)
+    monkeypatch.setattr(kernels, "_far_series", infinite)
+    assert kernels._series_switches.__wrapped__(1.5, 3) == (0.0, math.inf)
 
 
 @pytest.mark.parametrize("d", [450, 600])

@@ -575,6 +575,34 @@ def test_power_terms_and_derivatives_whose_power_leaves_the_doubles(
             assert value < sys.float_info.min, x
 
 
+@pytest.mark.parametrize("c", [1e100, 1e300])
+@pytest.mark.parametrize("family", ["power", "power-sum"])
+@pytest.mark.parametrize("derivative", [False, True], ids=["fn", "dfn"])
+def test_power_terms_whose_power_is_subnormal_keep_their_digits(c, family, derivative):
+    """Where u^p is subnormal and c u^p normal, the term comes from two
+    halves, not from c times the subnormal and its lost digits:
+    power_law(1e300, 3).dfn(1e-160) read 2.999966601548049e-20. Against
+    mpmath within 2 eps relative, on floats and on arrays."""
+    mp = pytest.importorskip("mpmath")
+    terms = [(c, 3.0)] if family == "power" else [(c, 3.0), (1.0, 4.0)]
+    F = (Nonlinearity.power_law(c, 3.0) if family == "power"
+         else Nonlinearity.power_sum(c, 3.0, 1.0, 4.0))
+    f = F.dfn if derivative else F.fn
+    # log u where the first term's power u^e is subnormal and k u^e normal
+    e, k = (2.0, 3.0 * c) if derivative else (3.0, c)
+    log_tiny = math.log(sys.float_info.min)
+    u = np.exp(np.linspace((log_tiny - math.log(k)) / e, log_tiny / e, 41)[1:-1])
+    if derivative and c == 1e300:
+        u = np.append(u, 1e-160)
+    values = f(u.copy())
+    with mp.workdps(30):
+        for x, value in zip(u, values):
+            ref = sum(cc * pp * mp.mpf(x) ** (pp - 1) if derivative else cc * mp.mpf(x) ** pp
+                      for cc, pp in terms)
+            assert abs(value - ref) <= 2 * sys.float_info.epsilon * ref, x
+            assert f(float(x)) == value, x
+
+
 def test_power_terms_that_overflow_still_overflow():
     """Where c u^p itself leaves the doubles, the term overflows: under the
     solver's np.errstate(over="raise") it raises, on arrays and on floats,
@@ -652,14 +680,30 @@ def power_test_points(c, p):
 
 @pytest.mark.parametrize("c", [1.0, 0.7, 3.3])
 def test_square_by_products_is_np_power_bit_for_bit(c):
+    """c u^2 is c np.power(u, 2) bit for bit wherever u^2 is a normal double,
+    and wherever c u^2 is not; where u^2 is subnormal and c u^2 normal (at
+    c = 3.3) the term comes from two halves, within 1 ulp of mpmath."""
+    mp = pytest.importorskip("mpmath")
     u = power_test_points(c, 2.0)
+    F = Nonlinearity.power_law(c, 2.0)
     with np.errstate(under="ignore"):
-        want = c * np.power(u, 2.0)
-        assert np.array_equal(Nonlinearity.power_law(c, 2.0).fn(u), want)
+        got, want = F.fn(u), c * np.power(u, 2.0)
+        halves = np.flatnonzero(np.power(u, 2.0) < sys.float_info.min)
+        with mp.workdps(30):
+            refs = [mp.mpf(c) * mp.mpf(x) ** 2 for x in u[halves]]
+        halves = halves[[ref >= sys.float_info.min for ref in refs]]
+        assert (halves.size > 0) == (c > 1.0)
+        bits = np.ones(u.size, dtype=bool)
+        bits[halves] = False
+        assert np.array_equal(got[bits], want[bits])
+        with mp.workdps(30):
+            for x, value in zip(u[halves], got[halves]):
+                ref = mp.mpf(c) * mp.mpf(x) ** 2
+                assert abs(value - ref) <= np.spacing(float(ref)), x
         # the power sum's p1 = 2 term takes the same route
         v = u[u < 1e100]
         assert np.array_equal(Nonlinearity.power_sum(c, 2.0, 0.5, 2.5).fn(v),
-                              c * np.power(v, 2.0) + 0.5 * np.power(v, 2.5))
+                              F.fn(v) + 0.5 * np.power(v, 2.5))
 
 
 @pytest.mark.parametrize("p", [3, 4, 5, 6, 7, 8])

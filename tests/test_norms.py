@@ -97,6 +97,23 @@ def test_morrey_norm_validation():
         radial_concentration(u, 0.9, 1.0)
 
 
+@pytest.mark.parametrize("r, u, match", [
+    ([0.1, 0.2, 0.3], [1.0, 0.5, 0.2], "need at least 4 radial samples"),
+    ([0.1, 0.2, 0.3, 0.4], [1.0, 0.5, 0.2], "value array must match the radial grid"),
+    ([0.1, 0.3, 0.2, 0.4], [1.0, 0.5, 0.2, 0.1], "radial grid must be strictly increasing"),
+], ids=["three-samples", "shapes", "not-increasing"])
+def test_radial_profiles_check_their_samples(r, u, match):
+    with pytest.raises(DomainError, match=match):
+        RadialProfile(1, r, u)
+
+
+def test_a_profile_csv_with_a_header_and_no_rows_is_a_domain_error(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("r,value\n# no samples\n")
+    with pytest.raises(DomainError, match=r"empty\.csv: no data rows$"):
+        norms.read_profile_csv(path, 1)
+
+
 def test_grid_morrey_matches_radial_route():
     g = Grid(1, 32.0, 1024)
     u = GridFunction.gaussian(g, mass=1.0, sigma=1.0)

@@ -13,8 +13,8 @@ from numpy.testing import assert_allclose
 
 from blowlab import solver
 from blowlab.errors import DomainError, ResolutionError
-from blowlab.kernels import (Grid, GridFunction, KernelSpec, _propagator,
-                             generator_symbol_grid, semigroup_kernel)
+from blowlab.kernels import (Grid, GridFunction, KernelSpec, SemigroupKernel,
+                             _propagator, generator_symbol_grid, semigroup_kernel)
 from blowlab.nonlinearity import Nonlinearity
 from blowlab.solver import (BlowupSignal, MomentSeries, SimConfig, Trajectory,
                             _MomentProbe, _advance, _state,
@@ -570,6 +570,39 @@ def test_a_jensen_report_on_moments_whose_h_leaves_the_doubles_is_a_domain_error
         jensen_report(traj, F, 0.5)
 
 
+def test_a_jensen_report_needs_two_moment_samples():
+    with pytest.raises(DomainError, match="moment series too short for a derivative check"):
+        jensen_report(_moment_trajectory((1.0,)), Nonlinearity.power_law(1.0, 2.0), 0.5)
+
+
+def test_a_run_whose_u_max_is_not_above_the_initial_sup_is_a_domain_error():
+    u0 = GridFunction.gaussian(Grid(1, 8.0, 64), mass=1.0)
+    with pytest.raises(DomainError, match="u_max must exceed the initial sup"):
+        run(u0, make_cfg(u_max=u0.sup()))
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 8.0, 1024), Grid(2, 48.0, 256)], ids=["1d", "2d"])
+def test_the_boundary_band_is_built_once_per_grid(grid):
+    """Grid.edge() is one read-only mask per grid, and the two audits that
+    read it keep their verdicts and their bits: the support audit and the
+    kernel's boundary mass, against a band built here."""
+    band = grid.edge()
+    assert grid.edge() is band
+    assert not band.flags.writeable
+    with pytest.raises(ValueError):
+        band[0] = False
+    line = np.abs(grid.axis()) > 0.75 * grid.L
+    fresh = line if grid.d == 1 else line[:, None] | line[None, :]
+    assert np.array_equal(band, fresh)
+    values = np.random.default_rng(3).random(grid.shape)
+    inside = np.where(fresh, 0.0, values)
+    for _ in range(2):
+        assert solver._support_ok(inside, grid)
+        assert not solver._support_ok(values, grid)
+        kern = SemigroupKernel(grid, values)
+        assert kern.boundary_mass() == float(np.abs(values[fresh]).sum()) * grid.cell_volume
+
+
 def _moment_trajectory(W):
     """A trajectory that recorded the moment series W at t = 0, 1, 2, ...
     of its horizon 0.5."""
@@ -692,6 +725,17 @@ def test_a_run_whose_support_reached_the_margin_is_censored():
     assert solver._classify_run(blown, 4.0, cfg.t_end)[0] == "censored"
     assert solver._classify_run(dataclasses.replace(blown, reliable=True),
                                 4.0, cfg.t_end)[0] == "blowup"
+
+
+def test_a_reliable_run_whose_clock_stopped_is_censored():
+    """A dt_underflow run is censored even where its decay statistic would
+    pass the global-decay test, as the same run that reached its horizon
+    does."""
+    traj = dataclasses.replace(_moment_trajectory((1.0, 2.0)), t=[0.0, 0.8, 1.0],
+                               sup=[1.0, 0.5, 0.1])
+    assert solver._classify_run(traj, 2.0, 1.0)[0] == "global_decay"
+    stopped = dataclasses.replace(traj, outcome="dt_underflow", t_obs=1.0)
+    assert solver._classify_run(stopped, 2.0, 1.0)[0] == "censored"
 
 
 def test_dichotomy_validation():

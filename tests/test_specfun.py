@@ -2,6 +2,7 @@
 ratio against mpmath."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +31,17 @@ def test_sphere_area_closed_values(d, expected):
 def test_sphere_area_rejects_bad_dimension():
     with pytest.raises(DomainError):
         sphere_area(0)
+
+
+@pytest.mark.parametrize("d", [439, 456, 500])
+def test_sphere_area_below_the_normal_doubles_is_a_domain_error(d):
+    """sigma_d is a subnormal from d = 439 (3.8e-309) and 0 from d = 456,
+    which sphere_area returned; its log still serves."""
+    assert sphere_area(438) >= sys.float_info.min
+    with pytest.raises(DomainError, match=f"^sigma_d at d = {d} lies below the smallest normal"):
+        sphere_area(d)
+    assert log_sphere_area(d) == pytest.approx(math.log(2.0) + 0.5 * d * math.log(math.pi)
+                                               - math.lgamma(0.5 * d), rel=1e-15)
 
 
 @pytest.mark.parametrize("m", [0.005, 0.05, 0.5, 0.75, 1.0, 2.5, 100.0])

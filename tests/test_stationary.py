@@ -40,6 +40,22 @@ def test_residual_vanishes_symbolically_for_laplacian():
     assert stationary_residual(SingularSolution(2.0, 5, 3.0), 1.0) < 1e-10
 
 
+def test_the_fractional_residual_needs_two_dimensions():
+    with pytest.raises(DomainError, match="the spherical-mean scheme needs d >= 2"):
+        stationary_residual(SingularSolution(0.5, 1, 3.0), 1.0)
+
+
+@pytest.mark.parametrize("call, d", [
+    (lambda: singular_morrey_norm(SingularSolution(2.0, 445, 3.0)), 445),
+    (lambda: stationary_residual(SingularSolution(1.0, 460, 3.0), 1.0), 460),
+], ids=["morrey-norm", "residual"])
+def test_a_sphere_area_below_the_normal_doubles_is_a_domain_error(call, d):
+    """The Morrey norm read 5.2e-316 at d = 445, and the residual at d = 460
+    ended in a bare OverflowError; both read sigma_d, which raises there."""
+    with pytest.raises(DomainError, match=f"^sigma_d at d = {d} lies below the smallest normal"):
+        call()
+
+
 def test_residual_small_and_probe_independent_for_half_laplacian():
     sol = SingularSolution(1.0, 3, 3.0)
     r_half = stationary_residual(sol, 0.5)
